@@ -1,29 +1,30 @@
 //! Server aggregation-path benchmark: the pooled robust pre-aggregation
-//! path against a compiled-in copy of the seed's serial path, written to
-//! `BENCH_server.json`.
+//! path against the serial reference path, written to `BENCH_server.json`.
 //!
-//! The server's between-rounds work — densifying the cohort, the robust
-//! estimator's distance matrix and column screens — was a single serial
-//! loop in the seed. This PR fans it across `adafl_fl::pool::WorkerPool`
-//! and replaces the iterator-sum distance kernel with an eight-lane `f64`
-//! split. Both paths run in the same process over identical cohorts, so
-//! the comparison is machine-independent, and the binary *asserts* the
+//! The reference is the seed's server: one heap vector per densified
+//! update, a serial iterator-sum Krum distance matrix (compiled in below),
+//! and `fl::robust::oracle`'s full column sorts for trimmed mean and
+//! median. The production path fans densify, distances and column blocks
+//! across `adafl_fl::pool::WorkerPool`, splits the distance kernel into
+//! eight `f64` lanes, and selects the trim and median ranks instead of
+//! sorting. Both run in the same process over identical cohorts, so the
+//! comparison is machine-independent, and the binary *asserts* the
 //! contract the runtime relies on before reporting any number:
 //!
 //! * pool width 1 and pool width 4 produce bitwise-identical outputs;
-//! * blend estimators (trimmed mean, median) match the seed path bitwise;
+//! * blend estimators (trimmed mean, median) match the oracle bitwise;
 //! * selection estimators (Multi-Krum) pick the identical client set.
 //!
 //! Usage: `server_path [--smoke] [--out PATH] [--threads N]`
 
 use adafl_fl::pool::WorkerPool;
-use adafl_fl::robust::{trim_count, RobustAggregator, RobustMethod};
+use adafl_fl::robust::{oracle, trim_count, RobustAggregator, RobustMethod};
 use adafl_fl::runtime::{RoundUpdate, UpdatePayload};
 use std::time::Instant;
 
 // ---------------------------------------------------------------------------
-// Seed reference path, kept verbatim: per-update heap densify, per-column
-// sort screens, and the serial iterator-sum distance matrix.
+// Seed reference path: per-update heap densify and the serial iterator-sum
+// distance matrix, kept verbatim; the column sorts are `robust::oracle`'s.
 // ---------------------------------------------------------------------------
 
 /// Seed densify: one fresh heap vector per update.
@@ -36,50 +37,6 @@ fn reference_densify(updates: &[RoundUpdate], dim: usize) -> Vec<Vec<f32>> {
             d
         })
         .collect()
-}
-
-/// Seed coordinate-wise trimmed mean (identical math to the production
-/// column kernel; the seed ran it over one whole column range serially).
-fn reference_trimmed_mean(views: &[&[f32]], trim: usize) -> Vec<f32> {
-    let n = views.len();
-    let dim = views[0].len();
-    let kept = (n - 2 * trim) as f32;
-    let mut estimate = vec![0.0f32; dim];
-    let mut col: Vec<(f32, usize)> = Vec::with_capacity(n);
-    let mut survivors: Vec<usize> = Vec::with_capacity(n);
-    for (j, out) in estimate.iter_mut().enumerate() {
-        col.clear();
-        col.extend(views.iter().enumerate().map(|(i, v)| (v[j], i)));
-        col.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        survivors.clear();
-        survivors.extend(col[trim..n - trim].iter().map(|&(_, i)| i));
-        survivors.sort_unstable();
-        let mut sum = 0.0f32;
-        for &i in &survivors {
-            sum += views[i][j];
-        }
-        *out = sum / kept;
-    }
-    estimate
-}
-
-/// Seed coordinate-wise median.
-fn reference_median(views: &[&[f32]]) -> Vec<f32> {
-    let n = views.len();
-    let dim = views[0].len();
-    let mut estimate = vec![0.0f32; dim];
-    let mut col: Vec<f32> = Vec::with_capacity(n);
-    for (j, out) in estimate.iter_mut().enumerate() {
-        col.clear();
-        col.extend(views.iter().map(|v| v[j]));
-        col.sort_by(f32::total_cmp);
-        *out = if n % 2 == 1 {
-            col[n / 2]
-        } else {
-            0.5 * (col[n / 2 - 1] + col[n / 2])
-        };
-    }
-    estimate
 }
 
 /// Seed Krum/Multi-Krum selection with the serial iterator-sum distance
@@ -140,9 +97,9 @@ fn reference_pre_aggregate(
     match *method {
         RobustMethod::TrimmedMean { trim_ratio } => {
             let trim = trim_count(views.len(), trim_ratio);
-            ReferenceOutcome::Estimate(reference_trimmed_mean(&views, trim))
+            ReferenceOutcome::Estimate(oracle::trimmed_mean(&views, trim))
         }
-        RobustMethod::Median => ReferenceOutcome::Estimate(reference_median(&views)),
+        RobustMethod::Median => ReferenceOutcome::Estimate(oracle::median(&views)),
         RobustMethod::MultiKrum { f, m } => ReferenceOutcome::Selected(
             reference_krum_select(&views, f, m)
                 .into_iter()

@@ -33,18 +33,35 @@
 //! draws randomness. All comparison-based selection uses
 //! [`f32::total_cmp`]/[`f64::total_cmp`], so even non-finite values that
 //! slip past a disabled gate order deterministically.
+//!
+//! # Select, don't sort
+//!
+//! Trimmed mean and median need two order statistics per coordinate, not
+//! an ordering. Their kernels gather a panel of columns as integer keys
+//! that order exactly as `total_cmp` does, find the boundary ranks with
+//! `select_nth_unstable`, and sum the survivors in view order — the same
+//! survivor set and the same accumulation order as sorting each column,
+//! which [`oracle`] still does so that tests can demand equal bits.
 
 use crate::pool::WorkerPool;
 use crate::runtime::{RoundUpdate, UpdatePayload};
 
-/// Columns per parallel job for the coordinate-wise estimators: large
-/// enough that per-job overhead is negligible, small enough to spread a
-/// CNN-sized gradient across a pool.
-const COL_CHUNK: usize = 1024;
+/// Columns gathered per panel by the coordinate-wise estimators: one
+/// 64-byte line of every view row, so the gather reads whole cache lines
+/// and the ordered sum runs lane-wise across the panel.
+const PANEL: usize = 16;
+
+/// Column blocks queued per pool worker. Workers pull blocks from one
+/// shared queue, so a few blocks each let the pool absorb a worker that
+/// loses its core mid-stage; one block each would wait for the slowest.
+const BLOCKS_PER_WORKER: usize = 4;
+
+/// Fewest cohort values (columns × views) worth one pool dispatch.
+const MIN_BLOCK_VALUES: usize = 1 << 13;
 
 /// Which robust estimator replaces the plain weighted mean.
 ///
-/// All parameters are validated by [`RobustAggregator::new`].
+/// All parameters are validated by [`RobustAggregator::try_new`].
 #[derive(serde::Serialize, serde::Deserialize, Debug, Clone, Copy, PartialEq)]
 #[non_exhaustive]
 pub enum RobustMethod {
@@ -160,23 +177,29 @@ impl RobustAggregator {
     /// # Panics
     ///
     /// Panics when `trim_ratio ∉ [0, 0.5)`, `m = 0`, or `tol` is not a
-    /// finite non-negative number.
+    /// finite non-negative number; [`RobustAggregator::try_new`] returns
+    /// the same reason instead.
     pub fn new(method: RobustMethod) -> Self {
+        Self::try_new(method).unwrap_or_else(|reason| panic!("{reason}"))
+    }
+
+    /// Wraps a method, validating its parameters.
+    ///
+    /// # Errors
+    ///
+    /// Returns the violated constraint when `trim_ratio ∉ [0, 0.5)`,
+    /// `m = 0`, or `tol` is not a finite non-negative number.
+    pub fn try_new(method: RobustMethod) -> Result<Self, &'static str> {
         match method {
-            RobustMethod::TrimmedMean { trim_ratio } => assert!(
-                (0.0..0.5).contains(&trim_ratio),
-                "trim ratio must be in [0, 0.5)"
-            ),
-            RobustMethod::Median | RobustMethod::Krum { .. } => {}
-            RobustMethod::MultiKrum { m, .. } => {
-                assert!(m >= 1, "multi-krum must keep at least one update")
+            RobustMethod::TrimmedMean { trim_ratio } if !(0.0..0.5).contains(&trim_ratio) => {
+                Err("trim ratio must be in [0, 0.5)")
             }
-            RobustMethod::GeometricMedian { tol, .. } => assert!(
-                tol.is_finite() && tol >= 0.0,
-                "weiszfeld tolerance must be finite and non-negative"
-            ),
+            RobustMethod::MultiKrum { m: 0, .. } => Err("multi-krum must keep at least one update"),
+            RobustMethod::GeometricMedian { tol, .. } if !(tol.is_finite() && tol >= 0.0) => {
+                Err("weiszfeld tolerance must be finite and non-negative")
+            }
+            _ => Ok(RobustAggregator { method }),
         }
-        RobustAggregator { method }
     }
 
     /// The configured method.
@@ -327,8 +350,9 @@ pub fn coordinate_trimmed_mean(views: &[&[f32]], trim: usize) -> Vec<f32> {
 }
 
 /// [`coordinate_trimmed_mean`] with an optional worker pool. Columns are
-/// split into fixed `COL_CHUNK` blocks; each column's math is untouched,
-/// so the result is byte-identical at any pool width.
+/// split into blocks sized from the dimension and the pool width; each
+/// column's math is untouched, so the result is byte-identical at any
+/// pool width.
 ///
 /// # Panics
 ///
@@ -341,64 +365,150 @@ pub fn coordinate_trimmed_mean_with(
     let n = views.len();
     assert!(n > 0, "trimmed mean of an empty cohort");
     assert!(2 * trim < n, "trim must leave at least one survivor");
-    let dim = views[0].len();
-    let kept = (n - 2 * trim) as f32;
-    let mut estimate = vec![0.0f32; dim];
-    run_columns(pool, &mut estimate, &|base, cols| {
-        trimmed_mean_columns(views, trim, kept, base, cols)
+    assert!(
+        u32::try_from(n).is_ok(),
+        "view index must fit the key's low half"
+    );
+    let mut estimate = vec![0.0f32; views[0].len()];
+    run_columns(pool, n, &mut estimate, &|base, cols| {
+        trimmed_mean_columns(views, trim, base, cols)
     });
     estimate
 }
 
-/// One block of trimmed-mean columns: `cols[off]` receives column
-/// `base + off`. Shared by the serial and pooled paths.
-fn trimmed_mean_columns(views: &[&[f32]], trim: usize, kept: f32, base: usize, cols: &mut [f32]) {
-    let n = views.len();
-    let mut col: Vec<(f32, usize)> = Vec::with_capacity(n);
-    let mut survivors: Vec<usize> = Vec::with_capacity(n);
-    for (off, out) in cols.iter_mut().enumerate() {
-        let j = base + off;
-        col.clear();
-        col.extend(views.iter().enumerate().map(|(i, v)| (v[j], i)));
-        // total_cmp gives non-finite values a fixed order; the view index
-        // breaks value ties so the survivor set is permutation-stable.
-        col.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        survivors.clear();
-        survivors.extend(col[trim..n - trim].iter().map(|&(_, i)| i));
-        // Summing in ascending view order (not sorted-value order) pins
-        // the float accumulation order independently of the data.
-        survivors.sort_unstable();
-        let mut sum = 0.0f32;
-        for &i in &survivors {
-            sum += views[i][j];
+/// Maps a float to the integer whose unsigned order is
+/// [`f32::total_cmp`]'s: negative floats flip every bit, the rest set the
+/// sign bit. Equal keys mean equal bit patterns.
+fn order_key(x: f32) -> u32 {
+    let bits = x.to_bits();
+    bits ^ (((bits as i32 >> 31) as u32) | 0x8000_0000)
+}
+
+/// Inverse of [`order_key`].
+fn key_value(key: u32) -> f32 {
+    let flipped = if key >> 31 == 1 {
+        0x8000_0000
+    } else {
+        u32::MAX
+    };
+    f32::from_bits(key ^ flipped)
+}
+
+/// [`order_key`] with the view index in the low half as tie-break: the
+/// integer order of these keys is the order of `(value, view)` under
+/// `total_cmp` then index, and no two views of a column share a key.
+fn tie_key(x: f32, view: usize) -> u64 {
+    u64::from(order_key(x)) << 32 | view as u64
+}
+
+/// Keys between the starts of two panel columns for a cohort of `n`: the
+/// column itself plus a cache line or two, so that the columns of a
+/// power-of-two cohort do not all land in the same cache sets.
+fn column_stride(n: usize) -> usize {
+    n + 16
+}
+
+/// Transposes columns `j0..j0 + w` of the cohort matrix into `keys`, so
+/// that column `c` of the panel is the contiguous `keys[c·stride..][..n]`
+/// with `stride` = [`column_stride`].
+fn gather_panel<K>(
+    views: &[&[f32]],
+    j0: usize,
+    w: usize,
+    keys: &mut [K],
+    key: impl Fn(f32, usize) -> K,
+) {
+    let stride = column_stride(views.len());
+    for (i, v) in views.iter().enumerate() {
+        for (col, &x) in keys.chunks_exact_mut(stride).zip(&v[j0..j0 + w]) {
+            col[i] = key(x, i);
         }
-        *out = sum / kept;
     }
 }
 
-/// Runs `work(base, block)` over `out` split into [`COL_CHUNK`] column
+/// One block of trimmed-mean columns: `cols[off]` receives column
+/// `base + off`. Shared by the serial and pooled paths.
+///
+/// Per column, two `select_nth_unstable` calls over [`tie_key`]s find the
+/// smallest and largest surviving key; nothing is sorted. The survivors
+/// are then summed in ascending view order (not sorted-value order),
+/// which pins the float accumulation order independently of the data — a
+/// view outside the bounds adds `+0.0`, which leaves a sum that started
+/// at `+0.0` (and so is never `-0.0`) bit-for-bit alone.
+fn trimmed_mean_columns(views: &[&[f32]], trim: usize, base: usize, cols: &mut [f32]) {
+    let n = views.len();
+    let kept = n - 2 * trim;
+    // Scratch for the whole block; with nothing to trim every key is
+    // inside the default bounds and no column needs selecting.
+    let stride = column_stride(n);
+    let mut keys = vec![0u64; if trim > 0 { stride * PANEL } else { 0 }];
+    let mut lo = [u64::MIN; PANEL];
+    let mut hi = [u64::MAX; PANEL];
+    for (p, out) in cols.chunks_mut(PANEL).enumerate() {
+        let j0 = base + p * PANEL;
+        let w = out.len();
+        if trim > 0 {
+            gather_panel(views, j0, w, &mut keys, tie_key);
+            for (c, col) in keys.chunks_exact_mut(stride).take(w).enumerate() {
+                let (_, &mut first, above) = col[..n].select_nth_unstable(trim);
+                lo[c] = first;
+                hi[c] = match kept {
+                    1 => first,
+                    _ => *above.select_nth_unstable(kept - 2).1,
+                };
+            }
+        }
+        let mut sums = [0.0f32; PANEL];
+        for (i, v) in views.iter().enumerate() {
+            let row = &v[j0..j0 + w];
+            for (((sum, &x), &lo), &hi) in sums.iter_mut().zip(row).zip(&lo).zip(&hi) {
+                let key = tie_key(x, i);
+                *sum += if lo <= key && key <= hi { x } else { 0.0 };
+            }
+        }
+        for (out, sum) in out.iter_mut().zip(sums) {
+            *out = sum / kept as f32;
+        }
+    }
+}
+
+/// Columns per job for a `dim`-column estimate over `n` views: an even
+/// split into [`BLOCKS_PER_WORKER`] blocks per worker, but no block so
+/// small that dispatching it costs more than computing it, rounded up to
+/// whole panels. Without workers the whole estimate is one block.
+fn block_cols(dim: usize, n: usize, workers: usize) -> usize {
+    if workers == 0 {
+        return dim;
+    }
+    dim.div_ceil(workers * BLOCKS_PER_WORKER)
+        .max(MIN_BLOCK_VALUES.div_ceil(n))
+        .next_multiple_of(PANEL)
+}
+
+/// Runs `work(base, block)` over `out` split into [`block_cols`] column
 /// blocks — across the pool when one is provided and the split pays off,
 /// inline otherwise. Blocks are disjoint, so the pool changes nothing but
 /// wall-clock time.
 fn run_columns(
     pool: Option<&WorkerPool>,
+    n: usize,
     out: &mut [f32],
     work: &(dyn Fn(usize, &mut [f32]) + Sync),
 ) {
+    if out.is_empty() {
+        return;
+    }
+    let block = block_cols(out.len(), n, pool.map_or(0, WorkerPool::workers));
     match pool {
-        Some(pool) if pool.workers() > 0 && out.len() > COL_CHUNK => {
+        Some(pool) if block < out.len() => {
             let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = out
-                .chunks_mut(COL_CHUNK)
+                .chunks_mut(block)
                 .enumerate()
-                .map(|(c, block)| Box::new(move || work(c * COL_CHUNK, block)) as Box<_>)
+                .map(|(b, cols)| Box::new(move || work(b * block, cols)) as Box<_>)
                 .collect();
             pool.scope_run(jobs);
         }
-        _ => {
-            if !out.is_empty() {
-                work(0, out);
-            }
-        }
+        _ => work(0, out),
     }
 }
 
@@ -422,23 +532,87 @@ pub fn coordinate_median(views: &[&[f32]]) -> Vec<f32> {
 pub fn coordinate_median_with(views: &[&[f32]], pool: Option<&WorkerPool>) -> Vec<f32> {
     let n = views.len();
     assert!(n > 0, "median of an empty cohort");
-    let dim = views[0].len();
-    let mut estimate = vec![0.0f32; dim];
-    run_columns(pool, &mut estimate, &|base, cols| {
-        let mut col: Vec<f32> = Vec::with_capacity(n);
-        for (off, out) in cols.iter_mut().enumerate() {
-            let j = base + off;
-            col.clear();
-            col.extend(views.iter().map(|v| v[j]));
-            col.sort_by(f32::total_cmp);
-            *out = if n % 2 == 1 {
-                col[n / 2]
-            } else {
-                0.5 * (col[n / 2 - 1] + col[n / 2])
-            };
-        }
+    let mut estimate = vec![0.0f32; views[0].len()];
+    run_columns(pool, n, &mut estimate, &|base, cols| {
+        median_columns(views, base, cols)
     });
     estimate
+}
+
+/// One block of median columns: `cols[off]` receives column `base + off`.
+///
+/// Values that compare equal under `total_cmp` are the same bits, so the
+/// middle ranks need no tie-break: one `select_nth_unstable` over plain
+/// [`order_key`]s places the upper middle, and the lower middle of an
+/// even cohort is the largest key left below it.
+fn median_columns(views: &[&[f32]], base: usize, cols: &mut [f32]) {
+    let n = views.len();
+    let stride = column_stride(n);
+    let mut keys = vec![0u32; stride * PANEL];
+    for (p, out) in cols.chunks_mut(PANEL).enumerate() {
+        gather_panel(views, base + p * PANEL, out.len(), &mut keys, |x, _| {
+            order_key(x)
+        });
+        for (out, col) in out.iter_mut().zip(keys.chunks_exact_mut(stride)) {
+            let (below, &mut upper, _) = col[..n].select_nth_unstable(n / 2);
+            let upper = key_value(upper);
+            *out = if n % 2 == 1 {
+                upper
+            } else {
+                let lower = *below.iter().max().expect("an even cohort has a lower half");
+                0.5 * (key_value(lower) + upper)
+            };
+        }
+    }
+}
+
+/// The sorting estimators the selection kernels above replaced, kept as
+/// their reference: tests and bench asserts require the kernels to match
+/// these **bitwise**, whatever the cohort holds. Never call them from
+/// production code.
+pub mod oracle {
+    /// Trimmed mean by full sort: order each column by `total_cmp` then
+    /// view index, keep ranks `trim..n − trim`, sum them in view order.
+    pub fn trimmed_mean(views: &[&[f32]], trim: usize) -> Vec<f32> {
+        let n = views.len();
+        let kept = (n - 2 * trim) as f32;
+        let mut col: Vec<(f32, usize)> = Vec::with_capacity(n);
+        let mut survivors: Vec<usize> = Vec::with_capacity(n);
+        (0..views[0].len())
+            .map(|j| {
+                col.clear();
+                col.extend(views.iter().enumerate().map(|(i, v)| (v[j], i)));
+                col.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+                survivors.clear();
+                survivors.extend(col[trim..n - trim].iter().map(|&(_, i)| i));
+                survivors.sort_unstable();
+                let mut sum = 0.0f32;
+                for &i in &survivors {
+                    sum += views[i][j];
+                }
+                sum / kept
+            })
+            .collect()
+    }
+
+    /// Median by full sort under `total_cmp`; even cohorts average the
+    /// two middle values.
+    pub fn median(views: &[&[f32]]) -> Vec<f32> {
+        let n = views.len();
+        let mut col: Vec<f32> = Vec::with_capacity(n);
+        (0..views[0].len())
+            .map(|j| {
+                col.clear();
+                col.extend(views.iter().map(|v| v[j]));
+                col.sort_by(f32::total_cmp);
+                if n % 2 == 1 {
+                    col[n / 2]
+                } else {
+                    0.5 * (col[n / 2 - 1] + col[n / 2])
+                }
+            })
+            .collect()
+    }
 }
 
 /// Krum/Multi-Krum selection: scores each view by the summed squared
@@ -667,6 +841,115 @@ mod tests {
             assert_eq!(format!("{m}"), m.as_str());
         }
         assert!(RobustMethod::from_str("majority-vote").is_err());
+    }
+
+    /// Bit patterns that stress the order: zeros, infinities, quiet and
+    /// signalling NaNs of both signs, subnormals, extremes — then noise.
+    fn bit_patterns(count: usize) -> Vec<u32> {
+        let mut out = vec![
+            0x0000_0000,
+            0x8000_0000,
+            0x7f80_0000,
+            0xff80_0000,
+            0x7fc0_0000,
+            0xffc0_0000,
+            0x7f80_0001,
+            0xff80_0001,
+            0x7fff_ffff,
+            0xffff_ffff,
+            0x0000_0001,
+            0x8000_0001,
+            0x007f_ffff,
+            0x807f_ffff,
+            0x0080_0000,
+            0x7f7f_ffff,
+            0xff7f_ffff,
+            0x3f80_0000,
+            0xbf80_0000,
+        ];
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        while out.len() < count {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            out.push((state >> 32) as u32);
+        }
+        out
+    }
+
+    #[test]
+    fn order_key_orders_bit_patterns_as_total_cmp() {
+        let patterns = bit_patterns(320);
+        for (i, &a) in patterns.iter().enumerate() {
+            let fa = f32::from_bits(a);
+            assert_eq!(key_value(order_key(fa)).to_bits(), a, "round trip");
+            for (j, &b) in patterns.iter().enumerate() {
+                let fb = f32::from_bits(b);
+                assert_eq!(
+                    order_key(fa).cmp(&order_key(fb)),
+                    fa.total_cmp(&fb),
+                    "{a:#010x} vs {b:#010x}"
+                );
+                assert_eq!(
+                    tie_key(fa, i).cmp(&tie_key(fb, j)),
+                    fa.total_cmp(&fb).then(i.cmp(&j)),
+                    "({a:#010x}, {i}) vs ({b:#010x}, {j})"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn kernels_match_the_oracle_on_either_side_of_a_block_boundary() {
+        // Bitwise, except that a NaN only has to be a NaN: Rust leaves
+        // the sign and payload of an arithmetic NaN unspecified, so two
+        // compilations of the same sum need not agree on them.
+        fn bits(v: &[f32]) -> Vec<u32> {
+            v.iter()
+                .map(|x| if x.is_nan() { u32::MAX } else { x.to_bits() })
+                .collect()
+        }
+        for (n, workers) in [(5usize, 2usize), (64, 4), (256, 2)] {
+            let pool = WorkerPool::new(workers);
+            let smallest = block_cols(1, n, workers);
+            let jobs = workers * BLOCKS_PER_WORKER;
+            for dim in [
+                smallest - 1,
+                smallest,
+                smallest + 1,
+                2 * smallest + PANEL + 1,
+                jobs * (smallest + PANEL) - 1,
+            ] {
+                // A small palette, so every column is mostly ties; the
+                // rarer picks seed it with signed zeros, an infinity, a
+                // subnormal and a NaN that trimming may or may not drop.
+                let palette = [1.0, -1.0, 0.5, 3.25, -7.5, 0.0, -0.0];
+                let rare = [f32::INFINITY, 1e-41, -f32::NAN];
+                let cohort: Vec<Vec<f32>> = (0..n)
+                    .map(|i| {
+                        (0..dim)
+                            .map(|j| match (i * 31 + j * 17 + i * j) % 41 {
+                                h @ 0..=2 => rare[h],
+                                h => palette[h % 7],
+                            })
+                            .collect()
+                    })
+                    .collect();
+                let v = views(&cohort);
+                for trim in [0, 1, (n - 1) / 2] {
+                    assert_eq!(
+                        bits(&coordinate_trimmed_mean_with(&v, trim, Some(&pool))),
+                        bits(&oracle::trimmed_mean(&v, trim)),
+                        "trimmed mean n={n} dim={dim} trim={trim}"
+                    );
+                }
+                assert_eq!(
+                    bits(&coordinate_median_with(&v, Some(&pool))),
+                    bits(&oracle::median(&v)),
+                    "median n={n} dim={dim}"
+                );
+            }
+        }
     }
 
     #[test]

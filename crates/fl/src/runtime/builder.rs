@@ -23,7 +23,7 @@ use crate::defense::DefenseConfig;
 use crate::faults::FaultPlan;
 use crate::fleet::ShardSource;
 use crate::r#async::{AsyncEngine, AsyncStrategy};
-use crate::robust::RobustMethod;
+use crate::robust::{RobustAggregator, RobustMethod};
 use crate::submodel::CapacityPolicy;
 use crate::sync::{StaticCompression, SyncEngine, SyncStrategy};
 use adafl_data::partition::Partitioner;
@@ -33,9 +33,9 @@ use adafl_telemetry::SharedRecorder;
 
 /// Why a [`RuntimeBuilder`] could not assemble the requested flavour.
 ///
-/// Construction is infallible for synchronous flavours; asynchronous
-/// flavours reject resilience options that only make sense with a
-/// per-round cohort.
+/// Every flavour rejects a robust method whose parameters are out of
+/// range; asynchronous flavours also reject resilience options that only
+/// make sense with a per-round cohort.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum BuildError {
@@ -43,6 +43,9 @@ pub enum BuildError {
     RobustRequiresSync,
     /// [`RuntimeBuilder::capacity`] was combined with an async flavour.
     CapacityRequiresSync,
+    /// [`RuntimeBuilder::robust`] was given a method that
+    /// [`RobustAggregator::try_new`] rejects, for the reason carried.
+    InvalidRobustMethod(&'static str),
 }
 
 impl std::fmt::Display for BuildError {
@@ -58,6 +61,9 @@ impl std::fmt::Display for BuildError {
                  assignment and coverage-weighted aggregation need a synchronous \
                  per-round cohort",
             ),
+            BuildError::InvalidRobustMethod(reason) => {
+                write!(f, "invalid robust method: {reason}")
+            }
         }
     }
 }
@@ -239,10 +245,34 @@ impl RuntimeBuilder {
         (network, compute, faults)
     }
 
+    /// [`RuntimeBuilder::try_build_sync_runtime`] for callers whose robust
+    /// method is known to be valid.
+    ///
+    /// # Panics
+    ///
+    /// Panics with the [`BuildError`]'s message where that would return it.
+    pub fn build_sync_runtime(self, policies: SyncPolicies) -> SyncRuntime {
+        self.try_build_sync_runtime(policies)
+            .unwrap_or_else(|e| panic!("{e}"))
+    }
+
     /// Builds a [`SyncRuntime`] specialised by `policies`, applying the
     /// resilience options in the canonical order (retry → defense →
     /// robust → recorder) the benchmark runner has always used.
-    pub fn build_sync_runtime(mut self, policies: SyncPolicies) -> SyncRuntime {
+    ///
+    /// # Errors
+    ///
+    /// Returns [`BuildError::InvalidRobustMethod`] when the parameters of
+    /// the [`RuntimeBuilder::robust`] method are out of range.
+    pub fn try_build_sync_runtime(
+        mut self,
+        policies: SyncPolicies,
+    ) -> Result<SyncRuntime, BuildError> {
+        let robust = self
+            .robust
+            .map(RobustAggregator::try_new)
+            .transpose()
+            .map_err(BuildError::InvalidRobustMethod)?;
         let mut rt = match self.shard_source.take() {
             Some(source) => {
                 let (network, compute, faults) = self.take_env();
@@ -275,8 +305,8 @@ impl RuntimeBuilder {
         if let Some(cfg) = self.defense {
             rt.set_defense(cfg);
         }
-        if let Some(method) = self.robust {
-            rt.set_robust(method);
+        if let Some(robust) = robust {
+            rt.set_robust(robust);
         }
         if let Some(policy) = self.capacity {
             rt.set_capacity(policy);
@@ -287,7 +317,7 @@ impl RuntimeBuilder {
         if let Some(threads) = self.threads {
             rt.set_threads(threads);
         }
-        rt
+        Ok(rt)
     }
 
     /// Builds an [`AsyncRuntime`] specialised by `policy`.
@@ -346,7 +376,14 @@ impl RuntimeBuilder {
     /// identity static compression and the given [`SyncStrategy`], wrapped
     /// in the legacy [`SyncEngine`] facade.
     pub fn build_sync(self, strategy: Box<dyn SyncStrategy>) -> SyncEngine {
-        let policies = SyncPolicies {
+        let policies = self.baseline_policies(strategy);
+        SyncEngine::from_runtime(self.build_sync_runtime(policies))
+    }
+
+    /// The baseline synchronous bundle: uniform random selection, identity
+    /// static compression and `strategy`, seeded from the configuration.
+    fn baseline_policies(&self, strategy: Box<dyn SyncStrategy>) -> SyncPolicies {
+        SyncPolicies {
             selection: Box::new(RandomSelection::new(self.fl.seed_for("selection"))),
             compression: Box::new(StaticCompressionPolicy::new(
                 StaticCompression::None,
@@ -354,8 +391,7 @@ impl RuntimeBuilder {
             )),
             aggregation: Box::new(StrategyAggregation::new(strategy)),
             enforce_deadline: true,
-        };
-        SyncEngine::from_runtime(self.build_sync_runtime(policies))
+        }
     }
 
     /// Builds the baseline asynchronous flavour (dense exchanges, no
@@ -376,6 +412,7 @@ mod tests {
     use super::*;
     use crate::r#async::strategies::FedAsync;
     use crate::submodel::{CapacityTier, StaticCapacity};
+    use crate::sync::strategies::FedAvg;
     use adafl_data::synthetic::SyntheticSpec;
     use adafl_nn::models::ModelSpec;
 
@@ -405,6 +442,48 @@ mod tests {
             msg.contains("robust pre-aggregation") && msg.contains("async"),
             "error must name the unsupported combination: {msg}"
         );
+    }
+
+    #[test]
+    fn sync_build_rejects_invalid_robust_parameters_with_the_reason() {
+        for (method, reason) in [
+            (RobustMethod::TrimmedMean { trim_ratio: 0.5 }, "trim ratio"),
+            (
+                RobustMethod::TrimmedMean {
+                    trim_ratio: f64::NAN,
+                },
+                "trim ratio",
+            ),
+            (
+                RobustMethod::MultiKrum { f: 1, m: 0 },
+                "at least one update",
+            ),
+            (
+                RobustMethod::GeometricMedian {
+                    max_iters: 8,
+                    tol: -1.0,
+                },
+                "tolerance",
+            ),
+            (
+                RobustMethod::GeometricMedian {
+                    max_iters: 8,
+                    tol: f64::INFINITY,
+                },
+                "tolerance",
+            ),
+        ] {
+            let builder = builder().robust(Some(method));
+            let policies = builder.baseline_policies(Box::new(FedAvg::new()));
+            let err = builder
+                .try_build_sync_runtime(policies)
+                .expect_err("out-of-range parameters must be rejected");
+            assert!(
+                matches!(err, BuildError::InvalidRobustMethod(r) if r.contains(reason)),
+                "{method:?} gave {err:?}"
+            );
+            assert!(err.to_string().contains(reason), "{err}");
+        }
     }
 
     #[test]

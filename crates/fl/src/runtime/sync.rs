@@ -22,7 +22,7 @@ use crate::fleet::{ClientPool, Fleet, ShardSource};
 use crate::history::{RoundRecord, RunHistory};
 use crate::ledger::CommunicationLedger;
 use crate::pool::WorkerPool;
-use crate::robust::{RobustAggregator, RobustMethod, RobustStats};
+use crate::robust::{RobustAggregator, RobustStats};
 use crate::submodel::{coverage_weighted_fold, CapacityPolicy};
 use adafl_compression::{dense_wire_size, ViewDescriptor, WireCodec};
 use adafl_data::Dataset;
@@ -290,15 +290,10 @@ impl SyncRuntime {
 
     /// Enables Byzantine-robust pre-aggregation: after defense screening
     /// and before the aggregation policy, the cohort is replaced by the
-    /// robust estimate of [`RobustMethod`] (see [`crate::robust`]). Off
-    /// by default — plain weighted-mean aggregation.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the method's parameters are invalid
-    /// (see [`RobustAggregator::new`]).
-    pub fn set_robust(&mut self, method: RobustMethod) {
-        self.robust = Some(RobustAggregator::new(method));
+    /// aggregator's robust estimate (see [`crate::robust`]). Off by
+    /// default — plain weighted-mean aggregation.
+    pub fn set_robust(&mut self, robust: RobustAggregator) {
+        self.robust = Some(robust);
     }
 
     /// Enables heterogeneous-capacity training: each round the policy

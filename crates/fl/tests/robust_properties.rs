@@ -7,14 +7,24 @@
 //! `f = 0, m ≥ n`) **exactly reproduce plain aggregation** on an honest
 //! cohort.
 //!
+//! The two coordinate-wise estimators are order-statistic kernels; the
+//! last two properties hold them **bitwise** to the sorting estimators
+//! they replaced (`robust::oracle`), over cohorts seeded with ties,
+//! signed zeros, infinities, NaNs and subnormals, at every legal trim and
+//! at pool widths 1, 2 and 4.
+//!
 //! `PROPTEST_CASES` scales the case count (CI runs these elevated).
 
-use adafl_fl::robust::{RobustAggregator, RobustMethod};
+use adafl_fl::pool::WorkerPool;
+use adafl_fl::robust::{
+    coordinate_median_with, coordinate_trimmed_mean_with, oracle, RobustAggregator, RobustMethod,
+};
 use adafl_fl::runtime::{RoundUpdate, UpdatePayload};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
+use std::sync::OnceLock;
 
 const MAX_N: usize = 6;
 const MAX_DIM: usize = 16;
@@ -58,7 +68,138 @@ fn every_method() -> [RobustMethod; 5] {
     ]
 }
 
+/// Cohort sizes the parity properties sweep: every small size, then the
+/// benchmark's sizes and an odd neighbour.
+fn cohort_size(pick: usize) -> usize {
+    match pick {
+        0..=31 => pick + 2,
+        32 => 64,
+        33 => 255,
+        _ => 256,
+    }
+}
+
+/// A dimension near a multiple of the 16-column panel, up to a few
+/// column blocks wide for the cohort size (a block holds at least 8 192
+/// values, and a 4-wide pool cuts 16 of them).
+fn dimension(n: usize, pick: usize, nudge: usize) -> usize {
+    let block = 8192usize.div_ceil(n).next_multiple_of(16);
+    let widest = if pick.is_multiple_of(8) {
+        17 * block
+    } else {
+        3 * block
+    };
+    ((pick % (widest / 16 + 1)) * 16 + nudge)
+        .saturating_sub(1)
+        .max(1)
+}
+
+/// An `n × dim` cohort whose columns are, by turns, plain noise, a
+/// three-value palette (ties), noise salted with special values, and
+/// arbitrary bit patterns.
+fn adversarial_cohort(seed: u64, n: usize, dim: usize) -> Vec<Vec<f32>> {
+    const SPECIAL: [u32; 16] = [
+        0x0000_0000, // +0.0
+        0x8000_0000, // -0.0
+        0x7f80_0000, // +inf
+        0xff80_0000, // -inf
+        0x7fc0_0000, // +NaN
+        0xffc0_0000, // -NaN
+        0x7f80_0001, // +sNaN
+        0xffff_ffff, // -NaN, full payload
+        0x0000_0001, // smallest subnormal
+        0x8000_0001,
+        0x007f_ffff, // largest subnormal
+        0x807f_ffff,
+        0x0080_0000, // smallest normal
+        0x7f7f_ffff, // MAX
+        0xff7f_ffff, // MIN
+        0x3f80_0000, // 1.0
+    ];
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut cohort = vec![vec![0.0f32; dim]; n];
+    for j in 0..dim {
+        let style = rng.gen_range(0..4u32);
+        let palette: [f32; 3] = std::array::from_fn(|_| rng.gen_range(-4.0f32..4.0));
+        for row in cohort.iter_mut() {
+            row[j] = match style {
+                0 => rng.gen_range(-100.0f32..100.0),
+                1 => palette[rng.gen_range(0..3usize)],
+                2 if rng.gen_range(0..4u32) == 0 => {
+                    f32::from_bits(SPECIAL[rng.gen_range(0..SPECIAL.len())])
+                }
+                2 => palette[0] * rng.gen_range(-1.0f32..1.0),
+                _ => f32::from_bits(rng.gen::<u32>()),
+            };
+        }
+    }
+    cohort
+}
+
+/// No pool, then pools of width 1, 2 and 4, built once for the binary.
+fn pools() -> [Option<&'static WorkerPool>; 4] {
+    static POOLS: OnceLock<[WorkerPool; 3]> = OnceLock::new();
+    let [a, b, c] = POOLS.get_or_init(|| [1, 2, 4].map(WorkerPool::new));
+    [None, Some(a), Some(b), Some(c)]
+}
+
+/// `to_bits` of every coordinate. A NaN only has to be a NaN: Rust leaves
+/// the sign and payload of a NaN that arithmetic produced unspecified, so
+/// two compilations of one sum need not agree on them — every other
+/// value, signed zeros and infinities included, is compared exactly.
+fn bits(estimate: &[f32]) -> Vec<u32> {
+    estimate
+        .iter()
+        .map(|v| if v.is_nan() { u32::MAX } else { v.to_bits() })
+        .collect()
+}
+
 proptest! {
+    #[test]
+    fn trimmed_mean_kernel_matches_the_sorting_oracle_bitwise(
+        seed in 0u64..u64::MAX,
+        n_pick in 0usize..35,
+        dim_pick in 0usize..usize::MAX / 2,
+        nudge in 0usize..3,
+        trim_pick in 0usize..usize::MAX / 2,
+    ) {
+        let n = cohort_size(n_pick);
+        let dim = dimension(n, dim_pick, nudge);
+        // Every legal trim, the two ends (plain mean, one survivor or
+        // two) twice as often as the rest.
+        let most = (n - 1) / 2;
+        let trim = match trim_pick % (most + 3) {
+            t if t <= most => t,
+            t if t == most + 1 => 0,
+            _ => most,
+        };
+        let cohort = adversarial_cohort(seed, n, dim);
+        let views: Vec<&[f32]> = cohort.iter().map(Vec::as_slice).collect();
+        let expected = bits(&oracle::trimmed_mean(&views, trim));
+        for pool in pools() {
+            let got = coordinate_trimmed_mean_with(&views, trim, pool);
+            prop_assert!(bits(&got) == expected, "n {n} dim {dim} trim {trim}");
+        }
+    }
+
+    #[test]
+    fn median_kernel_matches_the_sorting_oracle_bitwise(
+        seed in 0u64..u64::MAX,
+        n_pick in 0usize..35,
+        dim_pick in 0usize..usize::MAX / 2,
+        nudge in 0usize..3,
+    ) {
+        let n = cohort_size(n_pick);
+        let dim = dimension(n, dim_pick, nudge);
+        let cohort = adversarial_cohort(seed, n, dim);
+        let views: Vec<&[f32]> = cohort.iter().map(Vec::as_slice).collect();
+        let expected = bits(&oracle::median(&views));
+        for pool in pools() {
+            let got = coordinate_median_with(&views, pool);
+            prop_assert!(bits(&got) == expected, "n {n} dim {dim}");
+        }
+    }
+
     #[test]
     fn every_estimator_is_permutation_invariant(
         values in values(),
