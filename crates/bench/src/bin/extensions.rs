@@ -17,7 +17,7 @@ use adafl_bench::tasks::Task;
 use adafl_bench::{fleet, report};
 use adafl_core::{AdaFlBuild, AdaFlConfig};
 use adafl_data::partition::Partitioner;
-use adafl_fl::runtime::RuntimeBuilder;
+use adafl_fl::runtime::{RuntimeBuilder, SyncPolicies};
 use adafl_fl::sync::strategies::{FedAdagrad, FedAvg, FedYogi};
 use adafl_fl::sync::{StaticCompression, SyncStrategy};
 use adafl_fl::FlConfig;
@@ -95,8 +95,9 @@ fn main() {
         ),
     ];
     for (name, strategy, scheme) in runs {
-        let mut engine = builder().build_sync(strategy);
-        engine.set_compression(scheme);
+        let b = builder();
+        let policies = SyncPolicies::baseline(b.fl(), strategy, scheme);
+        let mut engine = b.build_sync_runtime(policies);
         let history = engine.run();
         eprintln!("extensions {name}: acc {:.3}", history.final_accuracy());
         table.row([

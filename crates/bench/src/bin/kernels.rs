@@ -10,7 +10,7 @@
 //!   (i-k-j loop with the `a == 0` skip branch), over square and
 //!   conv-shaped problems. Both run in the same process, so the comparison
 //!   is machine-independent.
-//! * **end-to-end** — wall-clock for a short `SyncEngine` run over the
+//! * **end-to-end** — wall-clock for a short `SyncRuntime` run over the
 //!   paper's CNN. The pre-PR baseline is measured once on the same machine
 //!   and passed in via `--e2e-baseline-ms`.
 //!
@@ -24,8 +24,8 @@
 
 use adafl_data::partition::Partitioner;
 use adafl_data::synthetic::SyntheticSpec;
+use adafl_fl::runtime::RuntimeBuilder;
 use adafl_fl::sync::strategies::FedAvg;
-use adafl_fl::sync::SyncEngine;
 use adafl_fl::FlConfig;
 use adafl_nn::models::ModelSpec;
 use adafl_tensor::{matmul_into, matmul_nt, matmul_tn};
@@ -241,13 +241,9 @@ fn e2e_round(smoke: bool, baseline_ms: Option<f64>) -> E2eEntry {
                 classes: 10,
             })
             .build();
-        let mut engine = SyncEngine::new(
-            config,
-            &train,
-            test.clone(),
-            Partitioner::Iid,
-            Box::new(FedAvg::new()),
-        );
+        let mut engine = RuntimeBuilder::new(config, test.clone())
+            .partitioned(&train, Partitioner::Iid)
+            .build_sync(Box::new(FedAvg::new()));
         let start = Instant::now();
         let history = engine.run();
         wall_ms = wall_ms.min(start.elapsed().as_secs_f64() * 1e3);

@@ -75,7 +75,9 @@ fn model() -> ModelSpec {
     }
 }
 
-fn build_runtime(p: &SweepPoint, seed: u64, threads: usize) -> SyncRuntime {
+/// The sweep point's runtime: streaming, or with `buffered_fold` its
+/// buffered-replay parity reference.
+fn build_runtime(p: &SweepPoint, seed: u64, threads: usize, buffered_fold: bool) -> SyncRuntime {
     let fl = FlConfig::builder()
         .clients(p.clients)
         .rounds(p.rounds)
@@ -106,6 +108,7 @@ fn build_runtime(p: &SweepPoint, seed: u64, threads: usize) -> SyncRuntime {
     RuntimeBuilder::new(fl, test_set)
         .shard_source(Box::new(source))
         .threads(Some(threads))
+        .buffered_fold(buffered_fold)
         .build_sync_runtime(policies)
 }
 
@@ -130,10 +133,9 @@ fn parity_check(clients: usize, seed: u64, threads: usize) -> ParityCheck {
         cohort_size: (clients / 4).max(1),
         edge_aggregators: 4,
     };
-    let mut streaming = build_runtime(&p, seed, threads);
+    let mut streaming = build_runtime(&p, seed, threads, false);
     assert_eq!(streaming.sink_mode(), SinkMode::Streaming);
-    let mut buffered = build_runtime(&p, seed, threads);
-    buffered.set_buffered_fold(true);
+    let mut buffered = build_runtime(&p, seed, threads, true);
     assert_eq!(buffered.sink_mode(), SinkMode::BufferedFold);
 
     let hist_s = streaming.run();
@@ -195,7 +197,7 @@ fn run_point(p: &SweepPoint, seed: u64, threads: usize) -> ScaleRow {
     // fall back to the monotonic process peak (still an upper bound).
     let reset = report::reset_peak_rss();
     let start = std::time::Instant::now();
-    let mut rt = build_runtime(p, seed, threads);
+    let mut rt = build_runtime(p, seed, threads, false);
     let history = rt.run();
     let wall_ms = start.elapsed().as_secs_f64() * 1e3;
     ScaleRow {

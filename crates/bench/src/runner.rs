@@ -173,7 +173,7 @@ pub fn run_sync(scenario: &Scenario, strategy: &str) -> RunResult {
     run_sync_with(scenario, strategy, adafl_telemetry::noop())
 }
 
-/// [`run_sync`] with a telemetry recorder attached to the engine (and,
+/// [`run_sync`] with a telemetry recorder attached to the runtime (and,
 /// through it, the simulated network). Recording is passive: results are
 /// identical to the untraced run.
 ///
@@ -182,21 +182,19 @@ pub fn run_sync(scenario: &Scenario, strategy: &str) -> RunResult {
 /// Panics on an unknown strategy name.
 pub fn run_sync_with(scenario: &Scenario, strategy: &str, recorder: SharedRecorder) -> RunResult {
     let builder = scenario.builder(recorder);
-    if strategy == "adafl" {
+    let mut runtime = if strategy == "adafl" {
         assert!(
             scenario.resilience.capacity.is_none(),
             "capacity tiers cannot be combined with the adafl strategy: its \
              score-adaptive DGC compression keeps per-client error feedback \
              bound to the full model dimension"
         );
-        let mut engine = builder.build_adafl_sync(&scenario.ada);
-        let history = engine.run();
-        result(history, engine.ledger())
+        builder.build_adafl_sync(&scenario.ada)
     } else {
-        let mut engine = builder.build_sync(sync_baseline(strategy));
-        let history = engine.run();
-        result(history, engine.ledger())
-    }
+        builder.build_sync(sync_baseline(strategy))
+    };
+    let history = runtime.run();
+    result(history, runtime.ledger())
 }
 
 /// Runs one asynchronous scenario under the named strategy.
@@ -208,7 +206,7 @@ pub fn run_async(scenario: &Scenario, strategy: &str) -> RunResult {
     run_async_with(scenario, strategy, adafl_telemetry::noop())
 }
 
-/// [`run_async`] with a telemetry recorder attached to the engine (and,
+/// [`run_async`] with a telemetry recorder attached to the runtime (and,
 /// through it, the simulated network). Recording is passive: results are
 /// identical to the untraced run.
 ///
@@ -219,17 +217,15 @@ pub fn run_async_with(scenario: &Scenario, strategy: &str, recorder: SharedRecor
     let builder = scenario
         .builder(recorder)
         .update_budget(scenario.update_budget);
-    if strategy == "adafl" {
-        let mut engine = builder.build_adafl_async(&scenario.ada);
-        let history = engine.run();
-        result(history, engine.ledger())
+    let mut runtime = if strategy == "adafl" {
+        builder.build_adafl_async(&scenario.ada)
     } else {
-        let mut engine = builder
+        builder
             .build_async(async_baseline(strategy))
-            .unwrap_or_else(|e| panic!("{e}"));
-        let history = engine.run();
-        result(history, engine.ledger())
-    }
+            .unwrap_or_else(|e| panic!("{e}"))
+    };
+    let history = runtime.run();
+    result(history, runtime.ledger())
 }
 
 fn result(history: RunHistory, ledger: &adafl_fl::CommunicationLedger) -> RunResult {

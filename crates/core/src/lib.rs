@@ -18,17 +18,20 @@
 //!    exploiting the finding that *staleness* hurts more than *sparsity*,
 //!    so updates must above all stay timely.
 //!
-//! [`AdaFlSyncEngine`] and [`AdaFlAsyncEngine`] embed these mechanisms in
-//! the synchronous and fully-asynchronous protocols evaluated in the paper
-//! (Tables I/II, Figure 3), on top of the substrate crates (`adafl-fl`,
-//! `adafl-netsim`, `adafl-compression`).
+//! Both mechanisms are [`policies`] for the round runtimes of `adafl-fl`:
+//! [`AdaFlBuild`] extends its `RuntimeBuilder` with
+//! [`build_adafl_sync`](AdaFlBuild::build_adafl_sync) and
+//! [`build_adafl_async`](AdaFlBuild::build_adafl_async), the synchronous
+//! and fully-asynchronous protocols evaluated in the paper (Tables I/II,
+//! Figure 3), on top of the substrate crates (`adafl-fl`, `adafl-netsim`,
+//! `adafl-compression`).
 //!
 //! # Examples
 //!
 //! ```no_run
-//! use adafl_core::{AdaFlConfig, AdaFlSyncEngine};
+//! use adafl_core::{AdaFlBuild, AdaFlConfig};
 //! use adafl_data::{partition::Partitioner, synthetic::SyntheticSpec};
-//! use adafl_fl::FlConfig;
+//! use adafl_fl::{runtime::RuntimeBuilder, FlConfig};
 //! use adafl_nn::models::ModelSpec;
 //!
 //! let data = SyntheticSpec::mnist_like(16, 1000).generate(0);
@@ -38,36 +41,37 @@
 //!     .rounds(30)
 //!     .model(ModelSpec::MnistCnn { height: 16, width: 16, classes: 10 })
 //!     .build();
-//! let mut engine = AdaFlSyncEngine::new(
-//!     fl,
-//!     AdaFlConfig::default(),
-//!     &train,
-//!     test,
-//!     Partitioner::LabelShards { shards_per_client: 2 },
-//! );
-//! let history = engine.run();
+//! let mut runtime = RuntimeBuilder::new(fl, test)
+//!     .partitioned(&train, Partitioner::LabelShards { shards_per_client: 2 })
+//!     .build_adafl_sync(&AdaFlConfig::default());
+//! let history = runtime.run();
 //! println!("AdaFL reached {:.1}%", history.final_accuracy() * 100.0);
 //! ```
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-mod async_engine;
 mod build;
 pub mod capacity;
 pub mod compression_control;
 mod config;
 pub mod policies;
 pub mod selection;
-mod sync_engine;
 pub mod utility;
 pub mod wire;
 
-pub use async_engine::AdaFlAsyncEngine;
 pub use build::{adafl_sync_policies, AdaFlBuild};
 pub use capacity::AdaptiveCapacity;
 pub use compression_control::CompressionController;
 pub use config::AdaFlConfig;
 pub use selection::select_clients;
-pub use sync_engine::AdaFlSyncEngine;
 pub use utility::{utility_score, SimilarityMetric, UtilityInputs};
+
+// The two AdaFL flavours' end-to-end tests, under the module paths tier-1's
+// floor list names them by.
+#[cfg(test)]
+#[path = "async_runtime_tests.rs"]
+mod async_engine;
+#[cfg(test)]
+#[path = "sync_runtime_tests.rs"]
+mod sync_engine;

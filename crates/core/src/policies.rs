@@ -46,7 +46,7 @@ pub struct UtilitySelection {
 
 impl UtilitySelection {
     /// Builds the policy; `seed` drives any randomized selection variant
-    /// (the engines pass `fl.seed_for("selection")`).
+    /// ([`AdaFlBuild`](crate::AdaFlBuild) passes `fl.seed_for("selection")`).
     pub fn new(ada: &AdaFlConfig, seed: u64) -> Self {
         UtilitySelection {
             controller: CompressionController::new(ada),

@@ -2,10 +2,11 @@
 //! selection-policy ablations and the async halting gate.
 
 use adafl_core::selection::SelectionPolicy;
-use adafl_core::{AdaFlAsyncEngine, AdaFlConfig, AdaFlSyncEngine};
+use adafl_core::{AdaFlBuild, AdaFlConfig};
 use adafl_data::partition::Partitioner;
 use adafl_data::synthetic::SyntheticSpec;
 use adafl_data::Dataset;
+use adafl_fl::runtime::RuntimeBuilder;
 use adafl_fl::FlConfig;
 use adafl_nn::models::ModelSpec;
 
@@ -35,7 +36,9 @@ fn control_plane_is_accounted_separately_from_updates() {
         max_selected: 3,
         ..AdaFlConfig::default()
     };
-    let mut engine = AdaFlSyncEngine::new(fl_config(6, 10), ada, &train, test, Partitioner::Iid);
+    let mut engine = RuntimeBuilder::new(fl_config(6, 10), test)
+        .partitioned(&train, Partitioner::Iid)
+        .build_adafl_sync(&ada);
     engine.run();
     let ledger = engine.ledger();
     // Post-warm-up rounds: every client reports a score + receives a digest
@@ -60,13 +63,9 @@ fn selection_policies_change_participation_patterns() {
             max_selected: 2,
             ..AdaFlConfig::default()
         };
-        let mut engine = AdaFlSyncEngine::new(
-            fl_config(6, 13),
-            ada,
-            &train,
-            test.clone(),
-            Partitioner::Iid,
-        );
+        let mut engine = RuntimeBuilder::new(fl_config(6, 13), test.clone())
+            .partitioned(&train, Partitioner::Iid)
+            .build_adafl_sync(&ada);
         engine.run();
         (0..6)
             .map(|c| engine.ledger().client_uplink_updates(c))
@@ -92,8 +91,9 @@ fn random_selection_is_reproducible() {
             warmup_rounds: 1,
             ..AdaFlConfig::default()
         };
-        let mut engine =
-            AdaFlSyncEngine::new(fl_config(6, 8), ada, &train, test.clone(), Partitioner::Iid);
+        let mut engine = RuntimeBuilder::new(fl_config(6, 8), test.clone())
+            .partitioned(&train, Partitioner::Iid)
+            .build_adafl_sync(&ada);
         engine.run()
     };
     assert_eq!(run(), run());
@@ -113,7 +113,10 @@ fn high_threshold_halts_async_clients() {
     };
     let fl = fl_config(4, 10);
     let warmup_updates = 4;
-    let mut engine = AdaFlAsyncEngine::new(fl, ada, &train, test, Partitioner::Iid, 200);
+    let mut engine = RuntimeBuilder::new(fl, test)
+        .partitioned(&train, Partitioner::Iid)
+        .update_budget(200)
+        .build_adafl_async(&ada);
     let _history = engine.run();
     // Only warm-up arrivals applied; everything after is halted.
     assert!(
@@ -128,15 +131,13 @@ fn async_and_sync_adafl_share_configuration() {
     // The same AdaFlConfig must drive both engines without panicking.
     let (train, test) = task();
     let ada = AdaFlConfig::default();
-    let mut sync_engine = AdaFlSyncEngine::new(
-        fl_config(5, 4),
-        ada.clone(),
-        &train,
-        test.clone(),
-        Partitioner::Iid,
-    );
-    let mut async_engine =
-        AdaFlAsyncEngine::new(fl_config(5, 4), ada, &train, test, Partitioner::Iid, 20);
+    let mut sync_engine = RuntimeBuilder::new(fl_config(5, 4), test.clone())
+        .partitioned(&train, Partitioner::Iid)
+        .build_adafl_sync(&ada);
+    let mut async_engine = RuntimeBuilder::new(fl_config(5, 4), test)
+        .partitioned(&train, Partitioner::Iid)
+        .update_budget(20)
+        .build_adafl_async(&ada);
     assert!(sync_engine.run().len() == 4);
     assert!(!async_engine.run().is_empty());
 }

@@ -1,8 +1,13 @@
-//! Asynchronous federated learning: the event-driven engine and its
-//! baseline strategies.
+//! Asynchronous federated learning: the [`AsyncStrategy`] contract and
+//! its baseline strategies. The event loop itself is
+//! [`crate::runtime::AsyncRuntime`].
 
 pub mod strategies;
 
-mod engine;
+pub use strategies::AsyncStrategy;
 
-pub use engine::{AsyncEngine, AsyncStrategy};
+// The baseline flavour's end-to-end tests, under the module path tier-1's
+// floor list names them by.
+#[cfg(test)]
+#[path = "runtime_tests.rs"]
+mod engine;

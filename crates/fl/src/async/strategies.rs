@@ -1,8 +1,33 @@
-//! Asynchronous baseline strategies: FedAsync \[22] and FedBuff \[35] — the
-//! comparison set of Table II.
+//! The [`AsyncStrategy`] contract and the asynchronous baseline
+//! strategies: FedAsync \[22] and FedBuff \[35] — the comparison set of
+//! Table II.
 
-use super::engine::AsyncStrategy;
 use adafl_tensor::vecops;
+
+/// Server-side behaviour of an asynchronous FL strategy.
+pub trait AsyncStrategy: std::fmt::Debug + Send {
+    /// Strategy name for run labels.
+    fn name(&self) -> &'static str;
+
+    /// Called once with the model dimension before the run.
+    fn init(&mut self, _dim: usize) {}
+
+    /// Handles one arriving client update.
+    ///
+    /// `snapshot` is the global model the client trained from (so
+    /// model-mixing strategies can reconstruct the client's local model as
+    /// `snapshot + delta`); `staleness` is the number of global versions
+    /// the sender missed while training. Returns `true` when the global
+    /// parameters changed (FedBuff returns `false` while buffering).
+    fn on_update(
+        &mut self,
+        global: &mut [f32],
+        delta: &[f32],
+        snapshot: &[f32],
+        weight: f32,
+        staleness: u64,
+    ) -> bool;
+}
 
 /// FedAsync (Xie et al. \[22]): every arriving client **model** is mixed
 /// into the global model immediately, `x_g ← (1 − α_τ)·x_g + α_τ·x_client`,

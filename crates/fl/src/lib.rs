@@ -1,22 +1,23 @@
 //! Federated-learning framework for the AdaFL reproduction.
 //!
 //! Provides everything around the paper's contribution: clients that train
-//! local models ([`FlClient`]), a synchronous round engine
-//! ([`sync::SyncEngine`]) with the FedAvg / FedAdam / FedProx / SCAFFOLD
-//! baselines, an asynchronous event-driven engine
-//! (`async::AsyncEngine`) with FedAsync / FedBuff, network integration
-//! via `adafl-netsim`, fault injection ([`faults`]) for the paper's
-//! resiliency study (Figure 1), and communication accounting ([`ledger`])
-//! for Tables I/II.
+//! local models ([`FlClient`]); one policy-driven round protocol in two
+//! shapes — the synchronous [`runtime::SyncRuntime`] with the FedAvg /
+//! FedAdam / FedProx / SCAFFOLD baselines ([`sync::strategies`]) and the
+//! event-driven [`runtime::AsyncRuntime`] with FedAsync / FedBuff
+//! (`async::strategies`) — both assembled by [`runtime::RuntimeBuilder`];
+//! network integration via `adafl-netsim`, fault injection ([`faults`])
+//! for the paper's resiliency study (Figure 1), and communication
+//! accounting ([`ledger`]) for Tables I/II.
 //!
-//! The AdaFL strategy itself lives in `adafl-core`, which builds on the
-//! primitives here.
+//! The AdaFL policies themselves live in `adafl-core`, which plugs them
+//! into the same builder.
 //!
 //! # Examples
 //!
 //! ```no_run
 //! use adafl_data::{partition::Partitioner, synthetic::SyntheticSpec};
-//! use adafl_fl::{config::FlConfig, sync::{SyncEngine, strategies::FedAvg}};
+//! use adafl_fl::{config::FlConfig, runtime::RuntimeBuilder, sync::strategies::FedAvg};
 //! use adafl_nn::models::ModelSpec;
 //!
 //! let data = SyntheticSpec::mnist_like(16, 1000).generate(0);
@@ -26,8 +27,10 @@
 //!     .rounds(20)
 //!     .model(ModelSpec::LogisticRegression { in_features: 256, classes: 10 })
 //!     .build();
-//! let mut engine = SyncEngine::new(cfg, &train, test, Partitioner::Iid, Box::new(FedAvg::new()));
-//! let history = engine.run();
+//! let mut runtime = RuntimeBuilder::new(cfg, test)
+//!     .partitioned(&train, Partitioner::Iid)
+//!     .build_sync(Box::new(FedAvg::new()));
+//! let history = runtime.run();
 //! println!("final accuracy {}", history.final_accuracy());
 //! ```
 

@@ -24,7 +24,7 @@ pub struct RandomSelection {
 }
 
 impl RandomSelection {
-    /// Seeds the selection RNG (the engine uses `seed_for("selection")`).
+    /// Seeds the selection RNG (the builder uses `seed_for("selection")`).
     pub fn new(seed: u64) -> Self {
         RandomSelection {
             rng: StdRng::seed_from_u64(seed),
@@ -55,8 +55,8 @@ pub struct StaticCompressionPolicy {
 
 impl StaticCompressionPolicy {
     /// Defers state construction to [`CompressionPolicy::init`]; each
-    /// client's compressor is seeded `base_seed ^ client` exactly as the
-    /// legacy engine did (the engine passes `seed_for("compression")`).
+    /// client's compressor is seeded `base_seed ^ client` (the builder
+    /// passes `seed_for("compression")`).
     pub fn new(scheme: StaticCompression, base_seed: u64) -> Self {
         StaticCompressionPolicy {
             scheme,
@@ -146,10 +146,10 @@ impl AggregationPolicy for StrategyAggregation {
     }
 
     fn supports_streaming(&self) -> bool {
-        // FedAvg's aggregate is exactly the weighted mean the default
+        // A weighted-mean aggregate is exactly what the default
         // fold/finish compute; the stateful strategies (FedAdam's server
         // optimiser, SCAFFOLD's control variates) need the buffered path.
-        self.strategy.name() == "fedavg"
+        self.strategy.is_weighted_mean()
     }
 }
 

@@ -1,31 +1,50 @@
 //! One builder for every protocol flavour.
 //!
-//! [`RuntimeBuilder`] is the single assembly point for every engine: it
-//! gathers the scenario parts (shards, network, compute,
-//! faults, resilience options, recorder) once, then specialises into a
-//! [`SyncRuntime`] or [`AsyncRuntime`] with a policy bundle — or directly
-//! into the [`SyncEngine`](crate::sync::SyncEngine) /
-//! [`AsyncEngine`](crate::r#async::AsyncEngine) baseline wrappers.
+//! [`RuntimeBuilder`] is the only way to construct and configure a run:
+//! it gathers the scenario parts (shards, network, compute, faults) and
+//! the options (reliable transport, defense gate, robust stage, capacity
+//! tiers, recorder, pool width) once, then specialises into a
+//! [`SyncRuntime`] or an [`AsyncRuntime`] with a policy bundle. A built
+//! runtime's configuration is final — there is nothing to set on it
+//! afterwards but restored global parameters.
 //!
-//! Defaults match the legacy `Engine::new` constructors: a homogeneous
-//! broadband network seeded from the config, uniform 0.1 s/step compute,
-//! and a fault-free fleet.
+//! ```no_run
+//! use adafl_data::{partition::Partitioner, synthetic::SyntheticSpec};
+//! use adafl_fl::runtime::RuntimeBuilder;
+//! use adafl_fl::sync::strategies::FedAvg;
+//! use adafl_fl::FlConfig;
+//! use adafl_nn::models::ModelSpec;
+//!
+//! let data = SyntheticSpec::mnist_like(16, 1000).generate(0);
+//! let (train, test) = data.split_at(800);
+//! let cfg = FlConfig::builder()
+//!     .clients(10)
+//!     .rounds(20)
+//!     .model(ModelSpec::LogisticRegression { in_features: 256, classes: 10 })
+//!     .build();
+//! let mut runtime = RuntimeBuilder::new(cfg, test)
+//!     .partitioned(&train, Partitioner::Iid)
+//!     .build_sync(Box::new(FedAvg::new()));
+//! let history = runtime.run();
+//! ```
+//!
+//! Defaults: a homogeneous broadband network seeded from the config,
+//! uniform 0.1 s/step compute, and a fault-free fleet.
 
-use super::baseline::{
-    RandomSelection, StaticCompressionPolicy, StrategyAggregation, StrategyAsyncPolicy,
-};
+use super::baseline::StrategyAsyncPolicy;
 use super::event::AsyncRuntime;
 use super::policy::AsyncPolicy;
-use super::sync::{SyncPolicies, SyncRuntime};
+use super::sync::{SyncOptions, SyncPolicies, SyncRuntime};
+use crate::client::FlClient;
 use crate::compute::ComputeModel;
 use crate::config::FlConfig;
 use crate::defense::DefenseConfig;
-use crate::faults::FaultPlan;
-use crate::fleet::ShardSource;
-use crate::r#async::{AsyncEngine, AsyncStrategy};
+use crate::faults::{FaultKind, FaultPlan};
+use crate::fleet::{ClientPool, Fleet, ShardSource};
+use crate::r#async::AsyncStrategy;
 use crate::robust::{RobustAggregator, RobustMethod};
 use crate::submodel::CapacityPolicy;
-use crate::sync::{StaticCompression, SyncEngine, SyncStrategy};
+use crate::sync::{StaticCompression, SyncStrategy};
 use adafl_data::partition::Partitioner;
 use adafl_data::Dataset;
 use adafl_netsim::{ClientNetwork, FleetNetwork, LinkProfile, LinkTrace, ReliablePolicy};
@@ -34,8 +53,9 @@ use adafl_telemetry::SharedRecorder;
 /// Why a [`RuntimeBuilder`] could not assemble the requested flavour.
 ///
 /// Every flavour rejects a robust method whose parameters are out of
-/// range; asynchronous flavours also reject resilience options that only
-/// make sense with a per-round cohort.
+/// range and a builder that was never given client data; asynchronous
+/// flavours also reject the options that only make sense with a per-round
+/// cohort.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum BuildError {
@@ -43,6 +63,17 @@ pub enum BuildError {
     RobustRequiresSync,
     /// [`RuntimeBuilder::capacity`] was combined with an async flavour.
     CapacityRequiresSync,
+    /// [`RuntimeBuilder::shard_source`] was combined with an async flavour.
+    PooledRequiresSync,
+    /// [`RuntimeBuilder::shard_source`] was combined with a fault plan
+    /// containing crash faults.
+    PooledRejectsCrashFaults,
+    /// Neither [`RuntimeBuilder::shards`], [`RuntimeBuilder::partitioned`]
+    /// nor [`RuntimeBuilder::shard_source`] was called.
+    MissingShards,
+    /// An async flavour was built without a positive
+    /// [`RuntimeBuilder::update_budget`].
+    MissingUpdateBudget,
     /// [`RuntimeBuilder::robust`] was given a method that
     /// [`RobustAggregator::try_new`] rejects, for the reason carried.
     InvalidRobustMethod(&'static str),
@@ -61,6 +92,22 @@ impl std::fmt::Display for BuildError {
                  assignment and coverage-weighted aggregation need a synchronous \
                  per-round cohort",
             ),
+            BuildError::PooledRequiresSync => f.write_str(
+                "pooled fleets are synchronous-only: the async event loop keeps \
+                 per-client versions alive across the whole run",
+            ),
+            BuildError::PooledRejectsCrashFaults => f.write_str(
+                "crash faults require a resident fleet: a crash checkpoint snapshots \
+                 one client's persistent state, and a pooled fleet keeps none",
+            ),
+            BuildError::MissingShards => f.write_str(
+                "no client data: provide shards via .shards(..), .partitioned(..) \
+                 or .shard_source(..)",
+            ),
+            BuildError::MissingUpdateBudget => f.write_str(
+                "an async flavour needs a positive update budget: set it with \
+                 .update_budget(..)",
+            ),
             BuildError::InvalidRobustMethod(reason) => {
                 write!(f, "invalid robust method: {reason}")
             }
@@ -70,51 +117,126 @@ impl std::fmt::Display for BuildError {
 
 impl std::error::Error for BuildError {}
 
-/// Gathers scenario parts once, then builds any protocol flavour.
+/// The scenario a runtime simulates, checked against `config.clients`,
+/// with stale clients' slowdowns already folded into the compute model.
 #[derive(Debug)]
-pub struct RuntimeBuilder {
+pub(super) struct Scenario {
+    pub config: FlConfig,
+    pub test_set: Dataset,
+    pub network: FleetNetwork,
+    pub compute: ComputeModel,
+    pub faults: FaultPlan,
+}
+
+/// The scenario as gathered so far; a `None` part takes its default.
+#[derive(Debug)]
+struct ScenarioParts {
     fl: FlConfig,
     test_set: Dataset,
-    shards: Option<Vec<Dataset>>,
-    shard_source: Option<Box<dyn ShardSource>>,
     network: Option<FleetNetwork>,
     compute: Option<ComputeModel>,
     faults: Option<FaultPlan>,
-    retry: Option<ReliablePolicy>,
-    defense: Option<DefenseConfig>,
+}
+
+impl ScenarioParts {
+    /// Fills in the default network, compute model and fault plan, checks
+    /// every fleet-shaped part against `fl.clients` and folds stale
+    /// clients' slowdowns into the compute model.
+    fn checked(self) -> Scenario {
+        let clients = self.fl.clients;
+        let network = self.network.unwrap_or_else(|| {
+            ClientNetwork::new(
+                vec![LinkTrace::constant(LinkProfile::Broadband.spec()); clients],
+                self.fl.seed_for("network"),
+            )
+            .into()
+        });
+        let mut compute = self
+            .compute
+            .unwrap_or_else(|| ComputeModel::uniform(clients, 0.1));
+        let faults = self.faults.unwrap_or_else(|| FaultPlan::reliable(clients));
+        assert_eq!(network.len(), clients, "network size mismatch");
+        assert_eq!(compute.clients(), clients, "compute model size mismatch");
+        assert_eq!(faults.clients(), clients, "fault plan size mismatch");
+        for c in 0..clients {
+            let slow = faults.slowdown(c);
+            if slow > 1.0 {
+                compute.scale_client(c, slow);
+            }
+        }
+        Scenario {
+            config: self.fl,
+            test_set: self.test_set,
+            network,
+            compute,
+            faults,
+        }
+    }
+}
+
+/// One live client per shard, all starting from the config's initial
+/// model.
+fn resident_fleet(config: &FlConfig, shards: Vec<Dataset>) -> Vec<FlClient> {
+    assert_eq!(shards.len(), config.clients, "shard count mismatch");
+    FlClient::fleet(
+        &config.model,
+        shards,
+        config.learning_rate,
+        config.momentum,
+        config.batch_size,
+        config.seed_for("model"),
+    )
+}
+
+/// The options both runtimes share.
+#[derive(Debug, Default)]
+pub(super) struct Resilience {
+    pub retry: Option<ReliablePolicy>,
+    pub defense: Option<DefenseConfig>,
+    pub recorder: Option<SharedRecorder>,
+}
+
+/// Gathers scenario parts once, then builds any protocol flavour.
+#[derive(Debug)]
+pub struct RuntimeBuilder {
+    parts: ScenarioParts,
+    shards: Option<Vec<Dataset>>,
+    shard_source: Option<Box<dyn ShardSource>>,
+    resilience: Resilience,
     robust: Option<RobustMethod>,
     capacity: Option<Box<dyn CapacityPolicy>>,
-    recorder: Option<SharedRecorder>,
     update_budget: u64,
-    eval_every: Option<u64>,
+    eval_every: u64,
     threads: Option<usize>,
+    buffered_fold: bool,
 }
 
 impl RuntimeBuilder {
     /// Starts a builder from the protocol configuration and test set.
     pub fn new(fl: FlConfig, test_set: Dataset) -> Self {
         RuntimeBuilder {
-            fl,
-            test_set,
+            parts: ScenarioParts {
+                fl,
+                test_set,
+                network: None,
+                compute: None,
+                faults: None,
+            },
             shards: None,
             shard_source: None,
-            network: None,
-            compute: None,
-            faults: None,
-            retry: None,
-            defense: None,
+            resilience: Resilience::default(),
             robust: None,
             capacity: None,
-            recorder: None,
             update_budget: 0,
-            eval_every: None,
+            eval_every: 5,
             threads: None,
+            buffered_fold: false,
         }
     }
 
     /// The protocol configuration this builder was started with.
     pub fn fl(&self) -> &FlConfig {
-        &self.fl
+        &self.parts.fl
     }
 
     /// Uses pre-split client shards.
@@ -126,15 +248,22 @@ impl RuntimeBuilder {
     /// Splits `train_set` across the fleet with `partitioner`, seeded from
     /// the config (`seed_for("partition")`).
     pub fn partitioned(self, train_set: &Dataset, partitioner: Partitioner) -> Self {
-        let shards = partitioner.split(train_set, self.fl.clients, self.fl.seed_for("partition"));
+        let fl = &self.parts.fl;
+        let shards = partitioner.split(train_set, fl.clients, fl.seed_for("partition"));
         self.shards(shards)
     }
 
-    /// Uses an on-demand [`ShardSource`] and a cohort-resident client
-    /// pool instead of one live client per simulated client — the
-    /// fleet-scale configuration (synchronous flavours only; see
-    /// [`SyncRuntime::new_pooled`] for the combinations pooled fleets
-    /// reject). Takes precedence over [`RuntimeBuilder::shards`].
+    /// Uses an on-demand [`ShardSource`] and a cohort-resident
+    /// [`ClientPool`](crate::ClientPool) instead of one live client per
+    /// simulated client — O(cohort × model) instead of O(clients × model)
+    /// memory, the fleet-scale configuration. Takes precedence over
+    /// [`RuntimeBuilder::shards`].
+    ///
+    /// Pooled fleets have no per-client persistent state, so they are
+    /// synchronous-only and reject crash faults (a crash checkpoint
+    /// snapshots one resident client); selection policies that probe
+    /// individual clients see an empty
+    /// [`SelectionCtx::clients`](super::SelectionCtx::clients) slice.
     pub fn shard_source(mut self, source: Box<dyn ShardSource>) -> Self {
         self.shard_source = Some(source);
         self
@@ -144,63 +273,98 @@ impl RuntimeBuilder {
     /// [`adafl_netsim::MeshNetwork`] (default: homogeneous broadband star
     /// seeded `seed_for("network")`).
     pub fn network(mut self, network: impl Into<FleetNetwork>) -> Self {
-        self.network = Some(network.into());
+        self.parts.network = Some(network.into());
         self
     }
 
     /// Uses an explicit compute model (default: uniform 0.1 s/step).
     pub fn compute(mut self, compute: ComputeModel) -> Self {
-        self.compute = Some(compute);
+        self.parts.compute = Some(compute);
         self
     }
 
     /// Uses an explicit fault plan (default: fault-free).
     pub fn faults(mut self, faults: FaultPlan) -> Self {
-        self.faults = Some(faults);
+        self.parts.faults = Some(faults);
         self
     }
 
-    /// Enables reliable transport (`None` keeps fire-and-forget).
+    /// Enables reliable transport (`None` keeps fire-and-forget): every
+    /// model exchange runs through a retry layer, and the ledger
+    /// additionally charges retransmitted payload bytes and ACK control
+    /// frames. An async transfer that still fails after all attempts falls
+    /// back to the resync path.
     pub fn retry_policy(mut self, policy: Option<ReliablePolicy>) -> Self {
-        self.retry = policy;
+        self.resilience.retry = policy;
         self
     }
 
-    /// Enables the defensive aggregation gate (`None` keeps it off).
+    /// Enables the defensive aggregation gate (`None` keeps it off):
+    /// updates are scrubbed and norm-screened before aggregation. A
+    /// synchronous round below the configured quorum is skipped with state
+    /// carried forward; an asynchronous arrival that is rejected is
+    /// discarded and its sender resynced as usual.
     pub fn defense(mut self, cfg: Option<DefenseConfig>) -> Self {
-        self.defense = cfg;
+        self.resilience.defense = cfg;
         self
     }
 
-    /// Enables Byzantine-robust pre-aggregation between the defense screen
-    /// and the aggregation policy (`None` keeps plain aggregation).
-    /// Synchronous flavours only — robust estimators need a cohort to
-    /// out-vote, which the one-update-at-a-time async path never has.
+    /// Enables Byzantine-robust pre-aggregation (`None` keeps plain
+    /// aggregation): after defense screening and before the aggregation
+    /// policy, the cohort is replaced by the method's robust estimate (see
+    /// [`crate::robust`]). Synchronous flavours only — robust estimators
+    /// need a cohort to out-vote, which the one-update-at-a-time async
+    /// path never has.
     pub fn robust(mut self, method: Option<RobustMethod>) -> Self {
         self.robust = method;
         self
     }
 
     /// Enables heterogeneous-capacity (sub-view) training under the given
-    /// tier-assignment policy (`None` keeps full-model rounds). Synchronous
-    /// flavours only — see [`SyncRuntime::set_capacity`].
+    /// tier-assignment policy (`None` keeps full-model rounds).
+    /// Synchronous flavours only.
+    ///
+    /// Each round the policy assigns every selected client a
+    /// [`CapacityTier`](crate::CapacityTier); the client receives only the
+    /// matching parameter [`SubView`](adafl_nn::SubView) (the downlink is
+    /// charged at view size plus the descriptor header, not the full
+    /// model), trains with gradients masked to the view, and uploads a
+    /// view-local update wrapped in a sub-view payload. The server then
+    /// aggregates with the coverage-weighted fold (each coordinate
+    /// averaged over the clients whose view covers it) and maintains `ĝ`
+    /// from that fold.
+    ///
+    /// Compose with stateless compression only: policies carrying
+    /// per-client dimension-bound state (top-k error feedback, adaptive
+    /// DGC) assume full-width deltas and will reject view-local lengths.
+    /// The aggregation policy's `aggregate` is bypassed in favour of the
+    /// coverage fold; its gradient hook and `after_local_round` (fed the
+    /// densified delta) still run, so FedProx/SCAFFOLD-style local
+    /// regularisation composes with capacity tiers.
     pub fn capacity(mut self, policy: Option<Box<dyn CapacityPolicy>>) -> Self {
         self.capacity = policy;
         self
     }
 
-    /// Pins the server worker-pool width for synchronous flavours
-    /// (`None` keeps the `ADAFL_THREADS` / host-parallelism default; see
-    /// [`SyncRuntime::set_threads`]). Async flavours have no server pool
-    /// and ignore this.
+    /// Pins the server worker-pool width for synchronous flavours to
+    /// exactly `threads` workers (`None` keeps the `ADAFL_THREADS` /
+    /// host-parallelism default; 1 runs every pooled stage, local training
+    /// included, inline). Every pooled stage collects results in
+    /// submission order, so histories, ledgers and traces are identical at
+    /// any width; this only affects wall-clock time. Async flavours have
+    /// no server pool and ignore this.
     pub fn threads(mut self, threads: Option<usize>) -> Self {
         self.threads = threads;
         self
     }
 
-    /// Attaches a telemetry recorder.
+    /// Attaches a telemetry recorder, also wired into the simulated
+    /// network and transport so transfers are traced. Recording is
+    /// strictly passive: it never touches an RNG, the event schedule or
+    /// the simulated clock, so traced and untraced runs produce identical
+    /// histories.
     pub fn recorder(mut self, recorder: SharedRecorder) -> Self {
-        self.recorder = Some(recorder);
+        self.resilience.recorder = Some(recorder);
         self
     }
 
@@ -211,128 +375,116 @@ impl RuntimeBuilder {
         self
     }
 
-    /// Evaluation cadence for asynchronous runs (default 5 arrivals).
-    pub fn eval_every(mut self, n: u64) -> Self {
-        self.eval_every = Some(n);
-        self
-    }
-
-    fn take_parts(&mut self) -> (Vec<Dataset>, FleetNetwork, ComputeModel, FaultPlan) {
-        let shards = self
-            .shards
-            .take()
-            .expect("provide shards via .shards(..) or .partitioned(..)");
-        let (network, compute, faults) = self.take_env();
-        (shards, network, compute, faults)
-    }
-
-    fn take_env(&mut self) -> (FleetNetwork, ComputeModel, FaultPlan) {
-        let network = self.network.take().unwrap_or_else(|| {
-            ClientNetwork::new(
-                vec![LinkTrace::constant(LinkProfile::Broadband.spec()); self.fl.clients],
-                self.fl.seed_for("network"),
-            )
-            .into()
-        });
-        let compute = self
-            .compute
-            .take()
-            .unwrap_or_else(|| ComputeModel::uniform(self.fl.clients, 0.1));
-        let faults = self
-            .faults
-            .take()
-            .unwrap_or_else(|| FaultPlan::reliable(self.fl.clients));
-        (network, compute, faults)
-    }
-
-    /// [`RuntimeBuilder::try_build_sync_runtime`] for callers whose robust
-    /// method is known to be valid.
+    /// How many server updates elapse between test-set evaluations of an
+    /// asynchronous run (default 5).
     ///
     /// # Panics
     ///
-    /// Panics with the [`BuildError`]'s message where that would return it.
+    /// Panics when `n` is zero.
+    pub fn eval_every(mut self, n: u64) -> Self {
+        assert!(n > 0, "evaluation interval must be positive");
+        self.eval_every = n;
+        self
+    }
+
+    /// The streaming parity reference: when set, streaming-eligible rounds
+    /// buffer their updates and replay the identical fold calls at round
+    /// end ([`SinkMode::BufferedFold`](super::SinkMode::BufferedFold))
+    /// instead of folding at arrival. Results are bitwise identical to
+    /// streaming by construction; the `streaming_parity` test and the
+    /// `scalability` bench run both and assert exactly that. Off by
+    /// default.
+    pub fn buffered_fold(mut self, on: bool) -> Self {
+        self.buffered_fold = on;
+        self
+    }
+
+    /// [`RuntimeBuilder::try_build_sync_runtime`] for callers whose
+    /// options are known to be valid.
+    ///
+    /// # Panics
+    ///
+    /// Panics with the [`BuildError`]'s message where that would return
+    /// it, and when a fleet-shaped part disagrees with `fl.clients`.
     pub fn build_sync_runtime(self, policies: SyncPolicies) -> SyncRuntime {
         self.try_build_sync_runtime(policies)
             .unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Builds a [`SyncRuntime`] specialised by `policies`, applying the
-    /// resilience options in the canonical order (retry → defense →
-    /// robust → recorder) the benchmark runner has always used.
+    /// Builds a [`SyncRuntime`] specialised by `policies`.
     ///
     /// # Errors
     ///
     /// Returns [`BuildError::InvalidRobustMethod`] when the parameters of
-    /// the [`RuntimeBuilder::robust`] method are out of range.
-    pub fn try_build_sync_runtime(
-        mut self,
-        policies: SyncPolicies,
-    ) -> Result<SyncRuntime, BuildError> {
+    /// the [`RuntimeBuilder::robust`] method are out of range,
+    /// [`BuildError::MissingShards`] when the builder was given no client
+    /// data, and [`BuildError::PooledRejectsCrashFaults`] when a
+    /// [`RuntimeBuilder::shard_source`] fleet meets a crash fault.
+    ///
+    /// # Panics
+    ///
+    /// Panics when shard/network/compute/fault sizes disagree with
+    /// `fl.clients` or any shard is empty.
+    pub fn try_build_sync_runtime(self, policies: SyncPolicies) -> Result<SyncRuntime, BuildError> {
         let robust = self
             .robust
             .map(RobustAggregator::try_new)
             .transpose()
             .map_err(BuildError::InvalidRobustMethod)?;
-        let mut rt = match self.shard_source.take() {
-            Some(source) => {
-                let (network, compute, faults) = self.take_env();
-                SyncRuntime::new_pooled(
-                    self.fl,
-                    source,
-                    self.test_set,
-                    network,
-                    compute,
-                    faults,
-                    policies,
-                )
-            }
-            None => {
-                let (shards, network, compute, faults) = self.take_parts();
-                SyncRuntime::new(
-                    self.fl,
-                    shards,
-                    self.test_set,
-                    network,
-                    compute,
-                    faults,
-                    policies,
-                )
-            }
+        let scenario = self.parts.checked();
+        let options = SyncOptions {
+            resilience: self.resilience,
+            robust,
+            capacity: self.capacity,
+            threads: self.threads,
+            buffered_fold: self.buffered_fold,
         };
-        if let Some(policy) = self.retry {
-            rt.set_retry_policy(policy);
-        }
-        if let Some(cfg) = self.defense {
-            rt.set_defense(cfg);
-        }
-        if let Some(robust) = robust {
-            rt.set_robust(robust);
-        }
-        if let Some(policy) = self.capacity {
-            rt.set_capacity(policy);
-        }
-        if let Some(recorder) = self.recorder {
-            rt.set_recorder(recorder);
-        }
-        if let Some(threads) = self.threads {
-            rt.set_threads(threads);
-        }
-        Ok(rt)
+        let config = &scenario.config;
+        let fleet = match (self.shard_source, self.shards) {
+            (Some(source), _) => {
+                let crashes = (0..config.clients)
+                    .any(|c| matches!(scenario.faults.kind(c), FaultKind::Crash { .. }));
+                if crashes {
+                    return Err(BuildError::PooledRejectsCrashFaults);
+                }
+                assert_eq!(
+                    source.clients(),
+                    config.clients,
+                    "shard source size mismatch"
+                );
+                Fleet::Pooled(ClientPool::new(
+                    config.model.clone(),
+                    source,
+                    config.learning_rate,
+                    config.momentum,
+                    config.batch_size,
+                    config.seed_for("model"),
+                ))
+            }
+            (None, Some(shards)) => Fleet::Resident(resident_fleet(config, shards)),
+            (None, None) => return Err(BuildError::MissingShards),
+        };
+        Ok(SyncRuntime::new(scenario, fleet, policies, options))
     }
 
     /// Builds an [`AsyncRuntime`] specialised by `policy`.
     ///
     /// # Errors
     ///
-    /// Returns a [`BuildError`] naming the unsupported combination when
-    /// [`RuntimeBuilder::robust`] or [`RuntimeBuilder::capacity`] was set —
-    /// both need a synchronous per-round cohort.
+    /// Returns the [`BuildError`] naming the unsupported combination when
+    /// [`RuntimeBuilder::robust`], [`RuntimeBuilder::capacity`] or
+    /// [`RuntimeBuilder::shard_source`] was set — all three need a
+    /// synchronous per-round cohort — [`BuildError::MissingShards`] when
+    /// the builder was given no client data, and
+    /// [`BuildError::MissingUpdateBudget`] when
+    /// [`RuntimeBuilder::update_budget`] was not set.
     ///
     /// # Panics
     ///
-    /// Panics when [`RuntimeBuilder::update_budget`] was not set.
+    /// Panics when shard/network/compute/fault sizes disagree with
+    /// `fl.clients` or any shard is empty.
     pub fn build_async_runtime(
-        mut self,
+        self,
         policy: Box<dyn AsyncPolicy>,
     ) -> Result<AsyncRuntime, BuildError> {
         if self.robust.is_some() {
@@ -341,85 +493,69 @@ impl RuntimeBuilder {
         if self.capacity.is_some() {
             return Err(BuildError::CapacityRequiresSync);
         }
-        assert!(
-            self.shard_source.is_none(),
-            "pooled fleets are synchronous-only: the async event loop keeps \
-             per-client versions alive across the whole run"
-        );
-        let (shards, network, compute, faults) = self.take_parts();
-        let mut rt = AsyncRuntime::new(
-            self.fl,
-            shards,
-            self.test_set,
-            network,
-            compute,
-            faults,
-            self.update_budget,
+        if self.shard_source.is_some() {
+            return Err(BuildError::PooledRequiresSync);
+        }
+        let shards = self.shards.ok_or(BuildError::MissingShards)?;
+        if self.update_budget == 0 {
+            return Err(BuildError::MissingUpdateBudget);
+        }
+        let scenario = self.parts.checked();
+        let clients = resident_fleet(&scenario.config, shards);
+        Ok(AsyncRuntime::new(
+            scenario,
+            clients,
             policy,
-        );
-        if let Some(n) = self.eval_every {
-            rt.set_eval_every(n);
-        }
-        if let Some(policy) = self.retry {
-            rt.set_retry_policy(policy);
-        }
-        if let Some(cfg) = self.defense {
-            rt.set_defense(cfg);
-        }
-        if let Some(recorder) = self.recorder {
-            rt.set_recorder(recorder);
-        }
-        Ok(rt)
+            self.update_budget,
+            self.eval_every,
+            self.resilience,
+        ))
     }
 
     /// Builds the baseline synchronous flavour: uniform random selection,
-    /// identity static compression and the given [`SyncStrategy`], wrapped
-    /// in the legacy [`SyncEngine`] facade.
-    pub fn build_sync(self, strategy: Box<dyn SyncStrategy>) -> SyncEngine {
-        let policies = self.baseline_policies(strategy);
-        SyncEngine::from_runtime(self.build_sync_runtime(policies))
-    }
-
-    /// The baseline synchronous bundle: uniform random selection, identity
-    /// static compression and `strategy`, seeded from the configuration.
-    fn baseline_policies(&self, strategy: Box<dyn SyncStrategy>) -> SyncPolicies {
-        SyncPolicies {
-            selection: Box::new(RandomSelection::new(self.fl.seed_for("selection"))),
-            compression: Box::new(StaticCompressionPolicy::new(
-                StaticCompression::None,
-                self.fl.seed_for("compression"),
-            )),
-            aggregation: Box::new(StrategyAggregation::new(strategy)),
-            enforce_deadline: true,
-        }
+    /// no compression and the given [`SyncStrategy`]
+    /// ([`SyncPolicies::baseline`]).
+    ///
+    /// # Panics
+    ///
+    /// See [`RuntimeBuilder::build_sync_runtime`].
+    pub fn build_sync(self, strategy: Box<dyn SyncStrategy>) -> SyncRuntime {
+        let policies = SyncPolicies::baseline(self.fl(), strategy, StaticCompression::None);
+        self.build_sync_runtime(policies)
     }
 
     /// Builds the baseline asynchronous flavour (dense exchanges, no
-    /// utility gate) around the given [`AsyncStrategy`], wrapped in the
-    /// legacy [`AsyncEngine`] facade.
+    /// utility gate) around the given [`AsyncStrategy`].
     ///
     /// # Errors
     ///
     /// See [`RuntimeBuilder::build_async_runtime`].
-    pub fn build_async(self, strategy: Box<dyn AsyncStrategy>) -> Result<AsyncEngine, BuildError> {
+    pub fn build_async(self, strategy: Box<dyn AsyncStrategy>) -> Result<AsyncRuntime, BuildError> {
         self.build_async_runtime(Box::new(StrategyAsyncPolicy::new(strategy)))
-            .map(AsyncEngine::from_runtime)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fleet::VecShardSource;
     use crate::r#async::strategies::FedAsync;
     use crate::submodel::{CapacityTier, StaticCapacity};
     use crate::sync::strategies::FedAvg;
     use adafl_data::synthetic::SyntheticSpec;
     use adafl_nn::models::ModelSpec;
 
-    fn builder() -> RuntimeBuilder {
+    const CLIENTS: usize = 2;
+
+    fn shards() -> Vec<Dataset> {
+        vec![SyntheticSpec::mnist_like(4, 8).generate(1); CLIENTS]
+    }
+
+    /// A builder with no client data yet.
+    fn bare() -> RuntimeBuilder {
         let data = SyntheticSpec::mnist_like(4, 40).generate(0);
         let cfg = FlConfig::builder()
-            .clients(2)
+            .clients(CLIENTS)
             .rounds(1)
             .model(ModelSpec::LogisticRegression {
                 in_features: 16,
@@ -429,13 +565,96 @@ mod tests {
         RuntimeBuilder::new(cfg, data)
     }
 
+    fn builder() -> RuntimeBuilder {
+        bare().shards(shards())
+    }
+
+    fn pooled() -> RuntimeBuilder {
+        bare().shard_source(Box::new(VecShardSource::new(shards())))
+    }
+
+    fn try_sync(builder: RuntimeBuilder) -> Result<SyncRuntime, BuildError> {
+        let policies = SyncPolicies::baseline(
+            builder.fl(),
+            Box::new(FedAvg::new()),
+            StaticCompression::None,
+        );
+        builder.try_build_sync_runtime(policies)
+    }
+
+    fn try_async(builder: RuntimeBuilder) -> Result<AsyncRuntime, BuildError> {
+        builder.build_async(Box::new(FedAsync::new(0.6, 0.5)))
+    }
+
+    /// What used to be a builder panic is a typed error whose message names
+    /// what is missing or was combined.
+    #[test]
+    fn former_builder_panics_are_typed_errors() {
+        let crashing = FaultPlan::with_fraction(
+            CLIENTS,
+            1.0,
+            FaultKind::Crash {
+                at_round: 0,
+                down_for: 1,
+            },
+            0,
+        );
+        let rows: Vec<(Result<(), BuildError>, BuildError, [&str; 2])> = vec![
+            (
+                try_async(pooled().update_budget(10)).map(drop),
+                BuildError::PooledRequiresSync,
+                ["pooled fleets", "synchronous-only"],
+            ),
+            (
+                try_sync(pooled().faults(crashing)).map(drop),
+                BuildError::PooledRejectsCrashFaults,
+                ["crash faults", "resident fleet"],
+            ),
+            (
+                try_sync(bare()).map(drop),
+                BuildError::MissingShards,
+                [".shards(..)", ".shard_source(..)"],
+            ),
+            (
+                try_async(bare().update_budget(10)).map(drop),
+                BuildError::MissingShards,
+                [".shards(..)", ".partitioned(..)"],
+            ),
+            (
+                try_async(builder()).map(drop),
+                BuildError::MissingUpdateBudget,
+                ["update budget", ".update_budget(..)"],
+            ),
+        ];
+        for (outcome, expected, needles) in rows {
+            let err = outcome.expect_err("the combination must be rejected");
+            assert_eq!(err, expected);
+            let msg = err.to_string();
+            assert!(
+                needles.iter().all(|n| msg.contains(n)),
+                "{expected:?} must name the unsupported combination: {msg}"
+            );
+        }
+        assert!(
+            try_sync(pooled()).is_ok(),
+            "a fault-free pooled fleet builds"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "no client data")]
+    fn the_panicking_sync_build_carries_the_errors_message() {
+        bare().build_sync(Box::new(FedAvg::new()));
+    }
+
     #[test]
     fn async_build_rejects_robust_with_named_error() {
-        let err = builder()
-            .robust(Some(RobustMethod::Median))
-            .update_budget(10)
-            .build_async(Box::new(FedAsync::new(0.6, 0.5)))
-            .expect_err("robust + async must be rejected");
+        let err = try_async(
+            builder()
+                .robust(Some(RobustMethod::Median))
+                .update_budget(10),
+        )
+        .expect_err("robust + async must be rejected");
         assert_eq!(err, BuildError::RobustRequiresSync);
         let msg = err.to_string();
         assert!(
@@ -473,10 +692,7 @@ mod tests {
                 "tolerance",
             ),
         ] {
-            let builder = builder().robust(Some(method));
-            let policies = builder.baseline_policies(Box::new(FedAvg::new()));
-            let err = builder
-                .try_build_sync_runtime(policies)
+            let err = try_sync(builder().robust(Some(method)))
                 .expect_err("out-of-range parameters must be rejected");
             assert!(
                 matches!(err, BuildError::InvalidRobustMethod(r) if r.contains(reason)),
@@ -488,12 +704,8 @@ mod tests {
 
     #[test]
     fn async_build_rejects_capacity_with_named_error() {
-        let err = builder()
-            .capacity(Some(Box::new(StaticCapacity::new(vec![
-                CapacityTier::Full,
-            ]))))
-            .update_budget(10)
-            .build_async(Box::new(FedAsync::new(0.6, 0.5)))
+        let full = Box::new(StaticCapacity::new(vec![CapacityTier::Full]));
+        let err = try_async(builder().capacity(Some(full)).update_budget(10))
             .expect_err("capacity + async must be rejected");
         assert_eq!(err, BuildError::CapacityRequiresSync);
         let msg = err.to_string();

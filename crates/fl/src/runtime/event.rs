@@ -7,19 +7,21 @@
 //! downlink carries, whether/how a trained delta is uploaded, and how an
 //! arrival folds into the global model.
 
-use super::io::RoundIo;
+use super::builder::{Resilience, Scenario};
+use super::emit::{self, At};
+use super::io::{RoundIo, UplinkFrame, RESYNC_DELAY_SECONDS};
 use super::policy::{AsyncApplyCtx, AsyncDownlinkCtx, AsyncPolicy, AsyncUploadCtx};
 use crate::client::{evaluate_model, FlClient};
 use crate::compute::ComputeModel;
 use crate::config::FlConfig;
-use crate::defense::{DefenseConfig, DefenseGate};
-use crate::faults::{attack_payload, corrupt_payload, FaultPlan};
+use crate::defense::{DefenseGate, RejectReason};
+use crate::faults::FaultPlan;
 use crate::history::{RoundRecord, RunHistory};
 use crate::ledger::CommunicationLedger;
 use crate::runtime::payload::UpdatePayload;
 use adafl_compression::DecodeError;
 use adafl_data::Dataset;
-use adafl_netsim::{EventQueue, FleetNetwork, ReliablePolicy, SimTime};
+use adafl_netsim::{EventQueue, SimTime};
 use adafl_telemetry::{names, EventRecord, SharedRecorder, SpanRecord};
 
 #[derive(Debug)]
@@ -36,6 +38,9 @@ enum Event {
 /// Policy-driven asynchronous FL runtime. Staleness emerges naturally from
 /// slow compute or slow links on the simulated clock rather than being
 /// injected.
+///
+/// Constructed and configured only through
+/// [`RuntimeBuilder`](super::RuntimeBuilder).
 #[derive(Debug)]
 pub struct AsyncRuntime {
     config: FlConfig,
@@ -64,58 +69,34 @@ pub struct AsyncRuntime {
 }
 
 impl AsyncRuntime {
-    /// Assembles a runtime from explicit parts and an async policy; stale
-    /// clients in `faults` are folded into the compute model as slowdowns.
-    ///
-    /// # Panics
-    ///
-    /// Panics when part sizes disagree with `config.clients`, any shard is
-    /// empty, or `update_budget` is zero.
-    #[allow(clippy::too_many_arguments)]
-    pub fn new(
-        config: FlConfig,
-        shards: Vec<Dataset>,
-        test_set: Dataset,
-        network: impl Into<FleetNetwork>,
-        mut compute: ComputeModel,
-        faults: FaultPlan,
-        update_budget: u64,
+    /// Assembles a runtime from a checked scenario, one live client per
+    /// simulated client and an async policy; the builder has already
+    /// rejected a zero `update_budget` or `eval_every`.
+    pub(super) fn new(
+        scenario: Scenario,
+        clients: Vec<FlClient>,
         mut policy: Box<dyn AsyncPolicy>,
+        update_budget: u64,
+        eval_every: u64,
+        resilience: Resilience,
     ) -> Self {
-        assert_eq!(shards.len(), config.clients, "shard count mismatch");
-        let network = network.into();
-        assert_eq!(network.len(), config.clients, "network size mismatch");
-        assert_eq!(
-            compute.clients(),
-            config.clients,
-            "compute model size mismatch"
-        );
-        assert_eq!(faults.clients(), config.clients, "fault plan size mismatch");
-        assert!(update_budget > 0, "update budget must be positive");
-        let clients = FlClient::fleet(
-            &config.model,
-            shards,
-            config.learning_rate,
-            config.momentum,
-            config.batch_size,
-            config.seed_for("model"),
-        );
+        let Scenario {
+            config,
+            test_set,
+            network,
+            compute,
+            faults,
+        } = scenario;
         let mut global_model = config.model.build(config.seed_for("model"));
         let global = global_model.params_flat();
         global_model.set_params_flat(&global);
         policy.init(global.len());
-        for c in 0..config.clients {
-            let slow = faults.slowdown(c);
-            if slow > 1.0 {
-                compute.scale_client(c, slow);
-            }
-        }
-        let snapshots = vec![global.clone(); config.clients];
+        let recorder = resilience.recorder;
         AsyncRuntime {
-            io: RoundIo::new(network, config.clients),
+            io: RoundIo::assemble(network, &config, resilience.retry, recorder.as_ref()),
             in_flight: vec![None; config.clients],
             global_gradient: vec![0.0; global.len()],
-            snapshots,
+            snapshots: vec![global.clone(); config.clients],
             clients,
             global,
             global_model,
@@ -126,53 +107,15 @@ impl AsyncRuntime {
             faults,
             config,
             update_budget,
-            eval_every: 5,
-            recorder: adafl_telemetry::noop(),
-            defense: None,
+            eval_every,
+            recorder: recorder.unwrap_or_else(adafl_telemetry::noop),
+            defense: resilience.defense.map(DefenseGate::new),
         }
     }
 
     /// The experiment configuration.
     pub fn config(&self) -> &FlConfig {
         &self.config
-    }
-
-    /// Attaches a telemetry recorder, also wiring it into the simulated
-    /// network. Recording is strictly passive: event scheduling and RNG
-    /// state are untouched, so traced and untraced runs are identical.
-    pub fn set_recorder(&mut self, recorder: SharedRecorder) {
-        self.io.set_recorder(recorder.clone());
-        self.recorder = recorder;
-    }
-
-    /// Enables reliable transport for every model exchange; a transfer
-    /// that still fails after all attempts falls back to the resync path.
-    /// Off by default.
-    pub fn set_retry_policy(&mut self, policy: ReliablePolicy) {
-        self.io.set_retry_policy(
-            policy,
-            self.config.seed_for("transport"),
-            self.recorder.clone(),
-        );
-    }
-
-    /// Enables the defensive aggregation gate: each arriving update is
-    /// scrubbed and norm-screened before it reaches the policy; rejected
-    /// updates are discarded (the client is resynced as usual). Off by
-    /// default.
-    pub fn set_defense(&mut self, cfg: DefenseConfig) {
-        self.defense = Some(DefenseGate::new(cfg));
-    }
-
-    /// Sets how many server updates elapse between test-set evaluations
-    /// (default 5).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `n` is zero.
-    pub fn set_eval_every(&mut self, n: u64) {
-        assert!(n > 0, "evaluation interval must be positive");
-        self.eval_every = n;
     }
 
     /// The communication ledger (cumulative).
@@ -249,49 +192,43 @@ impl AsyncRuntime {
                         };
                         self.policy.prepare_upload(&mut ctx, outcome)
                     };
-                    let Some(mut payload) = prepared else {
+                    let Some(payload) = prepared else {
                         // The policy halted the upload (AdaFL's utility
                         // gate); the client idles and resyncs shortly.
-                        queue.push(done + SimTime::from_seconds(1.0), Event::Resync { client });
+                        let idle = SimTime::from_seconds(RESYNC_DELAY_SECONDS);
+                        queue.push(done + idle, Event::Resync { client });
                         continue;
                     };
-                    // Byzantine clients poison the encoded bytes before
-                    // upload; colluders key their shared direction to the
-                    // global version they trained from, the async analogue
-                    // of the sync runtime's per-round collusion seed.
-                    if let Some(kind) = self.faults.attacks_update(client) {
-                        let seed = self.faults.collusion_seed(client_versions[client] as usize);
-                        attack_payload(&mut payload, kind, seed);
-                        if self.recorder.enabled() {
-                            self.recorder.counter_add(names::FL_ATTACKS, 1);
-                            self.recorder.event(
-                                EventRecord::new(names::EVENT_ATTACK, done.seconds())
-                                    .client(client)
-                                    .field("kind", kind.as_str()),
-                            );
-                        }
+                    // Colluding Byzantine clients key their shared
+                    // direction to the global version they trained from,
+                    // the async analogue of the sync runtime's per-round
+                    // collusion seed.
+                    let frame = UplinkFrame {
+                        payload,
+                        attack: self.faults.attacks_update(client).map(|kind| {
+                            let version = client_versions[client] as usize;
+                            (kind, self.faults.collusion_seed(version))
+                        }),
+                        corrupt: self.faults.corrupts_update(client),
                     }
-                    // Corruption faults flip the update's *encoded bytes*
-                    // in transit; frames that re-parse carry poisoned
-                    // values for the defensive gate, frames that do not
-                    // are rejected by the decoder on arrival.
-                    let mut decode_error: Option<DecodeError> = None;
-                    if let Some(seed) = self.faults.corrupts_update(client) {
-                        decode_error = corrupt_payload(&mut payload, seed).err();
-                        if self.recorder.enabled() {
-                            self.recorder.counter_add(names::FL_CORRUPTIONS, 1);
-                            self.recorder.event(
-                                EventRecord::new(names::EVENT_CORRUPTION, done.seconds())
-                                    .client(client),
-                            );
-                        }
+                    .process();
+                    let sent = At {
+                        round: None,
+                        client,
+                        seconds: done.seconds(),
+                    };
+                    if let Some(kind) = frame.attacked {
+                        emit::attack(&self.recorder, sent, kind);
+                    }
+                    if frame.corrupted {
+                        emit::corruption(&self.recorder, sent);
                     }
                     // Byte flips preserve the frame length, so the charge
                     // is the same whether or not the frame still parses.
-                    let delivery = self.io.uplink_update(client, &payload, done);
-                    self.in_flight[client] = Some(match decode_error {
+                    let delivery = self.io.uplink_update(client, &frame.payload, done);
+                    self.in_flight[client] = Some(match frame.decode_error {
                         Some(err) => Err(err),
-                        None => Ok(payload),
+                        None => Ok(frame.payload),
                     });
                     match delivery.arrival {
                         Some(arrival) => {
@@ -324,59 +261,38 @@ impl AsyncRuntime {
                                 .field("staleness", staleness),
                         );
                     }
+                    let arrived = At {
+                        round: None,
+                        client,
+                        seconds: now.seconds(),
+                    };
                     match self.in_flight[client]
                         .take()
                         .expect("arrival without an in-flight update")
                     {
-                        Err(err) => {
-                            // The bytes arrived (and count toward the
-                            // budget) but no longer parse: the decoder
-                            // rejects the update before the defense gate
-                            // ever sees values.
-                            if self.recorder.enabled() {
-                                self.recorder.counter_add(names::FL_DECODE_REJECTIONS, 1);
-                                self.recorder.event(
-                                    EventRecord::new(names::EVENT_DECODE_REJECT, now.seconds())
-                                        .client(client)
-                                        .field("error", err.to_string()),
-                                );
-                            }
-                        }
+                        // The bytes arrived (and count toward the budget)
+                        // but no longer parse: the decoder rejects the
+                        // update before the defense gate ever sees values.
+                        Err(err) => emit::decode_reject(&self.recorder, arrived, &err),
                         Ok(mut payload) => {
                             // Defensive gate: scrub and norm-screen the
                             // arriving update; a rejected update never
                             // reaches the policy (the arrival still counts
                             // toward the budget, so a poisoned fleet cannot
                             // livelock the run).
-                            let mut rejection: Option<&'static str> = None;
-                            if let Some(gate) = self.defense.as_mut() {
-                                match gate.sanitize(payload.values_mut()) {
-                                    Ok(s) => {
-                                        if s.scrubbed > 0 && self.recorder.enabled() {
-                                            self.recorder.counter_add(
-                                                names::FL_DEFENSE_SCRUBBED,
-                                                s.scrubbed as u64,
-                                            );
-                                        }
-                                        if !gate.admit(s.norm) {
-                                            rejection = Some("norm_outlier");
-                                        }
+                            let verdict = match self.defense.as_mut() {
+                                None => Ok(()),
+                                Some(gate) => gate.sanitize(payload.values_mut()).and_then(|s| {
+                                    emit::scrubbed(&self.recorder, s.scrubbed);
+                                    if gate.admit(s.norm) {
+                                        Ok(())
+                                    } else {
+                                        Err(RejectReason::NormOutlier)
                                     }
-                                    Err(reason) => rejection = Some(reason.label()),
-                                }
-                            }
-                            if let Some(reason) = rejection {
-                                if self.recorder.enabled() {
-                                    self.recorder.counter_add(names::FL_DEFENSE_REJECTIONS, 1);
-                                    self.recorder.event(
-                                        EventRecord::new(
-                                            names::EVENT_DEFENSE_REJECT,
-                                            now.seconds(),
-                                        )
-                                        .client(client)
-                                        .field("reason", reason),
-                                    );
-                                }
+                                }),
+                            };
+                            if let Err(reason) = verdict {
+                                emit::defense_reject(&self.recorder, arrived, reason.label());
                             } else {
                                 let weight = self.clients[client].num_samples() as f32;
                                 let snapshot = std::mem::take(&mut self.snapshots[client]);

@@ -22,12 +22,22 @@
 //!   star ledgers are unchanged byte for byte.
 
 use super::payload::UpdatePayload;
+use crate::config::FlConfig;
 use crate::faults::{attack_payload, corrupt_payload, FaultKind};
 use crate::ledger::CommunicationLedger;
 use crate::pool::WorkerPool;
 use adafl_compression::DecodeError;
-use adafl_netsim::{FleetNetwork, ReliablePolicy, ReliableTransfer, SimTime};
+use adafl_netsim::{FleetNetwork, ReliablePolicy, ReliableTransfer, SimTime, TransferReport};
 use adafl_telemetry::SharedRecorder;
+
+/// Seconds a fire-and-forget sender waits before treating a datagram as
+/// lost; also how long an async client whose upload the policy halted
+/// idles before it re-requests the global model.
+pub(super) const RESYNC_DELAY_SECONDS: f64 = 1.0;
+
+/// Seconds a synchronous server waits on a round in which no update was
+/// delivered before moving on.
+pub(super) const EMPTY_ROUND_WAIT_SECONDS: f64 = 0.5;
 
 /// One client's prepared uplink before the wire-level fault transforms:
 /// the encoded payload plus the attack/corruption the fault plan assigns.
@@ -36,13 +46,37 @@ pub struct UplinkFrame {
     /// The payload as the compression policy produced it.
     pub payload: UpdatePayload,
     /// Byzantine attack rewriting the encoded bytes, with its collusion
-    /// seed, when the client is an attacker.
+    /// seed, when the client is an attacker: well-formed frames carrying
+    /// adversarial values, invisible to the decoder.
     pub attack: Option<(FaultKind, u64)>,
-    /// Transit bit-flip seed when the update is corrupted in flight.
+    /// Transit bit-flip seed when the update is corrupted in flight. Dense
+    /// and sparse frames re-parse with poisoned values the defensive gate
+    /// must catch; packed frames may stop parsing entirely.
     pub corrupt: Option<u64>,
 }
 
-/// Outcome of [`process_uplink_frames`] for one frame, in submission order.
+impl UplinkFrame {
+    /// The wire-fault transform both runtimes apply to an uplink: attack,
+    /// then corruption, then the decoder's verdict on what is left — a
+    /// pure function of the frame's own bytes.
+    pub fn process(mut self) -> ProcessedFrame {
+        let attacked = self.attack.map(|(kind, seed)| {
+            attack_payload(&mut self.payload, kind, seed);
+            kind
+        });
+        let decode_error = self
+            .corrupt
+            .and_then(|seed| corrupt_payload(&mut self.payload, seed).err());
+        ProcessedFrame {
+            payload: self.payload,
+            attacked,
+            corrupted: self.corrupt.is_some(),
+            decode_error,
+        }
+    }
+}
+
+/// Outcome of [`UplinkFrame::process`] for one frame.
 #[derive(Debug)]
 pub struct ProcessedFrame {
     /// The payload after any attack and corruption transforms.
@@ -55,36 +89,16 @@ pub struct ProcessedFrame {
     pub decode_error: Option<DecodeError>,
 }
 
-/// Applies each frame's attack and corruption transforms — the per-client
-/// codec encode/decode work of the uplink path — across the worker pool.
+/// Runs [`UplinkFrame::process`] — the per-client codec encode/decode work
+/// of the uplink path — across the worker pool.
 ///
-/// Every frame is processed independently by a pure function of its own
-/// bytes, and [`WorkerPool::scope_run`] returns results in submission
-/// order, so the output is byte-identical at any pool width (a
-/// single-thread pool runs the same code inline).
+/// Every frame is processed independently, and [`WorkerPool::scope_run`]
+/// returns results in submission order, so the output is byte-identical
+/// at any pool width (a single-thread pool runs the same code inline).
 pub fn process_uplink_frames(pool: &WorkerPool, frames: Vec<UplinkFrame>) -> Vec<ProcessedFrame> {
     let jobs: Vec<Box<dyn FnOnce() -> ProcessedFrame + Send>> = frames
         .into_iter()
-        .map(|mut frame| {
-            Box::new(move || {
-                let attacked = frame.attack.map(|(kind, seed)| {
-                    attack_payload(&mut frame.payload, kind, seed);
-                    kind
-                });
-                let mut corrupted = false;
-                let mut decode_error = None;
-                if let Some(seed) = frame.corrupt {
-                    corrupted = true;
-                    decode_error = corrupt_payload(&mut frame.payload, seed).err();
-                }
-                ProcessedFrame {
-                    payload: frame.payload,
-                    attacked,
-                    corrupted,
-                    decode_error,
-                }
-            }) as Box<_>
-        })
+        .map(|frame| Box::new(move || frame.process()) as Box<_>)
         .collect();
     pool.scope_run(jobs)
 }
@@ -120,6 +134,26 @@ impl RoundIo {
         }
     }
 
+    /// The communication plane a builder assembles: `network` with the
+    /// optional retry layer (seeded `seed_for("transport")`) and recorder
+    /// wired in.
+    pub(super) fn assemble(
+        network: FleetNetwork,
+        config: &FlConfig,
+        retry: Option<ReliablePolicy>,
+        recorder: Option<&SharedRecorder>,
+    ) -> Self {
+        let mut io = RoundIo::new(network, config.clients);
+        if let Some(policy) = retry {
+            let seed = config.seed_for("transport");
+            io.set_retry_policy(policy, seed, adafl_telemetry::noop());
+        }
+        if let Some(recorder) = recorder {
+            io.set_recorder(recorder.clone());
+        }
+        io
+    }
+
     /// The cumulative ledger.
     pub fn ledger(&self) -> &CommunicationLedger {
         &self.ledger
@@ -145,6 +179,33 @@ impl RoundIo {
         let relayed = self.network.take_relay_bytes();
         if relayed > 0 {
             self.ledger.record_relay(client, relayed as usize);
+        }
+    }
+
+    /// The reliable-transport charging rule (see the module docs), the
+    /// same in both directions; `record_payload` is the direction counter.
+    fn charge_reliable(
+        &mut self,
+        record_payload: fn(&mut CommunicationLedger, usize, usize),
+        client: usize,
+        bytes: usize,
+        report: &TransferReport,
+    ) -> Delivery {
+        if report.delivered() {
+            record_payload(&mut self.ledger, client, bytes);
+            if report.wasted_bytes > 0 {
+                self.ledger
+                    .record_retransmission(client, report.wasted_bytes as usize);
+            }
+            self.ledger
+                .record_control(client, report.control_bytes as usize);
+        } else {
+            self.ledger
+                .record_retransmission(client, report.payload_bytes as usize);
+        }
+        Delivery {
+            arrival: report.arrival,
+            sender_done: report.sender_done,
         }
     }
 
@@ -183,31 +244,16 @@ impl RoundIo {
         let delivery = match &mut self.transport {
             Some(t) => {
                 let report = t.downlink(&mut self.network, client, bytes, now);
-                if report.delivered() {
-                    self.ledger.record_downlink(client, bytes);
-                    if report.wasted_bytes > 0 {
-                        self.ledger
-                            .record_retransmission(client, report.wasted_bytes as usize);
-                    }
-                    self.ledger
-                        .record_control(client, report.control_bytes as usize);
-                } else {
-                    self.ledger
-                        .record_retransmission(client, report.payload_bytes as usize);
-                }
-                Delivery {
-                    arrival: report.arrival,
-                    sender_done: report.sender_done,
-                }
+                self.charge_reliable(CommunicationLedger::record_downlink, client, bytes, &report)
             }
             None => {
-                let down = self.network.downlink_transfer(client, bytes, now);
-                if charge_lost_send || down.arrival().is_some() {
+                let arrival = self.network.downlink_transfer(client, bytes, now).arrival();
+                if charge_lost_send || arrival.is_some() {
                     self.ledger.record_downlink(client, bytes);
                 }
                 Delivery {
-                    arrival: down.arrival(),
-                    sender_done: now + SimTime::from_seconds(1.0),
+                    arrival,
+                    sender_done: now + SimTime::from_seconds(RESYNC_DELAY_SECONDS),
                 }
             }
         };
@@ -232,31 +278,16 @@ impl RoundIo {
         let delivery = match &mut self.transport {
             Some(t) => {
                 let report = t.uplink(&mut self.network, client, bytes, now);
-                if report.delivered() {
-                    self.ledger.record_uplink(client, bytes);
-                    if report.wasted_bytes > 0 {
-                        self.ledger
-                            .record_retransmission(client, report.wasted_bytes as usize);
-                    }
-                    self.ledger
-                        .record_control(client, report.control_bytes as usize);
-                } else {
-                    self.ledger
-                        .record_retransmission(client, report.payload_bytes as usize);
-                }
-                Delivery {
-                    arrival: report.arrival,
-                    sender_done: report.sender_done,
-                }
+                self.charge_reliable(CommunicationLedger::record_uplink, client, bytes, &report)
             }
             None => {
-                let up = self.network.uplink_transfer(client, bytes, now);
-                if up.arrival().is_some() {
+                let arrival = self.network.uplink_transfer(client, bytes, now).arrival();
+                if arrival.is_some() {
                     self.ledger.record_uplink(client, bytes);
                 }
                 Delivery {
-                    arrival: up.arrival(),
-                    sender_done: now + SimTime::from_seconds(1.0),
+                    arrival,
+                    sender_done: now + SimTime::from_seconds(RESYNC_DELAY_SECONDS),
                 }
             }
         };

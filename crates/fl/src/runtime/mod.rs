@@ -1,23 +1,24 @@
 //! The policy-driven round runtime shared by every protocol flavour.
 //!
-//! Before this module existed the repository carried four parallel engine
-//! implementations — baseline sync, baseline async, AdaFL sync, AdaFL
-//! async — each duplicating the round skeleton: client scheduling,
-//! transport and ledger charging, fault injection, checkpoint recovery,
-//! the defensive gate, telemetry spans and history recording. The runtime
-//! owns that skeleton once and specialises it along three policy axes:
+//! AdaFL and its baselines are one round protocol specialised by policy:
+//! the runtime owns the skeleton — client scheduling, transport and ledger
+//! charging, fault injection, checkpoint recovery, the defensive gate,
+//! telemetry spans and history recording — once, and a flavour is nothing
+//! but the bundle of policies handed to the builder:
 //!
 //! ```text
+//!   RuntimeBuilder ── scenario parts + options ──┐
+//!     .build_sync(strategy)                      │   policy bundle
+//!     .build_async(strategy)                     │   (baseline | AdaFL)
+//!     .build_{sync,async}_runtime(policies)      ▼
 //!                 ┌─────────────────────────────────────────────┐
-//!                 │            fl::runtime                      │
-//!                 │                                             │
-//!   SyncEngine ──▶│  SyncRuntime          AsyncRuntime          │◀── AsyncEngine
-//!   (baselines)   │  ┌───────────────┐    ┌──────────────────┐  │    (baselines)
-//!                 │  │ select        │    │ event loop       │  │
-//! AdaFlSyncEngine │  │ broadcast     │    │ download/train   │  │ AdaFlAsyncEngine
-//!        │        │  │ train (pool)  │    │ upload/apply     │  │        │
-//!        ▼        │  │ upload        │    └──────┬───────────┘  │        ▼
-//!   core policies │  │ screen        │           │              │   core policies
+//!                 │  SyncRuntime          AsyncRuntime          │
+//!                 │  ┌───────────────┐    ┌──────────────────┐  │
+//!                 │  │ select_cohort │    │ event loop       │  │
+//!                 │  │ broadcast     │    │ download/train   │  │
+//!                 │  │ train (pool)  │    │ upload/apply     │  │
+//!                 │  │ encode        │    └──────┬───────────┘  │
+//!                 │  │ uplink        │           │              │
 //!                 │  │ aggregate     │           │              │
 //!                 │  └──────┬────────┘           │              │
 //!                 │         ▼                    ▼              │
@@ -30,13 +31,16 @@
 //!                                AsyncPolicy (dense | utility-gated DGC)
 //! ```
 //!
-//! The four public engines survive as thin facades: each is a policy
-//! bundle plus the runtime. Their behaviour is pinned byte-for-byte by
-//! the golden traces in `tests/golden/` — identical `RunHistory`, ledger
-//! totals and telemetry streams before and after the refactor.
+//! [`RuntimeBuilder`] is the only construction and configuration surface;
+//! there are no per-flavour wrapper types, and a built runtime's
+//! configuration is final. `adafl-core` adds the two AdaFL bundles through
+//! an extension trait on the same builder. Every flavour's behaviour is
+//! pinned byte-for-byte by the golden traces in `tests/golden/` —
+//! identical `RunHistory`, ledger totals and telemetry streams.
 
 mod baseline;
 mod builder;
+mod emit;
 mod event;
 mod io;
 mod payload;
@@ -55,5 +59,5 @@ pub use policy::{
     AggregationPolicy, AsyncApplyCtx, AsyncDownlinkCtx, AsyncPolicy, AsyncUploadCtx,
     CompressionPolicy, SelectionCtx, SelectionPolicy, StreamAccumulator, SyncUploadCtx,
 };
-pub use sink::{SinkMode, UpdateSink};
+pub use sink::{Closed, SinkMode, UpdateSink};
 pub use sync::{SyncPolicies, SyncRuntime};

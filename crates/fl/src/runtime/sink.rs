@@ -79,11 +79,6 @@ impl UpdateSink {
         }
     }
 
-    /// The sink's mode.
-    pub fn mode(&self) -> SinkMode {
-        self.mode
-    }
-
     /// Accepts one delivered update. Streaming folds immediately; the
     /// buffering modes push.
     pub fn accept(&mut self, policy: &mut dyn AggregationPolicy, update: RoundUpdate) {
@@ -101,21 +96,6 @@ impl UpdateSink {
         }
     }
 
-    /// Legacy mode only: hands the buffered cohort back for the
-    /// screen → robust → `aggregate` pipeline.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the sink is not in legacy mode.
-    pub fn into_buffered(self) -> Vec<RoundUpdate> {
-        assert_eq!(
-            self.mode,
-            SinkMode::Legacy,
-            "buffered take-out is legacy-only"
-        );
-        self.buffered
-    }
-
     fn fold_one(&mut self, policy: &mut dyn AggregationPolicy, update: &RoundUpdate) {
         let e = update.client % self.edges.len();
         let edge = &mut self.edges[e];
@@ -123,32 +103,26 @@ impl UpdateSink {
         edge.lead_client.get_or_insert(update.client);
     }
 
-    /// Ends a streaming or buffered-fold round: replays any buffered
+    /// Ends the round, consuming the sink. A legacy sink hands its
+    /// buffered cohort back for the screen → robust → `aggregate`
+    /// pipeline. A streaming or buffered-fold sink replays any buffered
     /// updates through the fold (buffered-fold mode), merges the per-edge
     /// partials in ascending edge order, and returns the merged
     /// accumulator together with the per-edge transfers
     /// `(lead_client, fold_count)` for ledger charging — one entry per
-    /// edge that folded at least one update, in edge order. Returns `None`
+    /// edge that folded at least one update, in edge order — or `None`
     /// when nothing was delivered.
-    ///
-    /// # Panics
-    ///
-    /// Panics when called on a legacy-mode sink.
-    pub fn finish(
-        mut self,
-        policy: &mut dyn AggregationPolicy,
-    ) -> Option<(StreamAccumulator, Vec<(usize, usize)>)> {
-        assert_ne!(
-            self.mode,
-            SinkMode::Legacy,
-            "legacy rounds use into_buffered"
-        );
-        if self.mode == SinkMode::BufferedFold {
-            // Replay the exact fold calls streaming made at arrival time,
-            // in arrival order — bitwise parity by construction.
-            let buffered = std::mem::take(&mut self.buffered);
-            for update in &buffered {
-                self.fold_one(policy, update);
+    pub fn close(mut self, policy: &mut dyn AggregationPolicy) -> Closed {
+        match self.mode {
+            SinkMode::Legacy => return Closed::Buffered(self.buffered),
+            SinkMode::Streaming => {}
+            SinkMode::BufferedFold => {
+                // Replay the exact fold calls streaming made at arrival
+                // time, in arrival order — bitwise parity by construction.
+                let buffered = std::mem::take(&mut self.buffered);
+                for update in &buffered {
+                    self.fold_one(policy, update);
+                }
             }
         }
         let charges: Vec<(usize, usize)> = self
@@ -158,7 +132,7 @@ impl UpdateSink {
             .map(|e| (e.lead_client.expect("active edge has a lead"), e.acc.count))
             .collect();
         if charges.is_empty() {
-            return None;
+            return Closed::Folded(None);
         }
         let mut edges = self.edges.into_iter();
         let mut merged = edges.next().expect("at least one edge").acc;
@@ -167,8 +141,21 @@ impl UpdateSink {
                 merged.merge(&e.acc);
             }
         }
-        Some((merged, charges))
+        Closed::Folded(Some((merged, charges)))
     }
+}
+
+/// What a round's sink held when it was [closed](UpdateSink::close): the
+/// variant is the sink's mode, so a caller cannot ask a legacy sink for an
+/// accumulator or a folding sink for its buffer.
+#[derive(Debug)]
+pub enum Closed {
+    /// The whole delivered cohort ([`SinkMode::Legacy`]).
+    Buffered(Vec<RoundUpdate>),
+    /// The merged accumulator and the per-edge `(lead_client, fold_count)`
+    /// charges, or `None` when nothing was delivered
+    /// ([`SinkMode::Streaming`] / [`SinkMode::BufferedFold`]).
+    Folded(Option<(StreamAccumulator, Vec<(usize, usize)>)>),
 }
 
 #[cfg(test)]
@@ -197,6 +184,13 @@ mod tests {
         }
     }
 
+    fn folded(closed: Closed) -> Option<(StreamAccumulator, Vec<(usize, usize)>)> {
+        match closed {
+            Closed::Folded(folded) => folded,
+            Closed::Buffered(_) => panic!("a folding sink closes to its accumulator"),
+        }
+    }
+
     fn update(client: usize, value: f32, weight: f32) -> RoundUpdate {
         RoundUpdate {
             client,
@@ -219,8 +213,8 @@ mod tests {
             streaming.accept(&mut policy, u.clone());
             buffered.accept(&mut policy, u.clone());
         }
-        let (acc_s, charges_s) = streaming.finish(&mut policy).expect("delivered");
-        let (acc_b, charges_b) = buffered.finish(&mut policy).expect("delivered");
+        let (acc_s, charges_s) = folded(streaming.close(&mut policy)).expect("delivered");
+        let (acc_b, charges_b) = folded(buffered.close(&mut policy)).expect("delivered");
         assert_eq!(acc_s, acc_b);
         assert_eq!(charges_s, charges_b);
         assert_eq!(acc_s.count, 3);
@@ -236,7 +230,7 @@ mod tests {
         sink.accept(&mut policy, update(3, 1.0, 1.0));
         sink.accept(&mut policy, update(4, 1.0, 1.0));
         sink.accept(&mut policy, update(5, 1.0, 1.0));
-        let (acc, charges) = sink.finish(&mut policy).expect("delivered");
+        let (acc, charges) = folded(sink.close(&mut policy)).expect("delivered");
         assert_eq!(acc.count, 3);
         assert_eq!(charges, vec![(4, 1), (3, 2)]);
     }
@@ -245,7 +239,7 @@ mod tests {
     fn empty_round_finishes_to_none() {
         let mut policy = MeanPolicy;
         let sink = UpdateSink::new(SinkMode::Streaming, 4, 3);
-        assert!(sink.finish(&mut policy).is_none());
+        assert!(folded(sink.close(&mut policy)).is_none());
     }
 
     #[test]
@@ -254,7 +248,9 @@ mod tests {
         let mut sink = UpdateSink::new(SinkMode::Legacy, 4, 0);
         sink.accept(&mut policy, update(1, 1.0, 1.0));
         sink.accept(&mut policy, update(2, 2.0, 1.0));
-        let buffered = sink.into_buffered();
+        let Closed::Buffered(buffered) = sink.close(&mut policy) else {
+            panic!("a legacy sink closes to its buffer");
+        };
         assert_eq!(buffered.len(), 2);
         assert_eq!(buffered[0].client, 1);
     }

@@ -1,9 +1,57 @@
-//! Synchronous baseline strategies: FedAvg \[19], FedAdam \[34], FedProx \[20]
-//! and SCAFFOLD \[21] — the comparison set of Table I.
+//! The [`SyncStrategy`] contract and the synchronous baseline strategies:
+//! FedAvg \[19], FedAdam \[34], FedProx \[20] and SCAFFOLD \[21] — the
+//! comparison set of Table I.
 
-use super::engine::{ClientUpdate, SyncStrategy};
 use adafl_nn::optim::{Adam, Optimizer};
 use adafl_tensor::vecops;
+
+/// One client's contribution to a synchronous aggregation.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ClientUpdate {
+    /// Client identifier.
+    pub client: usize,
+    /// Parameter delta `w_local − w_global`.
+    pub delta: Vec<f32>,
+    /// Aggregation weight (the client's `n_i`).
+    pub weight: f32,
+}
+
+/// Server-side behaviour of a synchronous FL strategy.
+///
+/// The runtime owns the protocol (selection, communication, faults); a
+/// strategy contributes the client-side gradient correction and the
+/// server-side aggregation rule. This split is what lets FedAvg, FedAdam,
+/// FedProx and SCAFFOLD share one runtime.
+pub trait SyncStrategy: std::fmt::Debug + Send + Sync {
+    /// Strategy name for run labels.
+    fn name(&self) -> &'static str;
+
+    /// Called once before the first round with the model dimension and
+    /// client count.
+    fn init(&mut self, _dim: usize, _clients: usize) {}
+
+    /// Client-side gradient correction applied at every local step.
+    fn gradient_hook(&self, _client: usize, _grad: &mut [f32], _params: &[f32], _global: &[f32]) {}
+
+    /// Called after a client finishes local training (before aggregation),
+    /// with its delta and the hyperparameters that produced it. `lr` is the
+    /// *effective* per-step learning rate — the runtime folds momentum
+    /// amplification (`η / (1 − μ)`) in, so SCAFFOLD's control-variate
+    /// update stays calibrated under client momentum.
+    fn after_local_round(&mut self, _client: usize, _delta: &[f32], _steps: usize, _lr: f32) {}
+
+    /// Folds the round's delivered updates into the global parameters.
+    fn aggregate(&mut self, global: &mut [f32], updates: &[ClientUpdate]);
+
+    /// Whether [`SyncStrategy::aggregate`] is exactly "add the
+    /// sample-weighted mean delta to `global`" and nothing else — the one
+    /// rule the runtime can also compute incrementally, update by update,
+    /// without buffering the cohort. `false` unless a strategy promises
+    /// it; of the baselines only [`FedAvg`] does.
+    fn is_weighted_mean(&self) -> bool {
+        false
+    }
+}
 
 fn weighted_mean_delta(updates: &[ClientUpdate]) -> Option<Vec<f32>> {
     let vectors: Vec<&[f32]> = updates.iter().map(|u| u.delta.as_slice()).collect();
@@ -34,6 +82,10 @@ impl SyncStrategy for FedAvg {
         if let Some(mean) = weighted_mean_delta(updates) {
             vecops::axpy(global, 1.0, &mean);
         }
+    }
+
+    fn is_weighted_mean(&self) -> bool {
+        true
     }
 }
 

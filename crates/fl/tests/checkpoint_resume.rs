@@ -1,12 +1,12 @@
-//! Checkpoint/resume across engine instances: a server that restarts from a
+//! Checkpoint/resume across runtime instances: a server that restarts from a
 //! checkpoint must continue improving from where it left off.
 
 use adafl_data::partition::Partitioner;
 use adafl_data::synthetic::SyntheticSpec;
 use adafl_data::Dataset;
 use adafl_fl::checkpoint::Checkpoint;
+use adafl_fl::runtime::RuntimeBuilder;
 use adafl_fl::sync::strategies::FedAvg;
-use adafl_fl::sync::SyncEngine;
 use adafl_fl::FlConfig;
 use adafl_nn::models::ModelSpec;
 
@@ -32,27 +32,19 @@ fn config(rounds: usize) -> FlConfig {
 fn resumed_engine_continues_improving() {
     let (train, test) = task();
     // Phase 1: train 10 rounds and checkpoint.
-    let mut first = SyncEngine::new(
-        config(10),
-        &train,
-        test.clone(),
-        Partitioner::Iid,
-        Box::new(FedAvg::new()),
-    );
+    let mut first = RuntimeBuilder::new(config(10), test.clone())
+        .partitioned(&train, Partitioner::Iid)
+        .build_sync(Box::new(FedAvg::new()));
     let h1 = first.run();
     let ckpt = Checkpoint::new(10, first.global_params().to_vec());
     let bytes = ckpt.encode();
 
-    // Phase 2: a fresh engine restores the checkpoint and keeps training.
+    // Phase 2: a fresh runtime restores the checkpoint and keeps training.
     let restored = Checkpoint::decode(&bytes).expect("valid checkpoint");
     assert_eq!(restored.round, 10);
-    let mut second = SyncEngine::new(
-        config(10),
-        &train,
-        test.clone(),
-        Partitioner::Iid,
-        Box::new(FedAvg::new()),
-    );
+    let mut second = RuntimeBuilder::new(config(10), test.clone())
+        .partitioned(&train, Partitioner::Iid)
+        .build_sync(Box::new(FedAvg::new()));
     second.set_global_params(&restored.params);
     let h2 = second.run();
 
@@ -74,13 +66,9 @@ fn resumed_engine_continues_improving() {
 #[test]
 fn file_checkpoint_survives_round_trip_mid_training() {
     let (train, test) = task();
-    let mut engine = SyncEngine::new(
-        config(4),
-        &train,
-        test,
-        Partitioner::Iid,
-        Box::new(FedAvg::new()),
-    );
+    let mut engine = RuntimeBuilder::new(config(4), test)
+        .partitioned(&train, Partitioner::Iid)
+        .build_sync(Box::new(FedAvg::new()));
     engine.run();
     let dir = std::env::temp_dir().join("adafl_resume_test");
     std::fs::create_dir_all(&dir).unwrap();
@@ -97,12 +85,8 @@ fn file_checkpoint_survives_round_trip_mid_training() {
 #[should_panic(expected = "length mismatch")]
 fn restoring_wrong_sized_checkpoint_panics() {
     let (train, test) = task();
-    let mut engine = SyncEngine::new(
-        config(2),
-        &train,
-        test,
-        Partitioner::Iid,
-        Box::new(FedAvg::new()),
-    );
+    let mut engine = RuntimeBuilder::new(config(2), test)
+        .partitioned(&train, Partitioner::Iid)
+        .build_sync(Box::new(FedAvg::new()));
     engine.set_global_params(&[0.0; 3]);
 }

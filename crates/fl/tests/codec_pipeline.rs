@@ -12,13 +12,14 @@ use adafl_data::Dataset;
 use adafl_fl::compute::ComputeModel;
 use adafl_fl::defense::DefenseConfig;
 use adafl_fl::faults::{FaultKind, FaultPlan};
-use adafl_fl::runtime::RuntimeBuilder;
+use adafl_fl::runtime::{RuntimeBuilder, SyncPolicies, SyncRuntime};
 use adafl_fl::sync::strategies::FedAvg;
-use adafl_fl::sync::{StaticCompression, SyncEngine};
+use adafl_fl::sync::StaticCompression;
 use adafl_fl::FlConfig;
 use adafl_netsim::{ClientNetwork, LinkProfile, LinkTrace};
 use adafl_nn::models::ModelSpec;
 use adafl_telemetry::{names, InMemoryRecorder};
+use std::sync::Arc;
 
 const CLIENTS: usize = 6;
 const ROUNDS: usize = 10;
@@ -48,7 +49,7 @@ fn corrupt_plan() -> FaultPlan {
     FaultPlan::new(kinds, 11)
 }
 
-fn engine(scheme: StaticCompression) -> SyncEngine {
+fn engine(scheme: StaticCompression) -> (SyncRuntime, Arc<InMemoryRecorder>) {
     let (train, test) = task();
     let cfg = config();
     let shards = Partitioner::Iid.split(&train, CLIENTS, cfg.seed_for("partition"));
@@ -56,15 +57,17 @@ fn engine(scheme: StaticCompression) -> SyncEngine {
         vec![LinkTrace::constant(LinkProfile::Broadband.spec()); CLIENTS],
         cfg.seed_for("network"),
     );
-    let mut e = RuntimeBuilder::new(cfg, test)
+    let policies = SyncPolicies::baseline(&cfg, Box::new(FedAvg::new()), scheme);
+    let rec = InMemoryRecorder::shared();
+    let e = RuntimeBuilder::new(cfg, test)
         .shards(shards)
         .network(network)
         .compute(ComputeModel::uniform(CLIENTS, 0.05))
         .faults(corrupt_plan())
-        .build_sync(Box::new(FedAvg::new()));
-    e.set_compression(scheme);
-    e.set_defense(DefenseConfig::default());
-    e
+        .defense(Some(DefenseConfig::default()))
+        .recorder(rec.clone())
+        .build_sync_runtime(policies);
+    (e, rec)
 }
 
 /// Exact per-update wire size for each scheme at model dimension `dim`,
@@ -83,9 +86,7 @@ fn packed_payloads_survive_corruption_and_charge_exact_bytes() {
         StaticCompression::Qsgd { levels: 8 },
         StaticCompression::TernGrad,
     ] {
-        let mut e = engine(scheme);
-        let rec = InMemoryRecorder::shared();
-        e.set_recorder(rec.clone());
+        let (mut e, rec) = engine(scheme);
         let history = e.run();
 
         // Corruption really flowed through the encoded bytes.
@@ -133,9 +134,7 @@ fn corrupted_packed_frames_reject_or_decode_deterministically() {
         StaticCompression::Qsgd { levels: 8 },
         StaticCompression::TernGrad,
     ] {
-        let mut e = engine(scheme);
-        let rec = InMemoryRecorder::shared();
-        e.set_recorder(rec.clone());
+        let (mut e, rec) = engine(scheme);
         e.run();
         let trace = rec.snapshot();
         decode_rejects += trace

@@ -6,8 +6,7 @@ use adafl_data::partition::Partitioner;
 use adafl_data::synthetic::SyntheticSpec;
 use adafl_fl::compute::ComputeModel;
 use adafl_fl::r#async::strategies::{FedAsync, FedBuff};
-use adafl_fl::r#async::AsyncEngine;
-use adafl_fl::runtime::RuntimeBuilder;
+use adafl_fl::runtime::{AsyncRuntime, RuntimeBuilder};
 use adafl_fl::FlConfig;
 use adafl_netsim::{ClientNetwork, LinkProfile, LinkSpec, LinkTrace, TraceKind};
 use adafl_nn::models::ModelSpec;
@@ -27,7 +26,7 @@ fn config() -> FlConfig {
         .build()
 }
 
-fn engine_with_network(network: ClientNetwork, budget: u64) -> AsyncEngine {
+fn engine_with_network(network: ClientNetwork, budget: u64) -> AsyncRuntime {
     let data = SyntheticSpec::mnist_like(8, 500).generate(4);
     let (train, test) = data.split_at(400);
     let cfg = config();

@@ -1,17 +1,18 @@
 //! Determinism guarantees of the persistent worker pool: pool-parallel and
 //! sequential training must be byte-identical, both at the `LocalOutcome`
-//! level and through a whole engine run's telemetry (modulo wall-clock
+//! level and through a whole runtime run's telemetry (modulo wall-clock
 //! measurements, which are inherently nondeterministic).
 
 use adafl_data::partition::Partitioner;
 use adafl_data::synthetic::SyntheticSpec;
 use adafl_fl::config::FlConfig;
 use adafl_fl::pool::WorkerPool;
+use adafl_fl::runtime::{RuntimeBuilder, SyncRuntime};
 use adafl_fl::sync::strategies::FedAvg;
-use adafl_fl::sync::SyncEngine;
 use adafl_fl::{FlClient, LocalOutcome};
 use adafl_nn::models::ModelSpec;
 use adafl_telemetry::{InMemoryRecorder, Trace};
+use std::sync::Arc;
 
 fn fleet() -> (Vec<FlClient>, Vec<f32>) {
     let spec = ModelSpec::Mlp {
@@ -52,7 +53,9 @@ fn pool_and_sequential_outcomes_are_byte_identical() {
     assert!(parallel.iter().any(|o| o.delta.iter().any(|&d| d != 0.0)));
 }
 
-fn engine(parallel: bool) -> SyncEngine {
+/// A traced run at the given pool width: 1 trains every client inline on
+/// the calling thread, 4 fans the cohort across the pool.
+fn engine(threads: usize) -> (SyncRuntime, Arc<InMemoryRecorder>) {
     let config = FlConfig::builder()
         .clients(4)
         .rounds(3)
@@ -66,15 +69,13 @@ fn engine(parallel: bool) -> SyncEngine {
         .build();
     let data = SyntheticSpec::mnist_like(8, 400).generate(0);
     let (train, test) = data.split_at(320);
-    let mut e = SyncEngine::new(
-        config,
-        &train,
-        test,
-        Partitioner::Iid,
-        Box::new(FedAvg::new()),
-    );
-    e.set_parallel(parallel);
-    e
+    let rec = InMemoryRecorder::shared();
+    let e = RuntimeBuilder::new(config, test)
+        .partitioned(&train, Partitioner::Iid)
+        .threads(Some(threads))
+        .recorder(rec.clone())
+        .build_sync(Box::new(FedAvg::new()));
+    (e, rec)
 }
 
 /// Strips the only legitimately nondeterministic telemetry dimension: wall
@@ -88,14 +89,10 @@ fn scrub_wall_times(mut trace: Trace) -> Trace {
 
 #[test]
 fn pool_and_sequential_telemetry_agree_modulo_wall_times() {
-    let mut par = engine(true);
-    let par_rec = InMemoryRecorder::shared();
-    par.set_recorder(par_rec.clone());
+    let (mut par, par_rec) = engine(4);
     let par_history = par.run();
 
-    let mut seq = engine(false);
-    let seq_rec = InMemoryRecorder::shared();
-    seq.set_recorder(seq_rec.clone());
+    let (mut seq, seq_rec) = engine(1);
     let seq_history = seq.run();
 
     assert_eq!(par_history, seq_history);

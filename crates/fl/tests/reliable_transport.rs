@@ -10,9 +10,8 @@ use adafl_data::Dataset;
 use adafl_fl::compute::ComputeModel;
 use adafl_fl::defense::DefenseConfig;
 use adafl_fl::faults::{FaultKind, FaultPlan};
-use adafl_fl::runtime::RuntimeBuilder;
+use adafl_fl::runtime::{RuntimeBuilder, SyncRuntime};
 use adafl_fl::sync::strategies::FedAvg;
-use adafl_fl::sync::SyncEngine;
 use adafl_fl::FlConfig;
 use adafl_netsim::{ClientNetwork, GilbertElliott, LinkProfile, LinkTrace, ReliablePolicy};
 use adafl_nn::models::ModelSpec;
@@ -52,7 +51,7 @@ fn burst_network(seed: u64) -> ClientNetwork {
     net
 }
 
-fn engine(network: ClientNetwork, faults: FaultPlan) -> SyncEngine {
+fn builder(network: ClientNetwork, faults: FaultPlan) -> RuntimeBuilder {
     let (train, test) = split();
     let cfg = config();
     let shards = Partitioner::Iid.split(&train, CLIENTS, cfg.seed_for("partition"));
@@ -61,7 +60,10 @@ fn engine(network: ClientNetwork, faults: FaultPlan) -> SyncEngine {
         .network(network)
         .compute(ComputeModel::uniform(CLIENTS, 0.05))
         .faults(faults)
-        .build_sync(Box::new(FedAvg::new()))
+}
+
+fn engine(network: ClientNetwork, faults: FaultPlan) -> SyncRuntime {
+    builder(network, faults).build_sync(Box::new(FedAvg::new()))
 }
 
 #[test]
@@ -70,8 +72,9 @@ fn retries_beat_fire_and_forget_under_burst_loss() {
     let mut plain = engine(burst_network(seed), FaultPlan::reliable(CLIENTS));
     plain.run();
 
-    let mut reliable = engine(burst_network(seed), FaultPlan::reliable(CLIENTS));
-    reliable.set_retry_policy(ReliablePolicy::default());
+    let mut reliable = builder(burst_network(seed), FaultPlan::reliable(CLIENTS))
+        .retry_policy(Some(ReliablePolicy::default()))
+        .build_sync(Box::new(FedAvg::new()));
     reliable.run();
 
     let plain_delivered = plain.ledger().uplink_updates();
@@ -87,10 +90,11 @@ fn retries_beat_fire_and_forget_under_burst_loss() {
 
 #[test]
 fn ledger_accounts_for_retransmissions_and_acks() {
-    let mut e = engine(burst_network(3), FaultPlan::reliable(CLIENTS));
-    e.set_retry_policy(ReliablePolicy::default());
     let rec = InMemoryRecorder::shared();
-    e.set_recorder(rec.clone());
+    let mut e = builder(burst_network(3), FaultPlan::reliable(CLIENTS))
+        .retry_policy(Some(ReliablePolicy::default()))
+        .recorder(rec.clone())
+        .build_sync(Box::new(FedAvg::new()));
     e.run();
 
     let ledger = e.ledger();
@@ -118,8 +122,9 @@ fn clean_links_make_retry_overhead_exactly_one_ack_per_transfer() {
         vec![LinkTrace::constant(LinkProfile::Broadband.spec()); CLIENTS],
         1,
     );
-    let mut e = engine(net, FaultPlan::reliable(CLIENTS));
-    e.set_retry_policy(ReliablePolicy::default());
+    let mut e = builder(net, FaultPlan::reliable(CLIENTS))
+        .retry_policy(Some(ReliablePolicy::default()))
+        .build_sync(Box::new(FedAvg::new()));
     e.run();
 
     let ledger = e.ledger();
@@ -153,10 +158,11 @@ fn defense_gate_contains_a_corrupting_client() {
     let mut baseline = engine(clean_net(), FaultPlan::reliable(CLIENTS));
     let clean_history = baseline.run();
 
-    let mut defended = engine(clean_net(), corrupt_plan());
-    defended.set_defense(DefenseConfig::default());
     let rec = InMemoryRecorder::shared();
-    defended.set_recorder(rec.clone());
+    let mut defended = builder(clean_net(), corrupt_plan())
+        .defense(Some(DefenseConfig::default()))
+        .recorder(rec.clone())
+        .build_sync(Box::new(FedAvg::new()));
     let defended_history = defended.run();
 
     assert!(

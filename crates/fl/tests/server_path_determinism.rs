@@ -16,16 +16,16 @@ use adafl_fl::config::FlConfig;
 use adafl_fl::defense::DefenseConfig;
 use adafl_fl::faults::{FaultKind, FaultPlan};
 use adafl_fl::robust::RobustMethod;
-use adafl_fl::runtime::RuntimeBuilder;
+use adafl_fl::runtime::{RuntimeBuilder, SyncRuntime};
 use adafl_fl::sync::strategies::FedAvg;
-use adafl_fl::sync::SyncEngine;
 use adafl_nn::models::ModelSpec;
 use adafl_telemetry::{InMemoryRecorder, Trace};
+use std::sync::Arc;
 
 /// A deliberately hostile 8-client scenario exercising every parallel
 /// stage: sign-flip and boost attackers for the robust stage, a transit
 /// corrupter for the decode-reject path, a dropout for the dropout path.
-fn engine(threads: usize) -> SyncEngine {
+fn engine(threads: usize) -> (SyncRuntime, Arc<InMemoryRecorder>) {
     let config = FlConfig::builder()
         .clients(8)
         .rounds(3)
@@ -50,13 +50,16 @@ fn engine(threads: usize) -> SyncEngine {
         FaultKind::Dropout { period: 2 },
         FaultKind::Reliable,
     ];
-    RuntimeBuilder::new(config, test)
+    let rec = InMemoryRecorder::shared();
+    let e = RuntimeBuilder::new(config, test)
         .partitioned(&train, Partitioner::Iid)
         .faults(FaultPlan::new(kinds, 99))
         .defense(Some(DefenseConfig::default()))
         .robust(Some(RobustMethod::MultiKrum { f: 2, m: 4 }))
         .threads(Some(threads))
-        .build_sync(Box::new(FedAvg::new()))
+        .recorder(rec.clone())
+        .build_sync(Box::new(FedAvg::new()));
+    (e, rec)
 }
 
 /// Strips the only legitimately nondeterministic telemetry dimension: wall
@@ -70,14 +73,10 @@ fn scrub_wall_times(mut trace: Trace) -> Trace {
 
 #[test]
 fn pooled_and_single_thread_server_paths_are_byte_identical() {
-    let mut narrow = engine(1);
-    let narrow_rec = InMemoryRecorder::shared();
-    narrow.set_recorder(narrow_rec.clone());
+    let (mut narrow, narrow_rec) = engine(1);
     let narrow_history = narrow.run();
 
-    let mut wide = engine(4);
-    let wide_rec = InMemoryRecorder::shared();
-    wide.set_recorder(wide_rec.clone());
+    let (mut wide, wide_rec) = engine(4);
     let wide_history = wide.run();
 
     assert_eq!(narrow_history, wide_history);

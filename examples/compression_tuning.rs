@@ -1,7 +1,7 @@
 //! Compression tuning: the accuracy ↔ bandwidth trade-off of deep gradient
 //! compression, and how AdaFL's adaptive ratio sits on that curve.
 //!
-//! First sweeps *fixed* DGC ratios inside AdaFL's sync engine (by pinning
+//! First sweeps *fixed* DGC ratios inside the synchronous AdaFL flavour (by pinning
 //! `min_ratio = max_ratio`), then runs the adaptive default — showing that
 //! adapting the rate to utility gets near-best accuracy at near-lowest
 //! bytes, which is the paper's second design claim.
@@ -10,9 +10,10 @@
 //! cargo run --release --example compression_tuning
 //! ```
 
-use adafl_core::{AdaFlConfig, AdaFlSyncEngine};
+use adafl_core::{AdaFlBuild, AdaFlConfig};
 use adafl_data::partition::Partitioner;
 use adafl_data::synthetic::SyntheticSpec;
+use adafl_fl::runtime::RuntimeBuilder;
 use adafl_fl::FlConfig;
 use adafl_nn::models::ModelSpec;
 
@@ -33,9 +34,11 @@ fn main() {
         .build();
 
     let run = |ada: AdaFlConfig| {
-        let mut engine = AdaFlSyncEngine::new(fl.clone(), ada, &train, test.clone(), partitioner);
-        let history = engine.run();
-        (history.final_accuracy(), engine.ledger().uplink_bytes())
+        let mut runtime = RuntimeBuilder::new(fl.clone(), test.clone())
+            .partitioned(&train, partitioner)
+            .build_adafl_sync(&ada);
+        let history = runtime.run();
+        (history.final_accuracy(), runtime.ledger().uplink_bytes())
     };
 
     println!("== fixed DGC ratio sweep vs adaptive (20 rounds, non-IID) ==");

@@ -2,7 +2,9 @@
 //! embedded devices — slow CPUs, constrained time-varying uplinks, non-IID
 //! data — the deployment the paper's title targets.
 //!
-//! Compares fully-asynchronous AdaFL against FedAsync on the same fleet.
+//! Compares fully-asynchronous AdaFL against FedAsync on the same fleet:
+//! one `RuntimeBuilder` chain per run, the same `AsyncRuntime` back, and
+//! only the policy bundle named by the final `build_*` call differs.
 //!
 //! ```text
 //! cargo run --release --example embedded_fleet

@@ -9,7 +9,7 @@
 //! client in the fleet, and contrasts fire-and-forget with the hardened
 //! stack (retry transport + defensive aggregation), tallying the retries,
 //! rejections and recoveries the telemetry recorder saw. Each run carries a
-//! recorder so the fault events the engine actually saw are tallied next to
+//! recorder so the fault events the runtime actually saw are tallied next to
 //! the accuracy they cost.
 //!
 //! ```text
@@ -59,14 +59,14 @@ fn main() {
                 1,
             );
             let recorder = InMemoryRecorder::shared();
-            let mut engine = RuntimeBuilder::new(fl, test.clone())
+            let mut runtime = RuntimeBuilder::new(fl, test.clone())
                 .partitioned(&train, Partitioner::Iid)
                 .network(network)
                 .compute(ComputeModel::uniform(CLIENTS, 0.1))
                 .faults(FaultPlan::with_fraction(CLIENTS, fraction, kind, 5))
                 .recorder(recorder.clone())
                 .build_sync(Box::new(FedAvg::new()));
-            let history = engine.run();
+            let history = runtime.run();
             let trace = recorder.snapshot();
             let faults = trace.counters.get(names::FL_DROPOUTS).copied().unwrap_or(0);
             row.push(format!(
@@ -118,7 +118,7 @@ fn chaos_comparison(train: &Dataset, test: &Dataset) {
         };
         kinds[1] = FaultKind::Corruption { prob: 0.5 };
         let recorder = InMemoryRecorder::shared();
-        let mut engine = RuntimeBuilder::new(fl, test.clone())
+        let mut runtime = RuntimeBuilder::new(fl, test.clone())
             .partitioned(train, Partitioner::Iid)
             .network(network)
             .compute(ComputeModel::uniform(CLIENTS, 0.1))
@@ -127,14 +127,14 @@ fn chaos_comparison(train: &Dataset, test: &Dataset) {
             .defense(hardened.then(DefenseConfig::default))
             .recorder(recorder.clone())
             .build_sync(Box::new(FedAvg::new()));
-        let history = engine.run();
+        let history = runtime.run();
         let trace = recorder.snapshot();
         let count = |name: &str| trace.counters.get(name).copied().unwrap_or(0);
         println!(
             "{:<12} {:<6.3} {:<9} {:<8} {:<8} {:<8} {:<11} {:<10}",
             if hardened { "hardened" } else { "unprotected" },
             history.final_accuracy(),
-            engine.ledger().uplink_updates(),
+            runtime.ledger().uplink_updates(),
             count(names::NET_RETRIES),
             count(names::FL_DEFENSE_REJECTIONS),
             count(names::FL_CRASHES),

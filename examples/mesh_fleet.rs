@@ -112,12 +112,12 @@ fn run(planner: Box<dyn RoutePlanner>, fail_at: f64, heal_at: f64) -> (RunHistor
         .seed(17)
         .build();
     let recorder = InMemoryRecorder::shared();
-    let mut engine = RuntimeBuilder::new(fl, test)
+    let mut runtime = RuntimeBuilder::new(fl, test)
         .partitioned(&train, Partitioner::Iid)
         .network(layout.into_network(planner, 17))
         .recorder(recorder.clone())
         .build_sync(Box::new(FedAvg::new()));
-    let history = engine.run();
+    let history = runtime.run();
     (history, recorder.snapshot())
 }
 

@@ -1,15 +1,19 @@
 //! Quickstart: train a federated model with AdaFL and compare its
 //! communication bill against plain FedAvg.
 //!
+//! Both runs are the same `RuntimeBuilder` chain and come back as the same
+//! `SyncRuntime`; only the last call — which policy bundle specialises the
+//! round — differs.
+//!
 //! ```text
 //! cargo run --release --example quickstart
 //! ```
 
-use adafl_core::{AdaFlConfig, AdaFlSyncEngine};
+use adafl_core::{AdaFlBuild, AdaFlConfig};
 use adafl_data::partition::Partitioner;
 use adafl_data::synthetic::SyntheticSpec;
+use adafl_fl::runtime::RuntimeBuilder;
 use adafl_fl::sync::strategies::FedAvg;
-use adafl_fl::sync::SyncEngine;
 use adafl_fl::FlConfig;
 use adafl_nn::models::ModelSpec;
 
@@ -34,18 +38,18 @@ fn main() {
         shards_per_client: 2,
     };
 
-    // 3. Baseline: FedAvg at fixed r_p = 0.5.
-    let mut fedavg = SyncEngine::new(
-        fl.clone(),
-        &train,
-        test.clone(),
-        partitioner,
-        Box::new(FedAvg::new()),
-    );
+    // 3. Baseline bundle: random selection, dense uplinks, FedAvg at fixed
+    //    r_p = 0.5.
+    let mut fedavg = RuntimeBuilder::new(fl.clone(), test.clone())
+        .partitioned(&train, partitioner)
+        .build_sync(Box::new(FedAvg::new()));
     let fedavg_history = fedavg.run();
 
-    // 4. AdaFL: utility-guided selection + adaptive DGC compression.
-    let mut adafl = AdaFlSyncEngine::new(fl, AdaFlConfig::default(), &train, test, partitioner);
+    // 4. AdaFL bundle: utility-guided selection + adaptive DGC compression
+    //    (`AdaFlBuild` adds this method to the builder).
+    let mut adafl = RuntimeBuilder::new(fl, test)
+        .partitioned(&train, partitioner)
+        .build_adafl_sync(&AdaFlConfig::default());
     let adafl_history = adafl.run();
 
     println!("== quickstart: AdaFL vs FedAvg (20 rounds, non-IID) ==");

@@ -17,9 +17,8 @@ use adafl_fl::compute::ComputeModel;
 use adafl_fl::faults::{FaultKind, FaultPlan};
 use adafl_fl::r#async::strategies::FedAsync;
 use adafl_fl::robust::RobustMethod;
-use adafl_fl::runtime::RuntimeBuilder;
+use adafl_fl::runtime::{RuntimeBuilder, SyncRuntime};
 use adafl_fl::sync::strategies::FedAvg;
-use adafl_fl::sync::SyncEngine;
 use adafl_fl::{FlConfig, RunHistory};
 use adafl_netsim::{ClientNetwork, LinkProfile, LinkTrace};
 use adafl_nn::models::ModelSpec;
@@ -72,7 +71,7 @@ fn builder(seed: u64, faults: FaultPlan) -> RuntimeBuilder {
         .faults(faults)
 }
 
-fn fedavg_engine(seed: u64, faults: FaultPlan, robust: Option<RobustMethod>) -> SyncEngine {
+fn fedavg_engine(seed: u64, faults: FaultPlan, robust: Option<RobustMethod>) -> SyncRuntime {
     builder(seed, faults)
         .robust(robust)
         .build_sync(Box::new(FedAvg::new()))
@@ -90,15 +89,13 @@ fn trimmed_mean_contains_attackers_that_sink_fedavg() {
     let mut undefended = fedavg_engine(7, attack_plan(attack, 7), None);
     let undefended_history = undefended.run();
 
-    let mut defended = fedavg_engine(
-        7,
-        attack_plan(attack, 7),
-        Some(RobustMethod::TrimmedMean {
-            trim_ratio: 1.0 / 3.0,
-        }),
-    );
     let rec = InMemoryRecorder::shared();
-    defended.set_recorder(rec.clone());
+    let mut defended = builder(7, attack_plan(attack, 7))
+        .robust(Some(RobustMethod::TrimmedMean {
+            trim_ratio: 1.0 / 3.0,
+        }))
+        .recorder(rec.clone())
+        .build_sync(Box::new(FedAvg::new()));
     let defended_history = defended.run();
 
     assert!(

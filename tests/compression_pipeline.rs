@@ -3,10 +3,11 @@
 //! training must approach dense training as compression lightens.
 
 use adafl_compression::{dense_wire_size, DgcCompressor, SparseUpdate, WireCodec};
-use adafl_core::{AdaFlConfig, AdaFlSyncEngine};
+use adafl_core::{AdaFlBuild, AdaFlConfig};
 use adafl_data::partition::Partitioner;
 use adafl_data::synthetic::SyntheticSpec;
 use adafl_data::Dataset;
+use adafl_fl::runtime::RuntimeBuilder;
 use adafl_fl::{FlClient, FlConfig};
 use adafl_nn::models::ModelSpec;
 use adafl_tensor::vecops;
@@ -67,8 +68,9 @@ fn lighter_compression_tracks_dense_training_better() {
             utility_threshold: 0.0,
             ..AdaFlConfig::default()
         };
-        let mut engine =
-            AdaFlSyncEngine::new(config(25), ada, &train, test.clone(), Partitioner::Iid);
+        let mut engine = RuntimeBuilder::new(config(25), test.clone())
+            .partitioned(&train, Partitioner::Iid)
+            .build_adafl_sync(&ada);
         let history = engine.run();
         (history.final_accuracy(), engine.ledger().uplink_bytes())
     };
@@ -97,7 +99,9 @@ fn adafl_reported_ratios_stay_within_configured_bounds() {
         ..AdaFlConfig::default()
     };
     let dense = dense_wire_size(config(1).model.build(0).param_count());
-    let mut engine = AdaFlSyncEngine::new(config(10), ada, &train, test, Partitioner::Iid);
+    let mut engine = RuntimeBuilder::new(config(10), test)
+        .partitioned(&train, Partitioner::Iid)
+        .build_adafl_sync(&ada);
     engine.run();
     // Mean uplink payload must sit between the heaviest-compressed payload
     // and the dense payload (score reports push it down, warm-up up).

@@ -2,12 +2,13 @@
 //! partitioning → federated training over the simulated network →
 //! aggregation → evaluation.
 
-use adafl_core::{AdaFlConfig, AdaFlSyncEngine};
+use adafl_core::{AdaFlBuild, AdaFlConfig};
 use adafl_data::partition::Partitioner;
 use adafl_data::synthetic::SyntheticSpec;
 use adafl_data::Dataset;
+use adafl_fl::runtime::RuntimeBuilder;
 use adafl_fl::sync::strategies::{FedAdam, FedAvg, FedProx, Scaffold};
-use adafl_fl::sync::{SyncEngine, SyncStrategy};
+use adafl_fl::sync::SyncStrategy;
 use adafl_fl::FlConfig;
 use adafl_nn::models::ModelSpec;
 
@@ -32,7 +33,9 @@ fn config(rounds: usize) -> FlConfig {
 
 fn run_strategy(strategy: Box<dyn SyncStrategy>, partitioner: Partitioner) -> f32 {
     let (train, test) = task();
-    let mut engine = SyncEngine::new(config(30), &train, test, partitioner, strategy);
+    let mut engine = RuntimeBuilder::new(config(30), test)
+        .partitioned(&train, partitioner)
+        .build_sync(strategy);
     engine.run().final_accuracy()
 }
 
@@ -64,25 +67,17 @@ fn fedavg_learns_under_label_shards() {
 #[test]
 fn adafl_matches_fedavg_accuracy_with_fewer_bytes() {
     let (train, test) = task();
-    let mut fedavg = SyncEngine::new(
-        config(30),
-        &train,
-        test.clone(),
-        Partitioner::Iid,
-        Box::new(FedAvg::new()),
-    );
+    let mut fedavg = RuntimeBuilder::new(config(30), test.clone())
+        .partitioned(&train, Partitioner::Iid)
+        .build_sync(Box::new(FedAvg::new()));
     let fedavg_acc = fedavg.run().final_accuracy();
 
-    let mut adafl = AdaFlSyncEngine::new(
-        config(30),
-        AdaFlConfig {
+    let mut adafl = RuntimeBuilder::new(config(30), test)
+        .partitioned(&train, Partitioner::Iid)
+        .build_adafl_sync(&AdaFlConfig {
             max_selected: 3,
             ..AdaFlConfig::default()
-        },
-        &train,
-        test,
-        Partitioner::Iid,
-    );
+        });
     let adafl_acc = adafl.run().final_accuracy();
 
     assert!(
@@ -101,15 +96,14 @@ fn adafl_matches_fedavg_accuracy_with_fewer_bytes() {
 fn whole_pipeline_is_deterministic() {
     let run = || {
         let (train, test) = task();
-        let mut engine = SyncEngine::new(
-            config(8),
-            &train,
-            test,
-            Partitioner::LabelShards {
-                shards_per_client: 2,
-            },
-            Box::new(FedAvg::new()),
-        );
+        let mut engine = RuntimeBuilder::new(config(8), test)
+            .partitioned(
+                &train,
+                Partitioner::LabelShards {
+                    shards_per_client: 2,
+                },
+            )
+            .build_sync(Box::new(FedAvg::new()));
         let h = engine.run();
         (h, engine.ledger().clone())
     };
@@ -134,8 +128,9 @@ fn different_seeds_give_different_runs() {
                 classes: 10,
             })
             .build();
-        let mut engine =
-            SyncEngine::new(cfg, &train, test, Partitioner::Iid, Box::new(FedAvg::new()));
+        let mut engine = RuntimeBuilder::new(cfg, test)
+            .partitioned(&train, Partitioner::Iid)
+            .build_sync(Box::new(FedAvg::new()));
         engine.run()
     };
     assert_ne!(run(1), run(2));

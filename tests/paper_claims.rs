@@ -8,14 +8,13 @@
 //! * Q3 — the utility-score computation is negligible next to training.
 //! * Insight 1 — moderate dropout barely hurts synchronous FL.
 
-use adafl_core::{utility_score, AdaFlConfig, AdaFlSyncEngine, SimilarityMetric, UtilityInputs};
+use adafl_core::{utility_score, AdaFlBuild, AdaFlConfig, SimilarityMetric, UtilityInputs};
 use adafl_data::partition::Partitioner;
 use adafl_data::synthetic::SyntheticSpec;
 use adafl_data::Dataset;
 use adafl_fl::faults::{FaultKind, FaultPlan};
 use adafl_fl::runtime::RuntimeBuilder;
 use adafl_fl::sync::strategies::FedAvg;
-use adafl_fl::sync::SyncEngine;
 use adafl_fl::{FlClient, FlConfig};
 use adafl_netsim::LinkProfile;
 use adafl_nn::models::ModelSpec;
@@ -43,25 +42,17 @@ fn config(rounds: usize) -> FlConfig {
 #[test]
 fn q1_q2_adafl_competitive_accuracy_at_much_lower_cost() {
     let (train, test) = task();
-    let mut fedavg = SyncEngine::new(
-        config(35),
-        &train,
-        test.clone(),
-        Partitioner::Iid,
-        Box::new(FedAvg::new()),
-    );
+    let mut fedavg = RuntimeBuilder::new(config(35), test.clone())
+        .partitioned(&train, Partitioner::Iid)
+        .build_sync(Box::new(FedAvg::new()));
     let base = fedavg.run();
 
-    let mut adafl = AdaFlSyncEngine::new(
-        config(35),
-        AdaFlConfig {
+    let mut adafl = RuntimeBuilder::new(config(35), test)
+        .partitioned(&train, Partitioner::Iid)
+        .build_adafl_sync(&AdaFlConfig {
             max_selected: 4,
             ..AdaFlConfig::default()
-        },
-        &train,
-        test,
-        Partitioner::Iid,
-    );
+        });
     let ours = adafl.run();
 
     // Q1: accuracy within a few points.

@@ -3,7 +3,7 @@
 //! recover through checkpoints, and reliable transport must compose with
 //! adaptive selection without breaking determinism.
 
-use adafl_core::{AdaFlBuild, AdaFlConfig, AdaFlSyncEngine};
+use adafl_core::{AdaFlBuild, AdaFlConfig};
 use adafl_data::partition::Partitioner;
 use adafl_data::synthetic::SyntheticSpec;
 use adafl_data::Dataset;
@@ -52,7 +52,7 @@ fn clean_network(seed: u64) -> ClientNetwork {
     )
 }
 
-fn sync_engine(network: ClientNetwork, faults: FaultPlan) -> AdaFlSyncEngine {
+fn sync_builder(network: ClientNetwork, faults: FaultPlan) -> RuntimeBuilder {
     let (train, test) = task();
     let cfg = fl_config();
     let shards = Partitioner::Iid.split(&train, CLIENTS, cfg.seed_for("partition"));
@@ -61,7 +61,6 @@ fn sync_engine(network: ClientNetwork, faults: FaultPlan) -> AdaFlSyncEngine {
         .network(network)
         .compute(ComputeModel::uniform(CLIENTS, 0.05))
         .faults(faults)
-        .build_adafl_sync(&ada_config())
 }
 
 fn corrupt_plan() -> FaultPlan {
@@ -75,13 +74,15 @@ fn corrupt_plan() -> FaultPlan {
 /// finite and within tolerance of the fault-free run.
 #[test]
 fn adafl_defense_gate_contains_a_corrupting_client() {
-    let mut baseline = sync_engine(clean_network(1), FaultPlan::reliable(CLIENTS));
+    let mut baseline = sync_builder(clean_network(1), FaultPlan::reliable(CLIENTS))
+        .build_adafl_sync(&ada_config());
     let clean_history = baseline.run();
 
-    let mut defended = sync_engine(clean_network(1), corrupt_plan());
-    defended.set_defense(DefenseConfig::default());
     let rec = InMemoryRecorder::shared();
-    defended.set_recorder(rec.clone());
+    let mut defended = sync_builder(clean_network(1), corrupt_plan())
+        .defense(Some(DefenseConfig::default()))
+        .recorder(rec.clone())
+        .build_adafl_sync(&ada_config());
     let defended_history = defended.run();
 
     assert!(
@@ -105,9 +106,10 @@ fn adafl_crash_faults_recover_through_checkpoints() {
         at_round: 2,
         down_for: 2,
     };
-    let mut e = sync_engine(clean_network(1), FaultPlan::new(kinds, 3));
     let rec = InMemoryRecorder::shared();
-    e.set_recorder(rec.clone());
+    let mut e = sync_builder(clean_network(1), FaultPlan::new(kinds, 3))
+        .recorder(rec.clone())
+        .build_adafl_sync(&ada_config());
     let history = e.run();
 
     let trace = rec.snapshot();
@@ -131,9 +133,10 @@ fn adafl_retry_transport_is_deterministic_under_burst_loss() {
         net
     };
     let run = || {
-        let mut e = sync_engine(burst(7), FaultPlan::reliable(CLIENTS));
-        e.set_retry_policy(ReliablePolicy::default());
-        e.set_defense(DefenseConfig::default());
+        let mut e = sync_builder(burst(7), FaultPlan::reliable(CLIENTS))
+            .retry_policy(Some(ReliablePolicy::default()))
+            .defense(Some(DefenseConfig::default()))
+            .build_adafl_sync(&ada_config());
         let history = e.run();
         (history, e.ledger().total_bytes_with_control())
     };
@@ -150,16 +153,16 @@ fn adafl_async_defense_gate_keeps_model_finite() {
     let (train, test) = task();
     let cfg = fl_config();
     let shards = Partitioner::Iid.split(&train, CLIENTS, cfg.seed_for("partition"));
+    let rec = InMemoryRecorder::shared();
     let mut e = RuntimeBuilder::new(cfg, test)
         .shards(shards)
         .network(clean_network(1))
         .compute(ComputeModel::uniform(CLIENTS, 0.05))
         .faults(corrupt_plan())
         .update_budget(60)
+        .defense(Some(DefenseConfig::default()))
+        .recorder(rec.clone())
         .build_adafl_async(&ada_config());
-    e.set_defense(DefenseConfig::default());
-    let rec = InMemoryRecorder::shared();
-    e.set_recorder(rec.clone());
     let history = e.run();
 
     assert!(!history.is_empty());

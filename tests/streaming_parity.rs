@@ -20,7 +20,7 @@ use adafl_fl::runtime::{
     StrategyAggregation, SyncPolicies, SyncRuntime,
 };
 use adafl_fl::sync::strategies::{FedAvg, FedProx};
-use adafl_fl::sync::StaticCompression;
+use adafl_fl::sync::{ClientUpdate, StaticCompression, SyncStrategy};
 use adafl_fl::{FlConfig, VecShardSource};
 use adafl_nn::models::ModelSpec;
 
@@ -57,15 +57,26 @@ fn policies(fl: &FlConfig, aggregation: Box<dyn AggregationPolicy>) -> SyncPolic
     }
 }
 
-fn runtime(cohort: Option<usize>, edges: usize, agg: Box<dyn AggregationPolicy>) -> SyncRuntime {
-    let fl = config(cohort, edges);
+fn builder(cohort: Option<usize>, edges: usize) -> RuntimeBuilder {
     let data = SyntheticSpec::mnist_like(8, CLIENTS * 16).generate(3);
     let (train, test) = data.split_at(CLIENTS * 12);
-    let bundle = policies(&fl, agg);
-    RuntimeBuilder::new(fl, test)
+    RuntimeBuilder::new(config(cohort, edges), test)
         .partitioned(&train, Partitioner::Iid)
         .threads(Some(1))
-        .build_sync_runtime(bundle)
+}
+
+fn build(b: RuntimeBuilder, agg: Box<dyn AggregationPolicy>) -> SyncRuntime {
+    let bundle = policies(b.fl(), agg);
+    b.build_sync_runtime(bundle)
+}
+
+fn runtime(cohort: Option<usize>, edges: usize, agg: Box<dyn AggregationPolicy>) -> SyncRuntime {
+    build(builder(cohort, edges), agg)
+}
+
+/// [`runtime`] on the buffered-replay reference path instead of streaming.
+fn buffered_runtime(edges: usize, agg: Box<dyn AggregationPolicy>) -> SyncRuntime {
+    build(builder(Some(8), edges).buffered_fold(true), agg)
 }
 
 /// Runs streaming vs buffered-fold for one aggregation policy and asserts
@@ -73,8 +84,7 @@ fn runtime(cohort: Option<usize>, edges: usize, agg: Box<dyn AggregationPolicy>)
 fn assert_parity(make_agg: fn() -> Box<dyn AggregationPolicy>) {
     let mut streaming = runtime(Some(8), 3, make_agg());
     assert_eq!(streaming.sink_mode(), SinkMode::Streaming);
-    let mut buffered = runtime(Some(8), 3, make_agg());
-    buffered.set_buffered_fold(true);
+    let mut buffered = buffered_runtime(3, make_agg());
     assert_eq!(buffered.sink_mode(), SinkMode::BufferedFold);
 
     let hist_s = streaming.run();
@@ -113,8 +123,7 @@ fn adafl_streaming_matches_buffered_fold_bitwise() {
 fn flat_topology_streams_without_relay_charges() {
     let mut streaming = runtime(Some(8), 0, Box::new(AdaFlAggregation));
     assert_eq!(streaming.sink_mode(), SinkMode::Streaming);
-    let mut buffered = runtime(Some(8), 0, Box::new(AdaFlAggregation));
-    buffered.set_buffered_fold(true);
+    let mut buffered = buffered_runtime(0, Box::new(AdaFlAggregation));
     let hist_s = streaming.run();
     let hist_b = buffered.run();
     assert_eq!(hist_s, hist_b);
@@ -132,14 +141,8 @@ fn streaming_is_strictly_opt_in() {
     let rt = runtime(None, 0, Box::new(AdaFlAggregation));
     assert_eq!(rt.sink_mode(), SinkMode::Legacy);
     // Robust pre-aggregation needs the buffered cohort → legacy.
-    let fl = config(Some(8), 0);
-    let data = SyntheticSpec::mnist_like(8, CLIENTS * 16).generate(3);
-    let (train, test) = data.split_at(CLIENTS * 12);
-    let bundle = policies(&fl, Box::new(AdaFlAggregation));
-    let rt = RuntimeBuilder::new(fl, test)
-        .partitioned(&train, Partitioner::Iid)
-        .robust(Some(RobustMethod::Median))
-        .build_sync_runtime(bundle);
+    let b = builder(Some(8), 0).robust(Some(RobustMethod::Median));
+    let rt = build(b, Box::new(AdaFlAggregation));
     assert_eq!(rt.sink_mode(), SinkMode::Legacy);
     // A stateful strategy (FedProx's proximal hook is fine, but its
     // aggregate is not a plain weighted mean declaration) → legacy.
@@ -149,6 +152,32 @@ fn streaming_is_strictly_opt_in() {
         Box::new(StrategyAggregation::new(Box::new(FedProx::new(0.1)))),
     );
     assert_eq!(rt.sink_mode(), SinkMode::Legacy);
+    // Eligibility follows what a strategy declares about its aggregate,
+    // not what it is called: FedAvg streams, an impostor wearing its
+    // label is never folded as a weighted mean.
+    let strategy = |s: Box<dyn SyncStrategy>| Box::new(StrategyAggregation::new(s));
+    let rt = runtime(Some(8), 0, strategy(Box::new(FedAvg::new())));
+    assert_eq!(rt.sink_mode(), SinkMode::Streaming);
+    let rt = runtime(Some(8), 0, strategy(Box::new(SignStep)));
+    assert_eq!(rt.sink_mode(), SinkMode::Legacy);
+}
+
+/// A strategy that is not a weighted mean — it steps every coordinate by
+/// the sign of the summed deltas — but labels its runs "fedavg".
+#[derive(Debug)]
+struct SignStep;
+
+impl SyncStrategy for SignStep {
+    fn name(&self) -> &'static str {
+        "fedavg"
+    }
+
+    fn aggregate(&mut self, global: &mut [f32], updates: &[ClientUpdate]) {
+        for (i, g) in global.iter_mut().enumerate() {
+            let sum: f32 = updates.iter().map(|u| u.delta[i]).sum();
+            *g += 0.01 * sum.signum();
+        }
+    }
 }
 
 #[test]
