@@ -109,8 +109,7 @@ impl Args {
     }
 
     /// Resolved worker-thread count for the run, via [`resolve_threads`]:
-    /// the `--threads` flag, else `ADAFL_THREADS`, else the host's
-    /// available parallelism.
+    /// the `--threads` flag, else the host's available parallelism.
     ///
     /// # Panics
     ///
@@ -121,8 +120,8 @@ impl Args {
 }
 
 /// Thread-count resolution shared by the experiment binaries: an explicit
-/// `--threads` value wins, else the `ADAFL_THREADS` environment variable,
-/// else the host's available parallelism. Always at least 1.
+/// `--threads` value, else the host's available parallelism. Always at
+/// least 1.
 ///
 /// # Panics
 ///
@@ -132,11 +131,6 @@ pub fn resolve_threads(explicit: Option<&str>) -> usize {
         .map(|v| {
             v.parse::<usize>()
                 .unwrap_or_else(|_| panic!("--threads expects an integer, got {v:?}"))
-        })
-        .or_else(|| {
-            std::env::var("ADAFL_THREADS")
-                .ok()
-                .and_then(|v| v.trim().parse().ok())
         })
         .unwrap_or_else(|| {
             std::thread::available_parallelism()

@@ -288,7 +288,7 @@ fn run_cell(
         fl,
     };
     let rec = InMemoryRecorder::shared();
-    let result = run_sync_with(&scenario, "fedavg", rec.clone());
+    let result = run_sync_with(&scenario, "fedavg", rec.clone(), None);
     let trace = rec.snapshot();
     CellRun {
         delivered_updates: result.uplink_updates,

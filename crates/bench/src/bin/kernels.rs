@@ -17,7 +17,7 @@
 //! Usage: `kernels [--smoke] [--e2e-only] [--out PATH] [--e2e-baseline-ms MS]
 //! [--threads N]`
 //!
-//! `--threads` (default: `ADAFL_THREADS`, then host parallelism) pins the
+//! `--threads` (default: host parallelism) pins the
 //! server worker-pool width for the end-to-end run and is recorded in the
 //! report's `meta` block alongside whether the SIMD kernels were compiled
 //! in, so checked-in numbers are traceable to their build.
@@ -219,7 +219,7 @@ fn micro_suite(smoke: bool) -> Vec<MicroEntry> {
     entries
 }
 
-fn e2e_round(smoke: bool, baseline_ms: Option<f64>) -> E2eEntry {
+fn e2e_round(smoke: bool, baseline_ms: Option<f64>, threads: usize) -> E2eEntry {
     let (rounds, clients, samples) = if smoke { (1, 2, 120) } else { (3, 4, 300) };
     let local_steps = 2;
     let data = SyntheticSpec::mnist_like(16, samples).generate(0);
@@ -243,6 +243,7 @@ fn e2e_round(smoke: bool, baseline_ms: Option<f64>) -> E2eEntry {
             .build();
         let mut engine = RuntimeBuilder::new(config, test.clone())
             .partitioned(&train, Partitioner::Iid)
+            .threads(Some(threads))
             .build_sync(Box::new(FedAvg::new()));
         let start = Instant::now();
         let history = engine.run();
@@ -281,8 +282,6 @@ fn main() {
             .and_then(|i| args.get(i + 1))
             .map(String::as_str),
     );
-    // Pin the server pool width for every runtime built below.
-    std::env::set_var("ADAFL_THREADS", threads.to_string());
 
     let micro = if e2e_only {
         Vec::new()
@@ -300,7 +299,7 @@ fn main() {
         );
     }
     eprintln!("running end-to-end sync round...");
-    let e2e = e2e_round(smoke, baseline_ms);
+    let e2e = e2e_round(smoke, baseline_ms, threads);
     eprintln!(
         "  {}: {:.1} ms for {} rounds{}",
         e2e.scenario,

@@ -122,7 +122,7 @@ fn main() {
                     fl,
                 };
                 let rec = InMemoryRecorder::shared();
-                let result = run_sync_with(&scenario, strategy, rec.clone());
+                let result = run_sync_with(&scenario, strategy, rec.clone(), None);
                 let trace = rec.snapshot();
                 eprintln!(
                     "resiliency cond={} mode={mode} strategy={strategy}: final acc {:.3}, {} updates delivered",

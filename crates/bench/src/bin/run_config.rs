@@ -9,8 +9,8 @@
 //! (round spans, per-client transfers, compression byte counters) as JSONL.
 //! Tracing is passive: the experiment output is byte-identical either way.
 //!
-//! Pass `--threads N` (default: `ADAFL_THREADS`, then host parallelism) to
-//! pin the worker-pool width; results are identical at any width.
+//! Pass `--threads N` (default: host parallelism) to pin the worker-pool
+//! width; results are identical at any width.
 //!
 //! Example configuration:
 //!
@@ -49,8 +49,6 @@ use adafl_telemetry::{export, InMemoryRecorder, SharedRecorder};
 
 fn main() {
     let args = Args::from_env();
-    // Pin the worker-pool width before any runtime is built.
-    std::env::set_var("ADAFL_THREADS", args.threads().to_string());
     let path = args
         .get("config")
         .expect("--config <file.json> is required");
@@ -153,7 +151,7 @@ fn main() {
     };
 
     let result: RunResult = match cfg.protocol.as_str() {
-        "sync" => run_sync_with(&scenario, &cfg.strategy, recorder),
+        "sync" => run_sync_with(&scenario, &cfg.strategy, recorder, Some(args.threads())),
         "async" => run_async_with(&scenario, &cfg.strategy, recorder),
         other => panic!("protocol must be sync or async, got {other:?}"),
     };

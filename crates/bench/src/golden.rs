@@ -169,7 +169,7 @@ pub fn capture(case: &GoldenCase) -> GoldenArtifacts {
     let recorder = InMemoryRecorder::shared();
     let scenario = scenario(case);
     let result = match case.protocol {
-        Protocol::Sync => runner::run_sync_with(&scenario, case.strategy, recorder.clone()),
+        Protocol::Sync => runner::run_sync_with(&scenario, case.strategy, recorder.clone(), None),
         Protocol::Async => runner::run_async_with(&scenario, case.strategy, recorder.clone()),
     };
     // Wall-clock micros are the only nondeterministic field; zero them so

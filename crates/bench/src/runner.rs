@@ -170,18 +170,25 @@ fn async_baseline(name: &str) -> Box<dyn AsyncStrategy> {
 ///
 /// Panics on an unknown strategy name.
 pub fn run_sync(scenario: &Scenario, strategy: &str) -> RunResult {
-    run_sync_with(scenario, strategy, adafl_telemetry::noop())
+    run_sync_with(scenario, strategy, adafl_telemetry::noop(), None)
 }
 
 /// [`run_sync`] with a telemetry recorder attached to the runtime (and,
-/// through it, the simulated network). Recording is passive: results are
-/// identical to the untraced run.
+/// through it, the simulated network) and the worker-pool width pinned to
+/// `threads` (`None`: host parallelism). Recording is passive and every
+/// pooled stage collects in submission order: results are identical to the
+/// untraced run at any width.
 ///
 /// # Panics
 ///
 /// Panics on an unknown strategy name.
-pub fn run_sync_with(scenario: &Scenario, strategy: &str, recorder: SharedRecorder) -> RunResult {
-    let builder = scenario.builder(recorder);
+pub fn run_sync_with(
+    scenario: &Scenario,
+    strategy: &str,
+    recorder: SharedRecorder,
+    threads: Option<usize>,
+) -> RunResult {
+    let builder = scenario.builder(recorder).threads(threads);
     let mut runtime = if strategy == "adafl" {
         assert!(
             scenario.resilience.capacity.is_none(),

@@ -44,7 +44,7 @@ fn chaos_scenario() -> Scenario {
 
 fn traced_run(strategy: &str) -> (RunResult, String) {
     let rec = InMemoryRecorder::shared();
-    let result = run_sync_with(&chaos_scenario(), strategy, rec.clone());
+    let result = run_sync_with(&chaos_scenario(), strategy, rec.clone(), None);
     // Span wall-clock durations are the one intentionally nondeterministic
     // field; everything else must reproduce exactly.
     (
@@ -69,7 +69,7 @@ fn same_seed_chaos_runs_export_identical_traces() {
 
 #[test]
 fn recording_a_chaos_run_is_passive() {
-    let plain = run_sync_with(&chaos_scenario(), "adafl", adafl_telemetry::noop());
+    let plain = run_sync_with(&chaos_scenario(), "adafl", adafl_telemetry::noop(), None);
     let (traced, _) = traced_run("adafl");
     assert_eq!(plain.history, traced.history);
     assert_eq!(plain.uplink_bytes, traced.uplink_bytes);

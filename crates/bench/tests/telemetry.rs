@@ -44,9 +44,9 @@ fn scenario() -> Scenario {
 fn tracing_leaves_sync_csv_byte_identical() {
     let s = scenario();
     for strategy in ["fedavg", "adafl"] {
-        let plain = run_sync_with(&s, strategy, adafl_telemetry::noop());
+        let plain = run_sync_with(&s, strategy, adafl_telemetry::noop(), None);
         let recorder = InMemoryRecorder::shared();
-        let traced = run_sync_with(&s, strategy, recorder.clone());
+        let traced = run_sync_with(&s, strategy, recorder.clone(), None);
 
         let plain_csv = report::series_csv("", &[(String::new(), &plain)]);
         let traced_csv = report::series_csv("", &[(String::new(), &traced)]);
@@ -88,7 +88,7 @@ fn tracing_leaves_async_csv_byte_identical() {
 fn sync_trace_has_rounds_transfers_and_compression() {
     let s = scenario();
     let recorder = InMemoryRecorder::shared();
-    let _ = run_sync_with(&s, "adafl", recorder.clone());
+    let _ = run_sync_with(&s, "adafl", recorder.clone(), None);
     let trace = recorder.snapshot();
 
     let rounds = trace
@@ -127,7 +127,7 @@ fn sync_trace_has_rounds_transfers_and_compression() {
 fn real_run_trace_round_trips_through_jsonl() {
     let s = scenario();
     let recorder = InMemoryRecorder::shared();
-    let _ = run_sync_with(&s, "adafl", recorder.clone());
+    let _ = run_sync_with(&s, "adafl", recorder.clone(), None);
     let trace = recorder.snapshot();
 
     let text = export::to_jsonl_string(&trace);

@@ -62,6 +62,11 @@ impl SelectionPolicy for UtilitySelection {
             // Warm-up: equal participation from all clients.
             return (0..ctx.config.clients).collect();
         }
+        assert_eq!(
+            ctx.clients.len(),
+            ctx.config.clients,
+            "utility selection probes every client and needs a resident fleet"
+        );
         // Digest of ĝ: top 1% coordinates, broadcast to every client.
         let digest_k = wire::digest_len(ctx.global.len());
         let digest = top_k(ctx.global_gradient, digest_k);

@@ -16,7 +16,7 @@ use adafl_tensor::Tensor;
 pub type GradientHook<'a> = &'a mut dyn FnMut(&mut [f32], &[f32], &[f32]);
 
 /// Result of one local training round.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct LocalOutcome {
     /// Parameter delta `w_local − w_global` — the update shipped (possibly
     /// compressed) to the server. Its direction serves as the client's

@@ -13,10 +13,10 @@
 //!
 //! Pooled fleets trade per-client *persistence* for memory: a slot's
 //! loader is reseeded deterministically from `(seed, client, round)`, so
-//! runs are reproducible, but state that must survive on a specific
-//! client across rounds — crash checkpoints, utility probes over the full
-//! fleet — requires a resident fleet. The runtime asserts those
-//! combinations away at construction.
+//! runs are reproducible, but nothing survives on a specific client
+//! across rounds. A crashed pooled client therefore has nothing to
+//! checkpoint — it sits its outage out and is rebound like any other —
+//! while utility probes over the full fleet need a resident one.
 
 use crate::client::FlClient;
 use adafl_data::Dataset;
@@ -181,18 +181,12 @@ impl Fleet {
         }
     }
 
-    /// Mutable access to one resident client (crash checkpoint/restore).
-    ///
-    /// # Panics
-    ///
-    /// Panics on a pooled fleet — the runtime rejects crash faults with
-    /// pooled storage at construction, so this is unreachable there.
-    pub fn resident_client(&mut self, client: usize) -> &mut FlClient {
+    /// Mutable access to one resident client (crash checkpoint/restore);
+    /// `None` on a pooled fleet, which keeps no per-client state.
+    pub fn resident_client(&mut self, client: usize) -> Option<&mut FlClient> {
         match self {
-            Fleet::Resident(clients) => &mut clients[client],
-            Fleet::Pooled(_) => {
-                unreachable!("pooled fleets reject per-client persistent state")
-            }
+            Fleet::Resident(clients) => Some(&mut clients[client]),
+            Fleet::Pooled(_) => None,
         }
     }
 }

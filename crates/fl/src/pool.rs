@@ -91,20 +91,6 @@ impl WorkerPool {
         }
     }
 
-    /// Creates a pool sized by the `ADAFL_THREADS` environment variable
-    /// when it holds a positive integer, falling back to the host's
-    /// available parallelism. The variable is how bench binaries and CI
-    /// pin pool width without plumbing a flag through every constructor.
-    pub fn from_env_or_default() -> Self {
-        match std::env::var("ADAFL_THREADS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-        {
-            Some(n) if n >= 1 => WorkerPool::new(n),
-            _ => WorkerPool::with_default_size(),
-        }
-    }
-
     /// Creates a pool sized to the host's available parallelism.
     pub fn with_default_size() -> Self {
         let n = std::thread::available_parallelism()

@@ -45,6 +45,7 @@
 
 use crate::pool::WorkerPool;
 use crate::runtime::{RoundUpdate, UpdatePayload};
+use adafl_compression::ViewDescriptor;
 
 /// Columns gathered per panel by the coordinate-wise estimators: one
 /// 64-byte line of every view row, so the gather reads whole cache lines
@@ -231,6 +232,17 @@ impl RobustAggregator {
 
     /// [`RobustAggregator::pre_aggregate`] with an optional worker pool.
     ///
+    /// Updates are compared only within their coverage group: those that
+    /// share a view descriptor are comparable coordinate-for-coordinate at
+    /// view width, whereas densifying mixed-width updates would let the
+    /// zero padding outside narrow views masquerade as small coordinates
+    /// and skew medians and distance rankings. Each group (in order of
+    /// first appearance) is unwrapped to its view-local inner payloads,
+    /// estimated at its own width and re-wrapped under the shared
+    /// descriptor; a group of one passes through — there is nothing to
+    /// compare a singleton against. A cohort without views is the single
+    /// group at `dim`.
+    ///
     /// Densification and the estimator's dominant loops (pairwise Krum
     /// distances, coordinate column blocks) fan across the pool; every job
     /// computes a disjoint output slice with an unchanged per-element
@@ -238,6 +250,48 @@ impl RobustAggregator {
     /// submission order — so results are byte-identical to the serial path
     /// at any pool width.
     pub fn pre_aggregate_with(
+        &self,
+        dim: usize,
+        updates: Vec<RoundUpdate>,
+        pool: Option<&WorkerPool>,
+    ) -> (Vec<RoundUpdate>, RobustStats) {
+        let mut groups: Vec<(Option<ViewDescriptor>, Vec<RoundUpdate>)> = Vec::new();
+        for u in updates {
+            let key = u.payload.view_descriptor();
+            match groups.iter_mut().find(|(k, _)| k.as_ref() == key) {
+                Some((_, group)) => group.push(u),
+                None => groups.push((key.cloned(), vec![u])),
+            }
+        }
+        let mut out: Vec<RoundUpdate> = Vec::new();
+        let mut total = RobustStats::default();
+        for (key, group) in groups {
+            let width = key.as_ref().map_or(dim, ViewDescriptor::view_len);
+            let inner = group.into_iter().map(|u| RoundUpdate {
+                payload: match u.payload {
+                    UpdatePayload::SubView { inner, .. } => *inner,
+                    full => full,
+                },
+                ..u
+            });
+            let (estimate, stats) = self.estimate_group(width, inner.collect(), pool);
+            total.input += stats.input;
+            total.output += stats.output;
+            total.rejected += stats.rejected;
+            total.trimmed_values += stats.trimmed_values;
+            out.extend(estimate.into_iter().map(|u| match &key {
+                Some(desc) => RoundUpdate {
+                    payload: UpdatePayload::sub_view(desc.clone(), u.payload),
+                    ..u
+                },
+                None => u,
+            }));
+        }
+        (out, total)
+    }
+
+    /// The estimator over one coverage group of `dim`-wide payloads.
+    fn estimate_group(
         &self,
         dim: usize,
         mut updates: Vec<RoundUpdate>,
@@ -273,48 +327,36 @@ impl RobustAggregator {
         }
         let views: Vec<&[f32]> = (0..n).map(|i| &dense[i * dim..(i + 1) * dim]).collect();
 
-        let synthesize = |estimate: Vec<f32>, updates: &[RoundUpdate]| RoundUpdate {
+        // Selection methods pass the winners through; blend methods
+        // synthesize one unweighted dense estimate under the lowest id.
+        let estimate = match self.method {
+            RobustMethod::TrimmedMean { trim_ratio } => {
+                let trim = trim_count(n, trim_ratio);
+                stats.trimmed_values = (2 * trim * dim) as u64;
+                coordinate_trimmed_mean_with(&views, trim, pool)
+            }
+            RobustMethod::Median => coordinate_median_with(&views, pool),
+            RobustMethod::GeometricMedian { max_iters, tol } => {
+                geometric_median(&views, max_iters, tol)
+            }
+            RobustMethod::Krum { f } | RobustMethod::MultiKrum { f, .. } => {
+                let m = match self.method {
+                    RobustMethod::MultiKrum { m, .. } => m,
+                    _ => 1, // Krum keeps the single best-scored update.
+                };
+                let winners = krum_select_with(&views, f, m, pool);
+                stats.output = winners.len();
+                stats.rejected = n - winners.len();
+                return (take_indices(updates, &winners), stats);
+            }
+        };
+        stats.output = 1;
+        let blend = RoundUpdate {
             client: updates[0].client,
             payload: UpdatePayload::dense(estimate),
             weight: 1.0,
         };
-
-        match self.method {
-            RobustMethod::TrimmedMean { trim_ratio } => {
-                let trim = trim_count(n, trim_ratio);
-                let estimate = coordinate_trimmed_mean_with(&views, trim, pool);
-                stats.output = 1;
-                stats.trimmed_values = (2 * trim * dim) as u64;
-                let out = vec![synthesize(estimate, &updates)];
-                (out, stats)
-            }
-            RobustMethod::Median => {
-                let estimate = coordinate_median_with(&views, pool);
-                stats.output = 1;
-                let out = vec![synthesize(estimate, &updates)];
-                (out, stats)
-            }
-            RobustMethod::Krum { f } => {
-                let winners = krum_select_with(&views, f, 1, pool);
-                stats.output = winners.len();
-                stats.rejected = n - winners.len();
-                let out = take_indices(updates, &winners);
-                (out, stats)
-            }
-            RobustMethod::MultiKrum { f, m } => {
-                let winners = krum_select_with(&views, f, m, pool);
-                stats.output = winners.len();
-                stats.rejected = n - winners.len();
-                let out = take_indices(updates, &winners);
-                (out, stats)
-            }
-            RobustMethod::GeometricMedian { max_iters, tol } => {
-                let estimate = geometric_median(&views, max_iters, tol);
-                stats.output = 1;
-                let out = vec![synthesize(estimate, &updates)];
-                (out, stats)
-            }
-        }
+        (vec![blend], stats)
     }
 }
 
@@ -1109,6 +1151,73 @@ mod tests {
         assert_eq!(stats.rejected, 0);
         let (out, _) = agg.pre_aggregate(2, Vec::new());
         assert!(out.is_empty());
+    }
+
+    #[test]
+    fn cohorts_are_estimated_per_coverage_group() {
+        let agg = RobustAggregator::new(RobustMethod::Median);
+        let dim = 8;
+        let wrap = |desc: &ViewDescriptor, client: usize, values: Vec<f32>| RoundUpdate {
+            client,
+            payload: UpdatePayload::sub_view(desc.clone(), UpdatePayload::dense(values)),
+            weight: 2.0,
+        };
+        // Two three-client groups of different widths and a lone sender
+        // under a third descriptor, interleaved as they might arrive.
+        let head = ViewDescriptor::new(dim, vec![(0, 4)]);
+        let tail = ViewDescriptor::new(dim, vec![(2, 6)]);
+        let lone = ViewDescriptor::new(dim, vec![(1, 2)]);
+        let mixed = vec![
+            wrap(&tail, 5, vec![1.0; 6]),
+            wrap(&head, 0, vec![1.0, 2.0, 3.0, 4.0]),
+            wrap(&lone, 9, vec![7.0, 7.0]),
+            wrap(&head, 1, vec![3.0, 2.0, 1.0, 0.0]),
+            wrap(&tail, 3, vec![2.0; 6]),
+            wrap(&head, 2, vec![2.0, 9.0, 2.0, 9.0]),
+            wrap(&tail, 4, vec![-50.0; 6]),
+        ];
+        let (out, stats) = agg.pre_aggregate(dim, mixed.clone());
+        // Blend estimates are unweighted, under the lowest client id.
+        let estimate = |desc, client, values| RoundUpdate {
+            weight: 1.0,
+            ..wrap(desc, client, values)
+        };
+        // Groups come back in order of first appearance, each estimated at
+        // its own width: no zero padding from the narrow views leaks into
+        // the wide group's medians.
+        assert_eq!(
+            out,
+            vec![
+                estimate(&tail, 3, vec![1.0; 6]),
+                estimate(&head, 0, vec![2.0, 2.0, 2.0, 4.0]),
+                mixed[2].clone(),
+            ]
+        );
+        assert_eq!(
+            stats,
+            RobustStats {
+                input: 7,
+                output: 3,
+                ..RobustStats::default()
+            }
+        );
+
+        // Without views the grouping is the identity around the estimator.
+        for method in [
+            RobustMethod::TrimmedMean { trim_ratio: 0.25 },
+            RobustMethod::MultiKrum { f: 1, m: 3 },
+        ] {
+            let agg = RobustAggregator::new(method);
+            let flat: Vec<RoundUpdate> = cohort(5, 0.5, 1, 40.0, dim)
+                .into_iter()
+                .enumerate()
+                .map(|(c, v)| update(5 - c, v, 3.0))
+                .collect();
+            assert_eq!(
+                agg.pre_aggregate(dim, flat.clone()),
+                agg.estimate_group(dim, flat, None)
+            );
+        }
     }
 
     #[test]

@@ -25,7 +25,6 @@ use super::payload::UpdatePayload;
 use crate::config::FlConfig;
 use crate::faults::{attack_payload, corrupt_payload, FaultKind};
 use crate::ledger::CommunicationLedger;
-use crate::pool::WorkerPool;
 use adafl_compression::DecodeError;
 use adafl_netsim::{FleetNetwork, ReliablePolicy, ReliableTransfer, SimTime, TransferReport};
 use adafl_telemetry::SharedRecorder;
@@ -89,20 +88,6 @@ pub struct ProcessedFrame {
     pub decode_error: Option<DecodeError>,
 }
 
-/// Runs [`UplinkFrame::process`] — the per-client codec encode/decode work
-/// of the uplink path — across the worker pool.
-///
-/// Every frame is processed independently, and [`WorkerPool::scope_run`]
-/// returns results in submission order, so the output is byte-identical
-/// at any pool width (a single-thread pool runs the same code inline).
-pub fn process_uplink_frames(pool: &WorkerPool, frames: Vec<UplinkFrame>) -> Vec<ProcessedFrame> {
-    let jobs: Vec<Box<dyn FnOnce() -> ProcessedFrame + Send>> = frames
-        .into_iter()
-        .map(|frame| Box::new(move || frame.process()) as Box<_>)
-        .collect();
-    pool.scope_run(jobs)
-}
-
 /// Outcome of driving one transfer through [`RoundIo`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Delivery {
@@ -124,8 +109,7 @@ pub struct RoundIo {
 }
 
 impl RoundIo {
-    /// Wraps a network (star or mesh) and a fresh ledger; fire-and-forget
-    /// until [`RoundIo::set_retry_policy`] installs reliable transport.
+    /// Wraps a network (star or mesh) and a fresh ledger, fire-and-forget.
     pub fn new(network: impl Into<FleetNetwork>, clients: usize) -> Self {
         RoundIo {
             network: network.into(),
@@ -134,9 +118,9 @@ impl RoundIo {
         }
     }
 
-    /// The communication plane a builder assembles: `network` with the
-    /// optional retry layer (seeded `seed_for("transport")`) and recorder
-    /// wired in.
+    /// The communication plane a server is assembled with: `network`, the
+    /// optional reliable transport every transfer then runs through
+    /// (seeded `seed_for("transport")`), and the recorder wired into both.
     pub(super) fn assemble(
         network: FleetNetwork,
         config: &FlConfig,
@@ -144,12 +128,13 @@ impl RoundIo {
         recorder: Option<&SharedRecorder>,
     ) -> Self {
         let mut io = RoundIo::new(network, config.clients);
-        if let Some(policy) = retry {
-            let seed = config.seed_for("transport");
-            io.set_retry_policy(policy, seed, adafl_telemetry::noop());
-        }
+        io.transport =
+            retry.map(|policy| ReliableTransfer::new(policy, config.seed_for("transport")));
         if let Some(recorder) = recorder {
-            io.set_recorder(recorder.clone());
+            io.network.set_recorder(recorder.clone());
+            if let Some(t) = &mut io.transport {
+                t.set_recorder(recorder.clone());
+            }
         }
         io
     }
@@ -207,27 +192,6 @@ impl RoundIo {
             arrival: report.arrival,
             sender_done: report.sender_done,
         }
-    }
-
-    /// Wires a recorder into the network and any installed transport.
-    pub fn set_recorder(&mut self, recorder: SharedRecorder) {
-        self.network.set_recorder(recorder.clone());
-        if let Some(t) = &mut self.transport {
-            t.set_recorder(recorder);
-        }
-    }
-
-    /// Installs reliable transport with the given policy, seed and
-    /// recorder; every subsequent transfer runs through it.
-    pub fn set_retry_policy(
-        &mut self,
-        policy: ReliablePolicy,
-        seed: u64,
-        recorder: SharedRecorder,
-    ) {
-        let mut t = ReliableTransfer::new(policy, seed);
-        t.set_recorder(recorder);
-        self.transport = Some(t);
     }
 
     /// Server→client transfer. `charge_lost_send` selects the sync
@@ -413,7 +377,7 @@ mod tests {
         // first hop also cost the relay a transmission, and the ledger
         // must see all of them, not just the final successful attempt's.
         let mut io = mesh_io(0.3);
-        io.set_retry_policy(ReliablePolicy::default(), 3, adafl_telemetry::noop());
+        io.transport = Some(ReliableTransfer::new(ReliablePolicy::default(), 3));
         let mut attempts_with_relay = 0;
         for i in 0..50 {
             let before = io.ledger().relay_bytes();
@@ -441,14 +405,14 @@ mod tests {
     #[test]
     fn reliable_transport_charges_control_and_retransmissions() {
         let mut io = lossless_io(1);
-        io.set_retry_policy(ReliablePolicy::default(), 3, adafl_telemetry::noop());
+        io.transport = Some(ReliableTransfer::new(ReliablePolicy::default(), 3));
         let u = io.uplink(0, 200, SimTime::ZERO);
         assert!(u.arrival.is_some());
         assert_eq!(io.ledger().uplink_bytes(), 200);
         assert!(io.ledger().control_bytes() > 0, "ACK frames are charged");
 
         let mut io = lossy_io(1);
-        io.set_retry_policy(ReliablePolicy::default(), 3, adafl_telemetry::noop());
+        io.transport = Some(ReliableTransfer::new(ReliablePolicy::default(), 3));
         let u = io.uplink(0, 200, SimTime::ZERO);
         assert!(u.arrival.is_none());
         assert_eq!(io.ledger().uplink_bytes(), 0);

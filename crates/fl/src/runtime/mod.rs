@@ -1,30 +1,37 @@
 //! The policy-driven round runtime shared by every protocol flavour.
 //!
-//! AdaFL and its baselines are one round protocol specialised by policy:
-//! the runtime owns the skeleton — client scheduling, transport and ledger
-//! charging, fault injection, checkpoint recovery, the defensive gate,
-//! telemetry spans and history recording — once, and a flavour is nothing
-//! but the bundle of policies handed to the builder:
+//! AdaFL and its baselines are one server protocol — select, broadcast,
+//! train, compress/uplink, screen, aggregate — run under a synchronous or
+//! a fully asynchronous schedule and specialised by policy. The server is
+//! written once: a `ServerCore` (global model and `ĝ`, test set,
+//! transport and ledger, compute and fault models, recorder, history
+//! rows) and a `ServerStages` chain (defense screen → capacity feedback →
+//! robust pre-aggregation → aggregate or coverage fold). The two runtimes
+//! are thin drivers that add only their schedule, and a flavour is
+//! nothing but the bundle of policies handed to the builder:
 //!
 //! ```text
 //!   RuntimeBuilder ── scenario parts + options ──┐
 //!     .build_sync(strategy)                      │   policy bundle
 //!     .build_async(strategy)                     │   (baseline | AdaFL)
 //!     .build_{sync,async}_runtime(policies)      ▼
-//!                 ┌─────────────────────────────────────────────┐
-//!                 │  SyncRuntime          AsyncRuntime          │
-//!                 │  ┌───────────────┐    ┌──────────────────┐  │
-//!                 │  │ select_cohort │    │ event loop       │  │
-//!                 │  │ broadcast     │    │ download/train   │  │
-//!                 │  │ train (pool)  │    │ upload/apply     │  │
-//!                 │  │ encode        │    └──────┬───────────┘  │
-//!                 │  │ uplink        │           │              │
-//!                 │  │ aggregate     │           │              │
-//!                 │  └──────┬────────┘           │              │
-//!                 │         ▼                    ▼              │
-//!                 │  RoundIo (network + transport + ledger)     │
-//!                 │  FaultPlan · DefenseGate · telemetry        │
-//!                 └─────────────────────────────────────────────┘
+//!             ┌───────────────────────────────────────────────────┐
+//!             │  SyncRuntime (rounds)      AsyncRuntime (events)  │
+//!             │  ┌────────────────┐        ┌───────────────────┐  │
+//!             │  │ select_cohort  │        │ schedule_downlink │  │
+//!             │  │ broadcast      │        │ start_training    │  │
+//!             │  │ train (pool)   │        │ on_arrival        │  │
+//!             │  │ encode         │        └─────────┬─────────┘  │
+//!             │  │ uplink → sink  │                  │            │
+//!             │  └───────┬────────┘                  │            │
+//!             │   cohort ▼                   arrival ▼            │
+//!             │  ServerStages: screen → capacity feedback →       │
+//!             │                robust → aggregate | coverage fold │
+//!             │  ServerCore:   global model + ĝ · test set ·      │
+//!             │                RoundIo (network + transport +     │
+//!             │                ledger) · ComputeModel · FaultPlan │
+//!             │                · recorder · history rows          │
+//!             └───────────────────────────────────────────────────┘
 //!
 //!   policy axes:  SelectionPolicy   CompressionPolicy   AggregationPolicy
 //!                 (random | utility) (static | DGC)     (SyncStrategy | AdaFL)
@@ -40,12 +47,14 @@
 
 mod baseline;
 mod builder;
+mod core;
 mod emit;
 mod event;
 mod io;
 mod payload;
 mod policy;
 mod sink;
+mod stages;
 mod sync;
 
 pub use baseline::{

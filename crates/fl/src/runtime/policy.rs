@@ -12,11 +12,12 @@
 //!   [`SyncStrategy`](crate::sync::SyncStrategy) /
 //!   [`AsyncStrategy`](crate::r#async::AsyncStrategy) traits.
 //!
-//! Policies receive narrow context structs borrowing exactly the runtime
-//! state they may touch. Everything cross-cutting — scheduling, transport,
-//! fault injection, checkpoints, the defensive gate, the ledger, telemetry
-//! spans and history recording — stays in the runtime and runs identically
-//! for every flavour.
+//! Policies receive narrow context structs borrowing exactly the server
+//! state they may touch. Everything cross-cutting stays in the runtime and
+//! runs identically for every flavour: transport, fault injection, the
+//! ledger, telemetry and history recording in the shared server core, the
+//! defensive gate, robust pre-aggregation and capacity tiers in its stage
+//! chain, scheduling and checkpoints in the two drivers.
 
 use super::io::RoundIo;
 use super::payload::{RoundUpdate, UpdatePayload};

@@ -4,11 +4,12 @@
 //! `Vec<RoundUpdate>` — O(clients × model) server memory per round. The
 //! sink abstracts that collection point into three behaviours:
 //!
-//! * [`SinkMode::Legacy`] — buffer everything and hand the vector to
-//!   [`AggregationPolicy::aggregate`] at round end, exactly as before.
-//!   This is the default path and the only one the defense gate, the
-//!   robust pre-aggregation stage and capacity tiers can use: all three
-//!   genuinely need the whole cohort side by side.
+//! * [`SinkMode::Legacy`] — buffer everything and hand the vector to the
+//!   server's stage chain and [`AggregationPolicy::aggregate`] at round
+//!   end, exactly as before. This is the default path and the only one a
+//!   round takes when a stage needs the whole cohort side by side — which
+//!   stages do is the chain's own knowledge (`ServerStages::needs_cohort`),
+//!   not the sink's.
 //! * [`SinkMode::Streaming`] — fold each update into a per-edge
 //!   [`StreamAccumulator`] the moment it arrives via
 //!   [`AggregationPolicy::fold`]; nothing larger than O(model ×

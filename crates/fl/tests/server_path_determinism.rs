@@ -4,7 +4,7 @@
 //! the server worker pool runs single-threaded and when it fans out.
 //!
 //! This pins the whole parallel surface this crate exposes: parallel
-//! uplink attack/corruption transforms (`process_uplink_frames`),
+//! uplink attack/corruption transforms (`UplinkFrame::process`),
 //! parallel defense sanitization, and the pooled robust estimators
 //! (densify, column screens, distance matrix). Each collects results in
 //! submission order, so histories, ledgers and traces may not depend on

@@ -1,7 +1,8 @@
 //! Resilience invariants on the AdaFL engines: the defensive gate must
 //! contain corrupting clients on the DGC-compressed path, crash faults must
-//! recover through checkpoints, and reliable transport must compose with
-//! adaptive selection without breaking determinism.
+//! recover through checkpoints — and compose with a pooled fleet, which has
+//! none to keep — and reliable transport must compose with adaptive
+//! selection without breaking determinism.
 
 use adafl_core::{AdaFlBuild, AdaFlConfig};
 use adafl_data::partition::Partitioner;
@@ -11,7 +12,8 @@ use adafl_fl::compute::ComputeModel;
 use adafl_fl::defense::DefenseConfig;
 use adafl_fl::faults::{FaultKind, FaultPlan};
 use adafl_fl::runtime::RuntimeBuilder;
-use adafl_fl::FlConfig;
+use adafl_fl::sync::strategies::FedAvg;
+use adafl_fl::{FlConfig, VecShardSource};
 use adafl_netsim::{ClientNetwork, GilbertElliott, LinkProfile, LinkTrace, ReliablePolicy};
 use adafl_nn::models::ModelSpec;
 use adafl_telemetry::{names, InMemoryRecorder};
@@ -121,6 +123,52 @@ fn adafl_crash_faults_recover_through_checkpoints() {
         .expect("recovery event recorded");
     assert_eq!(recovery.round, Some(4));
     assert!(history.final_accuracy() > 0.3);
+}
+
+/// A pooled slot is rebound from the global model at every checkout, so a
+/// crash there has no state to checkpoint: the client sits its outage out,
+/// the crash and the recovery are each reported once, and the run stays
+/// reproducible.
+#[test]
+fn pooled_crash_faults_sit_the_outage_out() {
+    let run = || {
+        let mut kinds = vec![FaultKind::Reliable; CLIENTS];
+        kinds[1] = FaultKind::Crash {
+            at_round: 2,
+            down_for: 2,
+        };
+        let (train, test) = task();
+        let cfg = fl_config();
+        let shards = Partitioner::Iid.split(&train, CLIENTS, cfg.seed_for("partition"));
+        let rec = InMemoryRecorder::shared();
+        let mut rt = RuntimeBuilder::new(cfg, test)
+            .shard_source(Box::new(VecShardSource::new(shards)))
+            .network(clean_network(1))
+            .compute(ComputeModel::uniform(CLIENTS, 0.05))
+            .faults(FaultPlan::new(kinds, 3))
+            .recorder(rec.clone())
+            .build_sync(Box::new(FedAvg::new()));
+        assert!(rt.is_pooled());
+        let history = rt.run();
+        let trace = rec.snapshot().without_wall_times();
+        (history, rt.ledger().clone(), trace)
+    };
+    let (history, ledger, trace) = run();
+
+    assert_eq!(trace.counters[names::FL_CRASHES], 1);
+    assert_eq!(trace.counters[names::FL_RECOVERIES], 1);
+    let rounds_of = |kind| -> Vec<Option<u64>> { trace.events_of(kind).map(|e| e.round).collect() };
+    assert_eq!(rounds_of(names::EVENT_CRASH), [Some(2)]);
+    assert_eq!(rounds_of(names::EVENT_RECOVERY), [Some(4)]);
+    let trained_in: Vec<u64> = trace
+        .spans_of(names::SPAN_CLIENT_COMPUTE)
+        .filter(|s| s.client == Some(1))
+        .filter_map(|s| s.round)
+        .collect();
+    assert_eq!(trained_in, [0, 1, 4, 5, 6, 7], "down for rounds 2 and 3");
+    assert!(history.final_accuracy() > 0.3);
+
+    assert_eq!(run(), (history, ledger, trace));
 }
 
 #[test]

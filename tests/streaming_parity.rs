@@ -14,6 +14,7 @@
 use adafl_core::policies::AdaFlAggregation;
 use adafl_data::partition::Partitioner;
 use adafl_data::synthetic::SyntheticSpec;
+use adafl_fl::defense::DefenseConfig;
 use adafl_fl::robust::RobustMethod;
 use adafl_fl::runtime::{
     AggregationPolicy, RandomSelection, RuntimeBuilder, SinkMode, StaticCompressionPolicy,
@@ -21,7 +22,7 @@ use adafl_fl::runtime::{
 };
 use adafl_fl::sync::strategies::{FedAvg, FedProx};
 use adafl_fl::sync::{ClientUpdate, StaticCompression, SyncStrategy};
-use adafl_fl::{FlConfig, VecShardSource};
+use adafl_fl::{CapacityTier, FlConfig, StaticCapacity, VecShardSource};
 use adafl_nn::models::ModelSpec;
 
 const CLIENTS: usize = 24;
@@ -140,10 +141,18 @@ fn streaming_is_strictly_opt_in() {
     // No cohort size → legacy, even for a streaming-capable policy.
     let rt = runtime(None, 0, Box::new(AdaFlAggregation));
     assert_eq!(rt.sink_mode(), SinkMode::Legacy);
-    // Robust pre-aggregation needs the buffered cohort → legacy.
-    let b = builder(Some(8), 0).robust(Some(RobustMethod::Median));
-    let rt = build(b, Box::new(AdaFlAggregation));
-    assert_eq!(rt.sink_mode(), SinkMode::Legacy);
+    // Every stage that compares a cohort side by side needs it buffered
+    // → legacy: robust pre-aggregation, the defense gate's batch median,
+    // the capacity tiers' coverage fold.
+    let full = Box::new(StaticCapacity::new(vec![CapacityTier::Full]));
+    for staged in [
+        builder(Some(8), 0).robust(Some(RobustMethod::Median)),
+        builder(Some(8), 0).defense(Some(DefenseConfig::default())),
+        builder(Some(8), 0).capacity(Some(full)),
+    ] {
+        let rt = build(staged, Box::new(AdaFlAggregation));
+        assert_eq!(rt.sink_mode(), SinkMode::Legacy);
+    }
     // A stateful strategy (FedProx's proximal hook is fine, but its
     // aggregate is not a plain weighted mean declaration) → legacy.
     let rt = runtime(
