@@ -72,27 +72,45 @@ impl SelectionPolicy for UtilitySelection {
         let digest = top_k(ctx.global_gradient, digest_k);
         let digest_bytes = digest.encoded_len();
         let digest_dense = digest.to_dense();
+        // Sufficiency is judged against a typical adaptively-compressed
+        // payload, not the dense model.
+        let expected_payload = wire::expected_compressed_payload(ctx.global.len());
+        let (metric, similarity_weight) = (self.ada.metric, self.ada.similarity_weight);
 
-        let mut scores = vec![0.0f32; ctx.config.clients];
-        #[allow(clippy::needless_range_loop)] // c indexes several per-client structures
-        for c in 0..ctx.config.clients {
+        // Algorithm 1 has every device score itself: one job per client
+        // probes the gradient at its current (possibly stale) state and
+        // reduces it to the score on the spot. Link probes are pure reads,
+        // clients are mutually independent and scores come back in client
+        // order, so the pool width is invisible in the result.
+        let (network, clock) = (ctx.io.network(), ctx.clock);
+        let jobs: Vec<Box<dyn FnOnce() -> f32 + Send + '_>> = ctx
+            .clients
+            .iter_mut()
+            .enumerate()
+            .map(|(c, client)| {
+                let link = network.link_at(c, clock);
+                let global_gradient = digest_dense.as_slice();
+                Box::new(move || {
+                    client.probe_gradient_with(|local_gradient| {
+                        utility_score(
+                            &UtilityInputs {
+                                local_gradient,
+                                global_gradient,
+                                link,
+                                expected_payload,
+                            },
+                            metric,
+                            similarity_weight,
+                        )
+                    })
+                }) as Box<_>
+            })
+            .collect();
+        let scores = ctx.pool.scope_run(jobs);
+        // The control plane is charged on the caller, in client order: the
+        // digest broadcast, then the 16-byte score report.
+        for c in 0..scores.len() {
             ctx.io.ledger_mut().record_control(c, digest_bytes);
-            // Probe gradient at the client's current (possibly stale) state.
-            let probe = ctx.clients[c].probe_gradient();
-            let link = ctx.io.network().link_at(c, ctx.clock);
-            // Sufficiency is judged against a typical adaptively-compressed
-            // payload, not the dense model.
-            let expected_payload = wire::expected_compressed_payload(ctx.global.len());
-            scores[c] = utility_score(
-                &UtilityInputs {
-                    local_gradient: &probe,
-                    global_gradient: &digest_dense,
-                    link,
-                    expected_payload,
-                },
-                self.ada.metric,
-                self.ada.similarity_weight,
-            );
             ctx.io
                 .ledger_mut()
                 .record_control(c, wire::SCORE_REPORT_BYTES);

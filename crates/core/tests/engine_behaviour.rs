@@ -7,8 +7,13 @@ use adafl_data::partition::Partitioner;
 use adafl_data::synthetic::SyntheticSpec;
 use adafl_data::Dataset;
 use adafl_fl::runtime::RuntimeBuilder;
-use adafl_fl::FlConfig;
+use adafl_fl::{CommunicationLedger, FlConfig, RunHistory};
+use adafl_netsim::{
+    ClientNetwork, FleetNetwork, LinkProfile, LinkSpec, LinkTrace, MeshLayout, NodeRole,
+    StaticShortestPath, Topology, TraceKind,
+};
 use adafl_nn::models::ModelSpec;
+use adafl_telemetry::{names, InMemoryRecorder, Trace};
 
 fn task() -> (Dataset, Dataset) {
     let data = SyntheticSpec::mnist_like(8, 600).generate(3);
@@ -140,4 +145,117 @@ fn async_and_sync_adafl_share_configuration() {
         .build_adafl_async(&ada);
     assert!(sync_engine.run().len() == 4);
     assert!(!async_engine.run().is_empty());
+}
+
+/// Star links whose conditions move during the run, so the utility
+/// probe's `link_at` reads differ from round to round.
+fn drifting_star(clients: usize) -> FleetNetwork {
+    let traces = (0..clients)
+        .map(|c| {
+            let kind = TraceKind::RandomWalk {
+                step: 0.5,
+                min_scale: 0.2,
+                max_scale: 1.0,
+                seed: 77 ^ c as u64,
+            };
+            LinkTrace::new(LinkProfile::Constrained.spec().with_drop_prob(0.0), kind)
+        })
+        .collect();
+    ClientNetwork::new(traces, 5).into()
+}
+
+/// A two-relay mesh: half the clients sit behind a slow relay, so routed
+/// link probes differ between clients.
+fn two_relay_mesh(clients: usize) -> FleetNetwork {
+    let hop = |bw: f64, latency: f64| LinkSpec::new(bw, bw, latency, latency, 0.0);
+    let mut topology = Topology::new();
+    let server = topology.add_node(NodeRole::Server);
+    let fast = topology.add_node(NodeRole::Relay);
+    let slow = topology.add_node(NodeRole::Relay);
+    topology.add_duplex_link(fast, server, hop(4.0e6, 0.01));
+    topology.add_duplex_link(slow, server, hop(0.3e6, 0.08));
+    let nodes = (0..clients)
+        .map(|c| {
+            let node = topology.add_node(NodeRole::Client);
+            let relay = if c % 2 == 0 { fast } else { slow };
+            topology.add_duplex_link(node, relay, hop(2.0e6, 0.01));
+            node
+        })
+        .collect();
+    MeshLayout {
+        topology,
+        clients: nodes,
+        server,
+    }
+    .into_network(Box::new(StaticShortestPath), 5)
+    .into()
+}
+
+/// Everything a run leaves behind, wall times scrubbed.
+type RunRecord = (RunHistory, Vec<f32>, CommunicationLedger, Trace);
+
+fn adafl_run(network: FleetNetwork, threads: usize) -> RunRecord {
+    const CLIENTS: usize = 6;
+    let data = SyntheticSpec::mnist_like(8, 780).generate(3);
+    // 300 test rows are five evaluation blocks: four shards at width 4.
+    let (train, test) = data.split_at(480);
+    let fl = FlConfig::builder()
+        .clients(CLIENTS)
+        .rounds(6)
+        .local_steps(3)
+        .batch_size(16)
+        .model(ModelSpec::Mlp {
+            in_features: 64,
+            hidden: vec![16],
+            classes: 10,
+        })
+        .build();
+    let ada = AdaFlConfig {
+        warmup_rounds: 2,
+        max_selected: 3,
+        ..AdaFlConfig::default()
+    };
+    let recorder = InMemoryRecorder::shared();
+    let mut engine = RuntimeBuilder::new(fl, test)
+        .partitioned(&train, Partitioner::Iid)
+        .network(network)
+        .threads(Some(threads))
+        .recorder(recorder.clone())
+        .build_adafl_sync(&ada);
+    let history = engine.run();
+    (
+        history,
+        engine.global_params().to_vec(),
+        engine.ledger().clone(),
+        recorder.snapshot().without_wall_times(),
+    )
+}
+
+#[test]
+fn pool_width_is_invisible_to_adafl() {
+    // Utility probes and evaluation shards fan out across the pool; the
+    // history, the model, every per-client ledger column (control, uplink,
+    // downlink) and the whole trace must not know how wide it was.
+    type Network = fn(usize) -> FleetNetwork;
+    let rows: [(&str, Network); 2] = [("star", drifting_star), ("mesh", two_relay_mesh)];
+    for (name, network) in rows {
+        let inline = adafl_run(network(6), 1);
+        let (history, _, ledger, trace) = &inline;
+        assert_eq!(history.records().len(), 6);
+        // Four post-warm-up rounds ran the control plane for all six
+        // clients, and their scores were recorded in client order.
+        assert_eq!(ledger.control_messages(), 2 * 6 * 4, "{name}");
+        assert_eq!(
+            trace.histograms[names::ADAFL_UTILITY].count(),
+            6 * 4,
+            "{name}"
+        );
+        for threads in [2, 4] {
+            assert_eq!(
+                adafl_run(network(6), threads),
+                inline,
+                "{name}: {threads} workers differ from the inline run"
+            );
+        }
+    }
 }

@@ -1,5 +1,6 @@
-//! Federated clients.
+//! Federated clients, and the evaluator that scores a model on a dataset.
 
+use crate::pool::WorkerPool;
 use adafl_data::loader::BatchLoader;
 use adafl_data::Dataset;
 use adafl_nn::loss::CrossEntropyLoss;
@@ -7,6 +8,7 @@ use adafl_nn::models::ModelSpec;
 use adafl_nn::optim::{Optimizer, Sgd};
 use adafl_nn::{Model, ModelWorkspace};
 use adafl_tensor::Tensor;
+use std::ops::Range;
 
 /// Adjusts a client's local gradient during training.
 ///
@@ -366,6 +368,13 @@ impl FlClient {
     /// client interrupts training, measures its local gradient direction,
     /// and reports a similarity score — no model transfer involved.
     pub fn probe_gradient(&mut self) -> Vec<f32> {
+        self.probe_gradient_with(<[f32]>::to_vec)
+    }
+
+    /// [`FlClient::probe_gradient`] without the full-width copy: the flat
+    /// gradient lands in the client's gradient scratch and `f` borrows it —
+    /// the form for callers that reduce the probe to a score on the spot.
+    pub fn probe_gradient_with<R>(&mut self, f: impl FnOnce(&[f32]) -> R) -> R {
         self.loader
             .next_batch_into(&self.data, &mut self.batch_x, &mut self.batch_labels);
         self.model.zero_grads();
@@ -378,41 +387,172 @@ impl FlClient {
         );
         self.model
             .backward_into(&self.dlogits, &mut self.dinput, &mut self.ws);
-        let grad = self.model.grads_flat();
+        self.model.grads_flat_into(&mut self.hook_grads);
         self.model.zero_grads();
-        grad
+        f(&self.hook_grads)
+    }
+}
+
+/// Rows per forward pass of an evaluation shard. Also the unit shards are
+/// cut in, and what bounds a replica's batch-sized activation and im2col
+/// caches.
+const EVAL_BLOCK: usize = 64;
+
+/// Rows per loss chunk: the reported loss is the mean of per-chunk mean
+/// losses (see [`evaluate_model`]), so this is part of every pinned history.
+const EVAL_CHUNK: usize = 256;
+
+/// One evaluation shard's reusable buffers.
+#[derive(Debug, Default)]
+struct ShardScratch {
+    ws: ModelWorkspace,
+    x: Tensor,
+    logits: Tensor,
+}
+
+impl ShardScratch {
+    /// Forwards `rows` of `data` through `model` one [`EVAL_BLOCK`] at a
+    /// time, writing their logits to `out` in row order.
+    fn forward_rows(
+        &mut self,
+        model: &mut Model,
+        data: &Dataset,
+        rows: Range<usize>,
+        out: &mut [f32],
+    ) {
+        let (dim, classes) = (data.dim(), model.out_features());
+        for start in rows.clone().step_by(EVAL_BLOCK) {
+            let end = (start + EVAL_BLOCK).min(rows.end);
+            self.x.resize_reuse(&[end - start, dim]);
+            for (i, row) in (start..end).zip(self.x.as_mut_slice().chunks_mut(dim)) {
+                row.copy_from_slice(data.features(i));
+            }
+            model.forward_into(&self.x, &mut self.logits, false, &mut self.ws);
+            out[(start - rows.start) * classes..(end - rows.start) * classes]
+                .copy_from_slice(self.logits.as_slice());
+        }
+    }
+}
+
+/// The one evaluation implementation: forward passes sharded over
+/// contiguous row ranges, one model replica per shard, then a serial
+/// reduction over the gathered logits.
+///
+/// An inference forward pass is row-independent — convolution and pooling
+/// run per sample, and the matmul kernels pick their path from `(k, n)`
+/// alone and accumulate every output element in a fixed `k` order — so the
+/// logits of rows `[a, b)` computed as a sub-batch equal, bit for bit, those
+/// rows of any larger batch (`crates/nn/tests/properties.rs` pins this).
+/// Shard and block boundaries are therefore invisible in the logits, and
+/// the reduction — argmax and cross-entropy per [`EVAL_CHUNK`] rows, losses
+/// added in chunk order on the caller — is the same float sequence at any
+/// pool width.
+#[derive(Debug, Default)]
+pub(crate) struct Evaluator {
+    /// Shard `s ≥ 1` runs on `replicas[s - 1]`; shard 0 runs on the
+    /// caller's model.
+    replicas: Vec<Model>,
+    scratch: Vec<ShardScratch>,
+    params: Vec<f32>,
+    /// Gathered logits, `[data.len(), classes]` row-major.
+    logits: Vec<f32>,
+    chunk: Tensor,
+}
+
+impl Evaluator {
+    /// Evaluates `model` on `data`, returning `(accuracy, mean_loss)` as
+    /// [`evaluate_model`] defines them.
+    ///
+    /// `fan_out` names the pool to shard the forward pass across and the
+    /// spec `model` was built from; `min(workers, ⌈len ÷ EVAL_BLOCK⌉)`
+    /// shards run, the extra ones on replicas built from the spec on first
+    /// use and synchronised to `model`'s parameters on every call. `None`
+    /// is one shard, inline on the caller.
+    pub fn evaluate(
+        &mut self,
+        model: &mut Model,
+        data: &Dataset,
+        fan_out: Option<(&WorkerPool, &ModelSpec)>,
+    ) -> (f32, f32) {
+        if data.is_empty() {
+            return (0.0, 0.0);
+        }
+        let classes = model.out_features();
+        let blocks = data.len().div_ceil(EVAL_BLOCK);
+        let shards = fan_out
+            .map_or(1, |(pool, _)| pool.workers().max(1))
+            .min(blocks);
+        if self.scratch.len() < shards {
+            self.scratch.resize_with(shards, ShardScratch::default);
+        }
+        if let Some((_, spec)) = fan_out {
+            while self.replicas.len() + 1 < shards {
+                self.replicas.push(spec.build(0));
+            }
+            if shards > 1 {
+                model.params_flat_into(&mut self.params);
+                for replica in &mut self.replicas[..shards - 1] {
+                    replica.set_params_flat(&self.params);
+                }
+            }
+        }
+        self.logits.resize(data.len() * classes, 0.0);
+
+        let models = std::iter::once(model).chain(&mut self.replicas);
+        let mut rest = self.logits.as_mut_slice();
+        let mut jobs: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::with_capacity(shards);
+        for (s, (model, scratch)) in models.zip(&mut self.scratch).take(shards).enumerate() {
+            // Whole blocks per shard, split as evenly as blocks allow.
+            let rows = (s * blocks / shards * EVAL_BLOCK)
+                ..((s + 1) * blocks / shards * EVAL_BLOCK).min(data.len());
+            let (out, tail) = rest.split_at_mut(rows.len() * classes);
+            rest = tail;
+            jobs.push(Box::new(move || {
+                scratch.forward_rows(model, data, rows, out)
+            }));
+        }
+        match fan_out {
+            Some((pool, _)) => {
+                pool.scope_run(jobs);
+            }
+            None => jobs.into_iter().for_each(|job| job()),
+        }
+
+        let mut correct = 0usize;
+        let mut loss_sum = 0.0f32;
+        let mut chunks = 0usize;
+        for (rows, labels) in self
+            .logits
+            .chunks(EVAL_CHUNK * classes)
+            .zip(data.labels().chunks(EVAL_CHUNK))
+        {
+            self.chunk.resize_reuse(&[labels.len(), classes]);
+            self.chunk.as_mut_slice().copy_from_slice(rows);
+            let preds = self.chunk.argmax_rows().expect("logits are a matrix");
+            correct += preds.iter().zip(labels).filter(|(p, l)| p == l).count();
+            let (loss, _) = CrossEntropyLoss.loss_and_grad(&self.chunk, labels);
+            loss_sum += loss;
+            chunks += 1;
+        }
+        (correct as f32 / data.len() as f32, loss_sum / chunks as f32)
     }
 }
 
 /// Evaluates `model` on `data`, returning `(accuracy, mean_loss)`.
 ///
-/// Batches internally so large test sets do not allocate one giant
-/// activation tensor.
+/// `mean_loss` is the **unweighted mean of per-chunk mean losses** over
+/// consecutive 256-row chunks, not the mean over samples: a short last
+/// chunk weighs as much as a full one, so 400 samples (256 + 144) report
+/// `(L₀ + L₁) / 2` where the sample mean would be `(256·L₀ + 144·L₁) / 400`.
+/// Every fingerprint and golden history pins this definition; changing it
+/// to the sample mean is a deliberate re-pin (ROADMAP, determinism item),
+/// not a fix to slip in.
+///
+/// This is the one-shard, inline call of the evaluator every runtime uses;
+/// the forward pass runs in 64-row blocks so no batch-sized activation
+/// tensor is ever allocated.
 pub fn evaluate_model(model: &mut Model, data: &Dataset) -> (f32, f32) {
-    if data.is_empty() {
-        return (0.0, 0.0);
-    }
-    let mut correct = 0usize;
-    let mut loss_sum = 0.0f32;
-    let mut batches = 0usize;
-    let chunk = 256usize;
-    let mut start = 0usize;
-    while start < data.len() {
-        let end = (start + chunk).min(data.len());
-        let indices: Vec<usize> = (start..end).collect();
-        let (x, labels) = data.batch(&indices);
-        let logits = model.forward(&x, false);
-        let preds = logits.argmax_rows().expect("logits are a matrix");
-        correct += preds.iter().zip(&labels).filter(|(p, l)| p == l).count();
-        let (loss, _) = CrossEntropyLoss.loss_and_grad(&logits, &labels);
-        loss_sum += loss;
-        batches += 1;
-        start = end;
-    }
-    (
-        correct as f32 / data.len() as f32,
-        loss_sum / batches as f32,
-    )
+    Evaluator::default().evaluate(model, data, None)
 }
 
 #[cfg(test)]
@@ -517,6 +657,127 @@ mod tests {
     #[should_panic(expected = "must not be empty")]
     fn empty_shard_panics() {
         FlClient::new(0, spec().build(0), Dataset::empty(64), 0.05, 0.9, 16, 0);
+    }
+
+    /// The evaluation loop as it stood before the sharded evaluator,
+    /// verbatim: one allocating full-chunk forward per 256 rows. Kept as
+    /// the reference [`Evaluator`] must reproduce bit for bit.
+    fn oracle_evaluate_model(model: &mut Model, data: &Dataset) -> (f32, f32) {
+        if data.is_empty() {
+            return (0.0, 0.0);
+        }
+        let mut correct = 0usize;
+        let mut loss_sum = 0.0f32;
+        let mut batches = 0usize;
+        let chunk = 256usize;
+        let mut start = 0usize;
+        while start < data.len() {
+            let end = (start + chunk).min(data.len());
+            let indices: Vec<usize> = (start..end).collect();
+            let (x, labels) = data.batch(&indices);
+            let logits = model.forward(&x, false);
+            let preds = logits.argmax_rows().expect("logits are a matrix");
+            correct += preds.iter().zip(&labels).filter(|(p, l)| p == l).count();
+            let (loss, _) = CrossEntropyLoss.loss_and_grad(&logits, &labels);
+            loss_sum += loss;
+            batches += 1;
+            start = end;
+        }
+        (
+            correct as f32 / data.len() as f32,
+            loss_sum / batches as f32,
+        )
+    }
+
+    fn eval_specs() -> [ModelSpec; 3] {
+        [
+            ModelSpec::LogisticRegression {
+                in_features: 256,
+                classes: 10,
+            },
+            ModelSpec::Mlp {
+                in_features: 256,
+                hidden: vec![32],
+                classes: 10,
+            },
+            ModelSpec::MnistCnn {
+                height: 16,
+                width: 16,
+                classes: 10,
+            },
+        ]
+    }
+
+    fn bits((accuracy, loss): (f32, f32)) -> (u32, u32) {
+        (accuracy.to_bits(), loss.to_bits())
+    }
+
+    #[test]
+    fn evaluator_matches_the_serial_oracle_at_every_size_and_pool_width() {
+        // Either side of the 64-row block and the 256-row chunk, a set
+        // smaller than any pool, and sets of several chunks.
+        let sizes = [257, 1, 1000, 63, 256, 64, 400, 65, 255];
+        let pools: Vec<WorkerPool> = (1..=4).map(WorkerPool::new).collect();
+        for spec in eval_specs() {
+            let mut model = spec.build(3);
+            // One evaluator per width, reused across sizes as a runtime
+            // reuses its own across rounds.
+            let mut evaluators: Vec<Evaluator> =
+                pools.iter().map(|_| Evaluator::default()).collect();
+            for (i, &n) in sizes.iter().enumerate() {
+                // Move the parameters between calls: replicas must follow
+                // the caller's model, not their own initialisation.
+                let moved: Vec<f32> = model.params_flat().iter().map(|p| p * 1.01).collect();
+                model.set_params_flat(&moved);
+                let data = SyntheticSpec::mnist_like(16, n).generate(40 + i as u64);
+                let expected = bits(oracle_evaluate_model(&mut model, &data));
+                assert_eq!(
+                    bits(evaluate_model(&mut model, &data)),
+                    expected,
+                    "{spec:?}, {n} samples, inline"
+                );
+                for (pool, evaluator) in pools.iter().zip(&mut evaluators) {
+                    let got = evaluator.evaluate(&mut model, &data, Some((pool, &spec)));
+                    assert_eq!(
+                        bits(got),
+                        expected,
+                        "{spec:?}, {n} samples, {} workers",
+                        pool.workers()
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn loss_is_the_unweighted_mean_of_per_chunk_mean_losses() {
+        // Pins the definition documented on `evaluate_model`: 400 samples
+        // are a 256-row and a 144-row chunk, each weighing one half.
+        let data = SyntheticSpec::mnist_like(16, 400).generate(9);
+        let (head, tail) = data.split_at(256);
+        let spec = &eval_specs()[1];
+        let mut model = spec.build(3);
+        let (_, l0) = evaluate_model(&mut model, &head);
+        let (_, l1) = evaluate_model(&mut model, &tail);
+        let (_, loss) = evaluate_model(&mut model, &data);
+        assert_eq!(loss.to_bits(), ((l0 + l1) / 2.0).to_bits());
+        let sample_mean = (256.0 * l0 + 144.0 * l1) / 400.0;
+        assert!(
+            (loss - sample_mean).abs() > 1e-4,
+            "the short chunk must be over-weighted against the sample mean: {loss} vs {sample_mean}"
+        );
+        assert_eq!(evaluate_model(&mut model, &Dataset::empty(256)), (0.0, 0.0));
+    }
+
+    #[test]
+    fn borrowed_probe_is_the_owned_probe() {
+        let (mut a, mut b) = (client(), client());
+        let owned = a.probe_gradient();
+        assert!(owned.iter().any(|&g| g != 0.0));
+        b.probe_gradient_with(|grad| assert_eq!(grad, owned.as_slice()));
+        // Probing leaves no gradient behind and advances the loader alike.
+        assert_eq!(a.probe_gradient(), b.probe_gradient());
+        assert!(a.model().grads_flat().iter().all(|&g| g == 0.0));
     }
 
     fn mlp_client() -> FlClient {

@@ -11,11 +11,12 @@
 use super::builder::Scenario;
 use super::io::{RoundIo, UplinkFrame};
 use super::payload::UpdatePayload;
-use crate::client::evaluate_model;
+use crate::client::Evaluator;
 use crate::compute::ComputeModel;
 use crate::config::FlConfig;
 use crate::faults::FaultPlan;
 use crate::history::{RoundRecord, RunHistory};
+use crate::pool::WorkerPool;
 use adafl_data::Dataset;
 use adafl_netsim::{ClientNetwork, LinkProfile, LinkTrace, ReliablePolicy, SimTime};
 use adafl_telemetry::SharedRecorder;
@@ -26,6 +27,9 @@ pub(super) struct ServerCore {
     pub config: FlConfig,
     pub global: Vec<f32>,
     pub global_model: adafl_nn::Model,
+    /// Evaluation scratch and, once a pooled evaluation has run, the extra
+    /// shards' model replicas.
+    evaluator: Evaluator,
     /// The latest aggregated global delta (`ĝ`); stays zero unless the
     /// aggregation policy maintains it.
     pub global_gradient: Vec<f32>,
@@ -80,6 +84,7 @@ impl ServerCore {
         ServerCore {
             io: RoundIo::assemble(network, &config, retry, recorder.as_ref()),
             global_gradient: vec![0.0; global.len()],
+            evaluator: Evaluator::default(),
             recorder: recorder.unwrap_or_else(adafl_telemetry::noop),
             test_set: scenario.test_set,
             config,
@@ -106,16 +111,23 @@ impl ServerCore {
     }
 
     /// Evaluates the current global parameters on the test set and appends
-    /// the history row for `round` (an arrival count for async runs).
+    /// the history row for `round` (an arrival count for async runs). The
+    /// forward pass is sharded across `pool` when the driver has one; the
+    /// row is bit-identical either way.
     pub fn evaluate_into(
         &mut self,
         history: &mut RunHistory,
         round: usize,
         sim_time: SimTime,
         contributors: usize,
+        pool: Option<&WorkerPool>,
     ) {
         self.global_model.set_params_flat(&self.global);
-        let (accuracy, loss) = evaluate_model(&mut self.global_model, &self.test_set);
+        let (accuracy, loss) = self.evaluator.evaluate(
+            &mut self.global_model,
+            &self.test_set,
+            pool.map(|pool| (pool, &self.config.model)),
+        );
         history.push(RoundRecord {
             round,
             sim_time,

@@ -136,8 +136,10 @@ impl AsyncRuntime {
                     arrivals += 1;
                     self.on_arrival(client, version, now, arrivals);
                     if arrivals.is_multiple_of(self.eval_every) || arrivals == self.update_budget {
+                        // The event loop is single-threaded by
+                        // construction: no pool, one shard, inline.
                         self.core
-                            .evaluate_into(&mut history, arrivals as usize, now, 1);
+                            .evaluate_into(&mut history, arrivals as usize, now, 1, None);
                     }
                     if arrivals >= self.update_budget {
                         break;

@@ -4,11 +4,12 @@
 //! train, compress/uplink, screen, aggregate — run under a synchronous or
 //! a fully asynchronous schedule and specialised by policy. The server is
 //! written once: a `ServerCore` (global model and `ĝ`, test set,
-//! transport and ledger, compute and fault models, recorder, history
-//! rows) and a `ServerStages` chain (defense screen → capacity feedback →
-//! robust pre-aggregation → aggregate or coverage fold). The two runtimes
-//! are thin drivers that add only their schedule, and a flavour is
-//! nothing but the bundle of policies handed to the builder:
+//! transport and ledger, compute and fault models, recorder, the one
+//! evaluator and its history rows) and a `ServerStages` chain (defense
+//! screen → capacity feedback → robust pre-aggregation → aggregate or
+//! coverage fold). The two runtimes are thin drivers that add only their
+//! schedule, and a flavour is nothing but the bundle of policies handed to
+//! the builder:
 //!
 //! ```text
 //!   RuntimeBuilder ── scenario parts + options ──┐
@@ -18,7 +19,7 @@
 //!             ┌───────────────────────────────────────────────────┐
 //!             │  SyncRuntime (rounds)      AsyncRuntime (events)  │
 //!             │  ┌────────────────┐        ┌───────────────────┐  │
-//!             │  │ select_cohort  │        │ schedule_downlink │  │
+//!             │  │ select (pool)  │        │ schedule_downlink │  │
 //!             │  │ broadcast      │        │ start_training    │  │
 //!             │  │ train (pool)   │        │ on_arrival        │  │
 //!             │  │ encode         │        └─────────┬─────────┘  │
@@ -30,7 +31,8 @@
 //!             │  ServerCore:   global model + ĝ · test set ·      │
 //!             │                RoundIo (network + transport +     │
 //!             │                ledger) · ComputeModel · FaultPlan │
-//!             │                · recorder · history rows          │
+//!             │                · recorder · evaluator (sharded    │
+//!             │                over the sync pool) + history rows │
 //!             └───────────────────────────────────────────────────┘
 //!
 //!   policy axes:  SelectionPolicy   CompressionPolicy   AggregationPolicy

@@ -23,6 +23,7 @@ use super::io::RoundIo;
 use super::payload::{RoundUpdate, UpdatePayload};
 use crate::client::{FlClient, LocalOutcome};
 use crate::config::FlConfig;
+use crate::pool::WorkerPool;
 use adafl_netsim::{FleetNetwork, SimTime};
 use adafl_telemetry::{SharedRecorder, SpanRecord};
 use std::fmt;
@@ -48,6 +49,11 @@ pub struct SelectionCtx<'a> {
     pub global_gradient: &'a [f32],
     /// Telemetry sink (strictly passive).
     pub recorder: &'a SharedRecorder,
+    /// The runtime's worker pool, for per-client work that is independent
+    /// across clients (utility probes). Results come back in submission
+    /// order; anything order-pinned — ledger charges, telemetry — stays on
+    /// the caller, in client order.
+    pub pool: &'a WorkerPool,
 }
 
 /// Chooses the participants of a synchronous round.

@@ -253,8 +253,13 @@ impl SyncRuntime {
         let mut history = RunHistory::new(self.aggregation.label());
         for round in 0..self.core.config.rounds {
             let contributors = self.run_round(round);
-            self.core
-                .evaluate_into(&mut history, round, self.clock, contributors);
+            self.core.evaluate_into(
+                &mut history,
+                round,
+                self.clock,
+                contributors,
+                Some(&self.pool),
+            );
         }
         history
     }
@@ -338,6 +343,7 @@ impl SyncRuntime {
                 global: &self.core.global,
                 global_gradient: &self.core.global_gradient,
                 recorder: &self.core.recorder,
+                pool: &self.pool,
             };
             self.selection.select(&mut ctx)
         }

@@ -101,3 +101,66 @@ proptest! {
         prop_assert_eq!(spec.build(seed).params_flat(), spec.build(seed).params_flat());
     }
 }
+
+/// The property sharded evaluation stands on: an inference forward pass is
+/// row-independent down to the bit, so the logits of a contiguous sub-batch
+/// are the same rows of the full-batch forward — wherever the cut falls
+/// relative to the matmul row tiles (1, 3, 4), the evaluation block (63,
+/// 64) or the end of the batch (255 | 1). Run with and without `simd` by
+/// the `feature-matrix` CI job.
+#[test]
+fn inference_forward_of_a_sub_batch_equals_those_rows_of_the_full_batch() {
+    use adafl_nn::ModelWorkspace;
+
+    const ROWS: usize = 256;
+    let specs = [
+        ModelSpec::LogisticRegression {
+            in_features: 256,
+            classes: 10,
+        },
+        ModelSpec::Mlp {
+            in_features: 256,
+            hidden: vec![32],
+            classes: 10,
+        },
+        ModelSpec::MnistCnn {
+            height: 16,
+            width: 16,
+            classes: 10,
+        },
+    ];
+    for spec in specs {
+        let mut model = spec.build(11);
+        let dim = spec.in_features();
+        let classes = spec.classes();
+        let input: Vec<f32> = (0..ROWS * dim)
+            .map(|i| ((i * 37 % 101) as f32 - 50.0) * 0.02)
+            .collect();
+        let mut ws = ModelWorkspace::new();
+        let mut out = Tensor::default();
+        let mut bits_of = |rows: std::ops::Range<usize>| -> Vec<u32> {
+            let x = Tensor::from_vec(
+                input[rows.start * dim..rows.end * dim].to_vec(),
+                &[rows.len(), dim],
+            )
+            .unwrap();
+            model.forward_into(&x, &mut out, false, &mut ws);
+            out.as_slice().iter().map(|v| v.to_bits()).collect()
+        };
+        let full = bits_of(0..ROWS);
+        assert_eq!(full.len(), ROWS * classes);
+        let mut cuts: Vec<std::ops::Range<usize>> = [1, 3, 4, 63, 64, 255]
+            .into_iter()
+            .flat_map(|cut| [0..cut, cut..ROWS])
+            .collect();
+        // An interior range that starts and ends off every tile boundary.
+        cuts.push(65..130);
+        for rows in cuts {
+            assert_eq!(
+                bits_of(rows.clone()),
+                full[rows.start * classes..rows.end * classes],
+                "{spec:?}: rows {rows:?} differ from the full-batch forward"
+            );
+        }
+    }
+}
