@@ -3,7 +3,8 @@
 //! Hand-rolled so the workspace adds no CLI dependency; only the handful of
 //! flags the harness needs are supported.
 
-use std::collections::HashMap;
+use std::cell::RefCell;
+use std::collections::{BTreeSet, HashMap};
 
 /// Parsed `--key value` and `--flag` arguments.
 ///
@@ -16,11 +17,14 @@ use std::collections::HashMap;
 /// assert_eq!(args.get("protocol"), Some("sync"));
 /// assert!(args.flag("quick"));
 /// assert_eq!(args.get_usize("rounds", 40), 40);
+/// args.reject_unknown();
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Args {
     values: HashMap<String, String>,
     flags: Vec<String>,
+    /// Every key an accessor was asked for: what this binary reads.
+    queried: RefCell<BTreeSet<String>>,
 }
 
 impl Args {
@@ -59,17 +63,40 @@ impl Args {
                 i += 1;
             }
         }
-        Args { values, flags }
+        Args {
+            values,
+            flags,
+            queried: RefCell::default(),
+        }
     }
 
     /// String value of `key`, if present.
     pub fn get(&self, key: &str) -> Option<&str> {
+        self.queried.borrow_mut().insert(key.to_string());
         self.values.get(key).map(String::as_str)
     }
 
     /// Whether the boolean flag `key` was passed.
     pub fn flag(&self, key: &str) -> bool {
+        self.queried.borrow_mut().insert(key.to_string());
         self.flags.iter().any(|f| f == key)
+    }
+
+    /// Rejects every passed `--key` no accessor has asked for, so a
+    /// misspelt or unsupported flag stops the binary instead of silently
+    /// running the defaults. Call it after the last flag is read and before
+    /// the first run.
+    ///
+    /// # Panics
+    ///
+    /// Panics naming the first stray flag.
+    pub fn reject_unknown(&self) {
+        let queried = self.queried.borrow();
+        let mut passed: Vec<&String> = self.values.keys().chain(&self.flags).collect();
+        passed.sort_unstable();
+        if let Some(stray) = passed.into_iter().find(|k| !queried.contains(*k)) {
+            panic!("unknown flag --{stray}: this binary reads {queried:?}");
+        }
     }
 
     /// `usize` value of `key`, or `default`.
@@ -108,36 +135,22 @@ impl Args {
         })
     }
 
-    /// Resolved worker-thread count for the run, via [`resolve_threads`]:
-    /// the `--threads` flag, else the host's available parallelism.
+    /// Report path for the binaries that write one: `--out`, else
+    /// `default`.
+    pub fn out<'a>(&'a self, default: &'a str) -> &'a str {
+        self.get("out").unwrap_or(default)
+    }
+
+    /// Worker-thread count for the run: the `--threads` flag, else the
+    /// host's available parallelism. Always at least 1.
     ///
     /// # Panics
     ///
     /// Panics when `--threads` is present but unparsable.
     pub fn threads(&self) -> usize {
-        resolve_threads(self.get("threads"))
+        let host = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+        self.get_usize("threads", host).max(1)
     }
-}
-
-/// Thread-count resolution shared by the experiment binaries: an explicit
-/// `--threads` value, else the host's available parallelism. Always at
-/// least 1.
-///
-/// # Panics
-///
-/// Panics when `explicit` is present but unparsable.
-pub fn resolve_threads(explicit: Option<&str>) -> usize {
-    explicit
-        .map(|v| {
-            v.parse::<usize>()
-                .unwrap_or_else(|_| panic!("--threads expects an integer, got {v:?}"))
-        })
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1)
-        })
-        .max(1)
 }
 
 #[cfg(test)]
@@ -166,6 +179,20 @@ mod tests {
         assert_eq!(a.get_usize("rounds", 7), 7);
         assert_eq!(a.get_f64("alpha", 0.5), 0.5);
         assert_eq!(a.get_u64("budget", 9), 9);
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown flag --round:")]
+    fn stray_flag_is_rejected_by_name() {
+        // Queried but absent is fine ...
+        let ok = Args::parse(["--quick"]);
+        assert!(ok.flag("quick"));
+        assert_eq!(ok.get_usize("rounds", 5), 5);
+        ok.reject_unknown();
+        // ... passed but never queried is not.
+        let typo = Args::parse(["--round", "5"]);
+        assert_eq!(typo.get_usize("rounds", 2), 2);
+        typo.reject_unknown();
     }
 
     #[test]

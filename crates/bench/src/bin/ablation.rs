@@ -12,13 +12,12 @@
 //! ```
 
 use adafl_bench::args::Args;
-use adafl_bench::runner::{run_sync, Resilience, Scenario};
+use adafl_bench::report;
+use adafl_bench::runner::{run_sync, Scenario};
 use adafl_bench::tasks::Task;
-use adafl_bench::{fleet, report};
 use adafl_core::selection::SelectionPolicy;
 use adafl_core::{AdaFlConfig, SimilarityMetric};
 use adafl_data::partition::Partitioner;
-use adafl_fl::faults::FaultPlan;
 use adafl_fl::FlConfig;
 
 fn main() {
@@ -27,6 +26,7 @@ fn main() {
     let clients = args.get_usize("clients", 10);
     let rounds = args.get_usize("rounds", if quick { 12 } else { 60 });
     let seed = args.get_u64("seed", 42);
+    args.reject_unknown();
     let (train, test) = if quick { (600, 150) } else { (1500, 400) };
     let task = Task::mnist_cnn(train, test, seed);
 
@@ -160,17 +160,11 @@ fn main() {
             .seed(seed)
             .build();
         let scenario = Scenario {
-            network: fleet::mixed_network(clients, 0.3, seed),
-            compute: fleet::uniform_compute(clients, 0.1, seed),
-            faults: FaultPlan::reliable(clients),
             partitioner: Partitioner::LabelShards {
                 shards_per_client: 2,
             },
-            update_budget: 0,
-            resilience: Resilience::default(),
-            task: task.clone(),
-            fl,
             ada,
+            ..Scenario::paper(task.clone(), fl)
         };
         let result = run_sync(&scenario, "adafl");
         eprintln!(

@@ -27,7 +27,6 @@ use adafl_bench::args::Args;
 use adafl_bench::runner::{run_sync_with, Resilience, Scenario};
 use adafl_bench::tasks::Task;
 use adafl_bench::{fleet, report};
-use adafl_core::AdaFlConfig;
 use adafl_fl::faults::{FaultKind, FaultPlan};
 use adafl_fl::robust::RobustMethod;
 use adafl_fl::FlConfig;
@@ -120,6 +119,8 @@ fn main() {
     let clients = args.get_usize("clients", 10);
     let rounds = args.get_usize("rounds", if quick { 12 } else { 24 });
     let seed = args.get_u64("seed", 42);
+    let out = args.out("BENCH_byzantine.json");
+    args.reject_unknown();
     let (train, test) = if quick { (600, 150) } else { (2000, 500) };
     let task = Task::mnist_logreg(train, test, seed);
 
@@ -224,10 +225,6 @@ fn main() {
     );
 
     if !smoke {
-        let out = args
-            .get("out")
-            .map(str::to_string)
-            .unwrap_or_else(|| "BENCH_byzantine.json".to_string());
         let report = ByzantineReport {
             seed,
             clients,
@@ -236,9 +233,7 @@ fn main() {
             clean_accuracy,
             cells,
         };
-        let json = serde_json::to_string_pretty(&report).expect("report serializes");
-        std::fs::write(&out, json).expect("write byzantine report");
-        eprintln!("byzantine report -> {out}");
+        report::write_json(out, &report);
     }
 }
 
@@ -276,16 +271,12 @@ fn run_cell(
     let scenario = Scenario {
         network: fleet::broadband_network(clients, seed),
         compute: fleet::uniform_compute(clients, 0.05, seed),
-        ada: AdaFlConfig::default(),
-        partitioner: adafl_data::partition::Partitioner::Iid,
-        update_budget: 0,
         resilience: Resilience {
             robust: method,
             ..Resilience::default()
         },
         faults,
-        task: task.clone(),
-        fl,
+        ..Scenario::paper(task.clone(), fl)
     };
     let rec = InMemoryRecorder::shared();
     let result = run_sync_with(&scenario, "fedavg", rec.clone(), None);

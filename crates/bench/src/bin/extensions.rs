@@ -13,8 +13,9 @@
 //! ```
 
 use adafl_bench::args::Args;
+use adafl_bench::report;
+use adafl_bench::runner::Scenario;
 use adafl_bench::tasks::Task;
-use adafl_bench::{fleet, report};
 use adafl_core::{AdaFlBuild, AdaFlConfig};
 use adafl_data::partition::Partitioner;
 use adafl_fl::runtime::{RuntimeBuilder, SyncPolicies};
@@ -28,28 +29,30 @@ fn main() {
     let clients = args.get_usize("clients", 10);
     let rounds = args.get_usize("rounds", if quick { 15 } else { 80 });
     let seed = args.get_u64("seed", 42);
+    args.reject_unknown();
     let (train, test) = if quick { (600, 150) } else { (2000, 400) };
     let task = Task::mnist_cnn(train, test, seed);
     let partitioner = Partitioner::LabelShards {
         shards_per_client: 2,
     };
 
-    let fl = || {
-        FlConfig::builder()
-            .clients(clients)
-            .rounds(rounds)
-            .participation(0.5)
-            .local_steps(5)
-            .batch_size(32)
-            .model(task.model.clone())
-            .seed(seed)
-            .build()
-    };
+    let fl = FlConfig::builder()
+        .clients(clients)
+        .rounds(rounds)
+        .participation(0.5)
+        .local_steps(5)
+        .batch_size(32)
+        .model(task.model.clone())
+        .seed(seed)
+        .build();
+    // The strategies below are not runner names, so the runtimes are built
+    // here, over the paper fleet's links and compute.
+    let paper = Scenario::paper(task, fl);
     let builder = || {
-        RuntimeBuilder::new(fl(), task.test.clone())
-            .partitioned(&task.train, partitioner)
-            .network(fleet::mixed_network(clients, 0.3, seed))
-            .compute(fleet::uniform_compute(clients, 0.1, seed))
+        RuntimeBuilder::new(paper.fl.clone(), paper.task.test.clone())
+            .partitioned(&paper.task.train, partitioner)
+            .network(paper.network.clone())
+            .compute(paper.compute.clone())
     };
 
     let mut table = report::TextTable::new([

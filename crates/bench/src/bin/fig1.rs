@@ -15,10 +15,9 @@
 //! ```
 
 use adafl_bench::args::Args;
-use adafl_bench::runner::{run_async, run_sync, Resilience, RunResult, Scenario};
+use adafl_bench::runner::{run_async, run_sync, RunResult, Scenario};
 use adafl_bench::tasks::Task;
 use adafl_bench::{fleet, report};
-use adafl_core::AdaFlConfig;
 use adafl_fl::faults::FaultPlan;
 use adafl_fl::FlConfig;
 
@@ -65,6 +64,7 @@ fn sync_panels(args: &Args, clients: usize, seed: u64, quick: bool) {
         Some(m) => vec![m],
         None => vec!["cnn", "resnet"],
     };
+    args.reject_unknown();
     let mut runs: Vec<(String, RunResult)> = Vec::new();
     for model in models {
         let task = task_for(model, quick, seed);
@@ -74,14 +74,9 @@ fn sync_panels(args: &Args, clients: usize, seed: u64, quick: bool) {
                     let fl = base_config(&task, clients, rounds, seed);
                     let scenario = Scenario {
                         network: fleet::broadband_network(clients, seed),
-                        compute: fleet::uniform_compute(clients, 0.1, seed),
                         faults: fleet::straggler_plan(clients, frac, fault, seed),
-                        ada: AdaFlConfig::default(),
                         partitioner,
-                        update_budget: 0,
-                        resilience: Resilience::default(),
-                        task: task.clone(),
-                        fl,
+                        ..Scenario::paper(task.clone(), fl)
                     };
                     let result = run_sync(&scenario, "fedavg");
                     eprintln!(
@@ -103,6 +98,7 @@ fn async_panels(args: &Args, clients: usize, seed: u64, quick: bool) {
         Some("resnet") => task_for("resnet", quick, seed),
         _ => task_for("cnn", quick, seed),
     };
+    args.reject_unknown();
     let mut runs: Vec<(String, RunResult)> = Vec::new();
     for (dist_name, partitioner) in Task::partitioners() {
         for fault in ["stale", "dropout"] {
@@ -122,15 +118,11 @@ fn async_panels(args: &Args, clients: usize, seed: u64, quick: bool) {
                     )
                 };
                 let scenario = Scenario {
-                    compute: fleet::uniform_compute(clients, 0.1, seed),
-                    ada: AdaFlConfig::default(),
                     partitioner,
                     update_budget: budget,
-                    resilience: Resilience::default(),
-                    task: task.clone(),
-                    fl,
                     network,
                     faults,
+                    ..Scenario::paper(task.clone(), fl)
                 };
                 let result = run_async(&scenario, "fedasync");
                 eprintln!(

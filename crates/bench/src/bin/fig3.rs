@@ -14,13 +14,11 @@
 //! ```
 
 use adafl_bench::args::Args;
+use adafl_bench::report;
 use adafl_bench::runner::{
-    run_async, run_sync, Resilience, RunResult, Scenario, ASYNC_STRATEGIES, SYNC_STRATEGIES,
+    run_async, run_sync, RunResult, Scenario, ASYNC_STRATEGIES, SYNC_STRATEGIES,
 };
 use adafl_bench::tasks::Task;
-use adafl_bench::{fleet, report};
-use adafl_core::AdaFlConfig;
-use adafl_fl::faults::FaultPlan;
 use adafl_fl::FlConfig;
 
 fn main() {
@@ -33,21 +31,16 @@ fn main() {
     let task = Task::mnist_cnn(train, test, seed);
 
     let scenario_for = |partitioner, fl: FlConfig, budget: u64| Scenario {
-        network: fleet::mixed_network(clients, 0.3, seed),
-        compute: fleet::uniform_compute(clients, 0.1, seed),
-        faults: FaultPlan::reliable(clients),
-        ada: AdaFlConfig::default(),
         partitioner,
         update_budget: budget,
-        resilience: Resilience::default(),
-        task: task.clone(),
-        fl,
+        ..Scenario::paper(task.clone(), fl)
     };
 
     let mut runs: Vec<(String, RunResult)> = Vec::new();
     match protocol.as_str() {
         "sync" => {
             let rounds = args.get_usize("rounds", if quick { 15 } else { 80 });
+            args.reject_unknown();
             for (dist_name, partitioner) in Task::partitioners() {
                 for strategy in SYNC_STRATEGIES {
                     let fl = FlConfig::builder()
@@ -70,6 +63,7 @@ fn main() {
         }
         "async" => {
             let budget = args.get_u64("budget", if quick { 120 } else { 400 });
+            args.reject_unknown();
             for (dist_name, partitioner) in Task::partitioners() {
                 for strategy in ASYNC_STRATEGIES {
                     let fl = FlConfig::builder()

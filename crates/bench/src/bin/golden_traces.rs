@@ -4,10 +4,13 @@
 //! the `golden_equivalence` test otherwise holds every engine entry point
 //! byte-identical to the checked-in artefacts.
 
+use adafl_bench::args::Args;
 use adafl_bench::golden;
 use std::fs;
 
 fn main() {
+    // Takes no flags: anything passed is a mistake, not a silent no-op.
+    Args::from_env().reject_unknown();
     let dir = golden::golden_dir();
     fs::create_dir_all(&dir).expect("create tests/golden");
     for case in golden::cases() {

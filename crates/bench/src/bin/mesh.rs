@@ -106,6 +106,8 @@ fn main() {
     let relays = args.get_usize("relays", 4);
     let rounds = args.get_usize("rounds", if quick { 10 } else { 24 });
     let seed = args.get_u64("seed", 42);
+    let out = args.out("BENCH_mesh.json");
+    args.reject_unknown();
     let (train, test) = if quick { (400, 100) } else { (1500, 400) };
     let task = Task::mnist_logreg(train, test, seed);
 
@@ -207,10 +209,6 @@ fn main() {
     );
 
     if !smoke {
-        let out = args
-            .get("out")
-            .map(str::to_string)
-            .unwrap_or_else(|| "BENCH_mesh.json".to_string());
         let report = MeshReport {
             seed,
             clients,
@@ -220,9 +218,7 @@ fn main() {
             recover_at_s: recover_at,
             cells,
         };
-        let json = serde_json::to_string_pretty(&report).expect("report serializes");
-        std::fs::write(&out, json).expect("write mesh report");
-        eprintln!("mesh report -> {out}");
+        report::write_json(out, &report);
     }
 }
 

@@ -24,6 +24,7 @@ fn main() {
     let args = Args::from_env();
     let reps = args.get_usize("reps", 200);
     let seed = args.get_u64("seed", 42);
+    args.reject_unknown();
 
     let task = Task::mnist_cnn(600, 100, seed);
     let mut client = FlClient::new(

@@ -21,6 +21,7 @@ fn main() {
     let x_column = args.get("x").unwrap_or("round");
     let title = args.get("title").unwrap_or("accuracy").to_string();
     let filter = args.get("filter");
+    args.reject_unknown();
 
     let csv = fs::read_to_string(input).unwrap_or_else(|e| panic!("cannot read {input}: {e}"));
     let mut plot = LinePlot::new(

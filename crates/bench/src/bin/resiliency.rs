@@ -64,6 +64,7 @@ fn main() {
     let clients = args.get_usize("clients", 10);
     let rounds = args.get_usize("rounds", if quick { 10 } else { 30 });
     let seed = args.get_u64("seed", 42);
+    args.reject_unknown();
     let (train, test) = if quick { (400, 100) } else { (2000, 500) };
     let task = Task::mnist_logreg(train, test, seed);
 
@@ -115,11 +116,8 @@ fn main() {
                         warmup_rounds: 2,
                         ..AdaFlConfig::default()
                     },
-                    partitioner: adafl_data::partition::Partitioner::Iid,
-                    update_budget: 0,
-                    task: task.clone(),
                     resilience: resilience.clone(),
-                    fl,
+                    ..Scenario::paper(task.clone(), fl)
                 };
                 let rec = InMemoryRecorder::shared();
                 let result = run_sync_with(&scenario, strategy, rec.clone(), None);

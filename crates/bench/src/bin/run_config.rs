@@ -129,7 +129,6 @@ fn main() {
             profile,
             cfg.seed,
         ),
-        compute: fleet::uniform_compute(cfg.clients, 0.1, cfg.seed),
         ada: cfg.adafl.unwrap_or_default(),
         partitioner: cfg.partition,
         update_budget: cfg.update_budget,
@@ -139,11 +138,12 @@ fn main() {
             ..Resilience::default()
         },
         faults,
-        task,
-        fl,
+        ..Scenario::paper(task, fl)
     };
 
     let trace_path = args.get("telemetry");
+    let threads = args.threads();
+    args.reject_unknown();
     let memory = trace_path.map(|_| InMemoryRecorder::shared());
     let recorder: SharedRecorder = match &memory {
         Some(recorder) => recorder.clone(),
@@ -151,7 +151,7 @@ fn main() {
     };
 
     let result: RunResult = match cfg.protocol.as_str() {
-        "sync" => run_sync_with(&scenario, &cfg.strategy, recorder, Some(args.threads())),
+        "sync" => run_sync_with(&scenario, &cfg.strategy, recorder, Some(threads)),
         "async" => run_async_with(&scenario, &cfg.strategy, recorder),
         other => panic!("protocol must be sync or async, got {other:?}"),
     };

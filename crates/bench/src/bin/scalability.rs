@@ -17,7 +17,11 @@
 //! cargo run -p adafl-bench --release --bin scalability -- --smoke   # parity + tiny sweep
 //! cargo run -p adafl-bench --release --bin scalability -- --paper   # the paper's 10..100 table
 //! ```
+//!
+//! Also `--seed N` (default 42), `--out PATH` and `--threads N` (default:
+//! host parallelism).
 
+use adafl_bench::args::Args;
 use adafl_bench::report::{self, RunMeta};
 use adafl_core::policies::AdaFlAggregation;
 use adafl_data::synthetic::SyntheticSpec;
@@ -228,12 +232,10 @@ struct Report {
 /// The paper's own Section V table (10..100 clients, resident fleet),
 /// kept from the original binary for reference runs.
 fn paper_table(seed: u64) {
-    use adafl_bench::runner::{run_sync, Resilience, Scenario};
+    use adafl_bench::runner::{run_sync, Scenario};
     use adafl_bench::tasks::Task;
-    use adafl_bench::{fleet, report};
     use adafl_core::AdaFlConfig;
     use adafl_data::partition::Partitioner;
-    use adafl_fl::faults::FaultPlan;
 
     let mut table = report::TextTable::new(["clients", "method", "final_acc", "uplink_bytes"]);
     for clients in [10usize, 20, 50, 100] {
@@ -253,17 +255,11 @@ fn paper_table(seed: u64) {
                 ..AdaFlConfig::default()
             };
             let scenario = Scenario {
-                network: fleet::mixed_network(clients, 0.3, seed),
-                compute: fleet::uniform_compute(clients, 0.1, seed),
-                faults: FaultPlan::reliable(clients),
                 partitioner: Partitioner::LabelShards {
                     shards_per_client: 2,
                 },
-                update_budget: 0,
-                resilience: Resilience::default(),
-                task: task.clone(),
-                fl,
                 ada,
+                ..Scenario::paper(task.clone(), fl)
             };
             let result = run_sync(&scenario, strategy);
             table.row([
@@ -278,25 +274,17 @@ fn paper_table(seed: u64) {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let seed = 42u64;
-    if args.iter().any(|a| a == "--paper") {
+    let args = Args::from_env();
+    let smoke = args.flag("smoke");
+    let paper = args.flag("paper");
+    let seed = args.get_u64("seed", 42);
+    let out = args.out("BENCH_scale.json");
+    let threads = args.threads();
+    args.reject_unknown();
+    if paper {
         paper_table(seed);
         return;
     }
-    let out = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_scale.json".to_string());
-    let threads = adafl_bench::args::resolve_threads(
-        args.iter()
-            .position(|a| a == "--threads")
-            .and_then(|i| args.get(i + 1))
-            .map(String::as_str),
-    );
 
     eprintln!(
         "fleet-scale benchmark ({}), {threads} thread(s)...",
@@ -348,7 +336,5 @@ fn main() {
         parity,
         rows,
     };
-    let json = serde_json::to_string_pretty(&report).expect("report serializes");
-    std::fs::write(&out, json).expect("write bench report");
-    eprintln!("wrote {out}");
+    report::write_json(out, &report);
 }

@@ -17,6 +17,8 @@
 //!
 //! Usage: `server_path [--smoke] [--out PATH] [--threads N]`
 
+use adafl_bench::args::Args;
+use adafl_bench::report::{self, RunMeta};
 use adafl_fl::pool::WorkerPool;
 use adafl_fl::robust::{oracle, trim_count, RobustAggregator, RobustMethod};
 use adafl_fl::runtime::{RoundUpdate, UpdatePayload};
@@ -210,12 +212,12 @@ struct ServerEntry {
 struct Report {
     schema: String,
     smoke: bool,
-    meta: adafl_bench::report::RunMeta,
+    meta: RunMeta,
     entries: Vec<ServerEntry>,
 }
 
-/// Min-of-batches wall time for one closure, in milliseconds (same
-/// rationale as the kernels benchmark: the min rejects scheduler noise).
+/// Min-of-batches wall time for one closure, in milliseconds: the min
+/// rejects scheduler noise.
 fn time_ms(batches: usize, mut f: impl FnMut()) -> f64 {
     let mut best = f64::INFINITY;
     for _ in 0..batches {
@@ -268,20 +270,11 @@ fn bench_method(
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let out = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_server.json".to_string());
-    let threads = adafl_bench::args::resolve_threads(
-        args.iter()
-            .position(|a| a == "--threads")
-            .and_then(|i| args.get(i + 1))
-            .map(String::as_str),
-    );
+    let args = Args::from_env();
+    let smoke = args.flag("smoke");
+    let out = args.out("BENCH_server.json");
+    let threads = args.threads();
+    args.reject_unknown();
     let pool = WorkerPool::new(threads);
 
     let (cohorts, dim): (&[usize], usize) = if smoke {
@@ -321,10 +314,8 @@ fn main() {
     let report = Report {
         schema: "adafl.bench.server.v1".to_string(),
         smoke,
-        meta: adafl_bench::report::RunMeta::current(threads),
+        meta: RunMeta::current(threads),
         entries,
     };
-    let json = serde_json::to_string_pretty(&report).expect("report serializes");
-    std::fs::write(&out, json).expect("write bench report");
-    eprintln!("wrote {out}");
+    report::write_json(out, &report);
 }

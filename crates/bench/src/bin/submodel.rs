@@ -31,8 +31,6 @@ use adafl_bench::args::Args;
 use adafl_bench::runner::{run_sync, Capacity, Resilience, Scenario};
 use adafl_bench::tasks::Task;
 use adafl_bench::{fleet, report};
-use adafl_core::AdaFlConfig;
-use adafl_fl::faults::FaultPlan;
 use adafl_fl::submodel::CapacityTier;
 use adafl_fl::FlConfig;
 
@@ -116,6 +114,8 @@ fn main() {
     let clients = args.get_usize("clients", 10);
     let rounds = args.get_usize("rounds", if quick { 12 } else { 24 });
     let seed = args.get_u64("seed", 42);
+    let out = args.out("BENCH_submodel.json");
+    args.reject_unknown();
     let (train, test) = if quick { (600, 150) } else { (2000, 500) };
     let task = Task::mnist_cnn(train, test, seed);
 
@@ -145,16 +145,11 @@ fn main() {
         let scenario = Scenario {
             network: fleet::broadband_network(clients, seed),
             compute: fleet::uniform_compute(clients, 0.05, seed),
-            ada: AdaFlConfig::default(),
-            partitioner: adafl_data::partition::Partitioner::Iid,
-            update_budget: 0,
             resilience: Resilience {
                 capacity: mix.capacity.clone(),
                 ..Resilience::default()
             },
-            faults: FaultPlan::reliable(clients),
-            task: task.clone(),
-            fl,
+            ..Scenario::paper(task.clone(), fl)
         };
         let run = run_sync(&scenario, "fedavg");
         let final_accuracy = run.history.final_accuracy();
@@ -248,10 +243,6 @@ fn main() {
     );
 
     if !smoke {
-        let out = args
-            .get("out")
-            .map(str::to_string)
-            .unwrap_or_else(|| "BENCH_submodel.json".to_string());
         let report = SubmodelReport {
             seed,
             clients,
@@ -260,9 +251,7 @@ fn main() {
             full_accuracy,
             cells,
         };
-        let json = serde_json::to_string_pretty(&report).expect("report serializes");
-        std::fs::write(&out, json).expect("write submodel report");
-        eprintln!("submodel report -> {out}");
+        report::write_json(out, &report);
     }
 }
 

@@ -12,12 +12,11 @@
 //! ```
 
 use adafl_bench::args::Args;
-use adafl_bench::runner::{run_sync, Resilience, Scenario, SYNC_STRATEGIES};
+use adafl_bench::report;
+use adafl_bench::runner::{run_sync, Scenario, SYNC_STRATEGIES};
 use adafl_bench::tasks::Task;
-use adafl_bench::{fleet, report};
 use adafl_compression::dense_wire_size;
 use adafl_core::AdaFlConfig;
-use adafl_fl::faults::FaultPlan;
 use adafl_fl::FlConfig;
 
 fn main() {
@@ -26,6 +25,7 @@ fn main() {
     let clients = args.get_usize("clients", 10);
     let rounds = args.get_usize("rounds", if quick { 12 } else { 80 });
     let seed = args.get_u64("seed", 42);
+    args.reject_unknown();
     let (train, test) = if quick { (600, 150) } else { (2000, 400) };
 
     let tasks = if quick {
@@ -60,7 +60,6 @@ fn main() {
             let mut accs = Vec::new();
             let mut freq = 0u64;
             let mut bytes = 0u64;
-            let mut mean_payload = 0.0f64;
             for (_dist, partitioner) in Task::partitioners() {
                 let fl = FlConfig::builder()
                     .clients(clients)
@@ -72,15 +71,8 @@ fn main() {
                     .seed(seed)
                     .build();
                 let scenario = Scenario {
-                    network: fleet::mixed_network(clients, 0.3, seed),
-                    compute: fleet::uniform_compute(clients, 0.1, seed),
-                    faults: FaultPlan::reliable(clients),
-                    ada: AdaFlConfig::default(),
                     partitioner,
-                    update_budget: 0,
-                    resilience: Resilience::default(),
-                    task: task.clone(),
-                    fl,
+                    ..Scenario::paper(task.clone(), fl)
                 };
                 let result = run_sync(&scenario, strategy);
                 eprintln!(
@@ -93,7 +85,6 @@ fn main() {
                 accs.push(result.history.final_accuracy());
                 freq = result.uplink_updates;
                 bytes = result.uplink_bytes;
-                mean_payload = result.mean_uplink_payload;
             }
             let (grad_size, compress, particip) = if strategy == "adafl" {
                 let ada = AdaFlConfig::default();
@@ -113,7 +104,6 @@ fn main() {
                     "0.5".to_string(),
                 )
             };
-            let _ = mean_payload;
             table.row([
                 strategy.to_string(),
                 task.name.to_string(),

@@ -9,12 +9,11 @@
 //! ```
 
 use adafl_bench::args::Args;
-use adafl_bench::runner::{run_async, Resilience, Scenario, ASYNC_STRATEGIES};
+use adafl_bench::report;
+use adafl_bench::runner::{run_async, Scenario, ASYNC_STRATEGIES};
 use adafl_bench::tasks::Task;
-use adafl_bench::{fleet, report};
 use adafl_compression::dense_wire_size;
 use adafl_core::AdaFlConfig;
-use adafl_fl::faults::FaultPlan;
 use adafl_fl::FlConfig;
 
 fn main() {
@@ -23,6 +22,7 @@ fn main() {
     let clients = args.get_usize("clients", 10);
     let budget = args.get_u64("budget", if quick { 120 } else { 400 });
     let seed = args.get_u64("seed", 42);
+    args.reject_unknown();
     let (train, test) = if quick { (600, 150) } else { (2000, 400) };
 
     let tasks = if quick {
@@ -66,15 +66,9 @@ fn main() {
                     .seed(seed)
                     .build();
                 let scenario = Scenario {
-                    network: fleet::mixed_network(clients, 0.3, seed),
-                    compute: fleet::uniform_compute(clients, 0.1, seed),
-                    faults: FaultPlan::reliable(clients),
-                    ada: AdaFlConfig::default(),
                     partitioner,
                     update_budget: budget,
-                    resilience: Resilience::default(),
-                    task: task.clone(),
-                    fl,
+                    ..Scenario::paper(task.clone(), fl)
                 };
                 let result = run_async(&scenario, strategy);
                 eprintln!(

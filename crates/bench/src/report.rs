@@ -1,4 +1,5 @@
-//! Reporting helpers: CSV series, aligned text tables and run provenance.
+//! Reporting helpers: CSV series, aligned text tables, run provenance and
+//! the JSON report writer.
 
 use crate::runner::RunResult;
 
@@ -28,24 +29,25 @@ impl RunMeta {
     }
 }
 
-/// Parses a `VmHWM:`/`VmRSS:`-style kB line from `/proc/self/status`.
-fn proc_status_kb(key: &str) -> Option<u64> {
+/// Peak resident-set size (`VmHWM`) of this process in bytes, read from
+/// `/proc/self/status`. `None` when procfs is unavailable (non-Linux).
+pub fn peak_rss_bytes() -> Option<u64> {
     let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    let line = status.lines().find(|l| l.starts_with(key))?;
+    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
     let kb: u64 = line.split_whitespace().nth(1)?.parse().ok()?;
     Some(kb * 1024)
 }
 
-/// Peak resident-set size (`VmHWM`) of this process in bytes, read from
-/// `/proc/self/status`. `None` when procfs is unavailable (non-Linux).
-pub fn peak_rss_bytes() -> Option<u64> {
-    proc_status_kb("VmHWM:")
-}
-
-/// Current resident-set size (`VmRSS`) of this process in bytes, read
-/// from `/proc/self/status`. `None` when procfs is unavailable.
-pub fn current_rss_bytes() -> Option<u64> {
-    proc_status_kb("VmRSS:")
+/// Writes `report` as pretty-printed JSON to `path` and says so on stderr:
+/// the one tail every report-writing binary ends with.
+///
+/// # Panics
+///
+/// Panics when the file cannot be written.
+pub fn write_json<T: serde::Serialize>(path: &str, report: &T) {
+    let json = serde_json::to_string_pretty(report).expect("report serializes");
+    std::fs::write(path, json).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
+    eprintln!("wrote {path}");
 }
 
 /// Resets the kernel's peak-RSS watermark (`VmHWM`) to the current RSS by

@@ -5,6 +5,7 @@
 //! [`RuntimeBuilder`] entry point; a [`Scenario`] is just the builder's
 //! inputs plus the strategy name.
 
+use crate::fleet;
 use crate::tasks::Task;
 use adafl_core::{AdaFlBuild, AdaFlConfig, AdaptiveCapacity};
 use adafl_data::partition::Partitioner;
@@ -100,6 +101,26 @@ pub struct Scenario {
 }
 
 impl Scenario {
+    /// The paper's §V evaluation fleet for `task` under `fl`: the first
+    /// 30 % of the `fl.clients` clients on constrained links, 0.1 s per
+    /// local step, no faults, default AdaFL, IID data, no async budget and
+    /// no resilience layer, every generator seeded with `fl.seed`. An
+    /// experiment names only what it varies:
+    /// `Scenario { partitioner, ..Scenario::paper(task, fl) }`.
+    pub fn paper(task: Task, fl: FlConfig) -> Self {
+        Scenario {
+            network: fleet::mixed_network(fl.clients, 0.3, fl.seed),
+            compute: fleet::uniform_compute(fl.clients, 0.1, fl.seed),
+            faults: FaultPlan::reliable(fl.clients),
+            ada: AdaFlConfig::default(),
+            partitioner: Partitioner::Iid,
+            update_budget: 0,
+            resilience: Resilience::default(),
+            task,
+            fl,
+        }
+    }
+
     /// A [`RuntimeBuilder`] loaded with this scenario's parts, resilience
     /// options and recorder — the single assembly path for every flavour.
     fn builder(&self, recorder: SharedRecorder) -> RuntimeBuilder {
@@ -250,7 +271,6 @@ fn result(history: RunHistory, ledger: &adafl_fl::CommunicationLedger) -> RunRes
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fleet;
 
     fn scenario() -> Scenario {
         let task = Task::mnist_logreg(300, 80, 0);

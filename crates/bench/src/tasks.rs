@@ -6,7 +6,7 @@ use adafl_data::synthetic::{Difficulty, SyntheticSpec};
 use adafl_data::Dataset;
 use adafl_nn::models::ModelSpec;
 
-/// Difficulty calibrated (see the `calibrate` binary) so the paper's CNN
+/// Difficulty calibrated by sweeping noise and shift so the paper's CNN
 /// tops out near the paper's MNIST accuracy band instead of saturating.
 fn bench_difficulty() -> Difficulty {
     Difficulty {

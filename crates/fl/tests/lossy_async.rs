@@ -54,6 +54,26 @@ fn lossy_links_resync_instead_of_deadlocking() {
 }
 
 #[test]
+fn fully_lossy_links_stop_at_the_liveness_guard() {
+    // Every transfer is lost, so no downlink ever starts a training pass
+    // and the loop would resync forever: the event bound must end the run,
+    // with nothing learned, nothing delivered and the model untouched.
+    let spec = LinkSpec::new(2e6, 10e6, 0.01, 0.01, 1.0);
+    let network = ClientNetwork::new(vec![LinkTrace::constant(spec); CLIENTS], 9);
+    let mut e = engine_with_network(network, 40);
+    let initial = e.global_params().to_vec();
+    let history = e.run();
+    assert!(history.is_empty());
+    assert_eq!(e.version(), 0);
+    assert_eq!(e.ledger().uplink_updates(), 0);
+    let untouched = initial
+        .iter()
+        .zip(e.global_params())
+        .all(|(a, b)| a.to_bits() == b.to_bits());
+    assert!(untouched, "global model changed without an arrival");
+}
+
+#[test]
 fn time_varying_links_slow_but_do_not_break_the_run() {
     let degraded = LinkTrace::new(
         LinkProfile::Broadband.spec(),

@@ -30,13 +30,14 @@ def fig1(path, keys):
 
 if __name__ == "__main__":
     base = sys.argv[1] if len(sys.argv) > 1 else "results"
-    try:
-        fig3(f"{base}/fig3_sync.csv", "round")
-        fig3(f"{base}/fig3_async.csv", "sim_time_s")
-    except FileNotFoundError as e:
-        print(f"missing: {e.filename}")
-    try:
-        fig1(f"{base}/fig1_sync.csv", ["model", "dist", "fault", "straggler_frac", "label"])
-        fig1(f"{base}/fig1_async.csv", ["dist", "fault", "straggler_frac", "label"])
-    except FileNotFoundError as e:
-        print(f"missing: {e.filename}")
+    jobs = [
+        (fig3, "fig3_sync.csv", "round"),
+        (fig3, "fig3_async.csv", "sim_time_s"),
+        (fig1, "fig1_sync.csv", ["model", "dist", "fault", "straggler_frac", "label"]),
+        (fig1, "fig1_async.csv", ["dist", "fault", "straggler_frac", "label"]),
+    ]
+    for summarize, name, arg in jobs:
+        try:
+            summarize(f"{base}/{name}", arg)
+        except FileNotFoundError as e:
+            print(f"missing: {e.filename}")
