@@ -6,7 +6,7 @@ use adafl_data::Dataset;
 use adafl_nn::loss::CrossEntropyLoss;
 use adafl_nn::models::ModelSpec;
 use adafl_nn::optim::{Optimizer, Sgd};
-use adafl_nn::{Model, ModelWorkspace};
+use adafl_nn::{Model, ModelWorkspace, SubView};
 use adafl_tensor::Tensor;
 use std::ops::Range;
 
@@ -60,18 +60,22 @@ pub struct FlClient {
     /// each `train_local` so its semantics match a freshly built one while
     /// its buffer allocation is reused across rounds.
     optimizer: Sgd,
-    /// Scratch arena reused by every forward/backward/step — after the
-    /// first local step, training performs no heap allocation.
+    /// Scratch arena reused by every forward/backward — after the first
+    /// local step, training performs no heap allocation.
     ws: ModelWorkspace,
     batch_x: Tensor,
     batch_labels: Vec<usize>,
     logits: Tensor,
     dlogits: Tensor,
     dinput: Tensor,
-    /// Flat gradient scratch for the gradient-hook path.
-    hook_grads: Vec<f32>,
-    /// Flat parameter scratch for the gradient-hook path.
-    hook_params: Vec<f32>,
+    /// Flat gradient of the last mini-batch (see `batch_gradient`).
+    grads: Vec<f32>,
+    /// Flat mirror of the replica's parameters while a local round runs:
+    /// what the hook reads, the optimizer steps and the delta is read from.
+    params: Vec<f32>,
+    /// The post-scatter replica a hooked sub-view round anchors its hook
+    /// to; copied only when a hook will read it.
+    anchor: Vec<f32>,
 }
 
 impl FlClient {
@@ -108,8 +112,9 @@ impl FlClient {
             logits: Tensor::default(),
             dlogits: Tensor::default(),
             dinput: Tensor::default(),
-            hook_grads: Vec::new(),
-            hook_params: Vec::new(),
+            grads: Vec::new(),
+            params: Vec::new(),
+            anchor: Vec::new(),
         }
     }
 
@@ -206,6 +211,70 @@ impl FlClient {
         self.model.set_params_flat(global);
     }
 
+    /// One mini-batch forward and backward at the replica's current
+    /// parameters — the unit of device compute behind both local training
+    /// and the utility probe. Returns the batch loss and leaves the flat
+    /// gradient in `self.grads`.
+    fn batch_gradient(&mut self) -> f32 {
+        self.loader
+            .next_batch_into(&self.data, &mut self.batch_x, &mut self.batch_labels);
+        self.model.zero_grads();
+        self.model
+            .forward_into(&self.batch_x, &mut self.logits, true, &mut self.ws);
+        let loss = CrossEntropyLoss.loss_and_grad_into(
+            &self.logits,
+            &self.batch_labels,
+            &mut self.dlogits,
+        );
+        self.model
+            .backward_into(&self.dlogits, &mut self.dinput, &mut self.ws);
+        self.model.grads_flat_into(&mut self.grads);
+        loss
+    }
+
+    /// The one local-SGD loop: `steps` mini-batch steps from the replica's
+    /// current parameters, which `self.params` must mirror on entry and
+    /// mirrors again on return. Returns the round's outcome with the delta
+    /// left for the caller to read back.
+    ///
+    /// `view` masks each gradient to the covered coordinates so frozen ones
+    /// never move. `hook` is the per-step correction with the round anchor
+    /// it receives as its "global" argument; under a view the gradient is
+    /// masked again after it, because a hook term (e.g. FedProx's pull
+    /// toward the anchor) must not thaw frozen coordinates.
+    fn local_sgd(
+        &mut self,
+        steps: usize,
+        view: Option<&SubView>,
+        mut hook: Option<(GradientHook<'_>, &[f32])>,
+    ) -> LocalOutcome {
+        assert!(steps > 0, "local steps must be positive");
+        // Zero velocity: same semantics as a fresh optimizer per round,
+        // minus the allocation.
+        self.optimizer.reset();
+        let mut total_loss = 0.0f32;
+        for _ in 0..steps {
+            total_loss += self.batch_gradient();
+            if let Some(view) = view {
+                view.zero_outside(&mut self.grads);
+            }
+            if let Some((hook, anchor)) = &mut hook {
+                hook(&mut self.grads, &self.params, anchor);
+                if let Some(view) = view {
+                    view.zero_outside(&mut self.grads);
+                }
+            }
+            self.optimizer.step(&mut self.params, &self.grads);
+            self.model.set_params_flat(&self.params);
+        }
+        LocalOutcome {
+            delta: Vec::new(),
+            mean_loss: total_loss / steps as f32,
+            num_samples: self.data.len(),
+            steps,
+        }
+    }
+
     /// Runs `steps` of local mini-batch SGD starting from `global`,
     /// returning the resulting delta.
     ///
@@ -220,56 +289,13 @@ impl FlClient {
         &mut self,
         global: &[f32],
         steps: usize,
-        mut hook: Option<GradientHook<'_>>,
+        hook: Option<GradientHook<'_>>,
     ) -> LocalOutcome {
-        assert!(steps > 0, "local steps must be positive");
         self.model.set_params_flat(global);
-        // Zero velocity: same semantics as the fresh optimizer the seed
-        // built per call, minus the allocation.
-        self.optimizer.reset();
-        let mut total_loss = 0.0f32;
-        for _ in 0..steps {
-            self.loader
-                .next_batch_into(&self.data, &mut self.batch_x, &mut self.batch_labels);
-            self.model.zero_grads();
-            self.model
-                .forward_into(&self.batch_x, &mut self.logits, true, &mut self.ws);
-            let loss = CrossEntropyLoss.loss_and_grad_into(
-                &self.logits,
-                &self.batch_labels,
-                &mut self.dlogits,
-            );
-            total_loss += loss;
-            self.model
-                .backward_into(&self.dlogits, &mut self.dinput, &mut self.ws);
-            if let Some(h) = hook.as_mut() {
-                self.model.grads_flat_into(&mut self.hook_grads);
-                self.model.params_flat_into(&mut self.hook_params);
-                h(&mut self.hook_grads, &self.hook_params, global);
-                self.optimizer.step(&mut self.hook_params, &self.hook_grads);
-                self.model.set_params_flat(&self.hook_params);
-                self.model.zero_grads();
-            } else {
-                self.model
-                    .apply_gradient_step_ws(&mut self.optimizer, &mut self.ws);
-            }
-        }
-        // Reuse the flat-parameter scratch for the delta read-back; the
-        // delta vector itself escapes, but the steady-state loop no longer
-        // allocates a second full-width temporary per round.
-        self.model.params_flat_into(&mut self.hook_params);
-        let delta: Vec<f32> = self
-            .hook_params
-            .iter()
-            .zip(global)
-            .map(|(l, g)| l - g)
-            .collect();
-        LocalOutcome {
-            delta,
-            mean_loss: total_loss / steps as f32,
-            num_samples: self.data.len(),
-            steps,
-        }
+        global.clone_into(&mut self.params);
+        let round = self.local_sgd(steps, None, hook.map(|h| (h, global)));
+        let delta = self.params.iter().zip(global).map(|(l, g)| l - g).collect();
+        LocalOutcome { delta, ..round }
     }
 
     /// Runs `steps` of local mini-batch SGD over a parameter *sub-view*:
@@ -296,63 +322,33 @@ impl FlClient {
     /// zero.
     pub fn train_local_view(
         &mut self,
-        view: &adafl_nn::SubView,
+        view: &SubView,
         view_values: &[f32],
         steps: usize,
-        mut hook: Option<GradientHook<'_>>,
+        hook: Option<GradientHook<'_>>,
     ) -> LocalOutcome {
-        assert!(steps > 0, "local steps must be positive");
         assert_eq!(
             view.dense_len(),
             self.model.param_count(),
             "view dimension mismatch"
         );
         // Install the transmitted slice; the rest of the replica stays.
-        self.model.params_flat_into(&mut self.hook_params);
-        view.scatter(view_values, &mut self.hook_params);
-        self.model.set_params_flat(&self.hook_params);
-        // The round anchor the hook receives as its "global" argument:
-        // the replica right after synchronisation, like full-width rounds.
-        let anchor = self.hook_params.clone();
-        self.optimizer.reset();
-        let mut total_loss = 0.0f32;
-        for _ in 0..steps {
-            self.loader
-                .next_batch_into(&self.data, &mut self.batch_x, &mut self.batch_labels);
-            self.model.zero_grads();
-            self.model
-                .forward_into(&self.batch_x, &mut self.logits, true, &mut self.ws);
-            let loss = CrossEntropyLoss.loss_and_grad_into(
-                &self.logits,
-                &self.batch_labels,
-                &mut self.dlogits,
-            );
-            total_loss += loss;
-            self.model
-                .backward_into(&self.dlogits, &mut self.dinput, &mut self.ws);
-            self.model.grads_flat_into(&mut self.hook_grads);
-            view.zero_outside(&mut self.hook_grads);
-            self.model.params_flat_into(&mut self.hook_params);
-            if let Some(h) = hook.as_mut() {
-                h(&mut self.hook_grads, &self.hook_params, &anchor);
-                // Re-mask: a hook term (e.g. FedProx's pull toward the
-                // anchor) must not thaw frozen coordinates.
-                view.zero_outside(&mut self.hook_grads);
-            }
-            self.optimizer.step(&mut self.hook_params, &self.hook_grads);
-            self.model.set_params_flat(&self.hook_params);
+        self.model.params_flat_into(&mut self.params);
+        view.scatter(view_values, &mut self.params);
+        self.model.set_params_flat(&self.params);
+        // The round anchor is the replica right after synchronisation, like
+        // full-width rounds; taken out of `self` for the loop to borrow.
+        let mut anchor = std::mem::take(&mut self.anchor);
+        if hook.is_some() {
+            anchor.clone_from(&self.params);
         }
-        self.model.params_flat_into(&mut self.hook_params);
-        let mut delta = view.extract(&self.hook_params);
+        let round = self.local_sgd(steps, Some(view), hook.map(|h| (h, &anchor[..])));
+        self.anchor = anchor;
+        let mut delta = view.extract(&self.params);
         for (d, v) in delta.iter_mut().zip(view_values) {
             *d -= v;
         }
-        LocalOutcome {
-            delta,
-            mean_loss: total_loss / steps as f32,
-            num_samples: self.data.len(),
-            steps,
-        }
+        LocalOutcome { delta, ..round }
     }
 
     /// Evaluates the local replica on a dataset, returning `(accuracy,
@@ -375,21 +371,9 @@ impl FlClient {
     /// gradient lands in the client's gradient scratch and `f` borrows it —
     /// the form for callers that reduce the probe to a score on the spot.
     pub fn probe_gradient_with<R>(&mut self, f: impl FnOnce(&[f32]) -> R) -> R {
-        self.loader
-            .next_batch_into(&self.data, &mut self.batch_x, &mut self.batch_labels);
+        let _ = self.batch_gradient();
         self.model.zero_grads();
-        self.model
-            .forward_into(&self.batch_x, &mut self.logits, true, &mut self.ws);
-        let _ = CrossEntropyLoss.loss_and_grad_into(
-            &self.logits,
-            &self.batch_labels,
-            &mut self.dlogits,
-        );
-        self.model
-            .backward_into(&self.dlogits, &mut self.dinput, &mut self.ws);
-        self.model.grads_flat_into(&mut self.hook_grads);
-        self.model.zero_grads();
-        f(&self.hook_grads)
+        f(&self.grads)
     }
 }
 
@@ -792,13 +776,41 @@ mod tests {
 
     #[test]
     fn full_view_training_is_bitwise_train_local() {
-        let mut a = mlp_client();
-        let mut b = mlp_client();
-        let global = a.model().params_flat();
-        let view = adafl_nn::SubView::full(&b.model().segment_map());
-        let out_a = a.train_local(&global, 3, None);
-        let out_b = b.train_local_view(&view, &global, 3, None);
-        assert_eq!(out_a, out_b, "full view must be the trivial case");
+        // A full view is the trivial case, and a hook that edits nothing is
+        // no hook: all four ways into the one loop are one float sequence.
+        let rows = ["hook-free", "no-op hook", "full view", "full view + hook"];
+        let shard = SyntheticSpec::mnist_like(16, 60).generate(1);
+        for spec in eval_specs() {
+            let mut clients: Vec<FlClient> = rows
+                .iter()
+                .map(|_| FlClient::new(0, spec.build(0), shard.clone(), 0.05, 0.9, 16, 3))
+                .collect();
+            let view = SubView::full(&clients[0].model().segment_map());
+            let mut global = clients[0].model().params_flat();
+            for round in 0..3 {
+                let mut outs = Vec::new();
+                for (row, client) in clients.iter_mut().enumerate() {
+                    let mut noop = |_: &mut [f32], _: &[f32], _: &[f32]| {};
+                    let hook: Option<GradientHook<'_>> =
+                        if row % 2 == 1 { Some(&mut noop) } else { None };
+                    outs.push(if row < 2 {
+                        client.train_local(&global, 5, hook)
+                    } else {
+                        client.train_local_view(&view, &global, 5, hook)
+                    });
+                }
+                let bits = |o: &LocalOutcome| {
+                    let delta: Vec<u32> = o.delta.iter().map(|d| d.to_bits()).collect();
+                    (delta, o.mean_loss.to_bits())
+                };
+                for (name, out) in rows.iter().zip(&outs).skip(1) {
+                    assert_eq!(bits(out), bits(&outs[0]), "{spec:?}, round {round}, {name}");
+                }
+                for (g, d) in global.iter_mut().zip(&outs[0].delta) {
+                    *g += d;
+                }
+            }
+        }
     }
 
     #[test]

@@ -71,8 +71,9 @@ impl FlConfig {
         FlConfigBuilder::default()
     }
 
-    /// Number of clients sampled each round: `⌈participation · clients⌉`,
-    /// at least 1.
+    /// Number of clients sampled each round: `participation · clients`
+    /// rounded to the nearest integer (not up: 0.24 of 10 is 2), clamped to
+    /// `[1, clients]`. Every golden trace pins the rounding.
     pub fn participants_per_round(&self) -> usize {
         ((self.participation * self.clients as f64).round() as usize).clamp(1, self.clients)
     }
@@ -282,6 +283,13 @@ mod tests {
             .model(spec())
             .build();
         assert_eq!(cfg.participants_per_round(), 2);
+        // Nearest, not ceiling: 2.4 selects 2 where ⌈2.4⌉ would select 3.
+        let nearest = FlConfig::builder()
+            .clients(10)
+            .participation(0.24)
+            .model(spec())
+            .build();
+        assert_eq!(nearest.participants_per_round(), 2);
         let tiny = FlConfig::builder()
             .clients(10)
             .participation(0.01)

@@ -17,7 +17,9 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
-/// Uniform random-fraction selection: shuffle, keep `⌈r_p·N⌉`, sort.
+/// Uniform random-fraction selection: shuffle, keep
+/// [`FlConfig::participants_per_round`](crate::FlConfig::participants_per_round)
+/// (`r_p·N` to the nearest integer), sort.
 #[derive(Debug)]
 pub struct RandomSelection {
     rng: StdRng,

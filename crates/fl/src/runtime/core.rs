@@ -77,10 +77,8 @@ impl ServerCore {
                 compute.scale_client(c, slow);
             }
         }
-        let mut global_model = config.model.build(config.seed_for("model"));
+        let global_model = config.model.build(config.seed_for("model"));
         let global = global_model.params_flat();
-        // Re-evaluate to ensure consistency between server copy and fleet.
-        global_model.set_params_flat(&global);
         ServerCore {
             io: RoundIo::assemble(network, &config, retry, recorder.as_ref()),
             global_gradient: vec![0.0; global.len()],

@@ -26,7 +26,9 @@ use crate::config::FlConfig;
 use crate::faults::{attack_payload, corrupt_payload, FaultKind};
 use crate::ledger::CommunicationLedger;
 use adafl_compression::DecodeError;
-use adafl_netsim::{FleetNetwork, ReliablePolicy, ReliableTransfer, SimTime, TransferReport};
+use adafl_netsim::{
+    FleetNetwork, ReliablePolicy, ReliableTransfer, SimTime, TransferDirection, TransferMedium,
+};
 use adafl_telemetry::SharedRecorder;
 
 /// Seconds a fire-and-forget sender waits before treating a datagram as
@@ -167,31 +169,58 @@ impl RoundIo {
         }
     }
 
-    /// The reliable-transport charging rule (see the module docs), the
-    /// same in both directions; `record_payload` is the direction counter.
-    fn charge_reliable(
+    /// The one send both directions go through: over the reliable transport
+    /// when one is configured, fire-and-forget otherwise, charged by the
+    /// module's rules — the payload on `direction`'s counter — and followed
+    /// by the mesh's relay charge.
+    fn send(
         &mut self,
-        record_payload: fn(&mut CommunicationLedger, usize, usize),
         client: usize,
         bytes: usize,
-        report: &TransferReport,
+        now: SimTime,
+        direction: TransferDirection,
+        charge_lost_send: bool,
     ) -> Delivery {
-        if report.delivered() {
-            record_payload(&mut self.ledger, client, bytes);
-            if report.wasted_bytes > 0 {
-                self.ledger
-                    .record_retransmission(client, report.wasted_bytes as usize);
+        let (delivery, charge_payload) = match &mut self.transport {
+            Some(t) => {
+                let report = t.transfer(&mut self.network, client, bytes, now, direction);
+                if report.delivered() {
+                    if report.wasted_bytes > 0 {
+                        self.ledger
+                            .record_retransmission(client, report.wasted_bytes as usize);
+                    }
+                    self.ledger
+                        .record_control(client, report.control_bytes as usize);
+                } else {
+                    self.ledger
+                        .record_retransmission(client, report.payload_bytes as usize);
+                }
+                let delivery = Delivery {
+                    arrival: report.arrival,
+                    sender_done: report.sender_done,
+                };
+                (delivery, report.delivered())
             }
-            self.ledger
-                .record_control(client, report.control_bytes as usize);
-        } else {
-            self.ledger
-                .record_retransmission(client, report.payload_bytes as usize);
+            None => {
+                let arrival = self
+                    .network
+                    .transfer(client, bytes, now, direction)
+                    .arrival();
+                let delivery = Delivery {
+                    arrival,
+                    sender_done: now + SimTime::from_seconds(RESYNC_DELAY_SECONDS),
+                };
+                (delivery, charge_lost_send || arrival.is_some())
+            }
+        };
+        if charge_payload {
+            match direction {
+                TransferDirection::Uplink => self.ledger.record_uplink(client, bytes),
+                TransferDirection::Downlink => self.ledger.record_downlink(client, bytes),
+            }
         }
-        Delivery {
-            arrival: report.arrival,
-            sender_done: report.sender_done,
-        }
+        self.charge_relays(client);
+        delivery
     }
 
     /// Server→client transfer. `charge_lost_send` selects the sync
@@ -205,24 +234,13 @@ impl RoundIo {
         now: SimTime,
         charge_lost_send: bool,
     ) -> Delivery {
-        let delivery = match &mut self.transport {
-            Some(t) => {
-                let report = t.downlink(&mut self.network, client, bytes, now);
-                self.charge_reliable(CommunicationLedger::record_downlink, client, bytes, &report)
-            }
-            None => {
-                let arrival = self.network.downlink_transfer(client, bytes, now).arrival();
-                if charge_lost_send || arrival.is_some() {
-                    self.ledger.record_downlink(client, bytes);
-                }
-                Delivery {
-                    arrival,
-                    sender_done: now + SimTime::from_seconds(RESYNC_DELAY_SECONDS),
-                }
-            }
-        };
-        self.charge_relays(client);
-        delivery
+        self.send(
+            client,
+            bytes,
+            now,
+            TransferDirection::Downlink,
+            charge_lost_send,
+        )
     }
 
     /// Client→server transfer of one update payload. The ledger charge is
@@ -239,24 +257,7 @@ impl RoundIo {
 
     /// Client→server transfer; fire-and-forget charges only on delivery.
     pub fn uplink(&mut self, client: usize, bytes: usize, now: SimTime) -> Delivery {
-        let delivery = match &mut self.transport {
-            Some(t) => {
-                let report = t.uplink(&mut self.network, client, bytes, now);
-                self.charge_reliable(CommunicationLedger::record_uplink, client, bytes, &report)
-            }
-            None => {
-                let arrival = self.network.uplink_transfer(client, bytes, now).arrival();
-                if arrival.is_some() {
-                    self.ledger.record_uplink(client, bytes);
-                }
-                Delivery {
-                    arrival,
-                    sender_done: now + SimTime::from_seconds(RESYNC_DELAY_SECONDS),
-                }
-            }
-        };
-        self.charge_relays(client);
-        delivery
+        self.send(client, bytes, now, TransferDirection::Uplink, false)
     }
 }
 

@@ -173,9 +173,10 @@ pub trait AggregationPolicy: fmt::Debug + Send + Sync {
     /// Called once before the first round.
     fn init(&mut self, _dim: usize, _clients: usize) {}
 
-    /// Whether local training installs the per-step gradient hook. The
-    /// hooked and hook-free training paths are numerically distinct, so
-    /// this is part of a flavour's pinned behaviour.
+    /// Whether local training installs the per-step gradient hook. Purely
+    /// a call skipped: a hook that edits nothing trains bit for bit like no
+    /// hook (`full_view_training_is_bitwise_train_local`), so `false` only
+    /// saves one virtual [`AggregationPolicy::gradient_hook`] call per step.
     fn uses_gradient_hook(&self) -> bool {
         false
     }

@@ -677,8 +677,8 @@ impl SyncRuntime {
             .map(|(p, client)| {
                 let view = r.views.as_ref().map(|v| &v[p.rank].0);
                 Box::new(move || {
-                    // The hooked and hook-free training paths are distinct
-                    // float paths; the aggregation policy pins the choice.
+                    // Hooked or not, training is one loop and one float
+                    // sequence; the flag only skips a no-op call per step.
                     let c = p.client;
                     let mut correct = |grad: &mut [f32], params: &[f32], g: &[f32]| {
                         aggregation.gradient_hook(c, grad, params, g);

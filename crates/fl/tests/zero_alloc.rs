@@ -6,7 +6,9 @@
 //! snapshots), but the *per-step* cost must be zero: a call running 11
 //! steps must allocate exactly as much as a call running 1 step. This
 //! pins the whole workspace architecture — batch loading, im2col, layer
-//! forward/backward, loss, and the optimizer step all reuse buffers.
+//! forward/backward, loss, and the optimizer step all reuse buffers. The
+//! sub-view entry and the utility probe share that one step, so their
+//! counts are pinned against it here too.
 //!
 //! Kept as a single `#[test]` so no concurrent test thread perturbs the
 //! counter.
@@ -18,6 +20,7 @@ use adafl_data::partition::Partitioner;
 use adafl_data::synthetic::SyntheticSpec;
 use adafl_fl::FlClient;
 use adafl_nn::models::ModelSpec;
+use adafl_nn::SubView;
 
 struct CountingAllocator;
 
@@ -106,4 +109,27 @@ fn steady_state_training_steps_allocate_nothing() {
          1-step call made {hooked_one_step} allocations, \
          11-step call made {hooked_eleven_steps}"
     );
+
+    // The sub-view entry rides the same loop: no per-step allocation, and
+    // per call exactly what `train_local` pays (the returned delta) — the
+    // hook's round anchor is copied into scratch the client keeps.
+    let view = SubView::full(&client.model().segment_map());
+    client.train_local_view(&view, &global, 12, Some(&mut hook));
+    let (view_one_step, _) =
+        allocations_during(|| client.train_local_view(&view, &global, 1, None));
+    let (view_eleven_steps, _) =
+        allocations_during(|| client.train_local_view(&view, &global, 11, None));
+    let (hooked_view, _) =
+        allocations_during(|| client.train_local_view(&view, &global, 1, Some(&mut hook)));
+    assert_eq!(
+        view_eleven_steps, view_one_step,
+        "per-step allocations crept into the sub-view path"
+    );
+    assert_eq!(
+        (view_one_step, hooked_view),
+        (allocs_one_step, allocs_one_step),
+        "a sub-view call must allocate as often as a full-width call, hooked or not"
+    );
+    let (probe, _) = allocations_during(|| client.probe_gradient_with(|grad| grad.len()));
+    assert_eq!(probe, 0, "a borrowed probe must not allocate");
 }

@@ -1,6 +1,6 @@
 //! [`MeshNetwork`]: the multi-hop counterpart of [`ClientNetwork`].
 //!
-//! It exposes the exact same uplink/downlink transfer surface, so the FL
+//! It exposes the exact same `transfer(direction)` surface, so the FL
 //! engines run unchanged over either flavor; underneath, every transfer is
 //! routed across the live [`Topology`] by a pluggable [`RoutePlanner`],
 //! store-and-forward per-hop delays are summed, per-hop losses applied,
@@ -9,9 +9,9 @@
 //!
 //! [`ClientNetwork`]: crate::ClientNetwork
 
-use super::route::{RoutePlanner, TransferDirection};
+use super::route::RoutePlanner;
 use super::topology::{NodeRole, Topology};
-use crate::{LinkSpec, SimTime, TransferOutcome};
+use crate::{LinkSpec, SimTime, TransferDirection, TransferMedium, TransferOutcome};
 use adafl_telemetry::{names, EventRecord, SharedRecorder, SpanRecord};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -213,7 +213,15 @@ impl MeshNetwork {
         });
         Some(links)
     }
+}
 
+impl TransferMedium for MeshNetwork {
+    /// Walks the payload across the mesh by the per-transfer semantics
+    /// documented on [`MeshNetwork`].
+    ///
+    /// # Panics
+    ///
+    /// Panics when `client` is out of bounds.
     fn transfer(
         &mut self,
         client: usize,
@@ -249,46 +257,18 @@ impl MeshNetwork {
                 self.record_drop(client, bytes, t, direction, hop);
                 return TransferOutcome::Dropped;
             }
-            let spec = self.topo.link(link).spec();
-            t += match direction {
-                TransferDirection::Uplink => spec.uplink_time(bytes),
-                TransferDirection::Downlink => spec.downlink_time(bytes),
-            };
+            t += self.topo.link(link).spec().transfer_time(bytes, direction);
         }
         self.record_transfer(client, bytes, now, t, route.len(), direction);
         TransferOutcome::Delivered { arrival: t }
     }
 
-    /// Simulates sending `bytes` from `client` to the server starting at
-    /// `now`, hopping across the mesh.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `client` is out of bounds.
-    pub fn uplink_transfer(
-        &mut self,
-        client: usize,
-        bytes: usize,
-        now: SimTime,
-    ) -> TransferOutcome {
-        self.transfer(client, bytes, now, TransferDirection::Uplink)
+    fn link_at(&self, client: usize, now: SimTime) -> LinkSpec {
+        MeshNetwork::link_at(self, client, now)
     }
+}
 
-    /// Simulates sending `bytes` from the server to `client` starting at
-    /// `now`, hopping across the mesh.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `client` is out of bounds.
-    pub fn downlink_transfer(
-        &mut self,
-        client: usize,
-        bytes: usize,
-        now: SimTime,
-    ) -> TransferOutcome {
-        self.transfer(client, bytes, now, TransferDirection::Downlink)
-    }
-
+impl MeshNetwork {
     /// The *effective* end-to-end link of `client` as the star surface
     /// would present it: path latencies summed, bandwidths combined
     /// harmonically (so `uplink_time` equals the store-and-forward sum),
@@ -348,27 +328,12 @@ impl MeshNetwork {
         let mut inv_bw = 0.0;
         let mut deliver = 1.0;
         for &link in route {
-            let spec = self.topo.link(link).spec();
-            match direction {
-                TransferDirection::Uplink => {
-                    latency += spec.uplink_latency();
-                    inv_bw += spec.uplink_bandwidth().recip();
-                }
-                TransferDirection::Downlink => {
-                    latency += spec.downlink_latency();
-                    inv_bw += spec.downlink_bandwidth().recip();
-                }
-            }
+            let (hop_bw, hop_latency) = self.topo.link(link).spec().side(direction);
+            latency += hop_latency;
+            inv_bw += hop_bw.recip();
             deliver *= 1.0 - self.topo.link_loss_estimate(link);
         }
         (latency, inv_bw, (1.0 - deliver).clamp(0.0, 1.0))
-    }
-
-    fn direction_name(direction: TransferDirection) -> &'static str {
-        match direction {
-            TransferDirection::Uplink => "uplink",
-            TransferDirection::Downlink => "downlink",
-        }
     }
 
     fn record_reroute(
@@ -386,7 +351,7 @@ impl MeshNetwork {
             EventRecord::new(names::EVENT_MESH_REROUTE, now.seconds())
                 .client(client)
                 .field("hops", links.len())
-                .field("direction", Self::direction_name(direction)),
+                .field("direction", direction.name()),
         );
     }
 
@@ -405,7 +370,7 @@ impl MeshNetwork {
             EventRecord::new(names::EVENT_MESH_PARTITION, now.seconds())
                 .client(client)
                 .field("bytes", bytes)
-                .field("direction", Self::direction_name(direction)),
+                .field("direction", direction.name()),
         );
     }
 
@@ -435,7 +400,7 @@ impl MeshNetwork {
             EventRecord::new(names::EVENT_TRANSFER_DROP, now.seconds())
                 .client(client)
                 .field("bytes", bytes)
-                .field("direction", Self::direction_name(direction))
+                .field("direction", direction.name())
                 .field("hop", hop),
         );
     }
@@ -452,10 +417,7 @@ impl MeshNetwork {
         if !self.recorder.enabled() {
             return;
         }
-        let (span_kind, histogram) = match direction {
-            TransferDirection::Uplink => (names::SPAN_UPLINK, names::NET_UPLINK_SECONDS),
-            TransferDirection::Downlink => (names::SPAN_DOWNLINK, names::NET_DOWNLINK_SECONDS),
-        };
+        let (span_kind, histogram) = direction.telemetry();
         let (start, end) = (start.seconds(), arrival.seconds());
         self.recorder.histogram_record(histogram, end - start);
         self.recorder
@@ -474,6 +436,7 @@ mod tests {
     use super::*;
     use crate::graph::{CostAwareDijkstra, EnergyBudget, StaticShortestPath};
     use crate::LinkProfile;
+    use crate::TransferDirection::{Downlink, Uplink};
     use adafl_telemetry::InMemoryRecorder;
 
     /// client(2) — relay(1) — server(0) chain with a spare relay(3):
@@ -501,7 +464,7 @@ mod tests {
     #[test]
     fn delivery_sums_per_hop_delays() {
         let mut net = two_path_layout().into_network(Box::new(CostAwareDijkstra::default()), 0);
-        let out = net.uplink_transfer(0, 1000, SimTime::ZERO);
+        let out = net.transfer(0, 1000, SimTime::ZERO, Uplink);
         // Two fast hops: (0.1 + 1.0) * 2.
         assert!((out.arrival().unwrap().seconds() - 2.2).abs() < 1e-9);
         // link_at agrees with the store-and-forward sum.
@@ -523,8 +486,8 @@ mod tests {
             let rec = InMemoryRecorder::shared();
             let mut net = layout.into_network(planner, 0);
             net.set_recorder(rec.clone());
-            assert!(net.uplink_transfer(0, 100, SimTime::ZERO).is_delivered());
-            let after = net.uplink_transfer(0, 100, fail + SimTime::from_seconds(1.0));
+            assert!(net.transfer(0, 100, SimTime::ZERO, Uplink).is_delivered());
+            let after = net.transfer(0, 100, fail + SimTime::from_seconds(1.0), Uplink);
             assert_eq!(after.is_delivered(), expect_delivered);
             let trace = rec.snapshot();
             let count = |n: &str| trace.counters.get(n).copied().unwrap_or(0);
@@ -552,9 +515,9 @@ mod tests {
         let rec = InMemoryRecorder::shared();
         let mut net = layout.into_network(Box::new(CostAwareDijkstra::default()), 0);
         net.set_recorder(rec.clone());
-        net.uplink_transfer(0, 100, SimTime::ZERO); // plans fast path
-        net.uplink_transfer(0, 100, SimTime::from_seconds(1.5)); // reroute to slow
-        let out = net.uplink_transfer(0, 100, SimTime::from_seconds(3.0)); // back to fast
+        net.transfer(0, 100, SimTime::ZERO, Uplink); // plans fast path
+        net.transfer(0, 100, SimTime::from_seconds(1.5), Uplink); // reroute to slow
+        let out = net.transfer(0, 100, SimTime::from_seconds(3.0), Uplink); // back to fast
         assert!(out.is_delivered());
         // Two fast hops again: 3.0 + (0.1 + 0.1) * 2.
         assert!((out.arrival().unwrap().seconds() - 3.4).abs() < 1e-9);
@@ -569,7 +532,7 @@ mod tests {
         let rec = InMemoryRecorder::shared();
         let mut net = layout.into_network(Box::new(CostAwareDijkstra::default()), 0);
         net.set_recorder(rec.clone());
-        assert!(!net.uplink_transfer(0, 100, SimTime::ZERO).is_delivered());
+        assert!(!net.transfer(0, 100, SimTime::ZERO, Uplink).is_delivered());
         assert_eq!(rec.snapshot().counters[names::MESH_PARTITIONS], 1);
         // The effective link reflects the partition for selection probes.
         assert_eq!(net.link_at(0, SimTime::ZERO).drop_prob(), 1.0);
@@ -578,11 +541,11 @@ mod tests {
     #[test]
     fn relay_bytes_charge_every_extra_hop() {
         let mut net = two_path_layout().into_network(Box::new(CostAwareDijkstra::default()), 0);
-        net.uplink_transfer(0, 1000, SimTime::ZERO); // 2 hops: 1 relay hop
+        net.transfer(0, 1000, SimTime::ZERO, Uplink); // 2 hops: 1 relay hop
         assert_eq!(net.take_relay_bytes(), 1000);
         assert_eq!(net.take_relay_bytes(), 0, "take drains the accumulator");
-        net.downlink_transfer(0, 500, SimTime::ZERO);
-        net.uplink_transfer(0, 200, SimTime::ZERO);
+        net.transfer(0, 500, SimTime::ZERO, Downlink);
+        net.transfer(0, 200, SimTime::ZERO, Uplink);
         assert_eq!(net.take_relay_bytes(), 700);
     }
 
@@ -609,7 +572,7 @@ mod tests {
         let mut net = layout.into_network(Box::new(CostAwareDijkstra::default()), 0);
         net.set_recorder(rec.clone());
         for i in 0..4 {
-            let out = net.uplink_transfer(0, 100, SimTime::from_seconds(i as f64 * 10.0));
+            let out = net.transfer(0, 100, SimTime::from_seconds(i as f64 * 10.0), Uplink);
             assert!(out.is_delivered(), "transfer {i} lost");
         }
         let trace = rec.snapshot();
@@ -644,7 +607,7 @@ mod tests {
             };
             let mut net = layout.into_network(Box::new(CostAwareDijkstra::default()), seed);
             (0..60)
-                .map(|_| net.uplink_transfer(0, 10, SimTime::ZERO).is_delivered())
+                .map(|_| net.transfer(0, 10, SimTime::ZERO, Uplink).is_delivered())
                 .collect::<Vec<_>>()
         };
         assert_eq!(run(5), run(5));
@@ -660,7 +623,7 @@ mod tests {
             .topology
             .set_link_burst(0, crate::GilbertElliott::new(1.0, 0.0, 0.0, 1.0, 0));
         let mut net = layout.into_network(Box::new(CostAwareDijkstra::default()), 0);
-        let out = net.uplink_transfer(0, 100, SimTime::ZERO);
+        let out = net.transfer(0, 100, SimTime::ZERO, Uplink);
         assert!(out.is_delivered(), "planner should route around the burst");
         // Two slow hops: (0.2 + 0.2) * 2.
         assert!((out.arrival().unwrap().seconds() - 0.8).abs() < 1e-9);
@@ -679,7 +642,7 @@ mod tests {
                     if probe {
                         let _ = net.link_at(0, SimTime::from_seconds(i as f64));
                     }
-                    net.uplink_transfer(0, 10, SimTime::from_seconds(i as f64))
+                    net.transfer(0, 10, SimTime::from_seconds(i as f64), Uplink)
                         .arrival()
                 })
                 .collect::<Vec<_>>()

@@ -15,14 +15,15 @@
 //!   the naive baseline (hop-count BFS, planned once, fails hard);
 //!   [`CostAwareDijkstra`] re-plans on the live graph with
 //!   latency + bandwidth + loss edge costs.
-//! * [`MeshNetwork`] — presents the same uplink/downlink transfer
-//!   surface as [`ClientNetwork`] over a routed topology, so the FL
-//!   engines run either flavor unchanged.
+//! * [`MeshNetwork`] — presents the same `transfer(direction)` surface
+//!   as [`ClientNetwork`] over a routed topology, so the FL engines run
+//!   either flavor unchanged.
 //! * [`FleetNetwork`] — the enum the engines actually hold. Its `Star`
 //!   arm delegates to the untouched [`ClientNetwork`] code path, which
 //!   is what keeps star-topology runs byte-for-byte identical.
 //! * [`TransferMedium`] — the shared transfer surface, implemented by
-//!   all three, over which the reliable transport is generic.
+//!   all three, each beside its type, over which the reliable transport
+//!   is generic.
 //!
 //! [`ClientNetwork`]: crate::ClientNetwork
 
@@ -31,10 +32,10 @@ mod route;
 mod topology;
 
 pub use mesh::{MeshLayout, MeshNetwork};
-pub use route::{CostAwareDijkstra, RoutePlanner, StaticShortestPath, TransferDirection};
+pub use route::{CostAwareDijkstra, RoutePlanner, StaticShortestPath};
 pub use topology::{EnergyBudget, MeshLink, NodeRole, Topology};
 
-use crate::{ClientNetwork, LinkSpec, SimTime, TransferOutcome};
+use crate::{ClientNetwork, LinkSpec, SimTime, TransferDirection, TransferOutcome};
 use adafl_telemetry::SharedRecorder;
 
 /// The transfer surface shared by the star and mesh networks: simulate a
@@ -47,42 +48,18 @@ use adafl_telemetry::SharedRecorder;
 ///
 /// [`ReliableTransfer`]: crate::ReliableTransfer
 pub trait TransferMedium {
-    /// Simulates sending `bytes` from `client` to the server at `now`.
-    fn uplink_transfer(&mut self, client: usize, bytes: usize, now: SimTime) -> TransferOutcome;
-
-    /// Simulates sending `bytes` from the server to `client` at `now`.
-    fn downlink_transfer(&mut self, client: usize, bytes: usize, now: SimTime) -> TransferOutcome;
+    /// Simulates moving `bytes` between `client` and the server in
+    /// `direction`, starting at `now`.
+    fn transfer(
+        &mut self,
+        client: usize,
+        bytes: usize,
+        now: SimTime,
+        direction: TransferDirection,
+    ) -> TransferOutcome;
 
     /// Effective end-to-end link conditions of `client` at `now`.
     fn link_at(&self, client: usize, now: SimTime) -> LinkSpec;
-}
-
-impl TransferMedium for ClientNetwork {
-    fn uplink_transfer(&mut self, client: usize, bytes: usize, now: SimTime) -> TransferOutcome {
-        ClientNetwork::uplink_transfer(self, client, bytes, now)
-    }
-
-    fn downlink_transfer(&mut self, client: usize, bytes: usize, now: SimTime) -> TransferOutcome {
-        ClientNetwork::downlink_transfer(self, client, bytes, now)
-    }
-
-    fn link_at(&self, client: usize, now: SimTime) -> LinkSpec {
-        ClientNetwork::link_at(self, client, now)
-    }
-}
-
-impl TransferMedium for MeshNetwork {
-    fn uplink_transfer(&mut self, client: usize, bytes: usize, now: SimTime) -> TransferOutcome {
-        MeshNetwork::uplink_transfer(self, client, bytes, now)
-    }
-
-    fn downlink_transfer(&mut self, client: usize, bytes: usize, now: SimTime) -> TransferOutcome {
-        MeshNetwork::downlink_transfer(self, client, bytes, now)
-    }
-
-    fn link_at(&self, client: usize, now: SimTime) -> LinkSpec {
-        MeshNetwork::link_at(self, client, now)
-    }
 }
 
 /// Either network flavor behind one type, so the round runtime holds a
@@ -160,32 +137,6 @@ impl FleetNetwork {
         }
     }
 
-    /// Simulates sending `bytes` from `client` to the server at `now`.
-    pub fn uplink_transfer(
-        &mut self,
-        client: usize,
-        bytes: usize,
-        now: SimTime,
-    ) -> TransferOutcome {
-        match self {
-            FleetNetwork::Star(net) => net.uplink_transfer(client, bytes, now),
-            FleetNetwork::Mesh(net) => net.uplink_transfer(client, bytes, now),
-        }
-    }
-
-    /// Simulates sending `bytes` from the server to `client` at `now`.
-    pub fn downlink_transfer(
-        &mut self,
-        client: usize,
-        bytes: usize,
-        now: SimTime,
-    ) -> TransferOutcome {
-        match self {
-            FleetNetwork::Star(net) => net.downlink_transfer(client, bytes, now),
-            FleetNetwork::Mesh(net) => net.downlink_transfer(client, bytes, now),
-        }
-    }
-
     /// Effective end-to-end link conditions of `client` at `now` — the
     /// direct link for a star, the routed path's combined spec for a mesh.
     pub fn link_at(&self, client: usize, now: SimTime) -> LinkSpec {
@@ -197,15 +148,96 @@ impl FleetNetwork {
 }
 
 impl TransferMedium for FleetNetwork {
-    fn uplink_transfer(&mut self, client: usize, bytes: usize, now: SimTime) -> TransferOutcome {
-        FleetNetwork::uplink_transfer(self, client, bytes, now)
-    }
-
-    fn downlink_transfer(&mut self, client: usize, bytes: usize, now: SimTime) -> TransferOutcome {
-        FleetNetwork::downlink_transfer(self, client, bytes, now)
+    fn transfer(
+        &mut self,
+        client: usize,
+        bytes: usize,
+        now: SimTime,
+        direction: TransferDirection,
+    ) -> TransferOutcome {
+        match self {
+            FleetNetwork::Star(net) => net.transfer(client, bytes, now, direction),
+            FleetNetwork::Mesh(net) => net.transfer(client, bytes, now, direction),
+        }
     }
 
     fn link_at(&self, client: usize, now: SimTime) -> LinkSpec {
         FleetNetwork::link_at(self, client, now)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::LinkTrace;
+    use adafl_telemetry::{names, InMemoryRecorder};
+
+    #[test]
+    fn every_medium_moves_a_payload_in_link_time_under_the_directions_names() {
+        // Loss-free links whose numbers are exact in binary, so a two-hop
+        // store-and-forward sum equals the combined spec's time bit for bit.
+        let spec = LinkSpec::new(1024.0, 2048.0, 0.125, 0.25, 0.0);
+        let star = |rec: SharedRecorder| {
+            let mut net = ClientNetwork::new(vec![LinkTrace::constant(spec)], 0);
+            net.set_recorder(rec);
+            net
+        };
+        // client — relay — server.
+        let mesh = |rec: SharedRecorder| {
+            let mut topology = Topology::new();
+            let server = topology.add_node(NodeRole::Server);
+            let relay = topology.add_node(NodeRole::Relay);
+            let client = topology.add_node(NodeRole::Client);
+            topology.add_duplex_link(client, relay, spec);
+            topology.add_duplex_link(relay, server, spec);
+            let layout = MeshLayout {
+                topology,
+                clients: vec![client],
+                server,
+            };
+            let mut net = layout.into_network(Box::new(StaticShortestPath), 0);
+            net.set_recorder(rec);
+            net
+        };
+        type Build<'a> = &'a dyn Fn(SharedRecorder) -> Box<dyn TransferMedium>;
+        let media: [(&str, Build<'_>); 4] = [
+            ("star", &|rec| Box::new(star(rec))),
+            ("mesh", &|rec| Box::new(mesh(rec))),
+            ("fleet star", &|rec| Box::new(FleetNetwork::from(star(rec)))),
+            ("fleet mesh", &|rec| Box::new(FleetNetwork::from(mesh(rec)))),
+        ];
+        let directions = [
+            (
+                TransferDirection::Uplink,
+                names::SPAN_UPLINK,
+                names::NET_UPLINK_SECONDS,
+            ),
+            (
+                TransferDirection::Downlink,
+                names::SPAN_DOWNLINK,
+                names::NET_DOWNLINK_SECONDS,
+            ),
+        ];
+        let (now, bytes) = (SimTime::from_seconds(4.0), 2048);
+        for (direction, span_kind, histogram) in directions {
+            for (name, build) in media {
+                let case = format!("{name}, {direction:?}");
+                let rec = InMemoryRecorder::shared();
+                let mut net = build(rec.clone());
+                let link_time = net.link_at(0, now).transfer_time(bytes, direction);
+                let outcome = net.transfer(0, bytes, now, direction);
+                assert_eq!(outcome.arrival(), Some(now + link_time), "{case}");
+                let trace = rec.snapshot();
+                assert_eq!(trace.spans.len(), 1, "{case}");
+                assert_eq!(trace.spans_of(span_kind).count(), 1, "{case}");
+                let timed: Vec<&str> = trace
+                    .histograms
+                    .keys()
+                    .map(String::as_str)
+                    .filter(|h| *h != names::MESH_PATH_HOPS)
+                    .collect();
+                assert_eq!(timed, [histogram], "{case}");
+            }
+        }
     }
 }

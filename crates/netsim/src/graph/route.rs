@@ -16,19 +16,9 @@
 //! independent per-hop delivery probabilities multiply.
 
 use super::Topology;
+use crate::TransferDirection;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-
-/// Which way a payload moves through the mesh: hops toward the server use
-/// each link's uplink bandwidth/latency, hops away from it the downlink
-/// fields.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum TransferDirection {
-    /// Client → server.
-    Uplink,
-    /// Server → client.
-    Downlink,
-}
 
 /// Strategy for picking a path of link ids from `src` to `dst`.
 ///
@@ -158,11 +148,10 @@ impl CostAwareDijkstra {
         if loss >= 1.0 {
             return None;
         }
-        let spec = topo.link(link).spec();
-        let time = match direction {
-            TransferDirection::Uplink => spec.uplink_time(self.ref_bytes),
-            TransferDirection::Downlink => spec.downlink_time(self.ref_bytes),
-        };
+        let time = topo
+            .link(link)
+            .spec()
+            .transfer_time(self.ref_bytes, direction);
         Some(time.seconds() - self.loss_weight * (1.0 - loss).ln())
     }
 }

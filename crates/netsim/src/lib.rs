@@ -4,8 +4,8 @@
 //! The FL engines in `adafl-fl` consume three abstractions from this crate:
 //!
 //! * [`LinkSpec`] — a client's instantaneous uplink/downlink bandwidth,
-//!   latency and loss probability, with [`LinkSpec::uplink_time`] /
-//!   [`LinkSpec::downlink_time`] computing transfer delays for a payload.
+//!   latency and loss probability, with [`LinkSpec::transfer_time`]
+//!   computing a payload's delay in a [`TransferDirection`].
 //! * [`LinkTrace`] — time-varying link conditions (constant, periodic
 //!   degradation, seeded random walk), because the paper's core argument is
 //!   that *static* strategies fail under *dynamic* networks.
@@ -45,9 +45,9 @@ pub use event::EventQueue;
 pub use gilbert::{ChannelState, GilbertElliott};
 pub use graph::{
     CostAwareDijkstra, EnergyBudget, FleetNetwork, MeshLayout, MeshNetwork, NodeRole, RoutePlanner,
-    StaticShortestPath, Topology, TransferDirection, TransferMedium,
+    StaticShortestPath, Topology, TransferMedium,
 };
-pub use link::{LinkProfile, LinkSpec};
+pub use link::{LinkProfile, LinkSpec, TransferDirection};
 pub use network::{ClientNetwork, TransferOutcome};
 pub use reliable::{ReliablePolicy, ReliableTransfer, TransferReport};
 pub use time::SimTime;

@@ -1,6 +1,45 @@
 //! Link specifications and device-class presets.
 
 use crate::SimTime;
+use adafl_telemetry::names;
+
+/// Which way a payload moves between a client and the server: toward the
+/// server it uses each link's uplink bandwidth/latency, away from it the
+/// downlink fields.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum TransferDirection {
+    /// Client → server.
+    Uplink,
+    /// Server → client.
+    Downlink,
+}
+
+impl TransferDirection {
+    /// The opposite direction — the one a transfer's ACK rides.
+    pub fn reverse(self) -> Self {
+        match self {
+            TransferDirection::Uplink => TransferDirection::Downlink,
+            TransferDirection::Downlink => TransferDirection::Uplink,
+        }
+    }
+
+    /// Lowercase name, as telemetry events spell their `direction` field.
+    pub fn name(self) -> &'static str {
+        match self {
+            TransferDirection::Uplink => "uplink",
+            TransferDirection::Downlink => "downlink",
+        }
+    }
+
+    /// Span kind and duration histogram a delivered transfer is recorded
+    /// under.
+    pub(crate) fn telemetry(self) -> (&'static str, &'static str) {
+        match self {
+            TransferDirection::Uplink => (names::SPAN_UPLINK, names::NET_UPLINK_SECONDS),
+            TransferDirection::Downlink => (names::SPAN_DOWNLINK, names::NET_DOWNLINK_SECONDS),
+        }
+    }
+}
 
 /// Instantaneous network conditions of one client's connection.
 ///
@@ -73,14 +112,29 @@ impl LinkSpec {
         self.drop_prob
     }
 
-    /// Time to push `bytes` up to the server: latency + serialisation.
+    /// Bandwidth (bytes/second) and one-way latency (seconds) of the side
+    /// of the link a transfer in `direction` uses.
+    pub(crate) fn side(&self, direction: TransferDirection) -> (f64, f64) {
+        match direction {
+            TransferDirection::Uplink => (self.uplink_bw, self.uplink_latency),
+            TransferDirection::Downlink => (self.downlink_bw, self.downlink_latency),
+        }
+    }
+
+    /// Time to move `bytes` in `direction`: latency + serialisation.
+    pub fn transfer_time(&self, bytes: usize, direction: TransferDirection) -> SimTime {
+        let (bandwidth, latency) = self.side(direction);
+        SimTime::from_seconds(latency + bytes as f64 / bandwidth)
+    }
+
+    /// Time to push `bytes` up to the server.
     pub fn uplink_time(&self, bytes: usize) -> SimTime {
-        SimTime::from_seconds(self.uplink_latency + bytes as f64 / self.uplink_bw)
+        self.transfer_time(bytes, TransferDirection::Uplink)
     }
 
     /// Time to receive `bytes` from the server.
     pub fn downlink_time(&self, bytes: usize) -> SimTime {
-        SimTime::from_seconds(self.downlink_latency + bytes as f64 / self.downlink_bw)
+        self.transfer_time(bytes, TransferDirection::Downlink)
     }
 
     /// Returns a copy with bandwidths scaled by `factor` (used by traces to

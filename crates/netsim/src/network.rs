@@ -1,6 +1,6 @@
 //! Per-client network state and transfer simulation.
 
-use crate::{GilbertElliott, LinkSpec, LinkTrace, SimTime};
+use crate::{GilbertElliott, LinkSpec, LinkTrace, SimTime, TransferDirection, TransferMedium};
 use adafl_telemetry::{names, EventRecord, SharedRecorder, SpanRecord};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -38,11 +38,13 @@ impl TransferOutcome {
 /// # Examples
 ///
 /// ```
-/// use adafl_netsim::{ClientNetwork, LinkProfile, LinkTrace, SimTime};
+/// use adafl_netsim::{
+///     ClientNetwork, LinkProfile, LinkTrace, SimTime, TransferDirection, TransferMedium,
+/// };
 ///
 /// let traces = vec![LinkTrace::constant(LinkProfile::Broadband.spec()); 3];
 /// let mut net = ClientNetwork::new(traces, 42);
-/// let outcome = net.uplink_transfer(0, 1_000_000, SimTime::ZERO);
+/// let outcome = net.transfer(0, 1_000_000, SimTime::ZERO, TransferDirection::Uplink);
 /// assert!(outcome.is_delivered());
 /// ```
 #[derive(Debug, Clone)]
@@ -128,65 +130,7 @@ impl ClientNetwork {
         self.traces[client] = trace;
     }
 
-    /// Simulates sending `bytes` from `client` to the server starting at
-    /// `now`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `client` is out of bounds.
-    pub fn uplink_transfer(
-        &mut self,
-        client: usize,
-        bytes: usize,
-        now: SimTime,
-    ) -> TransferOutcome {
-        let link = self.traces[client].link_at(now);
-        if self.transfer_lost(client, &link) {
-            self.record_drop(client, bytes, now, "uplink");
-            return TransferOutcome::Dropped;
-        }
-        let arrival = now + link.uplink_time(bytes);
-        self.record_transfer(
-            names::SPAN_UPLINK,
-            names::NET_UPLINK_SECONDS,
-            client,
-            bytes,
-            now,
-            arrival,
-        );
-        TransferOutcome::Delivered { arrival }
-    }
-
-    /// Simulates sending `bytes` from the server to `client` starting at
-    /// `now`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `client` is out of bounds.
-    pub fn downlink_transfer(
-        &mut self,
-        client: usize,
-        bytes: usize,
-        now: SimTime,
-    ) -> TransferOutcome {
-        let link = self.traces[client].link_at(now);
-        if self.transfer_lost(client, &link) {
-            self.record_drop(client, bytes, now, "downlink");
-            return TransferOutcome::Dropped;
-        }
-        let arrival = now + link.downlink_time(bytes);
-        self.record_transfer(
-            names::SPAN_DOWNLINK,
-            names::NET_DOWNLINK_SECONDS,
-            client,
-            bytes,
-            now,
-            arrival,
-        );
-        TransferOutcome::Delivered { arrival }
-    }
-
-    fn record_drop(&self, client: usize, bytes: usize, now: SimTime, direction: &str) {
+    fn record_drop(&self, client: usize, bytes: usize, now: SimTime, direction: TransferDirection) {
         if !self.recorder.enabled() {
             return;
         }
@@ -195,22 +139,22 @@ impl ClientNetwork {
             EventRecord::new(names::EVENT_TRANSFER_DROP, now.seconds())
                 .client(client)
                 .field("bytes", bytes)
-                .field("direction", direction),
+                .field("direction", direction.name()),
         );
     }
 
     fn record_transfer(
         &self,
-        span_kind: &str,
-        histogram: &str,
         client: usize,
         bytes: usize,
         start: SimTime,
         arrival: SimTime,
+        direction: TransferDirection,
     ) {
         if !self.recorder.enabled() {
             return;
         }
+        let (span_kind, histogram) = direction.telemetry();
         let (start, end) = (start.seconds(), arrival.seconds());
         self.recorder.histogram_record(histogram, end - start);
         self.recorder.span(
@@ -221,10 +165,40 @@ impl ClientNetwork {
     }
 }
 
+impl TransferMedium for ClientNetwork {
+    /// One loss decision on the link as it stands at `now`, then latency +
+    /// serialisation for the direction.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `client` is out of bounds.
+    fn transfer(
+        &mut self,
+        client: usize,
+        bytes: usize,
+        now: SimTime,
+        direction: TransferDirection,
+    ) -> TransferOutcome {
+        let link = self.traces[client].link_at(now);
+        if self.transfer_lost(client, &link) {
+            self.record_drop(client, bytes, now, direction);
+            return TransferOutcome::Dropped;
+        }
+        let arrival = now + link.transfer_time(bytes, direction);
+        self.record_transfer(client, bytes, now, arrival, direction);
+        TransferOutcome::Delivered { arrival }
+    }
+
+    fn link_at(&self, client: usize, now: SimTime) -> LinkSpec {
+        ClientNetwork::link_at(self, client, now)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::LinkProfile;
+    use crate::TransferDirection::{Downlink, Uplink};
 
     fn perfect_network(n: usize) -> ClientNetwork {
         let spec = LinkSpec::new(1000.0, 2000.0, 0.1, 0.2, 0.0);
@@ -235,16 +209,16 @@ mod tests {
     fn lossless_link_always_delivers() {
         let mut net = perfect_network(2);
         for _ in 0..100 {
-            assert!(net.uplink_transfer(0, 100, SimTime::ZERO).is_delivered());
+            assert!(net.transfer(0, 100, SimTime::ZERO, Uplink).is_delivered());
         }
     }
 
     #[test]
     fn delivery_time_matches_link_math() {
         let mut net = perfect_network(1);
-        let out = net.uplink_transfer(0, 1000, SimTime::from_seconds(5.0));
+        let out = net.transfer(0, 1000, SimTime::from_seconds(5.0), Uplink);
         assert!((out.arrival().unwrap().seconds() - 6.1).abs() < 1e-9);
-        let down = net.downlink_transfer(0, 2000, SimTime::ZERO);
+        let down = net.transfer(0, 2000, SimTime::ZERO, Downlink);
         assert!((down.arrival().unwrap().seconds() - 1.2).abs() < 1e-9);
     }
 
@@ -253,7 +227,7 @@ mod tests {
         let spec = LinkProfile::Broadband.spec().with_drop_prob(1.0);
         let mut net = ClientNetwork::new(vec![LinkTrace::constant(spec)], 0);
         for _ in 0..20 {
-            let out = net.uplink_transfer(0, 10, SimTime::ZERO);
+            let out = net.transfer(0, 10, SimTime::ZERO, Uplink);
             assert_eq!(out, TransferOutcome::Dropped);
             assert!(out.arrival().is_none());
         }
@@ -264,7 +238,7 @@ mod tests {
         let spec = LinkProfile::Broadband.spec().with_drop_prob(0.3);
         let mut net = ClientNetwork::new(vec![LinkTrace::constant(spec)], 1);
         let drops = (0..2000)
-            .filter(|_| !net.uplink_transfer(0, 10, SimTime::ZERO).is_delivered())
+            .filter(|_| !net.transfer(0, 10, SimTime::ZERO, Uplink).is_delivered())
             .count();
         let rate = drops as f64 / 2000.0;
         assert!((rate - 0.3).abs() < 0.05, "observed drop rate {rate}");
@@ -277,7 +251,7 @@ mod tests {
             0,
             LinkTrace::constant(LinkSpec::new(1.0, 1.0, 0.0, 0.0, 0.0)),
         );
-        let out = net.uplink_transfer(0, 100, SimTime::ZERO);
+        let out = net.transfer(0, 100, SimTime::ZERO, Uplink);
         assert!((out.arrival().unwrap().seconds() - 100.0).abs() < 1e-9);
     }
 
@@ -287,7 +261,7 @@ mod tests {
         let run = |seed: u64| {
             let mut net = ClientNetwork::new(vec![LinkTrace::constant(spec)], seed);
             (0..50)
-                .map(|_| net.uplink_transfer(0, 10, SimTime::ZERO).is_delivered())
+                .map(|_| net.transfer(0, 10, SimTime::ZERO, Uplink).is_delivered())
                 .collect::<Vec<_>>()
         };
         assert_eq!(run(5), run(5));
@@ -308,9 +282,9 @@ mod tests {
         let mut net = perfect_network(2);
         net.set_burst_loss(0, GilbertElliott::new(1.0, 0.0, 0.0, 1.0, 0));
         for _ in 0..20 {
-            assert!(!net.uplink_transfer(0, 10, SimTime::ZERO).is_delivered());
+            assert!(!net.transfer(0, 10, SimTime::ZERO, Uplink).is_delivered());
             // The other client is untouched by client 0's channel.
-            assert!(net.uplink_transfer(1, 10, SimTime::ZERO).is_delivered());
+            assert!(net.transfer(1, 10, SimTime::ZERO, Uplink).is_delivered());
         }
     }
 
@@ -327,9 +301,9 @@ mod tests {
             (0..100)
                 .map(|_| {
                     if with_burst {
-                        net.uplink_transfer(0, 10, SimTime::ZERO);
+                        net.transfer(0, 10, SimTime::ZERO, Uplink);
                     }
-                    net.uplink_transfer(1, 10, SimTime::ZERO).is_delivered()
+                    net.transfer(1, 10, SimTime::ZERO, Uplink).is_delivered()
                 })
                 .collect::<Vec<_>>()
         };
@@ -343,13 +317,13 @@ mod tests {
         let rec = InMemoryRecorder::shared();
         let mut net = perfect_network(1);
         net.set_recorder(rec.clone());
-        net.uplink_transfer(0, 1000, SimTime::ZERO);
-        net.downlink_transfer(0, 2000, SimTime::ZERO);
+        net.transfer(0, 1000, SimTime::ZERO, Uplink);
+        net.transfer(0, 2000, SimTime::ZERO, Downlink);
 
         let lossy = LinkProfile::Broadband.spec().with_drop_prob(1.0);
         let mut net = ClientNetwork::new(vec![LinkTrace::constant(lossy)], 0);
         net.set_recorder(rec.clone());
-        net.uplink_transfer(0, 10, SimTime::from_seconds(3.0));
+        net.transfer(0, 10, SimTime::from_seconds(3.0), Uplink);
 
         let t = rec.snapshot();
         assert_eq!(t.spans_of(names::SPAN_UPLINK).count(), 1);
@@ -372,7 +346,7 @@ mod tests {
                 net.set_recorder(InMemoryRecorder::shared());
             }
             (0..200)
-                .map(|_| net.uplink_transfer(0, 10, SimTime::ZERO).is_delivered())
+                .map(|_| net.transfer(0, 10, SimTime::ZERO, Uplink).is_delivered())
                 .collect::<Vec<_>>()
         };
         assert_eq!(run(false), run(true));

@@ -1,14 +1,13 @@
 //! Reliable transfer on top of the lossy [`ClientNetwork`] primitives.
 //!
-//! The raw [`uplink_transfer`] / [`downlink_transfer`] calls model a fire-
-//! and-forget datagram: a loss is silent and final. Real FL deployments run
-//! gradient exchange over a reliable session layer, so this module adds the
-//! classic stop-and-wait machinery — per-attempt ACK timeout, bounded
-//! retransmissions with exponential backoff and seeded jitter — while
-//! keeping the simulation exact: every retransmitted payload byte, every
-//! ACK control frame and every second spent backing off is reported in a
-//! [`TransferReport`] so engines can charge their ledgers and advance their
-//! clocks truthfully.
+//! A raw [`TransferMedium::transfer`] models a fire-and-forget datagram: a
+//! loss is silent and final. Real FL deployments run gradient exchange over
+//! a reliable session layer, so this module adds the classic stop-and-wait
+//! machinery — per-attempt ACK timeout, bounded retransmissions with
+//! exponential backoff and seeded jitter — while keeping the simulation
+//! exact: every retransmitted payload byte, every ACK control frame and
+//! every second spent backing off is reported in a [`TransferReport`] so
+//! engines can charge their ledgers and advance their clocks truthfully.
 //!
 //! Loss semantics: only the *data* frame is subject to link loss. ACK
 //! frames are tiny control messages (heavily coded in practice) and are
@@ -17,26 +16,24 @@
 //! sender as an ACK timeout.
 //!
 //! [`ClientNetwork`]: crate::ClientNetwork
-//! [`uplink_transfer`]: crate::ClientNetwork::uplink_transfer
-//! [`downlink_transfer`]: crate::ClientNetwork::downlink_transfer
 //!
 //! # Examples
 //!
 //! ```
 //! use adafl_netsim::{ClientNetwork, LinkProfile, LinkTrace, ReliablePolicy,
-//!                    ReliableTransfer, SimTime};
+//!                    ReliableTransfer, SimTime, TransferDirection};
 //!
 //! let lossy = LinkProfile::Broadband.spec().with_drop_prob(0.4);
 //! let mut net = ClientNetwork::new(vec![LinkTrace::constant(lossy)], 7);
 //! let mut transport = ReliableTransfer::new(ReliablePolicy::default(), 7);
-//! let report = transport.uplink(&mut net, 0, 100_000, SimTime::ZERO);
+//! let up = TransferDirection::Uplink;
+//! let report = transport.transfer(&mut net, 0, 100_000, SimTime::ZERO, up);
 //! // With 4 attempts against 40% loss this almost always gets through.
 //! assert!(report.attempts >= 1);
 //! assert_eq!(report.payload_bytes, 100_000 * report.attempts as u64);
 //! ```
 
-use crate::graph::TransferMedium;
-use crate::SimTime;
+use crate::{SimTime, TransferDirection, TransferMedium};
 use adafl_telemetry::{names, EventRecord, SharedRecorder};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -133,12 +130,6 @@ impl TransferReport {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
-enum Direction {
-    Up,
-    Down,
-}
-
 /// A stateful reliable transport: owns the backoff-jitter RNG and the
 /// retry telemetry. One instance serves a whole fleet; determinism comes
 /// from the seeded RNG plus the deterministic call order of the engines.
@@ -175,63 +166,32 @@ impl ReliableTransfer {
         self.recorder = recorder;
     }
 
-    /// Reliably sends `bytes` from `client` to the server starting at
-    /// `now`, over any [`TransferMedium`] (star or mesh).
+    /// Reliably moves `bytes` between `client` and the server in
+    /// `direction`, starting at `now`, over any [`TransferMedium`] (star or
+    /// mesh).
     ///
     /// # Panics
     ///
     /// Panics when `client` is out of bounds for `net`.
-    pub fn uplink<N: TransferMedium>(
+    pub fn transfer<N: TransferMedium>(
         &mut self,
         net: &mut N,
         client: usize,
         bytes: usize,
         now: SimTime,
-    ) -> TransferReport {
-        self.transfer(net, client, bytes, now, Direction::Up)
-    }
-
-    /// Reliably sends `bytes` from the server to `client` starting at
-    /// `now`, over any [`TransferMedium`] (star or mesh).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `client` is out of bounds for `net`.
-    pub fn downlink<N: TransferMedium>(
-        &mut self,
-        net: &mut N,
-        client: usize,
-        bytes: usize,
-        now: SimTime,
-    ) -> TransferReport {
-        self.transfer(net, client, bytes, now, Direction::Down)
-    }
-
-    fn transfer<N: TransferMedium>(
-        &mut self,
-        net: &mut N,
-        client: usize,
-        bytes: usize,
-        now: SimTime,
-        direction: Direction,
+        direction: TransferDirection,
     ) -> TransferReport {
         let mut t = now;
         let mut attempts = 0usize;
         let mut backoff_total = 0.0f64;
         loop {
             attempts += 1;
-            let outcome = match direction {
-                Direction::Up => net.uplink_transfer(client, bytes, t),
-                Direction::Down => net.downlink_transfer(client, bytes, t),
-            };
-            if let Some(arrival) = outcome.arrival() {
+            if let Some(arrival) = net.transfer(client, bytes, t, direction).arrival() {
                 // ACK rides the reverse link: serialisation + latency for a
                 // tiny control frame, modelled loss-free.
-                let link = net.link_at(client, arrival);
-                let ack_time = match direction {
-                    Direction::Up => link.downlink_time(self.policy.ack_bytes),
-                    Direction::Down => link.uplink_time(self.policy.ack_bytes),
-                };
+                let ack_time = net
+                    .link_at(client, arrival)
+                    .transfer_time(self.policy.ack_bytes, direction.reverse());
                 return TransferReport {
                     arrival: Some(arrival),
                     sender_done: arrival + ack_time,
@@ -289,6 +249,7 @@ impl ReliableTransfer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::TransferDirection::{Downlink, Uplink};
     use crate::{ClientNetwork, GilbertElliott, LinkProfile, LinkSpec, LinkTrace};
 
     fn lossless_net() -> ClientNetwork {
@@ -300,7 +261,7 @@ mod tests {
     fn lossless_transfer_uses_one_attempt() {
         let mut net = lossless_net();
         let mut t = ReliableTransfer::new(ReliablePolicy::default(), 0);
-        let r = t.uplink(&mut net, 0, 1000, SimTime::from_seconds(5.0));
+        let r = t.transfer(&mut net, 0, 1000, SimTime::from_seconds(5.0), Uplink);
         assert!(r.delivered());
         assert_eq!(r.attempts, 1);
         assert_eq!(r.backoff_seconds, 0.0);
@@ -323,7 +284,7 @@ mod tests {
             ..ReliablePolicy::default()
         };
         let mut t = ReliableTransfer::new(policy, 0);
-        let r = t.downlink(&mut net, 0, 500, SimTime::ZERO);
+        let r = t.transfer(&mut net, 0, 500, SimTime::ZERO, Downlink);
         assert!(!r.delivered());
         assert_eq!(r.attempts, 3);
         assert_eq!(r.payload_bytes, 1500);
@@ -348,7 +309,7 @@ mod tests {
         for seed in 0..40 {
             let mut net = ClientNetwork::new(vec![LinkTrace::constant(spec)], seed);
             if net
-                .uplink_transfer(0, 100, SimTime::ZERO)
+                .transfer(0, 100, SimTime::ZERO, Uplink)
                 .arrival()
                 .is_some()
             {
@@ -356,7 +317,9 @@ mod tests {
             }
             let mut net = ClientNetwork::new(vec![LinkTrace::constant(spec)], seed);
             let mut t = ReliableTransfer::new(policy, seed);
-            if t.uplink(&mut net, 0, 100, SimTime::ZERO).delivered() {
+            if t.transfer(&mut net, 0, 100, SimTime::ZERO, Uplink)
+                .delivered()
+            {
                 reliable_delivered += 1;
             }
         }
@@ -373,7 +336,8 @@ mod tests {
             let mut net = ClientNetwork::new(vec![LinkTrace::constant(spec)], seed);
             let mut t = ReliableTransfer::new(ReliablePolicy::default(), seed);
             (0..30)
-                .map(|i| t.uplink(&mut net, 0, 100, SimTime::from_seconds(i as f64 * 10.0)))
+                .map(|i| SimTime::from_seconds(i as f64 * 10.0))
+                .map(|at| t.transfer(&mut net, 0, 100, at, Uplink))
                 .collect::<Vec<_>>()
         };
         assert_eq!(run(3), run(3));
@@ -392,7 +356,7 @@ mod tests {
         let mut t = ReliableTransfer::new(policy, 0);
         let rec = InMemoryRecorder::shared();
         t.set_recorder(rec.clone());
-        t.uplink(&mut net, 0, 10, SimTime::ZERO);
+        t.transfer(&mut net, 0, 10, SimTime::ZERO, Uplink);
         let trace = rec.snapshot();
         assert_eq!(trace.counters[names::NET_RETRIES], 2);
         assert_eq!(trace.counters[names::NET_RELIABLE_FAILURES], 1);
@@ -411,7 +375,7 @@ mod tests {
                 t.set_recorder(InMemoryRecorder::shared());
             }
             (0..40)
-                .map(|i| t.uplink(&mut net, 0, 50, SimTime::from_seconds(i as f64)))
+                .map(|i| t.transfer(&mut net, 0, 50, SimTime::from_seconds(i as f64), Uplink))
                 .collect::<Vec<_>>()
         };
         assert_eq!(run(false), run(true));
@@ -424,7 +388,7 @@ mod tests {
         let mut net = lossless_net();
         net.set_burst_loss(0, GilbertElliott::new(1.0, 0.0, 0.0, 1.0, 0));
         let mut t = ReliableTransfer::new(ReliablePolicy::default(), 0);
-        let r = t.uplink(&mut net, 0, 10, SimTime::ZERO);
+        let r = t.transfer(&mut net, 0, 10, SimTime::ZERO, Uplink);
         assert!(!r.delivered());
         assert_eq!(r.attempts, 4);
     }

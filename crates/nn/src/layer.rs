@@ -10,51 +10,53 @@ use adafl_tensor::Tensor;
 /// This keeps the container plumbing trivial while supporting the paper's
 /// CNN/ResNet/VGG topologies.
 ///
-/// A layer caches whatever it needs from `forward` (inputs, masks, argmax
-/// indices) so that `backward` can run without re-receiving the input.
-/// Parameter gradients accumulate across `backward` calls until
+/// A layer caches whatever it needs from the forward pass (inputs, masks,
+/// argmax indices) so that the backward pass can run without re-receiving
+/// the input. Parameter gradients accumulate across backward passes until
 /// [`Layer::zero_grads`] is called, matching the local-iteration loop of
 /// federated clients.
 ///
 /// The trait is object-safe: models store `Box<dyn Layer>`.
 pub trait Layer: Send + std::fmt::Debug {
-    /// Runs the forward pass, caching state needed by [`Layer::backward`].
+    /// Runs the forward pass, caching state needed by
+    /// [`Layer::backward_into`], and writes the output into `out`, resizing
+    /// it in place (which reuses its allocation at steady state).
     ///
     /// `train` distinguishes training from inference for layers such as
     /// dropout that behave differently between the two.
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor;
-
-    /// Propagates `grad_out` (∂loss/∂output) to the input, returning
-    /// ∂loss/∂input and accumulating parameter gradients internally.
-    ///
-    /// # Panics
-    ///
-    /// Implementations may panic when called before [`Layer::forward`] or
-    /// with a gradient whose shape differs from the last forward output.
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor;
-
-    /// Allocation-free forward pass: writes the output into `out`, resizing
-    /// it in place (which reuses its allocation at steady state).
-    ///
-    /// The default delegates to [`Layer::forward`], so external layers keep
-    /// working unchanged; the built-in layers override this with in-place
-    /// implementations and express `forward` as an allocating wrapper.
     fn forward_into(
         &mut self,
         input: &Tensor,
         out: &mut Tensor,
         train: bool,
         ws: &mut LayerWorkspace,
-    ) {
-        let _ = ws;
-        *out = self.forward(input, train);
+    );
+
+    /// Propagates `grad_out` (∂loss/∂output) to the input: writes
+    /// ∂loss/∂input into `grad_in`, resizing it in place, and accumulates
+    /// parameter gradients internally.
+    ///
+    /// # Panics
+    ///
+    /// Implementations may panic when called before
+    /// [`Layer::forward_into`] or with a gradient whose shape differs from
+    /// the last forward output.
+    fn backward_into(&mut self, grad_out: &Tensor, grad_in: &mut Tensor, ws: &mut LayerWorkspace);
+
+    /// [`Layer::forward_into`] into a fresh tensor over a throwaway
+    /// workspace — the allocating form for examples and tests; training
+    /// and evaluation call the `_into` pair.
+    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
+        let mut out = Tensor::default();
+        self.forward_into(input, &mut out, train, &mut LayerWorkspace::default());
+        out
     }
 
-    /// Allocation-free backward pass: writes ∂loss/∂input into `grad_in`,
-    /// resizing it in place. Mirrors [`Layer::forward_into`].
-    fn backward_into(&mut self, grad_out: &Tensor, grad_in: &mut Tensor, ws: &mut LayerWorkspace) {
-        let _ = ws;
-        *grad_in = self.backward(grad_out);
+    /// [`Layer::backward_into`] into a fresh tensor, as [`Layer::forward`].
+    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+        let mut grad_in = Tensor::default();
+        self.backward_into(grad_out, &mut grad_in, &mut LayerWorkspace::default());
+        grad_in
     }
 
     /// Total number of trainable scalars in this layer.

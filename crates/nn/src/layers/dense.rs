@@ -60,20 +60,6 @@ impl Dense {
 }
 
 impl Layer for Dense {
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        let mut out = Tensor::default();
-        let mut ws = LayerWorkspace::default();
-        self.forward_into(input, &mut out, train, &mut ws);
-        out
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let mut grad_in = Tensor::default();
-        let mut ws = LayerWorkspace::default();
-        self.backward_into(grad_out, &mut grad_in, &mut ws);
-        grad_in
-    }
-
     fn forward_into(
         &mut self,
         input: &Tensor,

@@ -74,22 +74,20 @@ impl Model {
         self.layers.iter().map(|l| l.param_count()).sum()
     }
 
-    /// Runs the forward pass over the whole stack.
+    /// Runs the forward pass over the whole stack: [`Model::forward_into`]
+    /// into a fresh tensor over a throwaway workspace.
     pub fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        let mut x = input.clone();
-        for layer in &mut self.layers {
-            x = layer.forward(&x, train);
-        }
-        x
+        let mut out = Tensor::default();
+        self.forward_into(input, &mut out, train, &mut ModelWorkspace::new());
+        out
     }
 
-    /// Runs the backward pass, accumulating parameter gradients.
+    /// Runs the backward pass, accumulating parameter gradients:
+    /// [`Model::backward_into`] into a fresh tensor.
     pub fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let mut g = grad_out.clone();
-        for layer in self.layers.iter_mut().rev() {
-            g = layer.backward(&g);
-        }
-        g
+        let mut grad_in = Tensor::default();
+        self.backward_into(grad_out, &mut grad_in, &mut ModelWorkspace::new());
+        grad_in
     }
 
     /// Allocation-free forward pass: chains [`Layer::forward_into`] through
@@ -175,20 +173,16 @@ impl Model {
     /// machinery: [`crate::SubView::full`] over [`Model::segment_map`]
     /// selects exactly these coordinates in this order.
     pub fn params_flat(&self) -> Vec<f32> {
-        let mut out = Vec::with_capacity(self.param_count());
-        for layer in &self.layers {
-            layer.visit_params(&mut |p| out.extend_from_slice(p));
-        }
+        let mut out = Vec::new();
+        self.params_flat_into(&mut out);
         out
     }
 
     /// Flattens all accumulated gradients into one vector (same order as
     /// [`Model::params_flat`]).
     pub fn grads_flat(&self) -> Vec<f32> {
-        let mut out = Vec::with_capacity(self.param_count());
-        for layer in &self.layers {
-            layer.visit_grads(&mut |g| out.extend_from_slice(g));
-        }
+        let mut out = Vec::new();
+        self.grads_flat_into(&mut out);
         out
     }
 
@@ -235,18 +229,15 @@ impl Model {
     }
 
     /// Applies one optimizer step using the currently accumulated gradients,
-    /// then clears them.
+    /// then clears them: [`Model::apply_gradient_step_ws`] over a throwaway
+    /// workspace.
     pub fn apply_gradient_step(&mut self, optimizer: &mut dyn Optimizer) {
-        let mut params = self.params_flat();
-        let grads = self.grads_flat();
-        optimizer.step(&mut params, &grads);
-        self.set_params_flat(&params);
-        self.zero_grads();
+        self.apply_gradient_step_ws(optimizer, &mut ModelWorkspace::new());
     }
 
-    /// Allocation-free [`Model::apply_gradient_step`]: identical numerics,
-    /// but the flat parameter/gradient vectors live in the workspace and are
-    /// reused across steps.
+    /// Allocation-free [`Model::apply_gradient_step`]: the flat
+    /// parameter/gradient vectors live in the workspace and are reused
+    /// across steps.
     pub fn apply_gradient_step_ws(
         &mut self,
         optimizer: &mut dyn Optimizer,
