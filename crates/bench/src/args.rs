@@ -82,6 +82,23 @@ impl Args {
         self.flags.iter().any(|f| f == key)
     }
 
+    /// Every passed `--key value` pair no accessor has asked for yet, sorted
+    /// by key and marked as read: the pairs a binary forwards rather than
+    /// interprets (`run_config`'s `--<field> <value>` overrides). Stray
+    /// boolean flags stay for [`Args::reject_unknown`].
+    pub fn rest(&self) -> Vec<(String, String)> {
+        let mut queried = self.queried.borrow_mut();
+        let mut rest: Vec<(String, String)> = self
+            .values
+            .iter()
+            .filter(|(key, _)| !queried.contains(*key))
+            .map(|(key, value)| (key.clone(), value.clone()))
+            .collect();
+        rest.sort_unstable();
+        queried.extend(rest.iter().map(|(key, _)| key.clone()));
+        rest
+    }
+
     /// Rejects every passed `--key` no accessor has asked for, so a
     /// misspelt or unsupported flag stops the binary instead of silently
     /// running the defaults. Call it after the last flag is read and before
@@ -108,18 +125,6 @@ impl Args {
         self.get(key).map_or(default, |v| {
             v.parse()
                 .unwrap_or_else(|_| panic!("--{key} expects an integer, got {v:?}"))
-        })
-    }
-
-    /// `f64` value of `key`, or `default`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the value is present but unparsable.
-    pub fn get_f64(&self, key: &str, default: f64) -> f64 {
-        self.get(key).map_or(default, |v| {
-            v.parse()
-                .unwrap_or_else(|_| panic!("--{key} expects a number, got {v:?}"))
         })
     }
 
@@ -168,6 +173,18 @@ mod tests {
     }
 
     #[test]
+    fn rest_forwards_unread_pairs_but_not_flags() {
+        let a = Args::parse([
+            "--config", "x.json", "--seed", "7", "--rounds", "3", "--quick",
+        ]);
+        assert_eq!(a.get("config"), Some("x.json"));
+        let pair = |k: &str, v: &str| (k.to_string(), v.to_string());
+        assert_eq!(a.rest(), vec![pair("rounds", "3"), pair("seed", "7")]);
+        assert!(a.flag("quick"));
+        a.reject_unknown();
+    }
+
+    #[test]
     fn trailing_flag() {
         let a = Args::parse(["--quick"]);
         assert!(a.flag("quick"));
@@ -177,7 +194,6 @@ mod tests {
     fn defaults_apply() {
         let a = Args::parse(Vec::<String>::new());
         assert_eq!(a.get_usize("rounds", 7), 7);
-        assert_eq!(a.get_f64("alpha", 0.5), 0.5);
         assert_eq!(a.get_u64("budget", 9), 9);
     }
 

@@ -265,7 +265,10 @@ fn run_cell(
         .seed(seed)
         .build();
     let faults = match kind {
-        Some(kind) => fleet::byzantine_plan(clients, fraction, kind, seed),
+        Some(kind) => {
+            assert!(kind.is_attack(), "needs an attack kind, got {kind:?}");
+            FaultPlan::with_fraction(clients, fraction, kind, seed)
+        }
         None => FaultPlan::reliable(clients),
     };
     let scenario = Scenario {

@@ -1,7 +1,7 @@
 //! Renders harness CSV output (fig1/fig3) into an SVG line chart.
 //!
 //! ```text
-//! ./target/release/fig3 --protocol sync > fig3_sync.csv
+//! ./target/release/run_config --config configs/fig3_sync.json > fig3_sync.csv
 //! ./target/release/plot --input fig3_sync.csv --x round \
 //!     --title "Figure 3(a,b)" --output fig3_sync.svg
 //! ```

@@ -1,165 +1,132 @@
-//! Runs a single experiment described by a JSON configuration file, so
-//! experiment setups can live in version control and be re-run exactly.
+//! Runs the experiment a JSON file describes — one scenario, or every point
+//! of its `grid` — so experiment setups live in version control and re-run
+//! exactly. The paper's figures and tables are files under `configs/`:
 //!
 //! ```text
-//! cargo run -p adafl-bench --release --bin run_config -- --config exp.json
+//! cargo run -p adafl-bench --release --bin run_config -- --config configs/table1.json
+//! cargo run -p adafl-bench --release --bin run_config -- --config configs/fig3_sync.json --quick
+//! cargo run -p adafl-bench --release --bin run_config -- --config configs/fig1_async.json --seed 7
 //! ```
 //!
-//! Pass `--telemetry trace.jsonl` to capture a structured trace of the run
-//! (round spans, per-client transfers, compression byte counters) as JSONL.
-//! Tracing is passive: the experiment output is byte-identical either way.
-//!
-//! Pass `--threads N` (default: host parallelism) to pin the worker-pool
-//! width; results are identical at any width.
-//!
-//! Example configuration:
+//! A file is the [`ExperimentConfig`] fields plus, optionally:
 //!
 //! ```json
 //! {
 //!   "protocol": "sync",
-//!   "strategy": "adafl",
 //!   "task": "mnist-cnn",
-//!   "train_samples": 2000,
-//!   "test_samples": 400,
-//!   "clients": 10,
-//!   "rounds": 40,
-//!   "participation": 0.5,
-//!   "partition": { "LabelShards": { "shards_per_client": 2 } },
-//!   "constrained_fraction": 0.3,
-//!   "update_budget": 400,
-//!   "seed": 42,
-//!   "adafl": null
+//!   "rounds": 80,
+//!   "report": "summary",
+//!   "grid": {
+//!     "strategy": { "fedavg": { "strategy": "fedavg" }, "adafl": { "strategy": "adafl" } },
+//!     "dist": {
+//!       "iid": { "partition": "Iid" },
+//!       "noniid": { "partition": { "LabelShards": { "shards_per_client": 2 } } }
+//!     }
+//!   },
+//!   "quick": { "rounds": 12, "train_samples": 600, "test_samples": 150 }
 //! }
 //! ```
 //!
-//! `adafl` may carry a full `AdaFlConfig` object to override its defaults.
+//! * `grid` — named axes, each a map `label → overlay` of schema fields laid
+//!   over the base config (`adafl` merges field by field, so `{"adafl":
+//!   {"utility_threshold": 0.6}}` is a point). Axes expand in file order as
+//!   nested loops, the first outermost; every point is one run.
+//! * `quick` — the overlay `--quick` applies: the file's own smoke size. Its
+//!   `grid`, if any, replaces the named axes whole.
+//! * `--<field> <value>` overrides a top-level scalar of the file (`--rounds
+//!   5`, `--seed 7`, `--report summary`), over `quick` and under the grid;
+//!   overriding a field an axis sets is an error, as is any key — in the
+//!   file, an overlay or a flag — the schema does not have.
+//! * `report` — `series` (the default) prints every evaluation record as CSV,
+//!   one key column per axis in front of `report::series_csv`'s columns (the
+//!   `label` column already names the run's strategy, so an axis called
+//!   `strategy` adds none); `summary` prints one aligned row per point: axis
+//!   labels, `final_acc`, `best_acc`, `updates`, `uplink_bytes`,
+//!   `mean_payload`, `compress` (a dense update ÷ `mean_payload`) and
+//!   `cost_reduc` against the dense full-participation run.
+//!
+//! Pass `--telemetry trace.jsonl` to capture a structured trace of the runs
+//! (round spans, per-client transfers, compression byte counters) as JSONL,
+//! every point in order. Tracing is passive: the experiment output is
+//! byte-identical either way.
+//!
+//! Pass `--threads N` (default: host parallelism) to pin the worker-pool
+//! width; results are identical at any width.
 
 use adafl_bench::args::Args;
-use adafl_bench::config::ExperimentConfig;
-use adafl_bench::runner::{
-    run_async_with, run_sync_with, Capacity, Resilience, RunResult, Scenario,
-};
-use adafl_bench::tasks::Task;
-use adafl_bench::{fleet, report};
-use adafl_fl::faults::{FaultKind, FaultPlan};
-use adafl_fl::robust::RobustMethod;
-use adafl_fl::submodel::CapacityTier;
-use adafl_fl::FlConfig;
+use adafl_bench::config::{ExperimentConfig, Report};
+use adafl_bench::report::{self, DenseReference};
+use adafl_bench::runner::{run_async_with, run_sync_with, RunResult};
 use adafl_telemetry::{export, InMemoryRecorder, SharedRecorder};
+use std::process::ExitCode;
 
-fn main() {
-    let args = Args::from_env();
+fn main() -> ExitCode {
+    match run(&Args::from_env()) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("run_config: {e}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
+fn run(args: &Args) -> Result<(), String> {
     let path = args
         .get("config")
-        .expect("--config <file.json> is required");
-    let raw = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
-    let cfg: ExperimentConfig =
-        serde_json::from_str(&raw).unwrap_or_else(|e| panic!("invalid config {path}: {e}"));
-
-    let task = match cfg.task.as_str() {
-        "mnist-cnn" => Task::mnist_cnn(cfg.train_samples, cfg.test_samples, cfg.seed),
-        "mnist-logreg" => Task::mnist_logreg(cfg.train_samples, cfg.test_samples, cfg.seed),
-        "cifar10-resnet" => Task::cifar10_resnet(cfg.train_samples, cfg.test_samples, cfg.seed),
-        "cifar100-vgg" => Task::cifar100_vgg(cfg.train_samples, cfg.test_samples, cfg.seed),
-        other => panic!("unknown task {other:?}"),
-    };
-    let mut builder = FlConfig::builder()
-        .clients(cfg.clients)
-        .rounds(cfg.rounds)
-        .participation(cfg.participation)
-        .local_steps(cfg.local_steps)
-        .batch_size(cfg.batch_size)
-        .seed(cfg.seed)
-        .model(task.model.clone());
-    if let Some(lr) = cfg.learning_rate {
-        builder = builder.learning_rate(lr);
-    }
-    if let Some(m) = cfg.momentum {
-        builder = builder.momentum(m);
-    }
-    if let Some(n) = cfg.cohort_size {
-        builder = builder.cohort_size(n);
-    }
-    if cfg.edge_aggregators > 0 {
-        builder = builder.edge_aggregators(cfg.edge_aggregators);
-    }
-    let fl = builder.build();
-
-    let profile: adafl_netsim::LinkProfile = cfg
-        .constrained_profile
-        .parse()
-        .unwrap_or_else(|e| panic!("invalid config {path}: {e}"));
-    let faults = match &cfg.attack {
-        Some(name) => {
-            let kind: FaultKind = name
-                .parse()
-                .unwrap_or_else(|e| panic!("invalid config {path}: {e}"));
-            fleet::byzantine_plan(cfg.clients, cfg.attack_fraction, kind, cfg.seed)
-        }
-        None => FaultPlan::reliable(cfg.clients),
-    };
-    let robust: Option<RobustMethod> = cfg.robust.as_deref().map(|name| {
-        name.parse()
-            .unwrap_or_else(|e| panic!("invalid config {path}: {e}"))
-    });
-    let capacity: Option<Capacity> = cfg.capacity.as_deref().map(|mode| {
-        let adaptive = match mode {
-            "adaptive" => true,
-            "static" => false,
-            other => {
-                panic!("invalid config {path}: capacity must be \"static\" or \"adaptive\", got {other:?}")
-            }
-        };
-        let names = cfg
-            .tiers
-            .clone()
-            .unwrap_or_else(|| vec!["full".into(), "half".into(), "quarter".into()]);
-        let tiers = names
-            .iter()
-            .map(|t| {
-                CapacityTier::parse(t).unwrap_or_else(|e| panic!("invalid config {path}: {e}"))
-            })
-            .collect();
-        Capacity { tiers, adaptive }
-    });
-    let scenario = Scenario {
-        network: fleet::mixed_network_with(
-            cfg.clients,
-            cfg.constrained_fraction,
-            profile,
-            cfg.seed,
-        ),
-        ada: cfg.adafl.unwrap_or_default(),
-        partitioner: cfg.partition,
-        update_budget: cfg.update_budget,
-        resilience: Resilience {
-            robust,
-            capacity,
-            ..Resilience::default()
-        },
-        faults,
-        ..Scenario::paper(task, fl)
-    };
-
+        .ok_or("--config <file.json> is required")?;
     let trace_path = args.get("telemetry");
     let threads = args.threads();
+    let quick = args.flag("quick");
+    let overrides = args.rest();
     args.reject_unknown();
+
+    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    let grid = ExperimentConfig::points(&text, quick, &overrides)
+        .map_err(|e| format!("invalid config {path}: {e}"))?;
+
     let memory = trace_path.map(|_| InMemoryRecorder::shared());
     let recorder: SharedRecorder = match &memory {
         Some(recorder) => recorder.clone(),
         None => adafl_telemetry::noop(),
     };
 
-    let result: RunResult = match cfg.protocol.as_str() {
-        "sync" => run_sync_with(&scenario, &cfg.strategy, recorder, Some(threads)),
-        "async" => run_async_with(&scenario, &cfg.strategy, recorder),
-        other => panic!("protocol must be sync or async, got {other:?}"),
+    let build = |cfg: &ExperimentConfig| {
+        let scenario = cfg.scenario();
+        scenario.map_err(|e| format!("invalid config {path}: {e}"))
     };
+    // A misnamed fault in the last point stops the grid now, not hours in.
+    for point in &grid.points {
+        build(&point.config)?;
+    }
+
+    let mut runs: Vec<(Vec<String>, RunResult, DenseReference)> = Vec::new();
+    for point in grid.points {
+        let cfg = &point.config;
+        let asynchronous = cfg.asynchronous()?;
+        let scenario = build(cfg)?;
+        let result = if asynchronous {
+            run_async_with(&scenario, &cfg.strategy, recorder.clone())
+        } else {
+            run_sync_with(&scenario, &cfg.strategy, recorder.clone(), Some(threads))
+        };
+        let at = grid.axes.iter().zip(&point.labels);
+        let at: String = at.map(|(axis, label)| format!("{axis}={label} ")).collect();
+        eprintln!(
+            "{at}{} {}: final acc {:.3}, uplink {}, {} updates",
+            cfg.protocol,
+            cfg.strategy,
+            result.history.final_accuracy(),
+            report::human_bytes(result.uplink_bytes),
+            result.uplink_updates
+        );
+        let dense = DenseReference::of(&scenario, asynchronous);
+        runs.push((point.labels, result, dense));
+    }
 
     if let (Some(path), Some(memory)) = (trace_path, &memory) {
         let trace = memory.snapshot();
         let jsonl = export::to_jsonl_string(&trace);
-        std::fs::write(path, jsonl).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
+        std::fs::write(path, jsonl).map_err(|e| format!("cannot write {path}: {e}"))?;
         eprintln!(
             "telemetry: {} spans, {} events, {} counters -> {path}",
             trace.spans.len(),
@@ -168,14 +135,26 @@ fn main() {
         );
     }
 
-    let refs = [(String::new(), &result)];
-    report::print_series("", &refs);
-    eprintln!(
-        "{} {}: final acc {:.3}, uplink {}, {} updates",
-        cfg.protocol,
-        cfg.strategy,
-        result.history.final_accuracy(),
-        report::human_bytes(result.uplink_bytes),
-        result.uplink_updates
-    );
+    match grid.report {
+        Report::Series => {
+            // The `label` column is the strategy: no second column for it.
+            let keyed = |cells: &[String]| -> String {
+                let kept = grid
+                    .axes
+                    .iter()
+                    .zip(cells)
+                    .filter(|(axis, _)| *axis != "strategy");
+                kept.map(|(_, cell)| cell.as_str())
+                    .collect::<Vec<_>>()
+                    .join(",")
+            };
+            let rows: Vec<(String, &RunResult)> = runs
+                .iter()
+                .map(|(labels, result, _)| (keyed(labels), result))
+                .collect();
+            report::print_series(&keyed(&grid.axes), &rows);
+        }
+        Report::Summary => print!("{}", report::summary_table(&grid.axes, &runs)),
+    }
+    Ok(())
 }

@@ -15,8 +15,10 @@
 //! ```text
 //! cargo run -p adafl-bench --release --bin scalability              # full sweep (to 100k)
 //! cargo run -p adafl-bench --release --bin scalability -- --smoke   # parity + tiny sweep
-//! cargo run -p adafl-bench --release --bin scalability -- --paper   # the paper's 10..100 table
 //! ```
+//!
+//! The paper's own §V table (10..100 resident clients, FedAvg vs. AdaFL) is
+//! `run_config --config configs/scalability_paper.json`.
 //!
 //! Also `--seed N` (default 42), `--out PATH` and `--threads N` (default:
 //! host parallelism).
@@ -229,62 +231,13 @@ struct Report {
     rows: Vec<ScaleRow>,
 }
 
-/// The paper's own Section V table (10..100 clients, resident fleet),
-/// kept from the original binary for reference runs.
-fn paper_table(seed: u64) {
-    use adafl_bench::runner::{run_sync, Scenario};
-    use adafl_bench::tasks::Task;
-    use adafl_core::AdaFlConfig;
-    use adafl_data::partition::Partitioner;
-
-    let mut table = report::TextTable::new(["clients", "method", "final_acc", "uplink_bytes"]);
-    for clients in [10usize, 20, 50, 100] {
-        let task = Task::mnist_cnn(clients * 60, 400, seed);
-        for strategy in ["fedavg", "adafl"] {
-            let fl = FlConfig::builder()
-                .clients(clients)
-                .rounds(10)
-                .participation(0.5)
-                .local_steps(5)
-                .batch_size(32)
-                .model(task.model.clone())
-                .seed(seed)
-                .build();
-            let ada = AdaFlConfig {
-                max_selected: (clients / 2).max(1),
-                ..AdaFlConfig::default()
-            };
-            let scenario = Scenario {
-                partitioner: Partitioner::LabelShards {
-                    shards_per_client: 2,
-                },
-                ada,
-                ..Scenario::paper(task.clone(), fl)
-            };
-            let result = run_sync(&scenario, strategy);
-            table.row([
-                clients.to_string(),
-                strategy.to_string(),
-                format!("{:.2}%", result.history.final_accuracy() * 100.0),
-                report::human_bytes(result.uplink_bytes),
-            ]);
-        }
-    }
-    println!("{}", table.render());
-}
-
 fn main() {
     let args = Args::from_env();
     let smoke = args.flag("smoke");
-    let paper = args.flag("paper");
     let seed = args.get_u64("seed", 42);
     let out = args.out("BENCH_scale.json");
     let threads = args.threads();
     args.reject_unknown();
-    if paper {
-        paper_table(seed);
-        return;
-    }
 
     eprintln!(
         "fleet-scale benchmark ({}), {threads} thread(s)...",

@@ -1,73 +1,76 @@
-//! JSON schema for config-driven experiments (the `run_config` binary).
+//! JSON schema for config-driven experiments: one scenario per file, or —
+//! with a `grid` — the cross product of its axes, each point one scenario.
+//! The `run_config` binary's docs describe the file format (`grid`, `quick`,
+//! `report`, `--<field> <value>` overrides); [`ExperimentConfig::points`]
+//! implements it and [`ExperimentConfig::scenario`] builds what a point runs.
 //!
-//! Checked-in configurations live under `configs/`; a test validates that
-//! they always deserialize against this schema.
+//! Checked-in experiments live under `configs/`; `tests/configs.rs` expands
+//! each and builds every point's [`Scenario`].
 
+use crate::fleet;
+use crate::runner::{Capacity, Resilience, Scenario, ASYNC_STRATEGIES, SYNC_STRATEGIES};
+use crate::tasks::Task;
 use adafl_core::AdaFlConfig;
 use adafl_data::partition::Partitioner;
-use serde::Deserialize;
+use adafl_fl::faults::{FaultKind, FaultPlan};
+use adafl_fl::submodel::CapacityTier;
+use adafl_fl::sync::StaticCompression;
+use adafl_fl::FlConfig;
+use serde::{Deserialize, Serialize, Value};
 
 /// JSON schema of one experiment.
-#[derive(Debug, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Deserialize, Serialize)]
 pub struct ExperimentConfig {
     /// `"sync"` or `"async"`.
     pub protocol: String,
     /// Strategy name understood by the matching runner (e.g. `"adafl"`).
     pub strategy: String,
-    /// Task name: `mnist-cnn`, `mnist-logreg`, `cifar10-resnet`, `cifar100-vgg`.
+    /// Task name, see [`Task::named`].
     pub task: String,
     /// Training-set size.
-    #[serde(default = "default_train")]
     pub train_samples: usize,
     /// Held-out evaluation-set size.
-    #[serde(default = "default_test")]
     pub test_samples: usize,
     /// Fleet size.
-    #[serde(default = "default_clients")]
     pub clients: usize,
     /// Synchronous round count.
-    #[serde(default = "default_rounds")]
     pub rounds: usize,
     /// Fraction of clients invited per round.
-    #[serde(default = "default_participation")]
     pub participation: f64,
     /// Local SGD steps per client per round.
-    #[serde(default = "default_local_steps")]
     pub local_steps: usize,
     /// Local mini-batch size.
-    #[serde(default = "default_batch")]
     pub batch_size: usize,
     /// Client learning rate; `null` keeps the builder default.
-    #[serde(default)]
     pub learning_rate: Option<f32>,
     /// Client SGD momentum; `null` keeps the builder default.
-    #[serde(default)]
     pub momentum: Option<f32>,
     /// Data distribution across clients.
     pub partition: Partitioner,
     /// Fraction of the fleet on constrained (LPWAN-class) links.
-    #[serde(default = "default_constrained")]
     pub constrained_fraction: f64,
     /// Link profile of the constrained slice, by name (`broadband`,
     /// `constrained`, `cellular`, `lossy`); parsed via
     /// [`LinkProfile::from_str`](adafl_netsim::LinkProfile).
-    #[serde(default = "default_constrained_profile")]
     pub constrained_profile: String,
-    /// Byzantine attack mounted by a seeded prefix of the fleet, by name
-    /// (`sign-flip`, `boost`, `little-is-enough`); parsed via
-    /// [`FaultKind::from_str`](adafl_fl::faults::FaultKind). `null` keeps
-    /// every client honest.
-    #[serde(default)]
-    pub attack: Option<String>,
-    /// Fraction of the fleet mounting [`attack`](Self::attack).
-    #[serde(default = "default_attack_fraction")]
-    pub attack_fraction: f64,
+    /// Whole-transfer drop probability: when set, the constrained slice is
+    /// steady broadband links that lose each transfer with this probability
+    /// ([`fleet::lossy_network`], the dropout condition of Fig. 1(i–l))
+    /// instead of [`constrained_profile`](Self::constrained_profile).
+    pub drop_prob: Option<f64>,
+    /// Fault injected at a prefix of the fleet, by name (`dropout`,
+    /// `dataloss`, `stale`, `crash`, `corruption`, or an attack:
+    /// `sign-flip`, `boost`, `little-is-enough`); parsed, with its default
+    /// parameters, via [`FaultKind::from_str`](adafl_fl::faults::FaultKind).
+    /// `null` keeps every client reliable.
+    pub fault: Option<String>,
+    /// Fraction of the fleet suffering [`fault`](Self::fault).
+    pub fault_fraction: f64,
     /// Byzantine-robust pre-aggregator at the server, by name
     /// (`trimmed-mean`, `median`, `krum`, `multi-krum`,
     /// `geometric-median`); parsed via
     /// [`RobustMethod::from_str`](adafl_fl::robust::RobustMethod).
     /// `null` keeps plain aggregation. Sync protocols only.
-    #[serde(default)]
     pub robust: Option<String>,
     /// Heterogeneous-capacity assignment mode: `"static"` (client-id
     /// round-robin over the tier ladder) or `"adaptive"` (utility-driven
@@ -75,70 +78,609 @@ pub struct ExperimentConfig {
     /// [`AdaptiveCapacity`](adafl_core::AdaptiveCapacity)). `null` keeps
     /// every client training the full model. Sync protocols only, and not
     /// combinable with the `adafl` strategy.
-    #[serde(default)]
     pub capacity: Option<String>,
     /// Capacity tier ladder, widest first, parsed via
     /// [`CapacityTier::parse`](adafl_fl::submodel::CapacityTier); `null`
     /// with [`capacity`](Self::capacity) set uses
     /// `["full", "half", "quarter"]`.
-    #[serde(default)]
     pub tiers: Option<Vec<String>>,
+    /// Fixed uplink compression of a synchronous baseline: `"topk:<ratio>"`,
+    /// `"qsgd:<levels>"` or `"terngrad"`. `null` sends dense updates. Not
+    /// combinable with the `adafl` strategy.
+    pub compression: Option<String>,
     /// Cohort size for fleet-scale scheduling: participants run through
     /// the round phases in contiguous chunks of this many clients, and
     /// eligible aggregation policies switch to the streaming fold (see
     /// `adafl_fl::runtime::SinkMode`). `null` keeps the classic
     /// whole-cohort pass. Sync protocols only.
-    #[serde(default)]
     pub cohort_size: Option<usize>,
     /// Edge-aggregator count for hierarchical streaming aggregation; `0`
     /// keeps a flat client→server topology. Requires
     /// [`cohort_size`](Self::cohort_size).
-    #[serde(default)]
     pub edge_aggregators: usize,
     /// Async protocols: total server-received updates before stopping.
-    #[serde(default = "default_budget")]
     pub update_budget: u64,
     /// Root RNG seed for the whole run.
-    #[serde(default = "default_seed")]
     pub seed: u64,
-    /// AdaFL overrides; `null` uses [`AdaFlConfig::default`].
-    #[serde(default)]
-    pub adafl: Option<AdaFlConfig>,
+    /// AdaFL hyperparameters; a file or overlay names only the ones it
+    /// changes from [`AdaFlConfig::default`].
+    pub adafl: AdaFlConfig,
 }
 
-fn default_train() -> usize {
-    2000
+/// What a file that does not say otherwise gets: the paper's §V setting.
+const DEFAULTS: &str = r#"{
+    "train_samples": 2000, "test_samples": 400, "clients": 10, "rounds": 40,
+    "participation": 0.5, "local_steps": 5, "batch_size": 32,
+    "constrained_fraction": 0.3, "constrained_profile": "constrained",
+    "fault_fraction": 0.3, "edge_aggregators": 0, "update_budget": 400, "seed": 42
+}"#;
+
+/// How a grid's runs are printed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Report {
+    /// Every evaluation record of every run as CSV
+    /// ([`report::series_csv`](crate::report::series_csv)).
+    Series,
+    /// One aligned row of totals per run
+    /// ([`report::summary_table`](crate::report::summary_table)).
+    Summary,
 }
-fn default_test() -> usize {
-    400
+
+/// One point of an experiment's grid.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Point {
+    /// This point's label on each axis, in axis order.
+    pub labels: Vec<String>,
+    /// The base config with this point's overlays applied.
+    pub config: ExperimentConfig,
 }
-fn default_clients() -> usize {
-    10
+
+/// An experiment file, expanded.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Grid {
+    /// The report the file names.
+    pub report: Report,
+    /// Axis names in file order; empty for a single-scenario file.
+    pub axes: Vec<String>,
+    /// Every point, first axis outermost.
+    pub points: Vec<Point>,
 }
-fn default_rounds() -> usize {
-    40
+
+type Object = Vec<(String, Value)>;
+
+/// Parses any JSON document into the shim's value tree.
+struct Json(Value);
+
+impl Deserialize for Json {
+    fn from_value(v: &Value) -> Result<Self, serde::Error> {
+        Ok(Json(v.clone()))
+    }
 }
-fn default_participation() -> f64 {
-    0.5
+
+fn object(value: Value, what: &str) -> Result<Object, String> {
+    match value {
+        Value::Object(pairs) => Ok(pairs),
+        other => Err(format!("{what} must be an object, got {}", other.kind())),
+    }
 }
-fn default_local_steps() -> usize {
-    5
+
+fn take(object: &mut Object, key: &str) -> Option<Value> {
+    let at = object.iter().position(|(k, _)| k == key)?;
+    Some(object.remove(at).1)
 }
-fn default_batch() -> usize {
-    32
+
+fn set(object: &mut Object, key: &str, value: Value) {
+    match object.iter_mut().find(|(k, _)| k == key) {
+        Some(slot) => slot.1 = value,
+        None => object.push((key.to_string(), value)),
+    }
 }
-fn default_constrained() -> f64 {
-    0.3
+
+/// Lays `overlay` over `config`: each key replaces the config's, except
+/// `adafl`, whose fields are laid over the config's one by one.
+fn apply(config: &mut Object, overlay: &Object) {
+    for (key, value) in overlay {
+        if key == "adafl" {
+            let ours = config.iter_mut().find(|(k, _)| k == key);
+            if let (Some((_, Value::Object(ours))), Value::Object(theirs)) = (ours, value) {
+                apply(ours, theirs);
+                continue;
+            }
+        }
+        set(config, key, value.clone());
+    }
 }
-fn default_constrained_profile() -> String {
-    adafl_netsim::LinkProfile::Constrained.as_str().to_string()
+
+/// The first key of `given` that `schema` does not have.
+fn unknown_key<'a>(given: &'a Value, schema: &Value) -> Option<&'a str> {
+    let stray = |(key, _): &'a (String, Value)| schema.get(key).is_none().then_some(key.as_str());
+    given.as_object()?.iter().find_map(stray)
 }
-fn default_attack_fraction() -> f64 {
-    0.3
+
+impl ExperimentConfig {
+    /// Expands the experiment file `text` into its grid. Lowest precedence
+    /// first: the schema's defaults, the file, its `quick` overlay when `quick`, each
+    /// `(field, value)` of `overrides` (the value parsed as JSON, else taken
+    /// as a string), then the grid's overlays, axis by axis — an overlay key
+    /// replaces the config's, except `adafl`, which merges field by field.
+    ///
+    /// # Errors
+    ///
+    /// Malformed JSON or a config that does not match the schema; a key (in
+    /// the file, an overlay or `overrides`) that is not a schema field; an
+    /// override of a field a grid axis sets; an empty axis; `--quick`
+    /// without a `quick` overlay, or a `quick.grid` axis the grid lacks; a
+    /// `report` other than `series` / `summary`.
+    pub fn points(text: &str, quick: bool, overrides: &[(String, String)]) -> Result<Grid, String> {
+        let Json(file) = serde_json::from_str(text).map_err(|e| e.to_string())?;
+        let mut file = object(file, "an experiment file")?;
+        let quick_overlay = take(&mut file, "quick");
+        let mut grid = match take(&mut file, "grid") {
+            Some(axes) => object(axes, "`grid`")?,
+            None => Vec::new(),
+        };
+        if quick {
+            let overlay = quick_overlay.ok_or("--quick: the file has no `quick` overlay")?;
+            let mut overlay = object(overlay, "`quick`")?;
+            if let Some(axes) = take(&mut overlay, "grid") {
+                for (axis, labels) in object(axes, "`quick.grid`")? {
+                    match grid.iter_mut().find(|(name, _)| *name == axis) {
+                        Some(slot) => slot.1 = labels,
+                        None => return Err(format!("`quick.grid` names `{axis}`, not an axis")),
+                    }
+                }
+            }
+            apply(&mut file, &overlay);
+        }
+
+        let mut axes: Vec<(String, Vec<(String, Object)>)> = Vec::new();
+        for (axis, labels) in grid {
+            let labels = object(labels, &format!("axis `{axis}`"))?
+                .into_iter()
+                .map(|(label, overlay)| {
+                    let overlay = object(overlay, &format!("overlay `{axis}.{label}`"))?;
+                    Ok((label, overlay))
+                })
+                .collect::<Result<Vec<_>, String>>()?;
+            if labels.is_empty() {
+                return Err(format!("axis `{axis}` is empty"));
+            }
+            axes.push((axis, labels));
+        }
+
+        for (key, value) in overrides {
+            let sets = |(_, overlay): &(String, Object)| overlay.iter().any(|(k, _)| k == key);
+            if let Some((axis, _)) = axes.iter().find(|(_, labels)| labels.iter().any(sets)) {
+                return Err(format!("--{key}: axis `{axis}` of the grid sets `{key}`"));
+            }
+            let scalar = match serde_json::from_str::<Json>(value) {
+                Ok(Json(Value::Object(_) | Value::Array(_))) | Err(_) => Value::Str(value.clone()),
+                Ok(Json(scalar)) => scalar,
+            };
+            set(&mut file, key, scalar);
+        }
+        let report = match take(&mut file, "report") {
+            None => Report::Series,
+            Some(Value::Str(name)) if name == "series" => Report::Series,
+            Some(Value::Str(name)) if name == "summary" => Report::Summary,
+            Some(other) => {
+                return Err(format!(
+                    "`report` must be \"series\" or \"summary\", got {other:?}"
+                ))
+            }
+        };
+
+        // Overlays name the AdaFL fields they change, so the defaults they
+        // change them from are spelled out underneath.
+        let Json(defaults) = serde_json::from_str(DEFAULTS).expect("DEFAULTS is JSON");
+        let mut base = object(defaults, "DEFAULTS")?;
+        set(&mut base, "adafl", AdaFlConfig::default().to_value());
+        apply(&mut base, &file);
+        let mut points: Vec<(Vec<String>, Object)> = vec![(Vec::new(), base)];
+        for (_, labels) in &axes {
+            points = points
+                .iter()
+                .flat_map(|(outer, config)| {
+                    labels.iter().map(move |(label, overlay)| {
+                        let mut config = config.clone();
+                        apply(&mut config, overlay);
+                        let labels = outer.iter().chain([label]).cloned().collect();
+                        (labels, config)
+                    })
+                })
+                .collect();
+        }
+        let points = points
+            .into_iter()
+            .map(|(labels, config)| {
+                let config = Self::checked(&Value::Object(config))
+                    .map_err(|e| format!("point {labels:?}: {e}"))?;
+                Ok(Point { labels, config })
+            })
+            .collect::<Result<_, String>>()?;
+        Ok(Grid {
+            report,
+            axes: axes.into_iter().map(|(axis, _)| axis).collect(),
+            points,
+        })
+    }
+
+    /// Deserializes `raw`, refusing keys the schema does not have.
+    fn checked(raw: &Value) -> Result<Self, String> {
+        let config = Self::from_value(raw).map_err(|e| e.to_string())?;
+        let schema = config.to_value();
+        let stray = unknown_key(raw, &schema).map(str::to_string).or_else(|| {
+            let stray = unknown_key(raw.get("adafl")?, schema.get("adafl")?)?;
+            Some(format!("adafl.{stray}"))
+        });
+        match stray {
+            Some(key) => Err(format!("unknown field `{key}`")),
+            None => Ok(config),
+        }
+    }
+
+    /// Whether [`protocol`](Self::protocol) is `"async"`.
+    ///
+    /// # Errors
+    ///
+    /// The protocol is neither `"sync"` nor `"async"`.
+    pub fn asynchronous(&self) -> Result<bool, String> {
+        match self.protocol.as_str() {
+            "sync" => Ok(false),
+            "async" => Ok(true),
+            other => Err(format!("protocol must be sync or async, got {other:?}")),
+        }
+    }
+
+    /// The [`Scenario`] this config describes: the paper fleet
+    /// ([`Scenario::paper`]) with the config's links, faults, data
+    /// distribution and server stages.
+    ///
+    /// # Errors
+    ///
+    /// An unknown protocol, strategy, task, link profile, fault, robust
+    /// method, capacity mode, tier or compression scheme, and `robust`,
+    /// `capacity` or `compression` under `"protocol": "async"`.
+    ///
+    /// # Panics
+    ///
+    /// Panics where the library's own validation does: out-of-range
+    /// fractions, counts and hyperparameters.
+    pub fn scenario(&self) -> Result<Scenario, String> {
+        let asynchronous = self.asynchronous()?;
+        let strategies: &[&str] = if asynchronous {
+            &ASYNC_STRATEGIES
+        } else {
+            &SYNC_STRATEGIES
+        };
+        if !strategies.contains(&self.strategy.as_str()) {
+            return Err(format!(
+                "unknown {} strategy {:?} (expected one of {strategies:?})",
+                self.protocol, self.strategy
+            ));
+        }
+        for (stage, set) in [
+            ("robust", &self.robust),
+            ("capacity", &self.capacity),
+            ("compression", &self.compression),
+        ] {
+            if asynchronous && set.is_some() {
+                return Err(format!("`{stage}` needs \"protocol\": \"sync\""));
+            }
+        }
+
+        let task = Task::named(&self.task, self.train_samples, self.test_samples, self.seed)?;
+        let mut fl = FlConfig::builder()
+            .clients(self.clients)
+            .rounds(self.rounds)
+            .participation(self.participation)
+            .local_steps(self.local_steps)
+            .batch_size(self.batch_size)
+            .seed(self.seed)
+            .model(task.model.clone());
+        if let Some(lr) = self.learning_rate {
+            fl = fl.learning_rate(lr);
+        }
+        if let Some(m) = self.momentum {
+            fl = fl.momentum(m);
+        }
+        if let Some(n) = self.cohort_size {
+            fl = fl.cohort_size(n);
+        }
+        if self.edge_aggregators > 0 {
+            fl = fl.edge_aggregators(self.edge_aggregators);
+        }
+
+        let network = match self.drop_prob {
+            Some(p) => fleet::lossy_network(self.clients, self.constrained_fraction, p, self.seed),
+            None => fleet::mixed_network(
+                self.clients,
+                self.constrained_fraction,
+                self.constrained_profile.parse()?,
+                self.seed,
+            ),
+        };
+        let faults = match &self.fault {
+            Some(name) => {
+                let kind: FaultKind = name.parse()?;
+                FaultPlan::with_fraction(self.clients, self.fault_fraction, kind, self.seed)
+            }
+            None => FaultPlan::reliable(self.clients),
+        };
+        let capacity = match self.capacity.as_deref() {
+            None => None,
+            Some(mode) => {
+                let adaptive = match mode {
+                    "adaptive" => true,
+                    "static" => false,
+                    other => {
+                        return Err(format!(
+                            "capacity must be \"static\" or \"adaptive\", got {other:?}"
+                        ))
+                    }
+                };
+                let tiers = match &self.tiers {
+                    Some(names) => names.iter().map(String::as_str).collect(),
+                    None => vec!["full", "half", "quarter"],
+                };
+                let tiers = tiers
+                    .into_iter()
+                    .map(CapacityTier::parse)
+                    .collect::<Result<_, _>>()?;
+                Some(Capacity { tiers, adaptive })
+            }
+        };
+        let compression = match self.compression.as_deref() {
+            None => StaticCompression::None,
+            Some(scheme) => static_compression(scheme)?,
+        };
+        Ok(Scenario {
+            network,
+            faults,
+            compression,
+            ada: self.adafl.clone(),
+            partitioner: self.partition,
+            update_budget: self.update_budget,
+            resilience: Resilience {
+                robust: self.robust.as_deref().map(str::parse).transpose()?,
+                capacity,
+                ..Resilience::default()
+            },
+            ..Scenario::paper(task, fl.build())
+        })
+    }
 }
-fn default_budget() -> u64 {
-    400
+
+/// Parses `"topk:<ratio>"`, `"qsgd:<levels>"` or `"terngrad"`.
+fn static_compression(scheme: &str) -> Result<StaticCompression, String> {
+    let bad = || {
+        format!("unknown compression {scheme:?} (expected topk:<ratio>, qsgd:<levels> or terngrad)")
+    };
+    match scheme.split_once(':') {
+        None if scheme == "terngrad" => Ok(StaticCompression::TernGrad),
+        Some(("topk", ratio)) => Ok(StaticCompression::TopK {
+            ratio: ratio.parse().map_err(|_| bad())?,
+        }),
+        Some(("qsgd", levels)) => Ok(StaticCompression::Qsgd {
+            levels: levels.parse().map_err(|_| bad())?,
+        }),
+        _ => Err(bad()),
+    }
 }
-fn default_seed() -> u64 {
-    42
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::runner::run_sync;
+
+    const BASE: &str = r#""protocol": "sync", "strategy": "fedavg", "task": "mnist-logreg",
+        "partition": "Iid", "train_samples": 300, "test_samples": 80, "clients": 5, "rounds": 3,
+        "local_steps": 3, "batch_size": 16"#;
+    const NONIID: &str = r#"{ "partition": { "LabelShards": { "shards_per_client": 2 } } }"#;
+
+    fn expand(rest: &str, quick: bool, overrides: &[(&str, &str)]) -> Result<Grid, String> {
+        let overrides: Vec<(String, String)> = overrides
+            .iter()
+            .map(|(k, v)| (k.to_string(), v.to_string()))
+            .collect();
+        ExperimentConfig::points(&format!("{{ {BASE} {rest} }}"), quick, &overrides)
+    }
+
+    fn labels(grid: &Grid) -> Vec<String> {
+        grid.points.iter().map(|p| p.labels.join("/")).collect()
+    }
+
+    #[test]
+    fn a_file_without_a_grid_is_one_unlabelled_series_point() {
+        let grid = expand("", false, &[]).unwrap();
+        assert_eq!((grid.report, grid.axes.len()), (Report::Series, 0));
+        assert_eq!(labels(&grid), [""]);
+        assert_eq!(grid.points[0].config.adafl, AdaFlConfig::default());
+    }
+
+    #[test]
+    fn axes_nest_in_file_order_and_overlays_merge_later_axis_last() {
+        let grid = expand(
+            &format!(
+                r#", "report": "summary", "adafl": {{ "max_selected": 3 }}, "grid": {{
+                "dist": {{ "iid": {{}}, "noniid": {NONIID} }},
+                "beta": {{ "0": {{ "adafl": {{ "similarity_weight": 0.0 }}, "rounds": 5 }},
+                           "default": {{ "clients": 4 }} }},
+                "tau": {{ "0.6": {{ "adafl": {{ "utility_threshold": 0.6 }}, "rounds": 7 }} }} }}"#
+            ),
+            false,
+            &[],
+        )
+        .unwrap();
+        assert_eq!(grid.report, Report::Summary);
+        assert_eq!(grid.axes, ["dist", "beta", "tau"]);
+        let expected = [
+            "iid/0/0.6",
+            "iid/default/0.6",
+            "noniid/0/0.6",
+            "noniid/default/0.6",
+        ];
+        assert_eq!(labels(&grid), expected);
+        let point = |i: usize| &grid.points[i].config;
+        assert_eq!(point(1).partition, Partitioner::Iid);
+        assert_eq!(point(2).partition, Task::partitioners()[1].1);
+        // `adafl` merges field by field over the file's, itself over the defaults.
+        let merged = AdaFlConfig {
+            max_selected: 3,
+            utility_threshold: 0.6,
+            ..AdaFlConfig::default()
+        };
+        assert_eq!(point(3).adafl, merged);
+        let beta_zero = AdaFlConfig {
+            similarity_weight: 0.0,
+            ..merged
+        };
+        assert_eq!(point(2).adafl, beta_zero);
+        // `tau` sets `rounds` after `beta` did; only `beta` sets `clients`.
+        assert_eq!((point(2).rounds, point(2).clients), (7, 5));
+        assert_eq!((point(3).rounds, point(3).clients), (7, 4));
+    }
+
+    #[test]
+    fn quick_lies_over_the_file_and_overrides_over_quick() {
+        let file = r#", "report": "summary", "grid": {
+                "seed": { "1": { "seed": 1 }, "2": { "seed": 2 } },
+                "strategy": { "fedavg": {}, "fedprox": { "strategy": "fedprox" } } },
+            "quick": { "rounds": 2, "clients": 4, "grid": { "seed": { "9": { "seed": 9 } } } }"#;
+        let sizes = |grid: &Grid| {
+            let config = &grid.points[0].config;
+            (config.rounds, config.clients, grid.points.len())
+        };
+        assert_eq!(sizes(&expand(file, false, &[]).unwrap()), (3, 5, 4));
+
+        // `quick.grid` replaces the axis it names, in place; the other stays.
+        let quick = expand(file, true, &[]).unwrap();
+        assert_eq!(sizes(&quick), (2, 4, 2));
+        assert_eq!(quick.axes, ["seed", "strategy"]);
+        assert_eq!(labels(&quick), ["9/fedavg", "9/fedprox"]);
+        assert_eq!(quick.points[1].config.seed, 9);
+
+        let flags = [("rounds", "1"), ("task", "mnist-cnn"), ("report", "series")];
+        let overridden = expand(file, true, &flags).unwrap();
+        assert_eq!(sizes(&overridden), (1, 4, 2));
+        assert_eq!(overridden.points[0].config.task, "mnist-cnn");
+        assert_eq!(overridden.report, Report::Series);
+    }
+
+    #[test]
+    fn typos_and_contradictions_are_errors_not_no_ops() {
+        let rejected = |rest: &str, quick, overrides: &[(&str, &str)], complaint: &str| {
+            let error = expand(rest, quick, overrides).expect_err(complaint);
+            assert!(error.contains(complaint), "{complaint}: {error}");
+        };
+        let axis = |overlay: &str| format!(r#", "grid": {{ "a": {{ "x": {overlay} }} }}"#);
+        rejected(r#", "round": 5"#, false, &[], "unknown field `round`");
+        rejected(&axis(r#"{ "rouns": 5 }"#), false, &[], "`rouns`");
+        rejected(
+            &axis(r#"{ "adafl": { "beta": 1 } }"#),
+            false,
+            &[],
+            "`adafl.beta`",
+        );
+        rejected("", false, &[("rouns", "5")], "unknown field `rouns`");
+        rejected(r#", "quick": { "attack": "boost" }"#, true, &[], "`attack`");
+        rejected(
+            &axis(r#"{ "clients": 4 }"#),
+            false,
+            &[("clients", "8")],
+            "axis `a`",
+        );
+        rejected(r#", "report": "table""#, false, &[], "`report` must be");
+        rejected(r#", "grid": { "dist": {} }"#, false, &[], "`dist` is empty");
+        rejected("", true, &[], "no `quick` overlay");
+        let stray_axis = axis("{}") + r#", "quick": { "grid": { "b": {} } }"#;
+        rejected(&stray_axis, true, &[], "names `b`");
+    }
+
+    #[test]
+    fn scenario_rejects_unknown_names_and_sync_only_stages_under_async() {
+        let rejected = |overrides: &[(&str, &str)], complaint: &str| {
+            let grid = expand("", false, overrides).unwrap();
+            let error = grid.points[0].config.scenario().expect_err(complaint);
+            assert!(error.contains(complaint), "{overrides:?}: {error}");
+        };
+        let fedbuff = [("protocol", "async"), ("strategy", "fedbuff")];
+        for stage in [
+            ("robust", "median"),
+            ("capacity", "static"),
+            ("compression", "terngrad"),
+        ] {
+            rejected(
+                &[fedbuff[0], fedbuff[1], stage],
+                "needs \"protocol\": \"sync\"",
+            );
+        }
+        rejected(&[("protocol", "semi")], "protocol must be sync or async");
+        rejected(&[("strategy", "fedbuff")], "unknown sync strategy");
+        rejected(&[("fault", "gremlins")], "unknown fault kind");
+        rejected(&[("compression", "topk")], "unknown compression");
+        let topk = StaticCompression::TopK { ratio: 32.0 };
+        assert_eq!(static_compression("topk:32"), Ok(topk));
+        let qsgd = StaticCompression::Qsgd { levels: 8 };
+        assert_eq!(static_compression("qsgd:8"), Ok(qsgd));
+    }
+
+    /// A grid point runs exactly what the hand-written loop nest it replaces
+    /// ran: same `Scenario`, so the same records and the same ledger.
+    #[test]
+    fn grid_points_match_hand_built_scenarios() {
+        let grid = expand(
+            &format!(
+                r#", "adafl": {{ "max_selected": 3, "warmup_rounds": 1 }}, "grid": {{
+                "dist": {{ "iid": {{}}, "noniid": {NONIID} }},
+                "strategy": {{ "fedavg": {{}}, "adafl": {{ "strategy": "adafl" }} }} }}"#
+            ),
+            false,
+            &[],
+        )
+        .unwrap();
+        let mut points = grid.points.iter();
+
+        let task = Task::mnist_logreg(300, 80, 42);
+        let ada = AdaFlConfig {
+            max_selected: 3,
+            warmup_rounds: 1,
+            ..AdaFlConfig::default()
+        };
+        for (dist, partitioner) in Task::partitioners() {
+            for strategy in ["fedavg", "adafl"] {
+                let fl = FlConfig::builder()
+                    .clients(5)
+                    .rounds(3)
+                    .local_steps(3)
+                    .batch_size(16)
+                    .model(task.model.clone())
+                    .build();
+                let by_hand = Scenario {
+                    partitioner,
+                    ada: ada.clone(),
+                    ..Scenario::paper(task.clone(), fl)
+                };
+                let point = points.next().expect("one point per loop iteration");
+                assert_eq!(point.labels, [dist, strategy]);
+                let expected = run_sync(&by_hand, strategy);
+                let got = run_sync(&point.config.scenario().unwrap(), &point.config.strategy);
+                assert_eq!(got.history, expected.history, "{dist} {strategy}");
+                let totals = |r: &crate::runner::RunResult| {
+                    let mean = r.mean_uplink_payload.to_bits();
+                    let (up, down) = (r.uplink_bytes, r.downlink_bytes);
+                    (
+                        up,
+                        down,
+                        r.uplink_updates,
+                        mean,
+                        r.retransmission_bytes,
+                        r.control_bytes,
+                    )
+                };
+                assert_eq!(totals(&got), totals(&expected), "{dist} {strategy}");
+            }
+        }
+        assert!(points.next().is_none());
+    }
 }

@@ -1,5 +1,6 @@
 //! Fleet builders: networks, compute models and fault plans for the
-//! experiment scenarios.
+//! experiment scenarios. A fault at a fraction of the fleet needs no builder:
+//! it is `FaultPlan::with_fraction(clients, fraction, name.parse()?, seed)`.
 
 use adafl_fl::compute::ComputeModel;
 use adafl_fl::faults::{FaultKind, FaultPlan};
@@ -21,21 +22,10 @@ pub fn broadband_network(clients: usize, seed: u64) -> ClientNetwork {
 }
 
 /// A mixed embedded fleet: the first `constrained_fraction` of clients sit
-/// on constrained, time-varying links (random-walk congestion), the rest on
-/// broadband — the heterogeneity AdaFL's bandwidth term keys on.
-pub fn mixed_network(clients: usize, constrained_fraction: f64, seed: u64) -> ClientNetwork {
-    mixed_network_with(
-        clients,
-        constrained_fraction,
-        LinkProfile::Constrained,
-        seed,
-    )
-}
-
-/// [`mixed_network`] with an explicit device class for the constrained
-/// slice, so config files can name any [`LinkProfile`] (parsed with its
-/// `FromStr`) instead of hard-coding LPWAN.
-pub fn mixed_network_with(
+/// on time-varying links (random-walk congestion) of the `profile` device
+/// class, the rest on broadband — the heterogeneity AdaFL's bandwidth term
+/// keys on.
+pub fn mixed_network(
     clients: usize,
     constrained_fraction: f64,
     profile: LinkProfile,
@@ -99,18 +89,6 @@ pub fn uniform_compute(clients: usize, seconds_per_step: f64, seed: u64) -> Comp
     ComputeModel::uniform(clients, seconds_per_step).with_jitter(0.1, seed)
 }
 
-/// Fault plan for Figure 1's synchronous panels: `fraction` of clients
-/// behave as stragglers of the given kind.
-pub fn straggler_plan(clients: usize, fraction: f64, kind: &str, seed: u64) -> FaultPlan {
-    let fault = match kind {
-        "dropout" => FaultKind::Dropout { period: 2 },
-        "dataloss" => FaultKind::DataLoss { prob: 0.5 },
-        "stale" => FaultKind::Stale { factor: 3.0 },
-        other => panic!("unknown fault kind {other:?} (expected dropout|dataloss|stale)"),
-    };
-    FaultPlan::with_fraction(clients, fraction, fault, seed)
-}
-
 /// Fault plan for the chaos sweep: the first `crash_fraction` of clients
 /// crash mid-run (staggered start rounds, two rounds down, checkpoint
 /// recovery), the next `corruption_fraction` emit corrupted updates with
@@ -151,24 +129,6 @@ pub fn chaos_plan(
         })
         .collect();
     FaultPlan::new(kinds, seed)
-}
-
-/// Fault plan for the Byzantine sweep: the first `fraction` of clients
-/// mount `kind` (a [`FaultKind`] attack variant — sign-flip, boost or
-/// little-is-enough) every round; the rest stay honest. Colluding
-/// attackers share the plan's per-round collusion stream, so a fixed seed
-/// reproduces the attack byte for byte.
-///
-/// # Panics
-///
-/// Panics when `kind` is not an attack variant ([`FaultKind::is_attack`])
-/// or `fraction` is outside [0, 1].
-pub fn byzantine_plan(clients: usize, fraction: f64, kind: FaultKind, seed: u64) -> FaultPlan {
-    assert!(
-        kind.is_attack(),
-        "byzantine_plan needs an attack kind, got {kind:?}"
-    );
-    FaultPlan::with_fraction(clients, fraction, kind, seed)
 }
 
 /// The per-hop link used by the mesh generators: a symmetric
@@ -485,42 +445,40 @@ mod tests {
 
     #[test]
     fn mixed_network_constrains_prefix() {
-        let net = mixed_network(10, 0.3, 0);
+        let net = mixed_network(10, 0.3, LinkProfile::Constrained, 0);
         let slow = net.link_at(0, SimTime::ZERO);
         let fast = net.link_at(9, SimTime::ZERO);
         assert!(slow.uplink_bandwidth() < fast.uplink_bandwidth());
         assert_eq!(net.len(), 10);
     }
 
+    /// A named fault at a fraction of the fleet, as `ExperimentConfig` and
+    /// the sweeps build it.
+    fn named_plan(clients: usize, fraction: f64, name: &str, seed: u64) -> FaultPlan {
+        FaultPlan::with_fraction(clients, fraction, name.parse().unwrap(), seed)
+    }
+
     #[test]
     fn straggler_plan_kinds() {
-        assert_eq!(
-            straggler_plan(10, 0.2, "dropout", 0)
-                .affected_clients()
-                .len(),
-            2
-        );
-        assert_eq!(
-            straggler_plan(10, 0.4, "dataloss", 0)
-                .affected_clients()
-                .len(),
-            4
-        );
-        assert_eq!(
-            straggler_plan(10, 0.1, "stale", 0).affected_clients().len(),
-            1
-        );
+        let affected = |plan: FaultPlan| plan.affected_clients().len();
+        assert_eq!(affected(named_plan(10, 0.2, "dropout", 0)), 2);
+        assert_eq!(affected(named_plan(10, 0.4, "dataloss", 0)), 4);
+        assert_eq!(affected(named_plan(10, 0.1, "stale", 0)), 1);
+        // The parameters Figure 1 runs with are the parser's defaults.
+        assert_eq!("dropout".parse(), Ok(FaultKind::Dropout { period: 2 }));
+        assert_eq!("dataloss".parse(), Ok(FaultKind::DataLoss { prob: 0.5 }));
+        assert_eq!("stale".parse(), Ok(FaultKind::Stale { factor: 3.0 }));
     }
 
     #[test]
     #[should_panic(expected = "unknown fault kind")]
     fn bad_fault_kind_panics() {
-        straggler_plan(10, 0.2, "gremlins", 0);
+        named_plan(10, 0.2, "gremlins", 0);
     }
 
     #[test]
     fn byzantine_plan_arms_a_prefix_of_attackers() {
-        let plan = byzantine_plan(10, 0.4, FaultKind::SignFlip, 7);
+        let plan = named_plan(10, 0.4, "sign-flip", 7);
         assert_eq!(plan.affected_clients(), vec![0, 1, 2, 3]);
         assert_eq!(plan.attacks_update(0), Some(FaultKind::SignFlip));
         assert_eq!(plan.attacks_update(9), None);
@@ -529,7 +487,9 @@ mod tests {
     #[test]
     #[should_panic(expected = "needs an attack kind")]
     fn byzantine_plan_rejects_benign_faults() {
-        byzantine_plan(10, 0.4, FaultKind::Dropout { period: 2 }, 7);
+        // The check the `byzantine` sweep arms each of its plans behind.
+        let kind: FaultKind = "dropout".parse().unwrap();
+        assert!(kind.is_attack(), "needs an attack kind, got {kind:?}");
     }
 
     #[test]

@@ -20,6 +20,7 @@ use crate::tasks::Task;
 use adafl_core::AdaFlConfig;
 use adafl_data::partition::Partitioner;
 use adafl_fl::faults::FaultPlan;
+use adafl_fl::sync::StaticCompression;
 use adafl_fl::FlConfig;
 use adafl_telemetry::{export, InMemoryRecorder};
 
@@ -40,7 +41,7 @@ pub struct GoldenCase {
     pub name: &'static str,
     /// Sync or async protocol loop.
     pub protocol: Protocol,
-    /// Strategy name as accepted by [`runner::run_sync`] / [`runner::run_async`].
+    /// Strategy name as accepted by [`runner::run_sync`] / [`runner::run_async_with`].
     pub strategy: &'static str,
     /// Base seed threaded through `FlConfig::seed`.
     pub seed: u64,
@@ -160,6 +161,7 @@ pub fn scenario(case: &GoldenCase) -> Scenario {
         compute,
         faults,
         resilience,
+        compression: StaticCompression::None,
     }
 }
 

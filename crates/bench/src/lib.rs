@@ -1,10 +1,12 @@
 //! Experiment harness regenerating every table and figure of the AdaFL
 //! paper.
 //!
-//! Each binary in `src/bin/` reproduces one artifact (see DESIGN.md's
-//! experiment index); this library holds the shared pieces: the task
-//! definitions ([`tasks`]), fleet builders ([`fleet`]), run drivers
-//! ([`runner`]) and reporting helpers ([`report`]).
+//! The paper's figures and tables are experiment files under `configs/`,
+//! expanded by [`config`] and run by the `run_config` binary; the other
+//! binaries in `src/bin/` are the claim sweeps that calibrate, assert or
+//! measure in-process (see DESIGN.md's experiment index). This library holds
+//! the shared pieces: the task definitions ([`tasks`]), fleet builders
+//! ([`fleet`]), run drivers ([`runner`]) and reporting helpers ([`report`]).
 //!
 //! Absolute numbers differ from the paper (synthetic data, scaled models,
 //! simulated links — see DESIGN.md's substitution table); the comparisons —

@@ -1,7 +1,8 @@
 //! Reporting helpers: CSV series, aligned text tables, run provenance and
 //! the JSON report writer.
 
-use crate::runner::RunResult;
+use crate::runner::{RunResult, Scenario};
+use adafl_compression::dense_wire_size;
 
 /// Build/run provenance attached to benchmark JSON reports, so a checked-in
 /// number can be traced to the pool width and kernel build that produced it.
@@ -156,6 +157,68 @@ impl TextTable {
         }
         out
     }
+}
+
+/// What a run's uplink is measured against: the same scenario with every
+/// update sent dense and nobody left out.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DenseReference {
+    /// Wire size of one dense update of the scenario's model.
+    pub payload: u64,
+    /// Uplink bytes of the dense full-participation run: every client
+    /// updating every round (sync), or twice the update budget (async).
+    pub total: u64,
+}
+
+impl DenseReference {
+    /// The reference for `scenario` under the synchronous or asynchronous
+    /// protocol.
+    pub fn of(scenario: &Scenario, asynchronous: bool) -> Self {
+        let payload = dense_wire_size(scenario.task.model.build(0).param_count()) as u64;
+        let updates = if asynchronous {
+            2 * scenario.update_budget
+        } else {
+            (scenario.fl.clients * scenario.fl.rounds) as u64
+        };
+        DenseReference {
+            payload,
+            total: updates * payload,
+        }
+    }
+}
+
+/// The `summary` report: one aligned row per run — its key cells (a grid
+/// point's axis labels), then final and best accuracy, update count, uplink
+/// bytes, mean uplink payload, the compression that payload realises against
+/// a dense update, and the uplink bytes saved against
+/// [`DenseReference::total`]. Every cell is measured from the run.
+pub fn summary_table(keys: &[String], runs: &[(Vec<String>, RunResult, DenseReference)]) -> String {
+    let mut table = TextTable::new(keys.iter().map(String::as_str).chain([
+        "final_acc",
+        "best_acc",
+        "updates",
+        "uplink_bytes",
+        "mean_payload",
+        "compress",
+        "cost_reduc",
+    ]));
+    for (labels, run, dense) in runs {
+        let compress = if run.uplink_updates == 0 {
+            "-".to_string()
+        } else {
+            format!("{:.1}x", dense.payload as f64 / run.mean_uplink_payload)
+        };
+        table.row(labels.iter().cloned().chain([
+            format!("{:.2}%", run.history.final_accuracy() * 100.0),
+            format!("{:.2}%", run.history.best_accuracy() * 100.0),
+            run.uplink_updates.to_string(),
+            human_bytes(run.uplink_bytes),
+            human_bytes(run.mean_uplink_payload as u64),
+            compress,
+            format!("{:.1}%", cost_reduction_pct(dense.total, run.uplink_bytes)),
+        ]));
+    }
+    table.render()
 }
 
 /// Formats a byte count with a binary-ish unit for table cells.

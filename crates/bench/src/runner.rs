@@ -15,13 +15,13 @@ use adafl_fl::faults::FaultPlan;
 use adafl_fl::r#async::strategies::{FedAsync, FedBuff};
 use adafl_fl::r#async::AsyncStrategy;
 use adafl_fl::robust::RobustMethod;
-use adafl_fl::runtime::RuntimeBuilder;
+use adafl_fl::runtime::{RuntimeBuilder, SyncPolicies};
 use adafl_fl::submodel::{CapacityPolicy, CapacityTier};
-use adafl_fl::sync::strategies::{FedAdam, FedAvg, FedProx, Scaffold};
-use adafl_fl::sync::SyncStrategy;
+use adafl_fl::sync::strategies::{FedAdagrad, FedAdam, FedAvg, FedProx, FedYogi, Scaffold};
+use adafl_fl::sync::{StaticCompression, SyncStrategy};
 use adafl_fl::StaticCapacity;
 use adafl_fl::{FlConfig, RunHistory};
-use adafl_netsim::{ClientNetwork, ReliablePolicy};
+use adafl_netsim::{ClientNetwork, LinkProfile, ReliablePolicy};
 use adafl_telemetry::SharedRecorder;
 
 /// Heterogeneous-capacity configuration for synchronous scenarios: the
@@ -98,24 +98,28 @@ pub struct Scenario {
     pub update_budget: u64,
     /// Optional reliable transport and defensive aggregation.
     pub resilience: Resilience,
+    /// Fixed uplink compression of the synchronous baselines (the
+    /// related-work schemes AdaFL's adaptive rates are contrasted with).
+    pub compression: StaticCompression,
 }
 
 impl Scenario {
     /// The paper's §V evaluation fleet for `task` under `fl`: the first
     /// 30 % of the `fl.clients` clients on constrained links, 0.1 s per
-    /// local step, no faults, default AdaFL, IID data, no async budget and
-    /// no resilience layer, every generator seeded with `fl.seed`. An
-    /// experiment names only what it varies:
+    /// local step, no faults, default AdaFL, IID data, no async budget, no
+    /// resilience layer and dense baselines, every generator seeded with
+    /// `fl.seed`. An experiment names only what it varies:
     /// `Scenario { partitioner, ..Scenario::paper(task, fl) }`.
     pub fn paper(task: Task, fl: FlConfig) -> Self {
         Scenario {
-            network: fleet::mixed_network(fl.clients, 0.3, fl.seed),
+            network: fleet::mixed_network(fl.clients, 0.3, LinkProfile::Constrained, fl.seed),
             compute: fleet::uniform_compute(fl.clients, 0.1, fl.seed),
             faults: FaultPlan::reliable(fl.clients),
             ada: AdaFlConfig::default(),
             partitioner: Partitioner::Iid,
             update_budget: 0,
             resilience: Resilience::default(),
+            compression: StaticCompression::None,
             task,
             fl,
         }
@@ -161,10 +165,20 @@ pub struct RunResult {
     pub control_bytes: u64,
 }
 
-/// The synchronous strategy names [`run_sync`] accepts.
-pub const SYNC_STRATEGIES: [&str; 5] = ["fedavg", "fedadam", "fedprox", "scaffold", "adafl"];
+/// The synchronous strategy names [`run_sync`] accepts: the paper's four
+/// baselines and AdaFL, then the other adaptive server optimizers of Reddi
+/// et al. \[34].
+pub const SYNC_STRATEGIES: [&str; 7] = [
+    "fedavg",
+    "fedadam",
+    "fedprox",
+    "scaffold",
+    "adafl",
+    "fedadagrad",
+    "fedyogi",
+];
 
-/// The asynchronous strategy names [`run_async`] accepts.
+/// The asynchronous strategy names [`run_async_with`] accepts.
 pub const ASYNC_STRATEGIES: [&str; 3] = ["fedasync", "fedbuff", "adafl"];
 
 fn sync_baseline(name: &str) -> Box<dyn SyncStrategy> {
@@ -173,6 +187,8 @@ fn sync_baseline(name: &str) -> Box<dyn SyncStrategy> {
         "fedadam" => Box::new(FedAdam::new(0.01)),
         "fedprox" => Box::new(FedProx::new(0.01)),
         "scaffold" => Box::new(Scaffold::new()),
+        "fedadagrad" => Box::new(FedAdagrad::new(0.02, 1e-3)),
+        "fedyogi" => Box::new(FedYogi::new(0.02, 1e-3)),
         other => panic!("unknown sync strategy {other:?} (expected one of {SYNC_STRATEGIES:?})"),
     }
 }
@@ -217,26 +233,26 @@ pub fn run_sync_with(
              score-adaptive DGC compression keeps per-client error feedback \
              bound to the full model dimension"
         );
+        assert_eq!(
+            scenario.compression,
+            StaticCompression::None,
+            "static compression cannot be combined with the adafl strategy: \
+             it assigns its own utility-adaptive ratios"
+        );
         builder.build_adafl_sync(&scenario.ada)
     } else {
-        builder.build_sync(sync_baseline(strategy))
+        let policies =
+            SyncPolicies::baseline(builder.fl(), sync_baseline(strategy), scenario.compression);
+        builder.build_sync_runtime(policies)
     };
     let history = runtime.run();
     result(history, runtime.ledger())
 }
 
-/// Runs one asynchronous scenario under the named strategy.
-///
-/// # Panics
-///
-/// Panics on an unknown strategy name.
-pub fn run_async(scenario: &Scenario, strategy: &str) -> RunResult {
-    run_async_with(scenario, strategy, adafl_telemetry::noop())
-}
-
-/// [`run_async`] with a telemetry recorder attached to the runtime (and,
-/// through it, the simulated network). Recording is passive: results are
-/// identical to the untraced run.
+/// Runs one asynchronous scenario under the named strategy, with a
+/// telemetry recorder attached to the runtime (and, through it, the
+/// simulated network). Recording is passive: results are identical to the
+/// untraced run.
 ///
 /// # Panics
 ///
@@ -293,6 +309,7 @@ mod tests {
             partitioner: Partitioner::Iid,
             update_budget: 25,
             resilience: Resilience::default(),
+            compression: StaticCompression::None,
             fl,
             task,
         }
@@ -312,7 +329,7 @@ mod tests {
     fn every_async_strategy_runs() {
         let s = scenario();
         for name in ASYNC_STRATEGIES {
-            let r = run_async(&s, name);
+            let r = run_async_with(&s, name, adafl_telemetry::noop());
             assert!(!r.history.is_empty(), "{name} recorded nothing");
             assert!(r.uplink_bytes > 0);
         }

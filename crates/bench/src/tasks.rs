@@ -30,6 +30,24 @@ pub struct Task {
 }
 
 impl Task {
+    /// The task an experiment file names: `mnist-cnn`, `mnist-logreg`,
+    /// `cifar10-resnet` or `cifar100-vgg`.
+    ///
+    /// # Errors
+    ///
+    /// Names the unknown task.
+    pub fn named(name: &str, train: usize, test: usize, seed: u64) -> Result<Task, String> {
+        match name {
+            "mnist-cnn" => Ok(Task::mnist_cnn(train, test, seed)),
+            "mnist-logreg" => Ok(Task::mnist_logreg(train, test, seed)),
+            "cifar10-resnet" => Ok(Task::cifar10_resnet(train, test, seed)),
+            "cifar100-vgg" => Ok(Task::cifar100_vgg(train, test, seed)),
+            other => Err(format!(
+                "unknown task {other:?} (expected mnist-cnn, mnist-logreg, cifar10-resnet or cifar100-vgg)"
+            )),
+        }
+    }
+
     /// MNIST-like task with the paper's exact CNN architecture (scaled to
     /// 16×16 inputs; see DESIGN.md): the workload of Figure 3 and the MNIST
     /// columns of Tables I/II.

@@ -8,6 +8,7 @@ use adafl_bench::tasks::Task;
 use adafl_bench::{fleet, report};
 use adafl_core::AdaFlConfig;
 use adafl_data::partition::Partitioner;
+use adafl_fl::sync::StaticCompression;
 use adafl_fl::FlConfig;
 use adafl_telemetry::export::to_jsonl_string;
 use adafl_telemetry::InMemoryRecorder;
@@ -37,6 +38,7 @@ fn chaos_scenario() -> Scenario {
         partitioner: Partitioner::Iid,
         update_budget: 0,
         resilience: Resilience::hardened(),
+        compression: StaticCompression::None,
         task,
         fl,
     }

@@ -1,28 +1,37 @@
-//! The experiment index is the bin list, and every paper bin runs: DESIGN.md
-//! §3 names exactly the binaries under `src/bin/`, each of which rejects the
-//! flags it does not read, and each figure / table main exits 0 at its
-//! smallest size with the header its consumers read.
+//! The experiment index is the bin list plus the config list, and every paper
+//! experiment runs: DESIGN.md §3 names exactly the binaries under `src/bin/`
+//! (each of which rejects the flags it does not read) and the files under
+//! `configs/`, and each figure / table exits 0 at its smallest size with the
+//! header its consumers read.
 
 use std::collections::BTreeSet;
 use std::path::Path;
 use std::process::Command;
 
+/// File stems of `dir`'s entries with extension `ext`.
+fn stems(dir: &Path, ext: &str) -> BTreeSet<String> {
+    std::fs::read_dir(dir)
+        .unwrap_or_else(|e| panic!("{dir:?}: {e}"))
+        .map(|entry| entry.expect("readable entry").path())
+        .filter(|path| path.extension().is_some_and(|e| e == ext))
+        .map(|path| path.file_stem().unwrap().to_str().unwrap().to_string())
+        .collect()
+}
+
 #[test]
 fn design_index_names_exactly_the_bins() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let mut bins = BTreeSet::new();
-    for entry in std::fs::read_dir(root.join("src/bin")).expect("src/bin exists") {
-        let path = entry.expect("readable entry").path();
-        let name = path.file_stem().unwrap().to_str().unwrap().to_string();
+    let bins = stems(&root.join("src/bin"), "rs");
+    for name in &bins {
         // Nothing makes a main call it, so a bin that forgets would be back
         // to ignoring misspelt flags.
-        let source = std::fs::read_to_string(&path).expect("readable bin");
+        let source = std::fs::read_to_string(root.join(format!("src/bin/{name}.rs"))).unwrap();
         assert!(
             source.contains(".reject_unknown();"),
             "{name} never rejects the flags it does not read"
         );
-        bins.insert(name);
     }
+    let configs = stems(&root.join("../../configs"), "json");
 
     let design = std::fs::read_to_string(root.join("../../DESIGN.md")).expect("DESIGN.md");
     let index = design
@@ -30,32 +39,47 @@ fn design_index_names_exactly_the_bins() {
         .nth(1)
         .and_then(|rest| rest.split("\n## ").next())
         .expect("DESIGN.md has the experiment index section");
-    let indexed: BTreeSet<String> = index
-        .lines()
-        .filter(|line| line.starts_with('|') && line.contains("-p adafl-bench"))
-        .flat_map(|line| line.split("--bin ").skip(1))
-        .map(|rest| {
-            rest.split(|c: char| !c.is_alphanumeric() && c != '_')
-                .next()
-                .unwrap()
-                .to_string()
-        })
-        .collect();
+    // The identifier following each `marker` in the index's table rows.
+    let named = |marker: &str| -> BTreeSet<String> {
+        index
+            .lines()
+            .filter(|line| line.starts_with('|') && line.contains("-p adafl-bench"))
+            .flat_map(|line| line.split(marker).skip(1))
+            .map(|rest| {
+                rest.split(|c: char| !c.is_alphanumeric() && c != '_')
+                    .next()
+                    .unwrap()
+                    .to_string()
+            })
+            .filter(|name| !name.is_empty())
+            .collect()
+    };
 
-    assert_eq!(bins, indexed, "src/bin/*.rs vs. DESIGN.md experiment index");
+    assert_eq!(
+        bins,
+        named("--bin "),
+        "src/bin/*.rs vs. DESIGN.md experiment index"
+    );
+    assert_eq!(
+        configs,
+        named("configs/"),
+        "configs/*.json vs. DESIGN.md experiment index"
+    );
 }
 
-/// Columns `report::print_series` appends after a binary's key columns.
+/// Columns `report::print_series` appends after an experiment's key columns.
 const SERIES: &str =
     "label round sim_time_s accuracy loss uplink_bytes uplink_updates contributors";
-const TABLE: &str =
-    "method task clients particip update_freq cost_reduc grad_size compress acc_iid acc_noniid";
+/// Columns `report::summary_table` appends after them.
+const SUMMARY: &str = "final_acc best_acc updates uplink_bytes mean_payload compress cost_reduc";
 
-/// Runs `exe args`, demanding exit 0 and `header` (CSV or aligned-table
-/// columns, compared cell by cell) as the first stdout line.
+/// Runs `exe args` from the repository root, demanding exit 0 and `header`
+/// (CSV or aligned-table columns, compared cell by cell) as the first stdout
+/// line.
 fn runs(exe: &str, args: &str, header: &str) {
     let out = Command::new(exe)
         .args(args.split(' '))
+        .current_dir(Path::new(env!("CARGO_MANIFEST_DIR")).join("../.."))
         .output()
         .expect("binary spawns");
     assert!(
@@ -77,8 +101,9 @@ fn runs(exe: &str, args: &str, header: &str) {
     );
 }
 
-// One test per invocation, so the harness runs them on parallel threads.
-macro_rules! paper_bins_run {
+// One test per invocation, so the harness runs them on parallel threads;
+// each config at its `quick` size with the smallest round count on top.
+macro_rules! paper_experiments_run {
     ($($test:ident: $bin:literal, $args:literal => $header:expr;)*) => {$(
         #[test]
         fn $test() {
@@ -87,18 +112,37 @@ macro_rules! paper_bins_run {
     )*};
 }
 
-paper_bins_run! {
-    fig1_sync_runs: "fig1", "--protocol sync --quick --model cnn --rounds 1"
+paper_experiments_run! {
+    fig1_sync_runs: "run_config", "--config configs/fig1_sync.json --quick --rounds 1"
         => format!("model dist fault straggler_frac {SERIES}");
-    fig1_async_runs: "fig1", "--protocol async --quick --budget 10"
+    fig1_async_runs: "run_config", "--config configs/fig1_async.json --quick --update_budget 10"
         => format!("dist fault straggler_frac {SERIES}");
-    fig3_sync_runs: "fig3", "--protocol sync --quick --rounds 1" => format!("dist {SERIES}");
-    fig3_async_runs: "fig3", "--protocol async --quick --budget 10" => format!("dist {SERIES}");
-    table1_runs: "table1", "--quick --rounds 1" => TABLE;
-    table2_runs: "table2", "--quick --budget 10" => TABLE;
-    ablation_runs: "ablation", "--quick --rounds 1"
-        => "variant final_acc best_acc uplink_bytes updates";
-    extensions_runs: "extensions", "--quick --rounds 1"
-        => "variant final_acc uplink_bytes mean_payload updates";
+    fig3_sync_runs: "run_config", "--config configs/fig3_sync.json --quick --rounds 1"
+        => format!("dist {SERIES}");
+    fig3_async_runs: "run_config", "--config configs/fig3_async.json --quick --update_budget 10"
+        => format!("dist {SERIES}");
+    table1_runs: "run_config", "--config configs/table1.json --quick --rounds 1"
+        => format!("task strategy dist {SUMMARY}");
+    table2_runs: "run_config", "--config configs/table2.json --quick --update_budget 10"
+        => format!("task strategy dist {SUMMARY}");
+    ablation_runs: "run_config", "--config configs/ablation.json --quick --rounds 1"
+        => format!("variant {SUMMARY}");
+    extensions_runs: "run_config", "--config configs/extensions.json --quick --rounds 1"
+        => format!("variant {SUMMARY}");
     overhead_runs: "overhead", "--reps 2" => "component time_per_round vs_training";
+}
+
+/// A key the schema lacks stops `run_config` with its name on stderr and a
+/// failing exit code, before anything runs.
+#[test]
+fn run_config_refuses_a_field_the_schema_lacks() {
+    let out = Command::new(env!("CARGO_BIN_EXE_run_config"))
+        .args(["--config", "configs/table1.json", "--quick", "--round", "1"])
+        .current_dir(Path::new(env!("CARGO_MANIFEST_DIR")).join("../.."))
+        .output()
+        .expect("binary spawns");
+    assert_eq!(out.status.code(), Some(1));
+    assert!(out.stdout.is_empty());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown field `round`"), "{stderr}");
 }

@@ -9,6 +9,7 @@ use adafl_bench::tasks::Task;
 use adafl_core::AdaFlConfig;
 use adafl_data::partition::Partitioner;
 use adafl_fl::faults::FaultPlan;
+use adafl_fl::sync::StaticCompression;
 use adafl_fl::FlConfig;
 use adafl_telemetry::{export, jsonl, names, InMemoryRecorder};
 
@@ -22,7 +23,7 @@ fn scenario() -> Scenario {
         .model(task.model.clone())
         .build();
     Scenario {
-        network: fleet::mixed_network(5, 0.4, 1),
+        network: fleet::mixed_network(5, 0.4, adafl_netsim::LinkProfile::Constrained, 1),
         compute: fleet::uniform_compute(5, 0.05, 2),
         faults: FaultPlan::reliable(5),
         ada: AdaFlConfig {
@@ -33,6 +34,7 @@ fn scenario() -> Scenario {
         partitioner: Partitioner::Iid,
         update_budget: 20,
         resilience: Resilience::default(),
+        compression: StaticCompression::None,
         fl,
         task,
     }

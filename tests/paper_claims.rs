@@ -63,7 +63,7 @@ fn q1_q2_adafl_competitive_accuracy_at_much_lower_cost() {
         base.final_accuracy()
     );
     // Q2: a large uplink-byte reduction. The paper's 60-78% band is checked
-    // at full scale by the table1/table2 binaries; this scaled test uses a
+    // at full scale by `configs/table1.json` / `table2.json`; this scaled test uses a
     // tiny 650-parameter model where fixed per-round control traffic
     // (score reports, sparse headers) weighs proportionally more, so the
     // bound here is slightly lower.
