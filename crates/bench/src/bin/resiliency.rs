@@ -152,7 +152,7 @@ fn main() {
     }
 
     let refs: Vec<(String, &RunResult)> = runs.iter().map(|(k, r)| (k.clone(), r)).collect();
-    report::print_series("condition,mode,strategy", &refs);
+    print!("{}", report::series_csv("condition,mode,strategy", &refs));
     eprintln!("\n{}", table.render());
 }
 

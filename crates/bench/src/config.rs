@@ -1,13 +1,16 @@
 //! JSON schema for config-driven experiments: one scenario per file, or —
 //! with a `grid` — the cross product of its axes, each point one scenario.
 //! The `run_config` binary's docs describe the file format (`grid`, `quick`,
-//! `report`, `--<field> <value>` overrides); [`ExperimentConfig::points`]
-//! implements it and [`ExperimentConfig::scenario`] builds what a point runs.
+//! `report`, `target`, `claims`, `--<field> <value>` overrides);
+//! [`ExperimentConfig::points`] implements it, [`ExperimentConfig::scenario`]
+//! builds what a point runs and [`Grid::verdicts`] holds the runs against the
+//! file's claims.
 //!
 //! Checked-in experiments live under `configs/`; `tests/configs.rs` expands
 //! each and builds every point's [`Scenario`].
 
 use crate::fleet;
+use crate::report::{Json, Row, Verdict};
 use crate::runner::{Capacity, Resilience, Scenario, ASYNC_STRATEGIES, SYNC_STRATEGIES};
 use crate::tasks::Task;
 use adafl_core::AdaFlConfig;
@@ -100,6 +103,8 @@ pub struct ExperimentConfig {
     pub edge_aggregators: usize,
     /// Async protocols: total server-received updates before stopping.
     pub update_budget: u64,
+    /// Simulated seconds one local SGD step takes on every client.
+    pub step_seconds: f64,
     /// Root RNG seed for the whole run.
     pub seed: u64,
     /// AdaFL hyperparameters; a file or overlay names only the ones it
@@ -112,7 +117,8 @@ const DEFAULTS: &str = r#"{
     "train_samples": 2000, "test_samples": 400, "clients": 10, "rounds": 40,
     "participation": 0.5, "local_steps": 5, "batch_size": 32,
     "constrained_fraction": 0.3, "constrained_profile": "constrained",
-    "fault_fraction": 0.3, "edge_aggregators": 0, "update_budget": 400, "seed": 42
+    "fault_fraction": 0.3, "edge_aggregators": 0, "update_budget": 400, "step_seconds": 0.1,
+    "seed": 42
 }"#;
 
 /// How a grid's runs are printed.
@@ -144,18 +150,76 @@ pub struct Grid {
     pub axes: Vec<String>,
     /// Every point, first axis outermost.
     pub points: Vec<Point>,
+    /// The file's `target`, if any.
+    pub target: Option<Target>,
+    /// The file's `claims`, in file order.
+    pub claims: Vec<Claim>,
+    /// Whether `--<field>` overrides changed what the file describes: its
+    /// claims are then about another experiment, and verdicts are `skipped`.
+    pub overridden: bool,
+}
+
+/// The accuracy every row is held against: `factor` times the final accuracy
+/// of the one row `target.row` selects.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Target {
+    /// Index of the calibrating row among the grid's points.
+    pub row: usize,
+    /// What that row's final accuracy is scaled by.
+    pub factor: f32,
+}
+
+/// The label a row must carry on each axis, in axis order; `None`: any.
+type Selector = Vec<Option<String>>;
+
+/// One named assertion about a column of the report.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Claim {
+    name: String,
+    /// The rows it is about: all of them must hold, or `any` one.
+    rows: Selector,
+    any: bool,
+    /// The [`Row::column`] compared.
+    column: String,
+    holds: Comparison,
+    against: Against,
+}
+
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Comparison {
+    Equals,
+    Below,
+    AtLeast,
+}
+
+/// A claim's right-hand side.
+#[derive(Debug, Clone, PartialEq)]
+enum Against {
+    Constant(f64),
+    /// The same column of the row reached by swapping in these labels.
+    Row(Selector),
+}
+
+/// `target` as a file spells it.
+#[derive(Deserialize, Serialize)]
+struct TargetSpec {
+    row: Json,
+    factor: f32,
+}
+
+/// One of `claims` as a file spells it.
+#[derive(Deserialize, Serialize)]
+struct ClaimSpec {
+    name: String,
+    rows: Option<Json>,
+    any: Option<bool>,
+    column: String,
+    equals: Option<Json>,
+    below: Option<Json>,
+    at_least: Option<Json>,
 }
 
 type Object = Vec<(String, Value)>;
-
-/// Parses any JSON document into the shim's value tree.
-struct Json(Value);
-
-impl Deserialize for Json {
-    fn from_value(v: &Value) -> Result<Self, serde::Error> {
-        Ok(Json(v.clone()))
-    }
-}
 
 fn object(value: Value, what: &str) -> Result<Object, String> {
     match value {
@@ -197,6 +261,160 @@ fn unknown_key<'a>(given: &'a Value, schema: &Value) -> Option<&'a str> {
     given.as_object()?.iter().find_map(stray)
 }
 
+/// Deserializes `raw`, refusing keys `T` does not have.
+fn strict<T: Deserialize + Serialize>(raw: &Value) -> Result<T, String> {
+    let parsed = T::from_value(raw).map_err(|e| e.to_string())?;
+    match unknown_key(raw, &parsed.to_value()) {
+        Some(key) => Err(format!("unknown field `{key}`")),
+        None => Ok(parsed),
+    }
+}
+
+/// A grid's axes as expanded: each name with its `label → overlay` entries.
+type Axes = [(String, Vec<(String, Object)>)];
+
+/// Resolves `{ axis: label, … }` against the grid's axes.
+fn selector(value: Value, what: &str, axes: &Axes) -> Result<Selector, String> {
+    let mut picked = vec![None; axes.len()];
+    for (axis, label) in object(value, what)? {
+        let at = axes
+            .iter()
+            .position(|(name, _)| *name == axis)
+            .ok_or_else(|| format!("{what} names `{axis}`, not an axis"))?;
+        let known = |label: &&str| axes[at].1.iter().any(|(known, _)| known == label);
+        let label = label
+            .as_str()
+            .filter(known)
+            .ok_or_else(|| format!("{what}: axis `{axis}` has no label {label:?}"))?;
+        picked[at] = Some(label.to_string());
+    }
+    Ok(picked)
+}
+
+fn selects(selector: &Selector, labels: &[String]) -> bool {
+    let mut pairs = selector.iter().zip(labels);
+    pairs.all(|(want, label)| want.as_ref().is_none_or(|want| want == label))
+}
+
+impl Target {
+    fn parse(raw: &Value, axes: &Axes, points: &[Point]) -> Result<Self, String> {
+        let spec: TargetSpec = strict(raw).map_err(|e| format!("`target`: {e}"))?;
+        let row = selector(spec.row.0, "`target.row`", axes)?;
+        if let Some(open) = row.iter().position(Option::is_none) {
+            let axis = &axes[open].0;
+            return Err(format!(
+                "`target.row` must select exactly one row: it leaves axis `{axis}` open"
+            ));
+        }
+        let row = points.iter().position(|point| selects(&row, &point.labels));
+        Ok(Target {
+            row: row.expect("every label is one of its axis's"),
+            factor: spec.factor,
+        })
+    }
+}
+
+impl Claim {
+    fn parse(raw: &Value, axes: &Axes, targeted: bool) -> Result<Self, String> {
+        let spec: ClaimSpec = strict(raw).map_err(|e| format!("a claim: {e}"))?;
+        let of = format!("claim `{}`", spec.name);
+        let probe = Row {
+            reaches_target: targeted.then_some(false),
+            ..Row::default()
+        };
+        if probe.column(&spec.column).is_none() {
+            return Err(format!("{of}: the report has no column `{}`", spec.column));
+        }
+        let (holds, rhs) = match (spec.equals, spec.below, spec.at_least) {
+            (Some(Json(rhs)), None, None) => (Comparison::Equals, rhs),
+            (None, Some(Json(rhs)), None) => (Comparison::Below, rhs),
+            (None, None, Some(Json(rhs))) => (Comparison::AtLeast, rhs),
+            _ => {
+                return Err(format!(
+                    "{of} needs exactly one of `equals`, `below`, `at_least`"
+                ))
+            }
+        };
+        let against = match rhs {
+            Value::Bool(flag) => Against::Constant(f64::from(u8::from(flag))),
+            Value::Object(_) => Against::Row(selector(rhs, &of, axes)?),
+            other => Against::Constant(other.as_f64().ok_or_else(|| {
+                format!("{of} compares against a number, a bool or a row, got {other:?}")
+            })?),
+        };
+        let rows = spec.rows.map_or(Value::Object(Vec::new()), |rows| rows.0);
+        Ok(Claim {
+            rows: selector(rows, &of, axes)?,
+            name: spec.name,
+            any: spec.any.unwrap_or(false),
+            column: spec.column,
+            holds,
+            against,
+        })
+    }
+
+    /// Holds the claim against `rows`, one per point of its grid.
+    fn verdict(&self, rows: &[Row], skipped: bool) -> Verdict {
+        let column = |row: &Row| row.column(&self.column).expect("checked with the points");
+        let against = |row: &Row| match &self.against {
+            Against::Constant(constant) => *constant,
+            Against::Row(swap) => {
+                let swapped = swap.iter().zip(&row.labels);
+                let labels = swapped.map(|(new, old)| new.as_ref().unwrap_or(old));
+                let other = rows
+                    .iter()
+                    .find(|other| other.labels.iter().eq(labels.clone()));
+                column(other.expect("a grid is a full cross product"))
+            }
+        };
+        let selected = rows.iter().filter(|row| selects(&self.rows, &row.labels));
+        let sides: Vec<(&Row, f64, f64)> = selected
+            .map(|row| (row, column(row), against(row)))
+            .collect();
+        let holds = |&&(_, lhs, rhs): &&(&Row, f64, f64)| match self.holds {
+            Comparison::Equals => lhs == rhs,
+            Comparison::Below => lhs < rhs,
+            Comparison::AtLeast => lhs >= rhs,
+        };
+        // What decides the claim: a for-all's counterexample, an `any`'s witness.
+        let decisive = sides.iter().find(|side| holds(side) == self.any);
+        let (row, lhs, rhs) = *decisive.unwrap_or(&sides[0]);
+        Verdict {
+            claim: self.name.clone(),
+            verdict: match decisive.is_some() == self.any {
+                _ if skipped => "skipped",
+                true => "ok",
+                false => "FAILED",
+            },
+            row: row.labels.clone(),
+            lhs,
+            rhs,
+        }
+    }
+}
+
+impl Grid {
+    /// One verdict per claim on `rows`, one row per point in grid order;
+    /// all `skipped` when the command line overrode the file.
+    pub fn verdicts(&self, rows: &[Row]) -> Vec<Verdict> {
+        let verdict = |claim: &Claim| claim.verdict(rows, self.overridden);
+        self.claims.iter().map(verdict).collect()
+    }
+
+    /// FNV-1a over every point's labels and serialized config, as hex: two
+    /// reports with the same hash ran the same scenarios.
+    pub fn points_hash(&self) -> String {
+        let mut hash = 0xcbf2_9ce4_8422_2325_u64;
+        for point in &self.points {
+            let config = serde_json::to_string(&point.config).expect("configs serialize");
+            for byte in format!("{:?}{config}", point.labels).bytes() {
+                hash = (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        format!("{hash:016x}")
+    }
+}
+
 impl ExperimentConfig {
     /// Expands the experiment file `text` into its grid. Lowest precedence
     /// first: the schema's defaults, the file, its `quick` overlay when `quick`, each
@@ -210,7 +428,10 @@ impl ExperimentConfig {
     /// the file, an overlay or `overrides`) that is not a schema field; an
     /// override of a field a grid axis sets; an empty axis; `--quick`
     /// without a `quick` overlay, or a `quick.grid` axis the grid lacks; a
-    /// `report` other than `series` / `summary`.
+    /// `report` other than `series` / `summary`; a `target` or claim that
+    /// names an unknown axis, label, column or field, a `target.row` that
+    /// does not select exactly one row, a claim without exactly one
+    /// comparison.
     pub fn points(text: &str, quick: bool, overrides: &[(String, String)]) -> Result<Grid, String> {
         let Json(file) = serde_json::from_str(text).map_err(|e| e.to_string())?;
         let mut file = object(file, "an experiment file")?;
@@ -259,6 +480,8 @@ impl ExperimentConfig {
             };
             set(&mut file, key, scalar);
         }
+        let target = take(&mut file, "target");
+        let claims = take(&mut file, "claims");
         let report = match take(&mut file, "report") {
             None => Report::Series,
             Some(Value::Str(name)) if name == "series" => Report::Series,
@@ -297,24 +520,36 @@ impl ExperimentConfig {
                     .map_err(|e| format!("point {labels:?}: {e}"))?;
                 Ok(Point { labels, config })
             })
-            .collect::<Result<_, String>>()?;
+            .collect::<Result<Vec<_>, String>>()?;
+        let target = target.map(|target| Target::parse(&target, &axes, &points));
+        let target = target.transpose()?;
+        let claims = match claims.unwrap_or(Value::Array(Vec::new())) {
+            Value::Array(claims) => claims,
+            other => return Err(format!("`claims` must be an array, got {}", other.kind())),
+        };
+        let claims = claims
+            .iter()
+            .map(|claim| Claim::parse(claim, &axes, target.is_some()));
+        let claims = claims.collect::<Result<_, String>>()?;
         Ok(Grid {
             report,
             axes: axes.into_iter().map(|(axis, _)| axis).collect(),
             points,
+            target,
+            claims,
+            overridden: !overrides.is_empty(),
         })
     }
 
     /// Deserializes `raw`, refusing keys the schema does not have.
     fn checked(raw: &Value) -> Result<Self, String> {
-        let config = Self::from_value(raw).map_err(|e| e.to_string())?;
-        let schema = config.to_value();
-        let stray = unknown_key(raw, &schema).map(str::to_string).or_else(|| {
-            let stray = unknown_key(raw.get("adafl")?, schema.get("adafl")?)?;
-            Some(format!("adafl.{stray}"))
-        });
-        match stray {
-            Some(key) => Err(format!("unknown field `{key}`")),
+        let config: Self = strict(raw)?;
+        let adafl = config.adafl.to_value();
+        match raw
+            .get("adafl")
+            .and_then(|given| unknown_key(given, &adafl))
+        {
+            Some(key) => Err(format!("unknown field `adafl.{key}`")),
             None => Ok(config),
         }
     }
@@ -436,6 +671,7 @@ impl ExperimentConfig {
         };
         Ok(Scenario {
             network,
+            compute: fleet::uniform_compute(self.clients, self.step_seconds, self.seed),
             faults,
             compression,
             ada: self.adafl.clone(),
@@ -471,7 +707,7 @@ fn static_compression(scheme: &str) -> Result<StaticCompression, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::run_sync;
+    use crate::runner::run_sync_with;
 
     const BASE: &str = r#""protocol": "sync", "strategy": "fedavg", "task": "mnist-logreg",
         "partition": "Iid", "train_samples": 300, "test_samples": 80, "clients": 5, "rounds": 3,
@@ -595,6 +831,180 @@ mod tests {
         rejected("", true, &[], "no `quick` overlay");
         let stray_axis = axis("{}") + r#", "quick": { "grid": { "b": {} } }"#;
         rejected(&stray_axis, true, &[], "names `b`");
+
+        // `target` and `claims` are checked with the points, before any run
+        // (`reaches_target` is a column only under a `target`).
+        let axes = r#", "grid": { "a": { "x": {}, "y": {} }, "b": { "p": {}, "q": {} } }"#;
+        let blocks = r#"
+            "target": { "row": { "a": "x" }, "factor": 1 } => leaves axis `b` open
+            "target": { "row": {}, "factor": 1 } => must select exactly one row
+            "target": { "row": { "c": "x" }, "factor": 1 } => names `c`, not an axis
+            "target": { "row": { "a": "z" }, "factor": 1 } => axis `a` has no label
+            "target": { "row": { "a": "x", "b": "p" } } => missing field `factor`
+            "target": { "row": {}, "factor": 1, "of": 2 } => unknown field `of`
+            "claims": {} => `claims` must be an array
+            "claims": [{ "column": "updates", "below": 1 }] => missing field `name`
+            "claims": [{ "name": "n", "column": "rounds", "below": 1 }] => no column `rounds`
+            "claims": [{ "name": "n", "column": "reaches_target", "equals": true }] => no column
+            "claims": [{ "name": "n", "column": "updates" }] => exactly one of
+            "claims": [{ "name": "n", "column": "updates", "below": 9, "at_least": 1 }] => exactly one
+            "claims": [{ "name": "n", "column": "updates", "below": "x" }] => a number, a bool or a row
+            "claims": [{ "name": "n", "column": "updates", "below": { "a": "z" } }] => has no label
+            "claims": [{ "name": "n", "column": "updates", "rows": { "c": "x" }, "below": 1 }] => names `c`
+            "claims": [{ "name": "n", "column": "updates", "below": 1, "unless": 2 }] => unknown field `unless`
+        "#;
+        for line in blocks
+            .lines()
+            .map(str::trim)
+            .filter(|line| !line.is_empty())
+        {
+            let (block, complaint) = line.split_once(" => ").unwrap();
+            rejected(&format!("{axes}, {block}"), false, &[], complaint);
+        }
+    }
+
+    /// One row per point of `grid`, under a target nobody reaches yet, filled
+    /// in by `fill` from the point's labels joined with `/`.
+    fn rows(grid: &Grid, fill: impl Fn(&str, &mut Row)) -> Vec<Row> {
+        let row = |point: &Point| {
+            let mut row = Row {
+                labels: point.labels.clone(),
+                reaches_target: Some(false),
+                ..Row::default()
+            };
+            fill(&point.labels.join("/"), &mut row);
+            row
+        };
+        grid.points.iter().map(row).collect()
+    }
+
+    /// Each claim's verdict on `rows`, as `<verdict>: <lhs> vs <rhs> at <row>`.
+    fn outcomes(grid: &Grid, rows: &[Row]) -> Vec<String> {
+        let line = |v: &Verdict| {
+            format!(
+                "{}: {} vs {} at {}",
+                v.verdict,
+                v.lhs,
+                v.rhs,
+                v.row.join("/")
+            )
+        };
+        grid.verdicts(rows).iter().map(line).collect()
+    }
+
+    fn checked_in(name: &str, quick: bool) -> Grid {
+        let path = format!("{}/../../configs/{name}.json", env!("CARGO_MANIFEST_DIR"));
+        let text = std::fs::read_to_string(path).expect("checked-in config");
+        ExperimentConfig::points(&text, quick, &[]).unwrap()
+    }
+
+    #[test]
+    fn a_target_is_one_row_of_the_grid_scaled() {
+        let target = |row, factor| Some(Target { row, factor });
+        let file = r#", "grid": { "a": { "x": {}, "y": {} }, "b": { "p": {}, "q": {} } },
+            "target": { "row": { "b": "p", "a": "y" }, "factor": 0.5 }"#;
+        let grid = expand(file, false, &[]).unwrap();
+        assert_eq!(grid.target, target(2, 0.5));
+        assert_eq!(grid.points[2].labels, ["y", "p"]);
+        // A file without a grid has one row, which `{}` selects.
+        let single = r#", "target": { "row": {}, "factor": 1 }"#;
+        assert_eq!(expand(single, false, &[]).unwrap().target, target(0, 1.0));
+        assert_eq!(expand("", false, &[]).unwrap().target, None);
+        assert_eq!(checked_in("byzantine", false).target, target(0, 0.9));
+        assert_eq!(checked_in("submodel", true).target, target(0, 0.85));
+    }
+
+    /// The seven checked-in claims, each on rows where it holds and on rows
+    /// where it does not: row vs. constant and row vs. row, for-all and `any`.
+    #[test]
+    fn the_checked_in_claims_hold_and_fail_as_stated() {
+        let byzantine = checked_in("byzantine", true);
+        let reached = |by: &'static [&str]| {
+            let reaches = |at: &str, row: &mut Row| row.reaches_target = Some(by.contains(&at));
+            outcomes(&byzantine, &rows(&byzantine, reaches))
+        };
+        // Nobody reaches the target: fedavg misses as claimed, no defense survives.
+        let missed = "ok: 0 vs 0 at sign-flip/fedavg";
+        let sunk = "FAILED: 0 vs 1 at sign-flip/fedavg";
+        assert_eq!(reached(&[]), [missed, sunk]);
+        // `any` needs one witness among sign-flip's rows, and shows it.
+        assert_eq!(reached(&["boost/krum"]), [missed, sunk]);
+        let witness = "ok: 1 vs 1 at sign-flip/median";
+        assert_eq!(
+            reached(&["boost/krum", "sign-flip/median"]),
+            [missed, witness]
+        );
+        let undefended = [
+            "FAILED: 1 vs 0 at sign-flip/fedavg",
+            "ok: 1 vs 1 at sign-flip/fedavg",
+        ];
+        assert_eq!(reached(&["sign-flip/fedavg"]), undefended);
+
+        let submodel = checked_in("submodel", false);
+        let moved = |tiered: u64, quarter: u64, reached: bool| {
+            let fill = |at: &str, row: &mut Row| {
+                row.reaches_target = Some(reached || at == "full");
+                row.total_bytes = match at {
+                    "full" => 100,
+                    "tiered-static" => tiered,
+                    "tiered-adaptive" => 65,
+                    _ => quarter,
+                };
+            };
+            outcomes(&submodel, &rows(&submodel, fill))
+        };
+        let kept = "ok: 1 vs 1 at tiered-static";
+        let (fewer, fewest) = ("ok: 60 vs 100 at tiered-static", "ok: 30 vs 60 at quarter");
+        assert_eq!(moved(60, 30, true), [kept, fewer, fewest]);
+        assert_eq!(
+            moved(60, 30, false),
+            ["FAILED: 0 vs 1 at tiered-static", fewer, fewest]
+        );
+        // `below` is strict, and compares with the row the swap reaches.
+        let level = [
+            kept,
+            "FAILED: 100 vs 100 at tiered-static",
+            "ok: 30 vs 100 at quarter",
+        ];
+        assert_eq!(moved(100, 30, true), level);
+        assert_eq!(
+            moved(60, 60, true),
+            [kept, fewer, "FAILED: 60 vs 60 at quarter"]
+        );
+
+        for (name, quick) in [("table1", false), ("table1", true), ("table2", false)] {
+            let table = checked_in(name, quick);
+            let saved = |weakest: f64| {
+                let fill = |at: &str, row: &mut Row| {
+                    row.cost_reduc = match at {
+                        "mnist-cnn/adafl/noniid" => weakest,
+                        at if at.contains("/adafl/") => 72.5,
+                        _ => 0.0,
+                    }
+                };
+                outcomes(&table, &rows(&table, fill))
+            };
+            assert_eq!(
+                saved(60.0),
+                ["ok: 72.5 vs 60 at mnist-cnn/adafl/iid"],
+                "{name}"
+            );
+            // For-all: one adafl row short sinks it, and is the row shown.
+            let short = ["FAILED: 59.9 vs 60 at mnist-cnn/adafl/noniid"];
+            assert_eq!(saved(59.9), short, "{name}");
+        }
+    }
+
+    #[test]
+    fn overrides_downgrade_verdicts_to_skipped() {
+        let file = r#", "claims": [{ "name": "sends nothing", "column": "updates", "equals": 0 }]"#;
+        let sent = |overrides| {
+            let grid = expand(file, false, overrides).unwrap();
+            outcomes(&grid, &rows(&grid, |_, row| row.updates = 15))
+        };
+        assert_eq!(sent(&[]), ["FAILED: 15 vs 0 at "]);
+        // Overridden, it is another experiment than the file makes claims about.
+        assert_eq!(sent(&[("rounds", "1")]), ["skipped: 15 vs 0 at "]);
     }
 
     #[test]
@@ -663,8 +1073,10 @@ mod tests {
                 };
                 let point = points.next().expect("one point per loop iteration");
                 assert_eq!(point.labels, [dist, strategy]);
-                let expected = run_sync(&by_hand, strategy);
-                let got = run_sync(&point.config.scenario().unwrap(), &point.config.strategy);
+                let run =
+                    |s: &Scenario, name| run_sync_with(s, name, adafl_telemetry::noop(), None);
+                let expected = run(&by_hand, strategy);
+                let got = run(&point.config.scenario().unwrap(), &point.config.strategy);
                 assert_eq!(got.history, expected.history, "{dist} {strategy}");
                 let totals = |r: &crate::runner::RunResult| {
                     let mean = r.mean_uplink_payload.to_bits();

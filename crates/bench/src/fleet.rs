@@ -487,7 +487,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "needs an attack kind")]
     fn byzantine_plan_rejects_benign_faults() {
-        // The check the `byzantine` sweep arms each of its plans behind.
+        // `is_attack` is how a caller tells a benign fault from an attack.
         let kind: FaultKind = "dropout".parse().unwrap();
         assert!(kind.is_attack(), "needs an attack kind, got {kind:?}");
     }

@@ -41,7 +41,7 @@ pub struct GoldenCase {
     pub name: &'static str,
     /// Sync or async protocol loop.
     pub protocol: Protocol,
-    /// Strategy name as accepted by [`runner::run_sync`] / [`runner::run_async_with`].
+    /// Strategy name as accepted by [`runner::run_sync_with`] / [`runner::run_async_with`].
     pub strategy: &'static str,
     /// Base seed threaded through `FlConfig::seed`.
     pub seed: u64,

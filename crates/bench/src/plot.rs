@@ -241,7 +241,7 @@ fn escape(s: &str) -> String {
 }
 
 /// Parses harness CSV output (as produced by
-/// [`report::print_series`](crate::report::print_series)) into one series
+/// [`report::series_csv`](crate::report::series_csv)) into one series
 /// per distinct key, where the key is every column before `label` plus the
 /// label itself, `x` is the chosen column and `y` is the accuracy.
 ///

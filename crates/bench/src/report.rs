@@ -3,6 +3,8 @@
 
 use crate::runner::{RunResult, Scenario};
 use adafl_compression::dense_wire_size;
+use adafl_fl::RunHistory;
+use serde::{Deserialize, Serialize, Value};
 
 /// Build/run provenance attached to benchmark JSON reports, so a checked-in
 /// number can be traced to the pool width and kernel build that produced it.
@@ -60,17 +62,9 @@ pub fn reset_peak_rss() -> bool {
     std::fs::write("/proc/self/clear_refs", "5").is_ok()
 }
 
-/// Prints a CSV header followed by every run's records, tagged with extra
-/// key columns (e.g. distribution, straggler fraction).
-///
-/// Output format:
+/// A CSV header followed by every run's records, tagged with extra key
+/// columns (e.g. distribution, straggler fraction):
 /// `<extra columns>,label,round,sim_time_s,accuracy,loss,uplink_bytes,uplink_updates,contributors`
-pub fn print_series(extra_header: &str, runs: &[(String, &RunResult)]) {
-    print!("{}", series_csv(extra_header, runs));
-}
-
-/// The exact CSV text [`print_series`] emits, as a string (trailing newline
-/// included) so tests can assert on it byte for byte.
 pub fn series_csv(extra_header: &str, runs: &[(String, &RunResult)]) -> String {
     use std::fmt::Write;
 
@@ -159,41 +153,164 @@ impl TextTable {
     }
 }
 
-/// What a run's uplink is measured against: the same scenario with every
-/// update sent dense and nobody left out.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DenseReference {
-    /// Wire size of one dense update of the scenario's model.
-    pub payload: u64,
-    /// Uplink bytes of the dense full-participation run: every client
-    /// updating every round (sync), or twice the update budget (async).
-    pub total: u64,
+/// One run's totals: a line of the `summary` table, a row of the stamped
+/// report, and what a claim compares. Every value is measured from the run.
+#[derive(Debug, Clone, Default, PartialEq, serde::Serialize)]
+pub struct Row {
+    /// The run's label on each axis of its grid, in axis order.
+    pub labels: Vec<String>,
+    /// Accuracy at the last evaluation.
+    pub final_acc: f32,
+    /// Best accuracy at any evaluation.
+    pub best_acc: f32,
+    /// Client→server updates.
+    pub updates: u64,
+    /// Client→server bytes.
+    pub uplink_bytes: u64,
+    /// Server→client bytes.
+    pub downlink_bytes: u64,
+    /// Bytes in both directions.
+    pub total_bytes: u64,
+    /// Mean uplink payload in bytes.
+    pub mean_payload: f64,
+    /// A dense update of the model ÷ `mean_payload`; `None`: nothing sent.
+    pub compress: Option<f64>,
+    /// Percentage of uplink bytes saved against the same scenario with every
+    /// update dense and nobody left out: every client updating every round
+    /// (sync), or twice the update budget (async).
+    pub cost_reduc: f64,
+    /// The file's `target`: its factor times the target row's final accuracy.
+    pub accuracy_target: Option<f32>,
+    /// Whether `final_acc` is at least the target.
+    pub reaches_target: Option<bool>,
+    /// Simulated seconds until an evaluation first reached the target.
+    pub time_to_target_s: Option<f64>,
+    /// The run's `fl.*` / `netsim.*` telemetry counters by name, when
+    /// recorded.
+    pub counters: Option<Json>,
 }
 
-impl DenseReference {
-    /// The reference for `scenario` under the synchronous or asynchronous
-    /// protocol.
-    pub fn of(scenario: &Scenario, asynchronous: bool) -> Self {
-        let payload = dense_wire_size(scenario.task.model.build(0).param_count()) as u64;
-        let updates = if asynchronous {
+/// Any JSON document, (de)serialized as itself: the `serde` shim's `Value`
+/// implements neither trait.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Json(pub Value);
+
+impl Deserialize for Json {
+    fn from_value(v: &Value) -> Result<Self, serde::Error> {
+        Ok(Json(v.clone()))
+    }
+}
+
+impl Serialize for Json {
+    fn to_value(&self) -> Value {
+        self.0.clone()
+    }
+}
+
+impl Row {
+    /// The row at `labels` of `run`, which ran `scenario` under the synchronous
+    /// or asynchronous protocol; no target or counters yet.
+    pub fn of(labels: &[String], scenario: &Scenario, asynchronous: bool, run: &RunResult) -> Self {
+        let dense = dense_wire_size(scenario.task.model.build(0).param_count()) as u64;
+        let dense_updates = if asynchronous {
             2 * scenario.update_budget
         } else {
             (scenario.fl.clients * scenario.fl.rounds) as u64
         };
-        DenseReference {
-            payload,
-            total: updates * payload,
+        let sent = run.uplink_updates > 0;
+        Row {
+            labels: labels.to_vec(),
+            final_acc: run.history.final_accuracy(),
+            best_acc: run.history.best_accuracy(),
+            updates: run.uplink_updates,
+            uplink_bytes: run.uplink_bytes,
+            downlink_bytes: run.downlink_bytes,
+            total_bytes: run.uplink_bytes + run.downlink_bytes,
+            mean_payload: run.mean_uplink_payload,
+            compress: sent.then(|| dense as f64 / run.mean_uplink_payload),
+            cost_reduc: cost_reduction_pct(dense_updates * dense, run.uplink_bytes),
+            ..Row::default()
         }
+    }
+
+    /// Fills the target columns from the run's `history`.
+    pub fn hold_to(&mut self, target: f32, history: &RunHistory) {
+        self.accuracy_target = Some(target);
+        self.reaches_target = Some(self.final_acc >= target);
+        self.time_to_target_s = history.time_to_accuracy(target).map(|t| t.seconds());
+    }
+
+    /// The column a claim names, as a number (`reaches_target` as 0 / 1);
+    /// `None` for a name claims cannot compare, or `reaches_target` without
+    /// a target.
+    pub fn column(&self, name: &str) -> Option<f64> {
+        Some(match name {
+            "final_acc" => f64::from(self.final_acc),
+            "best_acc" => f64::from(self.best_acc),
+            "updates" => self.updates as f64,
+            "uplink_bytes" => self.uplink_bytes as f64,
+            "downlink_bytes" => self.downlink_bytes as f64,
+            "total_bytes" => self.total_bytes as f64,
+            "cost_reduc" => self.cost_reduc,
+            "reaches_target" => f64::from(u8::from(self.reaches_target?)),
+            _ => return None,
+        })
     }
 }
 
-/// The `summary` report: one aligned row per run — its key cells (a grid
-/// point's axis labels), then final and best accuracy, update count, uplink
-/// bytes, mean uplink payload, the compression that payload realises against
-/// a dense update, and the uplink bytes saved against
-/// [`DenseReference::total`]. Every cell is measured from the run.
-pub fn summary_table(keys: &[String], runs: &[(Vec<String>, RunResult, DenseReference)]) -> String {
-    let mut table = TextTable::new(keys.iter().map(String::as_str).chain([
+/// How one claim of an experiment file fared on the report's rows.
+#[derive(Debug, Clone, PartialEq, serde::Serialize)]
+pub struct Verdict {
+    /// The claim's name.
+    pub claim: String,
+    /// `ok`, `FAILED`, or `skipped` when the command line overrode the file.
+    pub verdict: &'static str,
+    /// Labels of the row that decided it: a for-all claim's first
+    /// counterexample or an `any` claim's first witness, else the first row.
+    pub row: Vec<String>,
+    /// The claimed column at that row.
+    pub lhs: f64,
+    /// What it was compared against.
+    pub rhs: f64,
+}
+
+/// The stamped report `run_config --out` writes: what was run, every row,
+/// every verdict — and nothing that depends on the host, so regenerating a
+/// checked-in report is a `cmp`.
+#[derive(Debug, serde::Serialize)]
+pub struct GridReport {
+    /// The experiment file, as passed.
+    pub config: String,
+    /// [`Grid::points_hash`](crate::config::Grid::points_hash).
+    pub points_hash: String,
+    /// Whether `--quick` was passed.
+    pub quick: bool,
+    /// The `--<field> <value>` overrides, sorted by field.
+    pub overrides: Vec<(String, String)>,
+    /// Seed of the first point.
+    pub seed: u64,
+    /// The `--threads` the pool was pinned to; `None` left it to the host
+    /// (results are identical at any width).
+    pub threads: Option<usize>,
+    /// Whether the explicit SIMD micro-kernels were compiled in.
+    pub simd: bool,
+    /// Axis names, in the order of each row's `labels`.
+    pub axes: Vec<String>,
+    /// One row per point, in grid order.
+    pub rows: Vec<Row>,
+    /// One verdict per claim, in file order.
+    pub claims: Vec<Verdict>,
+}
+
+/// The `summary` report: one aligned line per row — its axis labels, then
+/// final and best accuracy, update count, uplink bytes, mean uplink payload,
+/// the compression that payload realises against a dense update, the uplink
+/// bytes saved against the dense full-participation run and, under a
+/// `target`, whether and when the run reached it.
+pub fn summary_table(keys: &[String], rows: &[Row]) -> String {
+    let targeted = rows.iter().any(|row| row.accuracy_target.is_some());
+    let mut header: Vec<&str> = keys.iter().map(String::as_str).collect();
+    header.extend([
         "final_acc",
         "best_acc",
         "updates",
@@ -201,22 +318,31 @@ pub fn summary_table(keys: &[String], runs: &[(Vec<String>, RunResult, DenseRefe
         "mean_payload",
         "compress",
         "cost_reduc",
-    ]));
-    for (labels, run, dense) in runs {
-        let compress = if run.uplink_updates == 0 {
-            "-".to_string()
-        } else {
-            format!("{:.1}x", dense.payload as f64 / run.mean_uplink_payload)
-        };
-        table.row(labels.iter().cloned().chain([
-            format!("{:.2}%", run.history.final_accuracy() * 100.0),
-            format!("{:.2}%", run.history.best_accuracy() * 100.0),
-            run.uplink_updates.to_string(),
-            human_bytes(run.uplink_bytes),
-            human_bytes(run.mean_uplink_payload as u64),
-            compress,
-            format!("{:.1}%", cost_reduction_pct(dense.total, run.uplink_bytes)),
-        ]));
+    ]);
+    if targeted {
+        header.extend(["reaches_target", "time_to_target_s"]);
+    }
+    let mut table = TextTable::new(header);
+    let dash = || "-".to_string();
+    for row in rows {
+        let mut cells = row.labels.clone();
+        cells.extend([
+            format!("{:.2}%", row.final_acc * 100.0),
+            format!("{:.2}%", row.best_acc * 100.0),
+            row.updates.to_string(),
+            human_bytes(row.uplink_bytes),
+            human_bytes(row.mean_payload as u64),
+            row.compress.map_or_else(dash, |x| format!("{x:.1}x")),
+            format!("{:.1}%", row.cost_reduc),
+        ]);
+        if targeted {
+            cells.extend([
+                row.reaches_target.map_or_else(dash, |hit| hit.to_string()),
+                row.time_to_target_s
+                    .map_or_else(dash, |t| format!("{t:.1}")),
+            ]);
+        }
+        table.row(cells);
     }
     table.render()
 }

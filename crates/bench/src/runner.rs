@@ -165,7 +165,7 @@ pub struct RunResult {
     pub control_bytes: u64,
 }
 
-/// The synchronous strategy names [`run_sync`] accepts: the paper's four
+/// The synchronous strategy names [`run_sync_with`] accepts: the paper's four
 /// baselines and AdaFL, then the other adaptive server optimizers of Reddi
 /// et al. \[34].
 pub const SYNC_STRATEGIES: [&str; 7] = [
@@ -201,20 +201,11 @@ fn async_baseline(name: &str) -> Box<dyn AsyncStrategy> {
     }
 }
 
-/// Runs one synchronous scenario under the named strategy.
-///
-/// # Panics
-///
-/// Panics on an unknown strategy name.
-pub fn run_sync(scenario: &Scenario, strategy: &str) -> RunResult {
-    run_sync_with(scenario, strategy, adafl_telemetry::noop(), None)
-}
-
-/// [`run_sync`] with a telemetry recorder attached to the runtime (and,
-/// through it, the simulated network) and the worker-pool width pinned to
-/// `threads` (`None`: host parallelism). Recording is passive and every
-/// pooled stage collects in submission order: results are identical to the
-/// untraced run at any width.
+/// Runs one synchronous scenario under the named strategy, with a telemetry
+/// recorder attached to the runtime (and, through it, the simulated network)
+/// and the worker-pool width pinned to `threads` (`None`: host parallelism).
+/// Recording is passive and every pooled stage collects in submission order:
+/// results are identical to the untraced run at any width.
 ///
 /// # Panics
 ///
@@ -287,6 +278,10 @@ fn result(history: RunHistory, ledger: &adafl_fl::CommunicationLedger) -> RunRes
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn run_sync(scenario: &Scenario, strategy: &str) -> RunResult {
+        run_sync_with(scenario, strategy, adafl_telemetry::noop(), None)
+    }
 
     fn scenario() -> Scenario {
         let task = Task::mnist_logreg(300, 80, 0);

@@ -2,7 +2,8 @@
 //! experiment runs: DESIGN.md §3 names exactly the binaries under `src/bin/`
 //! (each of which rejects the flags it does not read) and the files under
 //! `configs/`, and each figure / table exits 0 at its smallest size with the
-//! header its consumers read.
+//! header its consumers read — the two sweeps at their whole `quick` size, so
+//! their claims are checked here too.
 
 use std::collections::BTreeSet;
 use std::path::Path;
@@ -67,11 +68,22 @@ fn design_index_names_exactly_the_bins() {
     );
 }
 
-/// Columns `report::print_series` appends after an experiment's key columns.
+/// Columns `report::series_csv` appends after an experiment's key columns.
 const SERIES: &str =
     "label round sim_time_s accuracy loss uplink_bytes uplink_updates contributors";
 /// Columns `report::summary_table` appends after them.
 const SUMMARY: &str = "final_acc best_acc updates uplink_bytes mean_payload compress cost_reduc";
+/// Columns a `target` adds to those.
+const TARGET: &str = "reaches_target time_to_target_s";
+
+/// Runs `run_config args` from the repository root.
+fn run_config(args: &[&str]) -> std::process::Output {
+    Command::new(env!("CARGO_BIN_EXE_run_config"))
+        .args(args)
+        .current_dir(Path::new(env!("CARGO_MANIFEST_DIR")).join("../.."))
+        .output()
+        .expect("binary spawns")
+}
 
 /// Runs `exe args` from the repository root, demanding exit 0 and `header`
 /// (CSV or aligned-table columns, compared cell by cell) as the first stdout
@@ -129,6 +141,10 @@ paper_experiments_run! {
         => format!("variant {SUMMARY}");
     extensions_runs: "run_config", "--config configs/extensions.json --quick --rounds 1"
         => format!("variant {SUMMARY}");
+    byzantine_runs: "run_config", "--config configs/byzantine.json --quick"
+        => format!("attack defense {SUMMARY} {TARGET}");
+    submodel_runs: "run_config", "--config configs/submodel.json --quick"
+        => format!("mix {SUMMARY} {TARGET}");
     overhead_runs: "overhead", "--reps 2" => "component time_per_round vs_training";
 }
 
@@ -136,13 +152,74 @@ paper_experiments_run! {
 /// failing exit code, before anything runs.
 #[test]
 fn run_config_refuses_a_field_the_schema_lacks() {
-    let out = Command::new(env!("CARGO_BIN_EXE_run_config"))
-        .args(["--config", "configs/table1.json", "--quick", "--round", "1"])
-        .current_dir(Path::new(env!("CARGO_MANIFEST_DIR")).join("../.."))
-        .output()
-        .expect("binary spawns");
+    let out = run_config(&["--config", "configs/table1.json", "--quick", "--round", "1"]);
     assert_eq!(out.status.code(), Some(1));
     assert!(out.stdout.is_empty());
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("unknown field `round`"), "{stderr}");
+}
+
+/// Runs a small attacked scenario (so its run counts something) whose only
+/// claim is `claim`, with `extra` arguments: exit code, stdout, stderr.
+fn claiming(stem: &str, claim: &str, extra: &[&str]) -> (Option<i32>, String, String) {
+    let file = std::env::temp_dir().join(format!("{stem}_{}.json", std::process::id()));
+    let text = format!(
+        r#"{{ "protocol": "sync", "strategy": "fedavg", "task": "mnist-logreg", "partition": "Iid",
+              "train_samples": 200, "test_samples": 40, "clients": 4, "rounds": 2, "participation": 1.0,
+              "fault": "sign-flip", "report": "summary", "claims": [{{ {claim} }}] }}"#
+    );
+    std::fs::write(&file, text).expect("temp file is writable");
+    let out = run_config(
+        &[
+            &["--config", file.to_str().expect("utf-8 temp path")],
+            extra,
+        ]
+        .concat(),
+    );
+    std::fs::remove_file(file).expect("temp file is removable");
+    let text = |bytes| String::from_utf8(bytes).expect("utf-8 output");
+    (out.status.code(), text(out.stdout), text(out.stderr))
+}
+
+/// A false claim fails the run by name — after the report, which still prints.
+#[test]
+fn run_config_fails_a_false_claim_by_name() {
+    let claim = r#""name": "nobody uploads", "column": "updates", "equals": 0"#;
+    let (code, stdout, stderr) = claiming("false_claim", claim, &[]);
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(stdout.starts_with("final_acc "), "{stdout}");
+    assert!(
+        stderr.contains("claim FAILED: nobody uploads (8 vs 0)"),
+        "{stderr}"
+    );
+    // Overridden, it is another experiment: the verdict is not the file's.
+    let (code, _, stderr) = claiming("skipped_claim", claim, &["--rounds", "1"]);
+    assert_eq!(code, Some(0), "{stderr}");
+    assert!(
+        stderr.contains("claim skipped: nobody uploads (4 vs 0)"),
+        "{stderr}"
+    );
+}
+
+/// The stamped report holds nothing of the host or the clock: two runs write
+/// the same bytes.
+#[test]
+fn run_config_out_is_byte_stable() {
+    let claim = r#""name": "somebody uploads", "column": "updates", "at_least": 1"#;
+    let out = std::env::temp_dir().join(format!("stable_out_{}.out", std::process::id()));
+    let report = || {
+        let (code, _, stderr) = claiming("stable_out", claim, &["--out", out.to_str().unwrap()]);
+        assert_eq!(code, Some(0), "{stderr}");
+        std::fs::read_to_string(&out).expect("--out wrote the report")
+    };
+    let first = report();
+    assert_eq!(first, report());
+    for stamped in [
+        "\"points_hash\"",
+        "\"fl.attacks\": 2",
+        "\"verdict\": \"ok\"",
+    ] {
+        assert!(first.contains(stamped), "{stamped} missing from {first}");
+    }
+    std::fs::remove_file(out).expect("report is removable");
 }

@@ -117,6 +117,35 @@ impl FaultKind {
         }
     }
 
+    /// Checks the kind's parameters.
+    ///
+    /// # Errors
+    ///
+    /// Returns the violated constraint: `period < 2`, `prob ∉ [0,1]`,
+    /// `factor ≤ 1`, `down_for = 0`, a non-finite or identity boost factor,
+    /// `epsilon ≤ 0`.
+    pub fn validate(&self) -> Result<(), &'static str> {
+        let unit = |prob: f64| (0.0..=1.0).contains(&prob);
+        match *self {
+            FaultKind::Dropout { period } if period < 2 => Err("dropout period must be ≥ 2"),
+            FaultKind::DataLoss { prob } if !unit(prob) => Err("loss probability must be in [0,1]"),
+            FaultKind::Stale { factor } if factor.is_nan() || factor <= 1.0 => {
+                Err("staleness factor must exceed 1")
+            }
+            FaultKind::Crash { down_for: 0, .. } => Err("crash outage must last at least 1 round"),
+            FaultKind::Corruption { prob } if !unit(prob) => {
+                Err("corruption probability must be in [0,1]")
+            }
+            FaultKind::Boost { factor } if !factor.is_finite() || factor == 1.0 => {
+                Err("boost factor must be finite and ≠ 1")
+            }
+            FaultKind::LittleIsEnough { epsilon } if !(epsilon.is_finite() && epsilon > 0.0) => {
+                Err("little-is-enough epsilon must be finite and > 0")
+            }
+            _ => Ok(()),
+        }
+    }
+
     /// Whether this kind is a Byzantine attack applied through
     /// [`attack_payload`] (as opposed to a delivery/timing/corruption
     /// fault).
@@ -131,33 +160,57 @@ impl FaultKind {
 impl std::str::FromStr for FaultKind {
     type Err = String;
 
-    /// Parses a canonical kind name (case-insensitive) with the default
-    /// parameters the chaos sweeps use: `dropout` → period 2, `dataloss`
-    /// → prob 0.5, `stale` → factor 3, `crash` → round 2 for 2,
+    /// Parses `name[:param[:param]]`: a canonical kind name
+    /// (case-insensitive), then its parameters in declaration order. An
+    /// omitted parameter keeps its default: `dropout` → period 2,
+    /// `dataloss` → prob 0.5, `stale` → factor 3, `crash` → round 2 for 2,
     /// `corruption` → prob 0.5, `boost` → factor 10, `little-is-enough`
-    /// (alias `lie`) → epsilon 0.3.
+    /// (alias `lie`) → epsilon 0.3. The Byzantine chaos matrix spells its
+    /// sign-reversing boost `boost:-10`.
+    ///
+    /// # Errors
+    ///
+    /// An unknown name, a parameter that does not parse or that
+    /// [`FaultKind::validate`] refuses, or more parameters than the kind has.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.to_ascii_lowercase().as_str() {
-            "reliable" => Ok(FaultKind::Reliable),
-            "dropout" => Ok(FaultKind::Dropout { period: 2 }),
-            "dataloss" | "data-loss" => Ok(FaultKind::DataLoss { prob: 0.5 }),
-            "stale" => Ok(FaultKind::Stale { factor: 3.0 }),
-            "crash" => Ok(FaultKind::Crash {
-                at_round: 2,
-                down_for: 2,
-            }),
-            "corruption" => Ok(FaultKind::Corruption { prob: 0.5 }),
-            "sign-flip" | "sign_flip" | "signflip" => Ok(FaultKind::SignFlip),
-            "boost" => Ok(FaultKind::Boost { factor: 10.0 }),
-            "little-is-enough" | "little_is_enough" | "lie" => {
-                Ok(FaultKind::LittleIsEnough { epsilon: 0.3 })
+        let (name, mut params) = crate::spec::split(s);
+        let kind = match name.as_str() {
+            "reliable" => FaultKind::Reliable,
+            "dropout" => FaultKind::Dropout {
+                period: params.next("period", 2)?,
+            },
+            "dataloss" | "data-loss" => FaultKind::DataLoss {
+                prob: params.next("probability", 0.5)?,
+            },
+            "stale" => FaultKind::Stale {
+                factor: params.next("factor", 3.0)?,
+            },
+            "crash" => FaultKind::Crash {
+                at_round: params.next("start round", 2)?,
+                down_for: params.next("outage length", 2)?,
+            },
+            "corruption" => FaultKind::Corruption {
+                prob: params.next("probability", 0.5)?,
+            },
+            "sign-flip" | "sign_flip" | "signflip" => FaultKind::SignFlip,
+            "boost" => FaultKind::Boost {
+                factor: params.next("factor", 10.0)?,
+            },
+            "little-is-enough" | "little_is_enough" | "lie" => FaultKind::LittleIsEnough {
+                epsilon: params.next("epsilon", 0.3)?,
+            },
+            other => {
+                return Err(format!(
+                    "unknown fault kind {other:?}; expected one of reliable, \
+                     dropout, dataloss, stale, crash, corruption, sign-flip, \
+                     boost, little-is-enough"
+                ))
             }
-            other => Err(format!(
-                "unknown fault kind {other:?}; expected one of reliable, \
-                 dropout, dataloss, stale, crash, corruption, sign-flip, \
-                 boost, little-is-enough"
-            )),
-        }
+        };
+        params.done()?;
+        kind.validate()
+            .map_err(|reason| format!("{s:?}: {reason}"))?;
+        Ok(kind)
     }
 }
 
@@ -400,49 +453,11 @@ impl FaultPlan {
     ///
     /// # Panics
     ///
-    /// Panics when `kinds` is empty or any kind's parameters are invalid
-    /// (`period < 2`, `prob ∉ [0,1]`, `factor ≤ 1`, a non-finite or
-    /// identity boost factor, `epsilon ≤ 0`).
+    /// Panics when `kinds` is empty or [`FaultKind::validate`] refuses one.
     pub fn new(kinds: Vec<FaultKind>, seed: u64) -> Self {
         assert!(!kinds.is_empty(), "need at least one client");
         for k in &kinds {
-            match *k {
-                FaultKind::Reliable => {}
-                FaultKind::Dropout { period } => {
-                    assert!(period >= 2, "dropout period must be ≥ 2")
-                }
-                FaultKind::DataLoss { prob } => {
-                    assert!(
-                        (0.0..=1.0).contains(&prob),
-                        "loss probability must be in [0,1]"
-                    )
-                }
-                FaultKind::Stale { factor } => {
-                    assert!(factor > 1.0, "staleness factor must exceed 1")
-                }
-                FaultKind::Crash { down_for, .. } => {
-                    assert!(down_for >= 1, "crash outage must last at least 1 round")
-                }
-                FaultKind::Corruption { prob } => {
-                    assert!(
-                        (0.0..=1.0).contains(&prob),
-                        "corruption probability must be in [0,1]"
-                    )
-                }
-                FaultKind::SignFlip => {}
-                FaultKind::Boost { factor } => {
-                    assert!(
-                        factor.is_finite() && factor != 1.0,
-                        "boost factor must be finite and ≠ 1"
-                    )
-                }
-                FaultKind::LittleIsEnough { epsilon } => {
-                    assert!(
-                        epsilon.is_finite() && epsilon > 0.0,
-                        "little-is-enough epsilon must be finite and > 0"
-                    )
-                }
-            }
+            k.validate().unwrap_or_else(|reason| panic!("{reason}"));
         }
         FaultPlan {
             kinds,
@@ -862,6 +877,30 @@ mod tests {
             FaultKind::LittleIsEnough { epsilon: 0.3 }
         );
         assert!(FaultKind::from_str("gaslight").is_err());
+
+        // `name[:param[:param]]`: spelled parameters replace the defaults.
+        for (spec, parsed) in [
+            ("boost:-10", "Boost { factor: -10.0 }"),
+            ("little-is-enough:0.3", "LittleIsEnough { epsilon: 0.3 }"),
+            ("lie:1.5", "LittleIsEnough { epsilon: 1.5 }"),
+            ("Stale:5", "Stale { factor: 5.0 }"),
+            ("crash:4", "Crash { at_round: 4, down_for: 2 }"),
+            ("crash:4:1", "Crash { at_round: 4, down_for: 1 }"),
+        ] {
+            assert_eq!(format!("{:?}", FaultKind::from_str(spec).unwrap()), parsed);
+        }
+        for (spec, complaint) in [
+            ("boost:ten", "bad factor \"ten\""),
+            ("sign-flip:2", "stray parameter \"2\""),
+            ("crash:4:1:9", "stray parameter \"9\""),
+            ("boost:1", "boost factor must be finite and ≠ 1"),
+            ("dropout:1", "dropout period must be ≥ 2"),
+            ("dataloss:1.5", "loss probability must be in [0,1]"),
+            ("lie:0", "epsilon must be finite and > 0"),
+        ] {
+            let error = FaultKind::from_str(spec).expect_err(spec);
+            assert!(error.contains(complaint), "{spec}: {error}");
+        }
     }
 
     #[test]

@@ -50,6 +50,7 @@ pub mod ledger;
 pub mod pool;
 pub mod robust;
 pub mod runtime;
+mod spec;
 pub mod submodel;
 pub mod sync;
 

@@ -121,25 +121,45 @@ impl RobustMethod {
 impl std::str::FromStr for RobustMethod {
     type Err = String;
 
-    /// Parses a canonical method name (case-insensitive) with the default
-    /// parameters documented per variant: `trimmed-mean` → ratio 0.25,
+    /// Parses `name[:param[:param]]`: a canonical method name
+    /// (case-insensitive), then its parameters in declaration order. An
+    /// omitted parameter keeps its default: `trimmed-mean` → ratio 0.25,
     /// `krum` → f 1, `multi-krum` → f 1, m 3, `geometric-median` → 64
     /// iterations at tolerance 1e-9.
+    ///
+    /// # Errors
+    ///
+    /// An unknown name, a parameter that does not parse or that
+    /// [`RobustAggregator::try_new`] refuses, or more parameters than the
+    /// method has.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.to_ascii_lowercase().as_str() {
-            "trimmed-mean" | "trimmed_mean" => Ok(RobustMethod::TrimmedMean { trim_ratio: 0.25 }),
-            "median" => Ok(RobustMethod::Median),
-            "krum" => Ok(RobustMethod::Krum { f: 1 }),
-            "multi-krum" | "multi_krum" => Ok(RobustMethod::MultiKrum { f: 1, m: 3 }),
-            "geometric-median" | "geometric_median" => Ok(RobustMethod::GeometricMedian {
-                max_iters: 64,
-                tol: 1e-9,
-            }),
-            other => Err(format!(
-                "unknown robust method {other:?}; expected one of \
-                 trimmed-mean, median, krum, multi-krum, geometric-median"
-            )),
-        }
+        let (name, mut params) = crate::spec::split(s);
+        let method = match name.as_str() {
+            "trimmed-mean" | "trimmed_mean" => RobustMethod::TrimmedMean {
+                trim_ratio: params.next("trim ratio", 0.25)?,
+            },
+            "median" => RobustMethod::Median,
+            "krum" => RobustMethod::Krum {
+                f: params.next("f", 1)?,
+            },
+            "multi-krum" | "multi_krum" => RobustMethod::MultiKrum {
+                f: params.next("f", 1)?,
+                m: params.next("m", 3)?,
+            },
+            "geometric-median" | "geometric_median" => RobustMethod::GeometricMedian {
+                max_iters: params.next("iteration cap", 64)?,
+                tol: params.next("tolerance", 1e-9)?,
+            },
+            other => {
+                return Err(format!(
+                    "unknown robust method {other:?}; expected one of \
+                     trimmed-mean, median, krum, multi-krum, geometric-median"
+                ))
+            }
+        };
+        params.done()?;
+        RobustAggregator::try_new(method).map_err(|reason| format!("{s:?}: {reason}"))?;
+        Ok(method)
     }
 }
 
@@ -165,7 +185,7 @@ pub struct RobustStats {
 }
 
 /// The robust pre-aggregation stage: validated method + the
-/// [`RobustAggregator::pre_aggregate`] entry the runtime calls between
+/// [`RobustAggregator::pre_aggregate_with`] entry the runtime calls between
 /// defense screening and the aggregation policy.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RobustAggregator {
@@ -222,15 +242,6 @@ impl RobustAggregator {
     ///
     /// Cohorts of one update pass through unchanged: no estimator can
     /// out-vote a lone sender.
-    pub fn pre_aggregate(
-        &self,
-        dim: usize,
-        updates: Vec<RoundUpdate>,
-    ) -> (Vec<RoundUpdate>, RobustStats) {
-        self.pre_aggregate_with(dim, updates, None)
-    }
-
-    /// [`RobustAggregator::pre_aggregate`] with an optional worker pool.
     ///
     /// Updates are compared only within their coverage group: those that
     /// share a view descriptor are comparable coordinate-for-coordinate at
@@ -244,7 +255,7 @@ impl RobustAggregator {
     /// group at `dim`.
     ///
     /// Densification and the estimator's dominant loops (pairwise Krum
-    /// distances, coordinate column blocks) fan across the pool; every job
+    /// distances, coordinate column blocks) fan across `pool`; every job
     /// computes a disjoint output slice with an unchanged per-element
     /// reduction order, and [`WorkerPool::scope_run`] collects in
     /// submission order — so results are byte-identical to the serial path
@@ -384,17 +395,9 @@ fn take_indices(updates: Vec<RoundUpdate>, indices: &[usize]) -> Vec<RoundUpdate
 /// averaged **in view order**, so `trim = 0` is bit-identical to a plain
 /// sequential mean.
 ///
-/// # Panics
-///
-/// Panics when `views` is empty or `2·trim ≥ n`.
-pub fn coordinate_trimmed_mean(views: &[&[f32]], trim: usize) -> Vec<f32> {
-    coordinate_trimmed_mean_with(views, trim, None)
-}
-
-/// [`coordinate_trimmed_mean`] with an optional worker pool. Columns are
-/// split into blocks sized from the dimension and the pool width; each
-/// column's math is untouched, so the result is byte-identical at any
-/// pool width.
+/// With a worker pool, columns are split into blocks sized from the
+/// dimension and the pool width; each column's math is untouched, so the
+/// result is byte-identical at any pool width.
 ///
 /// # Panics
 ///
@@ -558,15 +561,8 @@ fn run_columns(
 /// the two middle values — the same symmetric tie-break the defense gate's
 /// norm screen uses.
 ///
-/// # Panics
-///
-/// Panics when `views` is empty.
-pub fn coordinate_median(views: &[&[f32]]) -> Vec<f32> {
-    coordinate_median_with(views, None)
-}
-
-/// [`coordinate_median`] with an optional worker pool; column blocks are
-/// independent, so the result is byte-identical at any pool width.
+/// Column blocks are independent, so the result is byte-identical at any
+/// pool width.
 ///
 /// # Panics
 ///
@@ -664,17 +660,9 @@ pub mod oracle {
 /// permutation-stable; distances involving non-finite values order last
 /// under `total_cmp`, so NaN-laden views are never preferred.
 ///
-/// # Panics
-///
-/// Panics when `views` is empty.
-pub fn krum_select(views: &[&[f32]], f: usize, m: usize) -> Vec<usize> {
-    krum_select_with(views, f, m, None)
-}
-
-/// [`krum_select`] with an optional worker pool: the O(n²·d) pairwise
-/// distance matrix is computed one strict-upper-triangle row per job (each
-/// row is a disjoint `&mut` slice, so the pool cannot change any value),
-/// then mirrored. The per-pair distance itself runs `dist2`'s fixed
+/// With a worker pool, the O(n²·d) pairwise distance matrix is computed
+/// one strict-upper-triangle row per job (each row is a disjoint `&mut`
+/// slice, so the pool cannot change any value), then mirrored. The per-pair distance itself runs `dist2`'s fixed
 /// lane-split reduction, identical at any pool width.
 ///
 /// # Panics
@@ -743,7 +731,7 @@ pub fn krum_select_with(
 /// sequential tail. The lane split breaks the serial add-latency chain of
 /// a naive running sum (~4-8× faster on the Krum hot path) while keeping
 /// a single fixed reduction order — the function is deterministic and is
-/// *the* definition of distance for [`krum_select`] at any pool width.
+/// *the* definition of distance for [`krum_select_with`] at any pool width.
 fn dist2(a: &[f32], b: &[f32]) -> f64 {
     const L: usize = 8;
     let mut lanes = [0.0f64; L];
@@ -776,7 +764,7 @@ fn dist2(a: &[f32], b: &[f32]) -> f64 {
 ///
 /// Panics when `views` is empty.
 pub fn geometric_median(views: &[&[f32]], max_iters: usize, tol: f64) -> Vec<f32> {
-    let mean = coordinate_trimmed_mean(views, 0);
+    let mean = coordinate_trimmed_mean_with(views, 0, None);
     if max_iters == 0 {
         return mean;
     }
@@ -883,6 +871,41 @@ mod tests {
             assert_eq!(format!("{m}"), m.as_str());
         }
         assert!(RobustMethod::from_str("majority-vote").is_err());
+
+        // `name[:param[:param]]`: spelled parameters replace the defaults.
+        for (spec, parsed) in [
+            ("trimmed-mean:0.3", "TrimmedMean { trim_ratio: 0.3 }"),
+            ("krum:3", "Krum { f: 3 }"),
+            ("multi-krum:3", "MultiKrum { f: 3, m: 3 }"),
+            ("Multi-Krum:3:5", "MultiKrum { f: 3, m: 5 }"),
+            (
+                "geometric-median:64:1e-9",
+                "GeometricMedian { max_iters: 64, tol: 1e-9 }",
+            ),
+            (
+                "geometric-median:8",
+                "GeometricMedian { max_iters: 8, tol: 1e-9 }",
+            ),
+        ] {
+            assert_eq!(
+                format!("{:?}", RobustMethod::from_str(spec).unwrap()),
+                parsed
+            );
+        }
+        for (spec, complaint) in [
+            ("krum:three", "bad f \"three\""),
+            ("median:1", "stray parameter \"1\""),
+            ("multi-krum:3:5:7", "stray parameter \"7\""),
+            ("trimmed-mean:0.5", "trim ratio must be in [0, 0.5)"),
+            ("multi-krum:1:0", "multi-krum must keep at least one update"),
+            (
+                "geometric-median:64:-1",
+                "weiszfeld tolerance must be finite",
+            ),
+        ] {
+            let error = RobustMethod::from_str(spec).expect_err(spec);
+            assert!(error.contains(complaint), "{spec}: {error}");
+        }
     }
 
     /// Bit patterns that stress the order: zeros, infinities, quiet and
@@ -1011,27 +1034,27 @@ mod tests {
     fn trimmed_mean_survives_minority_then_breaks_past_trim() {
         let honest_mean = {
             let c = cohort(6, 1.0, 0, 0.0, 8);
-            coordinate_trimmed_mean(&views(&c), 0)
+            coordinate_trimmed_mean_with(&views(&c), 0, None)
         };
         // 4 of 10 sign-flip-and-boost attackers, trim 4 from each end:
         // estimate stays near the honest mean.
         let c = cohort(6, 1.0, 4, -100.0, 8);
-        let est = coordinate_trimmed_mean(&views(&c), 4);
+        let est = coordinate_trimmed_mean_with(&views(&c), 4, None);
         assert!(l2(&est, &honest_mean) < 0.1, "robust estimate drifted");
         // Same attack but trim 1 < f=4: poison survives trimming and the
         // estimate is dragged far from the honest mean.
-        let est = coordinate_trimmed_mean(&views(&c), 1);
+        let est = coordinate_trimmed_mean_with(&views(&c), 1, None);
         assert!(l2(&est, &honest_mean) > 10.0, "expected breakdown");
     }
 
     #[test]
     fn median_survives_minority_then_breaks_at_majority() {
         let c = cohort(6, 1.0, 4, -100.0, 4);
-        let est = coordinate_median(&views(&c));
+        let est = coordinate_median_with(&views(&c), None);
         assert!(est.iter().all(|&v| v > 0.5), "median captured by minority");
         // 6 of 10 attackers: the median sits inside the attacker mass.
         let c = cohort(4, 1.0, 6, -100.0, 4);
-        let est = coordinate_median(&views(&c));
+        let est = coordinate_median_with(&views(&c), None);
         assert!(est.iter().all(|&v| v < -50.0), "expected breakdown");
     }
 
@@ -1040,31 +1063,31 @@ mod tests {
         // 7 honest + 3 boosted outliers, f = 3 (2f+2 = 8 < 10): Krum must
         // pick an honest update.
         let c = cohort(7, 1.0, 3, 250.0, 8);
-        let sel = krum_select(&views(&c), 3, 1);
+        let sel = krum_select_with(&views(&c), 3, 1, None);
         assert!(sel[0] < 7, "krum picked an attacker at {}", sel[0]);
         // 4 colluders sending the *same* vector in a cohort of 6 with an
         // under-budgeted f = 1: each colluder's nearest neighbours are its
         // accomplices at distance 0, so a colluder wins (2f+2 < n fails).
         let c = cohort(2, 1.0, 4, -50.0, 8);
-        let sel = krum_select(&views(&c), 1, 1);
+        let sel = krum_select_with(&views(&c), 1, 1, None);
         assert!(sel[0] >= 2, "expected a colluder to win past breakdown");
     }
 
     #[test]
     fn multi_krum_keeps_honest_updates() {
         let c = cohort(7, 1.0, 3, 250.0, 8);
-        let sel = krum_select(&views(&c), 3, 4);
+        let sel = krum_select_with(&views(&c), 3, 4, None);
         assert_eq!(sel.len(), 4);
         assert!(sel.iter().all(|&i| i < 7), "multi-krum kept an attacker");
         // m clamps to the cohort size.
-        assert_eq!(krum_select(&views(&c), 0, 99).len(), 10);
+        assert_eq!(krum_select_with(&views(&c), 0, 99, None).len(), 10);
     }
 
     #[test]
     fn geometric_median_survives_minority_then_breaks_at_majority() {
         let honest_mean = {
             let c = cohort(7, 1.0, 0, 0.0, 8);
-            coordinate_trimmed_mean(&views(&c), 0)
+            coordinate_trimmed_mean_with(&views(&c), 0, None)
         };
         let c = cohort(7, 1.0, 3, 1000.0, 8);
         let est = geometric_median(&views(&c), 128, 1e-9);
@@ -1074,7 +1097,7 @@ mod tests {
         );
         // Plain mean is destroyed by the same attack (sanity check that
         // the test attack is actually doing something).
-        let mean = coordinate_trimmed_mean(&views(&c), 0);
+        let mean = coordinate_trimmed_mean_with(&views(&c), 0, None);
         assert!(l2(&mean, &honest_mean) > 100.0);
         // 6 of 10 attackers: majority mass wins the geometric median.
         let c = cohort(4, 1.0, 6, 1000.0, 8);
@@ -1088,7 +1111,7 @@ mod tests {
         let v = views(&c);
         assert_eq!(
             geometric_median(&v, 0, 1e-9),
-            coordinate_trimmed_mean(&v, 0)
+            coordinate_trimmed_mean_with(&v, 0, None)
         );
     }
 
@@ -1115,8 +1138,8 @@ mod tests {
         let mut shuffled = base.clone();
         shuffled.reverse();
         shuffled.swap(0, 2);
-        let (a, sa) = agg.pre_aggregate(3, base);
-        let (b, sb) = agg.pre_aggregate(3, shuffled);
+        let (a, sa) = agg.pre_aggregate_with(3, base, None);
+        let (b, sb) = agg.pre_aggregate_with(3, shuffled, None);
         assert_eq!(a, b, "output depends on arrival order");
         assert_eq!(sa, sb);
         // Blend estimators attribute the synthetic update to the lowest
@@ -1133,7 +1156,7 @@ mod tests {
             update(5, vec![1.1, 0.9], 4.0),
             update(9, vec![50.0, -50.0], 2.0),
         ];
-        let (out, stats) = agg.pre_aggregate(2, updates.clone());
+        let (out, stats) = agg.pre_aggregate_with(2, updates.clone(), None);
         assert_eq!(out.len(), 2);
         assert_eq!(stats.rejected, 1);
         assert_eq!(stats.output, 2);
@@ -1146,10 +1169,10 @@ mod tests {
     fn singleton_and_empty_cohorts_pass_through() {
         let agg = RobustAggregator::new(RobustMethod::Median);
         let one = vec![update(4, vec![1.0, 2.0], 6.0)];
-        let (out, stats) = agg.pre_aggregate(2, one.clone());
+        let (out, stats) = agg.pre_aggregate_with(2, one.clone(), None);
         assert_eq!(out, one);
         assert_eq!(stats.rejected, 0);
-        let (out, _) = agg.pre_aggregate(2, Vec::new());
+        let (out, _) = agg.pre_aggregate_with(2, Vec::new(), None);
         assert!(out.is_empty());
     }
 
@@ -1176,7 +1199,7 @@ mod tests {
             wrap(&head, 2, vec![2.0, 9.0, 2.0, 9.0]),
             wrap(&tail, 4, vec![-50.0; 6]),
         ];
-        let (out, stats) = agg.pre_aggregate(dim, mixed.clone());
+        let (out, stats) = agg.pre_aggregate_with(dim, mixed.clone(), None);
         // Blend estimates are unweighted, under the lowest client id.
         let estimate = |desc, client, values| RoundUpdate {
             weight: 1.0,
@@ -1214,7 +1237,7 @@ mod tests {
                 .map(|(c, v)| update(5 - c, v, 3.0))
                 .collect();
             assert_eq!(
-                agg.pre_aggregate(dim, flat.clone()),
+                agg.pre_aggregate_with(dim, flat.clone(), None),
                 agg.estimate_group(dim, flat, None)
             );
         }
@@ -1235,7 +1258,7 @@ mod tests {
                 weight: 1.0,
             },
         ];
-        let (out, _) = agg.pre_aggregate(4, updates);
+        let (out, _) = agg.pre_aggregate_with(4, updates, None);
         assert_eq!(out[0].payload.clone().into_dense(), dense);
     }
 
@@ -1269,10 +1292,10 @@ mod tests {
             vec![0.95, 1.05],
             vec![f32::NAN, 1.0],
         ];
-        let sel = krum_select(&views(&c), 1, 1);
+        let sel = krum_select_with(&views(&c), 1, 1, None);
         assert!(sel[0] < 3, "krum selected the NaN view");
         // Trimmed mean orders NaN to one end; with trim ≥ 1 it is dropped.
-        let est = coordinate_trimmed_mean(&views(&c), 1);
+        let est = coordinate_trimmed_mean_with(&views(&c), 1, None);
         assert!(est.iter().all(|v| v.is_finite()), "{est:?}");
     }
 }

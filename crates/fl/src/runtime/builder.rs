@@ -150,7 +150,6 @@ pub struct RuntimeBuilder {
     robust: Option<RobustMethod>,
     capacity: Option<Box<dyn CapacityPolicy>>,
     update_budget: u64,
-    eval_every: u64,
     threads: Option<usize>,
     buffered_fold: bool,
 }
@@ -174,7 +173,6 @@ impl RuntimeBuilder {
             robust: None,
             capacity: None,
             update_budget: 0,
-            eval_every: 5,
             threads: None,
             buffered_fold: false,
         }
@@ -322,18 +320,6 @@ impl RuntimeBuilder {
         self
     }
 
-    /// How many server updates elapse between test-set evaluations of an
-    /// asynchronous run (default 5).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `n` is zero.
-    pub fn eval_every(mut self, n: u64) -> Self {
-        assert!(n > 0, "evaluation interval must be positive");
-        self.eval_every = n;
-        self
-    }
-
     /// The streaming parity reference: when set, streaming-eligible rounds
     /// buffer their updates and replay the identical fold calls at round
     /// end ([`SinkMode::BufferedFold`](super::SinkMode::BufferedFold))
@@ -455,7 +441,6 @@ impl RuntimeBuilder {
             clients,
             policy,
             self.update_budget,
-            self.eval_every,
         ))
     }
 

@@ -22,6 +22,10 @@ use adafl_compression::DecodeError;
 use adafl_netsim::{EventQueue, SimTime};
 use adafl_telemetry::{names, EventRecord, SpanRecord};
 
+/// Server-received updates between test-set evaluations of a run (the last
+/// arrival of the budget is always evaluated).
+const EVAL_EVERY: u64 = 5;
+
 #[derive(Debug)]
 enum Event {
     /// A client finished downloading the global model and starts training.
@@ -53,20 +57,18 @@ pub struct AsyncRuntime {
     version: u64,
     policy: Box<dyn AsyncPolicy>,
     update_budget: u64,
-    eval_every: u64,
 }
 
 impl AsyncRuntime {
     /// Puts the event schedule on top of a server: one live client per
     /// simulated client and an async policy; the builder has already
-    /// rejected a zero `update_budget` or `eval_every`.
+    /// rejected a zero `update_budget`.
     pub(super) fn new(
         core: ServerCore,
         stages: ServerStages,
         clients: Vec<FlClient>,
         mut policy: Box<dyn AsyncPolicy>,
         update_budget: u64,
-        eval_every: u64,
     ) -> Self {
         policy.init(core.global.len());
         AsyncRuntime {
@@ -78,7 +80,6 @@ impl AsyncRuntime {
             version: 0,
             policy,
             update_budget,
-            eval_every,
         }
     }
 
@@ -135,7 +136,7 @@ impl AsyncRuntime {
                 Event::UpdateArrival { client, version } => {
                     arrivals += 1;
                     self.on_arrival(client, version, now, arrivals);
-                    if arrivals.is_multiple_of(self.eval_every) || arrivals == self.update_budget {
+                    if arrivals.is_multiple_of(EVAL_EVERY) || arrivals == self.update_budget {
                         // The event loop is single-threaded by
                         // construction: no pool, one shard, inline.
                         self.core

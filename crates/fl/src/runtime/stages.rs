@@ -301,7 +301,7 @@ impl ServerStages {
 mod tests {
     use super::*;
     use crate::config::FlConfig;
-    use crate::robust::{coordinate_median, RobustMethod};
+    use crate::robust::{coordinate_median_with, RobustMethod};
     use crate::runtime::builder::Scenario;
     use crate::submodel::CapacityTier;
     use adafl_data::synthetic::SyntheticSpec;
@@ -393,7 +393,7 @@ mod tests {
         // The robust stage then replaced the three survivors by their
         // median, which the coverage fold applied and kept as the new ĝ.
         let survivors: Vec<&[f32]> = deltas[..3].iter().map(Vec::as_slice).collect();
-        let median = coordinate_median(&survivors);
+        let median = coordinate_median_with(&survivors, None);
         assert_eq!(core.global_gradient, median);
         let moved: Vec<f32> = before.iter().zip(&median).map(|(g, m)| g + m).collect();
         assert_eq!(core.global, moved);

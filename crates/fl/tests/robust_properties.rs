@@ -212,8 +212,8 @@ proptest! {
         shuffled.shuffle(&mut StdRng::seed_from_u64(perm_seed));
         for method in every_method() {
             let agg = RobustAggregator::new(method);
-            let (a, sa) = agg.pre_aggregate(dim, base.clone());
-            let (b, sb) = agg.pre_aggregate(dim, shuffled.clone());
+            let (a, sa) = agg.pre_aggregate_with(dim, base.clone(), None);
+            let (b, sb) = agg.pre_aggregate_with(dim, shuffled.clone(), None);
             // Bitwise equality: RoundUpdate derives PartialEq over f32
             // payloads, so any accumulation-order drift fails here.
             prop_assert_eq!(&a, &b);
@@ -230,8 +230,8 @@ proptest! {
         let base = cohort(&values, n, dim);
         for method in every_method() {
             let agg = RobustAggregator::new(method);
-            let (a, _) = agg.pre_aggregate(dim, base.clone());
-            let (b, _) = agg.pre_aggregate(dim, base.clone());
+            let (a, _) = agg.pre_aggregate_with(dim, base.clone(), None);
+            let (b, _) = agg.pre_aggregate_with(dim, base.clone(), None);
             prop_assert_eq!(a, b);
         }
     }
@@ -252,7 +252,7 @@ proptest! {
 
         // Trimmed mean with nothing trimmed is the plain mean, bit-for-bit.
         let agg = RobustAggregator::new(RobustMethod::TrimmedMean { trim_ratio: 0.0 });
-        let (out, stats) = agg.pre_aggregate(dim, arrivals.clone());
+        let (out, stats) = agg.pre_aggregate_with(dim, arrivals.clone(), None);
         prop_assert_eq!(out.len(), 1);
         prop_assert_eq!(out[0].payload.clone().into_dense(), mean.clone());
         prop_assert_eq!(stats.trimmed_values, 0);
@@ -262,14 +262,14 @@ proptest! {
             max_iters: 0,
             tol: 1e-9,
         });
-        let (out, _) = agg.pre_aggregate(dim, arrivals.clone());
+        let (out, _) = agg.pre_aggregate_with(dim, arrivals.clone(), None);
         prop_assert_eq!(out[0].payload.clone().into_dense(), mean);
 
         // Multi-Krum with no Byzantine budget and a full keep-count passes
         // every update through untouched (in client order), so whatever
         // aggregation policy follows sees exactly the honest cohort.
         let agg = RobustAggregator::new(RobustMethod::MultiKrum { f: 0, m: MAX_N });
-        let (out, stats) = agg.pre_aggregate(dim, arrivals);
+        let (out, stats) = agg.pre_aggregate_with(dim, arrivals, None);
         prop_assert_eq!(out, base);
         prop_assert_eq!(stats.rejected, 0);
     }
