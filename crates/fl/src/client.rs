@@ -67,7 +67,6 @@ pub struct FlClient {
     batch_labels: Vec<usize>,
     logits: Tensor,
     dlogits: Tensor,
-    dinput: Tensor,
     /// Flat gradient of the last mini-batch (see `batch_gradient`).
     grads: Vec<f32>,
     /// Flat mirror of the replica's parameters while a local round runs:
@@ -111,7 +110,6 @@ impl FlClient {
             batch_labels: Vec::new(),
             logits: Tensor::default(),
             dlogits: Tensor::default(),
-            dinput: Tensor::default(),
             grads: Vec::new(),
             params: Vec::new(),
             anchor: Vec::new(),
@@ -214,7 +212,8 @@ impl FlClient {
     /// One mini-batch forward and backward at the replica's current
     /// parameters — the unit of device compute behind both local training
     /// and the utility probe. Returns the batch loss and leaves the flat
-    /// gradient in `self.grads`.
+    /// gradient in `self.grads`. Nothing reads the gradient with respect to
+    /// the batch itself, so the backward pass does not compute it.
     fn batch_gradient(&mut self) -> f32 {
         self.loader
             .next_batch_into(&self.data, &mut self.batch_x, &mut self.batch_labels);
@@ -226,8 +225,7 @@ impl FlClient {
             &self.batch_labels,
             &mut self.dlogits,
         );
-        self.model
-            .backward_into(&self.dlogits, &mut self.dinput, &mut self.ws);
+        self.model.backward_into(&self.dlogits, None, &mut self.ws);
         self.model.grads_flat_into(&mut self.grads);
         loss
     }

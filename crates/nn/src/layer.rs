@@ -32,16 +32,25 @@ pub trait Layer: Send + std::fmt::Debug {
         ws: &mut LayerWorkspace,
     );
 
-    /// Propagates `grad_out` (∂loss/∂output) to the input: writes
-    /// ∂loss/∂input into `grad_in`, resizing it in place, and accumulates
-    /// parameter gradients internally.
+    /// Propagates `grad_out` (∂loss/∂output) to the input: accumulates
+    /// parameter gradients internally and, given `Some(grad_in)`, writes
+    /// ∂loss/∂input into it, resizing it in place.
+    ///
+    /// `None` asks for the parameter gradients only — the first layer of a
+    /// model, whose input gradient nobody reads. Parameter-free layers then
+    /// do nothing; parameter gradients are bit-identical either way.
     ///
     /// # Panics
     ///
     /// Implementations may panic when called before
     /// [`Layer::forward_into`] or with a gradient whose shape differs from
     /// the last forward output.
-    fn backward_into(&mut self, grad_out: &Tensor, grad_in: &mut Tensor, ws: &mut LayerWorkspace);
+    fn backward_into(
+        &mut self,
+        grad_out: &Tensor,
+        grad_in: Option<&mut Tensor>,
+        ws: &mut LayerWorkspace,
+    );
 
     /// [`Layer::forward_into`] into a fresh tensor over a throwaway
     /// workspace — the allocating form for examples and tests; training
@@ -52,10 +61,11 @@ pub trait Layer: Send + std::fmt::Debug {
         out
     }
 
-    /// [`Layer::backward_into`] into a fresh tensor, as [`Layer::forward`].
+    /// [`Layer::backward_into`] into a fresh input gradient, as
+    /// [`Layer::forward`].
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
         let mut grad_in = Tensor::default();
-        self.backward_into(grad_out, &mut grad_in, &mut LayerWorkspace::default());
+        self.backward_into(grad_out, Some(&mut grad_in), &mut LayerWorkspace::default());
         grad_in
     }
 

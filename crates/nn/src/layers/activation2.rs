@@ -38,7 +38,13 @@ impl Layer for Tanh {
         }
     }
 
-    fn backward_into(&mut self, grad_out: &Tensor, grad_in: &mut Tensor, _ws: &mut LayerWorkspace) {
+    fn backward_into(
+        &mut self,
+        grad_out: &Tensor,
+        grad_in: Option<&mut Tensor>,
+        _ws: &mut LayerWorkspace,
+    ) {
+        let Some(grad_in) = grad_in else { return };
         assert_eq!(
             grad_out.shape().dims(),
             self.shape.as_slice(),
@@ -95,7 +101,13 @@ impl Layer for Sigmoid {
         }
     }
 
-    fn backward_into(&mut self, grad_out: &Tensor, grad_in: &mut Tensor, _ws: &mut LayerWorkspace) {
+    fn backward_into(
+        &mut self,
+        grad_out: &Tensor,
+        grad_in: Option<&mut Tensor>,
+        _ws: &mut LayerWorkspace,
+    ) {
+        let Some(grad_in) = grad_in else { return };
         assert_eq!(
             grad_out.shape().dims(),
             self.shape.as_slice(),

@@ -3,7 +3,7 @@
 use crate::{Layer, LayerWorkspace};
 use adafl_tensor::{
     col2im_into, he_normal, im2col_into, matmul_into_with, matmul_nt_with, matmul_tn_with,
-    Conv2dGeometry, Tensor,
+    Conv2dGeometry, Tensor, NR,
 };
 use rand::Rng;
 
@@ -13,6 +13,14 @@ use rand::Rng;
 /// image (geometry fixed at construction) and produces rows of
 /// `[out_channels, out_h, out_w]`. Implemented as `im2col` + matmul, with
 /// `col2im` scattering gradients back in the backward pass.
+///
+/// The output and input-gradient products run over groups of
+/// `⌈NR / n_patches⌉` samples whose patches sit side by side, so each
+/// product fills at least one register tile (`NR` columns) even when a
+/// sample has only a few output positions. Grouping changes no bits: every
+/// output element keeps its ascending-k reduction whichever group or column
+/// it lands in, and the weight and bias gradients stay per sample, in
+/// sample order.
 ///
 /// The paper's MNIST CNN uses two of these: 5×5/20-channel and
 /// 5×5/50-channel (see [`crate::models::mnist_cnn`]).
@@ -26,8 +34,9 @@ pub struct Conv2d {
     grad_weight: Tensor,
     grad_bias: Tensor,
     /// Cached patch matrices from the last forward, flat: one
-    /// `[patch_len, n_patches]` block per sample. Reused across steps so the
-    /// allocation is made once.
+    /// `[patch_len, n_patches]` block per sample, the per-sample weight
+    /// gradient's operand. Reused across steps so the allocation is made
+    /// once.
     cached_cols: Vec<f32>,
     /// Batch size of the last forward (`cached_cols` holds this many blocks).
     cached_batch: usize,
@@ -68,6 +77,65 @@ impl Conv2d {
     pub fn output_volume(&self) -> usize {
         self.out_channels * self.geom.n_patches()
     }
+
+    /// Samples per product: the fewest whose patches fill one register
+    /// tile, `⌈NR / n_patches⌉` — one whenever a sample alone has `NR`
+    /// patches.
+    fn group_size(&self) -> usize {
+        NR.div_ceil(self.geom.n_patches())
+    }
+}
+
+/// Lays `g` consecutive sample-major `[rows, n_patches]` blocks side by side
+/// as one `[rows, g·n_patches]` matrix — sample `s` in columns
+/// `s·n_patches..` — the operand of one grouped product. A group of one
+/// already has that layout and is borrowed as is.
+fn side_by_side<'a>(
+    blocks: &'a [f32],
+    g: usize,
+    n_patches: usize,
+    buf: &'a mut [f32],
+) -> &'a [f32] {
+    if g == 1 {
+        return blocks;
+    }
+    let width = g * n_patches;
+    for (s, block) in blocks.chunks_exact(blocks.len() / g).enumerate() {
+        for (r, src) in block.chunks_exact(n_patches).enumerate() {
+            buf[r * width + s * n_patches..][..n_patches].copy_from_slice(src);
+        }
+    }
+    &buf[..blocks.len()]
+}
+
+/// Sample `s`'s `[rows, n_patches]` block of a side-by-side matrix `width`
+/// columns wide: the inverse of [`side_by_side`], borrowed as is when the
+/// group holds one sample.
+fn sample_block<'a>(
+    m: &'a [f32],
+    width: usize,
+    n_patches: usize,
+    s: usize,
+    buf: &'a mut [f32],
+) -> &'a [f32] {
+    if width == n_patches {
+        return m;
+    }
+    let block = &mut buf[..m.len() / width * n_patches];
+    for (dst, row) in block.chunks_exact_mut(n_patches).zip(m.chunks_exact(width)) {
+        dst.copy_from_slice(&row[s * n_patches..][..n_patches]);
+    }
+    block
+}
+
+/// Length a regrouping buffer of `len` elements takes in scratch: groups of
+/// one are used in place, so they need none.
+fn staged(group: usize, len: usize) -> usize {
+    if group > 1 {
+        len
+    } else {
+        0
+    }
 }
 
 impl Layer for Conv2d {
@@ -91,33 +159,59 @@ impl Layer for Conv2d {
         let out_width = self.out_channels * n_patches;
         let cols_len = patch_len * n_patches;
         out.resize_reuse(&[batch, out_width]);
-        out.as_mut_slice().fill(0.0);
         self.cached_cols.resize(batch * cols_len, 0.0);
         self.cached_batch = batch;
-        for i in 0..batch {
-            let row = &input.as_slice()[i * in_volume..(i + 1) * in_volume];
-            let cols = &mut self.cached_cols[i * cols_len..(i + 1) * cols_len];
-            im2col_into(row, &self.geom, cols);
-            let sample_out = &mut out.as_mut_slice()[i * out_width..(i + 1) * out_width];
+
+        let group = self.group_size();
+        let cols_cap = staged(group, patch_len * group * n_patches);
+        ws.scratch
+            .resize(cols_cap + self.out_channels * group * n_patches, 0.0);
+        let (cols_buf, out_buf) = ws.scratch.split_at_mut(cols_cap);
+        for i0 in (0..batch).step_by(group) {
+            let g = group.min(batch - i0);
+            let width = g * n_patches;
+            let rows = &input.as_slice()[i0 * in_volume..(i0 + g) * in_volume];
+            let cols = &mut self.cached_cols[i0 * cols_len..(i0 + g) * cols_len];
+            for (row, block) in rows
+                .chunks_exact(in_volume)
+                .zip(cols.chunks_exact_mut(cols_len))
+            {
+                im2col_into(row, &self.geom, block);
+            }
+            // Y = W · [patch_len, g·n_patches]: every element is the same
+            // ascending-k sum whichever group or column it lands in.
+            let group_out = &mut out_buf[..self.out_channels * width];
+            group_out.fill(0.0);
             matmul_into_with(
                 self.weight.as_slice(),
-                cols,
-                sample_out,
+                side_by_side(cols, g, n_patches, cols_buf),
+                group_out,
                 self.out_channels,
                 patch_len,
-                n_patches,
+                width,
                 &mut ws.pack,
             );
-            for (ch, chunk) in sample_out.chunks_mut(n_patches).enumerate() {
-                let b = self.bias.as_slice()[ch];
-                for v in chunk {
-                    *v += b;
+            let outs = &mut out.as_mut_slice()[i0 * out_width..(i0 + g) * out_width];
+            for (s, sample_out) in outs.chunks_exact_mut(out_width).enumerate() {
+                for ((dst, src), &b) in sample_out
+                    .chunks_exact_mut(n_patches)
+                    .zip(group_out.chunks_exact(width))
+                    .zip(self.bias.as_slice())
+                {
+                    for (v, &y) in dst.iter_mut().zip(&src[s * n_patches..][..n_patches]) {
+                        *v = y + b;
+                    }
                 }
             }
         }
     }
 
-    fn backward_into(&mut self, grad_out: &Tensor, grad_in: &mut Tensor, ws: &mut LayerWorkspace) {
+    fn backward_into(
+        &mut self,
+        grad_out: &Tensor,
+        grad_in: Option<&mut Tensor>,
+        ws: &mut LayerWorkspace,
+    ) {
         let batch = self.cached_batch;
         assert!(batch > 0, "backward called before forward");
         let n_patches = self.geom.n_patches();
@@ -126,9 +220,9 @@ impl Layer for Conv2d {
         let cols_len = patch_len * n_patches;
         assert_eq!(grad_out.shape().dims(), [batch, out_width]);
 
-        let in_volume = self.geom.input_volume();
-        grad_in.resize_reuse(&[batch, in_volume]);
-        ws.scratch.resize(cols_len, 0.0);
+        // Parameter gradients stay per sample: each sample's partial sum is
+        // added into `grad_weight` in sample order, and that order pins its
+        // bits.
         for (i, dy) in grad_out.as_slice().chunks(out_width).enumerate() {
             let cols = &self.cached_cols[i * cols_len..(i + 1) * cols_len];
             // dW += dY · colsᵀ  (dY: [out_ch, n_patches], cols: [patch_len, n_patches])
@@ -145,19 +239,39 @@ impl Layer for Conv2d {
             for (ch, chunk) in dy.chunks(n_patches).enumerate() {
                 self.grad_bias.as_mut_slice()[ch] += chunk.iter().sum::<f32>();
             }
-            // dCols = Wᵀ · dY  (W: [out_ch, patch_len])
-            ws.scratch.fill(0.0);
+        }
+
+        let Some(grad_in) = grad_in else { return };
+        let in_volume = self.geom.input_volume();
+        grad_in.resize_reuse(&[batch, in_volume]);
+        let group = self.group_size();
+        let dy_cap = staged(group, self.out_channels * group * n_patches);
+        let dcols_cap = patch_len * group * n_patches;
+        ws.scratch
+            .resize(dy_cap + dcols_cap + staged(group, cols_len), 0.0);
+        let (dy_buf, rest) = ws.scratch.split_at_mut(dy_cap);
+        let (dcols_buf, sample_buf) = rest.split_at_mut(dcols_cap);
+        for i0 in (0..batch).step_by(group) {
+            let g = group.min(batch - i0);
+            let width = g * n_patches;
+            // dCols = Wᵀ · dY  (W: [out_ch, patch_len], dY: [out_ch, g·n_patches])
+            let dys = &grad_out.as_slice()[i0 * out_width..(i0 + g) * out_width];
+            let dcols = &mut dcols_buf[..patch_len * width];
+            dcols.fill(0.0);
             matmul_tn_with(
                 self.weight.as_slice(),
-                dy,
-                &mut ws.scratch,
+                side_by_side(dys, g, n_patches, dy_buf),
+                dcols,
                 self.out_channels,
                 patch_len,
-                n_patches,
+                width,
                 &mut ws.pack,
             );
-            let dimg = &mut grad_in.as_mut_slice()[i * in_volume..(i + 1) * in_volume];
-            col2im_into(&ws.scratch, &self.geom, dimg);
+            let dimgs = &mut grad_in.as_mut_slice()[i0 * in_volume..(i0 + g) * in_volume];
+            for (s, dimg) in dimgs.chunks_exact_mut(in_volume).enumerate() {
+                let block = sample_block(dcols, width, n_patches, s, sample_buf);
+                col2im_into(block, &self.geom, dimg);
+            }
         }
     }
 
@@ -212,8 +326,93 @@ impl Layer for Conv2d {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use adafl_tensor::PackBuf;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The per-sample loop convolution ran before grouping — one product
+    /// per sample for the output and for the input gradient — kept as the
+    /// oracle grouping must match bit for bit. Returns the output,
+    /// `grad_weight`, `grad_bias` and `grad_in` of one forward/backward.
+    fn per_sample_oracle(conv: &Conv2d, x: &Tensor, dy: &Tensor) -> [Vec<f32>; 4] {
+        let (geom, oc) = (conv.geom, conv.out_channels);
+        let (np, pl, iv) = (geom.n_patches(), geom.patch_len(), geom.input_volume());
+        let batch = x.shape().dims()[0];
+        let mut pack = PackBuf::new();
+        let mut out = vec![0.0; batch * oc * np];
+        let (mut gw, mut gb) = (vec![0.0; oc * pl], vec![0.0; oc]);
+        let mut gx = vec![0.0; batch * iv];
+        let (mut cols, mut dcols) = (vec![0.0; pl * np], vec![0.0; pl * np]);
+        for i in 0..batch {
+            im2col_into(&x.as_slice()[i * iv..][..iv], &geom, &mut cols);
+            let y = &mut out[i * oc * np..][..oc * np];
+            matmul_into_with(conv.weight.as_slice(), &cols, y, oc, pl, np, &mut pack);
+            for (chunk, &b) in y.chunks_mut(np).zip(conv.bias.as_slice()) {
+                for v in chunk {
+                    *v += b;
+                }
+            }
+            let d = &dy.as_slice()[i * oc * np..][..oc * np];
+            matmul_nt_with(d, &cols, &mut gw, oc, np, pl, &mut pack);
+            for (g, chunk) in gb.iter_mut().zip(d.chunks(np)) {
+                *g += chunk.iter().sum::<f32>();
+            }
+            dcols.fill(0.0);
+            matmul_tn_with(conv.weight.as_slice(), d, &mut dcols, oc, pl, np, &mut pack);
+            col2im_into(&dcols, &geom, &mut gx[i * iv..][..iv]);
+        }
+        [out, gw, gb, gx]
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn grouped_samples_match_the_per_sample_loop_bit_for_bit() {
+        // (channels, height, width, kernel, out_channels) → n_patches: the
+        // cases straddle the 16-lane tile (groups of 16, 4, 2 and 1
+        // samples), and the 4-patch one is the paper CNN's conv2, whose
+        // 500-long patches also cross the kernel's k-block.
+        let cases = [
+            ((2, 3, 3, 3, 5), 1),
+            ((20, 6, 6, 5, 50), 4),
+            ((2, 5, 7, 3, 5), 15),
+            ((2, 6, 6, 3, 5), 16),
+            ((3, 3, 19, 3, 5), 17),
+            ((1, 16, 16, 5, 20), 144),
+        ];
+        let mut rng = StdRng::seed_from_u64(26);
+        for ((c, h, w, k, oc), n_patches) in cases {
+            let geom = Conv2dGeometry::new(c, h, w, k, 1, 0);
+            assert_eq!(geom.n_patches(), n_patches);
+            let mut conv = Conv2d::new(&mut rng, geom, oc);
+            conv.bias =
+                Tensor::from_vec((0..oc).map(|_| rng.gen_range(-1.0..1.0)).collect(), &[oc])
+                    .unwrap();
+            // Ragged last groups included: 3, 5 and 33 samples fill no
+            // whole number of 4-sample groups.
+            for batch in [1, 3, 4, 5, 16, 33] {
+                let mut noise = |len: usize| {
+                    let v = (0..batch * len).map(|_| rng.gen_range(-1.0..1.0)).collect();
+                    Tensor::from_vec(v, &[batch, len]).unwrap()
+                };
+                let x = noise(geom.input_volume());
+                let dy = noise(conv.output_volume());
+                let [out, gw, gb, gx] = per_sample_oracle(&conv, &x, &dy);
+                conv.zero_grads();
+                let y = conv.forward(&x, true);
+                let dx = conv.backward(&dy);
+                let mut grads = Vec::new();
+                conv.visit_grads(&mut |g| grads.push(bits(g)));
+                let at = format!("{n_patches} patches, batch {batch}");
+                assert_eq!(bits(y.as_slice()), bits(&out), "output, {at}");
+                assert_eq!(grads[0], bits(&gw), "grad_weight, {at}");
+                assert_eq!(grads[1], bits(&gb), "grad_bias, {at}");
+                assert_eq!(bits(dx.as_slice()), bits(&gx), "grad_in, {at}");
+            }
+        }
+    }
 
     #[test]
     fn forward_output_shape() {

@@ -31,7 +31,8 @@ pub struct Dense {
     bias: Tensor,
     grad_weight: Tensor,
     grad_bias: Tensor,
-    cached_input: Option<Tensor>,
+    /// Input of the last forward; rank 0 (the default) until then.
+    cached_input: Tensor,
 }
 
 impl Dense {
@@ -44,7 +45,7 @@ impl Dense {
             bias: Tensor::zeros(&[out_features]),
             grad_weight: Tensor::zeros(&[in_features, out_features]),
             grad_bias: Tensor::zeros(&[out_features]),
-            cached_input: None,
+            cached_input: Tensor::default(),
         }
     }
 
@@ -84,18 +85,23 @@ impl Layer for Dense {
             self.out_features,
             &mut ws.pack,
         );
-        out.add_row_broadcast(&self.bias).expect("bias broadcast");
-        match &mut self.cached_input {
-            Some(cache) => cache.copy_from(input),
-            None => self.cached_input = Some(input.clone()),
+        let bias = self.bias.as_slice();
+        for row in out.as_mut_slice().chunks_mut(self.out_features) {
+            for (v, &b) in row.iter_mut().zip(bias) {
+                *v += b;
+            }
         }
+        self.cached_input.copy_from(input);
     }
 
-    fn backward_into(&mut self, grad_out: &Tensor, grad_in: &mut Tensor, ws: &mut LayerWorkspace) {
-        let input = self
-            .cached_input
-            .as_ref()
-            .expect("backward called before forward");
+    fn backward_into(
+        &mut self,
+        grad_out: &Tensor,
+        grad_in: Option<&mut Tensor>,
+        ws: &mut LayerWorkspace,
+    ) {
+        let input = &self.cached_input;
+        assert_eq!(input.rank(), 2, "backward called before forward");
         let batch = input.shape().dims()[0];
         assert_eq!(grad_out.shape().dims(), [batch, self.out_features]);
 
@@ -119,6 +125,7 @@ impl Layer for Dense {
         }
 
         // dX = dY · Wᵀ
+        let Some(grad_in) = grad_in else { return };
         grad_in.resize_reuse(&[batch, self.in_features]);
         grad_in.as_mut_slice().fill(0.0);
         matmul_nt_with(

@@ -111,7 +111,13 @@ impl Layer for MaxPool2d {
         }
     }
 
-    fn backward_into(&mut self, grad_out: &Tensor, grad_in: &mut Tensor, _ws: &mut LayerWorkspace) {
+    fn backward_into(
+        &mut self,
+        grad_out: &Tensor,
+        grad_in: Option<&mut Tensor>,
+        _ws: &mut LayerWorkspace,
+    ) {
+        let Some(grad_in) = grad_in else { return };
         assert!(self.batch > 0, "backward called before forward");
         let out_vol = self.output_volume();
         assert_eq!(grad_out.shape().dims(), [self.batch, out_vol]);

@@ -66,16 +66,24 @@ impl Layer for Residual {
         }
     }
 
-    fn backward_into(&mut self, grad_out: &Tensor, grad_in: &mut Tensor, ws: &mut LayerWorkspace) {
+    fn backward_into(
+        &mut self,
+        grad_out: &Tensor,
+        grad_in: Option<&mut Tensor>,
+        ws: &mut LayerWorkspace,
+    ) {
+        // The body runs in full either way: its parameters need their
+        // gradients even when the block's input gradient has no reader.
         ws.ensure_children(self.body.len());
         let n = self.body.len();
-        self.body[n - 1].backward_into(grad_out, &mut ws.ping, &mut ws.children[n - 1]);
+        self.body[n - 1].backward_into(grad_out, Some(&mut ws.ping), &mut ws.children[n - 1]);
         let mut src: &mut Tensor = &mut ws.ping;
         let mut dst: &mut Tensor = &mut ws.pong;
         for i in (0..n - 1).rev() {
-            self.body[i].backward_into(src, dst, &mut ws.children[i]);
+            self.body[i].backward_into(src, Some(&mut *dst), &mut ws.children[i]);
             std::mem::swap(&mut src, &mut dst);
         }
+        let Some(grad_in) = grad_in else { return };
         // Shortcut adds the output gradient directly to the input gradient.
         grad_in.resize_reuse(grad_out.shape().dims());
         for ((o, &a), &b) in grad_in

@@ -94,7 +94,10 @@ impl MseLoss {
             "prediction/target shape mismatch"
         );
         let n = predictions.len().max(1) as f32;
-        let diff = predictions.sub_checked(targets).expect("same shape");
+        let mut diff = predictions.clone();
+        for (d, &t) in diff.as_mut_slice().iter_mut().zip(targets.as_slice()) {
+            *d -= t;
+        }
         let loss = diff.as_slice().iter().map(|d| d * d).sum::<f32>() / n;
         let grad = diff.scale(2.0 / n);
         (loss, grad)

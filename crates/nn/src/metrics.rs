@@ -1,5 +1,6 @@
 //! Evaluation metrics.
 
+use adafl_tensor::vecops::argmax;
 use adafl_tensor::Tensor;
 
 /// Fraction of rows whose argmax matches the label, in `[0, 1]`.
@@ -28,9 +29,9 @@ pub fn accuracy(logits: &Tensor, labels: &[usize]) -> f32 {
     if batch == 0 {
         return 0.0;
     }
-    let preds = logits.argmax_rows().expect("logits validated as matrix");
-    let correct = preds.iter().zip(labels).filter(|(p, l)| p == l).count();
-    correct as f32 / batch as f32
+    let mut meter = AccuracyMeter::new();
+    meter.update(logits, labels);
+    meter.value()
 }
 
 /// Streaming accuracy accumulator for evaluation over many batches.
@@ -63,15 +64,17 @@ impl AccuracyMeter {
     ///
     /// Panics on shape mismatches (see [`accuracy`]).
     pub fn update(&mut self, logits: &Tensor, labels: &[usize]) {
-        let preds = logits
-            .argmax_rows()
-            .expect("logits must be [batch, classes]");
-        assert_eq!(
-            preds.len(),
-            labels.len(),
-            "one label per batch row required"
+        let dims = logits.shape().dims();
+        assert!(
+            dims.len() == 2 && dims[1] > 0,
+            "logits must be [batch, classes]"
         );
-        self.correct += preds.iter().zip(labels).filter(|(p, l)| p == l).count() as u64;
+        assert_eq!(dims[0], labels.len(), "one label per batch row required");
+        let rows = logits.as_slice().chunks_exact(dims[1]);
+        self.correct += rows
+            .zip(labels)
+            .filter(|&(row, &label)| argmax(row) == label)
+            .count() as u64;
         self.total += labels.len() as u64;
     }
 

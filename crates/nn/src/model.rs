@@ -86,7 +86,7 @@ impl Model {
     /// [`Model::backward_into`] into a fresh tensor.
     pub fn backward(&mut self, grad_out: &Tensor) -> Tensor {
         let mut grad_in = Tensor::default();
-        self.backward_into(grad_out, &mut grad_in, &mut ModelWorkspace::new());
+        self.backward_into(grad_out, Some(&mut grad_in), &mut ModelWorkspace::new());
         grad_in
     }
 
@@ -125,14 +125,17 @@ impl Model {
     }
 
     /// Allocation-free backward pass mirroring [`Model::forward_into`]:
-    /// propagates `grad_out` through the stack in reverse, writing
-    /// ∂loss/∂input into `grad_in` and accumulating parameter gradients.
-    pub fn backward_into(
+    /// propagates `grad_out` through the stack in reverse, accumulating
+    /// parameter gradients and writing ∂loss/∂input into `grad_in` when it
+    /// is given. Training passes `None`: nothing reads the input gradient,
+    /// so the first layer skips computing it (see [`Layer::backward_into`]).
+    pub fn backward_into<'g>(
         &mut self,
         grad_out: &Tensor,
-        grad_in: &mut Tensor,
+        grad_in: impl Into<Option<&'g mut Tensor>>,
         ws: &mut ModelWorkspace,
     ) {
+        let grad_in = grad_in.into();
         if ws.layers.len() < self.layers.len() {
             ws.layers.resize_with(self.layers.len(), Default::default);
         }
@@ -141,17 +144,14 @@ impl Model {
             self.layers[0].backward_into(grad_out, grad_in, &mut ws.layers[0]);
             return;
         }
-        self.layers[n - 1].backward_into(grad_out, &mut ws.ping, &mut ws.layers[n - 1]);
+        self.layers[n - 1].backward_into(grad_out, Some(&mut ws.ping), &mut ws.layers[n - 1]);
         let mut src: &mut Tensor = &mut ws.ping;
         let mut dst: &mut Tensor = &mut ws.pong;
-        for i in (0..n - 1).rev() {
-            if i == 0 {
-                self.layers[0].backward_into(src, grad_in, &mut ws.layers[0]);
-            } else {
-                self.layers[i].backward_into(src, dst, &mut ws.layers[i]);
-                std::mem::swap(&mut src, &mut dst);
-            }
+        for i in (1..n - 1).rev() {
+            self.layers[i].backward_into(src, Some(&mut *dst), &mut ws.layers[i]);
+            std::mem::swap(&mut src, &mut dst);
         }
+        self.layers[0].backward_into(src, grad_in, &mut ws.layers[0]);
     }
 
     /// Resets all accumulated gradients to zero.

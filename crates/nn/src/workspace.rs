@@ -14,12 +14,16 @@ use adafl_tensor::Tensor;
 /// Per-layer scratch passed to [`crate::Layer::forward_into`] and
 /// [`crate::Layer::backward_into`].
 ///
-/// Simple layers ignore it entirely. Convolution uses `scratch` for its
-/// per-sample patch-gradient matrix; composite layers such as `Residual`
-/// chain their body through `ping`/`pong` and recurse into `children`.
+/// Simple layers ignore it entirely. Convolution uses `scratch` for one
+/// sample group's matrices; composite layers such as `Residual` chain their
+/// body through `ping`/`pong` and recurse into `children`.
 #[derive(Debug, Default)]
 pub struct LayerWorkspace {
-    /// Flat `f32` scratch (e.g. convolution backward's `dcols` matrix).
+    /// Flat `f32` scratch. Convolution keeps one sample group's product
+    /// operands and results here — the group's patches and output side by
+    /// side going forward, its output gradient and patch gradient going
+    /// back — so it is bounded by one group of `⌈NR / n_patches⌉` samples,
+    /// never by the batch.
     pub scratch: Vec<f32>,
     /// Matmul panel-packing buffer reused across every kernel call the
     /// layer makes (see `adafl_tensor::PackBuf`).

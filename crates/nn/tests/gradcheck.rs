@@ -109,24 +109,31 @@ fn conv_pool_dense_gradients_match() {
 #[test]
 fn stacked_conv_gradients_match() {
     // Two conv stages like the paper's CNN, shrunk: 8×8 → conv3 → pool →
-    // conv3 → dense.
-    let mut rng = StdRng::seed_from_u64(8);
-    let g1 = Conv2dGeometry::new(1, 8, 8, 3, 1, 1);
-    let g2 = Conv2dGeometry::new(2, 4, 4, 3, 1, 1);
-    let model = Model::new(
-        vec![
-            Box::new(Conv2d::new(&mut rng, g1, 2)),
-            Box::new(Relu::new()),
-            Box::new(MaxPool2d::new(2, 8, 8, 2)),
-            Box::new(Conv2d::new(&mut rng, g2, 2)),
-            Box::new(Relu::new()),
-            Box::new(MaxPool2d::new(2, 4, 4, 2)),
-            Box::new(Dense::new(&mut rng, 2 * 4, 3)),
-        ],
-        64,
-    );
-    let x = Tensor::from_vec(wavy_input(64, 0.5), &[1, 64]).unwrap();
-    check_model(model, x, &[2], 0.08);
+    // conv3 → dense. Without padding the second conv has 4 patches, like
+    // the paper CNN's conv2, so its 3 samples share one grouped product
+    // (seed 10: earlier seeds' ±1e-2 steps cross a ReLU or max-pool kink,
+    // where central differences miss for any correct backward pass).
+    for (padding, labels, seed) in [(1, &[2][..], 8), (0, &[2, 0, 1][..], 10)] {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let g1 = Conv2dGeometry::new(1, 8, 8, 3, 1, 1);
+        let g2 = Conv2dGeometry::new(2, 4, 4, 3, 1, padding);
+        let side = g2.out_h();
+        let model = Model::new(
+            vec![
+                Box::new(Conv2d::new(&mut rng, g1, 2)),
+                Box::new(Relu::new()),
+                Box::new(MaxPool2d::new(2, 8, 8, 2)),
+                Box::new(Conv2d::new(&mut rng, g2, 2)),
+                Box::new(Relu::new()),
+                Box::new(MaxPool2d::new(2, side, side, 2)),
+                Box::new(Dense::new(&mut rng, 2 * (side / 2).pow(2), 3)),
+            ],
+            64,
+        );
+        let batch = labels.len();
+        let x = Tensor::from_vec(wavy_input(batch * 64, 0.5), &[batch, 64]).unwrap();
+        check_model(model, x, labels, 0.08);
+    }
 }
 
 #[test]

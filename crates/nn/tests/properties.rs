@@ -102,6 +102,110 @@ proptest! {
     }
 }
 
+/// `backward_into(.., None)` — the first layer's pass in training — skips
+/// only the input gradient: every layer's parameter gradients are
+/// bit-identical to the `Some` pass's.
+#[test]
+fn backward_without_input_gradient_keeps_every_parameter_gradient() {
+    use adafl_nn::layers::{
+        AvgPool2d, Conv2d, Dense, Dropout, MaxPool2d, Relu, Residual, Sigmoid, Tanh,
+    };
+    use adafl_nn::{Layer, LayerWorkspace};
+    use adafl_tensor::Conv2dGeometry;
+    use rand::{rngs::StdRng, SeedableRng};
+
+    // Rows of a 2-channel 4×4 image; every layer below reads that width.
+    const BATCH: usize = 3;
+    const WIDTH: usize = 2 * 4 * 4;
+    type Build = fn() -> Box<dyn Layer>;
+    let layers: [(&str, Build); 9] = [
+        ("conv2d", || {
+            Box::new(Conv2d::new(
+                &mut StdRng::seed_from_u64(1),
+                Conv2dGeometry::new(2, 4, 4, 3, 1, 0),
+                3,
+            ))
+        }),
+        ("dense", || {
+            Box::new(Dense::new(&mut StdRng::seed_from_u64(2), WIDTH, 5))
+        }),
+        ("relu", || Box::new(Relu::new())),
+        ("maxpool2d", || Box::new(MaxPool2d::new(2, 4, 4, 2))),
+        ("avgpool2d", || Box::new(AvgPool2d::new(2, 4, 4, 2))),
+        ("dropout", || Box::new(Dropout::new(0.5, 3))),
+        ("tanh", || Box::new(Tanh::new())),
+        ("sigmoid", || Box::new(Sigmoid::new())),
+        ("residual", || {
+            let mut rng = StdRng::seed_from_u64(4);
+            let geom = Conv2dGeometry::new(2, 4, 4, 3, 1, 1);
+            Box::new(Residual::new(vec![
+                Box::new(Conv2d::new(&mut rng, geom, 2)),
+                Box::new(Relu::new()),
+            ]))
+        }),
+    ];
+    let wavy = |n: usize| -> Vec<f32> { (0..n).map(|i| (i as f32 * 0.37).sin()).collect() };
+    let x = Tensor::from_vec(wavy(BATCH * WIDTH), &[BATCH, WIDTH]).unwrap();
+    let grads_of = |layer: &mut dyn Layer, with_input_grad: bool| -> Vec<Vec<u32>> {
+        let y = layer.forward(&x, true);
+        let dy = Tensor::from_vec(wavy(y.len()), y.shape().dims()).unwrap();
+        let mut dx = Tensor::default();
+        let dx = with_input_grad.then_some(&mut dx);
+        layer.backward_into(&dy, dx, &mut LayerWorkspace::default());
+        let mut grads = Vec::new();
+        layer.visit_grads(&mut |g| grads.push(g.iter().map(|v| v.to_bits()).collect()));
+        grads
+    };
+    for (name, build) in layers {
+        let with = grads_of(build().as_mut(), true);
+        let without = grads_of(build().as_mut(), false);
+        assert_eq!(with, without, "{name}: parameter gradients differ");
+        let mut params = 0;
+        build().visit_params(&mut |p| params += p.len());
+        assert_eq!(
+            with.iter().map(Vec::len).sum::<usize>(),
+            params,
+            "{name}: one gradient per parameter"
+        );
+    }
+}
+
+/// A model whose first layer has no parameters (so its backward pass does
+/// nothing when training asks for no input gradient) still trains.
+#[test]
+fn a_model_with_a_parameter_free_first_layer_still_trains() {
+    use adafl_nn::layers::{Dense, Relu};
+    use adafl_nn::optim::Sgd;
+    use adafl_nn::{Model, ModelWorkspace};
+    use rand::{rngs::StdRng, SeedableRng};
+
+    let mut model = Model::new(
+        vec![
+            Box::new(Relu::new()),
+            Box::new(Dense::new(&mut StdRng::seed_from_u64(5), 2, 2)),
+        ],
+        2,
+    );
+    let x = Tensor::from_vec(vec![1.0, 0.0, 0.0, 1.0], &[2, 2]).unwrap();
+    let labels = [1usize, 0];
+    let (mut logits, mut dlogits) = (Tensor::default(), Tensor::default());
+    let mut ws = ModelWorkspace::new();
+    let mut sgd = Sgd::new(0.5, 0.0, 0.0);
+    let mut losses = Vec::new();
+    for _ in 0..50 {
+        model.forward_into(&x, &mut logits, true, &mut ws);
+        losses.push(CrossEntropyLoss.loss_and_grad_into(&logits, &labels, &mut dlogits));
+        model.backward_into(&dlogits, None, &mut ws);
+        model.apply_gradient_step_ws(&mut sgd, &mut ws);
+    }
+    assert!(
+        losses[49] < losses[0] * 0.2,
+        "loss did not fall: {} → {}",
+        losses[0],
+        losses[49]
+    );
+}
+
 /// The property sharded evaluation stands on: an inference forward pass is
 /// row-independent down to the bit, so the logits of a contiguous sub-batch
 /// are the same rows of the full-batch forward — wherever the cut falls

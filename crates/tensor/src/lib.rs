@@ -39,7 +39,7 @@ pub use im2col::{col2im, col2im_into, im2col, im2col_into, Conv2dGeometry};
 pub use init::{he_normal, uniform_init, xavier_uniform};
 pub use matmul::{
     matmul_into, matmul_into_with, matmul_nt, matmul_nt_with, matmul_tn, matmul_tn_with, oracle,
-    PackBuf,
+    PackBuf, NR,
 };
 pub use shape::Shape;
 pub use tensor::Tensor;

@@ -56,10 +56,13 @@ use std::cell::RefCell;
 const KC: usize = 256;
 /// Rows of `C` accumulated per micro-kernel invocation.
 const MR: usize = 4;
-/// Columns of `C` accumulated per micro-kernel invocation. Sized so the
-/// `MR × NR` accumulator block (eight 256-bit vectors) fits the AVX2
-/// register file without spilling, leaving registers for the `B` panel.
-const NR: usize = 16;
+/// Columns of `C` accumulated per micro-kernel invocation: the register
+/// tile's width. Sized so the `MR × NR` accumulator block (eight 256-bit
+/// vectors) fits the AVX2 register file without spilling, leaving registers
+/// for the `B` panel. A product narrower than `NR` columns leaves the rest of
+/// the tile's lanes idle, so callers that can widen `n` (convolution groups
+/// its samples' patches) size their products to at least this.
+pub const NR: usize = 16;
 /// Lane width for the dot-product (`NT`) kernel accumulators: two 256-bit
 /// vectors per dot product, giving eight independent multiply-add chains
 /// across a 4-wide column tile to cover arithmetic latency.

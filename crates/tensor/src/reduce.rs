@@ -77,15 +77,7 @@ impl Tensor {
         Ok(self
             .as_slice()
             .chunks(cols)
-            .map(|row| {
-                let mut best = 0usize;
-                for (i, &x) in row.iter().enumerate() {
-                    if x > row[best] {
-                        best = i;
-                    }
-                }
-                best
-            })
+            .map(crate::vecops::argmax)
             .collect())
     }
 

@@ -15,6 +15,19 @@ pub fn dot(a: &[f32], b: &[f32]) -> f32 {
     a.iter().zip(b).map(|(x, y)| x * y).sum()
 }
 
+/// Index of the first maximum of `a`; `0` when empty.
+/// Shared by [`crate::Tensor::argmax_rows`] and per-row callers that count
+/// predictions without collecting them.
+pub fn argmax(a: &[f32]) -> usize {
+    let mut best = 0usize;
+    for (i, &x) in a.iter().enumerate() {
+        if x > a[best] {
+            best = i;
+        }
+    }
+    best
+}
+
 /// Euclidean (L2) norm.
 pub fn l2_norm(a: &[f32]) -> f32 {
     a.iter().map(|x| x * x).sum::<f32>().sqrt()
