@@ -24,7 +24,7 @@ pub fn uniform_init<R: Rng + ?Sized>(rng: &mut R, dims: &[usize], limit: f32) ->
     let dist = Uniform::new_inclusive(-limit, limit);
     let volume: usize = dims.iter().product();
     let data: Vec<f32> = (0..volume).map(|_| dist.sample(rng)).collect();
-    Tensor::from_vec(data, dims).expect("volume matches by construction")
+    Tensor::from_vec_exact(data, dims)
 }
 
 /// Xavier/Glorot uniform initialisation: `limit = sqrt(6 / (fan_in + fan_out))`.
@@ -70,7 +70,7 @@ pub fn he_normal<R: Rng + ?Sized>(rng: &mut R, dims: &[usize], fan_in: usize) ->
             data.push(r * theta.sin() * sigma);
         }
     }
-    Tensor::from_vec(data, dims).expect("volume matches by construction")
+    Tensor::from_vec_exact(data, dims)
 }
 
 #[cfg(test)]

@@ -7,24 +7,29 @@
 //! * [`matmul_tn`] — `C = Aᵀ · B` (weight gradients)
 //! * [`matmul_nt`] — `C = A · Bᵀ` (input gradients)
 //!
-//! All three follow the same two-step shape: **pack once, stream lanes**.
-//! Operands are first repacked into contiguous panels inside a reusable
-//! [`PackBuf`] — `B` into `KC × NR` column panels (tail columns zero-padded
-//! to the full lane width), `A` into `KC × MR` row panels — and the
-//! micro-kernel then streams those panels with perfectly sequential loads.
-//! Packing is a layout change only: every floating-point operation happens
-//! in exactly the same order as the unpacked kernels did, so results are
-//! bit-for-bit identical, and the zero-padded tail lanes are discarded
-//! before write-back so they never contribute.
+//! NN and TN share one loop nest and two schedules over the same register
+//! tile. When the `B` k-slab outgrows L1 (`worth_packing`), operands are
+//! first repacked into contiguous panels inside a reusable [`PackBuf`] —
+//! `B` into `KC × NR` column panels (tail columns zero-padded to the full
+//! lane width), `A` into `KC × MR` row panels — and the micro-kernel
+//! streams those panels with sequential loads. Otherwise the **direct**
+//! schedule runs the same register tile straight over the raw operands,
+//! one tile per `NR`-column slice of `B`; the last, ragged tile (`w < NR`
+//! columns) is a *masked* register tile, not a scalar loop — its `B` rows
+//! load with masked lanes that read 0.0. Either way every floating-point
+//! operation happens in the same order, so results are bit-for-bit
+//! identical, and padded or masked lanes are discarded before write-back
+//! so they never contribute.
 //!
 //! The micro-kernel accumulates an `MR`-row × `NR`-column tile of `C` in
 //! local arrays across a k-block, touching `C` once per k-block. With the
 //! `simd` cargo feature the tile runs on explicit `std::arch` intrinsics
-//! (AVX2 on x86_64, NEON on aarch64) using *separate* multiply and add
-//! instructions — never FMA — so the SIMD lanes compute the exact same
-//! IEEE-754 sequence as the scalar fallback and stay bit-deterministic.
-//! Without the feature (or on other architectures) a scalar tile with
-//! independent lanes autovectorises and produces the same bits.
+//! (AVX2 on x86_64 for both schedules, NEON on aarch64 for the packed one)
+//! using *separate* multiply and add instructions — never FMA — so the
+//! SIMD lanes compute the exact same IEEE-754 sequence as the scalar
+//! fallback and stay bit-deterministic. Without the feature (or on other
+//! architectures) a scalar tile with independent lanes autovectorises and
+//! produces the same bits.
 //!
 //! ```text
 //! B panel layout (one KC-deep k-block, NR = 16 lanes per column tile):
@@ -154,10 +159,13 @@ impl Tensor {
 ///
 /// Packing wins once the `B` k-slab outgrows half of a typical L1d (strided
 /// panel walks start missing) or the column count is ragged past one tile
-/// (packed tiles zero-pad the tail lanes; the direct kernel re-runs a
-/// narrow scalar tail per row block). Below that the raw slab is
+/// (packed tiles zero-pad the tail lanes once; the direct schedule re-reads
+/// its masked tail tile strided per row block). Below that the raw slab is
 /// cache-resident, every pass over it is cheap, and the pack writes are
-/// pure overhead — the direct register-blocked panels are faster.
+/// pure overhead — the direct register tiles, ragged ones masked, are
+/// faster. That holds for products narrower than one tile too: the
+/// logistic-regression head's 10 columns run the masked direct tile, which
+/// beat packing them and needs no pack panels in any workspace.
 fn worth_packing(k: usize, n: usize) -> bool {
     let slab_bytes = k.min(KC) * n * core::mem::size_of::<f32>();
     slab_bytes > 16 * 1024 || (n > NR && !n.is_multiple_of(NR))
@@ -355,9 +363,166 @@ fn run_tile<const R: usize>(
     tile_scalar::<R>(a_pack, b_tile, kc, acc);
 }
 
+/// Scalar direct tile over the raw operands: lanes `0..w` of an `R×NR`
+/// tile, `kk` ascending. `a` starts at the tile's first `A` element, whose
+/// `(row, kk)` neighbours sit `rs` / `ks` apart; `b` starts at its first
+/// `B` element, whose rows are `n` apart. The bitwise reference for
+/// [`direct_tile_avx2`], and the direct path's tile where that does not run.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+fn direct_tile_scalar<const R: usize>(
+    a: &[f32],
+    rs: usize,
+    ks: usize,
+    b: &[f32],
+    n: usize,
+    kc: usize,
+    w: usize,
+    acc: &mut [[f32; NR]; R],
+) {
+    for kk in 0..kc {
+        let b_row = &b[kk * n..][..w];
+        for (r, lane) in acc.iter_mut().enumerate() {
+            let av = a[r * rs + kk * ks];
+            for (x, &bv) in lane[..w].iter_mut().zip(b_row) {
+                *x += av * bv;
+            }
+        }
+    }
+}
+
+/// AVX2 direct tile: [`direct_tile_scalar`] on the register tile of
+/// [`tile_avx2`], reading `B` rows straight from the operand. A ragged tile
+/// (`w < NR`) loads its rows with `_mm256_maskload_ps`: masked lanes read
+/// 0.0 and are never written back; `FULL` (`w == NR`) compiles the masks
+/// out. Separate multiply and add (never FMA), so every live lane computes
+/// the scalar tile's IEEE-754 sequence.
+///
+/// Panics unless `1 <= w <= NR`, `kc >= 1`, `FULL == (w == NR)`, `a`
+/// holds element `(R-1)·rs + (kc-1)·ks` and `b` elements
+/// `(kc-1)·n .. (kc-1)·n + w` — the reach its raw loads rely on, checked
+/// once per tile.
+///
+/// # Safety
+///
+/// Caller must ensure AVX2 is available.
+#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[target_feature(enable = "avx2")]
+#[allow(clippy::too_many_arguments)]
+unsafe fn direct_tile_avx2<const R: usize, const FULL: bool>(
+    a: &[f32],
+    rs: usize,
+    ks: usize,
+    b: &[f32],
+    n: usize,
+    kc: usize,
+    w: usize,
+    acc: &mut [[f32; NR]; R],
+) {
+    use core::arch::x86_64::*;
+    assert!((1..=NR).contains(&w) && kc >= 1 && FULL == (w == NR));
+    assert!((R - 1) * rs + (kc - 1) * ks < a.len(), "last A element");
+    assert!((kc - 1) * n + w <= b.len(), "last B element");
+    let live = _mm256_set1_epi32(w as i32);
+    let mask_lo = _mm256_cmpgt_epi32(live, _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+    let mask_hi = _mm256_cmpgt_epi32(live, _mm256_setr_epi32(8, 9, 10, 11, 12, 13, 14, 15));
+    let mut lo = [_mm256_setzero_ps(); R];
+    let mut hi = [_mm256_setzero_ps(); R];
+    let ap = a.as_ptr();
+    let bp = b.as_ptr();
+    for kk in 0..kc {
+        // SAFETY: every `A` offset `r·rs + kk·ks` is at most the asserted
+        // last `A` element. Lane 0 of every `B` row is live (`w >= 1`) and
+        // the last row's last live lane is inside `b` (asserted above), so
+        // each pointer formed here is in bounds. `_mm256_maskload_ps` does
+        // not access masked-out lanes — no read, no fault — so lanes
+        // `w..NR` may lie past the end of `b`; they load 0.0.
+        let row = bp.add(kk * n);
+        let b0 = if FULL || w >= 8 {
+            _mm256_loadu_ps(row)
+        } else {
+            _mm256_maskload_ps(row, mask_lo)
+        };
+        let b1 = if FULL {
+            _mm256_loadu_ps(row.add(8))
+        } else if w > 8 {
+            _mm256_maskload_ps(row.add(8), mask_hi)
+        } else {
+            _mm256_setzero_ps()
+        };
+        for r in 0..R {
+            let av = _mm256_set1_ps(*ap.add(r * rs + kk * ks));
+            lo[r] = _mm256_add_ps(lo[r], _mm256_mul_ps(av, b0));
+            hi[r] = _mm256_add_ps(hi[r], _mm256_mul_ps(av, b1));
+        }
+    }
+    for r in 0..R {
+        _mm256_storeu_ps(acc[r].as_mut_ptr(), lo[r]);
+        _mm256_storeu_ps(acc[r].as_mut_ptr().add(8), hi[r]);
+    }
+}
+
+/// Runs one direct `R×NR` tile (lanes `0..w` live) over the raw operands,
+/// dispatching like [`run_tile`]. On aarch64 and without the `simd`
+/// feature the scalar tile runs.
+#[cfg_attr(
+    not(all(feature = "simd", target_arch = "x86_64")),
+    allow(unused_variables)
+)]
+#[allow(clippy::too_many_arguments)]
+#[inline]
+fn run_direct_tile<const R: usize>(
+    simd: bool,
+    a: &[f32],
+    rs: usize,
+    ks: usize,
+    b: &[f32],
+    n: usize,
+    kc: usize,
+    w: usize,
+    acc: &mut [[f32; NR]; R],
+) {
+    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    if simd {
+        // SAFETY: AVX2 presence checked by the caller; the tile asserts
+        // its own reach into `a` and `b`.
+        unsafe {
+            if w == NR {
+                direct_tile_avx2::<R, true>(a, rs, ks, b, n, kc, w, acc);
+            } else {
+                direct_tile_avx2::<R, false>(a, rs, ks, b, n, kc, w, acc);
+            }
+        }
+        return;
+    }
+    // A constant full width lets the common tile vectorise unmasked.
+    if w == NR {
+        direct_tile_scalar::<R>(a, rs, ks, b, n, kc, NR, acc);
+    } else {
+        direct_tile_scalar::<R>(a, rs, ks, b, n, kc, w, acc);
+    }
+}
+
+/// Adds lanes `0..w` of an `R`-row accumulator tile into `c` (row stride
+/// `n`) at row `i`, column `j`.
+fn add_tile<const R: usize>(
+    c: &mut [f32],
+    acc: &[[f32; NR]; R],
+    i: usize,
+    j: usize,
+    n: usize,
+    w: usize,
+) {
+    for (r, lane) in acc.iter().enumerate() {
+        let c_row = &mut c[(i + r) * n + j..][..w];
+        for (cv, &x) in c_row.iter_mut().zip(&lane[..w]) {
+            *cv += x;
+        }
+    }
+}
+
 /// Accumulates `R` packed rows against every packed `B` column tile of one
 /// k-slab, writing `c +=` for the first `w` real lanes of each tile.
-#[allow(clippy::too_many_arguments)]
 fn gemm_packed<const R: usize>(
     simd: bool,
     a_pack: &[f32],
@@ -367,135 +532,111 @@ fn gemm_packed<const R: usize>(
     kc: usize,
     n: usize,
 ) {
-    let mut jt = 0;
-    let mut j = 0;
-    while j < n {
-        let w = NR.min(n - j);
+    for (jt, j) in (0..n).step_by(NR).enumerate() {
         let b_tile = &b_pack[jt * kc * NR..][..kc * NR];
         let mut acc = [[0.0f32; NR]; R];
         run_tile::<R>(simd, &a_pack[..kc * R], b_tile, kc, &mut acc);
-        for (r, lane) in acc.iter().enumerate() {
-            let c_row = &mut c[(i + r) * n + j..][..w];
-            for (cv, &x) in c_row.iter_mut().zip(&lane[..w]) {
-                *cv += x;
-            }
-        }
-        j += NR;
-        jt += 1;
+        add_tile(c, &acc, i, j, n, NR.min(n - j));
     }
 }
 
-/// Direct (no-pack) micro-kernel for `matmul_into`: accumulates `R` rows of
-/// `C` over the k-slab `kb..ke`, reading the raw strided operands. Used when
-/// `worth_packing` says the slab is cache-resident; the per-element
-/// accumulation order is identical to the packed path.
-#[allow(clippy::too_many_arguments)]
-fn nn_panel<const R: usize>(
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-    i: usize,
-    kb: usize,
-    ke: usize,
+/// How the `A` operand of an NN / TN product is stored.
+#[derive(Clone, Copy)]
+enum Lhs {
+    /// `m×k` row-major ([`matmul_into`]): a row's `k` values are adjacent.
+    RowMajor,
+    /// `k×m`, the transposed operand ([`matmul_tn`]): the `m` values of one
+    /// `kk` are adjacent.
+    Transposed,
+}
+
+/// One `c += A · b` product with `b` `k×n` and `c` `m×n`; NN and TN differ
+/// only in how `A` is stored, so one loop nest serves both.
+struct Gemm<'a> {
+    a: &'a [f32],
+    lhs: Lhs,
+    b: &'a [f32],
+    m: usize,
     k: usize,
     n: usize,
-) {
-    let kc = ke - kb;
-    let a_rows: [&[f32]; R] = core::array::from_fn(|r| &a[(i + r) * k + kb..][..kc]);
-    let mut j = 0;
-    while j + NR <= n {
-        let mut acc = [[0.0f32; NR]; R];
-        for kk in 0..kc {
-            let bp = &b[(kb + kk) * n + j..][..NR];
-            for r in 0..R {
-                let av = a_rows[r][kk];
-                for (x, &bv) in acc[r].iter_mut().zip(bp) {
-                    *x += av * bv;
-                }
-            }
-        }
-        for (r, lane) in acc.iter().enumerate() {
-            let c_row = &mut c[(i + r) * n + j..][..NR];
-            for (cv, &x) in c_row.iter_mut().zip(lane) {
-                *cv += x;
-            }
-        }
-        j += NR;
-    }
-    if j < n {
-        let w = n - j;
-        let mut acc = [[0.0f32; NR]; R];
-        for kk in 0..kc {
-            let bp = &b[(kb + kk) * n + j..][..w];
-            for r in 0..R {
-                let av = a_rows[r][kk];
-                for (x, &bv) in acc[r][..w].iter_mut().zip(bp) {
-                    *x += av * bv;
-                }
-            }
-        }
-        for (r, lane) in acc.iter().enumerate() {
-            let c_row = &mut c[(i + r) * n + j..][..w];
-            for (cv, &x) in c_row.iter_mut().zip(&lane[..w]) {
-                *cv += x;
-            }
-        }
-    }
+    /// The hoisted [`simd_tiles_available`] answer.
+    simd: bool,
 }
 
-/// Direct (no-pack) micro-kernel for `matmul_tn`: same tile shape as
-/// [`nn_panel`], but `a` is `k×m`, so the `R` row values for a given `kk`
-/// are one contiguous load.
-#[allow(clippy::too_many_arguments)]
-fn tn_panel<const R: usize>(
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-    i: usize,
-    kb: usize,
-    ke: usize,
-    m: usize,
-    n: usize,
-) {
-    let mut j = 0;
-    while j + NR <= n {
-        let mut acc = [[0.0f32; NR]; R];
-        for kk in kb..ke {
-            let avs = &a[kk * m + i..][..R];
-            let bp = &b[kk * n + j..][..NR];
-            for r in 0..R {
-                let av = avs[r];
-                for (x, &bv) in acc[r].iter_mut().zip(bp) {
-                    *x += av * bv;
-                }
-            }
+impl<'a> Gemm<'a> {
+    fn new(a: &'a [f32], lhs: Lhs, b: &'a [f32], m: usize, k: usize, n: usize) -> Self {
+        let simd = simd_tiles_available();
+        Gemm {
+            a,
+            lhs,
+            b,
+            m,
+            k,
+            n,
+            simd,
         }
-        for (r, lane) in acc.iter().enumerate() {
-            let c_row = &mut c[(i + r) * n + j..][..NR];
-            for (cv, &x) in c_row.iter_mut().zip(lane) {
-                *cv += x;
-            }
-        }
-        j += NR;
     }
-    if j < n {
-        let w = n - j;
-        let mut acc = [[0.0f32; NR]; R];
-        for kk in kb..ke {
-            let avs = &a[kk * m + i..][..R];
-            let bp = &b[kk * n + j..][..w];
-            for r in 0..R {
-                let av = avs[r];
-                for (x, &bv) in acc[r][..w].iter_mut().zip(bp) {
-                    *x += av * bv;
+
+    /// Runs the product `KC` slab by slab, `MR` rows at a time, packed or
+    /// direct as [`worth_packing`] decides.
+    fn run(&self, c: &mut [f32], pack: &mut PackBuf) {
+        if self.m == 0 || self.n == 0 {
+            return;
+        }
+        let packed = worth_packing(self.k, self.n);
+        for kb in (0..self.k).step_by(KC) {
+            let ke = (kb + KC).min(self.k);
+            if packed {
+                pack_b_panels(self.b, kb, ke, self.n, &mut pack.b);
+            }
+            let mut i = 0;
+            while i < self.m {
+                let r = MR.min(self.m - i);
+                match r {
+                    1 => self.rows::<1>(c, pack, packed, i, kb, ke),
+                    2 => self.rows::<2>(c, pack, packed, i, kb, ke),
+                    3 => self.rows::<3>(c, pack, packed, i, kb, ke),
+                    _ => self.rows::<MR>(c, pack, packed, i, kb, ke),
                 }
+                i += r;
             }
         }
-        for (r, lane) in acc.iter().enumerate() {
-            let c_row = &mut c[(i + r) * n + j..][..w];
-            for (cv, &x) in c_row.iter_mut().zip(&lane[..w]) {
-                *cv += x;
+    }
+
+    /// `R` rows of `C` from row `i` over the k-slab `kb..ke`: through the
+    /// packed panels (`pack.b` already holds this slab's), or one direct
+    /// register tile per `NR`-column tile over the raw operands. The
+    /// per-element accumulation order is the same either way.
+    fn rows<const R: usize>(
+        &self,
+        c: &mut [f32],
+        pack: &mut PackBuf,
+        packed: bool,
+        i: usize,
+        kb: usize,
+        ke: usize,
+    ) {
+        let kc = ke - kb;
+        if packed {
+            match self.lhs {
+                Lhs::RowMajor => pack_a_nn(self.a, i, R, kb, ke, self.k, &mut pack.a),
+                Lhs::Transposed => pack_a_tn(self.a, i, R, kb, ke, self.m, &mut pack.a),
             }
+            gemm_packed::<R>(self.simd, &pack.a, &pack.b, c, i, kc, self.n);
+            return;
+        }
+        // Strides of `A`: element `(row, kk)` sits at `a[row·rs + kk·ks]`.
+        let (rs, ks) = match self.lhs {
+            Lhs::RowMajor => (self.k, 1),
+            Lhs::Transposed => (1, self.m),
+        };
+        let a = &self.a[i * rs + kb * ks..];
+        for j in (0..self.n).step_by(NR) {
+            let w = NR.min(self.n - j);
+            let b = &self.b[kb * self.n + j..];
+            let mut acc = [[0.0f32; NR]; R];
+            run_direct_tile::<R>(self.simd, a, rs, ks, b, self.n, kc, w, &mut acc);
+            add_tile(c, &acc, i, j, self.n, w);
         }
     }
 }
@@ -540,48 +681,7 @@ pub fn matmul_into_with(
     assert_eq!(a.len(), m * k, "lhs length");
     assert_eq!(b.len(), k * n, "rhs length");
     assert_eq!(c.len(), m * n, "out length");
-    if m == 0 || n == 0 {
-        return;
-    }
-    if !worth_packing(k, n) {
-        for kb in (0..k).step_by(KC) {
-            let ke = (kb + KC).min(k);
-            let mut i = 0;
-            while i + MR <= m {
-                nn_panel::<MR>(a, b, c, i, kb, ke, k, n);
-                i += MR;
-            }
-            match m - i {
-                3 => nn_panel::<3>(a, b, c, i, kb, ke, k, n),
-                2 => nn_panel::<2>(a, b, c, i, kb, ke, k, n),
-                1 => nn_panel::<1>(a, b, c, i, kb, ke, k, n),
-                _ => {}
-            }
-        }
-        return;
-    }
-    let simd = simd_tiles_available();
-    for kb in (0..k).step_by(KC) {
-        let ke = (kb + KC).min(k);
-        let kc = ke - kb;
-        pack_b_panels(b, kb, ke, n, &mut pack.b);
-        let mut i = 0;
-        while i + MR <= m {
-            pack_a_nn(a, i, MR, kb, ke, k, &mut pack.a);
-            gemm_packed::<MR>(simd, &pack.a, &pack.b, c, i, kc, n);
-            i += MR;
-        }
-        let r = m - i;
-        if r > 0 {
-            pack_a_nn(a, i, r, kb, ke, k, &mut pack.a);
-            match r {
-                3 => gemm_packed::<3>(simd, &pack.a, &pack.b, c, i, kc, n),
-                2 => gemm_packed::<2>(simd, &pack.a, &pack.b, c, i, kc, n),
-                1 => gemm_packed::<1>(simd, &pack.a, &pack.b, c, i, kc, n),
-                _ => unreachable!(),
-            }
-        }
-    }
+    Gemm::new(a, Lhs::RowMajor, b, m, k, n).run(c, pack);
 }
 
 /// Computes `c += aᵀ · b` where `a` is `k×m`, `b` is `k×n`, `c` is `m×n`.
@@ -618,48 +718,7 @@ pub fn matmul_tn_with(
     assert_eq!(a.len(), k * m, "lhs length");
     assert_eq!(b.len(), k * n, "rhs length");
     assert_eq!(c.len(), m * n, "out length");
-    if m == 0 || n == 0 {
-        return;
-    }
-    if !worth_packing(k, n) {
-        for kb in (0..k).step_by(KC) {
-            let ke = (kb + KC).min(k);
-            let mut i = 0;
-            while i + MR <= m {
-                tn_panel::<MR>(a, b, c, i, kb, ke, m, n);
-                i += MR;
-            }
-            match m - i {
-                3 => tn_panel::<3>(a, b, c, i, kb, ke, m, n),
-                2 => tn_panel::<2>(a, b, c, i, kb, ke, m, n),
-                1 => tn_panel::<1>(a, b, c, i, kb, ke, m, n),
-                _ => {}
-            }
-        }
-        return;
-    }
-    let simd = simd_tiles_available();
-    for kb in (0..k).step_by(KC) {
-        let ke = (kb + KC).min(k);
-        let kc = ke - kb;
-        pack_b_panels(b, kb, ke, n, &mut pack.b);
-        let mut i = 0;
-        while i + MR <= m {
-            pack_a_tn(a, i, MR, kb, ke, m, &mut pack.a);
-            gemm_packed::<MR>(simd, &pack.a, &pack.b, c, i, kc, n);
-            i += MR;
-        }
-        let r = m - i;
-        if r > 0 {
-            pack_a_tn(a, i, r, kb, ke, m, &mut pack.a);
-            match r {
-                3 => gemm_packed::<3>(simd, &pack.a, &pack.b, c, i, kc, n),
-                2 => gemm_packed::<2>(simd, &pack.a, &pack.b, c, i, kc, n),
-                1 => gemm_packed::<1>(simd, &pack.a, &pack.b, c, i, kc, n),
-                _ => unreachable!(),
-            }
-        }
-    }
+    Gemm::new(a, Lhs::Transposed, b, m, k, n).run(c, pack);
 }
 
 // ---------------------------------------------------------------------------

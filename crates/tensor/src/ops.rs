@@ -70,8 +70,9 @@ impl Tensor {
 
     /// Multiplies every element by `k`, returning a new tensor.
     pub fn scale(&self, k: f32) -> Tensor {
-        let data = self.as_slice().iter().map(|a| a * k).collect();
-        Tensor::from_vec(data, self.shape().dims()).expect("same volume")
+        let mut out = self.clone();
+        out.map_inplace(|a| a * k);
+        out
     }
 
     /// Adds `rhs * k` into `self` in place (axpy).
@@ -89,8 +90,9 @@ impl Tensor {
 
     /// Applies `f` to every element, returning a new tensor.
     pub fn map(&self, f: impl Fn(f32) -> f32) -> Tensor {
-        let data = self.as_slice().iter().map(|&a| f(a)).collect();
-        Tensor::from_vec(data, self.shape().dims()).expect("same volume")
+        let mut out = self.clone();
+        out.map_inplace(f);
+        out
     }
 
     /// Applies `f` to every element in place.
@@ -143,8 +145,12 @@ impl Add for &Tensor {
     /// Panics when shapes differ; use [`Tensor::add_checked`] for a fallible
     /// variant.
     fn add(self, rhs: &Tensor) -> Tensor {
-        self.add_checked(rhs)
-            .expect("tensor addition shape mismatch")
+        assert_eq!(self.shape(), rhs.shape(), "tensor addition shape mismatch");
+        let mut out = self.clone();
+        for (a, b) in out.as_mut_slice().iter_mut().zip(rhs.as_slice()) {
+            *a += b;
+        }
+        out
     }
 }
 
@@ -156,8 +162,16 @@ impl Sub for &Tensor {
     /// Panics when shapes differ; use [`Tensor::sub_checked`] for a fallible
     /// variant.
     fn sub(self, rhs: &Tensor) -> Tensor {
-        self.sub_checked(rhs)
-            .expect("tensor subtraction shape mismatch")
+        assert_eq!(
+            self.shape(),
+            rhs.shape(),
+            "tensor subtraction shape mismatch"
+        );
+        let mut out = self.clone();
+        for (a, b) in out.as_mut_slice().iter_mut().zip(rhs.as_slice()) {
+            *a -= b;
+        }
+        out
     }
 }
 

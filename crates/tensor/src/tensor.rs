@@ -77,6 +77,14 @@ impl Tensor {
         Ok(Tensor { data, shape })
     }
 
+    /// [`Tensor::from_vec`] for data the caller built to the shape's volume
+    /// by construction; debug builds check the length.
+    pub(crate) fn from_vec_exact(data: Vec<f32>, dims: &[usize]) -> Self {
+        let shape = Shape::new(dims);
+        debug_assert_eq!(data.len(), shape.volume(), "data length");
+        Tensor { data, shape }
+    }
+
     /// Creates a rank-1 tensor from a slice.
     pub fn from_slice(data: &[f32]) -> Self {
         Tensor {

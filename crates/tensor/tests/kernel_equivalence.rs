@@ -48,6 +48,57 @@ fn close(x: f32, y: f32) -> bool {
     (x - y).abs() <= 1e-3 * (1.0 + y.abs())
 }
 
+fn same_bits(c: &[f32], expected: &[f32]) -> bool {
+    c.iter()
+        .zip(expected)
+        .all(|(x, y)| x.to_bits() == y.to_bits())
+}
+
+/// The workloads' own narrow products, plus every ragged width below one
+/// column tile at a `k` spanning two `KC` slabs (the proptests' dims stop at
+/// 80): NN and TN must equal the ordered oracles bit for bit, through a
+/// fresh `PackBuf` and through one reused across every shape.
+#[test]
+fn workload_shapes_bitwise_match_ordered_oracle() {
+    let narrow = (1..=15).map(|n| (16, 300, n));
+    let nn = [
+        (16, 256, 10),
+        (8, 256, 10),
+        (32, 500, 10),
+        (64, 500, 10),
+        (16, 32, 10),
+    ];
+    // TN shapes are `(k, m, n)`: `a` is stored `k×m`.
+    let tn = [
+        (16, 256, 10),
+        (8, 256, 10),
+        (32, 500, 10),
+        (16, 32, 10),
+        (50, 500, 4),
+    ];
+    let mut reused = PackBuf::new();
+    for (m, k, n) in nn.into_iter().chain(narrow.clone()) {
+        let a = fill(m * k, (m * k + n) as u64);
+        let b = fill(k * n, (k + n) as u64 ^ 0xA5A5);
+        let expected = oracle::matmul_ordered(&a, &b, m, k, n);
+        for pack in [&mut PackBuf::new(), &mut reused] {
+            let mut c = vec![0.0f32; m * n];
+            matmul_into_with(&a, &b, &mut c, m, k, n, pack);
+            assert!(same_bits(&c, &expected), "nn m={m} k={k} n={n}");
+        }
+    }
+    for (k, m, n) in tn.into_iter().chain(narrow.map(|(m, k, n)| (k, m, n))) {
+        let a = fill(k * m, (k * m + n) as u64);
+        let b = fill(k * n, (k + n) as u64 ^ 0x5A5A);
+        let expected = oracle::matmul_tn_ordered(&a, &b, k, m, n);
+        for pack in [&mut PackBuf::new(), &mut reused] {
+            let mut c = vec![0.0f32; m * n];
+            matmul_tn_with(&a, &b, &mut c, k, m, n, pack);
+            assert!(same_bits(&c, &expected), "tn k={k} m={m} n={n}");
+        }
+    }
+}
+
 proptest! {
     #[test]
     fn blocked_matmul_matches_oracle(
