@@ -574,13 +574,15 @@ impl ExperimentConfig {
     /// # Errors
     ///
     /// An unknown protocol, strategy, task, link profile, fault, robust
-    /// method, capacity mode, tier or compression scheme, and `robust`,
-    /// `capacity` or `compression` under `"protocol": "async"`.
+    /// method, capacity mode, tier or compression scheme; `robust`,
+    /// `capacity` or `compression` under `"protocol": "async"`; a
+    /// `participation` outside `(0, 1]`, or a `constrained_fraction`,
+    /// `fault_fraction` or `drop_prob` outside `[0, 1]`.
     ///
     /// # Panics
     ///
-    /// Panics where the library's own validation does: out-of-range
-    /// fractions, counts and hyperparameters.
+    /// Panics where the library's own validation does: zero counts and
+    /// out-of-range hyperparameters.
     pub fn scenario(&self) -> Result<Scenario, String> {
         let asynchronous = self.asynchronous()?;
         let strategies: &[&str] = if asynchronous {
@@ -602,6 +604,15 @@ impl ExperimentConfig {
             if asynchronous && set.is_some() {
                 return Err(format!("`{stage}` needs \"protocol\": \"sync\""));
             }
+        }
+        if self.participation <= 0.0 || self.participation > 1.0 {
+            let p = self.participation;
+            return Err(format!("`participation` must be in (0, 1], got {p}"));
+        }
+        fraction("constrained_fraction", self.constrained_fraction)?;
+        fraction("fault_fraction", self.fault_fraction)?;
+        if let Some(p) = self.drop_prob {
+            fraction("drop_prob", p)?;
         }
 
         let task = Task::named(&self.task, self.train_samples, self.test_samples, self.seed)?;
@@ -684,6 +695,15 @@ impl ExperimentConfig {
             },
             ..Scenario::paper(task, fl.build())
         })
+    }
+}
+
+/// `Err` naming `field` unless `value` is in `[0, 1]`.
+fn fraction(field: &str, value: f64) -> Result<(), String> {
+    if (0.0..=1.0).contains(&value) {
+        Ok(())
+    } else {
+        Err(format!("`{field}` must be in [0, 1], got {value}"))
     }
 }
 
@@ -1029,6 +1049,17 @@ mod tests {
         rejected(&[("strategy", "fedbuff")], "unknown sync strategy");
         rejected(&[("fault", "gremlins")], "unknown fault kind");
         rejected(&[("compression", "topk")], "unknown compression");
+        rejected(
+            &[("participation", "0")],
+            "`participation` must be in (0, 1]",
+        );
+        let overfull = [("fault", "dropout"), ("fault_fraction", "1.5")];
+        rejected(&overfull, "`fault_fraction` must be in [0, 1]");
+        rejected(
+            &[("constrained_fraction", "-0.5")],
+            "`constrained_fraction` must be",
+        );
+        rejected(&[("drop_prob", "1.5")], "`drop_prob` must be in [0, 1]");
         let topk = StaticCompression::TopK { ratio: 32.0 };
         assert_eq!(static_compression("topk:32"), Ok(topk));
         let qsgd = StaticCompression::Qsgd { levels: 8 };

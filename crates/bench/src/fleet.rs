@@ -10,7 +10,7 @@ use adafl_netsim::{
 };
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 /// A homogeneous broadband fleet (the paper's fixed-bandwidth evaluation
 /// setting for Tables I/II).
@@ -131,184 +131,6 @@ pub fn chaos_plan(
     FaultPlan::new(kinds, seed)
 }
 
-/// The per-hop link used by the mesh generators: a symmetric
-/// constrained-class radio hop with *no* random loss, so mesh benchmarks
-/// isolate routing and failure effects from stochastic drops.
-pub fn mesh_hop_spec() -> LinkSpec {
-    LinkSpec::new(2.0e6, 2.0e6, 0.02, 0.02, 0.0)
-}
-
-/// A line mesh: the server at one end, `clients` client nodes chained
-/// behind it. Client `i` relays for every client past it, so the farthest
-/// node crosses `i + 1` hops — the simplest multi-hop stress.
-///
-/// # Panics
-///
-/// Panics when `clients` is zero.
-pub fn line_mesh(clients: usize, hop: LinkSpec) -> MeshLayout {
-    assert!(clients > 0, "line mesh needs at least one client");
-    let mut topo = Topology::new();
-    let server = topo.add_node(NodeRole::Server);
-    let mut ids = Vec::with_capacity(clients);
-    let mut prev = server;
-    for _ in 0..clients {
-        let c = topo.add_node(NodeRole::Client);
-        topo.add_duplex_link(prev, c, hop);
-        ids.push(c);
-        prev = c;
-    }
-    MeshLayout {
-        topology: topo,
-        clients: ids,
-        server,
-    }
-}
-
-/// A ring mesh: the server plus `clients` clients around a cycle, with a
-/// relay between each adjacent pair. Every client has two disjoint paths
-/// to the server (clockwise and counter-clockwise), so a single relay
-/// outage is always routable around — the textbook rerouting fixture.
-///
-/// # Panics
-///
-/// Panics when `clients` is zero.
-pub fn ring_mesh(clients: usize, hop: LinkSpec) -> MeshLayout {
-    assert!(clients > 0, "ring mesh needs at least one client");
-    let mut topo = Topology::new();
-    let server = topo.add_node(NodeRole::Server);
-    let mut ids = Vec::with_capacity(clients);
-    let mut prev = server;
-    for _ in 0..clients {
-        let relay = topo.add_node(NodeRole::Relay);
-        let client = topo.add_node(NodeRole::Client);
-        topo.add_duplex_link(prev, relay, hop);
-        topo.add_duplex_link(relay, client, hop);
-        ids.push(client);
-        prev = client;
-    }
-    // Close the cycle back into the server through one last relay.
-    let relay = topo.add_node(NodeRole::Relay);
-    topo.add_duplex_link(prev, relay, hop);
-    topo.add_duplex_link(relay, server, hop);
-    MeshLayout {
-        topology: topo,
-        clients: ids,
-        server,
-    }
-}
-
-/// A `width × height` grid mesh with 4-neighbour duplex links: the server
-/// in the corner at `(0, 0)`, relays on the interior cells, clients on the
-/// remaining border cells. Interior relays carry the short diagonal-ish
-/// routes; when they fail, traffic must detour along the client border.
-///
-/// # Panics
-///
-/// Panics when either dimension is below 3 (no interior would exist).
-pub fn grid_mesh(width: usize, height: usize, hop: LinkSpec) -> MeshLayout {
-    assert!(
-        width >= 3 && height >= 3,
-        "grid mesh needs at least a 3x3 footprint"
-    );
-    let mut topo = Topology::new();
-    let mut ids = Vec::new();
-    let mut server = 0;
-    for y in 0..height {
-        for x in 0..width {
-            let interior = x > 0 && x < width - 1 && y > 0 && y < height - 1;
-            let role = if (x, y) == (0, 0) {
-                NodeRole::Server
-            } else if interior {
-                NodeRole::Relay
-            } else {
-                NodeRole::Client
-            };
-            let id = topo.add_node(role);
-            match role {
-                NodeRole::Server => server = id,
-                NodeRole::Client => ids.push(id),
-                NodeRole::Relay => {}
-            }
-            // Link each cell to its already-created west and north
-            // neighbours; every adjacency is created exactly once.
-            if x > 0 {
-                topo.add_duplex_link(id - 1, id, hop);
-            }
-            if y > 0 {
-                topo.add_duplex_link(id - width, id, hop);
-            }
-        }
-    }
-    MeshLayout {
-        topology: topo,
-        clients: ids,
-        server,
-    }
-}
-
-/// A random geometric mesh: the server at the centre of the unit square,
-/// `relays` relays and `clients` clients placed uniformly at random, and a
-/// duplex link between every pair within `radius`. Per-hop latency scales
-/// with Euclidean distance, so the cost-aware planner has real gradients
-/// to optimise. Nodes with no neighbour in range are linked to their
-/// nearest earlier node, which guarantees a connected graph at any radius.
-/// Fully determined by `seed`.
-///
-/// # Panics
-///
-/// Panics when `clients` is zero or `radius` is not positive.
-pub fn random_geometric_mesh(
-    clients: usize,
-    relays: usize,
-    radius: f64,
-    hop: LinkSpec,
-    seed: u64,
-) -> MeshLayout {
-    assert!(
-        clients > 0,
-        "random geometric mesh needs at least one client"
-    );
-    assert!(radius > 0.0, "connection radius must be positive");
-    let mut rng = StdRng::seed_from_u64(seed ^ 0x4745_4F4D); // "GEOM"
-    let mut topo = Topology::new();
-    let server = topo.add_node(NodeRole::Server);
-    let mut positions: Vec<(f64, f64)> = vec![(0.5, 0.5)];
-    let mut ids = Vec::with_capacity(clients);
-    for i in 0..relays + clients {
-        let role = if i < relays {
-            NodeRole::Relay
-        } else {
-            NodeRole::Client
-        };
-        let id = topo.add_node(role);
-        if role == NodeRole::Client {
-            ids.push(id);
-        }
-        let pos = (rng.gen::<f64>(), rng.gen::<f64>());
-        let mut linked = false;
-        let mut nearest = (0usize, f64::INFINITY);
-        for (other, &opos) in positions.iter().enumerate() {
-            let dist = ((pos.0 - opos.0).powi(2) + (pos.1 - opos.1).powi(2)).sqrt();
-            if dist < nearest.1 {
-                nearest = (other, dist);
-            }
-            if dist <= radius {
-                topo.add_duplex_link(other, id, scaled_hop(hop, dist, radius));
-                linked = true;
-            }
-        }
-        if !linked {
-            topo.add_duplex_link(nearest.0, id, scaled_hop(hop, nearest.1, radius));
-        }
-        positions.push(pos);
-    }
-    MeshLayout {
-        topology: topo,
-        clients: ids,
-        server,
-    }
-}
-
 /// A dual-homed access mesh: every client reaches the server through a
 /// fast *primary* relay and a slow *backup* relay, with clients spread
 /// round-robin across `relays` of each kind. Primary relays are node ids
@@ -361,45 +183,11 @@ pub fn dual_homed_mesh(
     }
 }
 
-/// Scales a hop's latencies by how much of the connection radius the link
-/// spans (floored at a quarter of the base latency for near-zero spans).
-fn scaled_hop(hop: LinkSpec, dist: f64, radius: f64) -> LinkSpec {
-    let scale = (dist / radius).max(0.25);
-    LinkSpec::new(
-        hop.uplink_bandwidth(),
-        hop.downlink_bandwidth(),
-        hop.uplink_latency() * scale,
-        hop.downlink_latency() * scale,
-        hop.drop_prob(),
-    )
-}
-
-/// Schedules an outage for a seeded random sample of the layout's relays:
-/// `intensity` is the fraction of relays that go down at `down_at`
-/// seconds; each recovers at `up_at` seconds when given, or stays down for
-/// the rest of the run. Returns the failed relay node ids (in failure
-/// order) so benchmarks can report them.
-///
-/// # Panics
-///
-/// Panics when `intensity` is outside `[0, 1]` or a recovery time does not
-/// come after the outage.
-pub fn schedule_relay_outages(
-    layout: &mut MeshLayout,
-    intensity: f64,
-    down_at: f64,
-    up_at: Option<f64>,
-    seed: u64,
-) -> Vec<usize> {
-    let relays: Vec<usize> = (0..layout.topology.nodes())
-        .filter(|&n| layout.topology.role(n) == NodeRole::Relay)
-        .collect();
-    schedule_outages_among(layout, &relays, intensity, down_at, up_at, seed)
-}
-
-/// [`schedule_relay_outages`] over an explicit candidate set, for sweeps
-/// that target a subset of the fleet (e.g. only the primary relays of a
-/// [`dual_homed_mesh`]).
+/// Schedules an outage for a seeded random sample of `candidates` (node ids
+/// of the layout, e.g. the primary relays of a [`dual_homed_mesh`]):
+/// `intensity` is the fraction of them that go down at `down_at` seconds;
+/// each recovers at `up_at` seconds when given, or stays down for the rest
+/// of the run. Returns the failed node ids in failure order.
 ///
 /// # Panics
 ///
@@ -513,14 +301,6 @@ mod tests {
     }
 
     #[test]
-    fn generated_meshes_are_connected() {
-        every_client_routable(&line_mesh(5, mesh_hop_spec()));
-        every_client_routable(&ring_mesh(6, mesh_hop_spec()));
-        every_client_routable(&grid_mesh(5, 4, mesh_hop_spec()));
-        every_client_routable(&random_geometric_mesh(8, 4, 0.12, mesh_hop_spec(), 7));
-    }
-
-    #[test]
     fn dual_homed_planners_split_on_the_primary() {
         use adafl_netsim::{
             CostAwareDijkstra, RoutePlanner, StaticShortestPath, TransferDirection,
@@ -554,40 +334,13 @@ mod tests {
     }
 
     #[test]
-    fn grid_mesh_splits_roles_by_position() {
-        let layout = grid_mesh(5, 4, mesh_hop_spec());
-        let topo = &layout.topology;
-        assert_eq!(topo.nodes(), 20);
-        let relays = (0..topo.nodes())
-            .filter(|&n| topo.role(n) == NodeRole::Relay)
-            .count();
-        assert_eq!(relays, 6); // 3x2 interior
-        assert_eq!(layout.clients.len(), 13); // border minus the server
-        assert_eq!(topo.role(layout.server), NodeRole::Server);
-    }
-
-    #[test]
-    fn random_geometric_mesh_is_seed_deterministic() {
-        let a = random_geometric_mesh(8, 4, 0.3, mesh_hop_spec(), 9);
-        let b = random_geometric_mesh(8, 4, 0.3, mesh_hop_spec(), 9);
-        assert_eq!(a.topology.links(), b.topology.links());
-        for l in 0..a.topology.links() {
-            assert_eq!(a.topology.link(l).spec(), b.topology.link(l).spec());
-        }
-        let c = random_geometric_mesh(8, 4, 0.3, mesh_hop_spec(), 10);
-        let specs = |layout: &MeshLayout| {
-            (0..layout.topology.links())
-                .map(|l| layout.topology.link(l).spec().uplink_latency())
-                .collect::<Vec<_>>()
-        };
-        assert_ne!(specs(&a), specs(&c), "different seeds, identical layout");
-    }
-
-    #[test]
     fn relay_outages_honor_the_intensity_fraction() {
-        let mut layout = grid_mesh(5, 4, mesh_hop_spec());
-        let failed = schedule_relay_outages(&mut layout, 0.5, 10.0, Some(20.0), 3);
-        assert_eq!(failed.len(), 3); // half of the six relays
+        let hop = LinkSpec::new(1.0e6, 1.0e6, 0.01, 0.01, 0.0);
+        let mut layout = dual_homed_mesh(6, 4, hop, hop);
+        let primaries = [1, 2, 3, 4];
+        let failed = schedule_outages_among(&mut layout, &primaries, 0.5, 10.0, Some(20.0), 3);
+        assert_eq!(failed.len(), 2); // half of the four primaries
+        assert!(failed.iter().all(|n| primaries.contains(n)));
         layout.topology.advance_to(SimTime::from_seconds(10.0));
         for &n in &failed {
             assert!(!layout.topology.node_up(n));
@@ -601,7 +354,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "recovery must come after the outage")]
     fn outage_recovery_before_failure_panics() {
-        let mut layout = grid_mesh(3, 3, mesh_hop_spec());
-        schedule_relay_outages(&mut layout, 1.0, 10.0, Some(5.0), 0);
+        let hop = LinkSpec::new(1.0e6, 1.0e6, 0.01, 0.01, 0.0);
+        let mut layout = dual_homed_mesh(3, 1, hop, hop);
+        schedule_outages_among(&mut layout, &[1], 1.0, 10.0, Some(5.0), 0);
     }
 }
