@@ -4,10 +4,10 @@
 //! The reference is the seed's server: one heap vector per densified
 //! update, a serial iterator-sum Krum distance matrix (compiled in below),
 //! and `fl::robust::oracle`'s full column sorts for trimmed mean and
-//! median. The production path fans densify, distances and column blocks
-//! across `adafl_fl::pool::WorkerPool`, splits the distance kernel into
-//! eight `f64` lanes, and selects the trim and median ranks instead of
-//! sorting. Both run in the same process over identical cohorts, so the
+//! median. The production path reads the payloads in place, fans
+//! distances and column blocks across `adafl_fl::pool::WorkerPool`, splits
+//! the distance kernel into eight `f64` lanes, and counts (AVX2) or
+//! selects the trim and median ranks instead of sorting. Both run in the same process over identical cohorts, so the
 //! comparison is machine-independent, and the binary *asserts* the
 //! contract the runtime relies on before reporting any number:
 //!

@@ -34,18 +34,32 @@
 //! [`f32::total_cmp`]/[`f64::total_cmp`], so even non-finite values that
 //! slip past a disabled gate order deterministically.
 //!
-//! # Select, don't sort
+//! # Count, don't sort
 //!
 //! Trimmed mean and median need two order statistics per coordinate, not
-//! an ordering. Their kernels gather a panel of columns as integer keys
-//! that order exactly as `total_cmp` does, find the boundary ranks with
-//! `select_nth_unstable`, and sum the survivors in view order — the same
-//! survivor set and the same accumulation order as sorting each column,
-//! which [`oracle`] still does so that tests can demand equal bits.
+//! an ordering. Each value becomes an integer key that orders exactly as
+//! `total_cmp` does. Where the build has the `simd` feature and the CPU
+//! AVX2, eight adjacent columns are one register per view, and the key at
+//! each wanted rank is found by a 32-step bit-serial count (see
+//! `lanes`); elsewhere, and for the last columns short of a whole
+//! register, panels of sixteen columns find the boundary ranks with
+//! `select_nth_unstable`. Either way the survivors are summed in view
+//! order — the same survivor set and the same accumulation order as
+//! sorting each column, which [`oracle`] still does so that tests can
+//! demand equal bits.
+//!
+//! The estimators read full-width payloads where they lie, with no dense
+//! copy of the cohort. Their results are nonetheless defined on the
+//! cohort as an accumulation into zeros loads it, `0.0 + x`: `-0.0` reads
+//! as `+0.0` and a signalling NaN reads quiet. The coordinate-wise kernels
+//! and [`oracle`] get those bits by reading every value as `x + 0.0`;
+//! Krum's distances and the Weiszfeld loop widen to `f64` and subtract,
+//! which gives the same result for either load.
 
 use crate::pool::WorkerPool;
 use crate::runtime::{RoundUpdate, UpdatePayload};
 use adafl_compression::ViewDescriptor;
+use std::borrow::Cow;
 
 /// Columns gathered per panel by the coordinate-wise estimators: one
 /// 64-byte line of every view row, so the gather reads whole cache lines
@@ -231,12 +245,14 @@ impl RobustAggregator {
     /// Replaces a screened cohort with its robust estimate.
     ///
     /// The cohort is first sorted by client id (the canonical order that
-    /// makes every estimator permutation-invariant), then densified to
-    /// `dim`-length views. Selection methods (Krum, Multi-Krum) pass the
-    /// winning updates through untouched — original payloads, weights and
-    /// client ids. Blend methods (trimmed mean, median, geometric median)
-    /// synthesize a single dense update carrying the estimate, attributed
-    /// to the lowest surviving client id with weight 1.0 — robust
+    /// makes every estimator permutation-invariant); the estimator then
+    /// reads each update's `dim` values in place, and only a payload that
+    /// does not hold them densely (sparse) is expanded to a row. Selection
+    /// methods (Krum, Multi-Krum) pass the winning updates through
+    /// untouched — original payloads, weights and client ids. Blend
+    /// methods (trimmed mean, median, geometric median) synthesize a single
+    /// dense update carrying the estimate, attributed to the lowest
+    /// surviving client id with weight 1.0 — robust
     /// estimators are deliberately *unweighted*, since sample counts are
     /// self-reported and a Byzantine client would lie about them.
     ///
@@ -254,10 +270,9 @@ impl RobustAggregator {
     /// compare a singleton against. A cohort without views is the single
     /// group at `dim`.
     ///
-    /// Densification and the estimator's dominant loops (pairwise Krum
-    /// distances, coordinate column blocks) fan across `pool`; every job
-    /// computes a disjoint output slice with an unchanged per-element
-    /// reduction order, and [`WorkerPool::scope_run`] collects in
+    /// The estimator's dominant loops (pairwise Krum distances, coordinate
+    /// column blocks) fan across `pool`; every job computes a disjoint
+    /// output slice with an unchanged per-element reduction order, and [`WorkerPool::scope_run`] collects in
     /// submission order — so results are byte-identical to the serial path
     /// at any pool width.
     pub fn pre_aggregate_with(
@@ -318,25 +333,9 @@ impl RobustAggregator {
             return (updates, stats);
         }
         updates.sort_by_key(|a| a.client);
-        // One flat buffer instead of n separate allocations: cheaper to
-        // fill, and row slices hand out disjoint &mut chunks for the pool.
-        let mut dense = vec![0.0f32; n * dim];
-        match pool {
-            Some(pool) if pool.workers() > 0 && dim > 0 => {
-                let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = updates
-                    .iter()
-                    .zip(dense.chunks_mut(dim))
-                    .map(|(u, row)| Box::new(move || u.payload.add_scaled_into(row, 1.0)) as Box<_>)
-                    .collect();
-                pool.scope_run(jobs);
-            }
-            _ => {
-                for (u, row) in updates.iter().zip(dense.chunks_mut(dim.max(1))) {
-                    u.payload.add_scaled_into(row, 1.0);
-                }
-            }
-        }
-        let views: Vec<&[f32]> = (0..n).map(|i| &dense[i * dim..(i + 1) * dim]).collect();
+        let rows: Vec<Cow<'_, [f32]>> =
+            updates.iter().map(|u| dense_row(&u.payload, dim)).collect();
+        let views: Vec<&[f32]> = rows.iter().map(|row| &**row).collect();
 
         // Selection methods pass the winners through; blend methods
         // synthesize one unweighted dense estimate under the lowest id.
@@ -371,6 +370,27 @@ impl RobustAggregator {
     }
 }
 
+/// The payload as one `dim`-wide row of the cohort matrix: its values in
+/// place where it holds them densely at that width, else (sparse)
+/// accumulated into zeros.
+fn dense_row(payload: &UpdatePayload, dim: usize) -> Cow<'_, [f32]> {
+    let values = match payload {
+        UpdatePayload::Dense(d) => Some(d.values()),
+        UpdatePayload::Quantized { values, .. } | UpdatePayload::Ternary { values, .. } => {
+            Some(values.as_slice())
+        }
+        UpdatePayload::Sparse(_) | UpdatePayload::SubView { .. } => None,
+    };
+    match values {
+        Some(values) if values.len() == dim => Cow::Borrowed(values),
+        _ => {
+            let mut row = vec![0.0f32; dim];
+            payload.add_scaled_into(&mut row, 1.0);
+            Cow::Owned(row)
+        }
+    }
+}
+
 /// Updates trimmed from each end for a cohort of `n`: `⌊ratio·n⌋`, clamped
 /// so at least one value survives (`2t < n`).
 pub fn trim_count(n: usize, ratio: f64) -> usize {
@@ -393,7 +413,8 @@ fn take_indices(updates: Vec<RoundUpdate>, indices: &[usize]) -> Vec<RoundUpdate
 /// Coordinate-wise trimmed mean over equal-length views: per coordinate,
 /// the `trim` smallest and largest values are dropped and the survivors
 /// averaged **in view order**, so `trim = 0` is bit-identical to a plain
-/// sequential mean.
+/// sequential mean. Every value is read as `x + 0.0` (see the module
+/// docs).
 ///
 /// With a worker pool, columns are split into blocks sized from the
 /// dimension and the pool width; each column's math is untouched, so the
@@ -455,7 +476,7 @@ fn column_stride(n: usize) -> usize {
 
 /// Transposes columns `j0..j0 + w` of the cohort matrix into `keys`, so
 /// that column `c` of the panel is the contiguous `keys[c·stride..][..n]`
-/// with `stride` = [`column_stride`].
+/// with `stride` = [`column_stride`]. Values are loaded as `x + 0.0`.
 fn gather_panel<K>(
     views: &[&[f32]],
     j0: usize,
@@ -466,13 +487,21 @@ fn gather_panel<K>(
     let stride = column_stride(views.len());
     for (i, v) in views.iter().enumerate() {
         for (col, &x) in keys.chunks_exact_mut(stride).zip(&v[j0..j0 + w]) {
-            col[i] = key(x, i);
+            col[i] = key(x + 0.0, i);
         }
     }
 }
 
 /// One block of trimmed-mean columns: `cols[off]` receives column
-/// `base + off`. Shared by the serial and pooled paths.
+/// `base + off`. Shared by the serial and pooled paths. Whole
+/// lane-width panels run the counting kernel where the CPU has it
+/// ([`lanes`]); the remaining columns run the select panels below.
+fn trimmed_mean_columns(views: &[&[f32]], trim: usize, base: usize, cols: &mut [f32]) {
+    let done = lanes::trimmed_mean(views, trim, base, cols);
+    trimmed_mean_select(views, trim, base + done, &mut cols[done..]);
+}
+
+/// The portable trimmed-mean panel.
 ///
 /// Per column, two `select_nth_unstable` calls over [`tie_key`]s find the
 /// smallest and largest surviving key; nothing is sorted. The survivors
@@ -480,13 +509,14 @@ fn gather_panel<K>(
 /// which pins the float accumulation order independently of the data — a
 /// view outside the bounds adds `+0.0`, which leaves a sum that started
 /// at `+0.0` (and so is never `-0.0`) bit-for-bit alone.
-fn trimmed_mean_columns(views: &[&[f32]], trim: usize, base: usize, cols: &mut [f32]) {
+fn trimmed_mean_select(views: &[&[f32]], trim: usize, base: usize, cols: &mut [f32]) {
     let n = views.len();
     let kept = n - 2 * trim;
     // Scratch for the whole block; with nothing to trim every key is
     // inside the default bounds and no column needs selecting.
     let stride = column_stride(n);
-    let mut keys = vec![0u64; if trim > 0 { stride * PANEL } else { 0 }];
+    let selecting = trim > 0 && !cols.is_empty();
+    let mut keys = vec![0u64; if selecting { stride * PANEL } else { 0 }];
     let mut lo = [u64::MIN; PANEL];
     let mut hi = [u64::MAX; PANEL];
     for (p, out) in cols.chunks_mut(PANEL).enumerate() {
@@ -507,6 +537,7 @@ fn trimmed_mean_columns(views: &[&[f32]], trim: usize, base: usize, cols: &mut [
         for (i, v) in views.iter().enumerate() {
             let row = &v[j0..j0 + w];
             for (((sum, &x), &lo), &hi) in sums.iter_mut().zip(row).zip(&lo).zip(&hi) {
+                let x = x + 0.0;
                 let key = tie_key(x, i);
                 *sum += if lo <= key && key <= hi { x } else { 0.0 };
             }
@@ -559,7 +590,7 @@ fn run_columns(
 
 /// Coordinate-wise median over equal-length views. Even cohorts average
 /// the two middle values — the same symmetric tie-break the defense gate's
-/// norm screen uses.
+/// norm screen uses. Every value is read as `x + 0.0`.
 ///
 /// Column blocks are independent, so the result is byte-identical at any
 /// pool width.
@@ -578,15 +609,23 @@ pub fn coordinate_median_with(views: &[&[f32]], pool: Option<&WorkerPool>) -> Ve
 }
 
 /// One block of median columns: `cols[off]` receives column `base + off`.
+/// Whole lane-width panels run the counting kernel where the CPU has it;
+/// the remaining columns run the select panel.
+fn median_columns(views: &[&[f32]], base: usize, cols: &mut [f32]) {
+    let done = lanes::median(views, base, cols);
+    median_select(views, base + done, &mut cols[done..]);
+}
+
+/// The portable median panel.
 ///
 /// Values that compare equal under `total_cmp` are the same bits, so the
 /// middle ranks need no tie-break: one `select_nth_unstable` over plain
 /// [`order_key`]s places the upper middle, and the lower middle of an
 /// even cohort is the largest key left below it.
-fn median_columns(views: &[&[f32]], base: usize, cols: &mut [f32]) {
+fn median_select(views: &[&[f32]], base: usize, cols: &mut [f32]) {
     let n = views.len();
     let stride = column_stride(n);
-    let mut keys = vec![0u32; stride * PANEL];
+    let mut keys = vec![0u32; if cols.is_empty() { 0 } else { stride * PANEL }];
     for (p, out) in cols.chunks_mut(PANEL).enumerate() {
         gather_panel(views, base + p * PANEL, out.len(), &mut keys, |x, _| {
             order_key(x)
@@ -597,17 +636,276 @@ fn median_columns(views: &[&[f32]], base: usize, cols: &mut [f32]) {
             *out = if n % 2 == 1 {
                 upper
             } else {
-                let lower = *below.iter().max().expect("an even cohort has a lower half");
+                // An even cohort has `n / 2 ≥ 1` keys below the upper middle.
+                let lower = below.iter().fold(u32::MIN, |max, &key| max.max(key));
                 0.5 * (key_value(lower) + upper)
             };
         }
     }
 }
 
+/// The counting kernel: eight adjacent columns as one AVX2 register per
+/// view, so that a panel is a plain row load from every view, with no
+/// transpose.
+///
+/// The key at rank `r` of a lane's column is the largest key with at most
+/// `r` keys strictly below it. [`lanes::select`] builds it one bit at a
+/// time from the top: set the next bit in a candidate, count the keys
+/// below the candidate in every lane at once, and keep the bit where that
+/// count is at most `r` — 32 counting passes per rank. Trimmed mean
+/// selects ranks `t` and `n−1−t`; the median selects `⌊n/2⌋`, and an even
+/// cohort's lower middle, rank `⌈n/2⌉−1`, takes one more pass.
+///
+/// Ties stay exact. Trimmed mean's survivors are ranks `t..=n−1−t` of the
+/// `(value, view)` order; with `lo`, `hi` the keys at the two boundary
+/// ranks, every key strictly between them survives, and of the views whose
+/// key equals a boundary the sum pass keeps, in view order, exactly those
+/// whose rank lands inside — counting up from the number of keys strictly
+/// below that boundary. That is the select panel's survivor set, summed in
+/// the same view order with `+0.0` for every other view.
+#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+mod lanes {
+    use std::arch::x86_64::*;
+
+    /// Columns per panel: one register of `f32` lanes.
+    const LANES: usize = 8;
+
+    /// Runs the whole lane-width panels of a trimmed-mean block (`cols[off]`
+    /// is column `base + off`) and returns how many columns it wrote: none
+    /// without AVX2, with nothing to trim, or when the views are not one
+    /// width.
+    pub(super) fn trimmed_mean(
+        views: &[&[f32]],
+        trim: usize,
+        base: usize,
+        cols: &mut [f32],
+    ) -> usize {
+        let full = panel_columns(views, cols.len());
+        if trim == 0 || full == 0 {
+            return 0;
+        }
+        // SAFETY: `panel_columns` found AVX2 and views of one width.
+        unsafe { trimmed_mean_avx2(views, trim, base, &mut cols[..full]) };
+        full
+    }
+
+    /// [`trimmed_mean`]'s twin for the median.
+    pub(super) fn median(views: &[&[f32]], base: usize, cols: &mut [f32]) -> usize {
+        let full = panel_columns(views, cols.len());
+        if full == 0 {
+            return 0;
+        }
+        // SAFETY: `panel_columns` found AVX2 and views of one width.
+        unsafe { median_avx2(views, base, &mut cols[..full]) };
+        full
+    }
+
+    /// The columns of `cols` that whole panels cover, or 0 when the
+    /// kernel cannot run: no AVX2, a cohort whose ranks overflow `i32`,
+    /// or views of different widths (the panels load every row at the
+    /// last row's reach).
+    fn panel_columns(views: &[&[f32]], cols: usize) -> usize {
+        let Some(last) = views.last() else { return 0 };
+        let usable = std::arch::is_x86_feature_detected!("avx2")
+            && i32::try_from(views.len()).is_ok()
+            && views.iter().all(|v| v.len() == last.len());
+        if usable {
+            cols / LANES * LANES
+        } else {
+            0
+        }
+    }
+
+    /// # Safety
+    ///
+    /// AVX2 must be available and every view as long as the last.
+    #[target_feature(enable = "avx2")]
+    unsafe fn trimmed_mean_avx2(views: &[&[f32]], trim: usize, base: usize, cols: &mut [f32]) {
+        let n = views.len();
+        let kept = _mm256_set1_ps((n - 2 * trim) as f32);
+        let mut keys = vec![_mm256_setzero_si256(); n];
+        for (p, out) in cols.chunks_exact_mut(LANES).enumerate() {
+            gather(views, base + p * LANES, &mut keys);
+            let (lo, hi) = (select(&keys, trim), select(&keys, n - 1 - trim));
+            let sum = survivor_sum(&keys, lo, hi, trim);
+            // SAFETY: `out` is one whole panel, `LANES` floats.
+            _mm256_storeu_ps(out.as_mut_ptr(), _mm256_div_ps(sum, kept));
+        }
+    }
+
+    /// # Safety
+    ///
+    /// AVX2 must be available and every view as long as the last.
+    #[target_feature(enable = "avx2")]
+    unsafe fn median_avx2(views: &[&[f32]], base: usize, cols: &mut [f32]) {
+        let n = views.len();
+        let half = _mm256_set1_ps(0.5);
+        let mut keys = vec![_mm256_setzero_si256(); n];
+        for (p, out) in cols.chunks_exact_mut(LANES).enumerate() {
+            gather(views, base + p * LANES, &mut keys);
+            let upper = select(&keys, n / 2);
+            let median = if n % 2 == 1 {
+                values(upper)
+            } else {
+                let lower = values(next_below(&keys, upper, n / 2));
+                _mm256_mul_ps(half, _mm256_add_ps(lower, values(upper)))
+            };
+            // SAFETY: `out` is one whole panel, `LANES` floats.
+            _mm256_storeu_ps(out.as_mut_ptr(), median);
+        }
+    }
+
+    /// Loads columns `j0..j0 + LANES` of every view as `x + 0.0` into
+    /// `keys`, one register per view, as signed order keys: `i32` order is
+    /// [`f32::total_cmp`]'s.
+    ///
+    /// # Safety
+    ///
+    /// AVX2 must be available and every view as long as the last.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn gather(views: &[&[f32]], j0: usize, keys: &mut [__m256i]) {
+        let n = views.len();
+        assert!(
+            keys.len() == n && j0 + LANES <= views[n - 1].len(),
+            "last view row and column"
+        );
+        let zero = _mm256_setzero_ps();
+        for (key, v) in keys.iter_mut().zip(views) {
+            // SAFETY: every view is as long as the last (the caller's
+            // contract) and the last reaches column `j0 + LANES − 1`
+            // (asserted above), so all `LANES` floats are inside `v`.
+            let x = _mm256_add_ps(_mm256_loadu_ps(v.as_ptr().add(j0)), zero);
+            *key = flip(_mm256_castps_si256(x));
+        }
+    }
+
+    /// Between `f32` bits and signed order keys, both ways: a negative
+    /// value flips every bit but the sign. (The unsigned key of
+    /// `super::order_key` is this one with the sign bit flipped.)
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn flip(bits: __m256i) -> __m256i {
+        _mm256_xor_si256(bits, _mm256_srli_epi32::<1>(_mm256_srai_epi32::<31>(bits)))
+    }
+
+    /// The floats whose order keys these are.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn values(keys: __m256i) -> __m256 {
+        _mm256_castsi256_ps(flip(keys))
+    }
+
+    /// Per lane, the key at `rank` (0-based, ascending) of the column
+    /// `keys` holds, by bit-serial counting. The prefix starts at the
+    /// smallest key, `i32::MIN`; setting bit `k` of the underlying unsigned
+    /// key is `xor` with `1 << k` in this signed form too.
+    ///
+    /// # Safety
+    ///
+    /// AVX2 must be available.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn select(keys: &[__m256i], rank: usize) -> __m256i {
+        let rank = _mm256_set1_epi32(rank as i32);
+        let mut at = _mm256_set1_epi32(i32::MIN);
+        for bit in (0..32).rev() {
+            let candidate = _mm256_xor_si256(at, _mm256_set1_epi32((1u32 << bit) as i32));
+            // Minus the number of keys below the candidate.
+            let mut below = _mm256_setzero_si256();
+            for &key in keys {
+                below = _mm256_add_epi32(below, _mm256_cmpgt_epi32(candidate, key));
+            }
+            // Keep the bit where at most `rank` keys lie below: −below ≤ rank.
+            let keep = _mm256_cmpgt_epi32(_mm256_add_epi32(rank, below), _mm256_set1_epi32(-1));
+            at = _mm256_blendv_epi8(at, candidate, keep);
+        }
+        at
+    }
+
+    /// Per lane, the key at `rank − 1` given `at`, the key at `rank ≥ 1`:
+    /// `at` itself where ties give it that rank too, else the largest key
+    /// below it — one pass instead of another [`select`].
+    ///
+    /// # Safety
+    ///
+    /// AVX2 must be available.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn next_below(keys: &[__m256i], at: __m256i, rank: usize) -> __m256i {
+        let smallest = _mm256_set1_epi32(i32::MIN);
+        let mut below = _mm256_setzero_si256();
+        let mut largest_below = smallest;
+        for &key in keys {
+            let under = _mm256_cmpgt_epi32(at, key);
+            below = _mm256_sub_epi32(below, under);
+            largest_below =
+                _mm256_max_epi32(largest_below, _mm256_blendv_epi8(smallest, key, under));
+        }
+        // `at` fills ranks from `below` on, so rank − 1 too if below < rank.
+        let tied = _mm256_cmpgt_epi32(_mm256_set1_epi32(rank as i32), below);
+        _mm256_blendv_epi8(largest_below, at, tied)
+    }
+
+    /// The trimmed-mean sum of a panel whose boundary keys are `lo` (rank
+    /// `trim`) and `hi` (rank `n − 1 − trim`): the survivors' values added
+    /// in view order, `+0.0` for every other view.
+    ///
+    /// # Safety
+    ///
+    /// AVX2 must be available.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn survivor_sum(keys: &[__m256i], lo: __m256i, hi: __m256i, trim: usize) -> __m256 {
+        // The rank the next view equal to `lo` (to `hi`) takes: the count
+        // of keys strictly below that boundary, then one more per view.
+        let mut rank_lo = _mm256_setzero_si256();
+        let mut rank_hi = _mm256_setzero_si256();
+        for &key in keys {
+            rank_lo = _mm256_sub_epi32(rank_lo, _mm256_cmpgt_epi32(lo, key));
+            rank_hi = _mm256_sub_epi32(rank_hi, _mm256_cmpgt_epi32(hi, key));
+        }
+        // Survivors' ranks are `first..=last`.
+        let before_first = _mm256_set1_epi32(trim as i32 - 1);
+        let after_last = _mm256_set1_epi32((keys.len() - trim) as i32);
+        let mut sum = _mm256_setzero_ps();
+        for &key in keys {
+            let at_lo = _mm256_cmpeq_epi32(key, lo);
+            let at_hi = _mm256_cmpeq_epi32(key, hi);
+            let above_lo = _mm256_or_si256(
+                _mm256_cmpgt_epi32(key, lo),
+                _mm256_and_si256(at_lo, _mm256_cmpgt_epi32(rank_lo, before_first)),
+            );
+            let below_hi = _mm256_or_si256(
+                _mm256_cmpgt_epi32(hi, key),
+                _mm256_and_si256(at_hi, _mm256_cmpgt_epi32(after_last, rank_hi)),
+            );
+            rank_lo = _mm256_sub_epi32(rank_lo, at_lo);
+            rank_hi = _mm256_sub_epi32(rank_hi, at_hi);
+            let keep = _mm256_castsi256_ps(_mm256_and_si256(above_lo, below_hi));
+            sum = _mm256_add_ps(sum, _mm256_and_ps(keep, values(key)));
+        }
+        sum
+    }
+}
+
+/// Without the `simd` feature, or off x86-64, every column runs the
+/// portable select panels.
+#[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
+mod lanes {
+    pub(super) fn trimmed_mean(_: &[&[f32]], _: usize, _: usize, _: &mut [f32]) -> usize {
+        0
+    }
+
+    pub(super) fn median(_: &[&[f32]], _: usize, _: &mut [f32]) -> usize {
+        0
+    }
+}
+
 /// The sorting estimators the selection kernels above replaced, kept as
 /// their reference: tests and bench asserts require the kernels to match
-/// these **bitwise**, whatever the cohort holds. Never call them from
-/// production code.
+/// these **bitwise**, whatever the cohort holds. Like the kernels, they
+/// read every value as `x + 0.0`. Never call them from production code.
 pub mod oracle {
     /// Trimmed mean by full sort: order each column by `total_cmp` then
     /// view index, keep ranks `trim..n − trim`, sum them in view order.
@@ -619,14 +917,14 @@ pub mod oracle {
         (0..views[0].len())
             .map(|j| {
                 col.clear();
-                col.extend(views.iter().enumerate().map(|(i, v)| (v[j], i)));
+                col.extend(views.iter().enumerate().map(|(i, v)| (v[j] + 0.0, i)));
                 col.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
                 survivors.clear();
                 survivors.extend(col[trim..n - trim].iter().map(|&(_, i)| i));
                 survivors.sort_unstable();
                 let mut sum = 0.0f32;
                 for &i in &survivors {
-                    sum += views[i][j];
+                    sum += views[i][j] + 0.0;
                 }
                 sum / kept
             })
@@ -641,7 +939,7 @@ pub mod oracle {
         (0..views[0].len())
             .map(|j| {
                 col.clear();
-                col.extend(views.iter().map(|v| v[j]));
+                col.extend(views.iter().map(|v| v[j] + 0.0));
                 col.sort_by(f32::total_cmp);
                 if n % 2 == 1 {
                     col[n / 2]
@@ -964,16 +1262,101 @@ mod tests {
         }
     }
 
+    /// `to_bits` of every coordinate, except that a NaN only has to be a
+    /// NaN: Rust leaves the sign and payload of an arithmetic NaN
+    /// unspecified, so two compilations of the same sum need not agree on
+    /// them.
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter()
+            .map(|x| if x.is_nan() { u32::MAX } else { x.to_bits() })
+            .collect()
+    }
+
+    /// An `n × dim` cohort whose columns cycle through the shapes that
+    /// stress the rank boundaries: all equal; mixed `±0.0`; NaNs (one
+    /// signalling) and `±inf` among finite values; three tie groups whose
+    /// outer two straddle both boundaries of `trim` = 1 and `⌊n/4⌋`; and
+    /// plain noise. Each view's position in a column is scrambled, so tie
+    /// groups interleave in view order.
+    fn boundary_cohort(n: usize, dim: usize) -> Vec<Vec<f32>> {
+        let special = [
+            f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::from_bits(0x7f80_0001),
+            -f32::NAN,
+            1.5,
+            -3.0,
+        ];
+        (0..n)
+            .map(|i| {
+                (0..dim)
+                    .map(|j| {
+                        let pos = (i * 37 + j * 11) % n;
+                        match j % 5 {
+                            0 => 2.5,
+                            1 if pos.is_multiple_of(4) => 1.0,
+                            1 if pos % 8 == 1 => 0.0,
+                            1 => -0.0,
+                            2 => special[pos % special.len()],
+                            3 if pos <= n / 4 => -1.0,
+                            3 if pos >= n - 1 - n / 4 => 1.0,
+                            3 => 0.5,
+                            _ => (pos as f32 * 0.37).sin() * 8.0,
+                        }
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn lane_kernels_match_the_oracle_on_every_tail_and_tie() {
+        let mut shapes: Vec<(usize, usize)> = [2, 3, 4, 5, 16, 255, 256, 257]
+            .into_iter()
+            .flat_map(|n| (1..=17).map(move |dim| (n, dim)))
+            .collect();
+        shapes.push((256, 8554));
+        for (n, dim) in shapes {
+            let cohort = boundary_cohort(n, dim);
+            let v = views(&cohort);
+            // Whole panels run the lane kernel whenever the build and the
+            // CPU have it; the tail runs the select panel.
+            let mut probe = vec![0.0f32; dim];
+            let lane_cols = lanes::median(&v, 0, &mut probe);
+            if cfg!(all(feature = "simd", target_arch = "x86_64")) && lanes_detected() {
+                assert_eq!(lane_cols, dim / 8 * 8, "n={n} dim={dim}");
+            }
+            for trim in [0, 1, n / 4, (n - 1) / 2] {
+                let trim = trim.min((n - 1) / 2);
+                assert_eq!(
+                    bits(&coordinate_trimmed_mean_with(&v, trim, None)),
+                    bits(&oracle::trimmed_mean(&v, trim)),
+                    "trimmed mean n={n} dim={dim} trim={trim}"
+                );
+            }
+            assert_eq!(
+                bits(&coordinate_median_with(&v, None)),
+                bits(&oracle::median(&v)),
+                "median n={n} dim={dim}"
+            );
+        }
+    }
+
+    /// Whether this CPU runs the lane kernels.
+    fn lanes_detected() -> bool {
+        #[cfg(target_arch = "x86_64")]
+        {
+            std::arch::is_x86_feature_detected!("avx2")
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        {
+            false
+        }
+    }
+
     #[test]
     fn kernels_match_the_oracle_on_either_side_of_a_block_boundary() {
-        // Bitwise, except that a NaN only has to be a NaN: Rust leaves
-        // the sign and payload of an arithmetic NaN unspecified, so two
-        // compilations of the same sum need not agree on them.
-        fn bits(v: &[f32]) -> Vec<u32> {
-            v.iter()
-                .map(|x| if x.is_nan() { u32::MAX } else { x.to_bits() })
-                .collect()
-        }
         for (n, workers) in [(5usize, 2usize), (64, 4), (256, 2)] {
             let pool = WorkerPool::new(workers);
             let smallest = block_cols(1, n, workers);

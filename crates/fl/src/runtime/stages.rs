@@ -256,8 +256,8 @@ impl ServerStages {
 
     /// Byzantine-robust pre-aggregation: replaces the screened cohort with
     /// the robust estimate (see [`crate::robust`]) before the aggregation
-    /// policy sees it, fanning the densify and distance-matrix work across
-    /// the worker pool. Identity when no robust method is set.
+    /// policy sees it, fanning the column blocks and the distance matrix
+    /// across the worker pool. Identity when no robust method is set.
     fn robust_stage(
         &self,
         core: &ServerCore,

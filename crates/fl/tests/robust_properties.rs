@@ -11,13 +11,22 @@
 //! last two properties hold them **bitwise** to the sorting estimators
 //! they replaced (`robust::oracle`), over cohorts seeded with ties,
 //! signed zeros, infinities, NaNs and subnormals, at every legal trim and
-//! at pool widths 1, 2 and 4.
+//! at pool widths 1, 2 and 4. Both kernels read every value as `x + 0.0`,
+//! and so does the oracle.
+//!
+//! The stage reads full-width payloads in place rather than copying the
+//! cohort into one dense matrix first; the last property holds all five
+//! estimators to that copy — the densify-then-estimate path the stage
+//! used to run — over dense, quantized and sparse payloads holding the
+//! same adversarial values.
 //!
 //! `PROPTEST_CASES` scales the case count (CI runs these elevated).
 
+use adafl_compression::{QsgdQuantizer, SparseUpdate};
 use adafl_fl::pool::WorkerPool;
 use adafl_fl::robust::{
-    coordinate_median_with, coordinate_trimmed_mean_with, oracle, RobustAggregator, RobustMethod,
+    coordinate_median_with, coordinate_trimmed_mean_with, geometric_median, krum_select_with,
+    oracle, trim_count, RobustAggregator, RobustMethod,
 };
 use adafl_fl::runtime::{RoundUpdate, UpdatePayload};
 use proptest::prelude::*;
@@ -154,7 +163,110 @@ fn bits(estimate: &[f32]) -> Vec<u32> {
         .collect()
 }
 
+/// The adversarial cohort as the stage receives it, in shuffled order:
+/// by turns a dense payload, a quantized payload whose decoded view holds
+/// the values, and a sparse payload listing every nonzero bit pattern
+/// (so `-0.0` and NaNs travel in it too).
+fn payload_cohort(cohort: &[Vec<f32>], shuffle_seed: u64) -> Vec<RoundUpdate> {
+    let dim = cohort[0].len();
+    let mut updates: Vec<RoundUpdate> = cohort
+        .iter()
+        .enumerate()
+        .map(|(i, row)| {
+            let payload = match i % 3 {
+                0 => UpdatePayload::dense(row.clone()),
+                1 => UpdatePayload::Quantized {
+                    wire: QsgdQuantizer::new(4, 1).quantize(&vec![0.0; dim]),
+                    values: row.clone(),
+                },
+                _ => {
+                    let (indices, values): (Vec<u32>, Vec<f32>) =
+                        (0u32..).zip(row).filter(|(_, x)| x.to_bits() != 0).unzip();
+                    UpdatePayload::Sparse(SparseUpdate::new(indices, values, dim))
+                }
+            };
+            RoundUpdate {
+                client: 5 * i + 2,
+                payload,
+                weight: 1.0 + i as f32,
+            }
+        })
+        .collect();
+    updates.shuffle(&mut StdRng::seed_from_u64(shuffle_seed));
+    updates
+}
+
+/// The stage's former first step, kept as the reference: sort by client,
+/// then accumulate every payload into a zeroed `dim`-wide row.
+fn densify(updates: &[RoundUpdate], dim: usize) -> (Vec<RoundUpdate>, Vec<Vec<f32>>) {
+    let mut sorted = updates.to_vec();
+    sorted.sort_by_key(|u| u.client);
+    let rows = sorted
+        .iter()
+        .map(|u| {
+            let mut row = vec![0.0f32; dim];
+            u.payload.add_scaled_into(&mut row, 1.0);
+            row
+        })
+        .collect();
+    (sorted, rows)
+}
+
 proptest! {
+    #[test]
+    fn pre_aggregate_reads_payloads_as_the_densified_cohort(
+        seed in 0u64..u64::MAX,
+        n in 2usize..24,
+        dim in 1usize..40,
+    ) {
+        let cohort = adversarial_cohort(seed, n, dim);
+        let arrivals = payload_cohort(&cohort, seed.rotate_left(17));
+        let (sorted, rows) = densify(&arrivals, dim);
+        let views: Vec<&[f32]> = rows.iter().map(Vec::as_slice).collect();
+        let f = n / 4;
+        for method in [
+            RobustMethod::TrimmedMean { trim_ratio: 0.25 },
+            RobustMethod::Median,
+            RobustMethod::Krum { f },
+            RobustMethod::MultiKrum { f, m: n / 2 + 1 },
+            RobustMethod::GeometricMedian { max_iters: 8, tol: 1e-9 },
+        ] {
+            let agg = RobustAggregator::new(method);
+            for pool in pools() {
+                let (out, _) = agg.pre_aggregate_with(dim, arrivals.clone(), pool);
+                let blend = |expected: Vec<f32>| {
+                    out.len() == 1
+                        && out[0].client == sorted[0].client
+                        && bits(&out[0].payload.clone().into_dense()) == bits(&expected)
+                };
+                let same = match method {
+                    RobustMethod::TrimmedMean { trim_ratio } => {
+                        blend(oracle::trimmed_mean(&views, trim_count(n, trim_ratio)))
+                    }
+                    RobustMethod::Median => blend(oracle::median(&views)),
+                    RobustMethod::GeometricMedian { max_iters, tol } => {
+                        blend(geometric_median(&views, max_iters, tol))
+                    }
+                    RobustMethod::Krum { f } | RobustMethod::MultiKrum { f, .. } => {
+                        let m = match method {
+                            RobustMethod::MultiKrum { m, .. } => m,
+                            _ => 1,
+                        };
+                        // Winners pass through untouched: same senders,
+                        // same weights, in client order.
+                        let winners: Vec<(usize, f32)> = krum_select_with(&views, f, m, None)
+                            .into_iter()
+                            .map(|i| (sorted[i].client, sorted[i].weight))
+                            .collect();
+                        out.iter().map(|u| (u.client, u.weight)).eq(winners)
+                    }
+                    _ => unreachable!("every method is listed above"),
+                };
+                prop_assert!(same, "{} n {n} dim {dim}", method.as_str());
+            }
+        }
+    }
+
     #[test]
     fn trimmed_mean_kernel_matches_the_sorting_oracle_bitwise(
         seed in 0u64..u64::MAX,
