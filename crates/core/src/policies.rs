@@ -63,7 +63,7 @@ impl SelectionPolicy for UtilitySelection {
             return (0..ctx.config.clients).collect();
         }
         assert_eq!(
-            ctx.clients.len(),
+            ctx.devices.len(),
             ctx.config.clients,
             "utility selection probes every client and needs a resident fleet"
         );
@@ -77,36 +77,36 @@ impl SelectionPolicy for UtilitySelection {
         let expected_payload = wire::expected_compressed_payload(ctx.global.len());
         let (metric, similarity_weight) = (self.ada.metric, self.ada.similarity_weight);
 
-        // Algorithm 1 has every device score itself: one job per client
-        // probes the gradient at its current (possibly stale) state and
-        // reduces it to the score on the spot. Link probes are pure reads,
-        // clients are mutually independent and scores come back in client
-        // order, so the pool width is invisible in the result.
+        // Algorithm 1 has every device score itself: one job per device
+        // probes the gradient at its current (possibly stale) replica on a
+        // warm trainer and reduces it to the score on the spot. Link
+        // probes are pure reads, devices are mutually independent and
+        // scores come back in client order, so the pool width is invisible
+        // in the result.
         let (network, clock) = (ctx.io.network(), ctx.clock);
-        let jobs: Vec<Box<dyn FnOnce() -> f32 + Send + '_>> = ctx
-            .clients
+        let probes: Vec<_> = ctx
+            .devices
             .iter_mut()
             .enumerate()
-            .map(|(c, client)| {
-                let link = network.link_at(c, clock);
-                let global_gradient = digest_dense.as_slice();
-                Box::new(move || {
-                    client.probe_gradient_with(|local_gradient| {
-                        utility_score(
-                            &UtilityInputs {
-                                local_gradient,
-                                global_gradient,
-                                link,
-                                expected_payload,
-                            },
-                            metric,
-                            similarity_weight,
-                        )
-                    })
-                }) as Box<_>
-            })
+            .map(|(c, device)| (device, network.link_at(c, clock)))
             .collect();
-        let scores = ctx.pool.scope_run(jobs);
+        let global_gradient = digest_dense.as_slice();
+        let scores = ctx
+            .trainers
+            .run(ctx.pool, probes, |trainer, (device, link)| {
+                trainer.probe_gradient_with(device, |local_gradient| {
+                    utility_score(
+                        &UtilityInputs {
+                            local_gradient,
+                            global_gradient,
+                            link,
+                            expected_payload,
+                        },
+                        metric,
+                        similarity_weight,
+                    )
+                })
+            });
         // The control plane is charged on the caller, in client order: the
         // digest broadcast, then the 16-byte score report.
         for c in 0..scores.len() {

@@ -6,6 +6,7 @@ use adafl_core::{AdaFlBuild, AdaFlConfig};
 use adafl_data::partition::Partitioner;
 use adafl_data::synthetic::SyntheticSpec;
 use adafl_data::Dataset;
+use adafl_fl::faults::{FaultKind, FaultPlan};
 use adafl_fl::runtime::RuntimeBuilder;
 use adafl_fl::{CommunicationLedger, FlConfig, RunHistory};
 use adafl_netsim::{
@@ -194,7 +195,11 @@ fn two_relay_mesh(clients: usize) -> FleetNetwork {
 /// Everything a run leaves behind, wall times scrubbed.
 type RunRecord = (RunHistory, Vec<f32>, CommunicationLedger, Trace);
 
-fn adafl_run(network: FleetNetwork, threads: usize) -> RunRecord {
+/// An AdaFL run at pool width `threads`: three of six clients selected per
+/// round, so most probes measure a stale replica; `crashes` takes clients
+/// 0 and 3 down for rounds 2–3, checkpointing and restoring their
+/// replicas.
+fn adafl_run(network: FleetNetwork, threads: usize, crashes: bool) -> RunRecord {
     const CLIENTS: usize = 6;
     let data = SyntheticSpec::mnist_like(8, 780).generate(3);
     // 300 test rows are five evaluation blocks: four shards at width 4.
@@ -216,12 +221,28 @@ fn adafl_run(network: FleetNetwork, threads: usize) -> RunRecord {
         ..AdaFlConfig::default()
     };
     let recorder = InMemoryRecorder::shared();
-    let mut engine = RuntimeBuilder::new(fl, test)
+    let mut builder = RuntimeBuilder::new(fl, test)
         .partitioned(&train, Partitioner::Iid)
         .network(network)
         .threads(Some(threads))
-        .recorder(recorder.clone())
-        .build_adafl_sync(&ada);
+        .recorder(recorder.clone());
+    if crashes {
+        let crash = FaultKind::Crash {
+            at_round: 2,
+            down_for: 2,
+        };
+        let kinds = (0..CLIENTS)
+            .map(|c| {
+                if c % 3 == 0 {
+                    crash
+                } else {
+                    FaultKind::Reliable
+                }
+            })
+            .collect();
+        builder = builder.faults(FaultPlan::new(kinds, 9));
+    }
+    let mut engine = builder.build_adafl_sync(&ada);
     let history = engine.run();
     (
         history,
@@ -233,26 +254,35 @@ fn adafl_run(network: FleetNetwork, threads: usize) -> RunRecord {
 
 #[test]
 fn pool_width_is_invisible_to_adafl() {
-    // Utility probes and evaluation shards fan out across the pool; the
-    // history, the model, every per-client ledger column (control, uplink,
-    // downlink) and the whole trace must not know how wide it was.
+    // Utility probes, training jobs and evaluation shards fan out across
+    // the pool, each device on whichever warm trainer its job picks up;
+    // the history, the model, every per-client ledger column (control,
+    // uplink, downlink) and the whole trace must not know how wide it was.
     type Network = fn(usize) -> FleetNetwork;
-    let rows: [(&str, Network); 2] = [("star", drifting_star), ("mesh", two_relay_mesh)];
-    for (name, network) in rows {
-        let inline = adafl_run(network(6), 1);
+    let rows: [(&str, Network, bool); 3] = [
+        ("star", drifting_star, false),
+        ("mesh", two_relay_mesh, false),
+        ("star, crashes", drifting_star, true),
+    ];
+    for (name, network, crashes) in rows {
+        let inline = adafl_run(network(6), 1, crashes);
         let (history, _, ledger, trace) = &inline;
         assert_eq!(history.records().len(), 6);
-        // Four post-warm-up rounds ran the control plane for all six
-        // clients, and their scores were recorded in client order.
-        assert_eq!(ledger.control_messages(), 2 * 6 * 4, "{name}");
-        assert_eq!(
-            trace.histograms[names::ADAFL_UTILITY].count(),
-            6 * 4,
-            "{name}"
-        );
-        for threads in [2, 4] {
+        if crashes {
+            assert_eq!(trace.counters[names::FL_RECOVERIES], 2, "{name}");
+        } else {
+            // Four post-warm-up rounds ran the control plane for all six
+            // clients, and their scores were recorded in client order.
+            assert_eq!(ledger.control_messages(), 2 * 6 * 4, "{name}");
             assert_eq!(
-                adafl_run(network(6), threads),
+                trace.histograms[names::ADAFL_UTILITY].count(),
+                6 * 4,
+                "{name}"
+            );
+        }
+        for threads in 2..=4 {
+            assert_eq!(
+                adafl_run(network(6), threads, crashes),
                 inline,
                 "{name}: {threads} workers differ from the inline run"
             );

@@ -23,7 +23,7 @@ use rand::SeedableRng;
 /// assert_eq!(x.shape().dims(), &[4, 2]);
 /// assert_eq!(labels.len(), 4);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BatchLoader {
     batch_size: usize,
     rng: StdRng,
@@ -47,6 +47,25 @@ impl BatchLoader {
             cursor: 0,
             epoch: 0,
         }
+    }
+
+    /// Restarts the loader as `BatchLoader::new(self.batch_size(), seed)`
+    /// would, over a dataset of `len` samples, but keeps the `order`
+    /// buffer's allocation: the order is refilled with `0..len` and
+    /// shuffled here, exactly as a fresh loader's first batch would, so the
+    /// batches that follow are the same bits.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `len` is zero.
+    pub fn reseed(&mut self, seed: u64, len: usize) {
+        assert!(len > 0, "cannot draw batches from an empty dataset");
+        self.rng = StdRng::seed_from_u64(seed ^ 0x000B_A7C4);
+        self.order.clear();
+        self.order.extend(0..len);
+        self.order.shuffle(&mut self.rng);
+        self.cursor = 0;
+        self.epoch = 0;
     }
 
     /// Batch size.
@@ -139,6 +158,24 @@ mod tests {
         let (first, _) = loader.next_batch(&ds);
         let (second, _) = loader.next_batch(&ds);
         assert_ne!(first.as_slice(), second.as_slice());
+    }
+
+    #[test]
+    fn reseed_is_a_fresh_loader() {
+        let (small, large) = (dataset(7), dataset(10));
+        let mut reused = BatchLoader::new(3, 1);
+        for _ in 0..5 {
+            reused.next_batch(&large);
+        }
+        // Same length and a different one: neither may leak the old order.
+        for (seed, ds) in [(4, &large), (5, &small), (6, &small)] {
+            reused.reseed(seed, ds.len());
+            let mut fresh = BatchLoader::new(3, seed);
+            for _ in 0..9 {
+                assert_eq!(reused.next_batch(ds), fresh.next_batch(ds));
+            }
+            assert_eq!(reused, fresh);
+        }
     }
 
     #[test]

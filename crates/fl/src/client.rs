@@ -1,4 +1,34 @@
 //! Federated clients, and the evaluator that scores a model on a dataset.
+//!
+//! A simulated client is split in two. A [`Device`] is what the client
+//! *is*: its id, its private shard, the batch loader whose RNG stream is
+//! its data order, its hyperparameters and — in a resident fleet only —
+//! its parameter **replica**, the local model as its last local round (or
+//! a crash restore) left it. A [`Trainer`] is what a device *computes
+//! with*: the [`Model`], the [`Sgd`] optimizer, the [`ModelWorkspace`] and
+//! the batch, logit, gradient and parameter buffers — about 130 KB for a
+//! 2 570-parameter logistic regression, most of a client's footprint.
+//!
+//! A runtime keeps one device per simulated client (or one per cohort
+//! slot, pooled) and one trainer per pool thread ([`Trainers`]); each
+//! per-device job borrows a warm trainer for as long as it runs. Two
+//! rules make that invisible in the results:
+//!
+//! * **The replica rule.** Training reads the replica only where a
+//!   device's own state matters — the uncovered coordinates of a sub-view
+//!   round and the utility probe, which measures the device's current,
+//!   possibly stale, state — and writes the final local parameters back
+//!   once per local round. A device with no replica (a pooled one) holds
+//!   the fleet's initial model: nothing it trains persists.
+//! * **The trainer invariant.** A trainer carries nothing from one device
+//!   to the next: parameters are set from the global model or the replica,
+//!   the optimizer's velocity is reset, gradients are zeroed, and the
+//!   workspaces are pure scratch. No [`ModelSpec`] contains a stateful
+//!   layer — [`adafl_nn::layers::Dropout`] owns an RNG but is in none of
+//!   them — so a device trains the same bits on any trainer.
+//!
+//! [`FlClient`] is a device with a trainer of its own, the standalone form
+//! for examples, probes and tests.
 
 use crate::pool::WorkerPool;
 use adafl_data::loader::BatchLoader;
@@ -7,8 +37,9 @@ use adafl_nn::loss::CrossEntropyLoss;
 use adafl_nn::models::ModelSpec;
 use adafl_nn::optim::{Optimizer, Sgd};
 use adafl_nn::{Model, ModelWorkspace, SubView};
-use adafl_tensor::Tensor;
+use adafl_tensor::{vecops, Tensor};
 use std::ops::Range;
+use std::sync::{Mutex, PoisonError};
 
 /// Adjusts a client's local gradient during training.
 ///
@@ -32,7 +63,403 @@ pub struct LocalOutcome {
     pub steps: usize,
 }
 
-/// A federated client: a local model replica plus its private shard.
+/// The loader seed of client `id`'s first round.
+fn loader_seed(seed: u64, id: usize) -> u64 {
+    seed ^ (id as u64).wrapping_mul(0x517C_C1B7)
+}
+
+/// A simulated client's own state: identity, shard, data order,
+/// hyperparameters and, when resident, its parameter replica (see the
+/// [module docs](self)).
+#[derive(Debug, Clone, PartialEq)]
+pub struct Device {
+    id: usize,
+    data: Dataset,
+    loader: BatchLoader,
+    learning_rate: f32,
+    momentum: f32,
+    /// The local parameters between rounds; `None` for a pooled device.
+    replica: Option<Vec<f32>>,
+}
+
+impl Device {
+    /// Creates a device with no replica, as a pooled fleet keeps them; see
+    /// [`Device::with_replica`] for a resident one.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `data` is empty, `batch_size` is zero or the
+    /// hyperparameters are out of range (see [`Sgd::new`]).
+    pub fn new(
+        id: usize,
+        data: Dataset,
+        learning_rate: f32,
+        momentum: f32,
+        batch_size: usize,
+        seed: u64,
+    ) -> Self {
+        assert!(!data.is_empty(), "client dataset must not be empty");
+        // Validates hyperparameters eagerly; an empty optimizer allocates
+        // nothing.
+        let _ = Sgd::new(learning_rate, momentum, 0.0);
+        Device {
+            id,
+            data,
+            loader: BatchLoader::new(batch_size, loader_seed(seed, id)),
+            learning_rate,
+            momentum,
+            replica: None,
+        }
+    }
+
+    /// Makes this a resident device whose replica starts at `params`.
+    pub fn with_replica(mut self, params: Vec<f32>) -> Self {
+        self.replica = Some(params);
+        self
+    }
+
+    /// Client identifier.
+    pub fn id(&self) -> usize {
+        self.id
+    }
+
+    /// Number of local samples (`n_i`).
+    pub fn num_samples(&self) -> usize {
+        self.data.len()
+    }
+
+    /// The parameter replica; `None` for a pooled device.
+    pub fn replica(&self) -> Option<&[f32]> {
+        self.replica.as_deref()
+    }
+
+    /// Overwrites the replica — the end of a local round, a crash
+    /// restore, a client synchronised to the global model; a device
+    /// without one keeps none.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `params.len()` differs from the replica's length.
+    pub fn restore(&mut self, params: &[f32]) {
+        if let Some(replica) = &mut self.replica {
+            replica.copy_from_slice(params);
+        }
+    }
+
+    /// Rebinds this device to impersonate client `id` for one round:
+    /// installs its shard and reseeds the batch loader from `(seed, id,
+    /// round)` so the data order is a deterministic function of who is
+    /// simulated and when — independent of which pool slot runs it. The
+    /// loader keeps its buffer ([`BatchLoader::reseed`]); the replica, if
+    /// any, is left as it is.
+    ///
+    /// This is the cohort-resident pool's workhorse: a fleet of a million
+    /// clients needs only `cohort_size` live devices.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `data` is empty.
+    pub fn rebind(&mut self, id: usize, data: Dataset, seed: u64, round: u64) {
+        assert!(!data.is_empty(), "client dataset must not be empty");
+        self.id = id;
+        self.data = data;
+        self.loader.reseed(
+            loader_seed(seed, id) ^ round.wrapping_mul(0x9E37_79B9_7F4A_7C15),
+            self.data.len(),
+        );
+    }
+}
+
+/// A device's compute: model, optimizer, workspace and flat buffers, with
+/// no state of its own between calls (see the [module docs](self)).
+#[derive(Debug)]
+pub struct Trainer {
+    model: Model,
+    /// The parameters the trainer's model was built with — the fleet's
+    /// initial model, which is what a device without a replica holds.
+    initial: Vec<f32>,
+    /// Persistent local optimizer; each local round installs the device's
+    /// hyperparameters and resets it to zero velocity, so its semantics
+    /// match a freshly built one while its buffer allocation is reused.
+    optimizer: Sgd,
+    /// Scratch arena reused by every forward/backward — after the first
+    /// local step, training performs no heap allocation.
+    ws: ModelWorkspace,
+    batch_x: Tensor,
+    batch_labels: Vec<usize>,
+    logits: Tensor,
+    dlogits: Tensor,
+    /// Flat gradient of the last mini-batch (see `batch_gradient`).
+    grads: Vec<f32>,
+    /// Flat mirror of the model's parameters while a local round runs:
+    /// what the hook reads, the optimizer steps and the delta is read from.
+    params: Vec<f32>,
+    /// The post-scatter parameters a hooked sub-view round anchors its
+    /// hook to; copied only when a hook will read it.
+    anchor: Vec<f32>,
+}
+
+impl Trainer {
+    /// A trainer computing with `model`, whose current parameters become
+    /// what a device without a replica holds — build it from the fleet's
+    /// initial model.
+    pub fn new(model: Model) -> Self {
+        Trainer {
+            initial: model.params_flat(),
+            model,
+            // Placeholder hyperparameters: every local round installs the
+            // device's own.
+            optimizer: Sgd::new(1.0, 0.0, 0.0),
+            ws: ModelWorkspace::new(),
+            batch_x: Tensor::default(),
+            batch_labels: Vec::new(),
+            logits: Tensor::default(),
+            dlogits: Tensor::default(),
+            grads: Vec::new(),
+            params: Vec::new(),
+            anchor: Vec::new(),
+        }
+    }
+
+    /// One mini-batch forward and backward at the model's current
+    /// parameters on `device`'s next batch — the unit of device compute
+    /// behind both local training and the utility probe. Returns the batch
+    /// loss and leaves the flat gradient in `self.grads`. Nothing reads the
+    /// gradient with respect to the batch itself, so the backward pass
+    /// does not compute it.
+    fn batch_gradient(&mut self, device: &mut Device) -> f32 {
+        device
+            .loader
+            .next_batch_into(&device.data, &mut self.batch_x, &mut self.batch_labels);
+        self.model.zero_grads();
+        self.model
+            .forward_into(&self.batch_x, &mut self.logits, true, &mut self.ws);
+        let loss = CrossEntropyLoss.loss_and_grad_into(
+            &self.logits,
+            &self.batch_labels,
+            &mut self.dlogits,
+        );
+        self.model.backward_into(&self.dlogits, None, &mut self.ws);
+        self.model.grads_flat_into(&mut self.grads);
+        loss
+    }
+
+    /// The one local-SGD loop: `steps` mini-batch steps on `device` from
+    /// the model's current parameters, which `self.params` must mirror on
+    /// entry and mirrors again on return, when they are also written back
+    /// to the device's replica. Returns the round's outcome with the delta
+    /// left for the caller to read back.
+    ///
+    /// `view` masks each gradient to the covered coordinates so frozen ones
+    /// never move. `hook` is the per-step correction with the round anchor
+    /// it receives as its "global" argument; under a view the gradient is
+    /// masked again after it, because a hook term (e.g. FedProx's pull
+    /// toward the anchor) must not thaw frozen coordinates.
+    fn local_sgd(
+        &mut self,
+        device: &mut Device,
+        steps: usize,
+        view: Option<&SubView>,
+        mut hook: Option<(GradientHook<'_>, &[f32])>,
+    ) -> LocalOutcome {
+        assert!(steps > 0, "local steps must be positive");
+        // The device's hyperparameters at zero velocity: same semantics as
+        // a fresh optimizer per round, minus the allocation.
+        self.optimizer.set_learning_rate(device.learning_rate);
+        self.optimizer.set_momentum(device.momentum);
+        self.optimizer.reset();
+        let mut total_loss = 0.0f32;
+        for _ in 0..steps {
+            total_loss += self.batch_gradient(device);
+            if let Some(view) = view {
+                view.zero_outside(&mut self.grads);
+            }
+            if let Some((hook, anchor)) = &mut hook {
+                hook(&mut self.grads, &self.params, anchor);
+                if let Some(view) = view {
+                    view.zero_outside(&mut self.grads);
+                }
+            }
+            self.optimizer.step(&mut self.params, &self.grads);
+            self.model.set_params_flat(&self.params);
+        }
+        device.restore(&self.params);
+        LocalOutcome {
+            delta: Vec::new(),
+            mean_loss: total_loss / steps as f32,
+            num_samples: device.data.len(),
+            steps,
+        }
+    }
+
+    /// Runs `steps` of local mini-batch SGD on `device` starting from
+    /// `global`, returning the resulting delta.
+    ///
+    /// `hook` (if any) may rewrite each step's gradient — this is where
+    /// FedProx and SCAFFOLD inject their corrections.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `global.len()` differs from the model's parameter count
+    /// or `steps` is zero.
+    pub fn train_local(
+        &mut self,
+        device: &mut Device,
+        global: &[f32],
+        steps: usize,
+        hook: Option<GradientHook<'_>>,
+    ) -> LocalOutcome {
+        self.model.set_params_flat(global);
+        global.clone_into(&mut self.params);
+        let round = self.local_sgd(device, steps, None, hook.map(|h| (h, global)));
+        let delta = self.params.iter().zip(global).map(|(l, g)| l - g).collect();
+        LocalOutcome { delta, ..round }
+    }
+
+    /// Runs `steps` of local mini-batch SGD on `device` over a parameter
+    /// *sub-view*: the heterogeneous-capacity path where the server ships
+    /// only the covered coordinates.
+    ///
+    /// `view_values` are the covered coordinates of the global model
+    /// (`view.extract(global)` server-side). They are scattered into the
+    /// device's parameters; *uncovered coordinates keep the device's stale
+    /// values* — its replica, or the initial model for a device without
+    /// one — because the server did not transmit them, and the byte ledger
+    /// stays honest. During training the gradient is masked to the view
+    /// ([`adafl_nn::SubView::zero_outside`]) so frozen coordinates never
+    /// move, and `hook` (FedProx/SCAFFOLD) sees the full-width masked
+    /// gradient with the post-scatter parameters as its round anchor.
+    ///
+    /// The returned [`LocalOutcome::delta`] is **view-local**: element `i`
+    /// is the change of the `i`-th covered coordinate, ready to wrap in a
+    /// sub-view payload of length `view.view_len()`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `view` does not match the model's parameter count,
+    /// `view_values.len()` differs from `view.view_len()`, or `steps` is
+    /// zero.
+    pub fn train_local_view(
+        &mut self,
+        device: &mut Device,
+        view: &SubView,
+        view_values: &[f32],
+        steps: usize,
+        hook: Option<GradientHook<'_>>,
+    ) -> LocalOutcome {
+        assert_eq!(
+            view.dense_len(),
+            self.model.param_count(),
+            "view dimension mismatch"
+        );
+        // Install the transmitted slice over the device's stale state.
+        let stale = device.replica.as_deref().unwrap_or(&self.initial);
+        stale.clone_into(&mut self.params);
+        view.scatter(view_values, &mut self.params);
+        self.model.set_params_flat(&self.params);
+        // The round anchor is the parameters right after synchronisation,
+        // like full-width rounds; taken out of `self` for the loop to
+        // borrow.
+        let mut anchor = std::mem::take(&mut self.anchor);
+        if hook.is_some() {
+            anchor.clone_from(&self.params);
+        }
+        let round = self.local_sgd(device, steps, Some(view), hook.map(|h| (h, &anchor[..])));
+        self.anchor = anchor;
+        let mut delta = view.extract(&self.params);
+        for (d, v) in delta.iter_mut().zip(view_values) {
+            *d -= v;
+        }
+        LocalOutcome { delta, ..round }
+    }
+
+    /// Computes a one-mini-batch gradient estimate at `device`'s *current*
+    /// parameters without updating them, and lets `f` borrow it from the
+    /// trainer's gradient scratch.
+    ///
+    /// This is the cheap probe AdaFL's utility score is built on: the
+    /// device interrupts training, measures its local gradient direction,
+    /// and reports a similarity score — no model transfer involved.
+    pub fn probe_gradient_with<R>(
+        &mut self,
+        device: &mut Device,
+        f: impl FnOnce(&[f32]) -> R,
+    ) -> R {
+        let stale = device.replica.as_deref().unwrap_or(&self.initial);
+        self.model.set_params_flat(stale);
+        let _ = self.batch_gradient(device);
+        self.model.zero_grads();
+        f(&self.grads)
+    }
+}
+
+/// The warm trainers a runtime hands its per-device jobs: as many as the
+/// pool has threads, built on first use from the fleet's initial model.
+///
+/// [`Trainers::run`] keeps one job per device, so the pool's claim loop
+/// still balances a noisy host, and each job pops a trainer from a LIFO
+/// free list and pushes it back when done: a thread that finishes one
+/// device picks its own trainer up again, still warm in its cache.
+#[derive(Debug)]
+pub struct Trainers {
+    spec: ModelSpec,
+    seed: u64,
+    idle: Vec<Trainer>,
+}
+
+impl Trainers {
+    /// No trainers yet; each is built from `spec.build(seed)` — the
+    /// fleet's initial model — when a scope first needs it.
+    pub fn new(spec: ModelSpec, seed: u64) -> Self {
+        Trainers {
+            spec,
+            seed,
+            idle: Vec::new(),
+        }
+    }
+
+    /// Runs `work(trainer, item)` once per item across `pool`, one job per
+    /// item, and returns the results in item order. Which trainer a job
+    /// gets is scheduling, and invisible in the results (the trainer
+    /// invariant in the [module docs](self)).
+    pub fn run<I: Send, R: Send>(
+        &mut self,
+        pool: &WorkerPool,
+        items: Vec<I>,
+        work: impl Fn(&mut Trainer, I) -> R + Sync,
+    ) -> Vec<R> {
+        let width = pool.workers().max(1).min(items.len());
+        while self.idle.len() < width {
+            self.idle.push(Trainer::new(self.spec.build(self.seed)));
+        }
+        let free = Mutex::new(self.idle.iter_mut().collect::<Vec<_>>());
+        let (free, work, spec, seed) = (&free, &work, &self.spec, self.seed);
+        let lock = || free.lock().unwrap_or_else(PoisonError::into_inner);
+        let jobs: Vec<Box<dyn FnOnce() -> R + Send + '_>> = items
+            .into_iter()
+            .map(|item| {
+                Box::new(move || {
+                    let popped = lock().pop();
+                    match popped {
+                        Some(trainer) => {
+                            let out = work(trainer, item);
+                            lock().push(trainer);
+                            out
+                        }
+                        // A scope runs at most `workers` jobs at once, so
+                        // the list is never empty; a fresh trainer would
+                        // train the same bits regardless.
+                        None => work(&mut Trainer::new(spec.build(seed)), item),
+                    }
+                }) as Box<_>
+            })
+            .collect();
+        pool.scope_run(jobs)
+    }
+}
+
+/// A standalone federated client: a [`Device`] with a replica and a
+/// [`Trainer`] of its own, whose model always holds the replica.
 ///
 /// # Examples
 ///
@@ -50,35 +477,12 @@ pub struct LocalOutcome {
 /// ```
 #[derive(Debug)]
 pub struct FlClient {
-    id: usize,
-    model: Model,
-    data: Dataset,
-    loader: BatchLoader,
-    learning_rate: f32,
-    momentum: f32,
-    /// Persistent local optimizer; reset to zero velocity at the start of
-    /// each `train_local` so its semantics match a freshly built one while
-    /// its buffer allocation is reused across rounds.
-    optimizer: Sgd,
-    /// Scratch arena reused by every forward/backward — after the first
-    /// local step, training performs no heap allocation.
-    ws: ModelWorkspace,
-    batch_x: Tensor,
-    batch_labels: Vec<usize>,
-    logits: Tensor,
-    dlogits: Tensor,
-    /// Flat gradient of the last mini-batch (see `batch_gradient`).
-    grads: Vec<f32>,
-    /// Flat mirror of the replica's parameters while a local round runs:
-    /// what the hook reads, the optimizer steps and the delta is read from.
-    params: Vec<f32>,
-    /// The post-scatter replica a hooked sub-view round anchors its hook
-    /// to; copied only when a hook will read it.
-    anchor: Vec<f32>,
+    device: Device,
+    trainer: Trainer,
 }
 
 impl FlClient {
-    /// Creates a client.
+    /// Creates a client whose replica starts at `model`'s parameters.
     ///
     /// # Panics
     ///
@@ -93,26 +497,11 @@ impl FlClient {
         batch_size: usize,
         seed: u64,
     ) -> Self {
-        assert!(!data.is_empty(), "client dataset must not be empty");
-        let loader = BatchLoader::new(batch_size, seed ^ (id as u64).wrapping_mul(0x517C_C1B7));
-        // Validates hyperparameters eagerly.
-        let optimizer = Sgd::new(learning_rate, momentum, 0.0);
+        let device = Device::new(id, data, learning_rate, momentum, batch_size, seed)
+            .with_replica(model.params_flat());
         FlClient {
-            id,
-            model,
-            data,
-            loader,
-            learning_rate,
-            momentum,
-            optimizer,
-            ws: ModelWorkspace::new(),
-            batch_x: Tensor::default(),
-            batch_labels: Vec::new(),
-            logits: Tensor::default(),
-            dlogits: Tensor::default(),
-            grads: Vec::new(),
-            params: Vec::new(),
-            anchor: Vec::new(),
+            device,
+            trainer: Trainer::new(model),
         }
     }
 
@@ -153,51 +542,42 @@ impl FlClient {
 
     /// Client identifier.
     pub fn id(&self) -> usize {
-        self.id
+        self.device.id
     }
 
-    /// Rebinds this client object to impersonate client `id` for one
-    /// round: installs its shard and reseeds the batch loader from
-    /// `(seed, id, round)` so the data order is a deterministic function
-    /// of who is being simulated and when — independent of which pool
-    /// slot runs it. Model, optimizer and scratch buffers are reused;
-    /// `train_local` overwrites parameters from the global model anyway.
-    ///
-    /// This is the cohort-resident pool's workhorse: a fleet of a million
-    /// clients needs only `cohort_size` live [`FlClient`]s.
+    /// The client's device: identity, shard, loader and replica.
+    pub fn device(&self) -> &Device {
+        &self.device
+    }
+
+    /// Rebinds the client's device to impersonate client `id` for one
+    /// round ([`Device::rebind`]); the replica stays.
     ///
     /// # Panics
     ///
     /// Panics when `data` is empty.
     pub fn rebind(&mut self, id: usize, data: Dataset, seed: u64, round: u64) {
-        assert!(!data.is_empty(), "client dataset must not be empty");
-        self.id = id;
-        self.data = data;
-        self.loader = BatchLoader::new(
-            self.loader.batch_size(),
-            seed ^ (id as u64).wrapping_mul(0x517C_C1B7)
-                ^ round.wrapping_mul(0x9E37_79B9_7F4A_7C15),
-        );
+        self.device.rebind(id, data, seed, round);
     }
 
-    /// The local model replica.
+    /// The local model, holding the replica.
     pub fn model(&self) -> &Model {
-        &self.model
+        &self.trainer.model
     }
 
     /// Number of local samples (`n_i`).
     pub fn num_samples(&self) -> usize {
-        self.data.len()
+        self.device.num_samples()
     }
 
     /// The client's local learning rate.
     pub fn learning_rate(&self) -> f32 {
-        self.learning_rate
+        self.device.learning_rate
     }
 
     /// The client's local SGD momentum.
     pub fn momentum(&self) -> f32 {
-        self.momentum
+        self.device.momentum
     }
 
     /// Installs global parameters, synchronising the replica.
@@ -206,78 +586,11 @@ impl FlClient {
     ///
     /// Panics when `global.len()` differs from the model's parameter count.
     pub fn sync_to_global(&mut self, global: &[f32]) {
-        self.model.set_params_flat(global);
+        self.trainer.model.set_params_flat(global);
+        self.device.restore(global);
     }
 
-    /// One mini-batch forward and backward at the replica's current
-    /// parameters — the unit of device compute behind both local training
-    /// and the utility probe. Returns the batch loss and leaves the flat
-    /// gradient in `self.grads`. Nothing reads the gradient with respect to
-    /// the batch itself, so the backward pass does not compute it.
-    fn batch_gradient(&mut self) -> f32 {
-        self.loader
-            .next_batch_into(&self.data, &mut self.batch_x, &mut self.batch_labels);
-        self.model.zero_grads();
-        self.model
-            .forward_into(&self.batch_x, &mut self.logits, true, &mut self.ws);
-        let loss = CrossEntropyLoss.loss_and_grad_into(
-            &self.logits,
-            &self.batch_labels,
-            &mut self.dlogits,
-        );
-        self.model.backward_into(&self.dlogits, None, &mut self.ws);
-        self.model.grads_flat_into(&mut self.grads);
-        loss
-    }
-
-    /// The one local-SGD loop: `steps` mini-batch steps from the replica's
-    /// current parameters, which `self.params` must mirror on entry and
-    /// mirrors again on return. Returns the round's outcome with the delta
-    /// left for the caller to read back.
-    ///
-    /// `view` masks each gradient to the covered coordinates so frozen ones
-    /// never move. `hook` is the per-step correction with the round anchor
-    /// it receives as its "global" argument; under a view the gradient is
-    /// masked again after it, because a hook term (e.g. FedProx's pull
-    /// toward the anchor) must not thaw frozen coordinates.
-    fn local_sgd(
-        &mut self,
-        steps: usize,
-        view: Option<&SubView>,
-        mut hook: Option<(GradientHook<'_>, &[f32])>,
-    ) -> LocalOutcome {
-        assert!(steps > 0, "local steps must be positive");
-        // Zero velocity: same semantics as a fresh optimizer per round,
-        // minus the allocation.
-        self.optimizer.reset();
-        let mut total_loss = 0.0f32;
-        for _ in 0..steps {
-            total_loss += self.batch_gradient();
-            if let Some(view) = view {
-                view.zero_outside(&mut self.grads);
-            }
-            if let Some((hook, anchor)) = &mut hook {
-                hook(&mut self.grads, &self.params, anchor);
-                if let Some(view) = view {
-                    view.zero_outside(&mut self.grads);
-                }
-            }
-            self.optimizer.step(&mut self.params, &self.grads);
-            self.model.set_params_flat(&self.params);
-        }
-        LocalOutcome {
-            delta: Vec::new(),
-            mean_loss: total_loss / steps as f32,
-            num_samples: self.data.len(),
-            steps,
-        }
-    }
-
-    /// Runs `steps` of local mini-batch SGD starting from `global`,
-    /// returning the resulting delta.
-    ///
-    /// `hook` (if any) may rewrite each step's gradient — this is where
-    /// FedProx and SCAFFOLD inject their corrections.
+    /// [`Trainer::train_local`] on the client's own trainer.
     ///
     /// # Panics
     ///
@@ -289,29 +602,12 @@ impl FlClient {
         steps: usize,
         hook: Option<GradientHook<'_>>,
     ) -> LocalOutcome {
-        self.model.set_params_flat(global);
-        global.clone_into(&mut self.params);
-        let round = self.local_sgd(steps, None, hook.map(|h| (h, global)));
-        let delta = self.params.iter().zip(global).map(|(l, g)| l - g).collect();
-        LocalOutcome { delta, ..round }
+        self.trainer
+            .train_local(&mut self.device, global, steps, hook)
     }
 
-    /// Runs `steps` of local mini-batch SGD over a parameter *sub-view*:
-    /// the heterogeneous-capacity path where the server ships only the
-    /// covered coordinates.
-    ///
-    /// `view_values` are the covered coordinates of the global model
-    /// (`view.extract(global)` server-side). They are scattered into the
-    /// local replica; *uncovered coordinates keep the client's stale local
-    /// values* — the server did not transmit them, and the byte ledger
-    /// stays honest. During training the gradient is masked to the view
-    /// ([`adafl_nn::SubView::zero_outside`]) so frozen coordinates never
-    /// move, and `hook` (FedProx/SCAFFOLD) sees the full-width masked
-    /// gradient with the post-scatter parameters as its round anchor.
-    ///
-    /// The returned [`LocalOutcome::delta`] is **view-local**: element `i`
-    /// is the change of the `i`-th covered coordinate, ready to wrap in a
-    /// sub-view payload of length `view.view_len()`.
+    /// [`Trainer::train_local_view`] on the client's own trainer:
+    /// uncovered coordinates keep the replica's stale values.
     ///
     /// # Panics
     ///
@@ -325,42 +621,19 @@ impl FlClient {
         steps: usize,
         hook: Option<GradientHook<'_>>,
     ) -> LocalOutcome {
-        assert_eq!(
-            view.dense_len(),
-            self.model.param_count(),
-            "view dimension mismatch"
-        );
-        // Install the transmitted slice; the rest of the replica stays.
-        self.model.params_flat_into(&mut self.params);
-        view.scatter(view_values, &mut self.params);
-        self.model.set_params_flat(&self.params);
-        // The round anchor is the replica right after synchronisation, like
-        // full-width rounds; taken out of `self` for the loop to borrow.
-        let mut anchor = std::mem::take(&mut self.anchor);
-        if hook.is_some() {
-            anchor.clone_from(&self.params);
-        }
-        let round = self.local_sgd(steps, Some(view), hook.map(|h| (h, &anchor[..])));
-        self.anchor = anchor;
-        let mut delta = view.extract(&self.params);
-        for (d, v) in delta.iter_mut().zip(view_values) {
-            *d -= v;
-        }
-        LocalOutcome { delta, ..round }
+        self.trainer
+            .train_local_view(&mut self.device, view, view_values, steps, hook)
     }
 
     /// Evaluates the local replica on a dataset, returning `(accuracy,
     /// mean_loss)`.
     pub fn evaluate(&mut self, data: &Dataset) -> (f32, f32) {
-        evaluate_model(&mut self.model, data)
+        evaluate_model(&mut self.trainer.model, data)
     }
 
     /// Computes a one-mini-batch gradient estimate at the replica's
-    /// *current* parameters without updating them.
-    ///
-    /// This is the cheap probe AdaFL's utility score is built on: the
-    /// client interrupts training, measures its local gradient direction,
-    /// and reports a similarity score — no model transfer involved.
+    /// *current* parameters without updating them
+    /// ([`Trainer::probe_gradient_with`]).
     pub fn probe_gradient(&mut self) -> Vec<f32> {
         self.probe_gradient_with(<[f32]>::to_vec)
     }
@@ -369,9 +642,7 @@ impl FlClient {
     /// gradient lands in the client's gradient scratch and `f` borrows it —
     /// the form for callers that reduce the probe to a score on the spot.
     pub fn probe_gradient_with<R>(&mut self, f: impl FnOnce(&[f32]) -> R) -> R {
-        let _ = self.batch_gradient();
-        self.model.zero_grads();
-        f(&self.grads)
+        self.trainer.probe_gradient_with(&mut self.device, f)
     }
 }
 
@@ -510,8 +781,11 @@ impl Evaluator {
         {
             self.chunk.resize_reuse(&[labels.len(), classes]);
             self.chunk.as_mut_slice().copy_from_slice(rows);
-            let preds = self.chunk.argmax_rows().expect("logits are a matrix");
-            correct += preds.iter().zip(labels).filter(|(p, l)| p == l).count();
+            correct += rows
+                .chunks(classes)
+                .zip(labels)
+                .filter(|&(row, &label)| vecops::argmax(row) == label)
+                .count();
             let (loss, _) = CrossEntropyLoss.loss_and_grad(&self.chunk, labels);
             loss_sum += loss;
             chunks += 1;
@@ -658,8 +932,13 @@ mod tests {
             let indices: Vec<usize> = (start..end).collect();
             let (x, labels) = data.batch(&indices);
             let logits = model.forward(&x, false);
-            let preds = logits.argmax_rows().expect("logits are a matrix");
-            correct += preds.iter().zip(&labels).filter(|(p, l)| p == l).count();
+            let classes = model.out_features();
+            correct += logits
+                .as_slice()
+                .chunks(classes)
+                .zip(&labels)
+                .filter(|&(row, &label)| vecops::argmax(row) == label)
+                .count();
             let (loss, _) = CrossEntropyLoss.loss_and_grad(&logits, &labels);
             loss_sum += loss;
             batches += 1;
@@ -849,5 +1128,161 @@ mod tests {
         let unmasked = diff.clone();
         view.zero_outside(&mut diff);
         assert_eq!(diff, unmasked, "hook terms must stay inside the view");
+    }
+
+    /// One small instance of every model family, with a shard of its input
+    /// shape.
+    fn every_spec() -> Vec<(ModelSpec, SyntheticSpec)> {
+        let cifar = || SyntheticSpec::cifar10_like(8, 40);
+        vec![
+            (spec(), SyntheticSpec::mnist_like(8, 40)),
+            (
+                ModelSpec::Mlp {
+                    in_features: 64,
+                    hidden: vec![16],
+                    classes: 10,
+                },
+                SyntheticSpec::mnist_like(8, 40),
+            ),
+            (
+                ModelSpec::MnistCnn {
+                    height: 16,
+                    width: 16,
+                    classes: 10,
+                },
+                SyntheticSpec::mnist_like(16, 40),
+            ),
+            (
+                ModelSpec::ResNetLite {
+                    channels: 3,
+                    height: 8,
+                    width: 8,
+                    base_channels: 4,
+                    blocks: 1,
+                    classes: 10,
+                },
+                cifar(),
+            ),
+            (
+                ModelSpec::VggLite {
+                    channels: 3,
+                    height: 8,
+                    width: 8,
+                    base_channels: 4,
+                    classes: 10,
+                },
+                cifar(),
+            ),
+        ]
+    }
+
+    #[test]
+    fn no_model_spec_holds_a_stateful_layer() {
+        // The trainer invariant rests on this: dropout's RNG is the only
+        // layer state that outlives a pass, and no spec builds one.
+        for (spec, _) in every_spec() {
+            let model = format!("{:?}", spec.build(0));
+            assert!(!model.contains("Dropout"), "{spec:?} holds a dropout layer");
+        }
+    }
+
+    #[test]
+    fn a_trainer_carries_nothing_from_one_device_to_the_next() {
+        let bits = |o: &LocalOutcome| {
+            let delta: Vec<u32> = o.delta.iter().map(|d| d.to_bits()).collect();
+            (delta, o.mean_loss.to_bits(), o.num_samples, o.steps)
+        };
+        for (spec, data) in every_spec() {
+            let initial = spec.build(5).params_flat();
+            let global: Vec<f32> = initial.iter().map(|p| p * 0.9 + 0.01).collect();
+            // Both replicas are stale: neither the initial nor the global
+            // model, nor each other.
+            let stale: Vec<f32> = initial.iter().map(|p| p * 1.1 - 0.02).collect();
+            let a_stale: Vec<f32> = initial.iter().map(|p| p * 0.8 + 0.03).collect();
+            let device =
+                |id: usize, seed: u64| Device::new(id, data.generate(seed), 0.05, 0.9, 16, 3);
+            let a = device(0, 1).with_replica(a_stale);
+            let b_pooled = device(1, 2);
+            let b_resident = b_pooled.clone().with_replica(stale.clone());
+            let map = spec.build(5).segment_map();
+            let views = [None, Some(SubView::width(&map, 0.5, 1))];
+            for view in &views {
+                let mode = if view.is_some() { "sub-view" } else { "full" };
+                let train = |trainer: &mut Trainer, device: &mut Device| match view {
+                    Some(view) => {
+                        trainer.train_local_view(device, view, &view.extract(&global), 3, None)
+                    }
+                    None => trainer.train_local(device, &global, 3, None),
+                };
+                for b in [&b_pooled, &b_resident] {
+                    let mut warm = Trainer::new(spec.build(5));
+                    train(&mut warm, &mut a.clone());
+                    warm.probe_gradient_with(&mut a.clone(), |_| ());
+                    let (mut b_warm, mut b_fresh) = (b.clone(), b.clone());
+                    let got = train(&mut warm, &mut b_warm);
+                    let expected = train(&mut Trainer::new(spec.build(5)), &mut b_fresh);
+                    let what = format!("{spec:?}, {mode}, replica {}", b.replica().is_some());
+                    assert_eq!(bits(&got), bits(&expected), "{what}");
+                    assert_eq!(b_warm, b_fresh, "{what}");
+                    let probe =
+                        |t: &mut Trainer, d: &mut Device| t.probe_gradient_with(d, <[f32]>::to_vec);
+                    assert_eq!(
+                        probe(&mut warm, &mut b_warm),
+                        probe(&mut Trainer::new(spec.build(5)), &mut b_fresh),
+                        "{what}: probe"
+                    );
+                }
+                // A resident device ends where a standalone client does.
+                let mut client =
+                    FlClient::new(1, spec.build(5), data.generate(2), 0.05, 0.9, 16, 3);
+                client.sync_to_global(&stale);
+                let expected = match view {
+                    Some(view) => client.train_local_view(view, &view.extract(&global), 3, None),
+                    None => client.train_local(&global, 3, None),
+                };
+                let mut b = b_resident.clone();
+                let mut warm = Trainer::new(spec.build(5));
+                train(&mut warm, &mut a.clone());
+                assert_eq!(
+                    bits(&train(&mut warm, &mut b)),
+                    bits(&expected),
+                    "{spec:?}, {mode}"
+                );
+                assert_eq!(&b, client.device(), "{spec:?}, {mode}");
+                assert_eq!(b.replica(), Some(&client.model().params_flat()[..]));
+            }
+        }
+    }
+
+    #[test]
+    fn trainers_hand_out_the_same_bits_at_every_pool_width() {
+        let data = SyntheticSpec::mnist_like(8, 40);
+        let initial = spec().build(5).params_flat();
+        let fleet: Vec<Device> = (0..7)
+            .map(|c| {
+                Device::new(c, data.generate(c as u64), 0.05, 0.9, 16, 3)
+                    .with_replica(initial.clone())
+            })
+            .collect();
+        let run = |pool: &WorkerPool| {
+            let mut devices = fleet.clone();
+            let mut trainers = Trainers::new(spec(), 5);
+            let mut outs = Vec::new();
+            for _ in 0..2 {
+                let items = devices.iter_mut().collect();
+                outs.extend(trainers.run(pool, items, |t, d| t.train_local(d, &initial, 2, None)));
+                let items = devices.iter_mut().collect();
+                outs.extend(trainers.run(pool, items, |t, d| LocalOutcome {
+                    delta: t.probe_gradient_with(d, <[f32]>::to_vec),
+                    ..LocalOutcome::default()
+                }));
+            }
+            assert!(trainers.idle.len() <= pool.workers().max(1));
+            (outs, devices)
+        };
+        let inline = run(&WorkerPool::new(1));
+        for threads in 2..=4 {
+            assert_eq!(run(&WorkerPool::new(threads)), inline, "{threads} workers");
+        }
     }
 }

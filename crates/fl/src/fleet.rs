@@ -1,31 +1,35 @@
-//! Cohort-resident client pools for fleet-scale simulation.
+//! Cohort-resident device pools for fleet-scale simulation.
 //!
-//! The classic runtime keeps one [`FlClient`] — model replica, optimizer,
-//! scratch arenas, data shard — resident per simulated client:
-//! O(clients × model) memory that caps realistic runs at tens of
-//! thousands of clients. A [`ClientPool`] instead keeps only as many live
-//! clients as one cohort, rebinding each slot to the client it simulates
-//! this round ([`FlClient::rebind`]) and materialising that client's
-//! shard on demand from a [`ShardSource`]. Per-client dense state is
-//! O(cohort), data is O(cohort × shard), and the fleet size only shows up
-//! in O(clients)-but-tiny structures (link traces, the ledger, the fault
-//! plan).
+//! A resident fleet keeps one [`Device`] per simulated client — shard,
+//! loader and parameter replica: O(clients × model) memory that caps
+//! realistic runs at tens of thousands of clients. A [`ClientPool`]
+//! instead keeps only as many devices as one cohort, with no replica, and
+//! rebinds each to the client it simulates this round ([`Device::rebind`])
+//! with that client's shard materialised on demand by a [`ShardSource`].
+//! Per-client state is O(cohort × shard), and the fleet size only shows
+//! up in O(clients)-but-tiny structures (link traces, the ledger, the
+//! fault plan). Neither kind of fleet holds compute: the runtime's
+//! [`Trainers`](crate::client::Trainers), one per pool thread, do.
 //!
-//! Pooled fleets trade per-client *persistence* for memory: a slot's
+//! Pooled fleets trade per-client *persistence* for memory: a device's
 //! loader is reseeded deterministically from `(seed, client, round)`, so
 //! runs are reproducible, but nothing survives on a specific client
-//! across rounds. A crashed pooled client therefore has nothing to
-//! checkpoint — it sits its outage out and is rebound like any other —
-//! while utility probes over the full fleet need a resident one.
+//! across rounds. A pooled device trains from the global model, and the
+//! coordinates a sub-view round leaves uncovered are the initial model's
+//! (see the replica rule in [`crate::client`]). A crashed pooled client
+//! therefore has nothing to checkpoint — it sits its outage out and is
+//! rebound like any other — while utility probes over the full fleet need
+//! a resident one.
 
-use crate::client::FlClient;
+use crate::client::Device;
 use adafl_data::Dataset;
 use adafl_nn::models::ModelSpec;
 use std::fmt;
 
 /// Produces client shards on demand, so a pooled fleet never holds more
-/// than one cohort's data resident.
-pub trait ShardSource: fmt::Debug + Send {
+/// than one cohort's data resident. `Sync`, because each training job
+/// fetches its own device's shard on a pool thread.
+pub trait ShardSource: fmt::Debug + Send + Sync {
     /// Number of clients this source can shard for.
     fn clients(&self) -> usize;
 
@@ -64,12 +68,34 @@ impl ShardSource for VecShardSource {
     }
 }
 
-/// A pool of cohort-resident [`FlClient`]s: at most one cohort's worth of
-/// live clients, rebound to the scheduled client ids each round.
+/// Binds a pooled device to the client it simulates this round — the
+/// per-device step of a checkout, run inside each training job.
+#[derive(Debug, Clone, Copy)]
+pub struct Binder<'a> {
+    source: &'a dyn ShardSource,
+    seed: u64,
+}
+
+impl Binder<'_> {
+    /// Installs client `client`'s shard on `device` and reseeds its loader
+    /// for `round`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `client` is out of range or its shard is empty.
+    pub fn bind(&self, device: &mut Device, client: usize, round: u64) {
+        device.rebind(client, self.source.shard(client), self.seed, round);
+    }
+}
+
+/// A pool of cohort-resident [`Device`]s without replicas: at most one
+/// cohort's worth, rebound to the scheduled client ids each round.
 pub struct ClientPool {
+    /// The fleet's model, which the pool's devices never hold: trainers
+    /// are the runtime's.
     spec: ModelSpec,
     source: Box<dyn ShardSource>,
-    slots: Vec<FlClient>,
+    devices: Vec<Device>,
     learning_rate: f32,
     momentum: f32,
     batch_size: usize,
@@ -79,15 +105,16 @@ pub struct ClientPool {
 impl fmt::Debug for ClientPool {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("ClientPool")
+            .field("spec", &self.spec)
             .field("clients", &self.source.clients())
-            .field("resident_slots", &self.slots.len())
+            .field("resident_slots", &self.devices.len())
             .field("source", &self.source)
             .finish_non_exhaustive()
     }
 }
 
 impl ClientPool {
-    /// Creates an empty pool; slots are built lazily the first time a
+    /// Creates an empty pool; devices are built lazily the first time a
     /// cohort of that size is checked out, then reused forever.
     pub fn new(
         spec: ModelSpec,
@@ -100,7 +127,7 @@ impl ClientPool {
         ClientPool {
             spec,
             source,
-            slots: Vec::new(),
+            devices: Vec::new(),
             learning_rate,
             momentum,
             batch_size,
@@ -113,24 +140,26 @@ impl ClientPool {
         self.source.clients()
     }
 
-    /// Live slots currently resident (peaks at the largest cohort seen).
+    /// Live devices currently resident (peaks at the largest cohort seen).
     pub fn resident_slots(&self) -> usize {
-        self.slots.len()
+        self.devices.len()
     }
 
-    /// Checks out one slot per scheduled client, each rebound to simulate
-    /// its client for round `round`, in the order given. Slots beyond the
-    /// cohort size stay untouched and get reused next round.
+    /// One device per scheduled client, in the order given, still bound to
+    /// whoever they simulated last, and the [`Binder`] each must go
+    /// through before it trains. Devices beyond the cohort size stay
+    /// untouched and get reused next round; a device created here fetches
+    /// its first client's shard once.
     ///
     /// # Panics
     ///
-    /// Panics when any id is out of range or its shard is empty.
-    pub fn checkout(&mut self, ids: &[usize], round: u64) -> Vec<&mut FlClient> {
-        while self.slots.len() < ids.len() {
-            let c = ids[self.slots.len()];
-            self.slots.push(FlClient::new(
+    /// Panics when a created device's id is out of range or its shard is
+    /// empty.
+    pub fn lease(&mut self, ids: &[usize]) -> (&mut [Device], Binder<'_>) {
+        while self.devices.len() < ids.len() {
+            let c = ids[self.devices.len()];
+            self.devices.push(Device::new(
                 c,
-                self.spec.build(self.seed),
                 self.source.shard(c),
                 self.learning_rate,
                 self.momentum,
@@ -138,20 +167,39 @@ impl ClientPool {
                 self.seed,
             ));
         }
-        let slots = &mut self.slots[..ids.len()];
-        for (slot, &c) in slots.iter_mut().zip(ids) {
-            slot.rebind(c, self.source.shard(c), self.seed, round);
-        }
-        slots.iter_mut().collect()
+        let binder = Binder {
+            source: &*self.source,
+            seed: self.seed,
+        };
+        (&mut self.devices[..ids.len()], binder)
+    }
+
+    /// Checks out one device per scheduled client, each bound to simulate
+    /// its client for round `round`, in the order given: [`ClientPool::lease`]
+    /// plus the same per-device [`Binder::bind`] a training job runs.
+    ///
+    /// # Panics
+    ///
+    /// Panics when any id is out of range or its shard is empty.
+    pub fn checkout(&mut self, ids: &[usize], round: u64) -> Vec<&mut Device> {
+        let (devices, binder) = self.lease(ids);
+        devices
+            .iter_mut()
+            .zip(ids)
+            .map(|(device, &c)| {
+                binder.bind(device, c, round);
+                device
+            })
+            .collect()
     }
 }
 
-/// The runtime's client storage: every client resident (classic), or a
-/// cohort-sized pool (fleet scale).
+/// The runtime's client storage: every device resident with its replica
+/// (classic), or a cohort-sized pool (fleet scale).
 #[derive(Debug)]
 pub enum Fleet {
-    /// One live [`FlClient`] per simulated client.
-    Resident(Vec<FlClient>),
+    /// One live [`Device`], replica included, per simulated client.
+    Resident(Vec<Device>),
     /// Cohort-resident pool over a [`ShardSource`].
     Pooled(ClientPool),
 }
@@ -162,30 +210,30 @@ impl Fleet {
         matches!(self, Fleet::Pooled(_))
     }
 
-    /// Live [`FlClient`]s currently resident: the whole fleet for
-    /// resident storage, the peak cohort seen so far for pooled storage.
+    /// Live devices currently resident: the whole fleet for resident
+    /// storage, the peak cohort seen so far for pooled storage.
     pub fn resident_count(&self) -> usize {
         match self {
-            Fleet::Resident(clients) => clients.len(),
+            Fleet::Resident(devices) => devices.len(),
             Fleet::Pooled(pool) => pool.resident_slots(),
         }
     }
 
-    /// The resident clients as a mutable slice — the whole fleet for
+    /// The resident devices as a mutable slice — the whole fleet for
     /// resident storage, empty for pooled storage (selection policies
     /// that probe individual clients need a resident fleet).
-    pub fn resident_mut(&mut self) -> &mut [FlClient] {
+    pub fn resident_mut(&mut self) -> &mut [Device] {
         match self {
-            Fleet::Resident(clients) => clients,
+            Fleet::Resident(devices) => devices,
             Fleet::Pooled(_) => &mut [],
         }
     }
 
-    /// Mutable access to one resident client (crash checkpoint/restore);
+    /// Mutable access to one resident device (crash checkpoint/restore);
     /// `None` on a pooled fleet, which keeps no per-client state.
-    pub fn resident_client(&mut self, client: usize) -> Option<&mut FlClient> {
+    pub fn resident_device(&mut self, client: usize) -> Option<&mut Device> {
         match self {
-            Fleet::Resident(clients) => Some(&mut clients[client]),
+            Fleet::Resident(devices) => devices.get_mut(client),
             Fleet::Pooled(_) => None,
         }
     }
@@ -194,6 +242,7 @@ impl Fleet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::client::Trainer;
     use adafl_data::synthetic::SyntheticSpec;
 
     fn spec() -> ModelSpec {
@@ -248,13 +297,16 @@ mod tests {
             7,
         );
         let global = spec().build(7).params_flat();
+        let mut trainer = Trainer::new(spec().build(7));
         // Same client, same round, different slot position → same outcome.
         let mut a = pool_a.checkout(&[2, 4], 0);
-        let out_a = a[1].train_local(&global, 3, None);
+        let out_a = trainer.train_local(a[1], &global, 3, None);
         drop(a);
         let mut b = pool_b.checkout(&[4], 0);
-        let out_b = b[0].train_local(&global, 3, None);
+        let out_b = trainer.train_local(b[0], &global, 3, None);
         assert_eq!(out_a, out_b);
+        // A pooled device keeps no replica for the next client to inherit.
+        assert!(pool_b.checkout(&[4], 1)[0].replica().is_none());
     }
 
     #[test]

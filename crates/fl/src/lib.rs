@@ -1,7 +1,8 @@
 //! Federated-learning framework for the AdaFL reproduction.
 //!
-//! Provides everything around the paper's contribution: clients that train
-//! local models ([`FlClient`]); one policy-driven round protocol in two
+//! Provides everything around the paper's contribution: simulated devices
+//! and the trainers they compute with ([`Device`], [`Trainer`], or both in
+//! one [`FlClient`]); one policy-driven round protocol in two
 //! shapes — the synchronous [`runtime::SyncRuntime`] with the FedAvg /
 //! FedAdam / FedProx / SCAFFOLD baselines ([`sync::strategies`]) and the
 //! event-driven [`runtime::AsyncRuntime`] with FedAsync / FedBuff
@@ -54,9 +55,9 @@ mod spec;
 pub mod submodel;
 pub mod sync;
 
-pub use client::{FlClient, LocalOutcome};
+pub use client::{Device, FlClient, LocalOutcome, Trainer, Trainers};
 pub use config::FlConfig;
-pub use fleet::{ClientPool, Fleet, ShardSource, VecShardSource};
+pub use fleet::{Binder, ClientPool, Fleet, ShardSource, VecShardSource};
 pub use history::{RoundRecord, RunHistory};
 pub use ledger::CommunicationLedger;
 pub use submodel::{CapacityPolicy, CapacityTier, StaticCapacity};

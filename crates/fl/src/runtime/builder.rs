@@ -38,7 +38,7 @@ use super::event::AsyncRuntime;
 use super::policy::AsyncPolicy;
 use super::stages::ServerStages;
 use super::sync::{SyncPolicies, SyncRuntime};
-use crate::client::FlClient;
+use crate::client::Device;
 use crate::compute::ComputeModel;
 use crate::config::FlConfig;
 use crate::defense::DefenseConfig;
@@ -124,18 +124,34 @@ pub(super) struct Scenario {
     pub faults: Option<FaultPlan>,
 }
 
-/// One live client per shard, all starting from the config's initial
-/// model.
-fn resident_fleet(config: &FlConfig, shards: Vec<Dataset>) -> Vec<FlClient> {
+/// One device per shard, none with a replica yet.
+fn devices(config: &FlConfig, shards: Vec<Dataset>) -> Vec<Device> {
     assert_eq!(shards.len(), config.clients, "shard count mismatch");
-    FlClient::fleet(
-        &config.model,
-        shards,
-        config.learning_rate,
-        config.momentum,
-        config.batch_size,
-        config.seed_for("model"),
-    )
+    let seed = config.seed_for("model");
+    shards
+        .into_iter()
+        .enumerate()
+        .map(|(id, shard)| {
+            Device::new(
+                id,
+                shard,
+                config.learning_rate,
+                config.momentum,
+                config.batch_size,
+                seed,
+            )
+        })
+        .collect()
+}
+
+/// One resident device per shard, every replica starting at the config's
+/// initial model.
+fn resident_fleet(config: &FlConfig, shards: Vec<Dataset>) -> Vec<Device> {
+    let initial = config.model.build(config.seed_for("model")).params_flat();
+    devices(config, shards)
+        .into_iter()
+        .map(|device| device.with_replica(initial.clone()))
+        .collect()
 }
 
 /// Gathers scenario parts once, then builds any protocol flavour.
@@ -205,10 +221,11 @@ impl RuntimeBuilder {
     ///
     /// Pooled fleets have no per-client persistent state, so they are
     /// synchronous-only; a crashed pooled client sits its outage out with
-    /// nothing to checkpoint (its slot is rebound from the global model at
-    /// every checkout), and selection policies that probe individual
-    /// clients see an empty
-    /// [`SelectionCtx::clients`](super::SelectionCtx::clients) slice.
+    /// nothing to checkpoint (a pooled device keeps no replica: it trains
+    /// from the global model, and a sub-view round's uncovered coordinates
+    /// are the initial model's), and selection policies that probe
+    /// individual clients see an empty
+    /// [`SelectionCtx::devices`](super::SelectionCtx::devices) slice.
     pub fn shard_source(mut self, source: Box<dyn ShardSource>) -> Self {
         self.shard_source = Some(source);
         self
@@ -432,7 +449,9 @@ impl RuntimeBuilder {
         if self.update_budget == 0 {
             return Err(BuildError::MissingUpdateBudget);
         }
-        let clients = resident_fleet(&self.scenario.fl, shards);
+        // The event loop reads no replica — no sub-views, probes or crash
+        // checkpoints — so its devices keep none.
+        let clients = devices(&self.scenario.fl, shards);
         let core = ServerCore::new(self.scenario, self.retry, self.recorder);
         let stages = ServerStages::new(&core, self.defense, None, None);
         Ok(AsyncRuntime::new(

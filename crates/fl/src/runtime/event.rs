@@ -13,7 +13,7 @@ use super::emit::{self, At};
 use super::io::RESYNC_DELAY_SECONDS;
 use super::policy::{AsyncApplyCtx, AsyncDownlinkCtx, AsyncPolicy, AsyncUploadCtx};
 use super::stages::ServerStages;
-use crate::client::FlClient;
+use crate::client::{Device, Trainer};
 use crate::config::FlConfig;
 use crate::history::RunHistory;
 use crate::ledger::CommunicationLedger;
@@ -47,7 +47,10 @@ enum Event {
 pub struct AsyncRuntime {
     core: ServerCore,
     stages: ServerStages,
-    clients: Vec<FlClient>,
+    clients: Vec<Device>,
+    /// The one trainer the single-threaded event loop trains every device
+    /// on.
+    trainer: Trainer,
     /// Per-client snapshot of the global model they are training from.
     snapshots: Vec<Vec<f32>>,
     /// Per-client pending update awaiting arrival (at most one in
@@ -60,13 +63,13 @@ pub struct AsyncRuntime {
 }
 
 impl AsyncRuntime {
-    /// Puts the event schedule on top of a server: one live client per
-    /// simulated client and an async policy; the builder has already
-    /// rejected a zero `update_budget`.
+    /// Puts the event schedule on top of a server: one resident device per
+    /// simulated client, one trainer, and an async policy; the builder has
+    /// already rejected a zero `update_budget`.
     pub(super) fn new(
         core: ServerCore,
         stages: ServerStages,
-        clients: Vec<FlClient>,
+        clients: Vec<Device>,
         mut policy: Box<dyn AsyncPolicy>,
         update_budget: u64,
     ) -> Self {
@@ -74,6 +77,7 @@ impl AsyncRuntime {
         AsyncRuntime {
             in_flight: vec![None; core.config.clients],
             snapshots: vec![core.global.clone(); core.config.clients],
+            trainer: Trainer::new(core.config.model.build(core.config.seed_for("model"))),
             core,
             stages,
             clients,
@@ -183,7 +187,12 @@ impl AsyncRuntime {
         let steps = core.config.local_steps;
         // The global version this pass trains from.
         let version = self.version;
-        let outcome = self.clients[client].train_local(&self.snapshots[client], steps, None);
+        let outcome = self.trainer.train_local(
+            &mut self.clients[client],
+            &self.snapshots[client],
+            steps,
+            None,
+        );
         let done = now + core.compute.training_time(client, steps);
         if core.recorder.enabled() {
             core.recorder.span(

@@ -21,7 +21,7 @@
 
 use super::io::RoundIo;
 use super::payload::{RoundUpdate, UpdatePayload};
-use crate::client::{FlClient, LocalOutcome};
+use crate::client::{Device, LocalOutcome, Trainers};
 use crate::config::FlConfig;
 use crate::pool::WorkerPool;
 use adafl_netsim::{FleetNetwork, SimTime};
@@ -38,8 +38,12 @@ pub struct SelectionCtx<'a> {
     pub clock: SimTime,
     /// Protocol configuration.
     pub config: &'a FlConfig,
-    /// The fleet — mutable so utility policies can run probe gradients.
-    pub clients: &'a mut [FlClient],
+    /// The resident devices, in client order — mutable so utility
+    /// policies can run probe gradients; empty for a pooled fleet.
+    pub devices: &'a mut [Device],
+    /// The runtime's warm trainers: a probe runs on one of them through
+    /// [`Trainers::run`], the same hand-out that trains the cohort.
+    pub trainers: &'a mut Trainers,
     /// Communication plane, for control-plane charges and link probes.
     pub io: &'a mut RoundIo,
     /// Current global parameters.

@@ -23,7 +23,7 @@ use super::policy::{
 use super::sink::{Closed, SinkMode, UpdateSink};
 use super::stages::{Cohort, ServerStages};
 use crate::checkpoint::Checkpoint;
-use crate::client::{FlClient, GradientHook, LocalOutcome};
+use crate::client::{Device, GradientHook, LocalOutcome, Trainer, Trainers};
 use crate::config::FlConfig;
 use crate::faults::FaultKind;
 use crate::fleet::Fleet;
@@ -140,6 +140,9 @@ pub struct SyncRuntime {
     /// state snapshot while it is down.
     crash_checkpoints: BTreeMap<usize, Option<Checkpoint>>,
     pool: WorkerPool,
+    /// One warm trainer per pool thread: the compute every device's
+    /// training and probe jobs borrow.
+    trainers: Trainers,
     /// Parity reference: streaming-eligible rounds buffer the updates and
     /// replay the identical folds at round end instead of folding at
     /// arrival (see [`SinkMode::BufferedFold`]).
@@ -170,6 +173,7 @@ impl SyncRuntime {
                 Some(threads) => WorkerPool::new(threads.max(1)),
                 None => WorkerPool::with_default_size(),
             },
+            trainers: Trainers::new(core.config.model.clone(), core.config.seed_for("model")),
             buffered_fold,
             selection: policies.selection,
             compression: policies.compression,
@@ -192,7 +196,7 @@ impl SyncRuntime {
         self.clients.is_pooled()
     }
 
-    /// Live [`FlClient`]s currently resident — the whole fleet for
+    /// Live [`Device`]s currently resident — the whole fleet for
     /// resident storage, the peak cohort seen so far for pooled storage.
     pub fn resident_clients(&self) -> usize {
         self.clients.resident_count()
@@ -338,7 +342,8 @@ impl SyncRuntime {
                 round,
                 clock: self.clock,
                 config: &self.core.config,
-                clients: self.clients.resident_mut(),
+                devices: self.clients.resident_mut(),
+                trainers: &mut self.trainers,
                 io: &mut self.core.io,
                 global: &self.core.global,
                 global_gradient: &self.core.global_gradient,
@@ -597,11 +602,11 @@ impl SyncRuntime {
     }
 
     /// Crash-fault bookkeeping at the top of a round, over the clients
-    /// whose plan entry is a crash: snapshot a client's state into a
+    /// whose plan entry is a crash: snapshot a device's replica into a
     /// [`Checkpoint`] the round its outage begins, restore it from the
-    /// decoded checkpoint the round it comes back. A pooled slot is
-    /// rebound from the global model at every checkout, so a pooled client
-    /// has no state to snapshot or restore — only the events are emitted,
+    /// decoded checkpoint the round it comes back. A pooled device keeps
+    /// no replica — it trains from the global model — so a pooled client
+    /// has no state to snapshot or restore: only the events are emitted,
     /// and `select_cohort` keeps it out for the outage.
     fn handle_crashes(&mut self, round: usize) {
         let recorder = &self.core.recorder;
@@ -611,10 +616,11 @@ impl SyncRuntime {
             let FaultKind::Crash { at_round, .. } = self.core.faults.kind(c) else {
                 continue;
             };
-            let resident = self.clients.resident_client(c);
+            let resident = self.clients.resident_device(c);
             if round == at_round {
                 *saved = resident
-                    .map(|client| Checkpoint::new(round as u64, client.model().params_flat()));
+                    .and_then(|device| device.replica())
+                    .map(|replica| Checkpoint::new(round as u64, replica.to_vec()));
                 if tracing {
                     recorder.counter_add(names::FL_CRASHES, 1);
                     recorder.event(
@@ -624,14 +630,17 @@ impl SyncRuntime {
                     );
                 }
             } else if self.core.faults.recovers_at(c, round) {
-                let checkpoint_round = match (resident, saved.take()) {
-                    (Some(client), Some(ckpt)) => {
-                        // Recovery goes through the wire format: the client
-                        // restores from the decoded bytes, exactly as it
-                        // would from flash after a reboot.
-                        let restored =
-                            Checkpoint::decode(&ckpt.encode()).expect("checkpoint round-trips");
-                        client.sync_to_global(&restored.params);
+                // Recovery goes through the wire format: the device
+                // restores from the decoded bytes, exactly as it would
+                // from flash after a reboot.
+                let restored = saved.take().and_then(|ckpt| {
+                    let decoded = Checkpoint::decode(&ckpt.encode());
+                    debug_assert!(decoded.is_ok(), "checkpoint round-trips");
+                    decoded.ok()
+                });
+                let checkpoint_round = match (resident, restored) {
+                    (Some(device), Some(restored)) => {
+                        device.restore(&restored.params);
                         restored.round as usize
                     }
                     (Some(_), None) => continue,
@@ -650,10 +659,13 @@ impl SyncRuntime {
         }
     }
 
-    /// Trains the chunk's clients across the pool, each job writing its
-    /// own record's outcome — clients are mutually independent during
-    /// local training, so results do not depend on scheduling and runs are
-    /// byte-identical at any pool width. In capacity mode each client
+    /// Trains the chunk's devices across the pool: one job per device,
+    /// each on a warm trainer from [`Trainers::run`], writing its own
+    /// record's outcome. Devices are mutually independent during local
+    /// training and a trainer carries nothing between them, so results do
+    /// not depend on scheduling and runs are byte-identical at any pool
+    /// width. A pooled device is bound to its client inside its job, so
+    /// the shard fetch runs on the pool too. In capacity mode each device
     /// trains on its rank's sub-view of the global vector instead of the
     /// full model.
     fn train_ready(&mut self, r: &Round, chunk: &mut [Participant]) {
@@ -661,49 +673,49 @@ impl SyncRuntime {
         let aggregation = &self.aggregation;
         let use_hook = aggregation.uses_gradient_hook();
         let global = &self.core.global;
-        // One live client per record, in chunk (cohort) order.
-        let slots: Vec<&mut FlClient> = match &mut self.clients {
-            Fleet::Resident(clients) => {
+        let (round, ready) = (r.index as u64, chunk.len());
+        // One device per record, in chunk (cohort) order.
+        let (items, binder): (Vec<(&mut Participant, &mut Device)>, _) = match &mut self.clients {
+            Fleet::Resident(devices) => {
                 // Per-id slots (O(N), not an O(N²) contains scan) so each
                 // ready client's &mut is taken exactly once — in cohort
                 // order, whatever that order is.
-                let mut by_id: Vec<Option<&mut FlClient>> = clients.iter_mut().map(Some).collect();
-                chunk
-                    .iter()
-                    .map(|p| by_id[p.client].take().expect("ready client listed once"))
-                    .collect()
+                let mut by_id: Vec<Option<&mut Device>> = devices.iter_mut().map(Some).collect();
+                let items: Vec<_> = chunk
+                    .iter_mut()
+                    .filter_map(|p| {
+                        let device = by_id[p.client].take()?;
+                        Some((p, device))
+                    })
+                    .collect();
+                (items, None)
             }
             Fleet::Pooled(pool) => {
-                // Cohort-resident pool: rebind one slot per ready client
-                // for this round; state does not persist across rounds.
                 let ids: Vec<usize> = chunk.iter().map(|p| p.client).collect();
-                pool.checkout(&ids, r.index as u64)
+                let (devices, binder) = pool.lease(&ids);
+                (chunk.iter_mut().zip(devices).collect(), Some(binder))
             }
         };
-        let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = chunk
-            .iter_mut()
-            .zip(slots)
-            .map(|(p, client)| {
-                let view = r.views.as_ref().map(|v| &v[p.rank].0);
-                Box::new(move || {
-                    // Hooked or not, training is one loop and one float
-                    // sequence; the flag only skips a no-op call per step.
-                    let c = p.client;
-                    let mut correct = |grad: &mut [f32], params: &[f32], g: &[f32]| {
-                        aggregation.gradient_hook(c, grad, params, g);
-                    };
-                    let hook: Option<GradientHook<'_>> =
-                        if use_hook { Some(&mut correct) } else { None };
-                    p.outcome = match view {
-                        Some(view) => {
-                            let values = view.extract(global);
-                            client.train_local_view(view, &values, steps, hook)
-                        }
-                        None => client.train_local(global, steps, hook),
-                    };
-                }) as Box<_>
-            })
-            .collect();
-        self.pool.scope_run(jobs);
+        debug_assert_eq!(items.len(), ready, "ready clients listed once");
+        let work = |trainer: &mut Trainer, (p, device): (&mut Participant, &mut Device)| {
+            let c = p.client;
+            if let Some(binder) = &binder {
+                binder.bind(device, c, round);
+            }
+            // Hooked or not, training is one loop and one float sequence;
+            // the flag only skips a no-op call per step.
+            let mut correct = |grad: &mut [f32], params: &[f32], g: &[f32]| {
+                aggregation.gradient_hook(c, grad, params, g);
+            };
+            let hook: Option<GradientHook<'_>> = if use_hook { Some(&mut correct) } else { None };
+            p.outcome = match r.views.as_ref().map(|v| &v[p.rank].0) {
+                Some(view) => {
+                    let values = view.extract(global);
+                    trainer.train_local_view(device, view, &values, steps, hook)
+                }
+                None => trainer.train_local(device, global, steps, hook),
+            };
+        };
+        self.trainers.run(&self.pool, items, work);
     }
 }

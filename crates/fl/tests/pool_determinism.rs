@@ -1,17 +1,20 @@
 //! Determinism guarantees of the persistent worker pool: pool-parallel and
 //! sequential training must be byte-identical, both at the `LocalOutcome`
 //! level and through a whole runtime run's telemetry (modulo wall-clock
-//! measurements, which are inherently nondeterministic).
+//! measurements, which are inherently nondeterministic) — resident,
+//! pooled and crash-faulted fleets alike, whichever warm trainer each
+//! device's job picks up.
 
 use adafl_data::partition::Partitioner;
 use adafl_data::synthetic::SyntheticSpec;
 use adafl_fl::config::FlConfig;
+use adafl_fl::faults::{FaultKind, FaultPlan};
 use adafl_fl::pool::WorkerPool;
 use adafl_fl::runtime::{RuntimeBuilder, SyncRuntime};
 use adafl_fl::sync::strategies::FedAvg;
-use adafl_fl::{FlClient, LocalOutcome};
+use adafl_fl::{CapacityTier, FlClient, LocalOutcome, StaticCapacity, VecShardSource};
 use adafl_nn::models::ModelSpec;
-use adafl_telemetry::{InMemoryRecorder, Trace};
+use adafl_telemetry::{names, InMemoryRecorder, Trace};
 use std::sync::Arc;
 
 fn fleet() -> (Vec<FlClient>, Vec<f32>) {
@@ -53,29 +56,89 @@ fn pool_and_sequential_outcomes_are_byte_identical() {
     assert!(parallel.iter().any(|o| o.delta.iter().any(|&d| d != 0.0)));
 }
 
-/// A traced run at the given pool width: 1 trains every client inline on
-/// the calling thread, 4 fans the cohort across the pool.
-fn engine(threads: usize) -> (SyncRuntime, Arc<InMemoryRecorder>) {
-    let config = FlConfig::builder()
-        .clients(4)
-        .rounds(3)
+/// The runs whose results must not know how wide the pool was.
+#[derive(Debug, Clone, Copy)]
+enum Run {
+    /// Resident logistic-regression fleet, FedAvg.
+    Resident,
+    /// A pooled MLP fleet in cohorts of 3, on two capacity tiers: every
+    /// pooled device is bound inside its job, and a sub-view round reads
+    /// the initial model for its uncovered coordinates.
+    Pooled,
+    /// A resident MLP fleet on two capacity tiers with crash faults: the
+    /// replicas a sub-view round reads are checkpointed and restored.
+    Crashes,
+}
+
+/// A traced run at the given pool width: 1 trains every device inline on
+/// the calling thread, wider pools fan the cohort across their threads.
+fn engine(run: Run, threads: usize) -> (SyncRuntime, Arc<InMemoryRecorder>) {
+    let clients = match run {
+        Run::Resident => 4,
+        Run::Pooled | Run::Crashes => 6,
+    };
+    let mut config = FlConfig::builder()
+        .clients(clients)
+        .rounds(4)
         .participation(1.0)
         .local_steps(3)
-        .batch_size(16)
-        .model(ModelSpec::LogisticRegression {
+        .batch_size(16);
+    config = match run {
+        Run::Resident => config.model(ModelSpec::LogisticRegression {
             in_features: 64,
             classes: 10,
-        })
-        .build();
+        }),
+        Run::Pooled | Run::Crashes => config.participation(0.5).model(ModelSpec::Mlp {
+            in_features: 64,
+            hidden: vec![16],
+            classes: 10,
+        }),
+    };
+    if let Run::Pooled = run {
+        config = config.cohort_size(3);
+    }
+    let config = config.build();
     let data = SyntheticSpec::mnist_like(8, 400).generate(0);
     let (train, test) = data.split_at(320);
     let rec = InMemoryRecorder::shared();
-    let e = RuntimeBuilder::new(config, test)
-        .partitioned(&train, Partitioner::Iid)
+    let tiers = || {
+        Box::new(StaticCapacity::new(vec![
+            CapacityTier::Full,
+            CapacityTier::Width(0.5),
+        ]))
+    };
+    let builder = RuntimeBuilder::new(config, test)
         .threads(Some(threads))
-        .recorder(rec.clone())
-        .build_sync(Box::new(FedAvg::new()));
-    (e, rec)
+        .recorder(rec.clone());
+    let builder = match run {
+        Run::Resident => builder.partitioned(&train, Partitioner::Iid),
+        Run::Pooled => {
+            let shards = Partitioner::Iid.split(&train, clients, 11);
+            builder
+                .shard_source(Box::new(VecShardSource::new(shards)))
+                .capacity(Some(tiers()))
+        }
+        Run::Crashes => {
+            let crash = FaultKind::Crash {
+                at_round: 1,
+                down_for: 2,
+            };
+            let kinds = (0..clients)
+                .map(|c| {
+                    if c % 3 == 0 {
+                        crash
+                    } else {
+                        FaultKind::Reliable
+                    }
+                })
+                .collect();
+            builder
+                .partitioned(&train, Partitioner::Iid)
+                .capacity(Some(tiers()))
+                .faults(FaultPlan::new(kinds, 5))
+        }
+    };
+    (builder.build_sync(Box::new(FedAvg::new())), rec)
 }
 
 /// Strips the only legitimately nondeterministic telemetry dimension: wall
@@ -89,18 +152,68 @@ fn scrub_wall_times(mut trace: Trace) -> Trace {
 
 #[test]
 fn pool_and_sequential_telemetry_agree_modulo_wall_times() {
-    let (mut par, par_rec) = engine(4);
-    let par_history = par.run();
+    for run in [Run::Resident, Run::Pooled, Run::Crashes] {
+        let (mut seq, seq_rec) = engine(run, 1);
+        let seq_history = seq.run();
+        let seq_t = scrub_wall_times(seq_rec.snapshot());
+        assert!(!seq_t.spans.is_empty(), "telemetry actually recorded spans");
+        for threads in 2..=4 {
+            let (mut par, par_rec) = engine(run, threads);
+            let par_history = par.run();
+            assert_eq!(par_history, seq_history, "{run:?} at {threads} threads");
+            assert_eq!(par.global_params(), seq.global_params(), "{run:?}");
+            assert_eq!(par.ledger(), seq.ledger(), "{run:?}");
+            // Counters, gauges, histograms, spans and events — all of it.
+            let par_t = scrub_wall_times(par_rec.snapshot());
+            assert_eq!(par_t, seq_t, "{run:?} at {threads} threads");
+        }
+        if let Run::Crashes = run {
+            assert!(seq_t.counters[names::FL_RECOVERIES] > 0, "outages ended");
+        }
+    }
+}
 
-    let (mut seq, seq_rec) = engine(1);
-    let seq_history = seq.run();
-
-    assert_eq!(par_history, seq_history);
-    assert_eq!(par.global_params(), seq.global_params());
-
-    let par_t = scrub_wall_times(par_rec.snapshot());
-    let seq_t = scrub_wall_times(seq_rec.snapshot());
-    // Counters, gauges, histograms, spans and events — all of it.
-    assert_eq!(par_t, seq_t);
-    assert!(!par_t.spans.is_empty(), "telemetry actually recorded spans");
+#[test]
+fn pooled_capacity_runs_do_not_depend_on_the_slot_a_client_lands_in() {
+    // A pooled device keeps no replica, so a sub-view round's uncovered
+    // coordinates are the initial model's whichever device — and so
+    // whichever previous client — the cohort position maps it to.
+    let run = |threads: usize, cohort: usize| {
+        let config = FlConfig::builder()
+            .clients(10)
+            .rounds(4)
+            .participation(0.6)
+            .local_steps(3)
+            .batch_size(16)
+            .cohort_size(cohort)
+            .model(ModelSpec::Mlp {
+                in_features: 64,
+                hidden: vec![16],
+                classes: 10,
+            })
+            .build();
+        let data = SyntheticSpec::mnist_like(8, 400).generate(4);
+        let (train, test) = data.split_at(320);
+        let shards = Partitioner::Iid.split(&train, 10, 3);
+        let mut rt = RuntimeBuilder::new(config, test)
+            .shard_source(Box::new(VecShardSource::new(shards)))
+            .capacity(Some(Box::new(StaticCapacity::new(vec![
+                CapacityTier::Width(0.5),
+                CapacityTier::Full,
+            ]))))
+            .threads(Some(threads))
+            .build_sync(Box::new(FedAvg::new()));
+        let history = rt.run();
+        (history, rt.global_params().to_vec(), rt.ledger().clone())
+    };
+    let reference = run(1, 3);
+    for threads in [1, 2, 4] {
+        for cohort in [3, 8] {
+            assert_eq!(
+                run(threads, cohort),
+                reference,
+                "{threads} threads, cohorts of {cohort}"
+            );
+        }
+    }
 }

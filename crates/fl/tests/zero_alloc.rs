@@ -8,7 +8,8 @@
 //! pins the whole workspace architecture — batch loading, im2col, layer
 //! forward/backward, loss, and the optimizer step all reuse buffers. The
 //! sub-view entry and the utility probe share that one step, so their
-//! counts are pinned against it here too.
+//! counts are pinned against it here too, and so is a pooled device's
+//! per-round rebind onto a warm trainer.
 //!
 //! Kept as a single `#[test]` so no concurrent test thread perturbs the
 //! counter.
@@ -18,7 +19,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use adafl_data::partition::Partitioner;
 use adafl_data::synthetic::SyntheticSpec;
-use adafl_fl::FlClient;
+use adafl_fl::{Device, FlClient, ShardSource, Trainer, VecShardSource};
 use adafl_nn::models::ModelSpec;
 use adafl_nn::SubView;
 
@@ -132,4 +133,28 @@ fn steady_state_training_steps_allocate_nothing() {
     );
     let (probe, _) = allocations_during(|| client.probe_gradient_with(|grad| grad.len()));
     assert_eq!(probe, 0, "a borrowed probe must not allocate");
+
+    // A pooled round: the device is rebound to its client — the shard the
+    // source hands over, the loader reseeded in place — and trained on a
+    // warm trainer. Only the shard and the returned delta allocate.
+    let source = VecShardSource::new(Partitioner::Iid.split(&data, 2, 7));
+    let mut trainer = Trainer::new(spec.build(13));
+    let mut device = Device::new(0, source.shard(0), 0.05, 0.9, 16, 13);
+    for round in 0..2 {
+        for c in 0..2 {
+            device.rebind(c, source.shard(c), 13, round);
+            trainer.train_local(&mut device, &global, 4, None);
+        }
+    }
+    let (shard, _) = allocations_during(|| source.shard(1));
+    let (pooled, _) = allocations_during(|| {
+        device.rebind(1, source.shard(1), 13, 2);
+        trainer.train_local(&mut device, &global, 4, None)
+    });
+    assert_eq!(
+        pooled,
+        shard + 1,
+        "a rebind plus training on a warm trainer must allocate only the shard \
+         ({shard} allocations) and the delta"
+    );
 }

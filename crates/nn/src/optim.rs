@@ -67,6 +67,17 @@ impl Sgd {
     pub fn reset(&mut self) {
         self.velocity.fill(0.0);
     }
+
+    /// Sets the momentum `μ`, keeping the velocity buffer — how one
+    /// optimizer serves devices with their own hyperparameters.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `momentum` is negative.
+    pub fn set_momentum(&mut self, momentum: f32) {
+        assert!(momentum >= 0.0, "hyperparameters must be non-negative");
+        self.momentum = momentum;
+    }
 }
 
 impl Optimizer for Sgd {

@@ -125,8 +125,8 @@ fn adafl_crash_faults_recover_through_checkpoints() {
     assert!(history.final_accuracy() > 0.3);
 }
 
-/// A pooled slot is rebound from the global model at every checkout, so a
-/// crash there has no state to checkpoint: the client sits its outage out,
+/// A pooled device keeps no replica — it trains from the global model — so
+/// a crash there has no state to checkpoint: the client sits its outage out,
 /// the crash and the recovery are each reported once, and the run stays
 /// reproducible.
 #[test]
