@@ -40,19 +40,20 @@ pub fn with_label_noise(dataset: &Dataset, noise_rate: f64, seed: u64) -> Datase
         return dataset.clone();
     }
     let mut rng = StdRng::seed_from_u64(seed ^ 0x0001_ABE1);
-    let mut out = Dataset::empty(dataset.dim());
-    for i in 0..dataset.len() {
-        let label = dataset.label(i);
-        let new_label = if rng.gen::<f64>() < noise_rate {
-            // Uniform over the other classes.
-            let offset = rng.gen_range(1..classes);
-            (label + offset) % classes
-        } else {
-            label
-        };
-        out.push(dataset.features(i), new_label);
-    }
-    out
+    let labels = dataset
+        .labels()
+        .iter()
+        .map(|&label| {
+            if rng.gen::<f64>() < noise_rate {
+                // Uniform over the other classes.
+                let offset = rng.gen_range(1..classes);
+                (label + offset) % classes
+            } else {
+                label
+            }
+        })
+        .collect();
+    dataset.relabelled(labels)
 }
 
 /// Splits `dataset` into shards whose sizes follow a power-law: shard `i`

@@ -1,10 +1,16 @@
 use adafl_tensor::Tensor;
+use std::sync::Arc;
 
 /// An in-memory labelled dataset: `n` feature rows of width `dim` plus one
 /// class label per row.
 ///
 /// Features are stored flat and row-major so a batch can be materialised as
-/// a `[batch, dim]` [`Tensor`] with a single copy.
+/// a `[batch, dim]` [`Tensor`] with a single copy. Features and labels are
+/// shared, not owned: [`Clone`] is two reference-count increments, so a
+/// shard handed to a device is the partition's own storage, and
+/// [`Dataset::push`] copies a shared store before it writes
+/// (copy-on-write). Serialized, a dataset is its `features`, `labels` and
+/// `dim`, as if owned.
 ///
 /// # Examples
 ///
@@ -17,8 +23,8 @@ use adafl_tensor::Tensor;
 /// ```
 #[derive(serde::Serialize, serde::Deserialize, Debug, Clone, PartialEq, Default)]
 pub struct Dataset {
-    features: Vec<f32>,
-    labels: Vec<usize>,
+    features: Arc<Vec<f32>>,
+    labels: Arc<Vec<usize>>,
     dim: usize,
 }
 
@@ -36,8 +42,8 @@ impl Dataset {
             "features length must equal labels × dim"
         );
         Dataset {
-            features,
-            labels,
+            features: Arc::new(features),
+            labels: Arc::new(labels),
             dim,
         }
     }
@@ -95,28 +101,43 @@ impl Dataset {
         self.labels.iter().max().map_or(0, |m| m + 1)
     }
 
-    /// Appends one sample.
+    /// Appends one sample, first copying the storage if a clone shares it.
     ///
     /// # Panics
     ///
     /// Panics when `row.len() != dim`.
     pub fn push(&mut self, row: &[f32], label: usize) {
         assert_eq!(row.len(), self.dim, "row width mismatch");
-        self.features.extend_from_slice(row);
-        self.labels.push(label);
+        Arc::make_mut(&mut self.features).extend_from_slice(row);
+        Arc::make_mut(&mut self.labels).push(label);
     }
 
-    /// Builds a new dataset from the given sample indices (cloning rows).
+    /// Builds a new dataset from the given sample indices (copying rows).
     ///
     /// # Panics
     ///
     /// Panics when any index is out of bounds.
     pub fn subset(&self, indices: &[usize]) -> Dataset {
-        let mut out = Dataset::empty(self.dim);
+        let mut features = Vec::with_capacity(indices.len() * self.dim);
         for &i in indices {
-            out.push(self.features(i), self.labels[i]);
+            features.extend_from_slice(self.features(i));
         }
-        out
+        let labels = indices.iter().map(|&i| self.labels[i]).collect();
+        Dataset::new(features, labels, self.dim)
+    }
+
+    /// The same feature rows under new labels, sharing the features.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `labels.len()` differs from the sample count.
+    pub(crate) fn relabelled(&self, labels: Vec<usize>) -> Dataset {
+        assert_eq!(labels.len(), self.len(), "one label per sample");
+        Dataset {
+            features: Arc::clone(&self.features),
+            labels: Arc::new(labels),
+            dim: self.dim,
+        }
     }
 
     /// Materialises the samples at `indices` as a `[batch, dim]` tensor plus
@@ -162,15 +183,20 @@ impl Dataset {
     /// Panics when `n_first > len`.
     pub fn split_at(&self, n_first: usize) -> (Dataset, Dataset) {
         assert!(n_first <= self.len(), "split beyond dataset size");
-        let first: Vec<usize> = (0..n_first).collect();
-        let second: Vec<usize> = (n_first..self.len()).collect();
-        (self.subset(&first), self.subset(&second))
+        let (features, labels) = (
+            self.features.split_at(n_first * self.dim),
+            self.labels.split_at(n_first),
+        );
+        (
+            Dataset::new(features.0.to_vec(), labels.0.to_vec(), self.dim),
+            Dataset::new(features.1.to_vec(), labels.1.to_vec(), self.dim),
+        )
     }
 
     /// Per-class sample counts, indexed by label.
     pub fn class_histogram(&self) -> Vec<usize> {
         let mut hist = vec![0usize; self.classes()];
-        for &l in &self.labels {
+        for &l in self.labels.iter() {
             hist[l] += 1;
         }
         hist
@@ -246,6 +272,39 @@ mod tests {
         ds.extend(vec![(vec![4.0, 5.0], 1)]);
         assert_eq!(ds.len(), 2);
         assert_eq!(ds.classes(), 4);
+    }
+
+    #[test]
+    fn a_clone_shares_storage() {
+        let ds = tiny();
+        let copy = ds.clone();
+        assert_eq!(copy, ds);
+        assert_eq!(copy.features(1).as_ptr(), ds.features(1).as_ptr());
+        assert_eq!(copy.labels().as_ptr(), ds.labels().as_ptr());
+    }
+
+    #[test]
+    fn writing_to_a_shared_clone_leaves_the_original_untouched() {
+        let ds = tiny();
+        let mut pushed = ds.clone();
+        pushed.push(&[6.0, 7.0], 1);
+        let mut extended = ds.clone();
+        extended.extend(vec![(vec![8.0, 9.0], 0)]);
+        assert_eq!(ds, tiny());
+        assert_eq!((pushed.len(), pushed.features(3)), (4, &[6.0, 7.0][..]));
+        assert_eq!((extended.len(), extended.label(3)), (4, 0));
+        assert_ne!(pushed.features(0).as_ptr(), ds.features(0).as_ptr());
+    }
+
+    #[test]
+    fn serializes_as_owned_vectors() {
+        let json = serde_json::to_string(&tiny()).unwrap();
+        assert_eq!(
+            json,
+            r#"{"features":[0.0,1.0,2.0,3.0,4.0,5.0],"labels":[0,1,0],"dim":2}"#
+        );
+        let back: Dataset = serde_json::from_str(&json).unwrap();
+        assert_eq!(back, tiny());
     }
 
     #[test]

@@ -135,14 +135,13 @@ impl SyntheticSpec {
         );
         let templates = self.templates();
         let mut rng = StdRng::seed_from_u64(seed ^ 0x5EED_5A17);
-        let mut ds = Dataset::empty(self.dim());
-        let mut row = vec![0.0f32; self.dim()];
-        for i in 0..self.samples {
-            let label = i % self.classes;
-            self.render_sample(&templates[label], &mut rng, &mut row);
-            ds.push(&row, label);
+        let dim = self.dim();
+        let mut features = vec![0.0f32; self.samples * dim];
+        let labels: Vec<usize> = (0..self.samples).map(|i| i % self.classes).collect();
+        for (row, &label) in features.chunks_exact_mut(dim).zip(&labels) {
+            self.render_sample(&templates[label], &mut rng, row);
         }
-        ds
+        Dataset::new(features, labels, dim)
     }
 
     /// Builds the per-class template images.

@@ -419,15 +419,32 @@ impl Trainers {
     }
 
     /// Runs `work(trainer, item)` once per item across `pool`, one job per
-    /// item, and returns the results in item order. Which trainer a job
-    /// gets is scheduling, and invisible in the results (the trainer
-    /// invariant in the [module docs](self)).
+    /// item, and returns the results in item order:
+    /// [`Trainers::run_drain`] collecting into a `Vec`.
     pub fn run<I: Send, R: Send>(
         &mut self,
         pool: &WorkerPool,
         items: Vec<I>,
         work: impl Fn(&mut Trainer, I) -> R + Sync,
     ) -> Vec<R> {
+        let mut out = Vec::with_capacity(items.len());
+        self.run_drain(pool, items, work, |result| out.push(result));
+        out
+    }
+
+    /// Runs `work(trainer, item)` once per item across `pool`, one job per
+    /// item, and hands each result to `drain` on the caller in item order
+    /// as soon as it is ready ([`WorkerPool::scope_drain`]), while the
+    /// pool still trains later items. Which trainer a job gets is
+    /// scheduling, and invisible in the results (the trainer invariant in
+    /// the [module docs](self)).
+    pub fn run_drain<I: Send, R: Send>(
+        &mut self,
+        pool: &WorkerPool,
+        items: Vec<I>,
+        work: impl Fn(&mut Trainer, I) -> R + Sync,
+        drain: impl FnMut(R),
+    ) {
         let width = pool.workers().max(1).min(items.len());
         while self.idle.len() < width {
             self.idle.push(Trainer::new(self.spec.build(self.seed)));
@@ -454,7 +471,7 @@ impl Trainers {
                 }) as Box<_>
             })
             .collect();
-        pool.scope_run(jobs)
+        pool.scope_drain(jobs, drain);
     }
 }
 

@@ -5,10 +5,12 @@
 //! realistic runs at tens of thousands of clients. A [`ClientPool`]
 //! instead keeps only as many devices as one cohort, with no replica, and
 //! rebinds each to the client it simulates this round ([`Device::rebind`])
-//! with that client's shard materialised on demand by a [`ShardSource`].
-//! Per-client state is O(cohort × shard), and the fleet size only shows
-//! up in O(clients)-but-tiny structures (link traces, the ledger, the
-//! fault plan). Neither kind of fleet holds compute: the runtime's
+//! with that client's shard handed over on demand by a [`ShardSource`]:
+//! shared with the source where it keeps the shard resident (a
+//! [`Dataset`] clone is a reference-count increment), materialised where
+//! it does not. Per-client state is O(cohort × shard), and the fleet size
+//! only shows up in O(clients)-but-tiny structures (link traces, the
+//! ledger, the fault plan). Neither kind of fleet holds compute: the runtime's
 //! [`Trainers`](crate::client::Trainers), one per pool thread, do.
 //!
 //! Pooled fleets trade per-client *persistence* for memory: a device's
@@ -26,15 +28,17 @@ use adafl_data::Dataset;
 use adafl_nn::models::ModelSpec;
 use std::fmt;
 
-/// Produces client shards on demand, so a pooled fleet never holds more
-/// than one cohort's data resident. `Sync`, because each training job
-/// fetches its own device's shard on a pool thread.
+/// Hands out client shards on demand, so a pooled fleet never holds more
+/// than one cohort's data beyond what the source itself keeps. `Sync`,
+/// because each training job fetches its own device's shard on a pool
+/// thread.
 pub trait ShardSource: fmt::Debug + Send + Sync {
     /// Number of clients this source can shard for.
     fn clients(&self) -> usize;
 
-    /// Materialises client `client`'s shard. Must be deterministic in
-    /// `client` — two calls return identical datasets.
+    /// Client `client`'s shard, shared with the source's own copy or
+    /// materialised. Must be deterministic in `client` — two calls return
+    /// identical datasets.
     ///
     /// # Panics
     ///
@@ -42,10 +46,11 @@ pub trait ShardSource: fmt::Debug + Send + Sync {
     fn shard(&self, client: usize) -> Dataset;
 }
 
-/// A [`ShardSource`] over pre-partitioned shards, cloning the requested
-/// shard on demand. Holds all shards resident — useful for tests and
-/// small fleets where the pooled *compute* state is the point, not the
-/// data footprint.
+/// A [`ShardSource`] over pre-partitioned shards, sharing the requested
+/// shard on demand: a device reads the source's own storage, and a fetch
+/// neither copies nor allocates. Holds all shards resident — useful for
+/// tests and small fleets where the pooled *compute* state is the point,
+/// not the data footprint.
 #[derive(Debug)]
 pub struct VecShardSource {
     shards: Vec<Dataset>,

@@ -4,18 +4,19 @@
 //! (`std::thread::scope`), which puts thread creation and teardown on the
 //! hot path of every simulated round. [`WorkerPool`] keeps a fixed set of
 //! helper threads alive for the engine's whole lifetime. A scope costs one
-//! hand-off, not one per job: [`WorkerPool::scope_run`] offers the helpers
-//! a single claim loop over its job vector (an atomic index), runs the same
-//! loop on the caller, and then sleeps at most once, until the last helper
-//! that joined has left. Results are stored by job index, so they come
-//! back in submission order and parallel and sequential execution stay
-//! byte-identical.
+//! hand-off, not one per job: [`WorkerPool::scope_drain`] offers the
+//! helpers a single claim loop over its job vector (an atomic index) and
+//! claims from the same index on the caller, which between its own jobs
+//! hands every finished result, in submission order, to a drain callback.
+//! Results are stored by job index, so they come back in submission order
+//! and parallel and sequential execution stay byte-identical;
+//! [`WorkerPool::scope_run`] is the drain that collects them.
 //!
 //! Built on `std` threads, mutexes and condition variables — no external
 //! dependencies.
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{fence, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 
@@ -58,6 +59,7 @@ fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 /// One job of a scope, from submission to result.
 enum Slot<'env, T> {
     Queued(Box<dyn FnOnce() -> T + Send + 'env>),
+    /// Claimed and not yet done, or done and already drained.
     Running,
     Done(std::thread::Result<T>),
 }
@@ -66,7 +68,7 @@ enum Slot<'env, T> {
 ///
 /// Created once per engine; dropped with the engine (helpers shut down and
 /// are joined). A pool of width `threads` spawns `threads − 1` helpers, and
-/// the caller of [`WorkerPool::scope_run`] is the remaining thread, so at
+/// the caller of [`WorkerPool::scope_drain`] is the remaining thread, so at
 /// most `threads` threads run a scope's jobs. On single-core hosts (or
 /// `threads <= 1`) the pool spawns nothing and jobs run inline, which is
 /// both fastest and trivially deterministic.
@@ -196,51 +198,104 @@ impl WorkerPool {
     /// Runs every job to completion and returns their results **in
     /// submission order**, regardless of which thread finished first — this
     /// is what keeps pool-parallel engine rounds byte-identical to
-    /// sequential ones.
+    /// sequential ones. [`WorkerPool::scope_drain`] collecting into a
+    /// `Vec`.
+    ///
+    /// # Panics
+    ///
+    /// If a job panics, the panic is re-raised on the caller *after* all
+    /// jobs have finished; with several, the first in submission order is
+    /// re-raised.
+    pub fn scope_run<'env, T: Send + 'env>(
+        &self,
+        jobs: Vec<Box<dyn FnOnce() -> T + Send + 'env>>,
+    ) -> Vec<T> {
+        let mut out = Vec::with_capacity(jobs.len());
+        self.scope_drain(jobs, |value| out.push(value));
+        out
+    }
+
+    /// Runs every job to completion and hands each result to `drain` **in
+    /// submission order**, as soon as it and every earlier result are
+    /// ready — so the caller consumes result `i` while the helpers still
+    /// run later jobs.
     ///
     /// The caller claims jobs alongside the helpers, so a scope costs one
-    /// wake-up of the idle helpers and at most one of the caller. While
-    /// another scope holds the helpers (a concurrent or nested call), the
-    /// caller runs its jobs alone.
+    /// wake-up of the idle helpers and at most one of the caller per
+    /// result it waits for. Before claiming another job the caller drains
+    /// every result that is ready; once every job is claimed it sleeps
+    /// until the next result in order is. While another scope holds the
+    /// helpers (a concurrent call, or one opened inside `drain`), the
+    /// caller runs its jobs alone, draining each as it finishes.
     ///
-    /// Jobs may borrow from the caller's stack (`'env`): `scope_run` does
+    /// Jobs may borrow from the caller's stack (`'env`): `scope_drain` does
     /// not return or unwind before every helper has left its jobs, so no
     /// borrow outlives the call — the same contract as `std::thread::scope`,
     /// without respawning threads.
     ///
     /// # Panics
     ///
-    /// If a job panics, the panic is re-raised on the caller *after* all
-    /// jobs have finished (so `'env` borrows still end inside this call);
-    /// with several, the first in submission order is re-raised.
-    pub fn scope_run<'env, T: Send + 'env>(
+    /// If a job panics, no result after it is drained, and the panic is
+    /// re-raised on the caller *after* all jobs have finished (so `'env`
+    /// borrows still end inside this call); with several, the first in
+    /// submission order is re-raised. A panic inside `drain` propagates at
+    /// once, still after every helper has left.
+    pub fn scope_drain<'env, T: Send + 'env>(
         &self,
         jobs: Vec<Box<dyn FnOnce() -> T + Send + 'env>>,
-    ) -> Vec<T> {
+        mut drain: impl FnMut(T),
+    ) {
         let n = jobs.len();
+        let mut panic: Option<Box<dyn std::any::Any + Send>> = None;
         // A single job, or no helpers: inline execution on the caller.
         if n <= 1 || self.helpers.is_empty() {
-            return jobs.into_iter().map(|job| job()).collect();
+            for job in jobs {
+                match catch_unwind(AssertUnwindSafe(job)) {
+                    Ok(value) if panic.is_none() => drain(value),
+                    Ok(_) => {}
+                    Err(payload) => panic = panic.or(Some(payload)),
+                }
+            }
+            if let Some(payload) = panic {
+                resume_unwind(payload);
+            }
+            return;
         }
 
         // Slot `i` holds job `i` until a thread claims index `i`, then
-        // that job's result; the atomic index hands out each slot once, so
-        // every lock below is uncontended. The index publishes nothing
-        // (`Relaxed`): each slot's mutex orders its job and its result.
+        // that job's result until the caller drains it; the atomic index
+        // hands out each slot once, so every lock below is uncontended but
+        // for the caller checking a slot a helper is about to fill. The
+        // index publishes nothing (`Relaxed`): each slot's mutex orders its
+        // job and its result.
         let slots: Vec<Mutex<Slot<'env, T>>> = jobs
             .into_iter()
             .map(|job| Mutex::new(Slot::Queued(job)))
             .collect();
         let next = AtomicUsize::new(0);
-        let claim_loop = || {
-            while let Some(slot) = slots.get(next.fetch_add(1, Ordering::Relaxed)) {
-                let claimed = std::mem::replace(&mut *lock(slot), Slot::Running);
-                if let Slot::Queued(job) = claimed {
-                    let result = catch_unwind(AssertUnwindSafe(job));
-                    *lock(slot) = Slot::Done(result);
+        // The slot the caller sleeps on, `usize::MAX` while it is awake.
+        let waiting = AtomicUsize::new(usize::MAX);
+        let caller = std::thread::current();
+        // Claims and runs one job; `false` once every job is claimed.
+        let claim_one = || {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some(slot) = slots.get(i) else {
+                return false;
+            };
+            let claimed = std::mem::replace(&mut *lock(slot), Slot::Running);
+            if let Slot::Queued(job) = claimed {
+                let result = catch_unwind(AssertUnwindSafe(job));
+                *lock(slot) = Slot::Done(result);
+                // Pairs with the caller's fence: either the caller sees
+                // this result before it sleeps, or this sees it asleep.
+                fence(Ordering::SeqCst);
+                if waiting.load(Ordering::Relaxed) == i {
+                    caller.unpark();
                 }
             }
+            true
         };
+        let claim_loop = || while claim_one() {};
 
         let task: &(dyn Fn() + Sync) = &claim_loop;
         // SAFETY: the two types differ only in the lifetime bound. Helpers
@@ -265,24 +320,38 @@ impl WorkerPool {
                 })
             }
         };
-        claim_loop();
-        drop(guard);
 
-        let mut out = Vec::with_capacity(n);
-        let mut panic: Option<Box<dyn std::any::Any + Send>> = None;
-        for slot in slots {
-            // The caller's claim loop ran past the last index and every
-            // helper has left, so every slot is `Done`.
-            match slot.into_inner().unwrap_or_else(PoisonError::into_inner) {
-                Slot::Done(Ok(value)) => out.push(value),
-                Slot::Done(Err(payload)) => panic = panic.or(Some(payload)),
-                Slot::Queued(_) | Slot::Running => {}
+        let mut drained = 0;
+        while drained < n {
+            // Take the next result in order when it is ready.
+            let ready = match &mut *lock(&slots[drained]) {
+                slot @ Slot::Done(_) => Some(std::mem::replace(slot, Slot::Running)),
+                _ => None,
+            };
+            match ready {
+                Some(Slot::Done(Ok(value))) if panic.is_none() => drain(value),
+                Some(Slot::Done(Err(payload))) if panic.is_none() => panic = Some(payload),
+                Some(_) => {}
+                // Not stored yet: run another job meanwhile or, once every
+                // job is claimed, sleep until the helper running it stores it.
+                None => {
+                    if !claim_one() {
+                        waiting.store(drained, Ordering::Relaxed);
+                        fence(Ordering::SeqCst);
+                        while !matches!(*lock(&slots[drained]), Slot::Done(_)) {
+                            std::thread::park();
+                        }
+                        waiting.store(usize::MAX, Ordering::Relaxed);
+                    }
+                    continue;
+                }
             }
+            drained += 1;
         }
+        drop(guard);
         if let Some(payload) = panic {
             resume_unwind(payload);
         }
-        out
     }
 }
 
@@ -485,5 +554,143 @@ mod tests {
         let jobs: Vec<Box<dyn FnOnce() -> u8 + Send>> =
             vec![Box::new(|| 7u8) as Box<_>, Box::new(|| 9u8) as Box<_>];
         assert_eq!(pool.scope_run(jobs), vec![7, 9]);
+    }
+
+    #[test]
+    fn results_drain_in_submission_order_at_every_width() {
+        use rand::{Rng, SeedableRng};
+        for width in 1..=4 {
+            let pool = WorkerPool::new(width);
+            let mut rng = rand::rngs::StdRng::seed_from_u64(width as u64);
+            // Seeded random durations, so results finish out of order.
+            let jobs: Vec<Box<dyn FnOnce() -> usize + Send>> = (0..48usize)
+                .map(|i| {
+                    let micros = rng.gen_range(0..300u64);
+                    Box::new(move || {
+                        std::thread::sleep(Duration::from_micros(micros));
+                        i
+                    }) as Box<_>
+                })
+                .collect();
+            let mut drained = Vec::new();
+            pool.scope_drain(jobs, |i| drained.push(i));
+            assert_eq!(drained, (0..48).collect::<Vec<_>>(), "width {width}");
+        }
+    }
+
+    #[test]
+    fn the_caller_drains_while_a_helper_is_still_inside_a_later_job() {
+        const OUTSIDE: usize = usize::MAX;
+        let pool = WorkerPool::new(2);
+        let caller = std::thread::current().id();
+        let (helper_entered, overlapped) = (AtomicBool::new(false), AtomicBool::new(false));
+        // The job a helper is inside right now, or `OUTSIDE`.
+        let inside = AtomicUsize::new(OUTSIDE);
+        let jobs: Vec<Box<dyn FnOnce() -> usize + Send + '_>> = (0..8usize)
+            .map(|j| {
+                let (helper_entered, overlapped, inside) = (&helper_entered, &overlapped, &inside);
+                Box::new(move || {
+                    if std::thread::current().id() == caller {
+                        // Keep the caller from running away with every
+                        // job before a helper holds one.
+                        wait_for(helper_entered);
+                    } else if j > 0 {
+                        // Job 0 cannot wait on a drain that needs it done.
+                        inside.store(j, Ordering::SeqCst);
+                        helper_entered.store(true, Ordering::SeqCst);
+                        wait_for(overlapped);
+                        inside.store(OUTSIDE, Ordering::SeqCst);
+                    }
+                    j
+                }) as Box<_>
+            })
+            .collect();
+        let mut drained = Vec::new();
+        pool.scope_drain(jobs, |i| {
+            assert_eq!(
+                std::thread::current().id(),
+                caller,
+                "drains run on the caller"
+            );
+            let j = inside.load(Ordering::SeqCst);
+            if j != OUTSIDE && j > i {
+                overlapped.store(true, Ordering::SeqCst);
+            }
+            drained.push(i);
+        });
+        assert_eq!(drained, (0..8).collect::<Vec<_>>());
+        assert!(
+            overlapped.load(Ordering::SeqCst),
+            "result i was drained while a helper was still inside job j > i"
+        );
+    }
+
+    #[test]
+    fn the_first_panic_in_order_is_re_raised_after_every_job_and_ends_the_drain() {
+        for width in 1..=4 {
+            let pool = WorkerPool::new(width);
+            let finished = AtomicUsize::new(0);
+            let mut drained = Vec::new();
+            let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                let jobs: Vec<Box<dyn FnOnce() -> usize + Send + '_>> = (0..16usize)
+                    .map(|i| {
+                        let finished = &finished;
+                        Box::new(move || {
+                            // The later panic finishes first.
+                            match i {
+                                9 => panic!("job 9"),
+                                5 => {
+                                    std::thread::sleep(Duration::from_millis(5));
+                                    panic!("job 5")
+                                }
+                                _ => {}
+                            }
+                            std::thread::sleep(Duration::from_micros(200));
+                            finished.fetch_add(1, Ordering::SeqCst);
+                            i
+                        }) as Box<_>
+                    })
+                    .collect();
+                pool.scope_drain(jobs, |i| drained.push(i));
+            }));
+            let finished = finished.load(Ordering::SeqCst);
+            let payload = result.expect_err("the panic propagates");
+            assert_eq!(
+                payload.downcast_ref::<&str>(),
+                Some(&"job 5"),
+                "width {width}"
+            );
+            assert_eq!(
+                finished, 14,
+                "every other job finished first (width {width})"
+            );
+            assert_eq!(drained, (0..5).collect::<Vec<_>>(), "width {width}");
+        }
+    }
+
+    #[test]
+    fn a_scope_opened_inside_a_drain_runs_inline() {
+        let pool = WorkerPool::new(3);
+        let caller = std::thread::current().id();
+        let outer: Vec<Box<dyn FnOnce() -> usize + Send>> = (0..6usize)
+            .map(|i| {
+                Box::new(move || {
+                    std::thread::sleep(Duration::from_micros(100));
+                    i
+                }) as Box<_>
+            })
+            .collect();
+        let mut nested_threads = Vec::new();
+        pool.scope_drain(outer, |_| {
+            let inner: Vec<Box<dyn FnOnce() -> std::thread::ThreadId + Send>> = (0..4)
+                .map(|_| Box::new(|| std::thread::current().id()) as Box<_>)
+                .collect();
+            nested_threads.extend(pool.scope_run(inner));
+        });
+        assert_eq!(nested_threads.len(), 24);
+        assert!(
+            nested_threads.iter().all(|&id| id == caller),
+            "a nested scope runs on the caller alone"
+        );
     }
 }

@@ -95,8 +95,8 @@ impl CompressionPolicy for StaticCompressionPolicy {
 }
 
 /// Adapts a [`SyncStrategy`] (FedAvg/FedAdam/FedProx/SCAFFOLD) to the
-/// runtime's aggregation axis. Baseline strategies train with the
-/// per-step gradient hook installed and honour the round deadline.
+/// runtime's aggregation axis. A strategy whose gradient hook edits
+/// anything (FedProx, SCAFFOLD) trains with it installed.
 #[derive(Debug)]
 pub struct StrategyAggregation {
     strategy: Box<dyn SyncStrategy>,
@@ -119,7 +119,7 @@ impl AggregationPolicy for StrategyAggregation {
     }
 
     fn uses_gradient_hook(&self) -> bool {
-        true
+        self.strategy.uses_gradient_hook()
     }
 
     fn gradient_hook(&self, client: usize, grad: &mut [f32], params: &[f32], global: &[f32]) {

@@ -3,14 +3,12 @@
 //! A [`ServerCore`] is the part of a server that does not depend on the
 //! schedule driving it: the global model and its `ĝ` digest, the test
 //! set, the communication plane, the compute and fault models and the
-//! recorder. It knows how a server is built from a [`Scenario`], what a
-//! history row is and how the fault plan turns a payload into an
-//! [`UplinkFrame`]; the synchronous and asynchronous drivers add only
-//! their schedule on top.
+//! recorder. It knows how a server is built from a [`Scenario`] and what a
+//! history row is; the synchronous and asynchronous drivers add only their
+//! schedule on top.
 
 use super::builder::Scenario;
-use super::io::{RoundIo, UplinkFrame};
-use super::payload::UpdatePayload;
+use super::io::RoundIo;
 use crate::client::Evaluator;
 use crate::compute::ComputeModel;
 use crate::config::FlConfig;
@@ -135,26 +133,5 @@ impl ServerCore {
             uplink_updates: self.io.ledger().uplink_updates(),
             contributors,
         });
-    }
-
-    /// The fault plan's view of one prepared uplink. Colluding Byzantine
-    /// clients share a direction keyed by `collusion_key`: the round for
-    /// the synchronous schedule, the global version the client trained
-    /// from for the asynchronous one. Stopping a Byzantine frame is the
-    /// robust stage's job.
-    pub fn uplink_frame(
-        &mut self,
-        client: usize,
-        payload: UpdatePayload,
-        collusion_key: usize,
-    ) -> UplinkFrame {
-        UplinkFrame {
-            payload,
-            attack: self
-                .faults
-                .attacks_update(client)
-                .map(|kind| (kind, self.faults.collusion_seed(collusion_key))),
-            corrupt: self.faults.corrupts_update(client),
-        }
     }
 }

@@ -10,7 +10,7 @@
 
 use super::core::ServerCore;
 use super::emit::{self, At};
-use super::io::RESYNC_DELAY_SECONDS;
+use super::io::{UplinkFrame, RESYNC_DELAY_SECONDS};
 use super::policy::{AsyncApplyCtx, AsyncDownlinkCtx, AsyncPolicy, AsyncUploadCtx};
 use super::stages::ServerStages;
 use crate::client::{Device, Trainer};
@@ -220,9 +220,7 @@ impl AsyncRuntime {
             queue.push(done + idle, Event::Resync { client });
             return;
         };
-        let frame = core
-            .uplink_frame(client, payload, version as usize)
-            .process();
+        let frame = UplinkFrame::new(&mut core.faults, client, payload, version as usize).process();
         let sent = At {
             round: None,
             client,

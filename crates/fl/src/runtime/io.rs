@@ -23,7 +23,7 @@
 
 use super::payload::UpdatePayload;
 use crate::config::FlConfig;
-use crate::faults::{attack_payload, corrupt_payload, FaultKind};
+use crate::faults::{attack_payload, corrupt_payload, FaultKind, FaultPlan};
 use crate::ledger::CommunicationLedger;
 use adafl_compression::DecodeError;
 use adafl_netsim::{
@@ -57,6 +57,26 @@ pub struct UplinkFrame {
 }
 
 impl UplinkFrame {
+    /// The fault plan's view of one prepared uplink. Colluding Byzantine
+    /// clients share a direction keyed by `collusion_key`: the round for
+    /// the synchronous schedule, the global version the client trained
+    /// from for the asynchronous one. Stopping a Byzantine frame is the
+    /// robust stage's job.
+    pub fn new(
+        faults: &mut FaultPlan,
+        client: usize,
+        payload: UpdatePayload,
+        collusion_key: usize,
+    ) -> Self {
+        UplinkFrame {
+            payload,
+            attack: faults
+                .attacks_update(client)
+                .map(|kind| (kind, faults.collusion_seed(collusion_key))),
+            corrupt: faults.corrupts_update(client),
+        }
+    }
+
     /// The wire-fault transform both runtimes apply to an uplink: attack,
     /// then corruption, then the decoder's verdict on what is left — a
     /// pure function of the frame's own bytes.

@@ -247,7 +247,13 @@ impl UpdatePayload {
                     // to view-local, then scatter through the descriptor.
                     desc.scatter_add_scaled(&s.to_dense(), dest, scale)
                 }
-                UpdatePayload::SubView { .. } => unreachable!("sub-views cannot nest"),
+                nested @ UpdatePayload::SubView { .. } => {
+                    // `sub_view` never nests frames; a nested one built by
+                    // hand still has a view-local dense form to scatter.
+                    let mut local = vec![0.0f32; desc.view_len()];
+                    nested.add_scaled_into(&mut local, 1.0);
+                    desc.scatter_add_scaled(&local, dest, scale)
+                }
             },
         }
     }

@@ -177,10 +177,13 @@ pub trait AggregationPolicy: fmt::Debug + Send + Sync {
     /// Called once before the first round.
     fn init(&mut self, _dim: usize, _clients: usize) {}
 
-    /// Whether local training installs the per-step gradient hook. Purely
-    /// a call skipped: a hook that edits nothing trains bit for bit like no
-    /// hook (`full_view_training_is_bitwise_train_local`), so `false` only
-    /// saves one virtual [`AggregationPolicy::gradient_hook`] call per step.
+    /// Whether local training installs the per-step gradient hook. A hook
+    /// that edits nothing trains bit for bit like no hook
+    /// (`full_view_training_is_bitwise_train_local`), so `false` skips one
+    /// virtual [`AggregationPolicy::gradient_hook`] call per step — and,
+    /// because training jobs then never read the policy, lets the runtime
+    /// drain each finished update into it while the rest of the cohort
+    /// still trains.
     fn uses_gradient_hook(&self) -> bool {
         false
     }

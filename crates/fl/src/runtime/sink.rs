@@ -126,17 +126,19 @@ impl UpdateSink {
                 }
             }
         }
+        // `fold_one` sets an edge's lead with its first fold, so every edge
+        // that folded has one.
         let charges: Vec<(usize, usize)> = self
             .edges
             .iter()
             .filter(|e| e.acc.count > 0)
-            .map(|e| (e.lead_client.expect("active edge has a lead"), e.acc.count))
+            .filter_map(|e| Some((e.lead_client?, e.acc.count)))
             .collect();
-        if charges.is_empty() {
-            return Closed::Folded(None);
-        }
         let mut edges = self.edges.into_iter();
-        let mut merged = edges.next().expect("at least one edge").acc;
+        let Some(first) = edges.next().filter(|_| !charges.is_empty()) else {
+            return Closed::Folded(None);
+        };
+        let mut merged = first.acc;
         for e in edges {
             if e.acc.count > 0 {
                 merged.merge(&e.acc);

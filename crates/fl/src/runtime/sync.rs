@@ -8,13 +8,13 @@
 //!
 //! [`SyncRuntime::run_round`] drives one phase function per stage of the
 //! round: `select_cohort`, then per cohort chunk `broadcast_chunk` →
-//! `train_ready` → `encode_chunk` → `uplink_chunk`, then `advance_clock`
-//! and `ServerStages::run_cohort` or `aggregate_folded`.
+//! `train_and_drain`, then `advance_clock` and `ServerStages::run_cohort`
+//! or `aggregate_folded`.
 
 use super::baseline::{RandomSelection, StaticCompressionPolicy, StrategyAggregation};
 use super::core::ServerCore;
 use super::emit::{self, At};
-use super::io::{ProcessedFrame, UplinkFrame, EMPTY_ROUND_WAIT_SECONDS};
+use super::io::{UplinkFrame, EMPTY_ROUND_WAIT_SECONDS};
 use super::payload::{RoundUpdate, UpdatePayload};
 use super::policy::{
     AggregationPolicy, CompressionPolicy, SelectionCtx, SelectionPolicy, StreamAccumulator,
@@ -99,24 +99,14 @@ struct Round {
     densified: Vec<f32>,
 }
 
-/// One participant whose broadcast landed, on its way through a cohort
-/// chunk: `broadcast_chunk` creates the record and each later phase fills
-/// in what it learns.
-#[derive(Debug)]
+/// One participant whose broadcast landed: what crosses from
+/// `broadcast_chunk` to its training job and on to the drain.
+#[derive(Debug, Clone, Copy)]
 struct Participant {
     /// Position in the round's cohort, global across chunks.
     rank: usize,
     client: usize,
     downlink_done: SimTime,
-    /// `train_ready`: the local training result.
-    outcome: LocalOutcome,
-    /// `encode_chunk`: when training finished on the simulated clock.
-    train_done: SimTime,
-    /// `encode_chunk`: whether the fault plan delivers this update.
-    delivered: bool,
-    /// `encode_chunk`: the uplink after the wire-fault transform; `None`
-    /// when the compression policy dropped the update.
-    frame: Option<ProcessedFrame>,
 }
 
 /// Policy-driven synchronous round runtime. One round: select → broadcast
@@ -287,19 +277,17 @@ impl SyncRuntime {
             self.core.config.edge_aggregators,
         );
 
-        // Cohort scheduling: participants run through broadcast → train →
-        // encode → uplink in contiguous chunks of `cohort_size` — one
-        // chunk covering everyone when unset, which is byte-identical to
-        // the pre-cohort monolithic loop. Ranks stay global across chunks
-        // so capacity views and upload contexts see the same cohort
+        // Cohort scheduling: participants run through broadcast → train
+        // and drain in contiguous chunks of `cohort_size` — one chunk
+        // covering everyone when unset, which is byte-identical to the
+        // pre-cohort monolithic loop. Ranks stay global across chunks so
+        // capacity views and upload contexts see the same cohort
         // coordinates either way.
         let cohort = r.participants.len();
         let chunk_size = self.core.config.cohort_size.unwrap_or(cohort).max(1);
         for start in (0..cohort).step_by(chunk_size) {
-            let mut chunk = self.broadcast_chunk(&r, start..(start + chunk_size).min(cohort));
-            self.train_ready(&r, &mut chunk);
-            self.encode_chunk(&mut r, &mut chunk);
-            self.uplink_chunk(&mut r, &mut sink, chunk);
+            let chunk = self.broadcast_chunk(&r, start..(start + chunk_size).min(cohort));
+            self.train_and_drain(&mut r, &mut sink, chunk);
         }
 
         self.advance_clock(&r, sink.delivered());
@@ -390,178 +378,10 @@ impl SyncRuntime {
                     rank,
                     client,
                     downlink_done,
-                    outcome: LocalOutcome::default(),
-                    train_done: downlink_done,
-                    delivered: false,
-                    frame: None,
                 });
             }
         }
         chunk
-    }
-
-    /// Encode: policy bookkeeping and wire-form preparation in cohort
-    /// order (aggregation and compression policies are stateful), then the
-    /// wire-fault transform of each frame. A frame with no attack and no
-    /// corruption is processed inline — its transform is a move, cheaper
-    /// than a pool job (256 identity jobs cost `fleet_100k_stream` 14–25 ms
-    /// a repetition on two workers, against 0.9 ms inline). Only frames an
-    /// attack or a corruption rewrites go across the pool, and their
-    /// results are written back by cohort index. Each transform is a pure
-    /// function of its own frame, so the records are byte-identical at any
-    /// pool width and whichever side ran it. Unlike the training jobs,
-    /// these sub-microsecond jobs hand their result back rather than store
-    /// it in the record themselves: with two workers writing neighbouring
-    /// records at that rate `fleet_100k_stream` read 2–8 % fewer updates
-    /// per second in seven of seven paired runs. Only aggregate
-    /// counters/histograms are touched here, whose export is order-free;
-    /// streamed telemetry waits for `uplink_chunk`.
-    fn encode_chunk(&mut self, r: &mut Round, chunk: &mut [Participant]) {
-        let round = r.index;
-        let local_steps = self.core.config.local_steps;
-        let dense_bytes = dense_wire_size(self.core.global.len());
-        let effective_lr = self.core.config.learning_rate / (1.0 - self.core.config.momentum);
-        let mut jobs: Vec<Box<dyn FnOnce() -> ProcessedFrame + Send>> = Vec::new();
-        let mut dispatched: Vec<usize> = Vec::new();
-        for (idx, p) in chunk.iter_mut().enumerate() {
-            let c = p.client;
-            let view = r.views.as_ref().map(|views| &views[p.rank]);
-            let delta_full: &[f32] = match view {
-                Some((view, _)) => {
-                    r.densified.clear();
-                    r.densified.resize(self.core.global.len(), 0.0);
-                    view.scatter(&p.outcome.delta, &mut r.densified);
-                    &r.densified
-                }
-                None => &p.outcome.delta,
-            };
-            self.aggregation
-                .after_local_round(c, delta_full, p.outcome.steps, effective_lr);
-
-            // Stale clients' slowdowns were folded into the compute model
-            // at construction.
-            p.train_done = p.downlink_done + self.core.compute.training_time(c, local_steps);
-            p.delivered = self.core.faults.update_delivered(c, round);
-            let ctx = SyncUploadCtx {
-                round,
-                client: c,
-                rank: p.rank,
-                cohort: r.participants.len(),
-                // Compression ratios are relative to what this client
-                // would send uncompressed: its view, not the model.
-                dense_bytes: view.map_or(dense_bytes, |(v, _)| dense_wire_size(v.view_len())),
-                delivered: p.delivered,
-                tracing: r.tracing,
-                recorder: &self.core.recorder,
-            };
-            let payload =
-                self.compression
-                    .prepare(&ctx, &p.outcome.delta)
-                    .map(|inner| match view {
-                        Some((_, desc)) => UpdatePayload::sub_view(desc.clone(), inner),
-                        None => inner,
-                    });
-            match payload.map(|payload| self.core.uplink_frame(c, payload, round)) {
-                Some(frame) if frame.attack.is_some() || frame.corrupt.is_some() => {
-                    dispatched.push(idx);
-                    jobs.push(Box::new(move || frame.process()));
-                }
-                frame => p.frame = frame.map(UplinkFrame::process),
-            }
-        }
-        for (idx, frame) in dispatched.into_iter().zip(self.pool.scope_run(jobs)) {
-            chunk[idx].frame = Some(frame);
-        }
-    }
-
-    /// Uplink: telemetry, ledger charging, the deadline policy and the
-    /// sink, in cohort order — the network RNG and the event stream are
-    /// both order-pinned, so spans and events are emitted here in the
-    /// same per-client order as a single loop would. Histories, ledgers
-    /// and traces are byte-identical at any pool width.
-    fn uplink_chunk(&mut self, r: &mut Round, sink: &mut UpdateSink, chunk: Vec<Participant>) {
-        let round = Some(r.index);
-        let recorder = &self.core.recorder;
-        let deadline = self.core.config.round_deadline;
-        let deadline = deadline.filter(|_| self.enforce_deadline);
-        for p in chunk {
-            let c = p.client;
-            if r.tracing {
-                recorder.span(
-                    SpanRecord::new(
-                        names::SPAN_CLIENT_COMPUTE,
-                        p.downlink_done.seconds(),
-                        p.train_done.seconds(),
-                    )
-                    .round(r.index)
-                    .client(c)
-                    .field("steps", p.outcome.steps),
-                );
-            }
-            let sent = At {
-                round,
-                client: c,
-                seconds: p.train_done.seconds(),
-            };
-            let Some(frame) = p.frame else {
-                debug_assert!(!p.delivered, "policies only drop undelivered updates");
-                if r.tracing {
-                    recorder.counter_add(names::FL_DROPOUTS, 1);
-                    recorder.event(
-                        EventRecord::new(names::EVENT_DROPOUT, sent.seconds)
-                            .round(r.index)
-                            .client(c),
-                    );
-                }
-                continue;
-            };
-            if let Some(kind) = frame.attacked {
-                emit::attack(recorder, sent, kind);
-            }
-            if frame.corrupted {
-                emit::corruption(recorder, sent);
-            }
-            let delivery = self.core.io.uplink_update(c, &frame.payload, p.train_done);
-            let Some(arrival) = delivery.arrival else {
-                continue;
-            };
-            let elapsed = arrival - self.clock;
-            // §III max-wait-time policy: the server drops updates arriving
-            // after the deadline.
-            if let Some(deadline) = deadline.filter(|&d| elapsed.seconds() > d) {
-                r.deadline_fired = Some(deadline);
-                if r.tracing {
-                    recorder.counter_add(names::FL_DEADLINE_MISSES, 1);
-                    recorder.event(
-                        EventRecord::new(names::EVENT_DEADLINE_MISS, arrival.seconds())
-                            .round(r.index)
-                            .client(c)
-                            .field("elapsed_seconds", elapsed.seconds()),
-                    );
-                }
-                continue;
-            }
-            r.round_time = r.round_time.max(elapsed);
-            if let Some(err) = frame.decode_error {
-                // The bytes travelled, were charged and gated the round
-                // clock, but the server cannot parse them: the update is
-                // dropped before the defense gate ever sees values.
-                let arrived = At {
-                    seconds: arrival.seconds(),
-                    ..sent
-                };
-                emit::decode_reject(recorder, arrived, &err);
-                continue;
-            }
-            sink.accept(
-                &mut *self.aggregation,
-                RoundUpdate {
-                    client: c,
-                    payload: frame.payload,
-                    weight: p.outcome.num_samples as f32,
-                },
-            );
-        }
     }
 
     /// Eq. 3: the round completes when the slowest delivered participant
@@ -659,63 +479,218 @@ impl SyncRuntime {
         }
     }
 
-    /// Trains the chunk's devices across the pool: one job per device,
-    /// each on a warm trainer from [`Trainers::run`], writing its own
-    /// record's outcome. Devices are mutually independent during local
-    /// training and a trainer carries nothing between them, so results do
-    /// not depend on scheduling and runs are byte-identical at any pool
-    /// width. A pooled device is bound to its client inside its job, so
-    /// the shard fetch runs on the pool too. In capacity mode each device
-    /// trains on its rank's sub-view of the global vector instead of the
-    /// full model.
-    fn train_ready(&mut self, r: &Round, chunk: &mut [Participant]) {
-        let steps = self.core.config.local_steps;
-        let aggregation = &self.aggregation;
-        let use_hook = aggregation.uses_gradient_hook();
-        let global = &self.core.global;
-        let (round, ready) = (r.index as u64, chunk.len());
-        // One device per record, in chunk (cohort) order.
-        let (items, binder): (Vec<(&mut Participant, &mut Device)>, _) = match &mut self.clients {
+    /// Trains the chunk across the pool and drains it on the caller.
+    ///
+    /// One job per device, each on a warm trainer from
+    /// [`Trainers::run_drain`], returns its participant's local outcome. A
+    /// pooled device is bound to its client inside its job, so the shard
+    /// fetch runs on the pool too; in capacity mode each device trains on
+    /// its rank's sub-view of the global vector instead of the full model.
+    /// Devices are mutually independent during local training and a
+    /// trainer carries nothing between them, so outcomes do not depend on
+    /// scheduling.
+    ///
+    /// The drain step runs once per participant on the caller, in cohort
+    /// order, as soon as that participant's job and every earlier one are
+    /// done, while the pool still trains the rest of the chunk: policy
+    /// bookkeeping, the fault plan's draws, the wire form and its fault
+    /// transform, telemetry, ledger charging, the deadline and the sink.
+    /// All of it is order-pinned (stateful policies, the fault and network
+    /// RNGs, the event stream) and none of it is read by a job, so
+    /// histories, ledgers and traces are byte-identical at any pool width.
+    /// A hooked aggregation policy (FedProx, SCAFFOLD) is read by every
+    /// job, so its chunk drains through the same step after the scope.
+    fn train_and_drain(&mut self, r: &mut Round, sink: &mut UpdateSink, chunk: Vec<Participant>) {
+        let config = &self.core.config;
+        let (steps, round) = (config.local_steps, r.index);
+        let effective_lr = config.learning_rate / (1.0 - config.momentum);
+        let deadline = config.round_deadline.filter(|_| self.enforce_deadline);
+        let (global, views) = (&self.core.global, r.views.as_deref());
+        let dense_bytes = dense_wire_size(global.len());
+        let ready = chunk.len();
+        // One device per participant, in chunk (cohort) order.
+        let (items, binder): (Vec<(Participant, &mut Device)>, _) = match &mut self.clients {
             Fleet::Resident(devices) => {
                 // Per-id slots (O(N), not an O(N²) contains scan) so each
                 // ready client's &mut is taken exactly once — in cohort
                 // order, whatever that order is.
                 let mut by_id: Vec<Option<&mut Device>> = devices.iter_mut().map(Some).collect();
                 let items: Vec<_> = chunk
-                    .iter_mut()
-                    .filter_map(|p| {
-                        let device = by_id[p.client].take()?;
-                        Some((p, device))
-                    })
+                    .into_iter()
+                    .filter_map(|p| Some((p, by_id[p.client].take()?)))
                     .collect();
                 (items, None)
             }
             Fleet::Pooled(pool) => {
                 let ids: Vec<usize> = chunk.iter().map(|p| p.client).collect();
                 let (devices, binder) = pool.lease(&ids);
-                (chunk.iter_mut().zip(devices).collect(), Some(binder))
+                (chunk.into_iter().zip(devices).collect(), Some(binder))
             }
         };
         debug_assert_eq!(items.len(), ready, "ready clients listed once");
-        let work = |trainer: &mut Trainer, (p, device): (&mut Participant, &mut Device)| {
+        let train = |trainer: &mut Trainer,
+                     (p, device): (Participant, &mut Device),
+                     policy: Option<&dyn AggregationPolicy>| {
             let c = p.client;
             if let Some(binder) = &binder {
-                binder.bind(device, c, round);
+                binder.bind(device, c, round as u64);
             }
-            // Hooked or not, training is one loop and one float sequence;
-            // the flag only skips a no-op call per step.
-            let mut correct = |grad: &mut [f32], params: &[f32], g: &[f32]| {
-                aggregation.gradient_hook(c, grad, params, g);
-            };
-            let hook: Option<GradientHook<'_>> = if use_hook { Some(&mut correct) } else { None };
-            p.outcome = match r.views.as_ref().map(|v| &v[p.rank].0) {
+            let mut correct = policy.map(|policy| {
+                move |grad: &mut [f32], params: &[f32], g: &[f32]| {
+                    policy.gradient_hook(c, grad, params, g)
+                }
+            });
+            let hook = correct.as_mut().map(|f| f as GradientHook<'_>);
+            let outcome = match views.map(|v| &v[p.rank].0) {
                 Some(view) => {
                     let values = view.extract(global);
                     trainer.train_local_view(device, view, &values, steps, hook)
                 }
                 None => trainer.train_local(device, global, steps, hook),
             };
+            (p, outcome)
         };
-        self.trainers.run(&self.pool, items, work);
+
+        let (faults, io, compression) = (
+            &mut self.core.faults,
+            &mut self.core.io,
+            &mut self.compression,
+        );
+        let (compute, recorder, clock) = (&self.core.compute, &self.core.recorder, self.clock);
+        let (cohort, tracing) = (r.participants.len(), r.tracing);
+        let (round_time, deadline_fired, densified) =
+            (&mut r.round_time, &mut r.deadline_fired, &mut r.densified);
+        let mut drain = |aggregation: &mut dyn AggregationPolicy,
+                         (p, outcome): (Participant, LocalOutcome)| {
+            let c = p.client;
+            let view = views.map(|views| &views[p.rank]);
+            let delta_full: &[f32] = match view {
+                Some((view, _)) => {
+                    densified.clear();
+                    densified.resize(global.len(), 0.0);
+                    view.scatter(&outcome.delta, densified);
+                    densified
+                }
+                None => &outcome.delta,
+            };
+            aggregation.after_local_round(c, delta_full, outcome.steps, effective_lr);
+
+            // Stale clients' slowdowns were folded into the compute model
+            // at construction.
+            let train_done = p.downlink_done + compute.training_time(c, steps);
+            let delivered = faults.update_delivered(c, round);
+            let ctx = SyncUploadCtx {
+                round,
+                client: c,
+                rank: p.rank,
+                cohort,
+                // Compression ratios are relative to what this client
+                // would send uncompressed: its view, not the model.
+                dense_bytes: view.map_or(dense_bytes, |(v, _)| dense_wire_size(v.view_len())),
+                delivered,
+                tracing,
+                recorder,
+            };
+            let payload = compression
+                .prepare(&ctx, &outcome.delta)
+                .map(|inner| match view {
+                    Some((_, desc)) => UpdatePayload::sub_view(desc.clone(), inner),
+                    None => inner,
+                });
+            if tracing {
+                recorder.span(
+                    SpanRecord::new(
+                        names::SPAN_CLIENT_COMPUTE,
+                        p.downlink_done.seconds(),
+                        train_done.seconds(),
+                    )
+                    .round(round)
+                    .client(c)
+                    .field("steps", outcome.steps),
+                );
+            }
+            let sent = At {
+                round: Some(round),
+                client: c,
+                seconds: train_done.seconds(),
+            };
+            let Some(payload) = payload else {
+                debug_assert!(!delivered, "policies only drop undelivered updates");
+                if tracing {
+                    recorder.counter_add(names::FL_DROPOUTS, 1);
+                    recorder.event(
+                        EventRecord::new(names::EVENT_DROPOUT, sent.seconds)
+                            .round(round)
+                            .client(c),
+                    );
+                }
+                return;
+            };
+            let frame = UplinkFrame::new(faults, c, payload, round).process();
+            if let Some(kind) = frame.attacked {
+                emit::attack(recorder, sent, kind);
+            }
+            if frame.corrupted {
+                emit::corruption(recorder, sent);
+            }
+            let delivery = io.uplink_update(c, &frame.payload, train_done);
+            let Some(arrival) = delivery.arrival else {
+                return;
+            };
+            let elapsed = arrival - clock;
+            // §III max-wait-time policy: the server drops updates arriving
+            // after the deadline.
+            if let Some(deadline) = deadline.filter(|&d| elapsed.seconds() > d) {
+                *deadline_fired = Some(deadline);
+                if tracing {
+                    recorder.counter_add(names::FL_DEADLINE_MISSES, 1);
+                    recorder.event(
+                        EventRecord::new(names::EVENT_DEADLINE_MISS, arrival.seconds())
+                            .round(round)
+                            .client(c)
+                            .field("elapsed_seconds", elapsed.seconds()),
+                    );
+                }
+                return;
+            }
+            *round_time = (*round_time).max(elapsed);
+            if let Some(err) = frame.decode_error {
+                // The bytes travelled, were charged and gated the round
+                // clock, but the server cannot parse them: the update is
+                // dropped before the defense gate ever sees values.
+                let arrived = At {
+                    seconds: arrival.seconds(),
+                    ..sent
+                };
+                emit::decode_reject(recorder, arrived, &err);
+                return;
+            }
+            sink.accept(
+                aggregation,
+                RoundUpdate {
+                    client: c,
+                    payload: frame.payload,
+                    weight: outcome.num_samples as f32,
+                },
+            );
+        };
+
+        let aggregation = &mut self.aggregation;
+        if aggregation.uses_gradient_hook() {
+            let policy = &**aggregation;
+            let outcomes = self
+                .trainers
+                .run(&self.pool, items, |t, item| train(t, item, Some(policy)));
+            for done in outcomes {
+                drain(&mut **aggregation, done);
+            }
+        } else {
+            self.trainers.run_drain(
+                &self.pool,
+                items,
+                |t, item| train(t, item, None),
+                |done| drain(&mut **aggregation, done),
+            );
+        }
     }
 }

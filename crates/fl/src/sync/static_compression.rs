@@ -84,14 +84,12 @@ impl CompressorState {
                 let k = ((delta.len() as f32 / *ratio).round() as usize).max(1);
                 // The error-feedback wrapper wants the dense decoding of
                 // what was sent; the sparse form itself is the payload.
-                let mut sent: Option<SparseUpdate> = None;
+                let mut sent = SparseUpdate::default();
                 feedback.compress(delta, |g| {
-                    let sparse = top_k(g, k);
-                    let dense = sparse.to_dense();
-                    sent = Some(sparse);
-                    dense
+                    sent = top_k(g, k);
+                    sent.to_dense()
                 });
-                UpdatePayload::Sparse(sent.expect("compressor closure always runs"))
+                UpdatePayload::Sparse(sent)
             }
             CompressorState::Qsgd(q) => UpdatePayload::quantized(q.quantize(delta)),
             CompressorState::Tern(t) => UpdatePayload::ternary(t.ternarize(delta)),

@@ -30,7 +30,17 @@ pub trait SyncStrategy: std::fmt::Debug + Send + Sync {
     /// client count.
     fn init(&mut self, _dim: usize, _clients: usize) {}
 
-    /// Client-side gradient correction applied at every local step.
+    /// Whether [`SyncStrategy::gradient_hook`] edits anything. `false`
+    /// (the default) lets the runtime skip the hook, and with it the
+    /// strategy's borrow during training, so each finished update is
+    /// drained while the rest of the cohort still trains; a strategy that
+    /// overrides the hook returns `true`.
+    fn uses_gradient_hook(&self) -> bool {
+        false
+    }
+
+    /// Client-side gradient correction applied at every local step (only
+    /// called when [`SyncStrategy::uses_gradient_hook`] is true).
     fn gradient_hook(&self, _client: usize, _grad: &mut [f32], _params: &[f32], _global: &[f32]) {}
 
     /// Called after a client finishes local training (before aggregation),
@@ -163,6 +173,10 @@ impl FedProx {
 impl SyncStrategy for FedProx {
     fn name(&self) -> &'static str {
         "fedprox"
+    }
+
+    fn uses_gradient_hook(&self) -> bool {
+        true
     }
 
     fn gradient_hook(&self, _client: usize, grad: &mut [f32], params: &[f32], global: &[f32]) {
@@ -328,6 +342,10 @@ impl Default for Scaffold {
 impl SyncStrategy for Scaffold {
     fn name(&self) -> &'static str {
         "scaffold"
+    }
+
+    fn uses_gradient_hook(&self) -> bool {
+        true
     }
 
     fn init(&mut self, dim: usize, clients: usize) {

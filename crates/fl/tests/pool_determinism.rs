@@ -2,16 +2,19 @@
 //! sequential training must be byte-identical, both at the `LocalOutcome`
 //! level and through a whole runtime run's telemetry (modulo wall-clock
 //! measurements, which are inherently nondeterministic) — resident,
-//! pooled and crash-faulted fleets alike, whichever warm trainer each
-//! device's job picks up.
+//! pooled and crash-faulted fleets, a hooked strategy drained after its
+//! scope and an attacked, corrupted cohort drained during it alike,
+//! whichever warm trainer each device's job picks up.
 
 use adafl_data::partition::Partitioner;
 use adafl_data::synthetic::SyntheticSpec;
 use adafl_fl::config::FlConfig;
+use adafl_fl::defense::DefenseConfig;
 use adafl_fl::faults::{FaultKind, FaultPlan};
 use adafl_fl::pool::WorkerPool;
 use adafl_fl::runtime::{RuntimeBuilder, SyncRuntime};
-use adafl_fl::sync::strategies::FedAvg;
+use adafl_fl::sync::strategies::{FedAvg, FedProx};
+use adafl_fl::sync::{ClientUpdate, SyncStrategy};
 use adafl_fl::{CapacityTier, FlClient, LocalOutcome, StaticCapacity, VecShardSource};
 use adafl_nn::models::ModelSpec;
 use adafl_telemetry::{names, InMemoryRecorder, Trace};
@@ -68,14 +71,21 @@ enum Run {
     /// A resident MLP fleet on two capacity tiers with crash faults: the
     /// replicas a sub-view round reads are checkpointed and restored.
     Crashes,
+    /// FedProx in cohorts of 2: every job reads the strategy's hook, so
+    /// each chunk drains after its scope.
+    Prox,
+    /// FedAvg behind the defense gate, with a sign-flipping attacker and a
+    /// corrupting client: their frames are attacked and corrupted in the
+    /// drain, while later devices still train.
+    Byzantine,
 }
 
 /// A traced run at the given pool width: 1 trains every device inline on
 /// the calling thread, wider pools fan the cohort across their threads.
 fn engine(run: Run, threads: usize) -> (SyncRuntime, Arc<InMemoryRecorder>) {
     let clients = match run {
-        Run::Resident => 4,
-        Run::Pooled | Run::Crashes => 6,
+        Run::Resident | Run::Prox => 4,
+        Run::Pooled | Run::Crashes | Run::Byzantine => 6,
     };
     let mut config = FlConfig::builder()
         .clients(clients)
@@ -84,7 +94,7 @@ fn engine(run: Run, threads: usize) -> (SyncRuntime, Arc<InMemoryRecorder>) {
         .local_steps(3)
         .batch_size(16);
     config = match run {
-        Run::Resident => config.model(ModelSpec::LogisticRegression {
+        Run::Resident | Run::Prox | Run::Byzantine => config.model(ModelSpec::LogisticRegression {
             in_features: 64,
             classes: 10,
         }),
@@ -94,9 +104,11 @@ fn engine(run: Run, threads: usize) -> (SyncRuntime, Arc<InMemoryRecorder>) {
             classes: 10,
         }),
     };
-    if let Run::Pooled = run {
-        config = config.cohort_size(3);
-    }
+    config = match run {
+        Run::Pooled => config.cohort_size(3),
+        Run::Prox => config.cohort_size(2),
+        _ => config,
+    };
     let config = config.build();
     let data = SyntheticSpec::mnist_like(8, 400).generate(0);
     let (train, test) = data.split_at(320);
@@ -111,7 +123,20 @@ fn engine(run: Run, threads: usize) -> (SyncRuntime, Arc<InMemoryRecorder>) {
         .threads(Some(threads))
         .recorder(rec.clone());
     let builder = match run {
-        Run::Resident => builder.partitioned(&train, Partitioner::Iid),
+        Run::Resident | Run::Prox => builder.partitioned(&train, Partitioner::Iid),
+        Run::Byzantine => {
+            let kinds = (0..clients)
+                .map(|c| match c {
+                    1 => FaultKind::SignFlip,
+                    4 => FaultKind::Corruption { prob: 0.5 },
+                    _ => FaultKind::Reliable,
+                })
+                .collect();
+            builder
+                .partitioned(&train, Partitioner::Iid)
+                .faults(FaultPlan::new(kinds, 9))
+                .defense(Some(DefenseConfig::default()))
+        }
         Run::Pooled => {
             let shards = Partitioner::Iid.split(&train, clients, 11);
             builder
@@ -138,7 +163,11 @@ fn engine(run: Run, threads: usize) -> (SyncRuntime, Arc<InMemoryRecorder>) {
                 .faults(FaultPlan::new(kinds, 5))
         }
     };
-    (builder.build_sync(Box::new(FedAvg::new())), rec)
+    let strategy: Box<dyn SyncStrategy> = match run {
+        Run::Prox => Box::new(FedProx::new(0.1)),
+        _ => Box::new(FedAvg::new()),
+    };
+    (builder.build_sync(strategy), rec)
 }
 
 /// Strips the only legitimately nondeterministic telemetry dimension: wall
@@ -152,7 +181,13 @@ fn scrub_wall_times(mut trace: Trace) -> Trace {
 
 #[test]
 fn pool_and_sequential_telemetry_agree_modulo_wall_times() {
-    for run in [Run::Resident, Run::Pooled, Run::Crashes] {
+    for run in [
+        Run::Resident,
+        Run::Pooled,
+        Run::Crashes,
+        Run::Prox,
+        Run::Byzantine,
+    ] {
         let (mut seq, seq_rec) = engine(run, 1);
         let seq_history = seq.run();
         let seq_t = scrub_wall_times(seq_rec.snapshot());
@@ -167,8 +202,19 @@ fn pool_and_sequential_telemetry_agree_modulo_wall_times() {
             let par_t = scrub_wall_times(par_rec.snapshot());
             assert_eq!(par_t, seq_t, "{run:?} at {threads} threads");
         }
-        if let Run::Crashes = run {
-            assert!(seq_t.counters[names::FL_RECOVERIES] > 0, "outages ended");
+        match run {
+            Run::Crashes => assert!(seq_t.counters[names::FL_RECOVERIES] > 0, "outages ended"),
+            Run::Byzantine => {
+                assert!(
+                    seq_t.counters[names::FL_ATTACKS] > 0,
+                    "the attacker attacked"
+                );
+                assert!(
+                    seq_t.counters[names::FL_CORRUPTIONS] > 0,
+                    "frames were corrupted"
+                );
+            }
+            _ => {}
         }
     }
 }
@@ -216,4 +262,64 @@ fn pooled_capacity_runs_do_not_depend_on_the_slot_a_client_lands_in() {
             );
         }
     }
+}
+
+/// FedAvg that claims its (no-op) gradient hook, so the runtime installs
+/// it and drains each chunk after its scope instead of during it.
+#[derive(Debug)]
+struct HookedFedAvg(FedAvg);
+
+impl SyncStrategy for HookedFedAvg {
+    fn name(&self) -> &'static str {
+        self.0.name()
+    }
+
+    fn uses_gradient_hook(&self) -> bool {
+        true
+    }
+
+    fn aggregate(&mut self, global: &mut [f32], updates: &[ClientUpdate]) {
+        self.0.aggregate(global, updates);
+    }
+
+    fn is_weighted_mean(&self) -> bool {
+        self.0.is_weighted_mean()
+    }
+}
+
+#[test]
+fn a_no_op_hook_called_or_skipped_trains_the_same_bits() {
+    let run = |strategy: Box<dyn SyncStrategy>| {
+        let config = FlConfig::builder()
+            .clients(8)
+            .rounds(3)
+            .participation(0.75)
+            .local_steps(3)
+            .batch_size(16)
+            .cohort_size(4)
+            .model(ModelSpec::LogisticRegression {
+                in_features: 64,
+                classes: 10,
+            })
+            .build();
+        let data = SyntheticSpec::mnist_like(8, 400).generate(2);
+        let (train, test) = data.split_at(320);
+        let rec = InMemoryRecorder::shared();
+        let mut rt = RuntimeBuilder::new(config, test)
+            .partitioned(&train, Partitioner::Iid)
+            .threads(Some(2))
+            .recorder(rec.clone())
+            .build_sync(strategy);
+        let history = rt.run();
+        let trace = scrub_wall_times(rec.snapshot());
+        (
+            history,
+            rt.global_params().to_vec(),
+            rt.ledger().clone(),
+            trace,
+        )
+    };
+    let skipped = run(Box::new(FedAvg::new()));
+    let called = run(Box::new(HookedFedAvg(FedAvg::new())));
+    assert_eq!(called, skipped);
 }

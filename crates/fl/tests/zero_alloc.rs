@@ -135,8 +135,9 @@ fn steady_state_training_steps_allocate_nothing() {
     assert_eq!(probe, 0, "a borrowed probe must not allocate");
 
     // A pooled round: the device is rebound to its client — the shard the
-    // source hands over, the loader reseeded in place — and trained on a
-    // warm trainer. Only the shard and the returned delta allocate.
+    // source shares, the loader reseeded in place — and trained on a warm
+    // trainer. Fetching the shard allocates nothing; the round allocates
+    // only the returned delta.
     let source = VecShardSource::new(Partitioner::Iid.split(&data, 2, 7));
     let mut trainer = Trainer::new(spec.build(13));
     let mut device = Device::new(0, source.shard(0), 0.05, 0.9, 16, 13);
@@ -151,10 +152,9 @@ fn steady_state_training_steps_allocate_nothing() {
         device.rebind(1, source.shard(1), 13, 2);
         trainer.train_local(&mut device, &global, 4, None)
     });
+    assert_eq!(shard, 0, "a shared shard must not allocate");
     assert_eq!(
-        pooled,
-        shard + 1,
-        "a rebind plus training on a warm trainer must allocate only the shard \
-         ({shard} allocations) and the delta"
+        pooled, 1,
+        "a rebind plus training on a warm trainer must allocate only the delta"
     );
 }

@@ -139,6 +139,22 @@ impl<T: Serialize> Serialize for [T] {
     }
 }
 
+/// Shared pointers serialize as the value they point to; like upstream,
+/// only with the `rc` feature, since a deserialized `Arc` no longer shares.
+#[cfg(feature = "rc")]
+impl<T: Serialize + ?Sized> Serialize for std::sync::Arc<T> {
+    fn to_value(&self) -> Value {
+        (**self).to_value()
+    }
+}
+
+#[cfg(feature = "rc")]
+impl<T: Deserialize> Deserialize for std::sync::Arc<T> {
+    fn from_value(v: &Value) -> Result<Self, Error> {
+        T::from_value(v).map(std::sync::Arc::new)
+    }
+}
+
 impl<T: Serialize> Serialize for Option<T> {
     fn to_value(&self) -> Value {
         match self {
