@@ -2,8 +2,8 @@
 
 use crate::{Layer, LayerWorkspace};
 use adafl_tensor::{
-    col2im_into, he_normal, im2col_into, matmul_into_with, matmul_nt_with, matmul_tn_with,
-    Conv2dGeometry, Tensor, NR,
+    col2im_grouped_into, he_normal, im2col_grouped_into, matmul_into_with, matmul_nt_samples_with,
+    matmul_tn_with, Conv2dGeometry, Tensor, NR,
 };
 use rand::Rng;
 
@@ -17,10 +17,13 @@ use rand::Rng;
 /// The output and input-gradient products run over groups of
 /// `⌈NR / n_patches⌉` samples whose patches sit side by side, so each
 /// product fills at least one register tile (`NR` columns) even when a
-/// sample has only a few output positions. Grouping changes no bits: every
-/// output element keeps its ascending-k reduction whichever group or column
-/// it lands in, and the weight and bias gradients stay per sample, in
-/// sample order.
+/// sample has only a few output positions. Patches are gathered once,
+/// straight into that grouped operand, and kept there for the backward
+/// pass. Grouping changes no bits: every output element keeps its
+/// ascending-k reduction whichever group or column it lands in, and the
+/// weight and bias gradients stay per sample, in sample order — the weight
+/// gradient as one pass over the batch that holds each tile of
+/// `grad_weight` in registers (`matmul_nt_samples_with`).
 ///
 /// The paper's MNIST CNN uses two of these: 5×5/20-channel and
 /// 5×5/50-channel (see [`crate::models::mnist_cnn`]).
@@ -33,12 +36,13 @@ pub struct Conv2d {
     bias: Tensor,
     grad_weight: Tensor,
     grad_bias: Tensor,
-    /// Cached patch matrices from the last forward, flat: one
-    /// `[patch_len, n_patches]` block per sample, the per-sample weight
-    /// gradient's operand. Reused across steps so the allocation is made
-    /// once.
+    /// Cached patch matrices from the last forward, flat, in the grouped
+    /// layout: one `[patch_len, g·n_patches]` matrix per group of `g`
+    /// samples (see [`Conv2d::group_size`]), the operand of the forward
+    /// product and of the per-sample weight gradient. Reused across steps
+    /// so the allocation is made once.
     cached_cols: Vec<f32>,
-    /// Batch size of the last forward (`cached_cols` holds this many blocks).
+    /// Batch size of the last forward (`cached_cols` holds its patches).
     cached_batch: usize,
 }
 
@@ -86,10 +90,10 @@ impl Conv2d {
     }
 }
 
-/// Lays `g` consecutive sample-major `[rows, n_patches]` blocks side by side
-/// as one `[rows, g·n_patches]` matrix — sample `s` in columns
-/// `s·n_patches..` — the operand of one grouped product. A group of one
-/// already has that layout and is borrowed as is.
+/// Lays `g` consecutive sample-major `[rows, n_patches]` output-gradient
+/// blocks side by side as one `[rows, g·n_patches]` matrix — sample `s` in
+/// columns `s·n_patches..` — the operand of one grouped input-gradient
+/// product. A group of one already has that layout and is borrowed as is.
 fn side_by_side<'a>(
     blocks: &'a [f32],
     g: usize,
@@ -106,36 +110,6 @@ fn side_by_side<'a>(
         }
     }
     &buf[..blocks.len()]
-}
-
-/// Sample `s`'s `[rows, n_patches]` block of a side-by-side matrix `width`
-/// columns wide: the inverse of [`side_by_side`], borrowed as is when the
-/// group holds one sample.
-fn sample_block<'a>(
-    m: &'a [f32],
-    width: usize,
-    n_patches: usize,
-    s: usize,
-    buf: &'a mut [f32],
-) -> &'a [f32] {
-    if width == n_patches {
-        return m;
-    }
-    let block = &mut buf[..m.len() / width * n_patches];
-    for (dst, row) in block.chunks_exact_mut(n_patches).zip(m.chunks_exact(width)) {
-        dst.copy_from_slice(&row[s * n_patches..][..n_patches]);
-    }
-    block
-}
-
-/// Length a regrouping buffer of `len` elements takes in scratch: groups of
-/// one are used in place, so they need none.
-fn staged(group: usize, len: usize) -> usize {
-    if group > 1 {
-        len
-    } else {
-        0
-    }
 }
 
 impl Layer for Conv2d {
@@ -163,28 +137,21 @@ impl Layer for Conv2d {
         self.cached_batch = batch;
 
         let group = self.group_size();
-        let cols_cap = staged(group, patch_len * group * n_patches);
         ws.scratch
-            .resize(cols_cap + self.out_channels * group * n_patches, 0.0);
-        let (cols_buf, out_buf) = ws.scratch.split_at_mut(cols_cap);
+            .resize(self.out_channels * group * n_patches, 0.0);
         for i0 in (0..batch).step_by(group) {
             let g = group.min(batch - i0);
             let width = g * n_patches;
             let rows = &input.as_slice()[i0 * in_volume..(i0 + g) * in_volume];
             let cols = &mut self.cached_cols[i0 * cols_len..(i0 + g) * cols_len];
-            for (row, block) in rows
-                .chunks_exact(in_volume)
-                .zip(cols.chunks_exact_mut(cols_len))
-            {
-                im2col_into(row, &self.geom, block);
-            }
+            im2col_grouped_into(rows, &self.geom, g, cols);
             // Y = W · [patch_len, g·n_patches]: every element is the same
             // ascending-k sum whichever group or column it lands in.
-            let group_out = &mut out_buf[..self.out_channels * width];
+            let group_out = &mut ws.scratch[..self.out_channels * width];
             group_out.fill(0.0);
             matmul_into_with(
                 self.weight.as_slice(),
-                side_by_side(cols, g, n_patches, cols_buf),
+                cols,
                 group_out,
                 self.out_channels,
                 patch_len,
@@ -220,21 +187,23 @@ impl Layer for Conv2d {
         let cols_len = patch_len * n_patches;
         assert_eq!(grad_out.shape().dims(), [batch, out_width]);
 
+        let group = self.group_size();
         // Parameter gradients stay per sample: each sample's partial sum is
         // added into `grad_weight` in sample order, and that order pins its
-        // bits.
-        for (i, dy) in grad_out.as_slice().chunks(out_width).enumerate() {
-            let cols = &self.cached_cols[i * cols_len..(i + 1) * cols_len];
-            // dW += dY · colsᵀ  (dY: [out_ch, n_patches], cols: [patch_len, n_patches])
-            matmul_nt_with(
-                dy,
-                cols,
-                self.grad_weight.as_mut_slice(),
-                self.out_channels,
-                n_patches,
-                patch_len,
-                &mut ws.pack,
-            );
+        // bits. dW += Σ_s dY_s · cols_sᵀ  (dY_s: [out_ch, n_patches],
+        // cols_s: [patch_len, n_patches], read out of the grouped patches).
+        matmul_nt_samples_with(
+            grad_out.as_slice(),
+            &self.cached_cols[..batch * cols_len],
+            self.grad_weight.as_mut_slice(),
+            batch,
+            group,
+            self.out_channels,
+            n_patches,
+            patch_len,
+            &mut ws.pack,
+        );
+        for dy in grad_out.as_slice().chunks(out_width) {
             // db += per-channel sums of dY.
             for (ch, chunk) in dy.chunks(n_patches).enumerate() {
                 self.grad_bias.as_mut_slice()[ch] += chunk.iter().sum::<f32>();
@@ -244,13 +213,15 @@ impl Layer for Conv2d {
         let Some(grad_in) = grad_in else { return };
         let in_volume = self.geom.input_volume();
         grad_in.resize_reuse(&[batch, in_volume]);
-        let group = self.group_size();
-        let dy_cap = staged(group, self.out_channels * group * n_patches);
-        let dcols_cap = patch_len * group * n_patches;
+        // Groups of one regroup nothing, so they stage no `dY` copy.
+        let dy_cap = if group > 1 {
+            self.out_channels * group * n_patches
+        } else {
+            0
+        };
         ws.scratch
-            .resize(dy_cap + dcols_cap + staged(group, cols_len), 0.0);
-        let (dy_buf, rest) = ws.scratch.split_at_mut(dy_cap);
-        let (dcols_buf, sample_buf) = rest.split_at_mut(dcols_cap);
+            .resize(dy_cap + patch_len * group * n_patches, 0.0);
+        let (dy_buf, dcols_buf) = ws.scratch.split_at_mut(dy_cap);
         for i0 in (0..batch).step_by(group) {
             let g = group.min(batch - i0);
             let width = g * n_patches;
@@ -268,10 +239,7 @@ impl Layer for Conv2d {
                 &mut ws.pack,
             );
             let dimgs = &mut grad_in.as_mut_slice()[i0 * in_volume..(i0 + g) * in_volume];
-            for (s, dimg) in dimgs.chunks_exact_mut(in_volume).enumerate() {
-                let block = sample_block(dcols, width, n_patches, s, sample_buf);
-                col2im_into(block, &self.geom, dimg);
-            }
+            col2im_grouped_into(dcols, &self.geom, g, dimgs);
         }
     }
 
@@ -326,7 +294,7 @@ impl Layer for Conv2d {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use adafl_tensor::PackBuf;
+    use adafl_tensor::{col2im_into, im2col_into, matmul_nt_with, PackBuf};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 

@@ -20,10 +20,11 @@ use adafl_tensor::Tensor;
 #[derive(Debug, Default)]
 pub struct LayerWorkspace {
     /// Flat `f32` scratch. Convolution keeps one sample group's product
-    /// operands and results here — the group's patches and output side by
-    /// side going forward, its output gradient and patch gradient going
-    /// back — so it is bounded by one group of `⌈NR / n_patches⌉` samples,
-    /// never by the batch.
+    /// operands and results here — the group's output going forward, its
+    /// output gradient and patch gradient going back (the patches
+    /// themselves stay in the layer for the backward pass) — so it is
+    /// bounded by one group of `⌈NR / n_patches⌉` samples, never by the
+    /// batch.
     pub scratch: Vec<f32>,
     /// Matmul panel-packing buffer reused across every kernel call the
     /// layer makes (see `adafl_tensor::PackBuf`).

@@ -138,7 +138,8 @@ pub fn im2col(image: &Tensor, geom: &Conv2dGeometry) -> Result<Tensor> {
 }
 
 /// Slice-based [`im2col`] that writes into a caller-provided buffer of
-/// `patch_len() · n_patches()` elements, allocating nothing.
+/// `patch_len() · n_patches()` elements, allocating nothing: the group of
+/// one of [`im2col_grouped_into`].
 ///
 /// Every position is written (padding positions as zero), so the buffer may
 /// hold stale data from a previous call.
@@ -147,38 +148,116 @@ pub fn im2col(image: &Tensor, geom: &Conv2dGeometry) -> Result<Tensor> {
 ///
 /// Panics when `img` or `out` has the wrong length for the geometry.
 pub fn im2col_into(img: &[f32], geom: &Conv2dGeometry, out: &mut [f32]) {
-    assert_eq!(img.len(), geom.input_volume(), "im2col_into: image length");
+    im2col_grouped_into(img, geom, 1, out);
+}
+
+/// Grouped patch matrices at most this many columns wide are gathered
+/// through a table of column offsets held on the stack; wider ones copy
+/// output rows.
+const GATHER_COLUMNS: usize = 64;
+
+/// The gather schedule's table, when it applies: for an unpadded stride-1
+/// geometry whose grouped matrix is 1 to [`GATHER_COLUMNS`] wide, entry
+/// `s·n_patches + p` is the offset of patch `p` of image `s` from the first
+/// pixel a patch-matrix row reads. Patch row `(ch, ky, kx)` then reads
+/// `imgs[row_base + table[col]]` for every column.
+fn gather_table(geom: &Conv2dGeometry, group: usize) -> Option<[usize; GATHER_COLUMNS]> {
+    let (n_patches, ow) = (geom.n_patches(), geom.out_w());
+    let columns = group * n_patches;
+    if geom.padding != 0 || geom.stride != 1 || !(1..=GATHER_COLUMNS).contains(&columns) {
+        return None;
+    }
+    let mut table = [0usize; GATHER_COLUMNS];
+    for (col, t) in table[..columns].iter_mut().enumerate() {
+        let (s, p) = (col / n_patches, col % n_patches);
+        *t = s * geom.input_volume() + p / ow * geom.width + p % ow;
+    }
+    Some(table)
+}
+
+/// Unfolds `group` consecutive `[channels, height, width]` images into one
+/// `[patch_len, group · n_patches]` matrix, image `s`'s patches in columns
+/// `s · n_patches ..`: the grouped operand of one convolution product,
+/// written once, in place. Allocates nothing.
+///
+/// Each value is a plain copy, so the schedule cannot change a bit.
+/// Unpadded stride-1 geometries copy without a padding test: a grouped
+/// matrix at most 64 columns wide (short outputs) is gathered row by row
+/// through a precomputed column-offset table, a wider one copies whole
+/// output rows. Padded or strided geometries run the per-element loop.
+///
+/// Every position is written (padding positions as zero), so the buffer may
+/// hold stale data from a previous call.
+///
+/// # Panics
+///
+/// Panics when `imgs` or `out` has the wrong length for `group` images.
+pub fn im2col_grouped_into(imgs: &[f32], geom: &Conv2dGeometry, group: usize, out: &mut [f32]) {
+    let (volume, n_patches) = (geom.input_volume(), geom.n_patches());
+    assert_eq!(imgs.len(), group * volume, "im2col: image length");
     assert_eq!(
         out.len(),
-        geom.patch_len() * geom.n_patches(),
-        "im2col_into: output length"
+        geom.patch_len() * group * n_patches,
+        "im2col: output length"
     );
-    let (c, h, w) = (geom.channels, geom.height, geom.width);
-    let (kh, stride, pad) = (geom.kernel, geom.stride, geom.padding);
+    let (h, w) = (geom.height, geom.width);
     let (oh, ow) = (geom.out_h(), geom.out_w());
-    let n_patches = oh * ow;
-    let mut row = 0usize;
-    for ch in 0..c {
-        for ky in 0..kh {
-            for kx in 0..kh {
-                let out_row = &mut out[row * n_patches..(row + 1) * n_patches];
-                let mut patch = 0usize;
+    let width = group * n_patches;
+    if let Some(table) = gather_table(geom, group) {
+        each_kernel_row(geom, |row, ch, ky, kx| {
+            let src = &imgs[ch * h * w + ky * w + kx..];
+            for (d, &o) in out[row * width..][..width].iter_mut().zip(&table) {
+                *d = src[o];
+            }
+        });
+        return;
+    }
+    let unpadded = geom.padding == 0 && geom.stride == 1;
+    for s in 0..group {
+        let img = &imgs[s * volume..][..volume];
+        each_kernel_row(geom, |row, ch, ky, kx| {
+            let dst = &mut out[row * width + s * n_patches..][..n_patches];
+            let plane = &img[ch * h * w..][..h * w];
+            if unpadded {
+                for (oy, d) in dst.chunks_exact_mut(ow).enumerate() {
+                    d.copy_from_slice(&plane[(oy + ky) * w + kx..][..ow]);
+                }
+            } else {
+                let mut patch = 0;
                 for oy in 0..oh {
-                    let iy = (oy * stride + ky) as isize - pad as isize;
                     for ox in 0..ow {
-                        let ix = (ox * stride + kx) as isize - pad as isize;
-                        out_row[patch] = if iy >= 0 && iy < h as isize && ix >= 0 && ix < w as isize
-                        {
-                            img[ch * h * w + iy as usize * w + ix as usize]
-                        } else {
-                            0.0
-                        };
+                        dst[patch] = geom.pixel(oy, ox, ky, kx).map_or(0.0, |i| plane[i]);
                         patch += 1;
                     }
                 }
+            }
+        });
+    }
+}
+
+/// Calls `f(row, channel, ky, kx)` for each patch-matrix row in order, one
+/// row per kernel tap.
+#[inline(always)]
+fn each_kernel_row(geom: &Conv2dGeometry, mut f: impl FnMut(usize, usize, usize, usize)) {
+    let mut row = 0;
+    for ch in 0..geom.channels {
+        for ky in 0..geom.kernel {
+            for kx in 0..geom.kernel {
+                f(row, ch, ky, kx);
                 row += 1;
             }
         }
+    }
+}
+
+impl Conv2dGeometry {
+    /// Index within one channel plane of the input pixel that kernel tap
+    /// `(ky, kx)` of output position `(oy, ox)` reads, or `None` in the
+    /// padding.
+    fn pixel(&self, oy: usize, ox: usize, ky: usize, kx: usize) -> Option<usize> {
+        let iy = (oy * self.stride + ky).checked_sub(self.padding)?;
+        let ix = (ox * self.stride + kx).checked_sub(self.padding)?;
+        (iy < self.height && ix < self.width).then_some(iy * self.width + ix)
     }
 }
 
@@ -206,7 +285,8 @@ pub fn col2im(cols: &Tensor, geom: &Conv2dGeometry) -> Result<Tensor> {
 }
 
 /// Slice-based [`col2im`] that overwrites a caller-provided buffer of
-/// `input_volume()` elements, allocating nothing.
+/// `input_volume()` elements, allocating nothing: the group of one of
+/// [`col2im_grouped_into`].
 ///
 /// The buffer is zeroed first, then overlapping patches are summed into it.
 ///
@@ -214,34 +294,155 @@ pub fn col2im(cols: &Tensor, geom: &Conv2dGeometry) -> Result<Tensor> {
 ///
 /// Panics when `cols` or `img` has the wrong length for the geometry.
 pub fn col2im_into(cols: &[f32], geom: &Conv2dGeometry, img: &mut [f32]) {
+    col2im_grouped_into(cols, geom, 1, img);
+}
+
+/// Folds a grouped `[patch_len, group · n_patches]` gradient matrix — the
+/// layout [`im2col_grouped_into`] writes — back into `group` consecutive
+/// `[channels, height, width]` images, overwriting them. Allocates nothing.
+///
+/// The images are zeroed, then the patch-matrix rows are added into them in
+/// row order; within one row no two columns touch the same pixel, so every
+/// pixel sums its contributions in the order of the per-element loop.
+/// Unpadded stride-1 geometries add without a padding test — through
+/// [`im2col_grouped_into`]'s column-offset table, or whole output rows at a
+/// time when the matrix is wider; padded or strided ones run the
+/// per-element loop.
+///
+/// # Panics
+///
+/// Panics when `cols` or `imgs` has the wrong length for `group` images.
+pub fn col2im_grouped_into(cols: &[f32], geom: &Conv2dGeometry, group: usize, imgs: &mut [f32]) {
+    let (volume, n_patches) = (geom.input_volume(), geom.n_patches());
     assert_eq!(
         cols.len(),
-        geom.patch_len() * geom.n_patches(),
-        "col2im_into: cols length"
+        geom.patch_len() * group * n_patches,
+        "col2im: cols length"
     );
-    assert_eq!(img.len(), geom.input_volume(), "col2im_into: image length");
-    img.fill(0.0);
-    let (c, h, w) = (geom.channels, geom.height, geom.width);
-    let (kh, stride, pad) = (geom.kernel, geom.stride, geom.padding);
+    assert_eq!(imgs.len(), group * volume, "col2im: image length");
+    imgs.fill(0.0);
+    let (h, w) = (geom.height, geom.width);
     let (oh, ow) = (geom.out_h(), geom.out_w());
-    let n_patches = oh * ow;
-    let mut row = 0usize;
-    for ch in 0..c {
-        for ky in 0..kh {
-            for kx in 0..kh {
-                let in_row = &cols[row * n_patches..(row + 1) * n_patches];
-                let mut patch = 0usize;
+    let width = group * n_patches;
+    if let Some(table) = gather_table(geom, group) {
+        each_kernel_row(geom, |row, ch, ky, kx| {
+            let dst = &mut imgs[ch * h * w + ky * w + kx..];
+            for (&v, &o) in cols[row * width..][..width].iter().zip(&table) {
+                dst[o] += v;
+            }
+        });
+        return;
+    }
+    let unpadded = geom.padding == 0 && geom.stride == 1;
+    for s in 0..group {
+        let img = &mut imgs[s * volume..][..volume];
+        each_kernel_row(geom, |row, ch, ky, kx| {
+            let src = &cols[row * width + s * n_patches..][..n_patches];
+            let plane = &mut img[ch * h * w..][..h * w];
+            if unpadded {
+                for (oy, g) in src.chunks_exact(ow).enumerate() {
+                    let dst = &mut plane[(oy + ky) * w + kx..][..ow];
+                    for (d, &v) in dst.iter_mut().zip(g) {
+                        *d += v;
+                    }
+                }
+            } else {
+                let mut patch = 0;
                 for oy in 0..oh {
-                    let iy = (oy * stride + ky) as isize - pad as isize;
                     for ox in 0..ow {
-                        let ix = (ox * stride + kx) as isize - pad as isize;
-                        if iy >= 0 && iy < h as isize && ix >= 0 && ix < w as isize {
-                            img[ch * h * w + iy as usize * w + ix as usize] += in_row[patch];
+                        if let Some(i) = geom.pixel(oy, ox, ky, kx) {
+                            plane[i] += src[patch];
                         }
                         patch += 1;
                     }
                 }
-                row += 1;
+            }
+        });
+    }
+}
+
+/// Per-element reference loops: every patch value computed from its
+/// coordinates with a padding test. The grouped transforms above must match
+/// them bit for bit; never call them from production code.
+pub mod oracle {
+    use super::Conv2dGeometry;
+
+    /// [`super::im2col_into`] one element at a time.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `img` or `out` has the wrong length for the geometry.
+    pub fn im2col_into(img: &[f32], geom: &Conv2dGeometry, out: &mut [f32]) {
+        assert_eq!(img.len(), geom.input_volume(), "im2col_into: image length");
+        assert_eq!(
+            out.len(),
+            geom.patch_len() * geom.n_patches(),
+            "im2col_into: output length"
+        );
+        let (c, h, w) = (geom.channels, geom.height, geom.width);
+        let (kh, stride, pad) = (geom.kernel, geom.stride, geom.padding);
+        let (oh, ow) = (geom.out_h(), geom.out_w());
+        let n_patches = oh * ow;
+        let mut row = 0usize;
+        for ch in 0..c {
+            for ky in 0..kh {
+                for kx in 0..kh {
+                    let out_row = &mut out[row * n_patches..(row + 1) * n_patches];
+                    let mut patch = 0usize;
+                    for oy in 0..oh {
+                        let iy = (oy * stride + ky) as isize - pad as isize;
+                        for ox in 0..ow {
+                            let ix = (ox * stride + kx) as isize - pad as isize;
+                            out_row[patch] =
+                                if iy >= 0 && iy < h as isize && ix >= 0 && ix < w as isize {
+                                    img[ch * h * w + iy as usize * w + ix as usize]
+                                } else {
+                                    0.0
+                                };
+                            patch += 1;
+                        }
+                    }
+                    row += 1;
+                }
+            }
+        }
+    }
+
+    /// [`super::col2im_into`] one element at a time.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `cols` or `img` has the wrong length for the geometry.
+    pub fn col2im_into(cols: &[f32], geom: &Conv2dGeometry, img: &mut [f32]) {
+        assert_eq!(
+            cols.len(),
+            geom.patch_len() * geom.n_patches(),
+            "col2im_into: cols length"
+        );
+        assert_eq!(img.len(), geom.input_volume(), "col2im_into: image length");
+        img.fill(0.0);
+        let (c, h, w) = (geom.channels, geom.height, geom.width);
+        let (kh, stride, pad) = (geom.kernel, geom.stride, geom.padding);
+        let (oh, ow) = (geom.out_h(), geom.out_w());
+        let n_patches = oh * ow;
+        let mut row = 0usize;
+        for ch in 0..c {
+            for ky in 0..kh {
+                for kx in 0..kh {
+                    let in_row = &cols[row * n_patches..(row + 1) * n_patches];
+                    let mut patch = 0usize;
+                    for oy in 0..oh {
+                        let iy = (oy * stride + ky) as isize - pad as isize;
+                        for ox in 0..ow {
+                            let ix = (ox * stride + kx) as isize - pad as isize;
+                            if iy >= 0 && iy < h as isize && ix >= 0 && ix < w as isize {
+                                img[ch * h * w + iy as usize * w + ix as usize] += in_row[patch];
+                            }
+                            patch += 1;
+                        }
+                    }
+                    row += 1;
+                }
             }
         }
     }

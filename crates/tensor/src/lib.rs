@@ -35,14 +35,25 @@ mod tensor;
 pub mod vecops;
 
 pub use error::TensorError;
-pub use im2col::{col2im, col2im_into, im2col, im2col_into, Conv2dGeometry};
+pub use im2col::{
+    col2im, col2im_grouped_into, col2im_into, im2col, im2col_grouped_into, im2col_into,
+    Conv2dGeometry,
+};
 pub use init::{he_normal, uniform_init, xavier_uniform};
 pub use matmul::{
-    matmul_into, matmul_into_with, matmul_nt, matmul_nt_with, matmul_tn, matmul_tn_with, oracle,
-    PackBuf, NR,
+    matmul_into, matmul_into_with, matmul_nt, matmul_nt_samples_with, matmul_nt_with, matmul_tn,
+    matmul_tn_with, PackBuf, NR,
 };
 pub use shape::Shape;
 pub use tensor::Tensor;
+
+/// Reference kernels for tests, never for production code: the naive and
+/// order-replaying matrix products, and the per-element `im2col` /
+/// `col2im` loops the grouped transforms must match bit for bit.
+pub mod oracle {
+    pub use crate::im2col::oracle::{col2im_into, im2col_into};
+    pub use crate::matmul::oracle::*;
+}
 
 /// Convenient result alias used throughout this crate.
 pub type Result<T> = std::result::Result<T, TensorError>;

@@ -6,6 +6,8 @@
 //! * [`Tensor::matmul`] / [`matmul_into`] — `C = A · B`
 //! * [`matmul_tn`] — `C = Aᵀ · B` (weight gradients)
 //! * [`matmul_nt`] — `C = A · Bᵀ` (input gradients)
+//! * [`matmul_nt_samples_with`] — `C += Σ_s A_s · B_sᵀ` (per-sample weight
+//!   gradients, summed in sample order)
 //!
 //! NN and TN share one loop nest and two schedules over the same register
 //! tile. When the `B` k-slab outgrows L1 (`worth_packing`), operands are
@@ -85,7 +87,8 @@ pub struct PackBuf {
     a: Vec<f32>,
     b: Vec<f32>,
     /// Transpose scratch for the short-`k` NT path, which rewrites the
-    /// transposed operand once and reruns the NN kernel.
+    /// transposed operand once and reruns the NN kernel; also one grouped
+    /// sample's rows for [`matmul_nt_samples_with`].
     t: Vec<f32>,
 }
 
@@ -274,6 +277,10 @@ unsafe fn tile_avx2<const R: usize>(
     acc: &mut [[f32; NR]; R],
 ) {
     use core::arch::x86_64::*;
+    // The last reads below: `A` element `(kc-1)·R + R-1`, `B` lanes up to
+    // `(kc-1)·NR + NR-1`.
+    debug_assert!(kc * R <= a_pack.len(), "last A element");
+    debug_assert!(kc * NR <= b_tile.len(), "last B element");
     let mut lo = [_mm256_setzero_ps(); R];
     let mut hi = [_mm256_setzero_ps(); R];
     let ap = a_pack.as_ptr();
@@ -806,6 +813,10 @@ fn nt_acc_scalar(a_row: &[f32], b_tile: &[f32], chunks: usize, acc: &mut [[f32; 
 #[target_feature(enable = "avx2")]
 unsafe fn nt_tile_avx2(a_row: &[f32], b_tile: &[f32], chunks: usize) -> [f32; 4] {
     use core::arch::x86_64::*;
+    // The last reads below: `a_row` lanes up to `(chunks-1)·LANES + 15`,
+    // `b_tile` lanes up to `((chunks-1)·4 + 3)·LANES + 15`.
+    debug_assert!(chunks * LANES <= a_row.len(), "last A element");
+    debug_assert!(chunks * 4 * LANES <= b_tile.len(), "last B element");
     let mut lo = [_mm256_setzero_ps(); 4];
     let mut hi = [_mm256_setzero_ps(); 4];
     let ap = a_row.as_ptr();
@@ -1063,6 +1074,317 @@ pub fn matmul_nt_with(
             j += 1;
         }
     }
+}
+
+// ---------------------------------------------------------------------------
+// Per-sample NT products (Σ_s A_s · B_sᵀ)
+// ---------------------------------------------------------------------------
+
+/// Fills the per-sample `B` panel of the column tile `j..j+w` for
+/// [`matmul_nt_samples_with`]: `panel[(s·k + kk)·NR + l] = b_s[j+l, kk]`,
+/// lanes `w..NR` zero. `b` holds the samples in groups of `group`, each an
+/// `[n, g·k]` matrix (sample `s0 + t` of the group in columns `t·k..`), so
+/// column `idx` of a group's rows is panel row `s0·k + idx`.
+#[allow(clippy::too_many_arguments)]
+fn pack_samples_panel(
+    b: &[f32],
+    samples: usize,
+    group: usize,
+    k: usize,
+    n: usize,
+    j: usize,
+    w: usize,
+    panel: &mut [f32],
+) {
+    for s0 in (0..samples).step_by(group) {
+        let gk = group.min(samples - s0) * k;
+        let rows = &b[s0 * n * k + j * gk..][..w * gk];
+        let dst = &mut panel[s0 * k * NR..][..gk * NR];
+        // Contiguous panel writes, strided reads: about half the time of
+        // the transposed loop order on the conv shape.
+        for (idx, lanes) in dst.chunks_exact_mut(NR).enumerate() {
+            for (x, row) in lanes.iter_mut().zip(rows.chunks_exact(gk)) {
+                *x = row[idx];
+            }
+            lanes[w..].fill(0.0);
+        }
+    }
+}
+
+/// Scalar fused tile: lanes `0..w` of the `R×NR` tile of `c` that starts
+/// at `c[0]` (rows `n` apart), plus the products of every sample. Sample
+/// `s`'s product is summed from `+0.0` with `kk` ascending and then added
+/// into the tile, in sample order — the bits of one `c +=` per sample.
+/// `a` starts at sample 0's first tile row (samples `sa` apart, rows `k`
+/// apart); `panel` is [`pack_samples_panel`]'s. The bitwise reference for
+/// [`samples_tile_avx2`], and the tile wherever that does not run.
+#[allow(clippy::too_many_arguments)]
+fn samples_tile_scalar<const R: usize>(
+    a: &[f32],
+    sa: usize,
+    k: usize,
+    panel: &[f32],
+    samples: usize,
+    c: &mut [f32],
+    n: usize,
+    w: usize,
+) {
+    let mut tile = [[0.0f32; NR]; R];
+    for (r, lanes) in tile.iter_mut().enumerate() {
+        lanes[..w].copy_from_slice(&c[r * n..][..w]);
+    }
+    for s in 0..samples {
+        let a_s = &a[s * sa..];
+        let mut acc = [[0.0f32; NR]; R];
+        for (kk, bv) in panel[s * k * NR..][..k * NR].chunks_exact(NR).enumerate() {
+            for (r, lanes) in acc.iter_mut().enumerate() {
+                let av = a_s[r * k + kk];
+                for (x, &bl) in lanes.iter_mut().zip(bv) {
+                    *x += av * bl;
+                }
+            }
+        }
+        for (t, x) in tile.iter_mut().zip(&acc) {
+            for (tv, &xv) in t.iter_mut().zip(x) {
+                *tv += xv;
+            }
+        }
+    }
+    for (r, lanes) in tile.iter().enumerate() {
+        c[r * n..][..w].copy_from_slice(&lanes[..w]);
+    }
+}
+
+/// AVX2 fused tile: [`samples_tile_scalar`] with the `R×NR` tile of `c`
+/// held in registers across every sample — loaded once, stored once.
+/// Per sample a zeroed accumulator tile takes `k` steps of separate
+/// multiply and add (never FMA), then is added into the `c` tile, so every
+/// live lane computes the scalar tile's IEEE-754 sequence. A ragged tile
+/// (`w < NR`) loads and stores `c` with masked lanes; `FULL` (`w == NR`)
+/// compiles the masks out. Panel rows are always `NR` lanes wide.
+///
+/// Panics unless `1 <= w <= NR`, `samples >= 1`, `FULL == (w == NR)`, `a`
+/// holds element `(samples-1)·sa + (R-1)·k + k-1` (when `k >= 1`), `panel`
+/// `samples·k·NR` elements and `c` elements up to `(R-1)·n + w - 1` — the
+/// reach its raw loads and stores rely on, checked once per tile.
+///
+/// # Safety
+///
+/// Caller must ensure AVX2 is available.
+#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[target_feature(enable = "avx2")]
+#[allow(clippy::too_many_arguments)]
+unsafe fn samples_tile_avx2<const R: usize, const FULL: bool>(
+    a: &[f32],
+    sa: usize,
+    k: usize,
+    panel: &[f32],
+    samples: usize,
+    c: &mut [f32],
+    n: usize,
+    w: usize,
+) {
+    use core::arch::x86_64::*;
+    assert!((1..=NR).contains(&w) && samples >= 1 && FULL == (w == NR));
+    assert!(
+        k == 0 || (samples - 1) * sa + R * k <= a.len(),
+        "last A element"
+    );
+    assert!(samples * k * NR <= panel.len(), "last panel element");
+    assert!((R - 1) * n + w <= c.len(), "last C element");
+    let live = _mm256_set1_epi32(w as i32);
+    let mask_lo = _mm256_cmpgt_epi32(live, _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+    let mask_hi = _mm256_cmpgt_epi32(live, _mm256_setr_epi32(8, 9, 10, 11, 12, 13, 14, 15));
+    let cp = c.as_mut_ptr();
+    let mut c_lo = [_mm256_setzero_ps(); R];
+    let mut c_hi = [_mm256_setzero_ps(); R];
+    for r in 0..R {
+        // SAFETY: lane 0 of every tile row is live (`w >= 1`) and the last
+        // row's last live lane is inside `c` (asserted above), so each row
+        // pointer is in bounds; `row.add(8)` is formed only when lane 8 is
+        // live. Masked-out lanes are not accessed and load 0.0.
+        let row = cp.add(r * n);
+        c_lo[r] = if FULL || w >= 8 {
+            _mm256_loadu_ps(row)
+        } else {
+            _mm256_maskload_ps(row, mask_lo)
+        };
+        c_hi[r] = if FULL {
+            _mm256_loadu_ps(row.add(8))
+        } else if w > 8 {
+            _mm256_maskload_ps(row.add(8), mask_hi)
+        } else {
+            _mm256_setzero_ps()
+        };
+    }
+    let ap = a.as_ptr();
+    let pp = panel.as_ptr();
+    for s in 0..samples {
+        let mut lo = [_mm256_setzero_ps(); R];
+        let mut hi = [_mm256_setzero_ps(); R];
+        for kk in 0..k {
+            // SAFETY: panel offsets stay below `samples·k·NR` and `A`
+            // offsets `s·sa + r·k + kk` at or below the asserted last `A`
+            // element.
+            let bp = pp.add((s * k + kk) * NR);
+            let b0 = _mm256_loadu_ps(bp);
+            let b1 = _mm256_loadu_ps(bp.add(8));
+            for r in 0..R {
+                let av = _mm256_set1_ps(*ap.add(s * sa + r * k + kk));
+                lo[r] = _mm256_add_ps(lo[r], _mm256_mul_ps(av, b0));
+                hi[r] = _mm256_add_ps(hi[r], _mm256_mul_ps(av, b1));
+            }
+        }
+        for r in 0..R {
+            c_lo[r] = _mm256_add_ps(c_lo[r], lo[r]);
+            c_hi[r] = _mm256_add_ps(c_hi[r], hi[r]);
+        }
+    }
+    for r in 0..R {
+        // SAFETY: the same row pointers as the loads above.
+        let row = cp.add(r * n);
+        if FULL || w >= 8 {
+            _mm256_storeu_ps(row, c_lo[r]);
+        } else {
+            _mm256_maskstore_ps(row, mask_lo, c_lo[r]);
+        }
+        if FULL {
+            _mm256_storeu_ps(row.add(8), c_hi[r]);
+        } else if w > 8 {
+            _mm256_maskstore_ps(row.add(8), mask_hi, c_hi[r]);
+        }
+    }
+}
+
+/// Runs one fused `R×NR` tile (lanes `0..w` live), dispatching like
+/// [`run_direct_tile`]: AVX2 under the `simd` feature, the scalar tile
+/// elsewhere.
+#[cfg_attr(
+    not(all(feature = "simd", target_arch = "x86_64")),
+    allow(unused_variables)
+)]
+#[allow(clippy::too_many_arguments)]
+#[inline]
+fn run_samples_tile<const R: usize>(
+    simd: bool,
+    a: &[f32],
+    sa: usize,
+    k: usize,
+    panel: &[f32],
+    samples: usize,
+    c: &mut [f32],
+    n: usize,
+    w: usize,
+) {
+    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    if simd {
+        // SAFETY: AVX2 presence checked by the caller; the tile asserts its
+        // own reach into `a`, `panel` and `c`.
+        unsafe {
+            if w == NR {
+                samples_tile_avx2::<R, true>(a, sa, k, panel, samples, c, n, w);
+            } else {
+                samples_tile_avx2::<R, false>(a, sa, k, panel, samples, c, n, w);
+            }
+        }
+        return;
+    }
+    samples_tile_scalar::<R>(a, sa, k, panel, samples, c, n, w);
+}
+
+/// Computes `c += Σ_s a_s · b_sᵀ` over `samples` products, each `a_s`
+/// `m×k` and `b_s` `n×k`, into one `m×n` `c`: the convolution weight
+/// gradient `dW += Σ_s dY_s · cols_sᵀ`. `a` holds the `a_s` back to back.
+/// `b` holds the `b_s` in groups of `group` samples, each group one
+/// `[n, g·k]` matrix with its `t`-th sample in columns `t·k..` (the last
+/// group may hold fewer): convolution's grouped patch layout, and with
+/// `group == 1` simply the `b_s` back to back.
+///
+/// Bit for bit a loop of [`matmul_nt_with`], one call per sample in sample
+/// order. For `k < LANES` that call sums each element from `+0.0` in
+/// ascending `k` and adds the sum into `c`; here one pass does the same for
+/// every sample with an `MR×NR` tile of `c` held in registers, loaded and
+/// stored once per tile rather than once per sample. Its `B` panel is built
+/// one column tile at a time (`samples·k·NR` floats in `pack`). For
+/// `k >= LANES` (lane-split dot products) the loop itself runs, with a
+/// grouped sample's rows first copied out into `pack`.
+///
+/// # Panics
+///
+/// Panics when `group` is zero or slice lengths do not match the stated
+/// dimensions.
+#[allow(clippy::too_many_arguments)]
+pub fn matmul_nt_samples_with(
+    a: &[f32],
+    b: &[f32],
+    c: &mut [f32],
+    samples: usize,
+    group: usize,
+    m: usize,
+    k: usize,
+    n: usize,
+    pack: &mut PackBuf,
+) {
+    assert!(group > 0, "sample group must be non-empty");
+    assert_eq!(a.len(), samples * m * k, "lhs length");
+    assert_eq!(b.len(), samples * n * k, "rhs length");
+    assert_eq!(c.len(), m * n, "out length");
+    if samples == 0 || m == 0 || n == 0 {
+        return;
+    }
+    if k >= LANES {
+        let mut rows = core::mem::take(&mut pack.t);
+        for s in 0..samples {
+            let b_s = sample_rows(b, s, group, samples, n, k, &mut rows);
+            matmul_nt_with(&a[s * m * k..][..m * k], b_s, c, m, k, n, pack);
+        }
+        pack.t = rows;
+        return;
+    }
+    let simd = simd_tiles_available();
+    ensure_len(&mut pack.b, samples * k * NR);
+    let panel = &mut pack.b[..samples * k * NR];
+    let sa = m * k;
+    for j in (0..n).step_by(NR) {
+        let w = NR.min(n - j);
+        pack_samples_panel(b, samples, group, k, n, j, w, panel);
+        let mut i = 0;
+        while i < m {
+            let r = MR.min(m - i);
+            let (a, c) = (&a[i * k..], &mut c[i * n + j..]);
+            match r {
+                1 => run_samples_tile::<1>(simd, a, sa, k, panel, samples, c, n, w),
+                2 => run_samples_tile::<2>(simd, a, sa, k, panel, samples, c, n, w),
+                3 => run_samples_tile::<3>(simd, a, sa, k, panel, samples, c, n, w),
+                _ => run_samples_tile::<MR>(simd, a, sa, k, panel, samples, c, n, w),
+            }
+            i += r;
+        }
+    }
+}
+
+/// Sample `s`'s `n×k` rows out of [`matmul_nt_samples_with`]'s grouped
+/// `b`: borrowed when its group holds one sample, else copied into `buf`.
+fn sample_rows<'a>(
+    b: &'a [f32],
+    s: usize,
+    group: usize,
+    samples: usize,
+    n: usize,
+    k: usize,
+    buf: &'a mut Vec<f32>,
+) -> &'a [f32] {
+    let s0 = s - s % group;
+    let gk = group.min(samples - s0) * k;
+    let block = &b[s0 * n * k..][..n * gk];
+    if gk == k {
+        return block;
+    }
+    ensure_len(buf, n * k);
+    for (dst, row) in buf.chunks_exact_mut(k).zip(block.chunks_exact(gk)) {
+        dst.copy_from_slice(&row[(s - s0) * k..][..k]);
+    }
+    &buf[..n * k]
 }
 
 /// Naive triple-loop reference kernels plus ordered-reduction references.

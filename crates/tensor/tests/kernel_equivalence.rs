@@ -11,10 +11,15 @@
 //!   reduction order in plain scalar code, equality is **exact** — the
 //!   bitwise contract the golden traces rely on, and the property that
 //!   pins the SIMD tiles (`--features simd`) to the scalar ones.
+//!
+//! The convolution's per-sample weight-gradient pass must equal a loop of
+//! per-sample NT products, and the grouped `im2col` / `col2im` transforms
+//! the per-element loops, both bit for bit.
 
 use adafl_tensor::{
-    matmul_into, matmul_into_with, matmul_nt, matmul_nt_with, matmul_tn, matmul_tn_with, oracle,
-    PackBuf,
+    col2im_grouped_into, col2im_into, im2col_grouped_into, im2col_into, matmul_into,
+    matmul_into_with, matmul_nt, matmul_nt_samples_with, matmul_nt_with, matmul_tn, matmul_tn_with,
+    oracle, Conv2dGeometry, PackBuf,
 };
 use proptest::prelude::*;
 
@@ -42,6 +47,66 @@ fn fill(len: usize, seed: u64) -> Vec<f32> {
             ((x % 31) as f32 - 15.0) * 0.25
         })
         .collect()
+}
+
+/// [`fill`] with signed zeros and subnormals mixed in, so the bitwise
+/// checks cover `-0.0` products and subnormal arithmetic.
+fn fill_special(len: usize, seed: u64) -> Vec<f32> {
+    fill(len, seed)
+        .into_iter()
+        .enumerate()
+        .map(|(i, v)| match (i as u64).wrapping_add(seed) % 9 {
+            0 => 0.0,
+            1 => -0.0,
+            2 => 1.0e-40,
+            3 => -3.0e-39,
+            _ => v,
+        })
+        .collect()
+}
+
+/// Sample `s`'s `n×k` rows out of a `b` stored in groups of `group`
+/// samples, each group an `[n, g·k]` matrix.
+fn grouped_sample(
+    b: &[f32],
+    s: usize,
+    group: usize,
+    samples: usize,
+    n: usize,
+    k: usize,
+) -> Vec<f32> {
+    let s0 = s / group * group;
+    let gk = group.min(samples - s0) * k;
+    (0..n)
+        .flat_map(|j| {
+            let at = s0 * n * k + j * gk + (s - s0) * k;
+            b[at..at + k].iter().copied()
+        })
+        .collect()
+}
+
+/// A geometry with `ow` output columns and `oh` rows. Padding is capped so
+/// the input is at least one pixel wide; it does not change `ow`.
+fn geometry(
+    channels: usize,
+    kernel: usize,
+    stride: usize,
+    padding: usize,
+    oh: usize,
+    ow: usize,
+) -> Conv2dGeometry {
+    let reach = |o: usize| (o - 1) * stride + kernel;
+    let padding = padding.min((reach(oh).min(reach(ow)) - 1) / 2);
+    let geom = Conv2dGeometry::new(
+        channels,
+        reach(oh) - 2 * padding,
+        reach(ow) - 2 * padding,
+        kernel,
+        stride,
+        padding,
+    );
+    assert_eq!((geom.out_h(), geom.out_w()), (oh, ow));
+    geom
 }
 
 fn close(x: f32, y: f32) -> bool {
@@ -256,6 +321,88 @@ proptest! {
         let expected = oracle::matmul(&a, &b, m, k, n);
         for (i, (&x, &y)) in c.iter().zip(&expected).enumerate() {
             prop_assert!(close(x, y + 1.0), "C[{i}] = {x} vs oracle+1 {} ", y + 1.0);
+        }
+    }
+}
+
+/// Every product `-0.0` and `c` all `-0.0`: each sample's sum starts from
+/// `+0.0`, so it is `+0.0` and so is `c` after adding it. A sum seeded
+/// with its first product would leave `-0.0` — a case the random fills
+/// below reach only now and then.
+#[test]
+fn sample_products_sum_from_positive_zero() {
+    let (samples, group, m, n) = (3, 2, 5, 19);
+    for k in [1, 4, 15, 16, 20] {
+        let a = vec![0.0f32; samples * m * k];
+        let b = vec![-1.0f32; samples * n * k];
+        let mut c = vec![-0.0f32; m * n];
+        matmul_nt_samples_with(&a, &b, &mut c, samples, group, m, k, n, &mut PackBuf::new());
+        assert!(c.iter().all(|x| x.to_bits() == 0), "k={k}");
+    }
+}
+
+proptest! {
+    #[test]
+    fn sample_products_match_a_per_sample_nt_loop_bit_for_bit(
+        samples in 1usize..34, group in 1usize..5, m in 1usize..10, k in 1usize..21,
+        n in 1usize..41, seed in 0u64..1_000_000
+    ) {
+        // `k` straddles `LANES` (16): below it the fused register pass
+        // runs, from it the per-sample loop; `n` leaves ragged column tiles.
+        let a = fill_special(samples * m * k, seed);
+        let b = fill_special(samples * n * k, seed ^ 0x3C3C);
+        let c0 = fill_special(m * n, seed ^ 0x99);
+        let mut expected = c0.clone();
+        let mut pack = PackBuf::new();
+        for s in 0..samples {
+            let b_s = grouped_sample(&b, s, group, samples, n, k);
+            matmul_nt_with(&a[s * m * k..][..m * k], &b_s, &mut expected, m, k, n, &mut pack);
+        }
+        let mut c = c0;
+        matmul_nt_samples_with(&a, &b, &mut c, samples, group, m, k, n, &mut pack);
+        prop_assert!(
+            same_bits(&c, &expected),
+            "samples={samples} group={group} m={m} k={k} n={n}"
+        );
+    }
+
+    #[test]
+    fn grouped_im2col_and_col2im_match_the_element_loops_bit_for_bit(
+        channels in 1usize..4, kernel in 1usize..6, stride in 1usize..3,
+        padding in 0usize..3, oh in 1usize..5, ow in 1usize..13, group in 1usize..5,
+        seed in 0u64..1_000_000
+    ) {
+        let geom = geometry(channels, kernel, stride, padding, oh, ow);
+        let (volume, np, pl) = (geom.input_volume(), geom.n_patches(), geom.patch_len());
+        let width = group * np;
+        let imgs = fill_special(group * volume, seed);
+        // Stale contents: every position must be overwritten.
+        let mut cols = vec![f32::NAN; pl * width];
+        im2col_grouped_into(&imgs, &geom, group, &mut cols);
+        let dcols = fill_special(pl * width, seed ^ 0x5A5A);
+        let mut dimgs = vec![f32::NAN; group * volume];
+        col2im_grouped_into(&dcols, &geom, group, &mut dimgs);
+        let (mut one, mut block, mut img) =
+            (vec![0.0; pl * np], vec![0.0; pl * np], vec![0.0; volume]);
+        for s in 0..group {
+            let at = format!("sample {s} of {group}, {geom:?}");
+            let image = &imgs[s * volume..][..volume];
+            oracle::im2col_into(image, &geom, &mut one);
+            for (r, row) in one.chunks_exact(np).enumerate() {
+                prop_assert!(same_bits(&cols[r * width + s * np..][..np], row), "im2col {}", at);
+            }
+            let mut ungrouped = vec![f32::NAN; pl * np];
+            im2col_into(image, &geom, &mut ungrouped);
+            prop_assert!(same_bits(&ungrouped, &one), "im2col_into {}", at);
+
+            for (r, dst) in block.chunks_exact_mut(np).enumerate() {
+                dst.copy_from_slice(&dcols[r * width + s * np..][..np]);
+            }
+            oracle::col2im_into(&block, &geom, &mut img);
+            prop_assert!(same_bits(&dimgs[s * volume..][..volume], &img), "col2im {}", at);
+            let mut ungrouped = vec![f32::NAN; volume];
+            col2im_into(&block, &geom, &mut ungrouped);
+            prop_assert!(same_bits(&ungrouped, &img), "col2im_into {}", at);
         }
     }
 }
