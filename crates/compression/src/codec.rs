@@ -139,7 +139,7 @@ pub trait WireCodec: Sized {
 /// let u = DenseUpdate::new(vec![1.0, -2.5]);
 /// let bytes = u.encode();
 /// assert_eq!(bytes.len(), u.encoded_len());
-/// assert_eq!(DenseUpdate::decode(&bytes).unwrap(), u);
+/// assert_eq!(DenseUpdate::decode(&bytes), Ok(u));
 /// ```
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct DenseUpdate {
@@ -221,7 +221,7 @@ impl WireCodec for DenseUpdate {
 /// assert_eq!(d.view_len(), 4);
 /// let bytes = d.encode();
 /// assert_eq!(bytes.len(), d.encoded_len());
-/// assert_eq!(ViewDescriptor::decode(&bytes).unwrap(), d);
+/// assert_eq!(ViewDescriptor::decode(&bytes), Ok(d));
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ViewDescriptor {
@@ -260,10 +260,10 @@ impl ViewDescriptor {
 
     /// The trivial full-width view: one segment covering every coordinate.
     pub fn full(dense_len: usize) -> Self {
-        let segments = if dense_len == 0 {
-            Vec::new()
-        } else {
-            vec![(0u32, u32::try_from(dense_len).expect("checked by new"))]
+        let segments = match u32::try_from(dense_len) {
+            Ok(len) if len > 0 => vec![(0, len)],
+            // Empty, or past `u32`, which `new` rejects before reading it.
+            _ => Vec::new(),
         };
         ViewDescriptor::new(dense_len, segments)
     }

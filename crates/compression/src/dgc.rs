@@ -90,13 +90,27 @@ impl DgcCompressor {
         assert_eq!(gradient.len(), self.dim(), "gradient length mismatch");
         assert!(compression_ratio >= 1.0, "compression ratio must be ≥ 1");
 
-        // Local gradient clipping (pre-accumulation).
-        let mut g = gradient.to_vec();
-        vecops::clip_l2(&mut g, self.clip_norm);
+        // Local gradient clipping (pre-accumulation) without a copy: the
+        // factor `vecops::clip_l2` would scale by, applied as the gradient
+        // is read, with the multiply `vecops::scale` does. An unclipped
+        // gradient reads as `gᵢ · 1.0`, which is `gᵢ` (deltas are
+        // arithmetic results, never signalling NaNs).
+        let norm = vecops::l2_norm(gradient);
+        let s = if norm > self.clip_norm && norm > 0.0 {
+            self.clip_norm / norm
+        } else {
+            1.0
+        };
 
         // Momentum correction: u ← m·u + g; v ← v + u.
-        for ((u, v), gi) in self.velocity.iter_mut().zip(&mut self.accumulator).zip(&g) {
-            *u = self.momentum * *u + gi;
+        let m = self.momentum;
+        for ((u, v), &gi) in self
+            .velocity
+            .iter_mut()
+            .zip(&mut self.accumulator)
+            .zip(gradient)
+        {
+            *u = m * *u + gi * s;
             *v += *u;
         }
 
@@ -236,6 +250,75 @@ mod tests {
         let u = dgc.compress(&g, 100.0);
         assert_eq!(u.nnz(), 10);
         assert!((u.compression_ratio() - 100.0).abs() < 1e-9);
+    }
+
+    /// The compressor as it was before clipping was folded into the
+    /// momentum loop: a clipped copy of the gradient, then the oracle
+    /// top-k. Kept as the reference the fused pass must match bitwise.
+    struct CopyingDgc {
+        momentum: f32,
+        clip_norm: f32,
+        velocity: Vec<f32>,
+        accumulator: Vec<f32>,
+    }
+
+    impl CopyingDgc {
+        fn compress(&mut self, gradient: &[f32], compression_ratio: f32) -> SparseUpdate {
+            let mut g = gradient.to_vec();
+            vecops::clip_l2(&mut g, self.clip_norm);
+            for ((u, v), gi) in self.velocity.iter_mut().zip(&mut self.accumulator).zip(&g) {
+                *u = self.momentum * *u + gi;
+                *v += *u;
+            }
+            let dim = self.velocity.len();
+            let k = ((dim as f32 / compression_ratio).round() as usize).max(1);
+            let update = crate::oracle::top_k(&self.accumulator, k);
+            for &i in update.indices() {
+                self.accumulator[i as usize] = 0.0;
+                self.velocity[i as usize] = 0.0;
+            }
+            update
+        }
+    }
+
+    #[test]
+    fn fused_clipping_matches_the_copying_compressor_bitwise() {
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let dim = 3001;
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 40) as f32 / (1u64 << 24) as f32 - 0.5
+        };
+        // Gradient norms ≈ 16: clip 1.0 always clips, 1e6 never does, and
+        // 16.0 clips some rounds (those scaled up) but not others.
+        for momentum in [0.0, 0.9] {
+            for clip_norm in [1.0, 16.0, 1e6] {
+                let mut fused = DgcCompressor::new(dim, momentum, clip_norm);
+                let mut copying = CopyingDgc {
+                    momentum,
+                    clip_norm,
+                    velocity: vec![0.0; dim],
+                    accumulator: vec![0.0; dim],
+                };
+                for round in 0..12 {
+                    let scale = if round % 2 == 0 { 0.8 } else { 1.25 };
+                    let g: Vec<f32> = (0..dim).map(|_| next() * scale).collect();
+                    let ratio = [2.0, 50.0, 210.0][round % 3];
+                    let (a, b) = (fused.compress(&g, ratio), copying.compress(&g, ratio));
+                    assert_eq!(
+                        a.indices(),
+                        b.indices(),
+                        "m {momentum} clip {clip_norm} round {round}"
+                    );
+                    assert_eq!(bits(a.values()), bits(b.values()));
+                    assert_eq!(bits(&fused.velocity), bits(&copying.velocity));
+                    assert_eq!(bits(&fused.accumulator), bits(&copying.accumulator));
+                }
+            }
+        }
     }
 
     #[test]

@@ -33,6 +33,7 @@
 //! assert_eq!(update.nnz(), 1); // ratio 4× on 4 elements keeps 1
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
@@ -52,7 +53,7 @@ pub use quantize::{QsgdQuantizer, QuantizedUpdate};
 pub use sparse::SparseUpdate;
 pub use telemetry::record_compression;
 pub use terngrad::{TernGrad, TernaryUpdate};
-pub use topk::top_k;
+pub use topk::{oracle, top_k};
 
 /// Wire size in bytes of a dense `f32` gradient of `len` elements.
 ///
@@ -61,6 +62,14 @@ pub use topk::top_k;
 /// [`DenseUpdate`]'s `encoded_len()`, which a unit test pins.
 pub fn dense_wire_size(len: usize) -> usize {
     codec::DENSE_HEADER_BYTES + 4 * len
+}
+
+/// Wire size in bytes of a [`SparseUpdate`] holding `nnz` pairs: a 16-byte
+/// header plus 8 bytes per pair. Equal by definition to the update's
+/// `encoded_len()`, which a unit test pins; [`top_k`] of `k` coordinates
+/// holds `min(k, len)` pairs.
+pub fn sparse_wire_size(nnz: usize) -> usize {
+    codec::SPARSE_HEADER_BYTES + codec::SPARSE_PAIR_BYTES * nnz
 }
 
 #[cfg(test)]
@@ -73,6 +82,22 @@ mod size_tests {
             let u = DenseUpdate::new(vec![0.25; len]);
             assert_eq!(dense_wire_size(len), u.encoded_len());
             assert_eq!(dense_wire_size(len), u.encode().len());
+        }
+    }
+
+    #[test]
+    fn sparse_wire_size_matches_top_k() {
+        for dim in (0usize..=300).chain([56_080]) {
+            let dense: Vec<f32> = (0..dim).map(|i| (i % 7) as f32 - 3.0).collect();
+            for k in [0, 1, dim / 100, dim.max(1) / 100 + 1, dim, dim + 5] {
+                let u = top_k(&dense, k);
+                assert_eq!(
+                    sparse_wire_size(k.min(dim)),
+                    u.encoded_len(),
+                    "dim {dim} k {k}"
+                );
+                assert_eq!(sparse_wire_size(u.nnz()), u.encode().len());
+            }
         }
     }
 }

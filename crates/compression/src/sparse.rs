@@ -17,7 +17,7 @@ use bytes::{Buf, BufMut};
 /// assert_eq!(u.to_dense(), vec![0.0, 0.5, 0.0, -0.5]);
 /// let bytes = u.encode();
 /// assert_eq!(bytes.len(), u.encoded_len());
-/// assert_eq!(SparseUpdate::decode(&bytes).unwrap(), u);
+/// assert_eq!(SparseUpdate::decode(&bytes), Ok(u));
 /// ```
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct SparseUpdate {

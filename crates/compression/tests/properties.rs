@@ -1,10 +1,62 @@
 //! Property-based tests for the compression stack.
 
-use adafl_compression::{top_k, DgcCompressor, QsgdQuantizer, SparseUpdate, WireCodec};
+use adafl_compression::{oracle, top_k, DgcCompressor, QsgdQuantizer, SparseUpdate, WireCodec};
 use proptest::prelude::*;
 
 fn vec_f32(len: usize) -> impl Strategy<Value = Vec<f32>> {
     proptest::collection::vec(-50.0f32..50.0, len)
+}
+
+/// A `len`-long input for the top-k oracle check, drawn from `seed` in one
+/// of four shapes: a palette of a few values (heavy exact ties), keys
+/// packed into a narrow range (so the select descends every digit), raw
+/// bit patterns (subnormals, ±inf, ±0.0 among them), or the same with
+/// NaNs sprinkled in.
+fn topk_input(seed: u64, len: usize) -> Vec<f32> {
+    let mut state = seed | 1;
+    let mut next = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    };
+    let specials = [
+        0.0,
+        -0.0,
+        f32::from_bits(1),
+        -f32::from_bits(0x007f_ffff),
+        f32::MIN_POSITIVE,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        1.0,
+        -1.0,
+    ];
+    let shape = next() % 4;
+    let palette: Vec<f32> = (0..1 + next() % 6)
+        .map(|_| specials[(next() % specials.len() as u64) as usize])
+        .collect();
+    let base = (next() as u32) & 0x7f00_0000;
+    let span = 1 + (next() % (1 << 20)) as u32;
+    (0..len)
+        .map(|_| {
+            let r = next();
+            let sign = if r & 1 == 0 { 1.0 } else { -1.0 };
+            match shape {
+                0 => palette[(r >> 1) as usize % palette.len()] * sign,
+                1 => f32::from_bits((base + (r >> 8) as u32 % span).min(0x7f80_0000)) * sign,
+                _ if r % 97 == 0 => specials[(r >> 8) as usize % specials.len()],
+                _ if shape == 3 && r % 89 == 0 => f32::NAN,
+                _ => {
+                    let x = f32::from_bits((r >> 32) as u32);
+                    if x.is_nan() {
+                        f32::INFINITY * sign
+                    } else {
+                        x
+                    }
+                }
+            }
+        })
+        .collect()
 }
 
 proptest! {
@@ -25,6 +77,17 @@ proptest! {
                 prop_assert!(v.abs() <= kept_min + 1e-6);
             }
         }
+    }
+
+    #[test]
+    fn top_k_matches_the_oracle_bitwise(seed in 0u64..u64::MAX, len in 0usize..5001, extra in 0usize..5004) {
+        let dense = topk_input(seed, len);
+        let k = extra % (len + 4);
+        let (got, want) = (top_k(&dense, k), oracle::top_k(&dense, k));
+        prop_assert_eq!(got.dense_len(), want.dense_len());
+        prop_assert_eq!(got.indices(), want.indices());
+        let bits = |u: &SparseUpdate| u.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(bits(&got), bits(&want));
     }
 
     #[test]

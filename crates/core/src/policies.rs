@@ -24,7 +24,7 @@ use crate::config::AdaFlConfig;
 use crate::selection::Selector;
 use crate::utility::{utility_score, UtilityInputs};
 use crate::wire;
-use adafl_compression::{dense_wire_size, top_k, DgcCompressor, WireCodec};
+use adafl_compression::{dense_wire_size, sparse_wire_size, top_k, DgcCompressor, WireCodec};
 use adafl_fl::runtime::{
     AggregationPolicy, AsyncApplyCtx, AsyncDownlinkCtx, AsyncPolicy, AsyncUploadCtx,
     CompressionPolicy, RoundUpdate, SelectionCtx, SelectionPolicy, StreamAccumulator,
@@ -287,10 +287,10 @@ impl AsyncPolicy for AdaFlAsyncPolicy {
     }
 
     fn downlink_bytes(&mut self, ctx: &AsyncDownlinkCtx<'_>) -> usize {
-        // The download carries the full model plus the ĝ digest.
+        // The download carries the full model plus the ĝ digest, whose
+        // size depends only on how many pairs `top_k` would keep.
         let digest_k = wire::digest_len(ctx.dense_len);
-        let digest = top_k(ctx.global_gradient, digest_k);
-        dense_wire_size(ctx.dense_len) + digest.encoded_len()
+        dense_wire_size(ctx.dense_len) + sparse_wire_size(digest_k.min(ctx.global_gradient.len()))
     }
 
     fn prepare_upload(
@@ -353,13 +353,11 @@ impl AsyncPolicy for AdaFlAsyncPolicy {
         _weight: f32,
         staleness: u64,
     ) -> bool {
-        let UpdatePayload::Sparse(sparse) = payload else {
-            unreachable!("AdaFL async uploads are always sparse");
-        };
+        // AdaFL uploads are sparse; any other form would mix in the same way.
         let alpha = self.ada.async_alpha
             * (1.0 + staleness as f32).powf(-self.ada.async_staleness_exponent);
         let mut dense = vec![0.0f32; ctx.global.len()];
-        sparse.add_into(&mut dense, alpha);
+        payload.add_scaled_into(&mut dense, alpha);
         vecops::axpy(ctx.global, 1.0, &dense);
         *ctx.global_gradient = dense;
         true

@@ -7,7 +7,6 @@
 //! weight `β`.
 
 use adafl_netsim::LinkSpec;
-use adafl_tensor::vecops;
 
 /// Time window within which a client's (compressed) update should fit for
 /// its bandwidth to count as fully "sufficient" (Eq. 6's `B` inputs).
@@ -46,19 +45,50 @@ impl SimilarityMetric {
     /// Panics when lengths differ.
     pub fn similarity01(&self, local: &[f32], global_ref: &[f32]) -> f32 {
         assert_eq!(local.len(), global_ref.len(), "gradient length mismatch");
-        let nl = vecops::l2_norm(local);
-        let ng = vecops::l2_norm(global_ref);
+        let sums = Sums::of(local, global_ref);
+        let nl = sums.local.sqrt();
+        let ng = sums.global.sqrt();
         if nl == 0.0 || ng == 0.0 {
             return 0.5;
         }
         match self {
-            SimilarityMetric::Cosine => (vecops::cosine_similarity(local, global_ref) + 1.0) / 2.0,
+            SimilarityMetric::Cosine => ((sums.dot / (nl * ng)).clamp(-1.0, 1.0) + 1.0) / 2.0,
             SimilarityMetric::L2Norm => nl.min(ng) / nl.max(ng),
             SimilarityMetric::Euclidean => {
-                let d = vecops::l2_distance(local, global_ref) / ng;
+                let d = sums.distance.sqrt() / ng;
                 1.0 / (1.0 + d)
             }
         }
+    }
+}
+
+/// The four sums the metrics read, from one pass over both gradients.
+/// Each runs in index order from `-0.0`, as `Iterator::sum` does, so each
+/// carries the bits of its own pass in [`adafl_tensor::vecops`]:
+/// `l2_norm`'s squares, `dot`, and `l2_distance`'s squared differences.
+struct Sums {
+    local: f32,
+    global: f32,
+    dot: f32,
+    distance: f32,
+}
+
+impl Sums {
+    fn of(local: &[f32], global: &[f32]) -> Sums {
+        let mut s = Sums {
+            local: -0.0,
+            global: -0.0,
+            dot: -0.0,
+            distance: -0.0,
+        };
+        for (&x, &y) in local.iter().zip(global) {
+            s.local += x * x;
+            s.global += y * y;
+            s.dot += x * y;
+            let d = x - y;
+            s.distance += d * d;
+        }
+        s
     }
 }
 
@@ -121,6 +151,7 @@ pub fn utility_score(
 mod tests {
     use super::*;
     use adafl_netsim::LinkProfile;
+    use adafl_tensor::vecops;
 
     fn link() -> LinkSpec {
         LinkProfile::Broadband.spec()
@@ -227,6 +258,87 @@ mod tests {
         let sa = utility_score(&aligned, SimilarityMetric::Cosine, 0.7);
         let sm = utility_score(&misaligned, SimilarityMetric::Cosine, 0.7);
         assert!(sa > sm + 0.3, "scores too close: {sa} vs {sm}");
+    }
+
+    /// `similarity01` as five separate passes: both norms, then the
+    /// metric's own `vecops` call, which takes its norms again. Kept as
+    /// the reference the one-pass form must match bitwise.
+    fn five_pass(metric: SimilarityMetric, local: &[f32], global_ref: &[f32]) -> f32 {
+        let nl = vecops::l2_norm(local);
+        let ng = vecops::l2_norm(global_ref);
+        if nl == 0.0 || ng == 0.0 {
+            return 0.5;
+        }
+        match metric {
+            SimilarityMetric::Cosine => (vecops::cosine_similarity(local, global_ref) + 1.0) / 2.0,
+            SimilarityMetric::L2Norm => nl.min(ng) / nl.max(ng),
+            SimilarityMetric::Euclidean => {
+                let d = vecops::l2_distance(local, global_ref) / ng;
+                1.0 / (1.0 + d)
+            }
+        }
+    }
+
+    /// A pair of `len`-long gradients from `seed`: mostly ordinary values,
+    /// with signed zeros, subnormals, huge values (whose squares overflow)
+    /// and the odd NaN mixed in; `zeros` in 8 makes one side all ±0.0.
+    fn gradient_pair(seed: u64, len: usize) -> (Vec<f32>, Vec<f32>) {
+        let mut state = seed | 1;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let zeros = next() % 8;
+        let mut draw = |all_zero: bool| -> Vec<f32> {
+            (0..len)
+                .map(|_| {
+                    let r = next();
+                    let sign = if r & 1 == 0 { 1.0 } else { -1.0 };
+                    let x = match (r >> 1) % 64 {
+                        _ if all_zero => 0.0,
+                        0..=3 => 0.0,
+                        4 => f32::from_bits((r >> 40) as u32 & 0x007f_ffff),
+                        5 => 3e19,
+                        6 if r % 7 == 0 => f32::NAN,
+                        _ => ((r >> 40) as f32 / (1u64 << 24) as f32 - 0.5) * 0.02,
+                    };
+                    x * sign
+                })
+                .collect()
+        };
+        let local = draw(zeros == 0);
+        let global = draw(zeros == 1);
+        (local, global)
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn one_pass_matches_the_five_pass_form_bitwise(seed in 0u64..u64::MAX, len in 0usize..700) {
+            let (local, global) = gradient_pair(seed, len);
+            for metric in [SimilarityMetric::Cosine, SimilarityMetric::L2Norm, SimilarityMetric::Euclidean] {
+                let (got, want) = (metric.similarity01(&local, &global), five_pass(metric, &local, &global));
+                // A NaN's payload is the compiler's to pick (it may swap
+                // the operands of a commutative op); that it is NaN is not.
+                let same = got.to_bits() == want.to_bits() || (got.is_nan() && want.is_nan());
+                proptest::prop_assert!(same, "{metric:?}: {got} vs {want}");
+            }
+        }
+    }
+
+    #[test]
+    fn sums_start_from_negative_zero_like_the_vecops_passes() {
+        // Every product is -0.0: a sum started at +0.0 would end at +0.0.
+        let (a, b) = ([1.0f32, -0.0, 2.0], [-0.0f32, 3.0, -0.0]);
+        let sums = Sums::of(&a, &b);
+        assert_eq!(sums.dot.to_bits(), (-0.0f32).to_bits());
+        assert_eq!(sums.dot.to_bits(), vecops::dot(&a, &b).to_bits());
+        let empty = Sums::of(&[], &[]);
+        for sum in [empty.local, empty.global, empty.dot, empty.distance] {
+            assert_eq!(sum.to_bits(), (-0.0f32).to_bits());
+        }
+        assert_eq!(empty.local.sqrt().to_bits(), vecops::l2_norm(&[]).to_bits());
     }
 
     #[test]

@@ -63,6 +63,72 @@ impl MaxPool2d {
     }
 }
 
+/// Pooling of one batch row for any window: scans each window row-major
+/// and keeps the first strict maximum, the order [`pool_pairs`] unrolls
+/// for window 2.
+fn pool_windows(
+    row: &[f32],
+    (channels, height, width, win): (usize, usize, usize, usize),
+    out_row: &mut [f32],
+    argmax: &mut [usize],
+) {
+    let (oh, ow) = (height / win, width / win);
+    let mut o = 0usize;
+    for c in 0..channels {
+        let base = c * height * width;
+        for py in 0..oh {
+            for px in 0..ow {
+                let mut best_idx = base + (py * win) * width + px * win;
+                let mut best = row[best_idx];
+                for wy in 0..win {
+                    for wx in 0..win {
+                        let idx = base + (py * win + wy) * width + (px * win + wx);
+                        if row[idx] > best {
+                            best = row[idx];
+                            best_idx = idx;
+                        }
+                    }
+                }
+                out_row[o] = best;
+                argmax[o] = best_idx;
+                o += 1;
+            }
+        }
+    }
+}
+
+/// Window-2 pooling of one batch row, a pair of image rows at a time (the
+/// channel planes stack into one column of `width`-wide rows, and every
+/// plane has an even height). Compares (0,0), (0,1), (1,0), (1,1) with a
+/// strict `>`, like [`pool_windows`], so ties and NaNs resolve
+/// to the same argmax.
+fn pool_pairs(row: &[f32], width: usize, out_row: &mut [f32], argmax: &mut [usize]) {
+    let ow = width / 2;
+    let pairs = row
+        .chunks_exact(2 * width)
+        .zip(out_row.chunks_exact_mut(ow))
+        .zip(argmax.chunks_exact_mut(ow));
+    for (p, ((pair, out), arg)) in pairs.enumerate() {
+        let (upper, lower) = pair.split_at(width);
+        let cells = upper.chunks_exact(2).zip(lower.chunks_exact(2));
+        for (px, ((o, a), (u, l))) in out.iter_mut().zip(arg.iter_mut()).zip(cells).enumerate() {
+            let at = p * 2 * width + 2 * px;
+            let (mut best, mut best_at) = (u[0], at);
+            if u[1] > best {
+                (best, best_at) = (u[1], at + 1);
+            }
+            if l[0] > best {
+                (best, best_at) = (l[0], at + width);
+            }
+            if l[1] > best {
+                (best, best_at) = (l[1], at + width + 1);
+            }
+            *o = best;
+            *a = best_at;
+        }
+    }
+}
+
 impl Layer for MaxPool2d {
     fn forward_into(
         &mut self,
@@ -79,34 +145,21 @@ impl Layer for MaxPool2d {
             "pool input volume mismatch"
         );
         let batch = input.shape().dims()[0];
-        let (oh, ow, win) = (self.out_h(), self.out_w(), self.window);
         let out_vol = self.output_volume();
         out.resize_reuse(&[batch, out_vol]);
-        self.cached_argmax.clear();
+        self.cached_argmax.resize(batch * out_vol, 0);
         self.batch = batch;
-        for (bi, row) in input.as_slice().chunks(in_vol).enumerate() {
-            let out_row = &mut out.as_mut_slice()[bi * out_vol..(bi + 1) * out_vol];
-            let mut o = 0usize;
-            for c in 0..self.channels {
-                let base = c * self.height * self.width;
-                for py in 0..oh {
-                    for px in 0..ow {
-                        let mut best_idx = base + (py * win) * self.width + px * win;
-                        let mut best = row[best_idx];
-                        for wy in 0..win {
-                            for wx in 0..win {
-                                let idx = base + (py * win + wy) * self.width + (px * win + wx);
-                                if row[idx] > best {
-                                    best = row[idx];
-                                    best_idx = idx;
-                                }
-                            }
-                        }
-                        out_row[o] = best;
-                        self.cached_argmax.push(best_idx);
-                        o += 1;
-                    }
-                }
+        let geometry = (self.channels, self.height, self.width, self.window);
+        let rows = input
+            .as_slice()
+            .chunks_exact(in_vol)
+            .zip(out.as_mut_slice().chunks_exact_mut(out_vol))
+            .zip(self.cached_argmax.chunks_exact_mut(out_vol));
+        for ((row, out_row), argmax) in rows {
+            if self.window == 2 {
+                pool_pairs(row, self.width, out_row, argmax);
+            } else {
+                pool_windows(row, geometry, out_row, argmax);
             }
         }
     }
@@ -186,6 +239,85 @@ mod tests {
         assert_eq!(y.as_slice(), &[4.0, 40.0]);
         let dx = pool.backward(&Tensor::from_vec(vec![1.0, 2.0], &[2, 1]).unwrap());
         assert_eq!(dx.as_slice(), &[0.0, 0.0, 0.0, 1.0, 2.0, 0.0, 0.0, 0.0]);
+    }
+
+    /// The forward loop before window 2 got its own body: every window
+    /// scanned row-major with a strict `>`, its argmax pushed in order.
+    /// Kept as the reference both bodies must match bitwise.
+    fn reference_forward(
+        (c, h, w, win): (usize, usize, usize, usize),
+        input: &[f32],
+    ) -> (Vec<f32>, Vec<usize>) {
+        let (oh, ow) = (h / win, w / win);
+        let (mut out, mut argmax) = (Vec::new(), Vec::new());
+        for row in input.chunks(c * h * w) {
+            for ch in 0..c {
+                let base = ch * h * w;
+                for py in 0..oh {
+                    for px in 0..ow {
+                        let mut best_idx = base + (py * win) * w + px * win;
+                        let mut best = row[best_idx];
+                        for wy in 0..win {
+                            for wx in 0..win {
+                                let idx = base + (py * win + wy) * w + (px * win + wx);
+                                if row[idx] > best {
+                                    best = row[idx];
+                                    best_idx = idx;
+                                }
+                            }
+                        }
+                        out.push(best);
+                        argmax.push(best_idx);
+                    }
+                }
+            }
+        }
+        (out, argmax)
+    }
+
+    #[test]
+    fn forward_matches_the_reference_loop_bitwise() {
+        // A palette full of ties, signed zeros and NaNs, so that the order
+        // of comparisons decides most windows.
+        let palette = [
+            0.0f32,
+            -0.0,
+            1.0,
+            1.0,
+            -1.0,
+            f32::NAN,
+            -f32::NAN,
+            2.5,
+            f32::NEG_INFINITY,
+        ];
+        let mut state = 0x853c_49e6_748f_ea9bu64;
+        for (c, h, w, win) in [
+            (3, 8, 6, 2),
+            (20, 12, 12, 2),
+            (1, 2, 2, 2),
+            (2, 9, 6, 3),
+            (1, 4, 4, 1),
+        ] {
+            let batch = 3;
+            let input: Vec<f32> = (0..batch * c * h * w)
+                .map(|_| {
+                    state ^= state << 13;
+                    state ^= state >> 7;
+                    state ^= state << 17;
+                    palette[(state % palette.len() as u64) as usize]
+                })
+                .collect();
+            let (want, want_argmax) = reference_forward((c, h, w, win), &input);
+            let mut pool = MaxPool2d::new(c, h, w, win);
+            let x = Tensor::from_vec(input, &[batch, c * h * w]).unwrap();
+            // Twice, so a second step reuses the argmax cache.
+            for _ in 0..2 {
+                let y = pool.forward(&x, true);
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(y.as_slice()), bits(&want), "{c}x{h}x{w} window {win}");
+                assert_eq!(pool.cached_argmax, want_argmax, "{c}x{h}x{w} window {win}");
+            }
+        }
     }
 
     #[test]
