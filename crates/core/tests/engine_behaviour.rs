@@ -6,8 +6,11 @@ use adafl_core::{AdaFlBuild, AdaFlConfig};
 use adafl_data::partition::Partitioner;
 use adafl_data::synthetic::SyntheticSpec;
 use adafl_data::Dataset;
+use adafl_fl::compute::ComputeModel;
+use adafl_fl::defense::DefenseConfig;
 use adafl_fl::faults::{FaultKind, FaultPlan};
-use adafl_fl::runtime::RuntimeBuilder;
+use adafl_fl::r#async::strategies::{FedAsync, FedBuff};
+use adafl_fl::runtime::{AsyncRuntime, RuntimeBuilder};
 use adafl_fl::{CommunicationLedger, FlConfig, RunHistory};
 use adafl_netsim::{
     ClientNetwork, FleetNetwork, LinkProfile, LinkSpec, LinkTrace, MeshLayout, NodeRole,
@@ -15,6 +18,7 @@ use adafl_netsim::{
 };
 use adafl_nn::models::ModelSpec;
 use adafl_telemetry::{names, InMemoryRecorder, Trace};
+use std::sync::Arc;
 
 fn task() -> (Dataset, Dataset) {
     let data = SyntheticSpec::mnist_like(8, 600).generate(3);
@@ -202,7 +206,7 @@ type RunRecord = (RunHistory, Vec<f32>, CommunicationLedger, Trace);
 fn adafl_run(network: FleetNetwork, threads: usize, crashes: bool) -> RunRecord {
     const CLIENTS: usize = 6;
     let data = SyntheticSpec::mnist_like(8, 780).generate(3);
-    // 300 test rows are five evaluation blocks: four shards at width 4.
+    // 300 test rows are ten evaluation blocks: four shards at width 4.
     let (train, test) = data.split_at(480);
     let fl = FlConfig::builder()
         .clients(CLIENTS)
@@ -287,5 +291,177 @@ fn pool_width_is_invisible_to_adafl() {
                 "{name}: {threads} workers differ from the inline run"
             );
         }
+    }
+}
+
+/// The asynchronous runs whose results must not know how wide the pool
+/// that trained ahead was.
+#[derive(Debug, Clone, Copy)]
+enum AsyncRun {
+    FedAsync,
+    FedBuff,
+    /// AdaFL past its warm-up on drifting links: the utility gate halts
+    /// some uploads, and those clients resync.
+    AdaFl,
+    /// FedBuff on links that lose a quarter of all transfers: lost
+    /// downlinks and uploads resync.
+    Lossy,
+    /// FedAsync behind the defense gate, with a sign-flipping attacker and
+    /// a corrupting client.
+    Byzantine,
+}
+
+/// A traced asynchronous run of six clients at pool width `threads`, with
+/// unequal step times so training passes start out of submission order.
+fn async_engine(
+    run: AsyncRun,
+    threads: usize,
+    budget: u64,
+) -> (AsyncRuntime, Arc<InMemoryRecorder>) {
+    const CLIENTS: usize = 6;
+    let (train, test) = task();
+    let fl = FlConfig::builder()
+        .clients(CLIENTS)
+        .local_steps(3)
+        .batch_size(16)
+        .model(ModelSpec::Mlp {
+            in_features: 64,
+            hidden: vec![16],
+            classes: 10,
+        })
+        .build();
+    let recorder = InMemoryRecorder::shared();
+    let mut builder = RuntimeBuilder::new(fl, test)
+        .partitioned(&train, Partitioner::Iid)
+        .compute(ComputeModel::heterogeneous(
+            (0..CLIENTS).map(|c| 0.05 + 0.013 * c as f64).collect(),
+        ))
+        .update_budget(budget)
+        .threads(Some(threads))
+        .recorder(recorder.clone());
+    builder = match run {
+        AsyncRun::AdaFl => builder.network(drifting_star(CLIENTS)),
+        AsyncRun::Lossy => {
+            let link = LinkSpec::new(2e6, 10e6, 0.01, 0.01, 0.25);
+            builder.network(ClientNetwork::new(
+                vec![LinkTrace::constant(link); CLIENTS],
+                4,
+            ))
+        }
+        AsyncRun::Byzantine => {
+            let kinds = (0..CLIENTS)
+                .map(|c| match c {
+                    1 => FaultKind::SignFlip,
+                    3 => FaultKind::Corruption { prob: 0.5 },
+                    _ => FaultKind::Reliable,
+                })
+                .collect();
+            builder
+                .faults(FaultPlan::new(kinds, 9))
+                .defense(Some(DefenseConfig::default()))
+        }
+        AsyncRun::FedAsync | AsyncRun::FedBuff => builder,
+    };
+    let engine = match run {
+        AsyncRun::AdaFl => builder.build_adafl_async(&AdaFlConfig {
+            warmup_rounds: 1,
+            utility_threshold: 0.7,
+            ..AdaFlConfig::default()
+        }),
+        AsyncRun::FedBuff | AsyncRun::Lossy => {
+            builder.build_async(Box::new(FedBuff::new(3, 0.3))).unwrap()
+        }
+        AsyncRun::FedAsync | AsyncRun::Byzantine => builder
+            .build_async(Box::new(FedAsync::new(0.6, 0.5)))
+            .unwrap(),
+    };
+    (engine, recorder)
+}
+
+/// Everything a run leaves behind, wall times scrubbed.
+fn async_record(engine: &mut AsyncRuntime, recorder: &InMemoryRecorder) -> RunRecord {
+    let history = engine.run();
+    (
+        history,
+        engine.global_params().to_vec(),
+        engine.ledger().clone(),
+        recorder.snapshot().without_wall_times(),
+    )
+}
+
+#[test]
+fn async_pool_width_is_invisible() {
+    // Each downlink starts its client's training pass on the pool, and
+    // each `StartTraining` event commits it; the history, the model, every
+    // ledger column and the whole trace must not know how wide it was —
+    // whether the budget ends the run after one arrival, mid-flight or
+    // late.
+    for run in [
+        AsyncRun::FedAsync,
+        AsyncRun::FedBuff,
+        AsyncRun::AdaFl,
+        AsyncRun::Lossy,
+        AsyncRun::Byzantine,
+    ] {
+        for budget in [1, 7, 40] {
+            let (mut engine, recorder) = async_engine(run, 1, budget);
+            let inline = async_record(&mut engine, &recorder);
+            let (history, _, ledger, trace) = &inline;
+            assert!(!history.is_empty(), "{run:?}, budget {budget}");
+            assert!(
+                ledger.uplink_updates() >= budget,
+                "{run:?}, budget {budget}"
+            );
+            if budget == 40 {
+                match run {
+                    AsyncRun::AdaFl => {
+                        assert!(
+                            trace.counters[names::ADAFL_HALTS] > 0,
+                            "the gate halted uploads"
+                        )
+                    }
+                    AsyncRun::Lossy => assert!(
+                        trace.counters.get(names::NET_DROPS) > Some(&0),
+                        "transfers were lost"
+                    ),
+                    AsyncRun::Byzantine => {
+                        assert!(
+                            trace.counters[names::FL_ATTACKS] > 0,
+                            "the attacker attacked"
+                        );
+                        assert!(
+                            trace.counters[names::FL_CORRUPTIONS] > 0,
+                            "frames were corrupted"
+                        );
+                    }
+                    AsyncRun::FedAsync | AsyncRun::FedBuff => {}
+                }
+            }
+            for threads in 2..=4 {
+                let (mut engine, recorder) = async_engine(run, threads, budget);
+                assert_eq!(
+                    async_record(&mut engine, &recorder),
+                    inline,
+                    "{run:?}, budget {budget}: {threads} workers differ from the inline run"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn async_pool_width_is_invisible_after_passes_left_unjoined() {
+    // A budget of 7 ends each run with passes started and never joined; a
+    // second run on the same runtime starts from the devices as the last
+    // committed pass left them, at any width.
+    for run in [AsyncRun::FedBuff, AsyncRun::AdaFl] {
+        let twice = |threads: usize| {
+            let (mut engine, recorder) = async_engine(run, threads, 7);
+            let first = async_record(&mut engine, &recorder);
+            (first, async_record(&mut engine, &recorder))
+        };
+        let (first, second) = twice(1);
+        assert_ne!(first.0, second.0, "{run:?}: the second run trains on");
+        assert_eq!(twice(2), (first, second), "{run:?}");
     }
 }

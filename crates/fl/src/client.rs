@@ -221,6 +221,19 @@ impl Trainer {
         }
     }
 
+    /// Evaluates `params` on `data` with this trainer's model and
+    /// workspace ([`Evaluator::evaluate_in`]): a server borrowing a warm
+    /// trainer between local rounds, which install their own parameters.
+    pub(crate) fn evaluate(
+        &mut self,
+        evaluator: &mut Evaluator,
+        params: &[f32],
+        data: &Dataset,
+    ) -> (f32, f32) {
+        self.model.set_params_flat(params);
+        evaluator.evaluate_in(&mut self.model, &mut self.ws, data)
+    }
+
     /// One mini-batch forward and backward at the model's current
     /// parameters on `device`'s next batch — the unit of device compute
     /// behind both local training and the utility probe. Returns the batch
@@ -393,13 +406,14 @@ impl Trainer {
     }
 }
 
-/// The warm trainers a runtime hands its per-device jobs: as many as the
-/// pool has threads, built on first use from the fleet's initial model.
+/// The warm trainers a runtime hands its per-device jobs: at most one per
+/// pool thread, built on first use from the fleet's initial model.
 ///
 /// [`Trainers::run`] keeps one job per device, so the pool's claim loop
-/// still balances a noisy host, and each job pops a trainer from a LIFO
-/// free list and pushes it back when done: a thread that finishes one
-/// device picks its own trainer up again, still warm in its cache.
+/// still balances a noisy host, and each job borrows a trainer from a LIFO
+/// free list ([`Lease::with`]) and gives it back when done: a thread that
+/// finishes one device picks its own trainer up again, still warm in its
+/// cache.
 #[derive(Debug)]
 pub struct Trainers {
     spec: ModelSpec,
@@ -409,13 +423,29 @@ pub struct Trainers {
 
 impl Trainers {
     /// No trainers yet; each is built from `spec.build(seed)` — the
-    /// fleet's initial model — when a scope first needs it.
+    /// fleet's initial model — when a job first finds none free.
     pub fn new(spec: ModelSpec, seed: u64) -> Self {
         Trainers {
             spec,
             seed,
             idle: Vec::new(),
         }
+    }
+
+    /// Lends the idle trainers to the jobs `body` runs, and takes every
+    /// trainer back when it returns.
+    pub fn lend<R>(&mut self, body: impl FnOnce(&Lease<'_>) -> R) -> R {
+        let lease = Lease {
+            free: Mutex::new(std::mem::take(&mut self.idle)),
+            spec: &self.spec,
+            seed: self.seed,
+        };
+        let out = body(&lease);
+        self.idle = lease
+            .free
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner);
+        out
     }
 
     /// Runs `work(trainer, item)` once per item across `pool`, one job per
@@ -445,33 +475,40 @@ impl Trainers {
         work: impl Fn(&mut Trainer, I) -> R + Sync,
         drain: impl FnMut(R),
     ) {
-        let width = pool.workers().max(1).min(items.len());
-        while self.idle.len() < width {
-            self.idle.push(Trainer::new(self.spec.build(self.seed)));
-        }
-        let free = Mutex::new(self.idle.iter_mut().collect::<Vec<_>>());
-        let (free, work, spec, seed) = (&free, &work, &self.spec, self.seed);
-        let lock = || free.lock().unwrap_or_else(PoisonError::into_inner);
-        let jobs: Vec<Box<dyn FnOnce() -> R + Send + '_>> = items
-            .into_iter()
-            .map(|item| {
-                Box::new(move || {
-                    let popped = lock().pop();
-                    match popped {
-                        Some(trainer) => {
-                            let out = work(trainer, item);
-                            lock().push(trainer);
-                            out
-                        }
-                        // A scope runs at most `workers` jobs at once, so
-                        // the list is never empty; a fresh trainer would
-                        // train the same bits regardless.
-                        None => work(&mut Trainer::new(spec.build(seed)), item),
-                    }
-                }) as Box<_>
-            })
-            .collect();
-        pool.scope_drain(jobs, drain);
+        self.lend(|lease| {
+            let work = &work;
+            let jobs: Vec<Box<dyn FnOnce() -> R + Send + '_>> = items
+                .into_iter()
+                .map(|item| Box::new(move || lease.with(|trainer| work(trainer, item))) as Box<_>)
+                .collect();
+            pool.scope_drain(jobs, drain);
+        });
+    }
+}
+
+/// The trainers [`Trainers::lend`] hands out, shared by the jobs of one
+/// scope.
+#[derive(Debug)]
+pub struct Lease<'a> {
+    free: Mutex<Vec<Trainer>>,
+    spec: &'a ModelSpec,
+    seed: u64,
+}
+
+impl Lease<'_> {
+    /// Runs `work` on a free trainer — the one given back last, or a new
+    /// one when every trainer is busy — and gives it back. A scope runs at
+    /// most as many jobs at once as its pool has threads, so no more
+    /// trainers than that are ever built; which one a job gets is
+    /// invisible in its results (the trainer invariant in the
+    /// [module docs](self)).
+    pub fn with<R>(&self, work: impl FnOnce(&mut Trainer) -> R) -> R {
+        let lock = || self.free.lock().unwrap_or_else(PoisonError::into_inner);
+        let popped = lock().pop();
+        let mut trainer = popped.unwrap_or_else(|| Trainer::new(self.spec.build(self.seed)));
+        let out = work(&mut trainer);
+        lock().push(trainer);
+        out
     }
 }
 
@@ -666,7 +703,7 @@ impl FlClient {
 /// Rows per forward pass of an evaluation shard. Also the unit shards are
 /// cut in, and what bounds a replica's batch-sized activation and im2col
 /// caches.
-const EVAL_BLOCK: usize = 64;
+const EVAL_BLOCK: usize = 32;
 
 /// Rows per loss chunk: the reported loss is the mean of per-chunk mean
 /// losses (see [`evaluate_model`]), so this is part of every pinned history.
@@ -682,14 +719,17 @@ struct ShardScratch {
 
 impl ShardScratch {
     /// Forwards `rows` of `data` through `model` one [`EVAL_BLOCK`] at a
-    /// time, writing their logits to `out` in row order.
+    /// time, in `ws` or else the shard's own workspace, writing their
+    /// logits to `out` in row order.
     fn forward_rows(
         &mut self,
         model: &mut Model,
+        ws: Option<&mut ModelWorkspace>,
         data: &Dataset,
         rows: Range<usize>,
         out: &mut [f32],
     ) {
+        let ws = ws.unwrap_or(&mut self.ws);
         let (dim, classes) = (data.dim(), model.out_features());
         for start in rows.clone().step_by(EVAL_BLOCK) {
             let end = (start + EVAL_BLOCK).min(rows.end);
@@ -697,7 +737,7 @@ impl ShardScratch {
             for (i, row) in (start..end).zip(self.x.as_mut_slice().chunks_mut(dim)) {
                 row.copy_from_slice(data.features(i));
             }
-            model.forward_into(&self.x, &mut self.logits, false, &mut self.ws);
+            model.forward_into(&self.x, &mut self.logits, false, ws);
             out[(start - rows.start) * classes..(end - rows.start) * classes]
                 .copy_from_slice(self.logits.as_slice());
         }
@@ -744,6 +784,29 @@ impl Evaluator {
         data: &Dataset,
         fan_out: Option<(&WorkerPool, &ModelSpec)>,
     ) -> (f32, f32) {
+        self.evaluate_with(model, None, data, fan_out)
+    }
+
+    /// [`Evaluator::evaluate`] in one shard, inline, whose forward pass
+    /// runs in `ws` rather than the evaluator's own workspace: a warm
+    /// trainer's, which an [`EVAL_BLOCK`] fits when its batch does.
+    pub fn evaluate_in(
+        &mut self,
+        model: &mut Model,
+        ws: &mut ModelWorkspace,
+        data: &Dataset,
+    ) -> (f32, f32) {
+        self.evaluate_with(model, Some(ws), data, None)
+    }
+
+    /// [`Evaluator::evaluate`], shard 0 forwarding in `ws` when given.
+    fn evaluate_with(
+        &mut self,
+        model: &mut Model,
+        mut ws: Option<&mut ModelWorkspace>,
+        data: &Dataset,
+        fan_out: Option<(&WorkerPool, &ModelSpec)>,
+    ) -> (f32, f32) {
         if data.is_empty() {
             return (0.0, 0.0);
         }
@@ -777,8 +840,9 @@ impl Evaluator {
                 ..((s + 1) * blocks / shards * EVAL_BLOCK).min(data.len());
             let (out, tail) = rest.split_at_mut(rows.len() * classes);
             rest = tail;
+            let ws = ws.take();
             jobs.push(Box::new(move || {
-                scratch.forward_rows(model, data, rows, out)
+                scratch.forward_rows(model, ws, data, rows, out)
             }));
         }
         match fan_out {
@@ -822,7 +886,7 @@ impl Evaluator {
 /// not a fix to slip in.
 ///
 /// This is the one-shard, inline call of the evaluator every runtime uses;
-/// the forward pass runs in 64-row blocks so no batch-sized activation
+/// the forward pass runs in 32-row blocks so no batch-sized activation
 /// tensor is ever allocated.
 pub fn evaluate_model(model: &mut Model, data: &Dataset) -> (f32, f32) {
     Evaluator::default().evaluate(model, data, None)
@@ -992,9 +1056,9 @@ mod tests {
 
     #[test]
     fn evaluator_matches_the_serial_oracle_at_every_size_and_pool_width() {
-        // Either side of the 64-row block and the 256-row chunk, a set
+        // Either side of the 32-row block and the 256-row chunk, a set
         // smaller than any pool, and sets of several chunks.
-        let sizes = [257, 1, 1000, 63, 256, 64, 400, 65, 255];
+        let sizes = [257, 1, 1000, 31, 63, 256, 32, 64, 400, 33, 65, 255];
         let pools: Vec<WorkerPool> = (1..=4).map(WorkerPool::new).collect();
         for spec in eval_specs() {
             let mut model = spec.build(3);

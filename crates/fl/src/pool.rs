@@ -12,9 +12,16 @@
 //! and parallel and sequential execution stay byte-identical;
 //! [`WorkerPool::scope_run`] is the drain that collects them.
 //!
+//! [`WorkerPool::scope_stream`] is the scope for a caller that learns its
+//! jobs one at a time: a [`Stream`] takes jobs while it is open, the
+//! helpers run the earliest ones ahead, and the caller collects each result
+//! by its [`Ticket`] whenever it needs it — running the job itself if no
+//! helper has claimed it yet.
+//!
 //! Built on `std` threads, mutexes and condition variables — no external
 //! dependencies.
 
+use std::collections::BTreeMap;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{fence, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
@@ -297,61 +304,279 @@ impl WorkerPool {
         };
         let claim_loop = || while claim_one() {};
 
-        let task: &(dyn Fn() + Sync) = &claim_loop;
+        self.offer(&claim_loop, n - 1, || {
+            let mut drained = 0;
+            while drained < n {
+                // Take the next result in order when it is ready.
+                let ready = match &mut *lock(&slots[drained]) {
+                    slot @ Slot::Done(_) => Some(std::mem::replace(slot, Slot::Running)),
+                    _ => None,
+                };
+                match ready {
+                    Some(Slot::Done(Ok(value))) if panic.is_none() => drain(value),
+                    Some(Slot::Done(Err(payload))) if panic.is_none() => panic = Some(payload),
+                    Some(_) => {}
+                    // Not stored yet: run another job meanwhile or, once
+                    // every job is claimed, sleep until the helper running
+                    // it stores it.
+                    None => {
+                        if !claim_one() {
+                            waiting.store(drained, Ordering::Relaxed);
+                            fence(Ordering::SeqCst);
+                            while !matches!(*lock(&slots[drained]), Slot::Done(_)) {
+                                std::thread::park();
+                            }
+                            waiting.store(usize::MAX, Ordering::Relaxed);
+                        }
+                        continue;
+                    }
+                }
+                drained += 1;
+            }
+        });
+        if let Some(payload) = panic {
+            resume_unwind(payload);
+        }
+    }
+
+    /// Opens a stream scope: `body` submits jobs to the [`Stream`] while it
+    /// runs and joins the ones whose results it needs, in any order.
+    ///
+    /// Each job carries a key; helpers claim the queued job with the
+    /// smallest key first (then the earliest submitted), but only while
+    /// fewer than [`WorkerPool::workers`] jobs claimed ahead of their join —
+    /// running or finished — wait to be joined, which bounds the results a
+    /// stream holds. [`Stream::join`] runs a still-queued job inline on the
+    /// caller, so a pool without helpers runs every job at its join, in
+    /// join order.
+    ///
+    /// When `body` returns or unwinds the stream closes: queued jobs are
+    /// dropped without running, jobs a helper is inside finish, and only
+    /// then does `scope_stream` return, so — as with
+    /// [`WorkerPool::scope_drain`] — jobs may borrow from the caller's stack
+    /// (`'env`). Results never joined are dropped. While another scope
+    /// holds the helpers, every job runs at its join.
+    ///
+    /// # Panics
+    ///
+    /// A job's panic is re-raised by its [`Stream::join`]. When `body`
+    /// returns, the first panic (in submission order) of a job that ran
+    /// but was never joined is re-raised; a panic of `body` itself
+    /// propagates, in both cases after every helper has left.
+    pub fn scope_stream<'env, K, T, R>(&self, body: impl FnOnce(&Stream<'env, K, T>) -> R) -> R
+    where
+        K: Ord + Send + 'env,
+        T: Send + 'env,
+    {
+        let stream = Stream {
+            jobs: Mutex::new(Jobs {
+                queued: BTreeMap::new(),
+                done: BTreeMap::new(),
+                ahead: 0,
+                submitted: 0,
+                closed: false,
+            }),
+            changed: Condvar::new(),
+            ahead_max: self.workers(),
+        };
+        let serve = || stream.serve();
+        let out = self.offer(&serve, self.helpers.len(), || {
+            let _close = Close(&stream);
+            body(&stream)
+        });
+        let panicked = std::mem::take(&mut lock(&stream.jobs).done)
+            .into_values()
+            .find_map(Result::err);
+        if let Some(payload) = panicked {
+            resume_unwind(payload);
+        }
+        out
+    }
+
+    /// Offers `task` to up to `seats` helpers while `body` runs on the
+    /// caller. Returns — by return or by unwind — only after every helper
+    /// that took a seat has left `task`, so `task` and everything it
+    /// borrows outlive the helpers' use of them. While another scope holds
+    /// the helpers (a concurrent call, or one opened inside a job or a
+    /// drain), or with no seats, nothing is offered and `body` runs alone.
+    fn offer<R>(&self, task: &(dyn Fn() + Sync), seats: usize, body: impl FnOnce() -> R) -> R {
+        let seats = seats.min(self.helpers.len());
+        if seats == 0 {
+            return body();
+        }
         // SAFETY: the two types differ only in the lifetime bound. Helpers
-        // reach `task` only through the offer published below, and
-        // `guard` retracts that offer and waits until every helper that
-        // took a seat has returned from `task` before this frame — and
-        // with it `claim_loop`, `slots` and the `'env` borrows inside the
-        // jobs — can be left, by return or by unwind.
+        // reach `task` only through the offer published below, and `_guard`
+        // retracts that offer and waits until every helper that took a seat
+        // has returned from `task` before this frame — and with it the
+        // borrow of `task` — can be left, by return or by unwind. The guard
+        // never leaves this frame, so nothing can forget it.
         let task: Task = unsafe { std::mem::transmute::<&(dyn Fn() + Sync), Task>(task) };
-        let guard = {
+        let _guard = {
             let mut state = lock(&self.shared.state);
             if state.offer.is_some() {
                 None
             } else {
-                state.offer = Some(Offer {
-                    task,
-                    seats: self.helpers.len().min(n - 1),
-                });
+                state.offer = Some(Offer { task, seats });
                 self.shared.work.notify_all();
                 Some(ScopeGuard {
                     shared: &self.shared,
                 })
             }
         };
+        body()
+    }
+}
 
-        let mut drained = 0;
-        while drained < n {
-            // Take the next result in order when it is ready.
-            let ready = match &mut *lock(&slots[drained]) {
-                slot @ Slot::Done(_) => Some(std::mem::replace(slot, Slot::Running)),
-                _ => None,
-            };
-            match ready {
-                Some(Slot::Done(Ok(value))) if panic.is_none() => drain(value),
-                Some(Slot::Done(Err(payload))) if panic.is_none() => panic = Some(payload),
-                Some(_) => {}
-                // Not stored yet: run another job meanwhile or, once every
-                // job is claimed, sleep until the helper running it stores it.
-                None => {
-                    if !claim_one() {
-                        waiting.store(drained, Ordering::Relaxed);
-                        fence(Ordering::SeqCst);
-                        while !matches!(*lock(&slots[drained]), Slot::Done(_)) {
-                            std::thread::park();
-                        }
-                        waiting.store(usize::MAX, Ordering::Relaxed);
-                    }
-                    continue;
-                }
+/// A stream scope's job.
+type Job<'env, T> = Box<dyn FnOnce() -> T + Send + 'env>;
+
+/// A stream's jobs, from submission to join.
+struct Jobs<'env, K, T> {
+    /// Jobs no thread has claimed, smallest key first, then submission
+    /// order.
+    queued: BTreeMap<(K, usize), Job<'env, T>>,
+    /// Finished jobs awaiting their join, by submission number.
+    done: BTreeMap<usize, std::thread::Result<T>>,
+    /// Jobs claimed ahead of their join, running or in `done`.
+    ahead: usize,
+    submitted: usize,
+    closed: bool,
+}
+
+impl<'env, K: Ord, T> Jobs<'env, K, T> {
+    /// Claims the earliest queued job ahead of its join, if the bound
+    /// allows one more.
+    fn claim_ahead(&mut self, ahead_max: usize) -> Option<(usize, Job<'env, T>)> {
+        if self.closed || self.ahead >= ahead_max {
+            return None;
+        }
+        let ((_, seq), job) = self.queued.pop_first()?;
+        self.ahead += 1;
+        Some((seq, job))
+    }
+}
+
+/// A job list that grows while its scope is open; see
+/// [`WorkerPool::scope_stream`].
+pub struct Stream<'env, K, T> {
+    jobs: Mutex<Jobs<'env, K, T>>,
+    /// Signalled on every submission, finished job, join and on close.
+    changed: Condvar,
+    /// The pool's width: how many jobs may be claimed ahead of their join.
+    ahead_max: usize,
+}
+
+impl<K, T> std::fmt::Debug for Stream<'_, K, T> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Stream")
+            .field("ahead_max", &self.ahead_max)
+            .finish_non_exhaustive()
+    }
+}
+
+/// A submitted job's claim on its result, redeemed once by
+/// [`Stream::join`].
+#[derive(Debug)]
+#[must_use = "a job is only collected by joining its ticket"]
+pub struct Ticket<K> {
+    id: (K, usize),
+}
+
+impl<'env, K: Ord, T> Stream<'env, K, T> {
+    /// Queues `job` under `key`; helpers start the queued job with the
+    /// smallest key (then the earliest submitted) first.
+    pub fn submit(&self, key: K, job: impl FnOnce() -> T + Send + 'env) -> Ticket<K>
+    where
+        K: Clone,
+    {
+        let mut jobs = lock(&self.jobs);
+        let id = (key, jobs.submitted);
+        jobs.submitted += 1;
+        jobs.queued.insert(id.clone(), Box::new(job));
+        drop(jobs);
+        self.changed.notify_all();
+        Ticket { id }
+    }
+
+    /// Returns the result of the ticket's job. A job still queued runs
+    /// inline; while a helper runs it, the caller runs the earliest other
+    /// queued job meanwhile (within the bound on jobs claimed ahead) and
+    /// sleeps only when it cannot.
+    ///
+    /// # Panics
+    ///
+    /// Re-raises the job's panic.
+    pub fn join(&self, ticket: Ticket<K>) -> T {
+        let mut jobs = lock(&self.jobs);
+        loop {
+            if let Some(result) = jobs.done.remove(&ticket.id.1) {
+                jobs.ahead -= 1;
+                drop(jobs);
+                self.changed.notify_all();
+                return match result {
+                    Ok(value) => value,
+                    Err(payload) => resume_unwind(payload),
+                };
             }
-            drained += 1;
+            if let Some(job) = jobs.queued.remove(&ticket.id) {
+                drop(jobs);
+                return job();
+            }
+            jobs = match jobs.claim_ahead(self.ahead_max) {
+                Some((seq, job)) => {
+                    drop(jobs);
+                    self.finish(seq, job)
+                }
+                None => self
+                    .changed
+                    .wait(jobs)
+                    .unwrap_or_else(PoisonError::into_inner),
+            };
         }
-        drop(guard);
-        if let Some(payload) = panic {
-            resume_unwind(payload);
+    }
+
+    /// Runs a job claimed ahead and stores its result; returns the lock.
+    fn finish(&self, seq: usize, job: Job<'env, T>) -> MutexGuard<'_, Jobs<'env, K, T>> {
+        let result = catch_unwind(AssertUnwindSafe(job));
+        let mut jobs = lock(&self.jobs);
+        jobs.done.insert(seq, result);
+        self.changed.notify_all();
+        jobs
+    }
+
+    /// A helper's loop: run the earliest queued jobs ahead until the
+    /// stream closes.
+    fn serve(&self) {
+        let mut jobs = lock(&self.jobs);
+        while !jobs.closed {
+            jobs = match jobs.claim_ahead(self.ahead_max) {
+                Some((seq, job)) => {
+                    drop(jobs);
+                    self.finish(seq, job)
+                }
+                None => self
+                    .changed
+                    .wait(jobs)
+                    .unwrap_or_else(PoisonError::into_inner),
+            };
         }
+    }
+}
+
+/// Closes a stream on the caller's way out of its body, by return or by
+/// unwind: no job is claimed after this, queued ones are dropped, and
+/// helpers waiting for work leave.
+struct Close<'a, 'env, K, T>(&'a Stream<'env, K, T>);
+
+impl<K, T> Drop for Close<'_, '_, K, T> {
+    fn drop(&mut self) {
+        let queued = {
+            let mut jobs = lock(&self.0.jobs);
+            jobs.closed = true;
+            std::mem::take(&mut jobs.queued)
+        };
+        self.0.changed.notify_all();
+        drop(queued);
     }
 }
 
@@ -692,5 +917,222 @@ mod tests {
             nested_threads.iter().all(|&id| id == caller),
             "a nested scope runs on the caller alone"
         );
+    }
+
+    /// Spins until `done()` holds, for at most ten seconds.
+    fn wait_until(done: impl Fn() -> bool) {
+        let start = Instant::now();
+        while !done() && start.elapsed() < Duration::from_secs(10) {
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn stream_results_match_inline_execution_whatever_the_order() {
+        use rand::seq::SliceRandom;
+        use rand::{Rng, SeedableRng};
+        let offsets: Vec<u64> = (0..48).map(|i| i * 7 % 11).collect();
+        let expected: Vec<u64> = (0..48u64).map(|i| i * i + offsets[i as usize]).collect();
+        for width in 1..=4 {
+            let pool = WorkerPool::new(width);
+            let mut rng = rand::rngs::StdRng::seed_from_u64(width as u64);
+            let mut got = vec![None; 48];
+            pool.scope_stream(|stream| {
+                let mut open = Vec::new();
+                for (i, offset) in offsets.iter().enumerate() {
+                    // Keys out of submission order, with ties; the jobs
+                    // borrow the caller's `offsets`.
+                    let (key, micros) = (rng.gen_range(0..8u32), rng.gen_range(0..200u64));
+                    let ticket = stream.submit(key, move || {
+                        std::thread::sleep(Duration::from_micros(micros));
+                        (i as u64) * (i as u64) + offset
+                    });
+                    open.push((i, ticket));
+                    // Join some while later jobs are still to come, in
+                    // random order.
+                    if i % 5 == 4 {
+                        open.shuffle(&mut rng);
+                        for (i, ticket) in open.drain(..3) {
+                            got[i] = Some(stream.join(ticket));
+                        }
+                    }
+                }
+                open.shuffle(&mut rng);
+                for (i, ticket) in open {
+                    got[i] = Some(stream.join(ticket));
+                }
+            });
+            let got: Vec<u64> = got.into_iter().flatten().collect();
+            assert_eq!(got, expected, "width {width}");
+        }
+    }
+
+    #[test]
+    fn joining_a_queued_job_runs_it_on_the_caller() {
+        for width in 1..=4 {
+            let pool = WorkerPool::new(width);
+            let helpers = width - 1;
+            let caller = std::thread::current().id();
+            let (started, release) = (AtomicUsize::new(0), AtomicBool::new(false));
+            pool.scope_stream(|stream| {
+                // Hold every helper inside a job of its own.
+                let blockers: Vec<_> = (0..helpers)
+                    .map(|_| {
+                        let (started, release) = (&started, &release);
+                        stream.submit(0, move || {
+                            started.fetch_add(1, Ordering::SeqCst);
+                            wait_for(release);
+                            std::thread::current().id()
+                        })
+                    })
+                    .collect();
+                wait_until(|| started.load(Ordering::SeqCst) == helpers);
+                let queued = stream.submit(1, || std::thread::current().id());
+                assert_eq!(stream.join(queued), caller, "width {width}");
+                release.store(true, Ordering::SeqCst);
+                for blocker in blockers {
+                    assert_ne!(stream.join(blocker), caller, "width {width}");
+                }
+            });
+        }
+    }
+
+    #[test]
+    fn no_more_than_workers_jobs_wait_unjoined() {
+        for width in 1..=4 {
+            let pool = WorkerPool::new(width);
+            let ran = AtomicUsize::new(0);
+            pool.scope_stream(|stream| {
+                let tickets: Vec<_> = (0..24u32)
+                    .map(|i| {
+                        let ran = &ran;
+                        stream.submit(i, move || {
+                            ran.fetch_add(1, Ordering::SeqCst);
+                            i
+                        })
+                    })
+                    .collect();
+                // Helpers run ahead up to the pool's width and stop there.
+                let ahead = if width == 1 { 0 } else { width };
+                wait_until(|| ran.load(Ordering::SeqCst) == ahead);
+                std::thread::sleep(Duration::from_millis(20));
+                assert_eq!(ran.load(Ordering::SeqCst), ahead, "width {width}");
+                for (joined, ticket) in tickets.into_iter().enumerate() {
+                    assert_eq!(stream.join(ticket), joined as u32);
+                    assert!(ran.load(Ordering::SeqCst) <= joined + 1 + pool.workers());
+                    assert!(lock(&stream.jobs).done.len() <= pool.workers());
+                }
+            });
+        }
+    }
+
+    #[test]
+    fn jobs_left_queued_at_close_are_dropped_and_never_run() {
+        /// Counts the jobs dropped, run or not.
+        struct Dropped<'a>(&'a AtomicUsize);
+        impl Drop for Dropped<'_> {
+            fn drop(&mut self) {
+                self.0.fetch_add(1, Ordering::SeqCst);
+            }
+        }
+        for width in 1..=4 {
+            let pool = WorkerPool::new(width);
+            let (ran, dropped) = (AtomicUsize::new(0), AtomicUsize::new(0));
+            pool.scope_stream(|stream| {
+                let mut tickets: Vec<_> = (0..16u32)
+                    .map(|i| {
+                        let (ran, dropped) = (&ran, Dropped(&dropped));
+                        stream.submit(i, move || {
+                            let _dropped = dropped;
+                            std::thread::sleep(Duration::from_micros(300));
+                            ran.fetch_add(1, Ordering::SeqCst);
+                        })
+                    })
+                    .collect();
+                for ticket in tickets.drain(..2) {
+                    stream.join(ticket);
+                }
+            });
+            let ran_at_close = ran.load(Ordering::SeqCst);
+            assert_eq!(dropped.load(Ordering::SeqCst), 16, "width {width}");
+            assert!(ran_at_close >= 2 && ran_at_close <= 2 + pool.workers());
+            std::thread::sleep(Duration::from_millis(20));
+            assert_eq!(ran.load(Ordering::SeqCst), ran_at_close, "width {width}");
+        }
+    }
+
+    #[test]
+    fn a_joined_panic_propagates_after_every_helper_left() {
+        for width in 1..=4 {
+            let pool = WorkerPool::new(width);
+            let (started, finished) = (AtomicUsize::new(0), AtomicUsize::new(0));
+            let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                pool.scope_stream(|stream| {
+                    let tickets: Vec<_> = (0..8usize)
+                        .map(|i| {
+                            let (started, finished) = (&started, &finished);
+                            stream.submit(i, move || {
+                                started.fetch_add(1, Ordering::SeqCst);
+                                std::thread::sleep(Duration::from_millis(2));
+                                if i == 5 {
+                                    panic!("job 5");
+                                }
+                                finished.fetch_add(1, Ordering::SeqCst);
+                            })
+                        })
+                        .collect();
+                    for ticket in tickets {
+                        stream.join(ticket);
+                    }
+                })
+            }));
+            let payload = result.expect_err("the panic propagates");
+            assert_eq!(payload.downcast_ref::<&str>(), Some(&"job 5"));
+            // Every job begun, but the panicking one, was done by the
+            // re-raise.
+            let (started, finished) = (
+                started.load(Ordering::SeqCst),
+                finished.load(Ordering::SeqCst),
+            );
+            assert_eq!(started, finished + 1, "width {width}");
+            // The pool is reusable afterwards.
+            assert_eq!(pool.scope_stream(|s| s.join(s.submit(0, || 7))), 7);
+        }
+    }
+
+    #[test]
+    fn the_first_unjoined_panic_is_re_raised_at_close() {
+        for width in 1..=4 {
+            let pool = WorkerPool::new(width);
+            let attempted = AtomicUsize::new(0);
+            let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                pool.scope_stream(|stream| {
+                    // Submitted first, claimed second: the smaller key wins
+                    // the claim, submission order the re-raise.
+                    let attempted = &attempted;
+                    for (key, name) in [(5u8, "first"), (0, "second")] {
+                        let _ticket = stream.submit(key, move || {
+                            attempted.fetch_add(1, Ordering::SeqCst);
+                            panic!("{name}")
+                        });
+                    }
+                    if width > 1 {
+                        wait_until(|| attempted.load(Ordering::SeqCst) == 2);
+                    }
+                })
+            }));
+            if width == 1 {
+                // No helper ran the jobs, and nothing joined them.
+                assert!(result.is_ok());
+                assert_eq!(attempted.load(Ordering::SeqCst), 0);
+            } else {
+                let payload = result.expect_err("the panic is re-raised");
+                assert_eq!(
+                    payload.downcast_ref::<String>().map(String::as_str),
+                    Some("first"),
+                    "width {width}"
+                );
+            }
+        }
     }
 }

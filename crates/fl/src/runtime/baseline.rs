@@ -198,10 +198,10 @@ impl AsyncPolicy for StrategyAsyncPolicy {
         weight: f32,
         staleness: u64,
     ) -> bool {
-        let UpdatePayload::Dense(delta) = payload else {
-            unreachable!("baseline async strategies upload dense deltas");
-        };
+        // This policy uploads dense deltas; any other form folds densified
+        // (a dense payload moves out uncopied, the same bits).
+        let delta = payload.into_dense();
         self.strategy
-            .on_update(ctx.global, delta.values(), snapshot, weight, staleness)
+            .on_update(ctx.global, &delta, snapshot, weight, staleness)
     }
 }

@@ -44,6 +44,7 @@ use crate::config::FlConfig;
 use crate::defense::DefenseConfig;
 use crate::faults::FaultPlan;
 use crate::fleet::{ClientPool, Fleet, ShardSource};
+use crate::pool::WorkerPool;
 use crate::r#async::AsyncStrategy;
 use crate::robust::{RobustAggregator, RobustMethod};
 use crate::submodel::CapacityPolicy;
@@ -152,6 +153,14 @@ fn resident_fleet(config: &FlConfig, shards: Vec<Dataset>) -> Vec<Device> {
         .into_iter()
         .map(|device| device.with_replica(initial.clone()))
         .collect()
+}
+
+/// The runtime's pool: `threads` wide, or as wide as the host when `None`.
+fn worker_pool(threads: Option<usize>) -> WorkerPool {
+    match threads {
+        Some(threads) => WorkerPool::new(threads.max(1)),
+        None => WorkerPool::with_default_size(),
+    }
 }
 
 /// Gathers scenario parts once, then builds any protocol flavour.
@@ -308,13 +317,15 @@ impl RuntimeBuilder {
         self
     }
 
-    /// Pins the server worker-pool width for synchronous flavours to
-    /// exactly `threads` workers (`None` keeps the host-parallelism
-    /// default; 1 runs every pooled stage, local training included,
-    /// inline). Every pooled stage collects results in
-    /// submission order, so histories, ledgers and traces are identical at
-    /// any width; this only affects wall-clock time. Async flavours have
-    /// no server pool and ignore this.
+    /// Pins the runtime's worker-pool width to exactly `threads` workers
+    /// (`None` keeps the host-parallelism default; 1 runs every pooled
+    /// stage, local training included, inline). Synchronous flavours fan
+    /// each round's probes, training, screening and evaluation across the
+    /// pool; asynchronous flavours train each client ahead on it from the
+    /// moment its downlink lands, and at width 1 train it at its
+    /// `StartTraining` event. Every pooled stage collects results in
+    /// submission or event order, so histories, ledgers and traces are
+    /// identical at any width; this only affects wall-clock time.
     pub fn threads(mut self, threads: Option<usize>) -> Self {
         self.threads = threads;
         self
@@ -411,7 +422,7 @@ impl RuntimeBuilder {
             stages,
             fleet,
             policies,
-            self.threads,
+            worker_pool(self.threads),
             self.buffered_fold,
         ))
     }
@@ -460,6 +471,7 @@ impl RuntimeBuilder {
             clients,
             policy,
             self.update_budget,
+            worker_pool(self.threads),
         ))
     }
 

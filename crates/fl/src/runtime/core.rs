@@ -9,7 +9,7 @@
 
 use super::builder::Scenario;
 use super::io::RoundIo;
-use crate::client::Evaluator;
+use crate::client::{Evaluator, Trainer};
 use crate::compute::ComputeModel;
 use crate::config::FlConfig;
 use crate::faults::FaultPlan;
@@ -18,6 +18,15 @@ use crate::pool::WorkerPool;
 use adafl_data::Dataset;
 use adafl_netsim::{ClientNetwork, LinkProfile, LinkTrace, ReliablePolicy, SimTime};
 use adafl_telemetry::SharedRecorder;
+
+/// Where [`ServerCore::evaluate_into`] runs its forward pass.
+pub(super) enum EvalOn<'a> {
+    /// Sharded across the pool: shard 0 on the global model, the others on
+    /// replicas.
+    Pool(&'a WorkerPool),
+    /// One shard, inline, on a warm trainer's model and workspace.
+    Trainer(&'a mut Trainer),
+}
 
 /// Schedule-independent server state (see the module docs).
 #[derive(Debug)]
@@ -107,23 +116,28 @@ impl ServerCore {
     }
 
     /// Evaluates the current global parameters on the test set and appends
-    /// the history row for `round` (an arrival count for async runs). The
-    /// forward pass is sharded across `pool` when the driver has one; the
-    /// row is bit-identical either way.
+    /// the history row for `round` (an arrival count for async runs),
+    /// running the forward pass where `on` says; the row is bit-identical
+    /// either way.
     pub fn evaluate_into(
         &mut self,
         history: &mut RunHistory,
         round: usize,
         sim_time: SimTime,
         contributors: usize,
-        pool: Option<&WorkerPool>,
+        on: EvalOn<'_>,
     ) {
-        self.global_model.set_params_flat(&self.global);
-        let (accuracy, loss) = self.evaluator.evaluate(
-            &mut self.global_model,
-            &self.test_set,
-            pool.map(|pool| (pool, &self.config.model)),
-        );
+        let (accuracy, loss) = match on {
+            EvalOn::Pool(pool) => {
+                self.global_model.set_params_flat(&self.global);
+                let fan_out = Some((pool, &self.config.model));
+                self.evaluator
+                    .evaluate(&mut self.global_model, &self.test_set, fan_out)
+            }
+            EvalOn::Trainer(trainer) => {
+                trainer.evaluate(&mut self.evaluator, &self.global, &self.test_set)
+            }
+        };
         history.push(RoundRecord {
             round,
             sim_time,

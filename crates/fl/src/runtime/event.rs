@@ -7,20 +7,38 @@
 //! downlink carries, whether/how a trained delta is uploaded, and how an
 //! arrival folds into the global model; [`ServerStages`] screens each
 //! arrival in between.
+//!
+//! **Train ahead, commit in order.** Once a client's downlink lands, the
+//! inputs of its next training pass are fixed: its device — shard, batch
+//! loader, hyperparameters — and the global model it downloaded. A pass
+//! draws from no shared stream and writes no shared state, so the driver
+//! starts it on the [`WorkerPool`] at once ([`WorkerPool::scope_stream`],
+//! keyed by its `StartTraining` time) on a clone of the device. The
+//! `StartTraining` event joins it and commits the trained device. Every
+//! step that draws from a shared stream or writes shared state — the
+//! policy's downlink sizing and upload preparation, the fault plan and
+//! attacker, the ledger, telemetry, the fold and evaluation — stays on the
+//! caller in event order; evaluation runs there in a free warm trainer's
+//! model and workspace rather than a workspace of its own. A pool of width
+//! 1 runs each pass inline at its `StartTraining`, and a pass still
+//! unjoined when the budget ends leaves no trace, so histories, ledgers and
+//! traces are identical at any width.
 
-use super::core::ServerCore;
+use super::core::{EvalOn, ServerCore};
 use super::emit::{self, At};
 use super::io::{UplinkFrame, RESYNC_DELAY_SECONDS};
 use super::policy::{AsyncApplyCtx, AsyncDownlinkCtx, AsyncPolicy, AsyncUploadCtx};
 use super::stages::ServerStages;
-use crate::client::{Device, Trainer};
+use crate::client::{Device, Lease, LocalOutcome, Trainers};
 use crate::config::FlConfig;
 use crate::history::RunHistory;
 use crate::ledger::CommunicationLedger;
+use crate::pool::{Stream, Ticket, WorkerPool};
 use crate::runtime::payload::UpdatePayload;
 use adafl_compression::DecodeError;
 use adafl_netsim::{EventQueue, SimTime};
 use adafl_telemetry::{names, EventRecord, SpanRecord};
+use std::sync::Arc;
 
 /// Server-received updates between test-set evaluations of a run (the last
 /// arrival of the budget is always evaluated).
@@ -28,13 +46,47 @@ const EVAL_EVERY: u64 = 5;
 
 #[derive(Debug)]
 enum Event {
-    /// A client finished downloading the global model and starts training.
-    StartTraining { client: usize },
+    /// A client finished downloading the global model and starts training;
+    /// `pass` collects the training pass its downlink started.
+    StartTraining { client: usize, pass: Ticket<u64> },
     /// A client's update reached the server.
     UpdateArrival { client: usize, version: u64 },
     /// A transfer was lost (or the client halted); the client re-requests
     /// the global model.
     Resync { client: usize },
+}
+
+/// What a training pass returns: its device, trained, and the outcome.
+type Trained = (Device, LocalOutcome);
+
+/// The training passes of one `run()`: started on the pool as each
+/// downlink lands, joined at their `StartTraining` events.
+#[derive(Clone, Copy)]
+struct Passes<'s, 'env> {
+    stream: &'s Stream<'env, u64, Trained>,
+    trainers: &'env Lease<'env>,
+}
+
+impl<'env> Passes<'_, 'env> {
+    /// Queues `steps` of local training for a clone of `device` from
+    /// `global`, to start on the pool in order of `starts`.
+    fn start(
+        &self,
+        device: &Device,
+        global: Arc<[f32]>,
+        steps: usize,
+        starts: SimTime,
+    ) -> Ticket<u64> {
+        let mut device = device.clone();
+        let trainers = self.trainers;
+        // Simulated times are non-negative, so their bit patterns order
+        // like the times.
+        self.stream.submit(starts.seconds().to_bits(), move || {
+            let outcome =
+                trainers.with(|trainer| trainer.train_local(&mut device, &global, steps, None));
+            (device, outcome)
+        })
+    }
 }
 
 /// Policy-driven asynchronous FL runtime. Staleness emerges naturally from
@@ -45,14 +97,24 @@ enum Event {
 /// [`RuntimeBuilder`](super::RuntimeBuilder).
 #[derive(Debug)]
 pub struct AsyncRuntime {
+    /// Runs training passes ahead of their `StartTraining` events.
+    pool: WorkerPool,
+    /// One warm trainer per pool thread.
+    trainers: Trainers,
+    events: EventLoop,
+}
+
+/// The event loop's state, all of it read and written on the caller.
+#[derive(Debug)]
+struct EventLoop {
     core: ServerCore,
     stages: ServerStages,
     clients: Vec<Device>,
-    /// The one trainer the single-threaded event loop trains every device
-    /// on.
-    trainer: Trainer,
     /// Per-client snapshot of the global model they are training from.
-    snapshots: Vec<Vec<f32>>,
+    snapshots: Vec<Arc<[f32]>>,
+    /// The current global model's snapshot, shared by every client that
+    /// downloads it; `None` once a fold may have changed the model.
+    global_snapshot: Option<Arc<[f32]>>,
     /// Per-client pending update awaiting arrival (at most one in
     /// flight); `Err` when corruption left the frame undecodable — the
     /// bytes still travel and the server rejects them on arrival.
@@ -64,59 +126,78 @@ pub struct AsyncRuntime {
 
 impl AsyncRuntime {
     /// Puts the event schedule on top of a server: one resident device per
-    /// simulated client, one trainer, and an async policy; the builder has
-    /// already rejected a zero `update_budget`.
+    /// simulated client, the pool that trains ahead (its trainers are
+    /// built on first use), and an async policy; the builder has already
+    /// rejected a zero `update_budget`.
     pub(super) fn new(
         core: ServerCore,
         stages: ServerStages,
         clients: Vec<Device>,
         mut policy: Box<dyn AsyncPolicy>,
         update_budget: u64,
+        pool: WorkerPool,
     ) -> Self {
         policy.init(core.global.len());
+        let initial: Arc<[f32]> = Arc::from(core.global.as_slice());
         AsyncRuntime {
-            in_flight: vec![None; core.config.clients],
-            snapshots: vec![core.global.clone(); core.config.clients],
-            trainer: Trainer::new(core.config.model.build(core.config.seed_for("model"))),
-            core,
-            stages,
-            clients,
-            version: 0,
-            policy,
-            update_budget,
+            pool,
+            trainers: Trainers::new(core.config.model.clone(), core.config.seed_for("model")),
+            events: EventLoop {
+                in_flight: vec![None; core.config.clients],
+                snapshots: vec![Arc::clone(&initial); core.config.clients],
+                global_snapshot: Some(initial),
+                core,
+                stages,
+                clients,
+                version: 0,
+                policy,
+                update_budget,
+            },
         }
     }
 
     /// The experiment configuration.
     pub fn config(&self) -> &FlConfig {
-        &self.core.config
+        &self.events.core.config
     }
 
     /// The communication ledger (cumulative).
     pub fn ledger(&self) -> &CommunicationLedger {
-        self.core.io.ledger()
+        self.events.core.io.ledger()
     }
 
     /// Current global version (number of global model changes).
     pub fn version(&self) -> u64 {
-        self.version
+        self.events.version
     }
 
     /// Current global parameters.
     pub fn global_params(&self) -> &[f32] {
-        &self.core.global
+        &self.events.core.global
     }
 
     /// Runs until `update_budget` client updates have reached the server,
     /// returning the evaluation history against simulated time.
     pub fn run(&mut self) -> RunHistory {
+        let AsyncRuntime {
+            pool,
+            trainers,
+            events,
+        } = self;
+        trainers
+            .lend(|trainers| pool.scope_stream(|stream| events.run(Passes { stream, trainers })))
+    }
+}
+
+impl EventLoop {
+    fn run(&mut self, passes: Passes<'_, '_>) -> RunHistory {
         let mut history = RunHistory::new(self.policy.label());
         let mut queue: EventQueue<Event> = EventQueue::new();
         let clients = self.core.config.clients;
 
         // Bootstrap: broadcast the initial model to everyone.
         for c in 0..clients {
-            self.schedule_downlink(&mut queue, c, SimTime::ZERO);
+            self.schedule_downlink(&mut queue, passes, c, SimTime::ZERO);
         }
 
         // Liveness guard: fully-lossy networks can resync forever without
@@ -134,24 +215,32 @@ impl AsyncRuntime {
                 break;
             }
             match event {
-                Event::StartTraining { client } => {
-                    self.start_training(&mut queue, client, now, arrivals);
+                Event::StartTraining { client, pass } => {
+                    let trained = passes.stream.join(pass);
+                    self.start_training(&mut queue, client, trained, now, arrivals);
                 }
                 Event::UpdateArrival { client, version } => {
                     arrivals += 1;
                     self.on_arrival(client, version, now, arrivals);
                     if arrivals.is_multiple_of(EVAL_EVERY) || arrivals == self.update_budget {
-                        // The event loop is single-threaded by
-                        // construction: no pool, one shard, inline.
-                        self.core
-                            .evaluate_into(&mut history, arrivals as usize, now, 1, None);
+                        // One shard, inline on a free warm trainer's model:
+                        // the caller evaluates while the pool trains ahead.
+                        passes.trainers.with(|trainer| {
+                            self.core.evaluate_into(
+                                &mut history,
+                                arrivals as usize,
+                                now,
+                                1,
+                                EvalOn::Trainer(trainer),
+                            )
+                        });
                     }
                     if arrivals >= self.update_budget {
                         break;
                     }
-                    self.schedule_downlink(&mut queue, client, now);
+                    self.schedule_downlink(&mut queue, passes, client, now);
                 }
-                Event::Resync { client } => self.schedule_downlink(&mut queue, client, now),
+                Event::Resync { client } => self.schedule_downlink(&mut queue, passes, client, now),
             }
         }
         history
@@ -159,40 +248,51 @@ impl AsyncRuntime {
 
     /// Sends `client` the current global model; its arrival starts a
     /// training pass, its loss a resync.
-    fn schedule_downlink(&mut self, queue: &mut EventQueue<Event>, client: usize, now: SimTime) {
+    fn schedule_downlink(
+        &mut self,
+        queue: &mut EventQueue<Event>,
+        passes: Passes<'_, '_>,
+        client: usize,
+        now: SimTime,
+    ) {
         let core = &mut self.core;
         let bytes = self.policy.downlink_bytes(&AsyncDownlinkCtx {
             dense_len: core.global.len(),
             global_gradient: &core.global_gradient,
         });
-        self.snapshots[client].copy_from_slice(&core.global);
+        let snapshot = Arc::clone(
+            self.global_snapshot
+                .get_or_insert_with(|| Arc::from(core.global.as_slice())),
+        );
         let delivery = core.io.downlink(client, bytes, now, false);
         match delivery.arrival {
-            Some(arrival) => queue.push(arrival, Event::StartTraining { client }),
+            Some(arrival) => {
+                let steps = core.config.local_steps;
+                let pass =
+                    passes.start(&self.clients[client], Arc::clone(&snapshot), steps, arrival);
+                queue.push(arrival, Event::StartTraining { client, pass });
+            }
             None => queue.push(delivery.sender_done, Event::Resync { client }),
         }
+        self.snapshots[client] = snapshot;
     }
 
-    /// `client` trains from its snapshot, the policy prepares the upload
+    /// Commits `client`'s trained device, the policy prepares the upload
     /// and the frame goes out under the fault plan; schedules the arrival,
     /// or a resync when the policy halted the upload or the link lost it.
     fn start_training(
         &mut self,
         queue: &mut EventQueue<Event>,
         client: usize,
+        (device, outcome): Trained,
         now: SimTime,
         arrivals: u64,
     ) {
+        self.clients[client] = device;
         let core = &mut self.core;
         let steps = core.config.local_steps;
         // The global version this pass trains from.
         let version = self.version;
-        let outcome = self.trainer.train_local(
-            &mut self.clients[client],
-            &self.snapshots[client],
-            steps,
-            None,
-        );
         let done = now + core.compute.training_time(client, steps);
         if core.recorder.enabled() {
             core.recorder.span(
@@ -271,10 +371,12 @@ impl AsyncRuntime {
             client,
             seconds: now.seconds(),
         };
-        let mut payload = match self.in_flight[client]
-            .take()
-            .expect("arrival without an in-flight update")
-        {
+        let Some(frame) = self.in_flight[client].take() else {
+            // Every arrival event follows the upload that filled its slot.
+            debug_assert!(false, "arrival without an in-flight update");
+            return;
+        };
+        let mut payload = match frame {
             Ok(payload) => payload,
             // The bytes arrived but no longer parse: the decoder rejects
             // the update before the defense gate ever sees values.
@@ -303,5 +405,7 @@ impl AsyncRuntime {
         ) {
             self.version += 1;
         }
+        // `apply` may move the model even when it reports no new version.
+        self.global_snapshot = None;
     }
 }

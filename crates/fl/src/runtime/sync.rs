@@ -12,7 +12,7 @@
 //! or `aggregate_folded`.
 
 use super::baseline::{RandomSelection, StaticCompressionPolicy, StrategyAggregation};
-use super::core::ServerCore;
+use super::core::{EvalOn, ServerCore};
 use super::emit::{self, At};
 use super::io::{UplinkFrame, EMPTY_ROUND_WAIT_SECONDS};
 use super::payload::{RoundUpdate, UpdatePayload};
@@ -142,13 +142,13 @@ pub struct SyncRuntime {
 impl SyncRuntime {
     /// Puts the synchronous schedule on top of a server: the fleet the
     /// builder made (resident or cohort-pooled), the policy bundle, the
-    /// pool width (`None` sizes it to the host) and the parity flag.
+    /// pool and the parity flag.
     pub(super) fn new(
         core: ServerCore,
         stages: ServerStages,
         clients: Fleet,
         mut policies: SyncPolicies,
-        threads: Option<usize>,
+        pool: WorkerPool,
         buffered_fold: bool,
     ) -> Self {
         let (dim, fleet) = (core.global.len(), core.config.clients);
@@ -159,10 +159,7 @@ impl SyncRuntime {
                 .filter(|&c| matches!(core.faults.kind(c), FaultKind::Crash { .. }))
                 .map(|c| (c, None))
                 .collect(),
-            pool: match threads {
-                Some(threads) => WorkerPool::new(threads.max(1)),
-                None => WorkerPool::with_default_size(),
-            },
+            pool,
             trainers: Trainers::new(core.config.model.clone(), core.config.seed_for("model")),
             buffered_fold,
             selection: policies.selection,
@@ -252,7 +249,7 @@ impl SyncRuntime {
                 round,
                 self.clock,
                 contributors,
-                Some(&self.pool),
+                EvalOn::Pool(&self.pool),
             );
         }
         history

@@ -15,9 +15,10 @@ pub struct MaxPool2d {
     height: usize,
     width: usize,
     window: usize,
-    /// Flat source index of each pooled maximum, `batch · output_volume`
-    /// entries in batch-row order. Reused across steps.
-    cached_argmax: Vec<usize>,
+    /// In-window offset `wy · window + wx` of each pooled maximum,
+    /// `batch · output_volume` entries in batch-row order: a byte where a
+    /// source index took eight. Reused across steps.
+    cached_argmax: Vec<u8>,
     batch: usize,
 }
 
@@ -26,9 +27,11 @@ impl MaxPool2d {
     ///
     /// # Panics
     ///
-    /// Panics when `window` is zero or does not divide both spatial dims.
+    /// Panics when `window` is zero, wider than 16 (its offsets would not
+    /// fit a byte) or does not divide both spatial dims.
     pub fn new(channels: usize, height: usize, width: usize, window: usize) -> Self {
         assert!(window > 0, "window must be positive");
+        assert!(window <= 16, "window {window} is wider than 16");
         assert!(
             height.is_multiple_of(window) && width.is_multiple_of(window),
             "window {window} must divide input {height}x{width}"
@@ -70,7 +73,7 @@ fn pool_windows(
     row: &[f32],
     (channels, height, width, win): (usize, usize, usize, usize),
     out_row: &mut [f32],
-    argmax: &mut [usize],
+    argmax: &mut [u8],
 ) {
     let (oh, ow) = (height / win, width / win);
     let mut o = 0usize;
@@ -78,19 +81,19 @@ fn pool_windows(
         let base = c * height * width;
         for py in 0..oh {
             for px in 0..ow {
-                let mut best_idx = base + (py * win) * width + px * win;
-                let mut best = row[best_idx];
+                let corner = base + (py * win) * width + px * win;
+                let (mut best, mut best_at) = (row[corner], 0);
                 for wy in 0..win {
                     for wx in 0..win {
-                        let idx = base + (py * win + wy) * width + (px * win + wx);
-                        if row[idx] > best {
-                            best = row[idx];
-                            best_idx = idx;
+                        let x = row[corner + wy * width + wx];
+                        if x > best {
+                            (best, best_at) = (x, wy * win + wx);
                         }
                     }
                 }
                 out_row[o] = best;
-                argmax[o] = best_idx;
+                // `new` caps the window at 16, so the offset fits.
+                argmax[o] = best_at as u8;
                 o += 1;
             }
         }
@@ -102,26 +105,25 @@ fn pool_windows(
 /// plane has an even height). Compares (0,0), (0,1), (1,0), (1,1) with a
 /// strict `>`, like [`pool_windows`], so ties and NaNs resolve
 /// to the same argmax.
-fn pool_pairs(row: &[f32], width: usize, out_row: &mut [f32], argmax: &mut [usize]) {
+fn pool_pairs(row: &[f32], width: usize, out_row: &mut [f32], argmax: &mut [u8]) {
     let ow = width / 2;
     let pairs = row
         .chunks_exact(2 * width)
         .zip(out_row.chunks_exact_mut(ow))
         .zip(argmax.chunks_exact_mut(ow));
-    for (p, ((pair, out), arg)) in pairs.enumerate() {
+    for ((pair, out), arg) in pairs {
         let (upper, lower) = pair.split_at(width);
         let cells = upper.chunks_exact(2).zip(lower.chunks_exact(2));
-        for (px, ((o, a), (u, l))) in out.iter_mut().zip(arg.iter_mut()).zip(cells).enumerate() {
-            let at = p * 2 * width + 2 * px;
-            let (mut best, mut best_at) = (u[0], at);
+        for ((o, a), (u, l)) in out.iter_mut().zip(arg.iter_mut()).zip(cells) {
+            let (mut best, mut best_at) = (u[0], 0);
             if u[1] > best {
-                (best, best_at) = (u[1], at + 1);
+                (best, best_at) = (u[1], 1);
             }
             if l[0] > best {
-                (best, best_at) = (l[0], at + width);
+                (best, best_at) = (l[0], 2);
             }
             if l[1] > best {
-                (best, best_at) = (l[1], at + width + 1);
+                (best, best_at) = (l[1], 3);
             }
             *o = best;
             *a = best_at;
@@ -177,11 +179,26 @@ impl Layer for MaxPool2d {
         let in_vol = self.input_volume();
         grad_in.resize_reuse(&[self.batch, in_vol]);
         grad_in.as_mut_slice().fill(0.0);
-        for (bi, dy) in grad_out.as_slice().chunks(out_vol).enumerate() {
-            let argmax = &self.cached_argmax[bi * out_vol..(bi + 1) * out_vol];
-            let gi = &mut grad_in.as_mut_slice()[bi * in_vol..(bi + 1) * in_vol];
-            for (&src, &g) in argmax.iter().zip(dy) {
-                gi[src] += g;
+        let (win, width, ow) = (self.window, self.width, self.out_w());
+        // Each in-window offset's distance from its window's corner.
+        let mut jump = [0usize; 256];
+        for (at, j) in jump.iter_mut().enumerate().take(win * win) {
+            *j = at / win * width + at % win;
+        }
+        let rows = grad_out
+            .as_slice()
+            .chunks_exact(out_vol)
+            .zip(self.cached_argmax.chunks_exact(out_vol))
+            .zip(grad_in.as_mut_slice().chunks_exact_mut(in_vol));
+        for ((dy, argmax), gi) in rows {
+            // Pooled rows of every channel plane stack `win` image rows
+            // apart.
+            let pooled = dy.chunks_exact(ow).zip(argmax.chunks_exact(ow));
+            for (r, (dy, argmax)) in pooled.enumerate() {
+                let corner = r * win * width;
+                for (px, (&g, &at)) in dy.iter().zip(argmax).enumerate() {
+                    gi[corner + px * win + jump[usize::from(at)]] += g;
+                }
             }
         }
     }
@@ -275,47 +292,133 @@ mod tests {
         (out, argmax)
     }
 
+    /// The source index each cached in-window offset stands for: the form
+    /// the argmax was cached in before it shrank to a byte.
+    fn decoded_argmax(pool: &MaxPool2d) -> Vec<usize> {
+        let (c, h, w, win) = (pool.channels, pool.height, pool.width, pool.window);
+        let (oh, ow) = (h / win, w / win);
+        pool.cached_argmax
+            .iter()
+            .enumerate()
+            .map(|(i, &at)| {
+                let o = i % (c * oh * ow);
+                let (ch, py, px) = (o / (oh * ow), o / ow % oh, o % ow);
+                let at = usize::from(at);
+                ch * h * w + (py * win + at / win) * w + px * win + at % win
+            })
+            .collect()
+    }
+
+    /// The backward pass over source indices, as it ran before the cache
+    /// held offsets: every pooled gradient added at its maximum's index.
+    fn reference_backward(
+        (in_vol, out_vol): (usize, usize),
+        argmax: &[usize],
+        grad_out: &[f32],
+    ) -> Vec<f32> {
+        let mut grad_in = vec![0.0f32; grad_out.len() / out_vol * in_vol];
+        for (bi, (dy, argmax)) in grad_out
+            .chunks(out_vol)
+            .zip(argmax.chunks(out_vol))
+            .enumerate()
+        {
+            let gi = &mut grad_in[bi * in_vol..(bi + 1) * in_vol];
+            for (&src, &g) in argmax.iter().zip(dy) {
+                gi[src] += g;
+            }
+        }
+        grad_in
+    }
+
+    /// Seeded xorshift draws from `palette`.
+    fn draw(state: &mut u64, palette: &[f32], n: usize) -> Vec<f32> {
+        (0..n)
+            .map(|_| {
+                *state ^= *state << 13;
+                *state ^= *state >> 7;
+                *state ^= *state << 17;
+                palette[(*state % palette.len() as u64) as usize]
+            })
+            .collect()
+    }
+
+    /// Ties, signed zeros and NaNs, so that the order of comparisons
+    /// decides most windows.
+    const PALETTE: [f32; 9] = [
+        0.0,
+        -0.0,
+        1.0,
+        1.0,
+        -1.0,
+        f32::NAN,
+        -f32::NAN,
+        2.5,
+        f32::NEG_INFINITY,
+    ];
+
+    /// Geometries `(channels, height, width, window)` covering window 2's
+    /// unrolled body, the general loop and the degenerate window 1.
+    const GEOMETRIES: [(usize, usize, usize, usize); 6] = [
+        (3, 8, 6, 2),
+        (20, 12, 12, 2),
+        (1, 2, 2, 2),
+        (2, 9, 6, 3),
+        (1, 4, 4, 1),
+        (2, 16, 32, 16),
+    ];
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn backward_matches_the_source_index_form_bitwise() {
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        for (c, h, w, win) in GEOMETRIES {
+            let batch = 3;
+            let in_vol = c * h * w;
+            let input = draw(&mut state, &PALETTE, batch * in_vol);
+            let (_, want_argmax) = reference_forward((c, h, w, win), &input);
+            let mut pool = MaxPool2d::new(c, h, w, win);
+            let x = Tensor::from_vec(input, &[batch, in_vol]).unwrap();
+            let out_vol = pool.output_volume();
+            pool.forward(&x, true);
+            let grad_out = draw(&mut state, &PALETTE, batch * out_vol);
+            let want = reference_backward((in_vol, out_vol), &want_argmax, &grad_out);
+            let dy = Tensor::from_vec(grad_out, &[batch, out_vol]).unwrap();
+            let got = pool.backward(&dy);
+            assert_eq!(
+                bits(got.as_slice()),
+                bits(&want),
+                "{c}x{h}x{w} window {win}"
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "wider than 16")]
+    fn window_must_fit_a_byte_offset() {
+        MaxPool2d::new(1, 17, 17, 17);
+    }
+
     #[test]
     fn forward_matches_the_reference_loop_bitwise() {
-        // A palette full of ties, signed zeros and NaNs, so that the order
-        // of comparisons decides most windows.
-        let palette = [
-            0.0f32,
-            -0.0,
-            1.0,
-            1.0,
-            -1.0,
-            f32::NAN,
-            -f32::NAN,
-            2.5,
-            f32::NEG_INFINITY,
-        ];
         let mut state = 0x853c_49e6_748f_ea9bu64;
-        for (c, h, w, win) in [
-            (3, 8, 6, 2),
-            (20, 12, 12, 2),
-            (1, 2, 2, 2),
-            (2, 9, 6, 3),
-            (1, 4, 4, 1),
-        ] {
+        for (c, h, w, win) in GEOMETRIES {
             let batch = 3;
-            let input: Vec<f32> = (0..batch * c * h * w)
-                .map(|_| {
-                    state ^= state << 13;
-                    state ^= state >> 7;
-                    state ^= state << 17;
-                    palette[(state % palette.len() as u64) as usize]
-                })
-                .collect();
+            let input = draw(&mut state, &PALETTE, batch * c * h * w);
             let (want, want_argmax) = reference_forward((c, h, w, win), &input);
             let mut pool = MaxPool2d::new(c, h, w, win);
             let x = Tensor::from_vec(input, &[batch, c * h * w]).unwrap();
             // Twice, so a second step reuses the argmax cache.
             for _ in 0..2 {
                 let y = pool.forward(&x, true);
-                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
                 assert_eq!(bits(y.as_slice()), bits(&want), "{c}x{h}x{w} window {win}");
-                assert_eq!(pool.cached_argmax, want_argmax, "{c}x{h}x{w} window {win}");
+                assert_eq!(
+                    decoded_argmax(&pool),
+                    want_argmax,
+                    "{c}x{h}x{w} window {win}"
+                );
             }
         }
     }

@@ -209,8 +209,8 @@ fn a_model_with_a_parameter_free_first_layer_still_trains() {
 /// The property sharded evaluation stands on: an inference forward pass is
 /// row-independent down to the bit, so the logits of a contiguous sub-batch
 /// are the same rows of the full-batch forward — wherever the cut falls
-/// relative to the matmul row tiles (1, 3, 4), the evaluation block (63,
-/// 64) or the end of the batch (255 | 1). Run with and without `simd` by
+/// relative to the matmul row tiles (1, 3, 4), the evaluation block (31,
+/// 32, 63, 64) or the end of the batch (255 | 1). Run with and without `simd` by
 /// the `feature-matrix` CI job.
 #[test]
 fn inference_forward_of_a_sub_batch_equals_those_rows_of_the_full_batch() {
@@ -253,7 +253,7 @@ fn inference_forward_of_a_sub_batch_equals_those_rows_of_the_full_batch() {
         };
         let full = bits_of(0..ROWS);
         assert_eq!(full.len(), ROWS * classes);
-        let mut cuts: Vec<std::ops::Range<usize>> = [1, 3, 4, 63, 64, 255]
+        let mut cuts: Vec<std::ops::Range<usize>> = [1, 3, 4, 31, 32, 63, 64, 255]
             .into_iter()
             .flat_map(|cut| [0..cut, cut..ROWS])
             .collect();
