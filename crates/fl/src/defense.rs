@@ -32,8 +32,8 @@ use std::collections::VecDeque;
 /// let mut gate = DefenseGate::new(DefenseConfig::default());
 /// let mut update = vec![0.1f32; 100];
 /// update[7] = f32::NAN; // 1% non-finite: scrubbed, not rejected
-/// let ok = gate.sanitize(&mut update).unwrap();
-/// assert_eq!(ok.scrubbed, 1);
+/// let scrubbed = gate.sanitize(&mut update).map(|ok| ok.scrubbed);
+/// assert_eq!(scrubbed, Ok(1));
 /// assert_eq!(update[7], 0.0);
 /// ```
 #[derive(Serialize, Deserialize, Debug, Clone, Copy, PartialEq)]
@@ -181,6 +181,33 @@ impl DefenseGate {
         })
     }
 
+    /// [`sanitize`](Self::sanitize) of each update in `group`, bit for bit.
+    /// A group of four updates of one length is measured in one pass, one
+    /// `f64` chain each: a finite sum of squares means every value was
+    /// finite, so nothing is scrubbed and its root is the norm `sanitize`
+    /// computes in the same order. Every other update takes `sanitize`.
+    pub(crate) fn sanitize_group(
+        &self,
+        group: &mut [&mut [f32]],
+    ) -> Vec<Result<Sanitized, RejectReason>> {
+        let sums = match group {
+            [a, b, c, d] if [b.len(), c.len(), d.len()] == [a.len(); 3] => {
+                Some(sums_of_squares([a, b, c, d]))
+            }
+            _ => None,
+        };
+        let clean = |i: usize| sums.map(|s| s[i]).filter(|sum| sum.is_finite());
+        (0..group.len())
+            .map(|i| match clean(i) {
+                Some(sum) => Ok(Sanitized {
+                    scrubbed: 0,
+                    norm: sum.sqrt(),
+                }),
+                None => self.sanitize(group[i]),
+            })
+            .collect()
+    }
+
     /// Screen 2 for a synchronous round: admits or rejects each norm in
     /// `batch` against the median of history ∪ batch, then pushes the
     /// admitted norms into the history window. Screening the batch against
@@ -222,13 +249,28 @@ impl DefenseGate {
     }
 }
 
+/// `Σ v²` in `f64` of four equal-length rows, each on its own chain in
+/// ascending order (as `sanitize` sums), so the chains overlap. An `f32`
+/// squares far below `f64::MAX`: a sum is finite exactly when its row is.
+fn sums_of_squares(rows: [&[f32]; 4]) -> [f64; 4] {
+    let len = rows[0].len();
+    let rows = rows.map(|r| &r[..len]);
+    let mut sums = [0.0f64; 4];
+    for i in 0..len {
+        for (sum, row) in sums.iter_mut().zip(&rows) {
+            *sum += f64::from(row[i]) * f64::from(row[i]);
+        }
+    }
+    sums
+}
+
 /// Median of a scratch slice (sorts it). **Tie-break:** an even count
 /// takes the arithmetic mean of the two middle values, `(v[n/2−1] +
 /// v[n/2]) / 2` — symmetric, so the reference never biases toward the
 /// lower or upper half of the window and reversing the input changes
 /// nothing. Pinned by `even_count_median_averages_the_middle_pair`.
 fn median(values: &mut [f64]) -> f64 {
-    values.sort_by(|a, b| a.partial_cmp(b).expect("norms are finite"));
+    values.sort_by(f64::total_cmp);
     let n = values.len();
     if n == 0 {
         0.0
@@ -271,6 +313,53 @@ mod tests {
         assert_eq!(gate.admit_batch(&[1.0, 2.0, 3.0]), vec![true; 3]);
         assert_eq!(gate.admit_batch(&[10.0]), vec![false]);
         assert_eq!(gate.admit_batch(&[7.0]), vec![true]);
+    }
+
+    #[test]
+    fn group_screen_matches_per_update_sanitize_bit_for_bit() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(5);
+        let g = gate();
+        // Finite rows of several lengths, screened four at a time as the
+        // stage does (groups of one length, groups that mix two, short last
+        // groups), some salted with a few non-finite values (scrubbed) or
+        // many (rejected).
+        for group_len in 0..=13usize {
+            let rows: Vec<Vec<f32>> = (0..group_len)
+                .map(|i| {
+                    let len = if i % 5 == 3 { 17 } else { 64 };
+                    let mut row: Vec<f32> = (0..len).map(|_| rng.gen_range(-1e3f32..1e3)).collect();
+                    match rng.gen_range(0..4u32) {
+                        0 => row[rng.gen_range(0..len)] = f32::NAN,
+                        1 => row[rng.gen_range(0..len)] = f32::NEG_INFINITY,
+                        2 => row.iter_mut().step_by(3).for_each(|v| *v = f32::INFINITY),
+                        _ => {}
+                    }
+                    row
+                })
+                .collect();
+            let mut fast = rows.clone();
+            let mut slow = rows;
+            let mut views: Vec<&mut [f32]> = fast.iter_mut().map(Vec::as_mut_slice).collect();
+            let got: Vec<_> = views
+                .chunks_mut(4)
+                .flat_map(|q| g.sanitize_group(q))
+                .collect();
+            let want: Vec<_> = slow.iter_mut().map(|u| g.sanitize(u)).collect();
+            let key =
+                |r: &Result<Sanitized, RejectReason>| r.map(|s| (s.scrubbed, s.norm.to_bits()));
+            assert_eq!(
+                got.iter().map(key).collect::<Vec<_>>(),
+                want.iter().map(key).collect::<Vec<_>>()
+            );
+            let bits = |rows: &[Vec<f32>]| -> Vec<Vec<u32>> {
+                rows.iter()
+                    .map(|r| r.iter().map(|v| v.to_bits()).collect())
+                    .collect()
+            };
+            assert_eq!(bits(&fast), bits(&slow), "group of {group_len}");
+        }
     }
 
     #[test]

@@ -20,8 +20,10 @@
 //!
 //! Three further kinds model *Byzantine* clients — compromised devices
 //! sending well-formed but adversarial updates, the threat the
-//! [`robust`](crate::robust) pre-aggregators defend against. Attacks act
-//! on the **encoded bytes** via [`attack_payload`], like corruption:
+//! [`robust`](crate::robust) pre-aggregators defend against. Attacks
+//! rewrite the **transmitted values** via [`attack_payload`] — in place for
+//! dense and sparse payloads, through the one scale field of a packed
+//! frame — so, like corruption, the frame stays the one a wire would carry:
 //!
 //! * **SignFlip** — every transmitted value is negated, pushing the
 //!   aggregate *away* from the honest descent direction while preserving
@@ -314,20 +316,22 @@ pub fn corrupt_payload(payload: &mut UpdatePayload, seed: u64) -> Result<(), Dec
     Ok(())
 }
 
-/// Applies a Byzantine attack to a payload's **encoded bytes** in place —
+/// Applies a Byzantine attack to a payload's transmitted values in place —
 /// the adversarial sibling of [`corrupt_payload`].
 ///
-/// Dense and sparse frames have every `f32` value slot rewritten with the
-/// attacked value (sign-flip negates, boost scales, little-is-enough
-/// substitutes the shared collusion direction scaled to `ε·‖values‖`).
-/// Quantized and ternary frames carry one `f32` scale that every decoded
-/// value is linear in, so the attack rewrites just that field: sign-flip
-/// negates it, boost multiplies it, and little-is-enough shrinks it to
-/// `−ε·scale` — the packed-form approximation of the dense attack. No
-/// header or length byte changes, so the frame always re-parses and the
-/// ledger charge (`encoded_len()`) is unchanged: Byzantine updates are
-/// *well-formed*, which is exactly why the decoder and the defense gate
-/// cannot stop them.
+/// Dense and sparse payloads have every value rewritten with the attacked
+/// value (sign-flip negates, boost scales, little-is-enough substitutes the
+/// shared collusion direction scaled to `ε·‖values‖`), straight in
+/// `values_mut()`: an `f32` round-trips through its little-endian wire
+/// bytes exactly, NaN payloads included, so this is the frame the rewritten
+/// bytes would decode to. Quantized and ternary frames carry one `f32`
+/// scale that every decoded value is linear in, so the attack rewrites
+/// just that header field and re-decodes: sign-flip negates it, boost
+/// multiplies it, and little-is-enough shrinks it to `−ε·scale` — the
+/// packed-form approximation of the dense attack. No header or length
+/// byte changes, so the frame stays well-formed and the ledger charge
+/// (`encoded_len()`) is unchanged: Byzantine updates are *well-formed*,
+/// which is exactly why the decoder and the defense gate cannot stop them.
 ///
 /// `collusion_seed` only matters for [`FaultKind::LittleIsEnough`]; pass
 /// [`FaultPlan::collusion_seed`] for the current round so colluders agree
@@ -339,32 +343,18 @@ pub fn corrupt_payload(payload: &mut UpdatePayload, seed: u64) -> Result<(), Dec
 /// ([`FaultKind::is_attack`]).
 pub fn attack_payload(payload: &mut UpdatePayload, kind: FaultKind, collusion_seed: u64) {
     assert!(kind.is_attack(), "{kind} is not a Byzantine attack kind");
-    // Attackers rewrite the values they transmit; for a sub-view that is
-    // the inner view-local payload (a Byzantine client cannot forge the
-    // descriptor without the server noticing the length mismatch).
-    if let UpdatePayload::SubView { inner, .. } = payload {
-        return attack_payload(inner, kind, collusion_seed);
-    }
-    let mut bytes = payload.encode();
     match payload {
-        UpdatePayload::Dense(d) => {
-            let poisoned = attacked_values(kind, d.values(), collusion_seed);
-            for (i, v) in poisoned.iter().enumerate() {
-                let at = DENSE_HEADER_BYTES + 4 * i;
-                bytes[at..at + 4].copy_from_slice(&v.to_le_bytes());
-            }
-        }
-        UpdatePayload::Sparse(s) => {
-            let poisoned = attacked_values(kind, s.values(), collusion_seed);
-            for (i, v) in poisoned.iter().enumerate() {
-                let at = SPARSE_HEADER_BYTES + SPARSE_PAIR_BYTES * i + 4;
-                bytes[at..at + 4].copy_from_slice(&v.to_le_bytes());
-            }
-        }
+        // Attackers rewrite the values they transmit; for a sub-view that
+        // is the inner view-local payload (a Byzantine client cannot forge
+        // the descriptor without the server noticing the length mismatch).
+        UpdatePayload::SubView { inner, .. } => attack_payload(inner, kind, collusion_seed),
+        UpdatePayload::Dense(d) => attack_values(kind, d.values_mut(), collusion_seed),
+        UpdatePayload::Sparse(s) => attack_values(kind, s.values_mut(), collusion_seed),
         UpdatePayload::Quantized { .. } | UpdatePayload::Ternary { .. } => {
             // Both packed headers end with the f32 scale at bytes 8..12
             // (QUANTIZED_HEADER_BYTES == TERNARY_HEADER_BYTES == 12), and
             // both decoders are linear in it.
+            let mut bytes = payload.encode();
             let at = PACKED_SCALE_OFFSET;
             let scale = f32::from_le_bytes(bytes[at..at + 4].try_into().expect("4 scale bytes"));
             let poisoned = match kind {
@@ -374,23 +364,22 @@ pub fn attack_payload(payload: &mut UpdatePayload, kind: FaultKind, collusion_se
                 _ => unreachable!("gated by is_attack"),
             };
             bytes[at..at + 4].copy_from_slice(&poisoned.to_le_bytes());
+            let form = payload.form();
+            *payload = UpdatePayload::decode(form, &bytes)
+                .expect("a scale rewrite preserves frame structure");
         }
-        UpdatePayload::SubView { .. } => unreachable!("handled by recursion above"),
     }
-    let form = payload.form();
-    *payload =
-        UpdatePayload::decode(form, &bytes).expect("value/scale rewrites preserve frame structure");
 }
 
 /// Byte offset of the `f32` scale/norm field shared by the two packed
 /// wire headers.
 const PACKED_SCALE_OFFSET: usize = 8;
 
-/// The attacked replacement for a slice of transmitted values.
-fn attacked_values(kind: FaultKind, values: &[f32], collusion_seed: u64) -> Vec<f32> {
+/// Rewrites a slice of transmitted values with their attacked replacement.
+fn attack_values(kind: FaultKind, values: &mut [f32], collusion_seed: u64) {
     match kind {
-        FaultKind::SignFlip => values.iter().map(|v| -v).collect(),
-        FaultKind::Boost { factor } => values.iter().map(|v| factor as f32 * v).collect(),
+        FaultKind::SignFlip => values.iter_mut().for_each(|v| *v = -*v),
+        FaultKind::Boost { factor } => values.iter_mut().for_each(|v| *v *= factor as f32),
         FaultKind::LittleIsEnough { epsilon } => {
             let norm = values
                 .iter()
@@ -398,7 +387,7 @@ fn attacked_values(kind: FaultKind, values: &[f32], collusion_seed: u64) -> Vec<
                 .sum::<f64>()
                 .sqrt();
             if values.is_empty() || norm == 0.0 {
-                return values.to_vec();
+                return;
             }
             // All colluders seed the same stream, so updates of equal
             // length (every dense/packed client) poison in the *same*
@@ -414,7 +403,9 @@ fn attacked_values(kind: FaultKind, values: &[f32], collusion_seed: u64) -> Vec<
                 dir_norm = 1.0;
             }
             let scale = epsilon * norm / dir_norm;
-            dir.iter().map(|&d| (scale * d) as f32).collect()
+            for (v, &d) in values.iter_mut().zip(&dir) {
+                *v = (scale * d) as f32;
+            }
         }
         _ => unreachable!("gated by is_attack"),
     }
@@ -972,6 +963,126 @@ mod tests {
         assert_eq!(got.indices(), sparse.indices());
         let boosted: Vec<f32> = sparse.values().iter().map(|v| 8.0 * v).collect();
         assert_eq!(got.values(), boosted.as_slice());
+    }
+
+    /// The byte route `attack_payload` once took for dense and sparse
+    /// frames: encode, overwrite every value slot with its attacked value,
+    /// decode. The in-place rewrite must reproduce it bit for bit.
+    fn attack_via_bytes(payload: &mut UpdatePayload, kind: FaultKind, collusion_seed: u64) {
+        if let UpdatePayload::SubView { inner, .. } = payload {
+            return attack_via_bytes(inner, kind, collusion_seed);
+        }
+        let attacked = |values: &[f32]| -> Vec<f32> {
+            match kind {
+                FaultKind::SignFlip => values.iter().map(|v| -v).collect(),
+                FaultKind::Boost { factor } => values.iter().map(|v| factor as f32 * v).collect(),
+                FaultKind::LittleIsEnough { epsilon } => {
+                    let norm = values
+                        .iter()
+                        .map(|&v| f64::from(v) * f64::from(v))
+                        .sum::<f64>()
+                        .sqrt();
+                    if values.is_empty() || norm == 0.0 {
+                        return values.to_vec();
+                    }
+                    let mut rng = StdRng::seed_from_u64(collusion_seed ^ 0x11E);
+                    let mut dir: Vec<f64> = (0..values.len())
+                        .map(|_| rng.gen::<f64>() * 2.0 - 1.0)
+                        .collect();
+                    let mut dir_norm = dir.iter().map(|d| d * d).sum::<f64>().sqrt();
+                    if dir_norm == 0.0 {
+                        dir[0] = 1.0;
+                        dir_norm = 1.0;
+                    }
+                    let scale = epsilon * norm / dir_norm;
+                    dir.iter().map(|&d| (scale * d) as f32).collect()
+                }
+                _ => unreachable!("attack kinds only"),
+            }
+        };
+        let mut bytes = payload.encode();
+        let (first, stride, poisoned) = match payload {
+            UpdatePayload::Dense(d) => (DENSE_HEADER_BYTES, 4, attacked(d.values())),
+            UpdatePayload::Sparse(s) => (
+                SPARSE_HEADER_BYTES + 4,
+                SPARSE_PAIR_BYTES,
+                attacked(s.values()),
+            ),
+            _ => unreachable!("dense and sparse frames only"),
+        };
+        for (i, v) in poisoned.iter().enumerate() {
+            let at = first + stride * i;
+            bytes[at..at + 4].copy_from_slice(&v.to_le_bytes());
+        }
+        *payload = UpdatePayload::decode(payload.form(), &bytes).expect("value slots only");
+    }
+
+    #[test]
+    fn in_place_attack_matches_the_byte_route_bit_for_bit() {
+        use adafl_compression::{SparseUpdate, ViewDescriptor};
+        let specials = [
+            0.0f32,
+            -0.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::from_bits(1),
+            -f32::MIN_POSITIVE / 2.0,
+            f32::from_bits(0x7fc0_1234),
+            f32::from_bits(0xffa0_0001),
+        ];
+        // Finite cohorts (every kind moves every value) and cohorts that
+        // mix in each special value, all-zero ones (little-is-enough's
+        // early return) included.
+        let mut cohorts: Vec<Vec<f32>> = vec![
+            (0..37).map(|i| ((i as f32) * 0.37).sin() * 1e-3).collect(),
+            vec![0.0; 9],
+            vec![-0.0, 0.0, f32::from_bits(1)],
+            Vec::new(),
+        ];
+        for &x in &specials {
+            cohorts.push(
+                (0..13)
+                    .map(|i| if i % 4 == 1 { x } else { i as f32 - 6.5 })
+                    .collect(),
+            );
+        }
+        let kinds = [
+            FaultKind::SignFlip,
+            FaultKind::Boost { factor: 8.0 },
+            FaultKind::Boost { factor: -0.5 },
+            FaultKind::LittleIsEnough { epsilon: 0.3 },
+        ];
+        for values in &cohorts {
+            let n = values.len();
+            let indices: Vec<u32> = (0..n as u32).map(|i| 3 * i + 1).collect();
+            let sparse = SparseUpdate::new(indices, values.clone(), 3 * n + 2);
+            let mut payloads = vec![
+                UpdatePayload::dense(values.clone()),
+                UpdatePayload::Sparse(sparse.clone()),
+            ];
+            if n > 0 {
+                let view = ViewDescriptor::new(n + 5, vec![(2, n as u32)]);
+                payloads.push(UpdatePayload::sub_view(
+                    view,
+                    UpdatePayload::dense(values.clone()),
+                ));
+                let whole = ViewDescriptor::new(3 * n + 2, vec![(0, 3 * n as u32 + 2)]);
+                payloads.push(UpdatePayload::sub_view(
+                    whole,
+                    UpdatePayload::Sparse(sparse),
+                ));
+            }
+            for payload in payloads {
+                for kind in kinds {
+                    let mut fast = payload.clone();
+                    let mut oracle = payload.clone();
+                    attack_payload(&mut fast, kind, 77);
+                    attack_via_bytes(&mut oracle, kind, 77);
+                    assert_eq!(fast.form(), oracle.form());
+                    assert_eq!(fast.encode(), oracle.encode(), "{kind} on {values:?}");
+                }
+            }
+        }
     }
 
     #[test]

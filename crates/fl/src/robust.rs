@@ -652,7 +652,8 @@ fn median_select(views: &[&[f32]], base: usize, cols: &mut [f32]) {
 /// `r` keys strictly below it. [`lanes::select`] builds it one bit at a
 /// time from the top: set the next bit in a candidate, count the keys
 /// below the candidate in every lane at once, and keep the bit where that
-/// count is at most `r` — 32 counting passes per rank. Trimmed mean
+/// count is at most `r` — 32 counting passes per rank at most, fewer once
+/// every lane is done (see [`lanes::select`]). Trimmed mean
 /// selects ranks `t` and `n−1−t`; the median selects `⌊n/2⌋`, and an even
 /// cohort's lower middle, rank `⌈n/2⌉−1`, takes one more pass.
 ///
@@ -801,6 +802,11 @@ mod lanes {
     /// smallest key, `i32::MIN`; setting bit `k` of the underlying unsigned
     /// key is `xor` with `1 << k` in this signed form too.
     ///
+    /// Before bit `k` is decided a lane's key lies in `at..=at + 2^(k+1) − 1`,
+    /// and each pass counts the keys below one end of that interval. A lane
+    /// is done once `rank` is the interval's first or last key; when all
+    /// are, one min/max pass finishes instead of the remaining bits.
+    ///
     /// # Safety
     ///
     /// AVX2 must be available.
@@ -808,17 +814,48 @@ mod lanes {
     #[target_feature(enable = "avx2")]
     unsafe fn select(keys: &[__m256i], rank: usize) -> __m256i {
         let rank = _mm256_set1_epi32(rank as i32);
-        let mut at = _mm256_set1_epi32(i32::MIN);
+        let (zero, minus_one) = (_mm256_setzero_si256(), _mm256_set1_epi32(-1));
+        let (smallest, largest) = (_mm256_set1_epi32(i32::MIN), _mm256_set1_epi32(i32::MAX));
+        let mut at = smallest;
+        // Minus the counts of keys below `at` and at most the top.
+        let (mut below_at, mut to_top) = (zero, _mm256_set1_epi32(-(keys.len() as i32)));
         for bit in (0..32).rev() {
-            let candidate = _mm256_xor_si256(at, _mm256_set1_epi32((1u32 << bit) as i32));
-            // Minus the number of keys below the candidate.
-            let mut below = _mm256_setzero_si256();
-            for &key in keys {
-                below = _mm256_add_epi32(below, _mm256_cmpgt_epi32(candidate, key));
+            let first = _mm256_cmpeq_epi32(_mm256_add_epi32(rank, below_at), zero);
+            let last = _mm256_cmpeq_epi32(_mm256_add_epi32(rank, to_top), minus_one);
+            if _mm256_movemask_epi8(_mm256_or_si256(first, last)) == -1 {
+                // The smallest key from `at` up where `first` is set, else
+                // the largest key up to the top.
+                let top =
+                    _mm256_add_epi32(at, _mm256_set1_epi32(((2u64 << bit) - 1) as u32 as i32));
+                let (mut least, mut most) = (largest, smallest);
+                for &key in keys {
+                    let under = _mm256_cmpgt_epi32(at, key);
+                    least = _mm256_min_epi32(least, _mm256_blendv_epi8(key, largest, under));
+                    let over = _mm256_cmpgt_epi32(key, top);
+                    most = _mm256_max_epi32(most, _mm256_blendv_epi8(key, smallest, over));
+                }
+                return _mm256_blendv_epi8(most, least, first);
             }
+            let candidate = _mm256_xor_si256(at, _mm256_set1_epi32((1u32 << bit) as i32));
+            // Minus the number of keys below the candidate, on four
+            // independent chains (integer adds are exact in any order).
+            let mut chains = [zero; 4];
+            let mut quads = keys.chunks_exact(4);
+            for quad in &mut quads {
+                for (chain, &key) in chains.iter_mut().zip(quad) {
+                    *chain = _mm256_add_epi32(*chain, _mm256_cmpgt_epi32(candidate, key));
+                }
+            }
+            for (chain, &key) in chains.iter_mut().zip(quads.remainder()) {
+                *chain = _mm256_add_epi32(*chain, _mm256_cmpgt_epi32(candidate, key));
+            }
+            let [c0, c1, c2, c3] = chains;
+            let below = _mm256_add_epi32(_mm256_add_epi32(c0, c1), _mm256_add_epi32(c2, c3));
             // Keep the bit where at most `rank` keys lie below: −below ≤ rank.
-            let keep = _mm256_cmpgt_epi32(_mm256_add_epi32(rank, below), _mm256_set1_epi32(-1));
+            let keep = _mm256_cmpgt_epi32(_mm256_add_epi32(rank, below), minus_one);
             at = _mm256_blendv_epi8(at, candidate, keep);
+            below_at = _mm256_blendv_epi8(below_at, below, keep);
+            to_top = _mm256_blendv_epi8(below, to_top, keep);
         }
         at
     }

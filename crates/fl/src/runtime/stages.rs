@@ -199,24 +199,28 @@ impl ServerStages {
             client,
             seconds: now,
         };
-        // Scrub + norm-screen in parallel: `sanitize` takes `&self` and
-        // touches only its own update's values, and `scope_run` collects in
-        // submission order, so the verdicts are identical at any pool
-        // width. Telemetry is replayed sequentially below, in the original
-        // update order.
-        let screened: Vec<Result<Sanitized, RejectReason>> = {
+        // Scrub + norm-screen in parallel, four updates per job:
+        // `sanitize_group` takes `&self` and touches only its own updates'
+        // values, and `scope_run` collects in submission order, so the
+        // verdicts are identical at any pool width. Telemetry is replayed
+        // sequentially below, in the original update order.
+        type Verdicts = Vec<Result<Sanitized, RejectReason>>;
+        let screened: Verdicts = {
             let gate = &*gate;
-            let jobs: Vec<Box<dyn FnOnce() -> Result<Sanitized, RejectReason> + Send + '_>> =
-                updates
-                    .iter_mut()
-                    .map(|u| {
-                        // The screens run over the transmitted values; the
-                        // L2 norm of a sparse update equals the norm of its
-                        // dense form.
-                        Box::new(move || gate.sanitize(u.payload.values_mut())) as Box<_>
-                    })
-                    .collect();
-            pool.scope_run(jobs)
+            let jobs: Vec<Box<dyn FnOnce() -> Verdicts + Send + '_>> = updates
+                .chunks_mut(4)
+                .map(|quad| {
+                    Box::new(move || {
+                        // The screens run over the transmitted values;
+                        // the L2 norm of a sparse update equals the norm
+                        // of its dense form.
+                        let mut values: Vec<&mut [f32]> =
+                            quad.iter_mut().map(|u| u.payload.values_mut()).collect();
+                        gate.sanitize_group(&mut values)
+                    }) as Box<_>
+                })
+                .collect();
+            pool.scope_run(jobs).into_iter().flatten().collect()
         };
         let mut kept: Vec<RoundUpdate> = Vec::with_capacity(updates.len());
         let mut norms: Vec<f64> = Vec::with_capacity(updates.len());

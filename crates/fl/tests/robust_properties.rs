@@ -12,7 +12,11 @@
 //! they replaced (`robust::oracle`), over cohorts seeded with ties,
 //! signed zeros, infinities, NaNs and subnormals, at every legal trim and
 //! at pool widths 1, 2 and 4. Both kernels read every value as `x + 0.0`,
-//! and so does the oracle.
+//! and so does the oracle. The counting kernel stops early once every
+//! lane's rank is an end of the interval its bits leave open; a further
+//! property shapes columns, at cohort sizes 2 to 300, where it stops on
+//! either end and where it cannot (all-equal or two-valued columns, ties
+//! at both boundaries).
 //!
 //! The stage reads full-width payloads in place rather than copying the
 //! cohort into one dense matrix first; the last property holds all five
@@ -212,6 +216,92 @@ fn densify(updates: &[RoundUpdate], dim: usize) -> (Vec<RoundUpdate>, Vec<Vec<f3
     (sorted, rows)
 }
 
+/// The float whose ascending order key (as in `f32::total_cmp`) is `key`.
+fn from_order_key(key: u32) -> f32 {
+    f32::from_bits(if key >> 31 == 1 {
+        key ^ 0x8000_0000
+    } else {
+        !key
+    })
+}
+
+/// An `n × dim` cohort shaped around the ranks a selection wants, one
+/// column style per column, each column shuffled across the views. The
+/// sorted column is built in order-key space from a finite start by
+/// gaps: wide (the rank's bits split from a neighbour early), one key
+/// (late), or none (a tie). Styles: the wanted rank is the first key of
+/// a close pair (the counting kernel can stop on its lower end), the last
+/// of one (on its upper end), tied with both neighbours (at both
+/// boundaries of a trimmed mean), all keys equal, two values (these keep
+/// a rank inside a run of ties, where no early stop is possible and every
+/// bit is counted), or noise mixing all three gaps.
+fn shaped_cohort(seed: u64, n: usize, dim: usize, ranks: &[usize]) -> Vec<Vec<f32>> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut cohort = vec![vec![0.0f32; dim]; n];
+    let mut column = vec![0.0f32; n];
+    for j in 0..dim {
+        let style = rng.gen_range(0..6u32);
+        let mut gaps: Vec<u32> = (1..n)
+            .map(|_| match rng.gen_range(0..10u32) {
+                0 => 0,
+                1 | 2 => 1,
+                _ => rng.gen_range(1u32 << 12..1 << 20),
+            })
+            .collect();
+        let wide = |rng: &mut StdRng| rng.gen_range(1u32 << 12..1 << 20);
+        for &r in ranks {
+            // `gaps[i]` separates sorted keys `i` and `i + 1`.
+            let (below, above) = (r.checked_sub(1), (r + 1 < n).then_some(r));
+            let mut set = |at: Option<usize>, gap: u32| {
+                if let Some(i) = at {
+                    gaps[i] = gap;
+                }
+            };
+            match style {
+                0 => {
+                    set(below, wide(&mut rng));
+                    set(above, 1);
+                }
+                1 => {
+                    set(below, 1);
+                    set(above, wide(&mut rng));
+                }
+                2 => {
+                    set(below, 0);
+                    set(above, 0);
+                }
+                _ => {}
+            }
+        }
+        match style {
+            3 => gaps.fill(0),
+            4 if n > 1 => {
+                gaps.fill(0);
+                let split = rng.gen_range(0..n - 1);
+                gaps[split] = wide(&mut rng);
+            }
+            _ => {}
+        }
+        let start: f32 = rng.gen_range(-10.0f32..10.0);
+        let bits = start.to_bits();
+        let mut key = if bits >> 31 == 1 {
+            !bits
+        } else {
+            bits | 0x8000_0000
+        };
+        column[0] = from_order_key(key);
+        for (slot, &gap) in column[1..].iter_mut().zip(&gaps) {
+            key += gap;
+            *slot = from_order_key(key);
+        }
+        column.shuffle(&mut rng);
+        for (row, &x) in cohort.iter_mut().zip(&column) {
+            row[j] = x;
+        }
+    }
+    cohort
+}
+
 proptest! {
     #[test]
     fn pre_aggregate_reads_payloads_as_the_densified_cohort(
@@ -310,6 +400,29 @@ proptest! {
             let got = coordinate_median_with(&views, pool);
             prop_assert!(bits(&got) == expected, "n {n} dim {dim}");
         }
+    }
+
+    #[test]
+    fn selection_matches_the_sorting_oracle_where_counting_stops_early_and_where_it_cannot(
+        seed in 0u64..u64::MAX,
+        n in 2usize..301,
+        panels in 1usize..5,
+        nudge in 0usize..8,
+        trim_pick in 0usize..usize::MAX / 2,
+    ) {
+        let dim = 8 * panels + nudge;
+        let trim = trim_pick % ((n - 1) / 2 + 1);
+        let cohort = shaped_cohort(seed, n, dim, &[trim, n - 1 - trim]);
+        let views: Vec<&[f32]> = cohort.iter().map(Vec::as_slice).collect();
+        let expected = bits(&oracle::trimmed_mean(&views, trim));
+        let got = coordinate_trimmed_mean_with(&views, trim, None);
+        prop_assert!(bits(&got) == expected, "trimmed mean n {n} dim {dim} trim {trim}");
+
+        let cohort = shaped_cohort(seed ^ 1, n, dim, &[n / 2, (n - 1) / 2]);
+        let views: Vec<&[f32]> = cohort.iter().map(Vec::as_slice).collect();
+        let expected = bits(&oracle::median(&views));
+        let got = coordinate_median_with(&views, None);
+        prop_assert!(bits(&got) == expected, "median n {n} dim {dim}");
     }
 
     #[test]

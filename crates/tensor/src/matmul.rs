@@ -26,12 +26,11 @@
 //! The micro-kernel accumulates an `MR`-row × `NR`-column tile of `C` in
 //! local arrays across a k-block, touching `C` once per k-block. With the
 //! `simd` cargo feature the tile runs on explicit `std::arch` intrinsics
-//! (AVX2 on x86_64 for both schedules, NEON on aarch64 for the packed one)
-//! using *separate* multiply and add instructions — never FMA — so the
-//! SIMD lanes compute the exact same IEEE-754 sequence as the scalar
-//! fallback and stay bit-deterministic. Without the feature (or on other
-//! architectures) a scalar tile with independent lanes autovectorises and
-//! produces the same bits.
+//! (AVX2 on x86_64, for both schedules) using *separate* multiply and add
+//! instructions — never FMA — so the SIMD lanes compute the exact same
+//! IEEE-754 sequence as the scalar fallback and stay bit-deterministic.
+//! Without the feature, and on every other architecture, a scalar tile with
+//! independent lanes autovectorises and produces the same bits.
 //!
 //! ```text
 //! B panel layout (one KC-deep k-block, NR = 16 lanes per column tile):
@@ -160,7 +159,7 @@ impl Tensor {
 
 /// Whether panel-packing pays for an NN/TN problem of this shape.
 ///
-/// Packing wins once the `B` k-slab outgrows half of a typical L1d (strided
+/// Packing wins once the `B` k-slab outgrows a typical 32 KiB L1d (strided
 /// panel walks start missing) or the column count is ragged past one tile
 /// (packed tiles zero-pad the tail lanes once; the direct schedule re-reads
 /// its masked tail tile strided per row block). Below that the raw slab is
@@ -169,9 +168,21 @@ impl Tensor {
 /// faster. That holds for products narrower than one tile too: the
 /// logistic-regression head's 10 columns run the masked direct tile, which
 /// beat packing them and needs no pack panels in any workspace.
+///
+/// The MLP's first layer (`k` = 256, `n` = 32) is exactly 32 KiB, and
+/// packing it per 16- or 32-row product cost 2×. Alternated calls in one
+/// binary, median µs (AVX2 tiles, 2-vCPU Xeon, 400 × 10 calls, two runs):
+///
+/// | µs | NN 16 × 256 × 32 | NN 32 × 256 × 32 | NN 64 × 256 × 32 | NN 128 × 256 × 32 | TN 16 × 256 × 32 |
+/// |---|---|---|---|---|---|
+/// | packed | 10.2–14.9 | 17.6–26.2 | 29.9–48.8 | 59.0–93.1 | 16.5 |
+/// | direct | 4.5–6.6 | 9.2–13.6 | 17.1–26.2 | 35.4–52.1 | 7.4 |
+///
+/// Direct also won at `n` = 64 and 128 (1.3–1.7×), but the limit stays the
+/// smallest that moves the MLP: every CNN product keeps its schedule.
 fn worth_packing(k: usize, n: usize) -> bool {
     let slab_bytes = k.min(KC) * n * core::mem::size_of::<f32>();
-    slab_bytes > 16 * 1024 || (n > NR && !n.is_multiple_of(NR))
+    slab_bytes > 32 * 1024 || (n > NR && !n.is_multiple_of(NR))
 }
 
 /// Whether the explicit SIMD micro-kernels may run on this CPU. Call once
@@ -183,11 +194,7 @@ fn simd_tiles_available() -> bool {
     {
         std::arch::is_x86_feature_detected!("avx2")
     }
-    #[cfg(all(feature = "simd", target_arch = "aarch64"))]
-    {
-        true
-    }
-    #[cfg(not(all(feature = "simd", any(target_arch = "x86_64", target_arch = "aarch64"))))]
+    #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
     {
         false
     }
@@ -240,29 +247,9 @@ fn pack_a_tn(a: &[f32], i: usize, r: usize, kb: usize, ke: usize, m: usize, out:
 // Micro-kernel tiles (scalar + SIMD)
 // ---------------------------------------------------------------------------
 
-/// Scalar `R×NR` tile: independent accumulator lanes, `kk` ascending, so
-/// LLVM autovectorises without reordering any reduction.
-#[allow(clippy::needless_range_loop)]
-fn tile_scalar<const R: usize>(
-    a_pack: &[f32],
-    b_tile: &[f32],
-    kc: usize,
-    acc: &mut [[f32; NR]; R],
-) {
-    for kk in 0..kc {
-        let av = &a_pack[kk * R..][..R];
-        let bv = &b_tile[kk * NR..][..NR];
-        for r in 0..R {
-            let a = av[r];
-            for (x, &b) in acc[r].iter_mut().zip(bv) {
-                *x += a * b;
-            }
-        }
-    }
-}
-
-/// AVX2 `R×NR` tile. Uses separate multiply and add (never FMA) so every
-/// lane computes the exact IEEE-754 sequence of [`tile_scalar`].
+/// AVX2 `R×NR` tile over packed panels. Uses separate multiply and add
+/// (never FMA) so every lane computes the exact IEEE-754 sequence of
+/// [`direct_tile_scalar`] over the same panels.
 ///
 /// # Safety
 ///
@@ -300,49 +287,11 @@ unsafe fn tile_avx2<const R: usize>(
     }
 }
 
-/// NEON `R×NR` tile; same bit-exact separate multiply/add discipline as
-/// [`tile_avx2`].
-///
-/// # Safety
-///
-/// Caller must ensure `a_pack` holds at least `kc*R` and `b_tile` at least
-/// `kc*NR` elements. NEON itself is mandatory on aarch64.
-#[cfg(all(feature = "simd", target_arch = "aarch64"))]
-unsafe fn tile_neon<const R: usize>(
-    a_pack: &[f32],
-    b_tile: &[f32],
-    kc: usize,
-    acc: &mut [[f32; NR]; R],
-) {
-    use core::arch::aarch64::*;
-    let mut v = [[vdupq_n_f32(0.0); 4]; R];
-    let ap = a_pack.as_ptr();
-    let bp = b_tile.as_ptr();
-    for kk in 0..kc {
-        let b0 = vld1q_f32(bp.add(kk * NR));
-        let b1 = vld1q_f32(bp.add(kk * NR + 4));
-        let b2 = vld1q_f32(bp.add(kk * NR + 8));
-        let b3 = vld1q_f32(bp.add(kk * NR + 12));
-        for r in 0..R {
-            let a = vdupq_n_f32(*ap.add(kk * R + r));
-            v[r][0] = vaddq_f32(v[r][0], vmulq_f32(a, b0));
-            v[r][1] = vaddq_f32(v[r][1], vmulq_f32(a, b1));
-            v[r][2] = vaddq_f32(v[r][2], vmulq_f32(a, b2));
-            v[r][3] = vaddq_f32(v[r][3], vmulq_f32(a, b3));
-        }
-    }
-    for r in 0..R {
-        for q in 0..4 {
-            vst1q_f32(acc[r].as_mut_ptr().add(q * 4), v[r][q]);
-        }
-    }
-}
-
 /// Runs one `R×NR` tile over a packed k-slab, dispatching to the widest
 /// bit-compatible implementation available. `simd` is the hoisted
 /// [`simd_tiles_available`] answer.
 #[cfg_attr(
-    not(all(feature = "simd", any(target_arch = "x86_64", target_arch = "aarch64"))),
+    not(all(feature = "simd", target_arch = "x86_64")),
     allow(unused_variables)
 )]
 #[inline]
@@ -361,20 +310,17 @@ fn run_tile<const R: usize>(
         unsafe { tile_avx2::<R>(a_pack, b_tile, kc, acc) };
         return;
     }
-    #[cfg(all(feature = "simd", target_arch = "aarch64"))]
-    if simd {
-        // SAFETY: NEON is mandatory on aarch64; lengths asserted above.
-        unsafe { tile_neon::<R>(a_pack, b_tile, kc, acc) };
-        return;
-    }
-    tile_scalar::<R>(a_pack, b_tile, kc, acc);
+    // The panels are a direct tile's operands with `A` rows 1 apart,
+    // `kk` steps `R` apart and `B` rows `NR` apart.
+    direct_tile_scalar::<R>(a_pack, 1, R, b_tile, NR, kc, NR, acc);
 }
 
-/// Scalar direct tile over the raw operands: lanes `0..w` of an `R×NR`
-/// tile, `kk` ascending. `a` starts at the tile's first `A` element, whose
-/// `(row, kk)` neighbours sit `rs` / `ks` apart; `b` starts at its first
-/// `B` element, whose rows are `n` apart. The bitwise reference for
-/// [`direct_tile_avx2`], and the direct path's tile where that does not run.
+/// Scalar `R×NR` tile: lanes `0..w`, independent accumulator lanes, `kk`
+/// ascending, so LLVM autovectorises without reordering any reduction.
+/// `a` starts at the tile's first `A` element, whose `(row, kk)`
+/// neighbours sit `rs` / `ks` apart; `b` starts at its first `B` element,
+/// whose rows are `n` apart. The bitwise reference for [`tile_avx2`] and
+/// [`direct_tile_avx2`], and both schedules' tile where those do not run.
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
 fn direct_tile_scalar<const R: usize>(
@@ -470,7 +416,7 @@ unsafe fn direct_tile_avx2<const R: usize, const FULL: bool>(
 }
 
 /// Runs one direct `R×NR` tile (lanes `0..w` live) over the raw operands,
-/// dispatching like [`run_tile`]. On aarch64 and without the `simd`
+/// dispatching like [`run_tile`]. Off x86_64 and without the `simd`
 /// feature the scalar tile runs.
 #[cfg_attr(
     not(all(feature = "simd", target_arch = "x86_64")),
@@ -875,45 +821,13 @@ unsafe fn nt_tile_avx2(a_row: &[f32], b_tile: &[f32], chunks: usize) -> [f32; 4]
     out
 }
 
-/// NEON lane accumulation over a packed NT tile (separate mul/add, no FMA).
-///
-/// # Safety
-///
-/// Caller must ensure `a_row` holds at least `chunks*LANES` and `b_tile` at
-/// least `chunks*4*LANES` elements. NEON itself is mandatory on aarch64.
-#[cfg(all(feature = "simd", target_arch = "aarch64"))]
-unsafe fn nt_acc_neon(a_row: &[f32], b_tile: &[f32], chunks: usize, acc: &mut [[f32; LANES]; 4]) {
-    use core::arch::aarch64::*;
-    let mut v = [[vdupq_n_f32(0.0); 4]; 4];
-    let ap = a_row.as_ptr();
-    let bp = b_tile.as_ptr();
-    for t in 0..chunks {
-        let a0 = vld1q_f32(ap.add(t * LANES));
-        let a1 = vld1q_f32(ap.add(t * LANES + 4));
-        let a2 = vld1q_f32(ap.add(t * LANES + 8));
-        let a3 = vld1q_f32(ap.add(t * LANES + 12));
-        for q in 0..4 {
-            let base = (t * 4 + q) * LANES;
-            v[q][0] = vaddq_f32(v[q][0], vmulq_f32(a0, vld1q_f32(bp.add(base))));
-            v[q][1] = vaddq_f32(v[q][1], vmulq_f32(a1, vld1q_f32(bp.add(base + 4))));
-            v[q][2] = vaddq_f32(v[q][2], vmulq_f32(a2, vld1q_f32(bp.add(base + 8))));
-            v[q][3] = vaddq_f32(v[q][3], vmulq_f32(a3, vld1q_f32(bp.add(base + 12))));
-        }
-    }
-    for q in 0..4 {
-        for h in 0..4 {
-            vst1q_f32(acc[q].as_mut_ptr().add(h * 4), v[q][h]);
-        }
-    }
-}
-
 /// Four dot products against one packed NT tile: lane accumulation on the
 /// packed chunks, then the fixed-order horizontal sum and sequential tail
 /// of [`nt_finish`] (done in-register on AVX2), reading tail elements from
 /// the raw `b` rows. Bit-identical to `nt_dots::<4>`. `simd` is the hoisted
 /// [`simd_tiles_available`] answer.
 #[cfg_attr(
-    not(all(feature = "simd", any(target_arch = "x86_64", target_arch = "aarch64"))),
+    not(all(feature = "simd", target_arch = "x86_64")),
     allow(unused_variables)
 )]
 #[inline]
@@ -942,12 +856,6 @@ fn nt_tile4(
         return d;
     }
     let mut acc = [[0.0f32; LANES]; 4];
-    #[cfg(all(feature = "simd", target_arch = "aarch64"))]
-    if simd {
-        // SAFETY: NEON is mandatory on aarch64; callers size the slices.
-        unsafe { nt_acc_neon(a_row, b_tile, chunks, &mut acc) };
-        return nt_finish(a_row, b, j, k, chunks, &acc);
-    }
     nt_acc_scalar(a_row, b_tile, chunks, &mut acc);
     nt_finish(a_row, b, j, k, chunks, &acc)
 }

@@ -1,7 +1,7 @@
 //! Property tests: the panel-packed matmul kernels must agree with the
 //! naive triple-loop oracle on ragged shapes.
 //!
-//! Shapes are drawn from {1..17} ∪ {63, 64, 80} per dimension, straddling
+//! Shapes are drawn from {1..17} ∪ {63, 64, 128} per dimension, straddling
 //! every kernel boundary: partial MR row tiles, partial NR column tiles,
 //! and the KC k-block edge. Two comparison tiers:
 //!
@@ -23,16 +23,17 @@ use adafl_tensor::{
 };
 use proptest::prelude::*;
 
-/// Maps a raw draw in `0..20` onto {1..17} ∪ {63, 64, 80}.
+/// Maps a raw draw in `0..20` onto {1..17} ∪ {63, 64, 128}.
 ///
-/// 80 pushes the `B` k-slab past the pack-vs-direct threshold, so shape
-/// pairs drawn here exercise both schedules of every kernel.
+/// 128 × 128 pushes the `B` k-slab past the pack-vs-direct threshold
+/// (32 KiB), while 64 × 128 and 128 × 64 sit exactly on it, so shape pairs
+/// drawn here exercise both schedules of every kernel.
 fn dim(raw: usize) -> usize {
     match raw {
         0..=16 => raw + 1,
         17 => 63,
         18 => 64,
-        _ => 80,
+        _ => 128,
     }
 }
 
@@ -127,6 +128,8 @@ fn same_bits(c: &[f32], expected: &[f32]) -> bool {
 fn workload_shapes_bitwise_match_ordered_oracle() {
     let narrow = (1..=15).map(|n| (16, 300, n));
     let nn = [
+        (16, 256, 32),
+        (32, 256, 32),
         (16, 256, 10),
         (8, 256, 10),
         (32, 500, 10),
@@ -135,6 +138,7 @@ fn workload_shapes_bitwise_match_ordered_oracle() {
     ];
     // TN shapes are `(k, m, n)`: `a` is stored `k×m`.
     let tn = [
+        (256, 16, 32),
         (16, 256, 10),
         (8, 256, 10),
         (32, 500, 10),
