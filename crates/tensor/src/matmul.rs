@@ -24,13 +24,15 @@
 //! so they never contribute.
 //!
 //! The micro-kernel accumulates an `MR`-row × `NR`-column tile of `C` in
-//! local arrays across a k-block, touching `C` once per k-block. With the
-//! `simd` cargo feature the tile runs on explicit `std::arch` intrinsics
-//! (AVX2 on x86_64, for both schedules) using *separate* multiply and add
-//! instructions — never FMA — so the SIMD lanes compute the exact same
-//! IEEE-754 sequence as the scalar fallback and stay bit-deterministic.
-//! Without the feature, and on every other architecture, a scalar tile with
-//! independent lanes autovectorises and produces the same bits.
+//! registers across a k-block, touching `C` once per k-block. Each tile
+//! body is written once, over a 16-lane row type (`Row`), and runs at the
+//! widest width the CPU has, chosen at run time once per kernel call
+//! (`Isa`): with the `simd` cargo feature on x86_64, one `__m512` per row
+//! in 8-row tiles on AVX-512 or two `__m256` per row in 4-row tiles on
+//! AVX2; otherwise a `[f32; 16]` row in 4-row tiles, which LLVM
+//! autovectorises. Every width uses *separate* multiply and add — never
+//! FMA — in the same operand order, so each lane computes the same
+//! IEEE-754 sequence at any width and the results stay bit-deterministic.
 //!
 //! ```text
 //! B panel layout (one KC-deep k-block, NR = 16 lanes per column tile):
@@ -60,19 +62,19 @@ use std::cell::RefCell;
 /// k-blocking factor: bounds the `B` panel touched by one micro-kernel pass
 /// to `KC × NR × 4` bytes (16 KiB), which stays L1-resident.
 const KC: usize = 256;
-/// Rows of `C` accumulated per micro-kernel invocation.
-const MR: usize = 4;
 /// Columns of `C` accumulated per micro-kernel invocation: the register
-/// tile's width. Sized so the `MR × NR` accumulator block (eight 256-bit
-/// vectors) fits the AVX2 register file without spilling, leaving registers
-/// for the `B` panel. A product narrower than `NR` columns leaves the rest of
-/// the tile's lanes idle, so callers that can widen `n` (convolution groups
-/// its samples' patches) size their products to at least this.
+/// tile's width, one 16-lane row — one `zmm` register on AVX-512, two `ymm`
+/// on AVX2. The tile's row count (`MR`) follows the register file: 4 rows
+/// (eight `ymm` accumulators of 16) on AVX2 and the scalar tile, 8 rows
+/// (eight `zmm` accumulators of 32, eight independent add chains) on
+/// AVX-512. A product narrower than `NR` columns leaves the rest of the
+/// tile's lanes idle, so callers that can widen `n` (convolution groups its
+/// samples' patches) size their products to at least this.
 pub const NR: usize = 16;
-/// Lane width for the dot-product (`NT`) kernel accumulators: two 256-bit
-/// vectors per dot product, giving eight independent multiply-add chains
-/// across a 4-wide column tile to cover arithmetic latency.
-const LANES: usize = 16;
+/// Lane width for the dot-product (`NT`) kernel accumulators: one 16-lane
+/// row per dot product — one `zmm`, or two `ymm` — so a 4-wide column tile
+/// runs four (AVX-512) or eight (AVX2) independent multiply-add chains.
+const LANES: usize = NR;
 
 /// Reusable packing scratch for the matmul kernels.
 ///
@@ -89,12 +91,25 @@ pub struct PackBuf {
     /// transposed operand once and reruns the NN kernel; also one grouped
     /// sample's rows for [`matmul_nt_samples_with`].
     t: Vec<f32>,
+    /// The tile width the tests run, in place of the host's widest.
+    #[cfg(test)]
+    isa: Option<Isa>,
 }
 
 impl PackBuf {
     /// Creates an empty packing buffer; it grows on first use.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// The tile width for one kernel call: the host's widest
+    /// ([`Isa::host`]), or the tests' pick.
+    fn isa(&self) -> Isa {
+        #[cfg(test)]
+        if let Some(isa) = self.isa {
+            return isa;
+        }
+        Isa::host()
     }
 }
 
@@ -107,6 +122,16 @@ fn ensure_len(v: &mut Vec<f32>, len: usize) {
     if v.len() < len {
         v.resize(len, 0.0);
     }
+}
+
+/// The `len`-element window of `v` that starts on a 64-byte boundary,
+/// growing `v` to hold it: every 16-lane panel row is then one cache line,
+/// which a full-width `zmm` load reads without a line split. The same `v`
+/// and `len` give the same window until `v` grows.
+fn aligned(v: &mut Vec<f32>, len: usize) -> &mut [f32] {
+    ensure_len(v, len + 15);
+    let skip = (v.as_ptr() as usize).wrapping_neg() % 64 / 4;
+    &mut v[skip..][..len]
 }
 
 fn dims2(t: &Tensor, op: &'static str) -> Result<(usize, usize)> {
@@ -159,45 +184,35 @@ impl Tensor {
 
 /// Whether panel-packing pays for an NN/TN problem of this shape.
 ///
-/// Packing wins once the `B` k-slab outgrows a typical 32 KiB L1d (strided
-/// panel walks start missing) or the column count is ragged past one tile
-/// (packed tiles zero-pad the tail lanes once; the direct schedule re-reads
-/// its masked tail tile strided per row block). Below that the raw slab is
-/// cache-resident, every pass over it is cheap, and the pack writes are
-/// pure overhead — the direct register tiles, ragged ones masked, are
-/// faster. That holds for products narrower than one tile too: the
-/// logistic-regression head's 10 columns run the masked direct tile, which
-/// beat packing them and needs no pack panels in any workspace.
+/// Packing wins once the column count is ragged past one tile (packed
+/// tiles zero-pad the tail lanes once; the direct schedule re-reads its
+/// masked tail tile strided per row block) or the `B` k-slab grows past
+/// 128 KiB. Below that the raw slab streams from L1 or L2 row by row, and
+/// the pack writes are pure overhead — the direct register tiles, ragged
+/// ones masked, are faster. That holds for products narrower than one
+/// tile too: the logistic-regression head's 10 columns run the masked
+/// direct tile, which beat packing them and needs no pack panels in any
+/// workspace.
 ///
-/// The MLP's first layer (`k` = 256, `n` = 32) is exactly 32 KiB, and
-/// packing it per 16- or 32-row product cost 2×. Alternated calls in one
-/// binary, median µs (AVX2 tiles, 2-vCPU Xeon, 400 × 10 calls, two runs):
+/// Minimum µs per call, AVX-512 / AVX2 tiles, alternated in one binary
+/// (2-vCPU Xeon, 3 × 40 × 50 calls; 28 × 28 CNN = the paper's input size):
 ///
-/// | µs | NN 16 × 256 × 32 | NN 32 × 256 × 32 | NN 64 × 256 × 32 | NN 128 × 256 × 32 | TN 16 × 256 × 32 |
-/// |---|---|---|---|---|---|
-/// | packed | 10.2–14.9 | 17.6–26.2 | 29.9–48.8 | 59.0–93.1 | 16.5 |
-/// | direct | 4.5–6.6 | 9.2–13.6 | 17.1–26.2 | 35.4–52.1 | 7.4 |
+/// | product | slab | packed | direct |
+/// |---|---|---|---|
+/// | NN 16 × 256 × 32 | 32 KiB | 7.9 / 9.0 | 3.5 / 4.7 |
+/// | NN 128 × 256 × 32 | 32 KiB | 47.2 / 57.0 | 27.5 / 35.9 |
+/// | TN 16 × 256 × 32 | 2 KiB | 6.0 / 9.4 | 4.4 / 6.3 |
+/// | NN 16 × 256 × 64 | 64 KiB | 19.7 / 16.1 | 13.2 / 10.0 |
+/// | NN 32 × 256 × 128 | 128 KiB | 42.4 / 52.4 | 30.1 / 38.4 |
+/// | 28 × 28 conv1 NN 20 × 25 × 576 | 56 KiB | 13.0 / 15.5 | 9.1 / 12.7 |
+/// | 28 × 28 conv2 NN 50 × 500 × 64 | 64 KiB | 65.9 / 83.0 | 44.4 / 60.3 |
 ///
-/// Direct also won at `n` = 64 and 128 (1.3–1.7×), but the limit stays the
-/// smallest that moves the MLP: every CNN product keeps its schedule.
+/// The limit is the largest slab measured. Every product of the 16 × 16
+/// CNN, the MLP and the logistic regression keeps the schedule it had at
+/// 32 KiB: none has a whole-tile `n` with a slab between the two limits.
 fn worth_packing(k: usize, n: usize) -> bool {
     let slab_bytes = k.min(KC) * n * core::mem::size_of::<f32>();
-    slab_bytes > 32 * 1024 || (n > NR && !n.is_multiple_of(NR))
-}
-
-/// Whether the explicit SIMD micro-kernels may run on this CPU. Call once
-/// per kernel invocation and thread the answer down — the cached feature
-/// probe is cheap but not free in a per-tile loop.
-#[inline]
-fn simd_tiles_available() -> bool {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    {
-        std::arch::is_x86_feature_detected!("avx2")
-    }
-    #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
-    {
-        false
-    }
+    slab_bytes > 128 * 1024 || (n > NR && !n.is_multiple_of(NR))
 }
 
 /// Packs the `kb..ke` k-slab of row-major `b` (`k×n`) into contiguous
@@ -206,7 +221,7 @@ fn simd_tiles_available() -> bool {
 fn pack_b_panels(b: &[f32], kb: usize, ke: usize, n: usize, out: &mut Vec<f32>) {
     let kc = ke - kb;
     let tiles = n.div_ceil(NR);
-    ensure_len(out, tiles * kc * NR);
+    let out = aligned(out, tiles * kc * NR);
     for jt in 0..tiles {
         let j = jt * NR;
         let w = NR.min(n - j);
@@ -244,252 +259,279 @@ fn pack_a_tn(a: &[f32], i: usize, r: usize, kb: usize, ke: usize, m: usize, out:
 }
 
 // ---------------------------------------------------------------------------
-// Micro-kernel tiles (scalar + SIMD)
+// Register tiles: one body per kernel, one row type per instruction set
 // ---------------------------------------------------------------------------
 
-/// AVX2 `R×NR` tile over packed panels. Uses separate multiply and add
-/// (never FMA) so every lane computes the exact IEEE-754 sequence of
-/// [`direct_tile_scalar`] over the same panels.
-///
-/// # Safety
-///
-/// Caller must ensure AVX2 is available and that `a_pack` holds at least
-/// `kc*R` and `b_tile` at least `kc*NR` elements.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-#[target_feature(enable = "avx2")]
-unsafe fn tile_avx2<const R: usize>(
-    a_pack: &[f32],
-    b_tile: &[f32],
-    kc: usize,
-    acc: &mut [[f32; NR]; R],
-) {
-    use core::arch::x86_64::*;
-    // The last reads below: `A` element `(kc-1)·R + R-1`, `B` lanes up to
-    // `(kc-1)·NR + NR-1`.
-    debug_assert!(kc * R <= a_pack.len(), "last A element");
-    debug_assert!(kc * NR <= b_tile.len(), "last B element");
-    let mut lo = [_mm256_setzero_ps(); R];
-    let mut hi = [_mm256_setzero_ps(); R];
-    let ap = a_pack.as_ptr();
-    let bp = b_tile.as_ptr();
-    for kk in 0..kc {
-        let b0 = _mm256_loadu_ps(bp.add(kk * NR));
-        let b1 = _mm256_loadu_ps(bp.add(kk * NR + 8));
-        for r in 0..R {
-            let a = _mm256_set1_ps(*ap.add(kk * R + r));
-            lo[r] = _mm256_add_ps(lo[r], _mm256_mul_ps(a, b0));
-            hi[r] = _mm256_add_ps(hi[r], _mm256_mul_ps(a, b1));
-        }
-    }
-    for r in 0..R {
-        _mm256_storeu_ps(acc[r].as_mut_ptr(), lo[r]);
-        _mm256_storeu_ps(acc[r].as_mut_ptr().add(8), hi[r]);
-    }
-}
-
-/// Runs one `R×NR` tile over a packed k-slab, dispatching to the widest
-/// bit-compatible implementation available. `simd` is the hoisted
-/// [`simd_tiles_available`] answer.
-#[cfg_attr(
-    not(all(feature = "simd", target_arch = "x86_64")),
-    allow(unused_variables)
-)]
-#[inline]
-fn run_tile<const R: usize>(
-    simd: bool,
-    a_pack: &[f32],
-    b_tile: &[f32],
-    kc: usize,
-    acc: &mut [[f32; NR]; R],
-) {
-    debug_assert!(a_pack.len() >= kc * R);
-    debug_assert!(b_tile.len() >= kc * NR);
+/// The instruction set the register tiles run on: detected once per kernel
+/// call by [`Isa::host`] and threaded down, since the cached feature probe
+/// is cheap but not free in a per-tile loop. Private to this module, whose
+/// code creates an x86 value only after detecting its features — the
+/// condition [`Isa::run`]'s `unsafe` dispatch relies on.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Isa {
+    /// `[f32; 16]` rows: every CPU, and the bits every width reproduces.
+    Scalar,
+    /// `[__m256; 2]` rows.
     #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    if simd {
-        // SAFETY: AVX2 presence checked by the caller; lengths asserted.
-        unsafe { tile_avx2::<R>(a_pack, b_tile, kc, acc) };
-        return;
-    }
-    // The panels are a direct tile's operands with `A` rows 1 apart,
-    // `kk` steps `R` apart and `B` rows `NR` apart.
-    direct_tile_scalar::<R>(a_pack, 1, R, b_tile, NR, kc, NR, acc);
+    Avx2,
+    /// `__m512` rows.
+    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    Avx512,
 }
 
-/// Scalar `R×NR` tile: lanes `0..w`, independent accumulator lanes, `kk`
-/// ascending, so LLVM autovectorises without reordering any reduction.
-/// `a` starts at the tile's first `A` element, whose `(row, kk)`
-/// neighbours sit `rs` / `ks` apart; `b` starts at its first `B` element,
-/// whose rows are `n` apart. The bitwise reference for [`tile_avx2`] and
-/// [`direct_tile_avx2`], and both schedules' tile where those do not run.
-#[allow(clippy::too_many_arguments)]
-#[inline(always)]
-fn direct_tile_scalar<const R: usize>(
-    a: &[f32],
-    rs: usize,
-    ks: usize,
-    b: &[f32],
-    n: usize,
-    kc: usize,
-    w: usize,
-    acc: &mut [[f32; NR]; R],
-) {
-    for kk in 0..kc {
-        let b_row = &b[kk * n..][..w];
-        for (r, lane) in acc.iter_mut().enumerate() {
-            let av = a[r * rs + kk * ks];
-            for (x, &bv) in lane[..w].iter_mut().zip(b_row) {
-                *x += av * bv;
+impl Isa {
+    /// The widest width this CPU runs; scalar without the `simd` feature
+    /// and off x86_64.
+    fn host() -> Isa {
+        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+        {
+            if std::arch::is_x86_feature_detected!("avx512f") {
+                return Isa::Avx512;
+            }
+            if std::arch::is_x86_feature_detected!("avx2") {
+                return Isa::Avx2;
             }
         }
+        Isa::Scalar
     }
-}
 
-/// AVX2 direct tile: [`direct_tile_scalar`] on the register tile of
-/// [`tile_avx2`], reading `B` rows straight from the operand. A ragged tile
-/// (`w < NR`) loads its rows with `_mm256_maskload_ps`: masked lanes read
-/// 0.0 and are never written back; `FULL` (`w == NR`) compiles the masks
-/// out. Separate multiply and add (never FMA), so every live lane computes
-/// the scalar tile's IEEE-754 sequence.
-///
-/// Panics unless `1 <= w <= NR`, `kc >= 1`, `FULL == (w == NR)`, `a`
-/// holds element `(R-1)·rs + (kc-1)·ks` and `b` elements
-/// `(kc-1)·n .. (kc-1)·n + w` — the reach its raw loads rely on, checked
-/// once per tile.
-///
-/// # Safety
-///
-/// Caller must ensure AVX2 is available.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-#[target_feature(enable = "avx2")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn direct_tile_avx2<const R: usize, const FULL: bool>(
-    a: &[f32],
-    rs: usize,
-    ks: usize,
-    b: &[f32],
-    n: usize,
-    kc: usize,
-    w: usize,
-    acc: &mut [[f32; NR]; R],
-) {
-    use core::arch::x86_64::*;
-    assert!((1..=NR).contains(&w) && kc >= 1 && FULL == (w == NR));
-    assert!((R - 1) * rs + (kc - 1) * ks < a.len(), "last A element");
-    assert!((kc - 1) * n + w <= b.len(), "last B element");
-    let live = _mm256_set1_epi32(w as i32);
-    let mask_lo = _mm256_cmpgt_epi32(live, _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
-    let mask_hi = _mm256_cmpgt_epi32(live, _mm256_setr_epi32(8, 9, 10, 11, 12, 13, 14, 15));
-    let mut lo = [_mm256_setzero_ps(); R];
-    let mut hi = [_mm256_setzero_ps(); R];
-    let ap = a.as_ptr();
-    let bp = b.as_ptr();
-    for kk in 0..kc {
-        // SAFETY: every `A` offset `r·rs + kk·ks` is at most the asserted
-        // last `A` element. Lane 0 of every `B` row is live (`w >= 1`) and
-        // the last row's last live lane is inside `b` (asserted above), so
-        // each pointer formed here is in bounds. `_mm256_maskload_ps` does
-        // not access masked-out lanes — no read, no fault — so lanes
-        // `w..NR` may lie past the end of `b`; they load 0.0.
-        let row = bp.add(kk * n);
-        let b0 = if FULL || w >= 8 {
-            _mm256_loadu_ps(row)
-        } else {
-            _mm256_maskload_ps(row, mask_lo)
-        };
-        let b1 = if FULL {
-            _mm256_loadu_ps(row.add(8))
-        } else if w > 8 {
-            _mm256_maskload_ps(row.add(8), mask_hi)
-        } else {
-            _mm256_setzero_ps()
-        };
-        for r in 0..R {
-            let av = _mm256_set1_ps(*ap.add(r * rs + kk * ks));
-            lo[r] = _mm256_add_ps(lo[r], _mm256_mul_ps(av, b0));
-            hi[r] = _mm256_add_ps(hi[r], _mm256_mul_ps(av, b1));
+    /// Rows of the next register tile with `left` rows of `C` to go: `MR`
+    /// while they last, then 4, 3, 2 or 1 — the row counts `with_rows!`
+    /// compiles. `MR` is 8 on AVX-512, whose 32 `zmm` registers hold eight
+    /// one-register accumulator rows (eight independent add chains) and
+    /// the operands; 4 on the two-register AVX2 rows and the scalar tile.
+    /// Rows are independent, so the split never touches a bit.
+    fn tile_rows(self, left: usize) -> usize {
+        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+        if self == Isa::Avx512 && left >= 8 {
+            return 8;
         }
+        left.min(4)
     }
-    for r in 0..R {
-        _mm256_storeu_ps(acc[r].as_mut_ptr(), lo[r]);
-        _mm256_storeu_ps(acc[r].as_mut_ptr().add(8), hi[r]);
-    }
-}
 
-/// Runs one direct `R×NR` tile (lanes `0..w` live) over the raw operands,
-/// dispatching like [`run_tile`]. Off x86_64 and without the `simd`
-/// feature the scalar tile runs.
-#[cfg_attr(
-    not(all(feature = "simd", target_arch = "x86_64")),
-    allow(unused_variables)
-)]
-#[allow(clippy::too_many_arguments)]
-#[inline]
-fn run_direct_tile<const R: usize>(
-    simd: bool,
-    a: &[f32],
-    rs: usize,
-    ks: usize,
-    b: &[f32],
-    n: usize,
-    kc: usize,
-    w: usize,
-    acc: &mut [[f32; NR]; R],
-) {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    if simd {
-        // SAFETY: AVX2 presence checked by the caller; the tile asserts
-        // its own reach into `a` and `b`.
+    /// Runs `tile`'s body on this ISA's row type.
+    #[inline]
+    fn run<T: Tile>(self, tile: T) -> T::Out {
+        // SAFETY: an x86 `Isa` exists only after `host` (or the tests)
+        // detected its features on this CPU.
         unsafe {
-            if w == NR {
-                direct_tile_avx2::<R, true>(a, rs, ks, b, n, kc, w, acc);
-            } else {
-                direct_tile_avx2::<R, false>(a, rs, ks, b, n, kc, w, acc);
+            match self {
+                Isa::Scalar => tile.run::<[f32; NR]>(),
+                #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+                Isa::Avx2 => x86::on_avx2(tile),
+                #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+                Isa::Avx512 => x86::on_avx512(tile),
             }
         }
-        return;
-    }
-    // A constant full width lets the common tile vectorise unmasked.
-    if w == NR {
-        direct_tile_scalar::<R>(a, rs, ks, b, n, kc, NR, acc);
-    } else {
-        direct_tile_scalar::<R>(a, rs, ks, b, n, kc, w, acc);
     }
 }
 
-/// Adds lanes `0..w` of an `R`-row accumulator tile into `c` (row stride
-/// `n`) at row `i`, column `j`.
-fn add_tile<const R: usize>(
-    c: &mut [f32],
-    acc: &[[f32; NR]; R],
-    i: usize,
-    j: usize,
-    n: usize,
+/// Evaluates `$body` with the const `$R` set to the tile row count `$r`
+/// (one of [`Isa::tile_rows`]'s 1, 2, 3, 4 or 8).
+#[rustfmt::skip]
+macro_rules! with_rows {
+    ($r:expr, $R:ident => $body:expr) => {
+        match $r {
+            1 => { const $R: usize = 1; $body }
+            2 => { const $R: usize = 2; $body }
+            3 => { const $R: usize = 3; $body }
+            4 => { const $R: usize = 4; $body }
+            _ => { const $R: usize = 8; $body }
+        }
+    };
+}
+
+/// One 16-lane row of a register tile on one instruction set. Each method
+/// is one lane-wise IEEE-754 operation — multiply and add stay separate,
+/// never fused — so a tile body computes the same bits over any row type.
+///
+/// # Safety
+///
+/// Every method may only run where the row type's instruction set is
+/// available. `load` and `store` need lanes `0..NR` (with `FULL`) or
+/// `0..w` in bounds of `p`; lanes past `w` are neither read nor written,
+/// and load as 0.0.
+trait Row: Copy {
+    unsafe fn zero() -> Self;
+    /// Every lane `x`: the broadcast `A` element.
+    unsafe fn splat(x: f32) -> Self;
+    unsafe fn add(self, x: Self) -> Self;
+    unsafe fn mul(self, x: Self) -> Self;
+    /// `self + a·b`: multiply, then add.
+    #[inline(always)]
+    unsafe fn add_mul(self, a: Self, b: Self) -> Self {
+        self.add(a.mul(b))
+    }
+    unsafe fn load<const FULL: bool>(p: *const f32, w: usize) -> Self;
+    unsafe fn store<const FULL: bool>(self, p: *mut f32, w: usize);
+    /// The left-to-right horizontal sums `((0 + x₀) + x₁) + … + x₁₅` of
+    /// four rows.
+    unsafe fn hsum4(rows: [Self; 4]) -> [f32; 4];
+}
+
+impl Row for [f32; NR] {
+    #[inline(always)]
+    unsafe fn zero() -> Self {
+        [0.0; NR]
+    }
+    #[inline(always)]
+    unsafe fn splat(x: f32) -> Self {
+        [x; NR]
+    }
+    #[inline(always)]
+    unsafe fn add(self, x: Self) -> Self {
+        core::array::from_fn(|l| self[l] + x[l])
+    }
+    #[inline(always)]
+    unsafe fn mul(self, x: Self) -> Self {
+        core::array::from_fn(|l| self[l] * x[l])
+    }
+    #[inline(always)]
+    unsafe fn load<const FULL: bool>(p: *const f32, w: usize) -> Self {
+        core::array::from_fn(|l| if FULL || l < w { *p.add(l) } else { 0.0 })
+    }
+    #[inline(always)]
+    unsafe fn store<const FULL: bool>(self, p: *mut f32, w: usize) {
+        for (l, &x) in self.iter().enumerate().take(if FULL { NR } else { w }) {
+            *p.add(l) = x;
+        }
+    }
+    #[inline(always)]
+    unsafe fn hsum4(rows: [Self; 4]) -> [f32; 4] {
+        rows.map(|row| row.into_iter().fold(0.0, |sum, x| sum + x))
+    }
+}
+
+/// A register tile's body, written once over the row type and run at one
+/// ISA by [`Isa::run`].
+trait Tile {
+    type Out;
+    /// # Safety
+    ///
+    /// `V`'s instruction set must be available.
+    unsafe fn run<V: Row>(self) -> Self::Out;
+}
+
+/// The NN / TN register tile over one k-slab: `c += A·B` on lanes `0..cw`
+/// of `R` rows of `C`. Each element's product is summed from 0.0 with `kk`
+/// ascending, each step `acc + a·b` with `a` the broadcast, and then added
+/// into `c`. `a` starts at the tile's first `A` element, whose `(row, kk)`
+/// neighbours sit `rs` / `ks` apart; `b` at its first `B` element, rows `bs`
+/// apart with lanes `0..w` live; `c` at its first `C` element, rows `n`
+/// apart. Ragged rows (`w` or `cw` below `NR`) load and store masked: the
+/// dead lanes read 0.0 and are never written.
+///
+/// Panics unless `1 <= cw <= w <= NR`, `kc >= 1`, `a` holds element
+/// `(R-1)·rs + (kc-1)·ks`, `b` elements `(kc-1)·bs .. (kc-1)·bs + w` and
+/// `c` elements up to `(R-1)·n + cw - 1` — the reach its raw loads and
+/// stores rely on, checked once per tile.
+struct GemmTile<'a, const R: usize> {
+    a: &'a [f32],
+    rs: usize,
+    ks: usize,
+    b: &'a [f32],
+    bs: usize,
     w: usize,
-) {
-    for (r, lane) in acc.iter().enumerate() {
-        let c_row = &mut c[(i + r) * n + j..][..w];
-        for (cv, &x) in c_row.iter_mut().zip(&lane[..w]) {
-            *cv += x;
+    c: &'a mut [f32],
+    n: usize,
+    cw: usize,
+    kc: usize,
+}
+
+impl<const R: usize> GemmTile<'_, R> {
+    /// The k-loop, with the `B` rows' masks compiled out when `FULL`.
+    ///
+    /// # Safety
+    ///
+    /// `V`'s instruction set must be available and the reach asserted.
+    #[inline(always)]
+    unsafe fn acc<V: Row, const FULL: bool>(&self) -> [V; R] {
+        let mut acc = [V::zero(); R];
+        let (ap, bp) = (self.a.as_ptr(), self.b.as_ptr());
+        for kk in 0..self.kc {
+            // SAFETY: every `A` offset `r·rs + kk·ks` is at most the
+            // asserted last `A` element. Lane 0 of every `B` row is live
+            // (`w >= 1`) and the last row's last live lane is inside `b`, so
+            // each row pointer is in bounds and its live lanes are readable.
+            let bv = V::load::<FULL>(bp.add(kk * self.bs), self.w);
+            for (r, x) in acc.iter_mut().enumerate() {
+                *x = x.add_mul(V::splat(*ap.add(r * self.rs + kk * self.ks)), bv);
+            }
+        }
+        acc
+    }
+}
+
+impl<const R: usize> Tile for GemmTile<'_, R> {
+    type Out = ();
+
+    #[inline(always)]
+    unsafe fn run<V: Row>(self) {
+        let (rs, ks, bs, w, n, cw, kc) =
+            (self.rs, self.ks, self.bs, self.w, self.n, self.cw, self.kc);
+        assert!((1..=w).contains(&cw) && w <= NR && kc >= 1);
+        assert!(
+            (R - 1) * rs + (kc - 1) * ks < self.a.len(),
+            "last A element"
+        );
+        assert!((kc - 1) * bs + w <= self.b.len(), "last B element");
+        assert!((R - 1) * n + cw <= self.c.len(), "last C element");
+        let acc = if w == NR {
+            self.acc::<V, true>()
+        } else {
+            self.acc::<V, false>()
+        };
+        let cp = self.c.as_mut_ptr();
+        for (r, x) in acc.into_iter().enumerate() {
+            // SAFETY: lane 0 of every `C` row is live (`cw >= 1`) and the
+            // last row's last live lane is inside `c` (asserted above).
+            let row = cp.add(r * n);
+            if cw == NR {
+                V::load::<true>(row, NR).add(x).store::<true>(row, NR);
+                continue;
+            }
+            // A ragged edge adds lane by lane: masked stores cost more.
+            let mut lanes = [0.0f32; NR];
+            x.store::<true>(lanes.as_mut_ptr(), NR);
+            for (l, &v) in lanes.iter().enumerate().take(cw) {
+                *row.add(l) += v;
+            }
         }
     }
 }
 
-/// Accumulates `R` packed rows against every packed `B` column tile of one
-/// k-slab, writing `c +=` for the first `w` real lanes of each tile.
-fn gemm_packed<const R: usize>(
-    simd: bool,
-    a_pack: &[f32],
-    b_pack: &[f32],
-    c: &mut [f32],
-    i: usize,
-    kc: usize,
+/// [`GemmTile`] over packed panels — `A` rows 1 apart, `kk` steps `R`
+/// apart, `B` rows `NR` apart, every lane live — with those strides
+/// constant, so the packed loop compiles like a dedicated one.
+struct PackedTile<'a, const R: usize> {
+    a: &'a [f32],
+    b: &'a [f32],
+    c: &'a mut [f32],
     n: usize,
-) {
-    for (jt, j) in (0..n).step_by(NR).enumerate() {
-        let b_tile = &b_pack[jt * kc * NR..][..kc * NR];
-        let mut acc = [[0.0f32; NR]; R];
-        run_tile::<R>(simd, &a_pack[..kc * R], b_tile, kc, &mut acc);
-        add_tile(c, &acc, i, j, n, NR.min(n - j));
+    cw: usize,
+    kc: usize,
+}
+
+impl<const R: usize> Tile for PackedTile<'_, R> {
+    type Out = ();
+
+    #[inline(always)]
+    unsafe fn run<V: Row>(self) {
+        let (a, b, c, n, cw, kc) = (self.a, self.b, self.c, self.n, self.cw, self.kc);
+        let (rs, ks, bs, w) = (1, R, NR, NR);
+        GemmTile::<R> {
+            a,
+            rs,
+            ks,
+            b,
+            bs,
+            w,
+            c,
+            n,
+            cw,
+            kc,
+        }
+        .run::<V>()
     }
 }
 
@@ -512,13 +554,14 @@ struct Gemm<'a> {
     m: usize,
     k: usize,
     n: usize,
-    /// The hoisted [`simd_tiles_available`] answer.
-    simd: bool,
+    /// The hoisted [`PackBuf::isa`] answer.
+    isa: Isa,
 }
 
 impl<'a> Gemm<'a> {
-    fn new(a: &'a [f32], lhs: Lhs, b: &'a [f32], m: usize, k: usize, n: usize) -> Self {
-        let simd = simd_tiles_available();
+    /// Runs the product `KC` slab by slab, one register tile of rows at a
+    /// time, packed or direct as [`worth_packing`] decides.
+    fn new(a: &'a [f32], lhs: Lhs, b: &'a [f32], m: usize, k: usize, n: usize, isa: Isa) -> Self {
         Gemm {
             a,
             lhs,
@@ -526,12 +569,10 @@ impl<'a> Gemm<'a> {
             m,
             k,
             n,
-            simd,
+            isa,
         }
     }
 
-    /// Runs the product `KC` slab by slab, `MR` rows at a time, packed or
-    /// direct as [`worth_packing`] decides.
     fn run(&self, c: &mut [f32], pack: &mut PackBuf) {
         if self.m == 0 || self.n == 0 {
             return;
@@ -544,13 +585,8 @@ impl<'a> Gemm<'a> {
             }
             let mut i = 0;
             while i < self.m {
-                let r = MR.min(self.m - i);
-                match r {
-                    1 => self.rows::<1>(c, pack, packed, i, kb, ke),
-                    2 => self.rows::<2>(c, pack, packed, i, kb, ke),
-                    3 => self.rows::<3>(c, pack, packed, i, kb, ke),
-                    _ => self.rows::<MR>(c, pack, packed, i, kb, ke),
-                }
+                let r = self.isa.tile_rows(self.m - i);
+                with_rows!(r, R => self.rows::<R>(c, pack, packed, i, kb, ke));
                 i += r;
             }
         }
@@ -569,13 +605,21 @@ impl<'a> Gemm<'a> {
         kb: usize,
         ke: usize,
     ) {
-        let kc = ke - kb;
+        let (kc, n) = (ke - kb, self.n);
         if packed {
             match self.lhs {
                 Lhs::RowMajor => pack_a_nn(self.a, i, R, kb, ke, self.k, &mut pack.a),
                 Lhs::Transposed => pack_a_tn(self.a, i, R, kb, ke, self.m, &mut pack.a),
             }
-            gemm_packed::<R>(self.simd, &pack.a, &pack.b, c, i, kc, self.n);
+            let (a, b_pack) = (
+                &pack.a[..kc * R],
+                aligned(&mut pack.b, n.div_ceil(NR) * kc * NR),
+            );
+            for (jt, j) in (0..n).step_by(NR).enumerate() {
+                let b = &b_pack[jt * kc * NR..][..kc * NR];
+                let (c, cw) = (&mut c[i * n + j..], NR.min(n - j));
+                self.isa.run(PackedTile::<R> { a, b, c, n, cw, kc });
+            }
             return;
         }
         // Strides of `A`: element `(row, kk)` sits at `a[row·rs + kk·ks]`.
@@ -584,12 +628,21 @@ impl<'a> Gemm<'a> {
             Lhs::Transposed => (1, self.m),
         };
         let a = &self.a[i * rs + kb * ks..];
-        for j in (0..self.n).step_by(NR) {
-            let w = NR.min(self.n - j);
-            let b = &self.b[kb * self.n + j..];
-            let mut acc = [[0.0f32; NR]; R];
-            run_direct_tile::<R>(self.simd, a, rs, ks, b, self.n, kc, w, &mut acc);
-            add_tile(c, &acc, i, j, self.n, w);
+        for j in (0..n).step_by(NR) {
+            let (b, w, c) = (&self.b[kb * n + j..], NR.min(n - j), &mut c[i * n + j..]);
+            let (bs, cw) = (n, w);
+            self.isa.run(GemmTile::<R> {
+                a,
+                rs,
+                ks,
+                b,
+                bs,
+                w,
+                c,
+                n,
+                cw,
+                kc,
+            });
         }
     }
 }
@@ -634,7 +687,7 @@ pub fn matmul_into_with(
     assert_eq!(a.len(), m * k, "lhs length");
     assert_eq!(b.len(), k * n, "rhs length");
     assert_eq!(c.len(), m * n, "out length");
-    Gemm::new(a, Lhs::RowMajor, b, m, k, n).run(c, pack);
+    Gemm::new(a, Lhs::RowMajor, b, m, k, n, pack.isa()).run(c, pack);
 }
 
 /// Computes `c += aᵀ · b` where `a` is `k×m`, `b` is `k×n`, `c` is `m×n`.
@@ -671,51 +724,35 @@ pub fn matmul_tn_with(
     assert_eq!(a.len(), k * m, "lhs length");
     assert_eq!(b.len(), k * n, "rhs length");
     assert_eq!(c.len(), m * n, "out length");
-    Gemm::new(a, Lhs::Transposed, b, m, k, n).run(c, pack);
+    Gemm::new(a, Lhs::Transposed, b, m, k, n, pack.isa()).run(c, pack);
 }
 
 // ---------------------------------------------------------------------------
 // NT (A · Bᵀ) kernel
 // ---------------------------------------------------------------------------
 
-/// `Q` simultaneous dot products of `a` against rows of `b` starting at row
-/// `j`, each accumulated in [`LANES`] independent lanes and horizontally
-/// summed in a fixed order (left to right), so results are deterministic.
-/// Unpacked fallback used for column tails and `k < LANES`.
-fn nt_dots<const Q: usize>(a: &[f32], b: &[f32], j: usize, k: usize) -> [f32; Q] {
-    let b_rows: [&[f32]; Q] = core::array::from_fn(|q| &b[(j + q) * k..][..k]);
-    let mut acc = [[0.0f32; LANES]; Q];
-    let chunks = k / LANES;
-    for t in 0..chunks {
-        let al = &a[t * LANES..][..LANES];
-        for (q, lane) in acc.iter_mut().enumerate() {
-            let bl = &b_rows[q][t * LANES..][..LANES];
-            for ((x, &av), &bv) in lane.iter_mut().zip(al).zip(bl) {
-                *x += av * bv;
-            }
+/// The dot product of `a` and `b_row` in the NT order: [`LANES`]
+/// independent lanes over the full chunks, summed left to right, then the
+/// sequential `k % LANES` tail. The unpacked fallback for the `n % 4`
+/// column tail.
+fn nt_dot(a: &[f32], b_row: &[f32]) -> f32 {
+    let mut lanes = [0.0f32; LANES];
+    for (al, bl) in a.chunks_exact(LANES).zip(b_row.chunks_exact(LANES)) {
+        for ((x, &av), &bv) in lanes.iter_mut().zip(al).zip(bl) {
+            *x += av * bv;
         }
     }
-    let mut out = [0.0f32; Q];
-    for (q, lane) in acc.iter().enumerate() {
-        let mut sum = 0.0f32;
-        for &x in lane {
-            sum += x;
-        }
-        for kk in chunks * LANES..k {
-            sum += a[kk] * b_rows[q][kk];
-        }
-        out[q] = sum;
-    }
-    out
+    let tail = a.len() / LANES * LANES;
+    let sum = lanes.iter().fold(0.0, |sum, &x| sum + x);
+    (tail..a.len()).fold(sum, |sum, kk| sum + a[kk] * b_row[kk])
 }
 
 /// Packs full 4-row column tiles of `b` (`n×k`) into chunk-interleaved
 /// layout: chunk `t` of tile rows `q∈0..4` lands at `(t*4+q)*LANES`, so the
 /// micro-kernel reads one `a` chunk and four adjacent `b` chunks per step.
-fn pack_b_nt(b: &[f32], n: usize, k: usize, chunks: usize, out: &mut Vec<f32>) {
+fn pack_b_nt(b: &[f32], n: usize, k: usize, chunks: usize, out: &mut [f32]) {
     let tiles4 = n / 4;
     let tile_len = chunks * 4 * LANES;
-    ensure_len(out, tiles4 * tile_len);
     for jt in 0..tiles4 {
         let tile = &mut out[jt * tile_len..][..tile_len];
         for q in 0..4 {
@@ -727,137 +764,40 @@ fn pack_b_nt(b: &[f32], n: usize, k: usize, chunks: usize, out: &mut Vec<f32>) {
     }
 }
 
-/// Scalar lane accumulation over a packed NT tile; bit-identical to the
-/// chunked phase of `nt_dots`.
-#[allow(clippy::needless_range_loop)]
-fn nt_acc_scalar(a_row: &[f32], b_tile: &[f32], chunks: usize, acc: &mut [[f32; LANES]; 4]) {
-    for t in 0..chunks {
-        let al = &a_row[t * LANES..][..LANES];
-        let bt = &b_tile[t * 4 * LANES..][..4 * LANES];
-        for q in 0..4 {
-            let bl = &bt[q * LANES..][..LANES];
-            for ((x, &av), &bv) in acc[q].iter_mut().zip(al).zip(bl) {
-                *x += av * bv;
-            }
-        }
-    }
-}
-
-/// AVX2 NT tile: lane accumulation over the packed chunks (separate
-/// mul/add, no FMA), then the horizontal finish done in-register — the
-/// `4×LANES` accumulator block is transposed with shuffles so one SSE lane
-/// per dot product walks the exact left-to-right scalar sum sequence of
-/// [`nt_finish`], 16 sequential vector adds replacing 60 scalar ones.
-/// Returns the four chunk-phase dot values; the `k % LANES` tail is the
-/// caller's job.
+/// The NT register tile: four dot products of `a_row` against one packed
+/// NT tile over its `chunks` full lane chunks, each split across the
+/// [`LANES`] lanes of one row (`acc + a·b`, no FMA) and finished by the
+/// left-to-right horizontal sum — [`nt_dot`]'s order, without the
+/// `k % LANES` tail.
 ///
-/// # Safety
-///
-/// Caller must ensure AVX2 is available, `a_row` holds at least
-/// `chunks*LANES` and `b_tile` at least `chunks*4*LANES` elements.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-#[target_feature(enable = "avx2")]
-unsafe fn nt_tile_avx2(a_row: &[f32], b_tile: &[f32], chunks: usize) -> [f32; 4] {
-    use core::arch::x86_64::*;
-    // The last reads below: `a_row` lanes up to `(chunks-1)·LANES + 15`,
-    // `b_tile` lanes up to `((chunks-1)·4 + 3)·LANES + 15`.
-    debug_assert!(chunks * LANES <= a_row.len(), "last A element");
-    debug_assert!(chunks * 4 * LANES <= b_tile.len(), "last B element");
-    let mut lo = [_mm256_setzero_ps(); 4];
-    let mut hi = [_mm256_setzero_ps(); 4];
-    let ap = a_row.as_ptr();
-    let bp = b_tile.as_ptr();
-    for t in 0..chunks {
-        let a0 = _mm256_loadu_ps(ap.add(t * LANES));
-        let a1 = _mm256_loadu_ps(ap.add(t * LANES + 8));
-        for q in 0..4 {
-            let base = (t * 4 + q) * LANES;
-            let b0 = _mm256_loadu_ps(bp.add(base));
-            let b1 = _mm256_loadu_ps(bp.add(base + 8));
-            lo[q] = _mm256_add_ps(lo[q], _mm256_mul_ps(a0, b0));
-            hi[q] = _mm256_add_ps(hi[q], _mm256_mul_ps(a1, b1));
-        }
-    }
-    // Transpose the 4×8 `lo` block: `v{t}` holds lane column `t` of all
-    // four dots in its low 128 bits and column `t+4` in its high bits.
-    let u0 = _mm256_unpacklo_ps(lo[0], lo[1]);
-    let u1 = _mm256_unpackhi_ps(lo[0], lo[1]);
-    let u2 = _mm256_unpacklo_ps(lo[2], lo[3]);
-    let u3 = _mm256_unpackhi_ps(lo[2], lo[3]);
-    let v0 = _mm256_shuffle_ps(u0, u2, 0b0100_0100);
-    let v1 = _mm256_shuffle_ps(u0, u2, 0b1110_1110);
-    let v2 = _mm256_shuffle_ps(u1, u3, 0b0100_0100);
-    let v3 = _mm256_shuffle_ps(u1, u3, 0b1110_1110);
-    // Same for the `hi` block: columns 8..11 low, 12..15 high.
-    let u4 = _mm256_unpacklo_ps(hi[0], hi[1]);
-    let u5 = _mm256_unpackhi_ps(hi[0], hi[1]);
-    let u6 = _mm256_unpacklo_ps(hi[2], hi[3]);
-    let u7 = _mm256_unpackhi_ps(hi[2], hi[3]);
-    let w0 = _mm256_shuffle_ps(u4, u6, 0b0100_0100);
-    let w1 = _mm256_shuffle_ps(u4, u6, 0b1110_1110);
-    let w2 = _mm256_shuffle_ps(u5, u7, 0b0100_0100);
-    let w3 = _mm256_shuffle_ps(u5, u7, 0b1110_1110);
-    // Strict left-to-right sum of the 16 lane columns, all four dots in
-    // parallel lanes: identical IEEE sequence to the scalar finish.
-    let mut s = _mm_setzero_ps();
-    s = _mm_add_ps(s, _mm256_castps256_ps128(v0));
-    s = _mm_add_ps(s, _mm256_castps256_ps128(v1));
-    s = _mm_add_ps(s, _mm256_castps256_ps128(v2));
-    s = _mm_add_ps(s, _mm256_castps256_ps128(v3));
-    s = _mm_add_ps(s, _mm256_extractf128_ps(v0, 1));
-    s = _mm_add_ps(s, _mm256_extractf128_ps(v1, 1));
-    s = _mm_add_ps(s, _mm256_extractf128_ps(v2, 1));
-    s = _mm_add_ps(s, _mm256_extractf128_ps(v3, 1));
-    s = _mm_add_ps(s, _mm256_castps256_ps128(w0));
-    s = _mm_add_ps(s, _mm256_castps256_ps128(w1));
-    s = _mm_add_ps(s, _mm256_castps256_ps128(w2));
-    s = _mm_add_ps(s, _mm256_castps256_ps128(w3));
-    s = _mm_add_ps(s, _mm256_extractf128_ps(w0, 1));
-    s = _mm_add_ps(s, _mm256_extractf128_ps(w1, 1));
-    s = _mm_add_ps(s, _mm256_extractf128_ps(w2, 1));
-    s = _mm_add_ps(s, _mm256_extractf128_ps(w3, 1));
-    let mut out = [0.0f32; 4];
-    _mm_storeu_ps(out.as_mut_ptr(), s);
-    out
-}
-
-/// Four dot products against one packed NT tile: lane accumulation on the
-/// packed chunks, then the fixed-order horizontal sum and sequential tail
-/// of [`nt_finish`] (done in-register on AVX2), reading tail elements from
-/// the raw `b` rows. Bit-identical to `nt_dots::<4>`. `simd` is the hoisted
-/// [`simd_tiles_available`] answer.
-#[cfg_attr(
-    not(all(feature = "simd", target_arch = "x86_64")),
-    allow(unused_variables)
-)]
-#[inline]
-fn nt_tile4(
-    simd: bool,
-    a_row: &[f32],
-    b_tile: &[f32],
-    b: &[f32],
-    j: usize,
-    k: usize,
+/// Panics unless `a_row` holds `chunks·LANES` and `b_tile`
+/// `chunks·4·LANES` elements — the reach its raw loads rely on.
+struct NtTile<'a> {
+    a_row: &'a [f32],
+    b_tile: &'a [f32],
     chunks: usize,
-) -> [f32; 4] {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    if simd {
-        // SAFETY: AVX2 presence checked by the caller; callers size slices.
-        let mut d = unsafe { nt_tile_avx2(a_row, b_tile, chunks) };
-        let tail = chunks * LANES;
-        if tail < k {
-            for (q, sum) in d.iter_mut().enumerate() {
-                let b_row = &b[(j + q) * k..][..k];
-                for kk in tail..k {
-                    *sum += a_row[kk] * b_row[kk];
-                }
+}
+
+impl Tile for NtTile<'_> {
+    type Out = [f32; 4];
+
+    #[inline(always)]
+    unsafe fn run<V: Row>(self) -> [f32; 4] {
+        let chunks = self.chunks;
+        assert!(chunks * LANES <= self.a_row.len(), "last A element");
+        assert!(chunks * 4 * LANES <= self.b_tile.len(), "last B element");
+        let mut acc = [V::zero(); 4];
+        let (ap, bp) = (self.a_row.as_ptr(), self.b_tile.as_ptr());
+        for t in 0..chunks {
+            // SAFETY: the chunk offsets stay within the asserted lengths.
+            let av = V::load::<true>(ap.add(t * LANES), LANES);
+            for (q, x) in acc.iter_mut().enumerate() {
+                let bv = V::load::<true>(bp.add((t * 4 + q) * LANES), LANES);
+                *x = x.add_mul(av, bv);
             }
         }
-        return d;
+        V::hsum4(acc)
     }
-    let mut acc = [[0.0f32; LANES]; 4];
-    nt_acc_scalar(a_row, b_tile, chunks, &mut acc);
-    nt_finish(a_row, b, j, k, chunks, &acc)
 }
 
 /// Rewrites the short-`k` NT operand `b` (`n×k`, `k < LANES`) as its `k×n`
@@ -872,31 +812,6 @@ fn transpose_short_k(b: &[f32], n: usize, k: usize, out: &mut Vec<f32>) {
             out[kk * n + j] = v;
         }
     }
-}
-
-/// Shared NT finishing step: fixed-order horizontal lane sum plus the
-/// sequential `k % LANES` tail from the raw operand.
-fn nt_finish(
-    a_row: &[f32],
-    b: &[f32],
-    j: usize,
-    k: usize,
-    chunks: usize,
-    acc: &[[f32; LANES]; 4],
-) -> [f32; 4] {
-    let mut out = [0.0f32; 4];
-    for (q, lane) in acc.iter().enumerate() {
-        let mut sum = 0.0f32;
-        for &x in lane {
-            sum += x;
-        }
-        let b_row = &b[(j + q) * k..][..k];
-        for kk in chunks * LANES..k {
-            sum += a_row[kk] * b_row[kk];
-        }
-        out[q] = sum;
-    }
-    out
 }
 
 /// Computes `c += a · bᵀ` where `a` is `m×k`, `b` is `n×k`, `c` is `m×n`.
@@ -922,11 +837,12 @@ pub fn matmul_nt(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usi
 ///   to a plain ascending-`k` sum; `b` is transposed once (tiny) and the
 ///   problem reruns as [`matmul_into_with`], which vectorises across output
 ///   columns instead of running short serial dots.
-/// * `k ≥ LANES` with `n ≥ 4` — full 4-row column tiles of `b` are packed
+/// * `k ≥ LANES` — full 4-row column tiles of `b` are packed
 ///   once into a chunk-interleaved panel (fixing the strided-access penalty
 ///   of walking four `k`-long rows in parallel) and reused across every row
-///   of `a`; on AVX2 the per-tile horizontal finish runs in-register.
-/// * Otherwise — the unpacked `nt_dots` fallback.
+///   of `a`; with the `simd` feature the per-tile horizontal finish runs
+///   in-register.
+/// * The last `n % 4` columns — the unpacked `nt_dot` fallback.
 ///
 /// # Panics
 ///
@@ -954,32 +870,38 @@ pub fn matmul_nt_with(
         pack.t = bt;
         return;
     }
-    let packed = chunks > 0 && n >= 4;
-    let simd = simd_tiles_available();
-    if packed {
-        pack_b_nt(b, n, k, chunks, &mut pack.b);
-    }
+    let isa = pack.isa();
     let tile_len = chunks * 4 * LANES;
+    let panel = aligned(&mut pack.b, n / 4 * tile_len);
+    pack_b_nt(b, n, k, chunks, panel);
     for i in 0..m {
         let a_row = &a[i * k..][..k];
         let c_row = &mut c[i * n..][..n];
         let mut j = 0;
         while j + 4 <= n {
-            let d = if packed {
-                let b_tile = &pack.b[(j / 4) * tile_len..][..tile_len];
-                nt_tile4(simd, a_row, b_tile, b, j, k, chunks)
-            } else {
-                nt_dots::<4>(a_row, b, j, k)
-            };
+            let b_tile = &panel[(j / 4) * tile_len..][..tile_len];
+            let mut d = isa.run(NtTile {
+                a_row,
+                b_tile,
+                chunks,
+            });
+            let tail = chunks * LANES;
+            if tail < k {
+                // The sequential `k % LANES` tail, from the raw `b` rows.
+                for (q, sum) in d.iter_mut().enumerate() {
+                    let b_row = &b[(j + q) * k..][..k];
+                    for (&av, &bv) in a_row[tail..].iter().zip(&b_row[tail..]) {
+                        *sum += av * bv;
+                    }
+                }
+            }
             for (cv, &x) in c_row[j..j + 4].iter_mut().zip(&d) {
                 *cv += x;
             }
             j += 4;
         }
-        while j < n {
-            let d = nt_dots::<1>(a_row, b, j, k);
-            c_row[j] += d[0];
-            j += 1;
+        for (j, cv) in c_row.iter_mut().enumerate().skip(j) {
+            *cv += nt_dot(a_row, &b[j * k..][..k]);
         }
     }
 }
@@ -1019,185 +941,73 @@ fn pack_samples_panel(
     }
 }
 
-/// Scalar fused tile: lanes `0..w` of the `R×NR` tile of `c` that starts
-/// at `c[0]` (rows `n` apart), plus the products of every sample. Sample
-/// `s`'s product is summed from `+0.0` with `kk` ascending and then added
-/// into the tile, in sample order — the bits of one `c +=` per sample.
-/// `a` starts at sample 0's first tile row (samples `sa` apart, rows `k`
-/// apart); `panel` is [`pack_samples_panel`]'s. The bitwise reference for
-/// [`samples_tile_avx2`], and the tile wherever that does not run.
-#[allow(clippy::too_many_arguments)]
-fn samples_tile_scalar<const R: usize>(
-    a: &[f32],
-    sa: usize,
-    k: usize,
-    panel: &[f32],
-    samples: usize,
-    c: &mut [f32],
-    n: usize,
-    w: usize,
-) {
-    let mut tile = [[0.0f32; NR]; R];
-    for (r, lanes) in tile.iter_mut().enumerate() {
-        lanes[..w].copy_from_slice(&c[r * n..][..w]);
-    }
-    for s in 0..samples {
-        let a_s = &a[s * sa..];
-        let mut acc = [[0.0f32; NR]; R];
-        for (kk, bv) in panel[s * k * NR..][..k * NR].chunks_exact(NR).enumerate() {
-            for (r, lanes) in acc.iter_mut().enumerate() {
-                let av = a_s[r * k + kk];
-                for (x, &bl) in lanes.iter_mut().zip(bv) {
-                    *x += av * bl;
-                }
-            }
-        }
-        for (t, x) in tile.iter_mut().zip(&acc) {
-            for (tv, &xv) in t.iter_mut().zip(x) {
-                *tv += xv;
-            }
-        }
-    }
-    for (r, lanes) in tile.iter().enumerate() {
-        c[r * n..][..w].copy_from_slice(&lanes[..w]);
-    }
-}
-
-/// AVX2 fused tile: [`samples_tile_scalar`] with the `R×NR` tile of `c`
-/// held in registers across every sample — loaded once, stored once.
-/// Per sample a zeroed accumulator tile takes `k` steps of separate
-/// multiply and add (never FMA), then is added into the `c` tile, so every
-/// live lane computes the scalar tile's IEEE-754 sequence. A ragged tile
-/// (`w < NR`) loads and stores `c` with masked lanes; `FULL` (`w == NR`)
-/// compiles the masks out. Panel rows are always `NR` lanes wide.
+/// The fused per-sample weight-gradient tile: lanes `0..w` of the `R×NR`
+/// tile of `c` that starts at `c[0]` (rows `n` apart), held in registers
+/// across every sample — loaded once, stored once. Per sample a zeroed
+/// accumulator tile takes `k` steps of `acc + a·b` (`kk` ascending, no
+/// FMA) and is then added into the `c` tile, in sample order — the bits of
+/// one `c +=` per sample. `a` starts at sample 0's first tile row (samples
+/// `sa` apart, rows `k` apart); `panel` is [`pack_samples_panel`]'s, its
+/// rows always `NR` lanes wide. A ragged tile (`w < NR`) loads and stores
+/// `c` masked, once per tile.
 ///
-/// Panics unless `1 <= w <= NR`, `samples >= 1`, `FULL == (w == NR)`, `a`
+/// Panics unless `1 <= w <= NR`, `samples >= 1`, `a`
 /// holds element `(samples-1)·sa + (R-1)·k + k-1` (when `k >= 1`), `panel`
 /// `samples·k·NR` elements and `c` elements up to `(R-1)·n + w - 1` — the
 /// reach its raw loads and stores rely on, checked once per tile.
-///
-/// # Safety
-///
-/// Caller must ensure AVX2 is available.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-#[target_feature(enable = "avx2")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn samples_tile_avx2<const R: usize, const FULL: bool>(
-    a: &[f32],
+struct SamplesTile<'a, const R: usize> {
+    a: &'a [f32],
     sa: usize,
     k: usize,
-    panel: &[f32],
+    panel: &'a [f32],
     samples: usize,
-    c: &mut [f32],
+    c: &'a mut [f32],
     n: usize,
     w: usize,
-) {
-    use core::arch::x86_64::*;
-    assert!((1..=NR).contains(&w) && samples >= 1 && FULL == (w == NR));
-    assert!(
-        k == 0 || (samples - 1) * sa + R * k <= a.len(),
-        "last A element"
-    );
-    assert!(samples * k * NR <= panel.len(), "last panel element");
-    assert!((R - 1) * n + w <= c.len(), "last C element");
-    let live = _mm256_set1_epi32(w as i32);
-    let mask_lo = _mm256_cmpgt_epi32(live, _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
-    let mask_hi = _mm256_cmpgt_epi32(live, _mm256_setr_epi32(8, 9, 10, 11, 12, 13, 14, 15));
-    let cp = c.as_mut_ptr();
-    let mut c_lo = [_mm256_setzero_ps(); R];
-    let mut c_hi = [_mm256_setzero_ps(); R];
-    for r in 0..R {
-        // SAFETY: lane 0 of every tile row is live (`w >= 1`) and the last
-        // row's last live lane is inside `c` (asserted above), so each row
-        // pointer is in bounds; `row.add(8)` is formed only when lane 8 is
-        // live. Masked-out lanes are not accessed and load 0.0.
-        let row = cp.add(r * n);
-        c_lo[r] = if FULL || w >= 8 {
-            _mm256_loadu_ps(row)
-        } else {
-            _mm256_maskload_ps(row, mask_lo)
-        };
-        c_hi[r] = if FULL {
-            _mm256_loadu_ps(row.add(8))
-        } else if w > 8 {
-            _mm256_maskload_ps(row.add(8), mask_hi)
-        } else {
-            _mm256_setzero_ps()
-        };
-    }
-    let ap = a.as_ptr();
-    let pp = panel.as_ptr();
-    for s in 0..samples {
-        let mut lo = [_mm256_setzero_ps(); R];
-        let mut hi = [_mm256_setzero_ps(); R];
-        for kk in 0..k {
-            // SAFETY: panel offsets stay below `samples·k·NR` and `A`
-            // offsets `s·sa + r·k + kk` at or below the asserted last `A`
-            // element.
-            let bp = pp.add((s * k + kk) * NR);
-            let b0 = _mm256_loadu_ps(bp);
-            let b1 = _mm256_loadu_ps(bp.add(8));
-            for r in 0..R {
-                let av = _mm256_set1_ps(*ap.add(s * sa + r * k + kk));
-                lo[r] = _mm256_add_ps(lo[r], _mm256_mul_ps(av, b0));
-                hi[r] = _mm256_add_ps(hi[r], _mm256_mul_ps(av, b1));
-            }
-        }
-        for r in 0..R {
-            c_lo[r] = _mm256_add_ps(c_lo[r], lo[r]);
-            c_hi[r] = _mm256_add_ps(c_hi[r], hi[r]);
-        }
-    }
-    for r in 0..R {
-        // SAFETY: the same row pointers as the loads above.
-        let row = cp.add(r * n);
-        if FULL || w >= 8 {
-            _mm256_storeu_ps(row, c_lo[r]);
-        } else {
-            _mm256_maskstore_ps(row, mask_lo, c_lo[r]);
-        }
-        if FULL {
-            _mm256_storeu_ps(row.add(8), c_hi[r]);
-        } else if w > 8 {
-            _mm256_maskstore_ps(row.add(8), mask_hi, c_hi[r]);
-        }
-    }
 }
 
-/// Runs one fused `R×NR` tile (lanes `0..w` live), dispatching like
-/// [`run_direct_tile`]: AVX2 under the `simd` feature, the scalar tile
-/// elsewhere.
-#[cfg_attr(
-    not(all(feature = "simd", target_arch = "x86_64")),
-    allow(unused_variables)
-)]
-#[allow(clippy::too_many_arguments)]
-#[inline]
-fn run_samples_tile<const R: usize>(
-    simd: bool,
-    a: &[f32],
-    sa: usize,
-    k: usize,
-    panel: &[f32],
-    samples: usize,
-    c: &mut [f32],
-    n: usize,
-    w: usize,
-) {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    if simd {
-        // SAFETY: AVX2 presence checked by the caller; the tile asserts its
-        // own reach into `a`, `panel` and `c`.
-        unsafe {
-            if w == NR {
-                samples_tile_avx2::<R, true>(a, sa, k, panel, samples, c, n, w);
-            } else {
-                samples_tile_avx2::<R, false>(a, sa, k, panel, samples, c, n, w);
+impl<const R: usize> Tile for SamplesTile<'_, R> {
+    type Out = ();
+
+    #[inline(always)]
+    unsafe fn run<V: Row>(self) {
+        let (sa, k, samples, n, w) = (self.sa, self.k, self.samples, self.n, self.w);
+        assert!((1..=NR).contains(&w) && samples >= 1);
+        assert!(
+            k == 0 || (samples - 1) * sa + R * k <= self.a.len(),
+            "last A element"
+        );
+        assert!(samples * k * NR <= self.panel.len(), "last panel element");
+        assert!((R - 1) * n + w <= self.c.len(), "last C element");
+        let cp = self.c.as_mut_ptr();
+        let mut tile = [V::zero(); R];
+        for (r, t) in tile.iter_mut().enumerate() {
+            // SAFETY: lane 0 of every tile row is live (`w >= 1`) and the
+            // last row's last live lane is inside `c` (asserted above), so
+            // each row pointer is in bounds and its live lanes readable.
+            *t = V::load::<false>(cp.add(r * n), w);
+        }
+        let (ap, pp) = (self.a.as_ptr(), self.panel.as_ptr());
+        for s in 0..samples {
+            let mut acc = [V::zero(); R];
+            for kk in 0..k {
+                // SAFETY: panel offsets stay below `samples·k·NR` and `A`
+                // offsets `s·sa + r·k + kk` at or below the asserted last
+                // `A` element.
+                let bv = V::load::<true>(pp.add((s * k + kk) * NR), NR);
+                for (r, x) in acc.iter_mut().enumerate() {
+                    *x = x.add_mul(V::splat(*ap.add(s * sa + r * k + kk)), bv);
+                }
+            }
+            for (t, x) in tile.iter_mut().zip(acc) {
+                *t = t.add(x);
             }
         }
-        return;
+        for (r, t) in tile.into_iter().enumerate() {
+            // SAFETY: the same row pointers as the loads above.
+            t.store::<false>(cp.add(r * n), w);
+        }
     }
-    samples_tile_scalar::<R>(a, sa, k, panel, samples, c, n, w);
 }
 
 /// Computes `c += Σ_s a_s · b_sᵀ` over `samples` products, each `a_s`
@@ -1249,23 +1059,20 @@ pub fn matmul_nt_samples_with(
         pack.t = rows;
         return;
     }
-    let simd = simd_tiles_available();
-    ensure_len(&mut pack.b, samples * k * NR);
-    let panel = &mut pack.b[..samples * k * NR];
+    let isa = pack.isa();
+    let panel = aligned(&mut pack.b, samples * k * NR);
     let sa = m * k;
     for j in (0..n).step_by(NR) {
         let w = NR.min(n - j);
         pack_samples_panel(b, samples, group, k, n, j, w, panel);
+        let panel = &*panel;
         let mut i = 0;
         while i < m {
-            let r = MR.min(m - i);
+            let r = isa.tile_rows(m - i);
             let (a, c) = (&a[i * k..], &mut c[i * n + j..]);
-            match r {
-                1 => run_samples_tile::<1>(simd, a, sa, k, panel, samples, c, n, w),
-                2 => run_samples_tile::<2>(simd, a, sa, k, panel, samples, c, n, w),
-                3 => run_samples_tile::<3>(simd, a, sa, k, panel, samples, c, n, w),
-                _ => run_samples_tile::<MR>(simd, a, sa, k, panel, samples, c, n, w),
-            }
+            with_rows!(r, R => {
+                isa.run(SamplesTile::<R> { a, sa, k, panel, samples, c, n, w })
+            });
             i += r;
         }
     }
@@ -1293,6 +1100,196 @@ fn sample_rows<'a>(
         dst.copy_from_slice(&row[(s - s0) * k..][..k]);
     }
     &buf[..n * k]
+}
+
+/// The x86 row types and the `#[target_feature]` entries that compile a
+/// tile's `#[inline(always)]` body, with every row method inlined, to
+/// straight `ymm` / `zmm` code.
+#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+mod x86 {
+    use super::{Row, Tile};
+    use core::arch::x86_64::*;
+
+    /// Runs `tile` on `[__m256; 2]` rows (lanes `0..8`, `8..16`).
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn on_avx2<T: Tile>(tile: T) -> T::Out {
+        tile.run::<[__m256; 2]>()
+    }
+
+    /// Runs `tile` on `__m512` rows.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX-512F.
+    #[target_feature(enable = "avx512f")]
+    pub(super) unsafe fn on_avx512<T: Tile>(tile: T) -> T::Out {
+        tile.run::<__m512>()
+    }
+
+    /// Lane masks for the two halves of a `w`-lane row. Loop-invariant in
+    /// every tile, so it is computed once per tile, not per load.
+    #[inline(always)]
+    unsafe fn halves_mask(w: usize) -> [__m256i; 2] {
+        let live = _mm256_set1_epi32(w as i32);
+        [
+            _mm256_cmpgt_epi32(live, _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7)),
+            _mm256_cmpgt_epi32(live, _mm256_setr_epi32(8, 9, 10, 11, 12, 13, 14, 15)),
+        ]
+    }
+
+    impl Row for [__m256; 2] {
+        #[inline(always)]
+        unsafe fn zero() -> Self {
+            [_mm256_setzero_ps(); 2]
+        }
+        #[inline(always)]
+        unsafe fn splat(x: f32) -> Self {
+            [_mm256_set1_ps(x); 2]
+        }
+        #[inline(always)]
+        unsafe fn add(self, x: Self) -> Self {
+            [_mm256_add_ps(self[0], x[0]), _mm256_add_ps(self[1], x[1])]
+        }
+        #[inline(always)]
+        unsafe fn mul(self, x: Self) -> Self {
+            [_mm256_mul_ps(self[0], x[0]), _mm256_mul_ps(self[1], x[1])]
+        }
+        #[inline(always)]
+        unsafe fn load<const FULL: bool>(p: *const f32, w: usize) -> Self {
+            // `p.add(8)` is formed only when lane 8 is live, so in bounds;
+            // `_mm256_maskload_ps` does not access masked-out lanes.
+            let mask = halves_mask(w);
+            let lo = if FULL || w >= 8 {
+                _mm256_loadu_ps(p)
+            } else {
+                _mm256_maskload_ps(p, mask[0])
+            };
+            let hi = if FULL {
+                _mm256_loadu_ps(p.add(8))
+            } else if w > 8 {
+                _mm256_maskload_ps(p.add(8), mask[1])
+            } else {
+                _mm256_setzero_ps()
+            };
+            [lo, hi]
+        }
+        #[inline(always)]
+        unsafe fn store<const FULL: bool>(self, p: *mut f32, w: usize) {
+            let mask = halves_mask(w);
+            if FULL || w >= 8 {
+                _mm256_storeu_ps(p, self[0]);
+            } else {
+                _mm256_maskstore_ps(p, mask[0], self[0]);
+            }
+            if FULL {
+                _mm256_storeu_ps(p.add(8), self[1]);
+            } else if w > 8 {
+                _mm256_maskstore_ps(p.add(8), mask[1], self[1]);
+            }
+        }
+        /// Transposes the four rows' 4 × 4 blocks with shuffles so one SSE
+        /// lane per row walks the left-to-right sum: 16 sequential vector
+        /// adds in place of 60 scalar ones.
+        #[inline(always)]
+        unsafe fn hsum4(rows: [Self; 4]) -> [f32; 4] {
+            let mut s = _mm_setzero_ps();
+            for half in [rows.map(|r| r[0]), rows.map(|r| r[1])] {
+                // `cols[c]` holds lane column `c` of the half's first 4 × 4
+                // block in its low 128 bits and column `c + 4` in its high.
+                let u0 = _mm256_unpacklo_ps(half[0], half[1]);
+                let u1 = _mm256_unpackhi_ps(half[0], half[1]);
+                let u2 = _mm256_unpacklo_ps(half[2], half[3]);
+                let u3 = _mm256_unpackhi_ps(half[2], half[3]);
+                let cols = [
+                    _mm256_shuffle_ps(u0, u2, 0b0100_0100),
+                    _mm256_shuffle_ps(u0, u2, 0b1110_1110),
+                    _mm256_shuffle_ps(u1, u3, 0b0100_0100),
+                    _mm256_shuffle_ps(u1, u3, 0b1110_1110),
+                ];
+                for &col in &cols {
+                    s = _mm_add_ps(s, _mm256_castps256_ps128(col));
+                }
+                for &col in &cols {
+                    s = _mm_add_ps(s, _mm256_extractf128_ps(col, 1));
+                }
+            }
+            let mut out = [0.0f32; 4];
+            _mm_storeu_ps(out.as_mut_ptr(), s);
+            out
+        }
+    }
+
+    impl Row for __m512 {
+        #[inline(always)]
+        unsafe fn zero() -> Self {
+            _mm512_setzero_ps()
+        }
+        #[inline(always)]
+        unsafe fn splat(x: f32) -> Self {
+            _mm512_set1_ps(x)
+        }
+        #[inline(always)]
+        unsafe fn add(self, x: Self) -> Self {
+            _mm512_add_ps(self, x)
+        }
+        #[inline(always)]
+        unsafe fn mul(self, x: Self) -> Self {
+            _mm512_mul_ps(self, x)
+        }
+        #[inline(always)]
+        unsafe fn load<const FULL: bool>(p: *const f32, w: usize) -> Self {
+            // Masked-out lanes are not accessed: no read, no fault.
+            if FULL {
+                _mm512_loadu_ps(p)
+            } else {
+                _mm512_maskz_loadu_ps(((1u32 << w) - 1) as __mmask16, p)
+            }
+        }
+        #[inline(always)]
+        unsafe fn store<const FULL: bool>(self, p: *mut f32, w: usize) {
+            if FULL {
+                _mm512_storeu_ps(p, self);
+            } else {
+                _mm512_mask_storeu_ps(p, ((1u32 << w) - 1) as __mmask16, self);
+            }
+        }
+        /// The 4 × 4 transposes of the rows' 128-bit quarters put lane
+        /// column `4q + c` of all four rows in quarter `q` of `cols[c]`;
+        /// one SSE lane per row then walks the left-to-right sum.
+        #[inline(always)]
+        unsafe fn hsum4(rows: [Self; 4]) -> [f32; 4] {
+            let u0 = _mm512_unpacklo_ps(rows[0], rows[1]);
+            let u1 = _mm512_unpackhi_ps(rows[0], rows[1]);
+            let u2 = _mm512_unpacklo_ps(rows[2], rows[3]);
+            let u3 = _mm512_unpackhi_ps(rows[2], rows[3]);
+            let cols = [
+                _mm512_shuffle_ps(u0, u2, 0b0100_0100),
+                _mm512_shuffle_ps(u0, u2, 0b1110_1110),
+                _mm512_shuffle_ps(u1, u3, 0b0100_0100),
+                _mm512_shuffle_ps(u1, u3, 0b1110_1110),
+            ];
+            let mut s = _mm_setzero_ps();
+            for &col in &cols {
+                s = _mm_add_ps(s, _mm512_castps512_ps128(col));
+            }
+            for &col in &cols {
+                s = _mm_add_ps(s, _mm512_extractf32x4_ps(col, 1));
+            }
+            for &col in &cols {
+                s = _mm_add_ps(s, _mm512_extractf32x4_ps(col, 2));
+            }
+            for &col in &cols {
+                s = _mm_add_ps(s, _mm512_extractf32x4_ps(col, 3));
+            }
+            let mut out = [0.0f32; 4];
+            _mm_storeu_ps(out.as_mut_ptr(), s);
+            out
+        }
+    }
 }
 
 /// Naive triple-loop reference kernels plus ordered-reduction references.
@@ -1561,6 +1558,140 @@ mod tests {
                 oracle::matmul_nt_ordered(&a, &b_nt, m, k, n),
                 "{m}x{k}x{n} nt"
             );
+        }
+    }
+
+    /// Every ISA this CPU runs, scalar first.
+    fn host_isas() -> Vec<Isa> {
+        let isas = vec![Isa::Scalar];
+        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+        let isas = {
+            let mut isas = isas;
+            if std::arch::is_x86_feature_detected!("avx2") {
+                isas.push(Isa::Avx2);
+            }
+            if std::arch::is_x86_feature_detected!("avx512f") {
+                isas.push(Isa::Avx512);
+            }
+            isas
+        };
+        isas
+    }
+
+    /// [`fill`] with signed zeros and subnormals mixed in.
+    fn fill_special(len: usize, seed: u64) -> Vec<f32> {
+        let special = [0.0, -0.0, 1.0e-40, -3.0e-39];
+        let mut v = fill(len, seed);
+        for (i, x) in v.iter_mut().enumerate() {
+            if let Some(&s) = special.get((i as u64).wrapping_add(seed) as usize % 9) {
+                *x = s;
+            }
+        }
+        v
+    }
+
+    fn bits(c: &[f32]) -> Vec<u32> {
+        c.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Asserts that `kernel` writes the same bits into a copy of `c0` at
+    /// every ISA the host has, each through its own `PackBuf`.
+    fn same_at_every_width(c0: &[f32], what: &str, kernel: impl Fn(&mut [f32], &mut PackBuf)) {
+        let mut reference = None;
+        for isa in host_isas() {
+            let mut pack = PackBuf::new();
+            pack.isa = Some(isa);
+            let mut c = c0.to_vec();
+            kernel(&mut c, &mut pack);
+            let reference = reference.get_or_insert_with(|| bits(&c));
+            assert!(
+                bits(&c) == *reference,
+                "{what}: {isa:?} differs from scalar"
+            );
+        }
+    }
+
+    #[test]
+    fn every_width_computes_the_same_bits() {
+        // `m` straddles both row-tile heights (4 and 8) and 16, `n` covers
+        // every ragged width 1–16 and both schedules (160 whole tiles pack
+        // past `k` = 204), `k` the KC edge and the NT lane chunks.
+        for m in [1, 3, 4, 7, 8, 9, 15, 16, 17] {
+            for k in [1, 5, 15, 16, 17, 63, 128, 256, 257, 300] {
+                for n in (1..=17).chain([32, 63, 64, 160]) {
+                    let seed = (m * 100_000 + k * 100 + n) as u64;
+                    let a = fill_special(m * k, seed);
+                    let b = fill_special(k * n, seed ^ 1);
+                    let c0 = fill_special(m * n, seed ^ 2);
+                    let shape = format!("{m}x{k}x{n}");
+                    same_at_every_width(&c0, &format!("nn {shape}"), |c, pack| {
+                        matmul_into_with(&a, &b, c, m, k, n, pack)
+                    });
+                    same_at_every_width(&c0, &format!("tn {shape}"), |c, pack| {
+                        matmul_tn_with(&a, &b, c, k, m, n, pack)
+                    });
+                    same_at_every_width(&c0, &format!("nt {shape}"), |c, pack| {
+                        matmul_nt_with(&a, &b, c, m, k, n, pack)
+                    });
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_width_computes_the_same_sample_product_bits() {
+        for (samples, group) in [(1, 1), (4, 1), (5, 2), (3, 4)] {
+            for m in [1, 3, 7, 8, 9, 16, 17] {
+                for k in [1, 4, 15, 16, 17] {
+                    for n in (1..=17).chain([32, 50]) {
+                        let seed = (samples * 1_000_000 + m * 10_000 + k * 100 + n) as u64;
+                        let a = fill_special(samples * m * k, seed);
+                        let b = fill_special(samples * n * k, seed ^ 1);
+                        let c0 = fill_special(m * n, seed ^ 2);
+                        let what = format!("{samples}/{group} samples of {m}x{k}x{n}");
+                        same_at_every_width(&c0, &what, |c, pack| {
+                            matmul_nt_samples_with(&a, &b, c, samples, group, m, k, n, pack)
+                        });
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn nt_lanes_finish_left_to_right_at_every_width() {
+        // Each dot's 16 lane products are 1e8, -1e8 and small values 1–3
+        // that vanish while the 1e8 is in the running sum (its ulp is 8), so
+        // the result is the sum of the small values added outside that
+        // window. Sixteen dots place the window differently, so a finish
+        // that adds the lanes in any other order fails at least one. The
+        // `k % LANES` tail is added last.
+        let (k, n) = (LANES + 3, 16);
+        let a = vec![1.0f32; k];
+        let mut b = vec![0.0f32; n * k];
+        let mut expected = vec![0.0f32; n];
+        for j in 0..n {
+            let big = j * 5 % LANES;
+            let low = (big + 1 + (2 * j + 3) % (LANES - 1)) % LANES;
+            let row = &mut b[j * k..][..k];
+            for (l, x) in row.iter_mut().enumerate() {
+                *x = match l {
+                    _ if l == big => 1e8,
+                    _ if l == low => -1e8,
+                    _ => (1 + (l + j) % 3) as f32,
+                };
+            }
+            expected[j] = row.iter().fold(0.0, |s, &x| s + x);
+            let reversed = row[..LANES].iter().rev().fold(0.0, |s, &x| s + x);
+            let reversed = row[LANES..].iter().fold(reversed, |s, &x| s + x);
+            assert_ne!(expected[j], reversed, "dot {j} must expose the order");
+        }
+        for isa in host_isas() {
+            let mut pack = PackBuf::new();
+            pack.isa = Some(isa);
+            let mut c = vec![0.0f32; n];
+            matmul_nt_with(&a, &b, &mut c, 1, k, n, &mut pack);
+            assert_eq!(bits(&c), bits(&expected), "{isa:?}");
         }
     }
 

@@ -1,7 +1,7 @@
 //! Property tests: the panel-packed matmul kernels must agree with the
 //! naive triple-loop oracle on ragged shapes.
 //!
-//! Shapes are drawn from {1..17} ∪ {63, 64, 128} per dimension, straddling
+//! Shapes are drawn from {1..17} ∪ {63, 64, 256} per dimension, straddling
 //! every kernel boundary: partial MR row tiles, partial NR column tiles,
 //! and the KC k-block edge. Two comparison tiers:
 //!
@@ -23,17 +23,18 @@ use adafl_tensor::{
 };
 use proptest::prelude::*;
 
-/// Maps a raw draw in `0..20` onto {1..17} ∪ {63, 64, 128}.
+/// Maps a raw draw in `0..20` onto {1..17} ∪ {63, 64, 256}.
 ///
-/// 128 × 128 pushes the `B` k-slab past the pack-vs-direct threshold
-/// (32 KiB), while 64 × 128 and 128 × 64 sit exactly on it, so shape pairs
-/// drawn here exercise both schedules of every kernel.
+/// A `k × n` of 256 × 256 pushes the `B` k-slab past the pack-vs-direct
+/// threshold (128 KiB), while 64 × 256 and 256 × 64 stay under it, so shape
+/// pairs drawn here exercise both schedules of every kernel; a `k` of 256
+/// also fills one `KC` slab exactly.
 fn dim(raw: usize) -> usize {
     match raw {
         0..=16 => raw + 1,
         17 => 63,
         18 => 64,
-        _ => 128,
+        _ => 256,
     }
 }
 
@@ -122,7 +123,7 @@ fn same_bits(c: &[f32], expected: &[f32]) -> bool {
 
 /// The workloads' own narrow products, plus every ragged width below one
 /// column tile at a `k` spanning two `KC` slabs (the proptests' dims stop at
-/// 80): NN and TN must equal the ordered oracles bit for bit, through a
+/// one): NN and TN must equal the ordered oracles bit for bit, through a
 /// fresh `PackBuf` and through one reused across every shape.
 #[test]
 fn workload_shapes_bitwise_match_ordered_oracle() {
