@@ -13,6 +13,7 @@
 //! who wins, by roughly what factor, where the curves cross — are the
 //! reproduction target.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

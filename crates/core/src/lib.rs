@@ -48,6 +48,7 @@
 //! println!("AdaFL reached {:.1}%", history.final_accuracy() * 100.0);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

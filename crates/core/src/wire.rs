@@ -24,15 +24,16 @@ pub fn digest_len(dim: usize) -> usize {
 /// The compression factor of a *typical* adaptively-compressed uplink
 /// payload relative to the dense wire size.
 ///
-/// AdaFL assigns each selected client a DGC keep-ratio from the adaptive
-/// band (1/64 for the top-ranked client up to 1/16 for the last; see
-/// [`crate::compression_control`]). The paper's measured uplink volumes
-/// (Tables I and II: 60–78 % total bandwidth saving, with the uplink
-/// dominated by the compressed deltas) correspond to a mid-band keep-ratio
-/// of roughly 1/32 — and in the sparse wire format each kept coordinate
-/// costs an (index, value) pair, i.e. twice a dense coordinate. A
-/// 1/32-keep sparse update therefore lands at ~1/16 of the dense frame,
-/// which is the yardstick the utility score judges link bandwidth
+/// AdaFL assigns each selected client a DGC compression ratio from the
+/// adaptive band: by default `min_ratio` 4× for the top-ranked client up
+/// to `max_ratio` 210× for the last ([`AdaFlConfig`](crate::AdaFlConfig),
+/// Table I; see [`crate::compression_control`]). Its log-midpoint,
+/// √(4·210) ≈ 29×, a keep-ratio of roughly 1/32, matches the paper's
+/// measured uplink volumes (Tables I and II: 60–78 % total bandwidth
+/// saving, the uplink dominated by the compressed deltas); in the sparse
+/// wire format each kept coordinate costs an (index, value) pair, twice a
+/// dense one. A 1/32-keep sparse update therefore lands at ~1/16 of the
+/// dense frame, the yardstick the utility score judges link bandwidth
 /// against. `codec_ties_ratio_to_sparse_wire_format` below pins this
 /// arithmetic to the actual [`WireCodec`](adafl_compression::WireCodec)
 /// encoding so the constant cannot drift from the codec.

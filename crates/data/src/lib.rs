@@ -18,6 +18,7 @@
 //! assert_eq!(parts.len(), 10);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

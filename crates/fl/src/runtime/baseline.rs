@@ -43,6 +43,10 @@ impl SelectionPolicy for RandomSelection {
         ids.sort_unstable();
         ids
     }
+
+    fn reads_replicas(&self) -> bool {
+        false
+    }
 }
 
 /// Static client-side compression (identity, top-k, QSGD, TernGrad): the

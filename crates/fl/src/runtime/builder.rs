@@ -125,33 +125,29 @@ pub(super) struct Scenario {
     pub faults: Option<FaultPlan>,
 }
 
-/// One device per shard, none with a replica yet.
-fn devices(config: &FlConfig, shards: Vec<Dataset>) -> Vec<Device> {
+/// One device per shard; with `replicas`, each keeps one, starting at the
+/// config's initial model.
+fn devices(config: &FlConfig, shards: Vec<Dataset>, replicas: bool) -> Vec<Device> {
     assert_eq!(shards.len(), config.clients, "shard count mismatch");
     let seed = config.seed_for("model");
+    let initial = replicas.then(|| config.model.build(seed).params_flat());
     shards
         .into_iter()
         .enumerate()
         .map(|(id, shard)| {
-            Device::new(
+            let device = Device::new(
                 id,
                 shard,
                 config.learning_rate,
                 config.momentum,
                 config.batch_size,
                 seed,
-            )
+            );
+            match &initial {
+                Some(initial) => device.with_replica(initial.clone()),
+                None => device,
+            }
         })
-        .collect()
-}
-
-/// One resident device per shard, every replica starting at the config's
-/// initial model.
-fn resident_fleet(config: &FlConfig, shards: Vec<Dataset>) -> Vec<Device> {
-    let initial = config.model.build(config.seed_for("model")).params_flat();
-    devices(config, shards)
-        .into_iter()
-        .map(|device| device.with_replica(initial.clone()))
         .collect()
 }
 
@@ -412,7 +408,11 @@ impl RuntimeBuilder {
                     config.seed_for("model"),
                 ))
             }
-            (None, Some(shards)) => Fleet::Resident(resident_fleet(config, shards)),
+            (None, Some(shards)) => {
+                // Only probing selection and sub-view rounds read replicas.
+                let replicas = policies.selection.reads_replicas() || self.capacity.is_some();
+                Fleet::Resident(devices(config, shards, replicas))
+            }
             (None, None) => return Err(BuildError::MissingShards),
         };
         let core = ServerCore::new(self.scenario, self.retry, self.recorder);
@@ -462,7 +462,7 @@ impl RuntimeBuilder {
         }
         // The event loop reads no replica — no sub-views, probes or crash
         // checkpoints — so its devices keep none.
-        let clients = devices(&self.scenario.fl, shards);
+        let clients = devices(&self.scenario.fl, shards, false);
         let core = ServerCore::new(self.scenario, self.retry, self.recorder);
         let stages = ServerStages::new(&core, self.defense, None, None);
         Ok(AsyncRuntime::new(

@@ -68,6 +68,14 @@ pub trait SelectionPolicy: fmt::Debug + Send {
     /// or without crash faults.
     fn select(&mut self, ctx: &mut SelectionCtx<'_>) -> Vec<usize>;
 
+    /// Whether `select` may read a device's parameter replica (a utility
+    /// probe does). A resident fleet whose policy reads none, and that
+    /// trains no sub-views, is built without replicas. `true` by default,
+    /// so a policy that does not say keeps them.
+    fn reads_replicas(&self) -> bool {
+        true
+    }
+
     /// Lets the policy append fields to the round span (AdaFL tags the
     /// warm-up flag). Identity by default.
     fn annotate_round_span(&self, _round: usize, span: SpanRecord) -> SpanRecord {

@@ -421,10 +421,12 @@ impl SyncRuntime {
     /// Crash-fault bookkeeping at the top of a round, over the clients
     /// whose plan entry is a crash: snapshot a device's replica into a
     /// [`Checkpoint`] the round its outage begins, restore it from the
-    /// decoded checkpoint the round it comes back. A pooled device keeps
-    /// no replica — it trains from the global model — so a pooled client
-    /// has no state to snapshot or restore: only the events are emitted,
-    /// and `select_cohort` keeps it out for the outage.
+    /// decoded checkpoint the round it comes back. A device without a
+    /// replica — a pooled one, or a resident one whose run reads none —
+    /// trains from the global model, so it has no state to snapshot or
+    /// restore: only the events are emitted, with the outage's first round
+    /// as the checkpoint round, and `select_cohort` keeps it out for the
+    /// outage.
     fn handle_crashes(&mut self, round: usize) {
         let recorder = &self.core.recorder;
         let tracing = recorder.enabled();
@@ -460,8 +462,7 @@ impl SyncRuntime {
                         device.restore(&restored.params);
                         restored.round as usize
                     }
-                    (Some(_), None) => continue,
-                    (None, _) => at_round,
+                    _ => at_round,
                 };
                 if tracing {
                     recorder.counter_add(names::FL_RECOVERIES, 1);

@@ -28,6 +28,7 @@
 //! assert!((t.seconds() - 0.52).abs() < 1e-9);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -33,6 +33,7 @@
 //! # Ok::<(), adafl_tensor::TensorError>(())
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

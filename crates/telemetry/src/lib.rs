@@ -23,6 +23,7 @@
 //! `telemetry_report` binary summarizes a JSONL trace. The crate has no
 //! dependencies so every layer of the workspace can use it.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::sync::Arc;

@@ -348,10 +348,13 @@ macro_rules! with_rows {
 /// # Safety
 ///
 /// Every method may only run where the row type's instruction set is
-/// available. `load` and `store` need lanes `0..NR` (with `FULL`) or
-/// `0..w` in bounds of `p`; lanes past `w` are neither read nor written,
-/// and load as 0.0.
+/// available. `mask(w)` needs `1 <= w <= NR`; `load` and `store` need the
+/// lanes `0..w` of their `mask(w)` in bounds of `p`, and lanes past `w`
+/// are neither read nor written, and load as 0.0.
 trait Row: Copy {
+    /// Lanes `0..w` of a row, built once per tile, outside its loops; a
+    /// constant `mask(NR)` folds the loads and stores down to plain ones.
+    type Mask: Copy;
     unsafe fn zero() -> Self;
     /// Every lane `x`: the broadcast `A` element.
     unsafe fn splat(x: f32) -> Self;
@@ -362,14 +365,17 @@ trait Row: Copy {
     unsafe fn add_mul(self, a: Self, b: Self) -> Self {
         self.add(a.mul(b))
     }
-    unsafe fn load<const FULL: bool>(p: *const f32, w: usize) -> Self;
-    unsafe fn store<const FULL: bool>(self, p: *mut f32, w: usize);
+    unsafe fn mask(w: usize) -> Self::Mask;
+    unsafe fn load(p: *const f32, mask: Self::Mask) -> Self;
+    unsafe fn store(self, p: *mut f32, mask: Self::Mask);
     /// The left-to-right horizontal sums `((0 + x₀) + x₁) + … + x₁₅` of
     /// four rows.
     unsafe fn hsum4(rows: [Self; 4]) -> [f32; 4];
 }
 
 impl Row for [f32; NR] {
+    type Mask = usize;
+
     #[inline(always)]
     unsafe fn zero() -> Self {
         [0.0; NR]
@@ -387,12 +393,16 @@ impl Row for [f32; NR] {
         core::array::from_fn(|l| self[l] * x[l])
     }
     #[inline(always)]
-    unsafe fn load<const FULL: bool>(p: *const f32, w: usize) -> Self {
-        core::array::from_fn(|l| if FULL || l < w { *p.add(l) } else { 0.0 })
+    unsafe fn mask(w: usize) -> usize {
+        w
     }
     #[inline(always)]
-    unsafe fn store<const FULL: bool>(self, p: *mut f32, w: usize) {
-        for (l, &x) in self.iter().enumerate().take(if FULL { NR } else { w }) {
+    unsafe fn load(p: *const f32, w: usize) -> Self {
+        core::array::from_fn(|l| if l < w { *p.add(l) } else { 0.0 })
+    }
+    #[inline(always)]
+    unsafe fn store(self, p: *mut f32, w: usize) {
+        for (l, &x) in self.iter().enumerate().take(w) {
             *p.add(l) = x;
         }
     }
@@ -439,13 +449,13 @@ struct GemmTile<'a, const R: usize> {
 }
 
 impl<const R: usize> GemmTile<'_, R> {
-    /// The k-loop, with the `B` rows' masks compiled out when `FULL`.
+    /// The k-loop, the `B` rows loaded under `mask`.
     ///
     /// # Safety
     ///
     /// `V`'s instruction set must be available and the reach asserted.
     #[inline(always)]
-    unsafe fn acc<V: Row, const FULL: bool>(&self) -> [V; R] {
+    unsafe fn acc<V: Row>(&self, mask: V::Mask) -> [V; R] {
         let mut acc = [V::zero(); R];
         let (ap, bp) = (self.a.as_ptr(), self.b.as_ptr());
         for kk in 0..self.kc {
@@ -453,7 +463,7 @@ impl<const R: usize> GemmTile<'_, R> {
             // asserted last `A` element. Lane 0 of every `B` row is live
             // (`w >= 1`) and the last row's last live lane is inside `b`, so
             // each row pointer is in bounds and its live lanes are readable.
-            let bv = V::load::<FULL>(bp.add(kk * self.bs), self.w);
+            let bv = V::load(bp.add(kk * self.bs), mask);
             for (r, x) in acc.iter_mut().enumerate() {
                 *x = x.add_mul(V::splat(*ap.add(r * self.rs + kk * self.ks)), bv);
             }
@@ -476,10 +486,11 @@ impl<const R: usize> Tile for GemmTile<'_, R> {
         );
         assert!((kc - 1) * bs + w <= self.b.len(), "last B element");
         assert!((R - 1) * n + cw <= self.c.len(), "last C element");
+        let full = V::mask(NR);
         let acc = if w == NR {
-            self.acc::<V, true>()
+            self.acc::<V>(full)
         } else {
-            self.acc::<V, false>()
+            self.acc::<V>(V::mask(w))
         };
         let cp = self.c.as_mut_ptr();
         for (r, x) in acc.into_iter().enumerate() {
@@ -487,12 +498,12 @@ impl<const R: usize> Tile for GemmTile<'_, R> {
             // last row's last live lane is inside `c` (asserted above).
             let row = cp.add(r * n);
             if cw == NR {
-                V::load::<true>(row, NR).add(x).store::<true>(row, NR);
+                V::load(row, full).add(x).store(row, full);
                 continue;
             }
             // A ragged edge adds lane by lane: masked stores cost more.
             let mut lanes = [0.0f32; NR];
-            x.store::<true>(lanes.as_mut_ptr(), NR);
+            x.store(lanes.as_mut_ptr(), full);
             for (l, &v) in lanes.iter().enumerate().take(cw) {
                 *row.add(l) += v;
             }
@@ -786,13 +797,13 @@ impl Tile for NtTile<'_> {
         let chunks = self.chunks;
         assert!(chunks * LANES <= self.a_row.len(), "last A element");
         assert!(chunks * 4 * LANES <= self.b_tile.len(), "last B element");
-        let mut acc = [V::zero(); 4];
+        let (mut acc, full) = ([V::zero(); 4], V::mask(LANES));
         let (ap, bp) = (self.a_row.as_ptr(), self.b_tile.as_ptr());
         for t in 0..chunks {
             // SAFETY: the chunk offsets stay within the asserted lengths.
-            let av = V::load::<true>(ap.add(t * LANES), LANES);
+            let av = V::load(ap.add(t * LANES), full);
             for (q, x) in acc.iter_mut().enumerate() {
-                let bv = V::load::<true>(bp.add((t * 4 + q) * LANES), LANES);
+                let bv = V::load(bp.add((t * 4 + q) * LANES), full);
                 *x = x.add_mul(av, bv);
             }
         }
@@ -979,13 +990,13 @@ impl<const R: usize> Tile for SamplesTile<'_, R> {
         );
         assert!(samples * k * NR <= self.panel.len(), "last panel element");
         assert!((R - 1) * n + w <= self.c.len(), "last C element");
-        let cp = self.c.as_mut_ptr();
+        let (cp, mask, full) = (self.c.as_mut_ptr(), V::mask(w), V::mask(NR));
         let mut tile = [V::zero(); R];
         for (r, t) in tile.iter_mut().enumerate() {
             // SAFETY: lane 0 of every tile row is live (`w >= 1`) and the
             // last row's last live lane is inside `c` (asserted above), so
             // each row pointer is in bounds and its live lanes readable.
-            *t = V::load::<false>(cp.add(r * n), w);
+            *t = V::load(cp.add(r * n), mask);
         }
         let (ap, pp) = (self.a.as_ptr(), self.panel.as_ptr());
         for s in 0..samples {
@@ -994,7 +1005,7 @@ impl<const R: usize> Tile for SamplesTile<'_, R> {
                 // SAFETY: panel offsets stay below `samples·k·NR` and `A`
                 // offsets `s·sa + r·k + kk` at or below the asserted last
                 // `A` element.
-                let bv = V::load::<true>(pp.add((s * k + kk) * NR), NR);
+                let bv = V::load(pp.add((s * k + kk) * NR), full);
                 for (r, x) in acc.iter_mut().enumerate() {
                     *x = x.add_mul(V::splat(*ap.add(s * sa + r * k + kk)), bv);
                 }
@@ -1005,7 +1016,7 @@ impl<const R: usize> Tile for SamplesTile<'_, R> {
         }
         for (r, t) in tile.into_iter().enumerate() {
             // SAFETY: the same row pointers as the loads above.
-            t.store::<false>(cp.add(r * n), w);
+            t.store(cp.add(r * n), mask);
         }
     }
 }
@@ -1107,7 +1118,7 @@ fn sample_rows<'a>(
 /// straight `ymm` / `zmm` code.
 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
 mod x86 {
-    use super::{Row, Tile};
+    use super::{Row, Tile, NR};
     use core::arch::x86_64::*;
 
     /// Runs `tile` on `[__m256; 2]` rows (lanes `0..8`, `8..16`).
@@ -1130,18 +1141,21 @@ mod x86 {
         tile.run::<__m512>()
     }
 
-    /// Lane masks for the two halves of a `w`-lane row. Loop-invariant in
-    /// every tile, so it is computed once per tile, not per load.
-    #[inline(always)]
-    unsafe fn halves_mask(w: usize) -> [__m256i; 2] {
-        let live = _mm256_set1_epi32(w as i32);
-        [
-            _mm256_cmpgt_epi32(live, _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7)),
-            _mm256_cmpgt_epi32(live, _mm256_setr_epi32(8, 9, 10, 11, 12, 13, 14, 15)),
-        ]
+    /// `NR` live lanes, then `NR` dead ones: a `w`-lane row's lane masks
+    /// start `NR - w` in.
+    static LIVE: [[i32; NR]; 2] = [[-1; NR], [0; NR]];
+
+    /// The live lanes `0..w` of an AVX2 row: `w`, which picks a plain,
+    /// masked or no access per half, and the two halves' lane masks.
+    #[derive(Clone, Copy)]
+    pub(super) struct Halves {
+        w: usize,
+        lanes: [__m256i; 2],
     }
 
     impl Row for [__m256; 2] {
+        type Mask = Halves;
+
         #[inline(always)]
         unsafe fn zero() -> Self {
             [_mm256_setzero_ps(); 2]
@@ -1158,37 +1172,45 @@ mod x86 {
         unsafe fn mul(self, x: Self) -> Self {
             [_mm256_mul_ps(self[0], x[0]), _mm256_mul_ps(self[1], x[1])]
         }
+        /// Read from a sliding window over [`LIVE`]: LLVM sinks a vector
+        /// compare into the blocks that use it, the loop body included, but
+        /// hoists a load of constant memory out of the loop.
         #[inline(always)]
-        unsafe fn load<const FULL: bool>(p: *const f32, w: usize) -> Self {
+        unsafe fn mask(w: usize) -> Halves {
+            // SAFETY: `1 <= w <= NR` keeps both 8-lane windows inside
+            // `LIVE`'s `2·NR` lanes.
+            let window = LIVE.as_ptr().cast::<i32>().add(NR - w);
+            let lanes = [
+                _mm256_loadu_si256(window.cast()),
+                _mm256_loadu_si256(window.add(8).cast()),
+            ];
+            Halves { w, lanes }
+        }
+        #[inline(always)]
+        unsafe fn load(p: *const f32, mask: Halves) -> Self {
             // `p.add(8)` is formed only when lane 8 is live, so in bounds;
             // `_mm256_maskload_ps` does not access masked-out lanes.
-            let mask = halves_mask(w);
-            let lo = if FULL || w >= 8 {
+            let lo = if mask.w >= 8 {
                 _mm256_loadu_ps(p)
             } else {
-                _mm256_maskload_ps(p, mask[0])
+                _mm256_maskload_ps(p, mask.lanes[0])
             };
-            let hi = if FULL {
-                _mm256_loadu_ps(p.add(8))
-            } else if w > 8 {
-                _mm256_maskload_ps(p.add(8), mask[1])
+            let hi = if mask.w > 8 {
+                _mm256_maskload_ps(p.add(8), mask.lanes[1])
             } else {
                 _mm256_setzero_ps()
             };
             [lo, hi]
         }
         #[inline(always)]
-        unsafe fn store<const FULL: bool>(self, p: *mut f32, w: usize) {
-            let mask = halves_mask(w);
-            if FULL || w >= 8 {
+        unsafe fn store(self, p: *mut f32, mask: Halves) {
+            if mask.w >= 8 {
                 _mm256_storeu_ps(p, self[0]);
             } else {
-                _mm256_maskstore_ps(p, mask[0], self[0]);
+                _mm256_maskstore_ps(p, mask.lanes[0], self[0]);
             }
-            if FULL {
-                _mm256_storeu_ps(p.add(8), self[1]);
-            } else if w > 8 {
-                _mm256_maskstore_ps(p.add(8), mask[1], self[1]);
+            if mask.w > 8 {
+                _mm256_maskstore_ps(p.add(8), mask.lanes[1], self[1]);
             }
         }
         /// Transposes the four rows' 4 × 4 blocks with shuffles so one SSE
@@ -1224,6 +1246,8 @@ mod x86 {
     }
 
     impl Row for __m512 {
+        type Mask = __mmask16;
+
         #[inline(always)]
         unsafe fn zero() -> Self {
             _mm512_setzero_ps()
@@ -1241,21 +1265,17 @@ mod x86 {
             _mm512_mul_ps(self, x)
         }
         #[inline(always)]
-        unsafe fn load<const FULL: bool>(p: *const f32, w: usize) -> Self {
-            // Masked-out lanes are not accessed: no read, no fault.
-            if FULL {
-                _mm512_loadu_ps(p)
-            } else {
-                _mm512_maskz_loadu_ps(((1u32 << w) - 1) as __mmask16, p)
-            }
+        unsafe fn mask(w: usize) -> __mmask16 {
+            ((1u32 << w) - 1) as __mmask16
         }
         #[inline(always)]
-        unsafe fn store<const FULL: bool>(self, p: *mut f32, w: usize) {
-            if FULL {
-                _mm512_storeu_ps(p, self);
-            } else {
-                _mm512_mask_storeu_ps(p, ((1u32 << w) - 1) as __mmask16, self);
-            }
+        unsafe fn load(p: *const f32, mask: __mmask16) -> Self {
+            // Masked-out lanes are not accessed: no read, no fault.
+            _mm512_maskz_loadu_ps(mask, p)
+        }
+        #[inline(always)]
+        unsafe fn store(self, p: *mut f32, mask: __mmask16) {
+            _mm512_mask_storeu_ps(p, mask, self);
         }
         /// The 4 × 4 transposes of the rows' 128-bit quarters put lane
         /// column `4q + c` of all four rows in quarter `q` of `cols[c]`;
